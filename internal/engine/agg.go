@@ -109,6 +109,12 @@ func (a AggSpec) Name() string {
 // chunk tags which grid cell the running sums belong to (1-based;
 // 0 = nothing pending), so folding happens lazily on the first add of
 // a new chunk instead of by sweeping all groups at every boundary.
+//
+// The struct is the form state takes wherever it is handled one value
+// at a time: the row-at-a-time reference scan, partial merging, and
+// finalization. The chunk kernels hold the same fields column-wise
+// across groups and fold at every chunk end instead (see physCols),
+// converting to this form only to finalize or export.
 type accumulator struct {
 	count   int64
 	sum     float64
@@ -126,14 +132,6 @@ func (a *accumulator) addValue(v float64, chunk int32) {
 		a.fold()
 		a.chunk = chunk
 	}
-	a.addHot(v)
-}
-
-// addHot is the fold-free body of addValue: callers must already have
-// folded a.chunk to the row's grid cell. Keeping the (non-inlinable)
-// fold call out of the body lets the compiler inline the per-row
-// arithmetic straight into the chunk-kernel loops.
-func (a *accumulator) addHot(v float64) {
 	a.count++
 	a.sum += v
 	a.sumsq += v * v
@@ -147,15 +145,6 @@ func (a *accumulator) addHot(v float64) {
 }
 
 func (a *accumulator) addCountOnly() { a.count++ }
-
-// addSlim is addHot reduced to the fields COUNT/SUM/AVG finalization
-// reads (count and the folded sums). Only valid on result-only plans —
-// exported partials serialize the full state, so they bind full
-// updates (see bindAggs).
-func (a *accumulator) addSlim(v float64) {
-	a.count++
-	a.sum += v
-}
 
 // fold moves the current chunk's running sums into the exact totals.
 func (a *accumulator) fold() {

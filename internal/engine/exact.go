@@ -83,22 +83,59 @@ func (x *exactFloat) Add(v float64) {
 	x.addBits(math.Float64bits(v))
 }
 
-// reserve grows the limb window to cover limb indices [from, to].
+// Limb indices of finite float64 inputs lie in [0, exactMaxLimb]: the
+// top double has bit offset 2045, whose three-digit span ends at limb 65.
+const exactMaxLimb = 65
+
+// exactHeadroom is how many spare limbs reserve adds beyond each edge it
+// has to move. Inputs to one accumulator cluster in magnitude, so a
+// window sized exactly to the values seen so far regrows on almost
+// every new exponent; two limbs (a factor of 2^64 in magnitude) per
+// side make regrowth rare while the window stays a few dozen bytes.
+const exactHeadroom = 2
+
+// reserve grows the limb window to cover limb indices [from, to]. Spare
+// limbs are zero and canon trims them, so headroom never shows in the
+// serialized state.
 func (x *exactFloat) reserve(from, to int) {
-	if x.limbs == nil {
-		x.limbs = make([]int64, to-from+1, to-from+5)
-		x.lo = int32(from)
-		return
+	curLo, curHi := math.MaxInt, -1 // the empty window
+	if len(x.limbs) > 0 {
+		curLo, curHi = int(x.lo), int(x.lo)+len(x.limbs)-1
 	}
-	curLo, curHi := int(x.lo), int(x.lo)+len(x.limbs)-1
 	if from >= curLo && to <= curHi {
 		return
 	}
-	newLo, newHi := min(from, curLo), max(to, curHi)
-	grown := make([]int64, newHi-newLo+1)
-	copy(grown[curLo-newLo:], x.limbs)
-	x.limbs = grown
+	// Only an edge that has to move gets headroom.
+	newLo, newHi := curLo, curHi
+	if from < curLo {
+		newLo = max(from-exactHeadroom, 0)
+	}
+	if to > curHi {
+		newHi = max(to, min(to+exactHeadroom, exactMaxLimb))
+	}
+	need := newHi - newLo + 1
+	if len(x.limbs) == 0 && cap(x.limbs) >= need {
+		// Reuse after reset: the retained backing array may hold stale
+		// digits.
+		x.limbs = x.limbs[:need]
+		clear(x.limbs)
+	} else {
+		grown := make([]int64, need)
+		if len(x.limbs) > 0 {
+			copy(grown[curLo-newLo:], x.limbs)
+		}
+		x.limbs = grown
+	}
 	x.lo = int32(newLo)
+}
+
+// reset empties the accumulator but keeps the limb backing array, so an
+// arena that is refilled with similar values (see grouper.reset) does
+// not reallocate.
+func (x *exactFloat) reset() {
+	x.limbs = x.limbs[:0]
+	x.lo = 0
+	x.special = 0
 }
 
 // Merge folds another accumulator's exact state into x. Merging is

@@ -125,6 +125,50 @@ func TestExactFloatStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExactFloatWindowReuse pins the allocation behaviour reserve and
+// reset exist for: the limb window carries headroom, so values within
+// 2^64 of the first one never regrow it, and a reset accumulator refills
+// without allocating — while holding exactly the state a fresh one would
+// (stale limbs cleared, the extremes of the double range still in reach).
+func TestExactFloatWindowReuse(t *testing.T) {
+	vals := []float64{3.5, 1e-9, -2e12, 7e15, -4e-15}
+	var x exactFloat
+	x.Add(1)
+	if n := testing.AllocsPerRun(100, func() {
+		for _, v := range vals {
+			x.Add(v)
+		}
+	}); n != 0 {
+		t.Fatalf("adding values within the headroom allocated %v times per run", n)
+	}
+	var y exactFloat
+	for _, v := range vals {
+		y.Add(v * 3)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		y.reset()
+		for _, v := range vals {
+			y.Add(v)
+		}
+	}); n != 0 {
+		t.Fatalf("refilling a reset accumulator allocated %v times per run", n)
+	}
+	var fresh exactFloat
+	for _, v := range vals {
+		fresh.Add(v)
+	}
+	if !exactStatesEq(y.State(), fresh.State()) {
+		t.Fatalf("reset accumulator state %+v, fresh %+v", y.State(), fresh.State())
+	}
+	var edge exactFloat
+	for _, v := range []float64{math.MaxFloat64, math.SmallestNonzeroFloat64, -math.MaxFloat64} {
+		edge.Add(v)
+	}
+	if got := edge.Round(); got != math.SmallestNonzeroFloat64 {
+		t.Fatalf("extremes: got %g, want %g", got, math.SmallestNonzeroFloat64)
+	}
+}
+
 func TestExactFloatSpecials(t *testing.T) {
 	var x exactFloat
 	x.Add(1)

@@ -414,6 +414,36 @@ func (e *Executor) runGroupers(ctx context.Context, q *Query, gsets []GroupingSe
 	return merged, nil
 }
 
+// DenseLayouts reports, per grouping set, whether a scan of the table
+// would bind the dense array-indexed group layout (true) or the hash
+// layout (false). It is a planning diagnostic: it reads nothing but
+// the memoized column ranges and never affects what a scan returns.
+func (e *Executor) DenseLayouts(table string, gsets []GroupingSet) ([]bool, error) {
+	t, err := e.cat.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var allAggs []AggSpec
+	for _, gs := range gsets {
+		allAggs = append(allAggs, gs.Aggs...)
+	}
+	fs, err := buildFilterSet(t, allAggs)
+	if err != nil {
+		return nil, err
+	}
+	plans, err := buildGrouperPlans(t, gsets, fs, false, true)
+	if err != nil {
+		return nil, err
+	}
+	dense := make([]bool, len(plans))
+	for i, p := range plans {
+		dense[i] = p.fast != nil
+	}
+	return dense, nil
+}
+
 // scanRange drives one partition through either the compiled chunk
 // kernels (default) or the row-at-a-time reference scan.
 func (e *Executor) scanRange(ctx context.Context, t *Table, lo, hi int, smp *sampler,
@@ -476,15 +506,30 @@ func scanPartitionRows(ctx context.Context, lo, hi int, smp *sampler, where Boun
 }
 
 // filterSet deduplicates the per-aggregate filter predicates of a
-// query (by interface identity) and binds each once.
+// query (by interface identity) and binds each once. It also registers
+// the scan's row sets: the distinct row subsets its accumulators
+// consume, which the chunk driver extracts once per chunk for every
+// grouper (see scanKernels.scanPartition).
 type filterSet struct {
 	preds []Predicate
 	bound []BoundPredicate
 	index map[Predicate]int
+
+	// rowSets[0] is always the unrestricted set (every row passing the
+	// sample and WHERE); bindAggs appends the rest.
+	rowSets []rowSet
+}
+
+// rowSet names the rows one or more physical accumulators consume: the
+// scan's selected rows, restricted to one shared filter and stripped of
+// one measure column's NULL rows.
+type rowSet struct {
+	filter int         // index into filterSet.preds; -1 = unfiltered
+	nulls  *nullBitmap // NULL rows to drop; nil = none
 }
 
 func buildFilterSet(t *Table, aggs []AggSpec) (*filterSet, error) {
-	fs := &filterSet{index: map[Predicate]int{}}
+	fs := &filterSet{index: map[Predicate]int{}, rowSets: []rowSet{{filter: -1}}}
 	for _, a := range aggs {
 		if a.Filter == nil {
 			continue
@@ -503,10 +548,23 @@ func buildFilterSet(t *Table, aggs []AggSpec) (*filterSet, error) {
 	return fs, nil
 }
 
+// rowSetIndex returns the index of rs, registering it on first use. A
+// scan has a handful of row sets, so a linear probe beats a map.
+func (fs *filterSet) rowSetIndex(rs rowSet) int {
+	for i, have := range fs.rowSets {
+		if have == rs {
+			return i
+		}
+	}
+	fs.rowSets = append(fs.rowSets, rs)
+	return len(fs.rowSets) - 1
+}
+
 // buildGrouperPlans binds one plan per grouping set. legacy restricts
-// the dense layout to its pre-kernel eligibility (see SetReferenceScan);
-// resultsOnly marks plans whose groupers only ever finalize results
-// (never export partials), enabling slim accumulator updates.
+// the dense layout to its pre-kernel eligibility and keeps one private
+// accumulator per aggregate (see SetReferenceScan); resultsOnly marks
+// plans whose groupers only ever finalize results (never export
+// partials), enabling slim accumulator updates.
 func buildGrouperPlans(t *Table, gsets []GroupingSet, fs *filterSet, legacy, resultsOnly bool) ([]*grouperPlan, error) {
 	out := make([]*grouperPlan, len(gsets))
 	for i, gs := range gsets {
@@ -539,75 +597,132 @@ func finalizeGroupers(groupers []*grouper) ([]*Result, error) {
 // ---------------------------------------------------------------------
 // grouper plan: per-query bound state for one grouping-attribute list
 
-// measKind classifies how the kernel path reads an aggregate's measure.
-type measKind uint8
-
-const (
-	measCountStar measKind = iota // COUNT(*): no column read
-	measFloat                     // FLOAT measure, direct slice access
-	measInt                       // INT measure, converted per row
-	measOther                     // non-numeric measure: presence only (COUNT)
-)
-
-// boundAgg is an AggSpec bound to a table: measure access plus the
-// index of its (shared, pre-evaluated) filter in the query filterSet.
+// boundAgg is one logical aggregate of a grouping set — an output
+// column of its Result and Partial — bound to a table.
 type boundAgg struct {
 	spec      AggSpec
 	get       func(row int) (float64, bool) // reference path; nil for COUNT(*)
 	filterIdx int                           // -1 when unfiltered
 	countOnly bool
-	slim      bool // result-only COUNT/SUM/AVG: skip sumsq/min/max updates
 
-	// Kernel path: direct column access, resolved once at bind time.
-	kind  measKind
-	f64   []float64
-	i64   []int64
-	nulls *nullBitmap // nil when the measure column has no NULLs
-	col   Column      // measOther only
+	// phys indexes the physical accumulator (grouperPlan.phys) that
+	// holds this aggregate's state.
+	phys int
 }
 
-func bindAggs(t *Table, aggs []AggSpec, fs *filterSet, resultsOnly bool) ([]boundAgg, error) {
-	out := make([]boundAgg, len(aggs))
+// measKind classifies what a physical accumulator reads per row.
+type measKind uint8
+
+const (
+	measCount measKind = iota // no value: COUNT(*) or COUNT over a non-numeric column
+	measFloat                 // FLOAT measure, direct slice access
+	measInt                   // INT measure, converted per row
+)
+
+// physAgg is one physical accumulator of a grouping set: the state of
+// one (measure column, filter) pair. An accumulator's state depends
+// only on which rows reach it and what values they carry, never on the
+// aggregate function, so SUM(m), COUNT(m), AVG(m), MIN(m)… over the
+// same filter all read one physical accumulator: the scan updates
+// physical state once per row and result()/partial() fan it back out
+// per logical aggregate.
+type physAgg struct {
+	kind measKind
+	f64  []float64
+	i64  []int64
+
+	// rows indexes grouperPlan.rowSets: the rows this accumulator
+	// consumes. The per-group row count of that set IS the accumulator's
+	// count, so accumulators over one row set share one counter.
+	rows int
+
+	// full keeps sumsq/min/max/seen besides the sum. Slim suffices when
+	// every user is a result-only COUNT/SUM/AVG; exported partials
+	// serialize the whole state, so they always bind full.
+	full bool
+
+	// presence marks COUNT over a non-numeric column, whose state is
+	// seen with min = max = 0 (what adding a zero per row leaves behind);
+	// COUNT(*) never sets seen.
+	presence bool
+}
+
+// bindAggs binds a grouping set's aggregates: the logical list in
+// output order, and the deduplicated physical accumulators behind it.
+// rowSets lists the scan row sets (indices into fs.rowSets) those
+// accumulators consume. With share off, every logical aggregate keeps a
+// private physical accumulator.
+func bindAggs(t *Table, aggs []AggSpec, fs *filterSet, share, resultsOnly bool) (logical []boundAgg, phys []physAgg, rowSets []int, err error) {
+	type physKey struct {
+		column string
+		filter int
+	}
+	byKey := map[physKey]int{}
+	localRows := func(rs rowSet) int {
+		global := fs.rowSetIndex(rs)
+		for i, have := range rowSets {
+			if have == global {
+				return i
+			}
+		}
+		rowSets = append(rowSets, global)
+		return len(rowSets) - 1
+	}
+	logical = make([]boundAgg, len(aggs))
 	for i, a := range aggs {
 		ba := boundAgg{spec: a, filterIdx: -1}
-		// Plans that never export partials can skip the accumulator
-		// fields these aggregates' finalization does not read.
-		ba.slim = resultsOnly &&
-			(a.Func == AggCount || a.Func == AggSum || a.Func == AggAvg)
+		if a.Filter != nil {
+			idx, ok := fs.index[a.Filter]
+			if !ok {
+				return nil, nil, nil, fmt.Errorf("engine: internal: filter for %s not registered", a.Name())
+			}
+			ba.filterIdx = idx
+		}
+		pa := physAgg{kind: measCount}
+		rs := rowSet{filter: ba.filterIdx}
 		if a.Column == "" {
 			if a.Func != AggCount {
-				return nil, fmt.Errorf("engine: %s requires a column", a.Func)
+				return nil, nil, nil, fmt.Errorf("engine: %s requires a column", a.Func)
 			}
 			ba.countOnly = true
-			ba.kind = measCountStar
 		} else {
 			col, err := t.Column(a.Column)
 			if err != nil {
-				return nil, err
+				return nil, nil, nil, err
 			}
 			if a.Func != AggCount && !col.Type().Numeric() {
-				return nil, fmt.Errorf("engine: %s(%s): column is %v, need numeric", a.Func, a.Column, col.Type())
+				return nil, nil, nil, fmt.Errorf("engine: %s(%s): column is %v, need numeric", a.Func, a.Column, col.Type())
 			}
 			ba.get = measureGetter(col)
 			switch c := col.(type) {
 			case *FloatColumn:
-				ba.kind, ba.f64, ba.nulls = measFloat, c.Floats(), activeNulls(&c.nulls)
+				pa.kind, pa.f64, rs.nulls = measFloat, c.Floats(), activeNulls(&c.nulls)
 			case *IntColumn:
-				ba.kind, ba.i64, ba.nulls = measInt, c.Ints(), activeNulls(&c.nulls)
+				pa.kind, pa.i64, rs.nulls = measInt, c.Ints(), activeNulls(&c.nulls)
 			default:
-				ba.kind, ba.col = measOther, col
+				nb := columnNulls(t, a.Column)
+				if nb == nil {
+					return nil, nil, nil, fmt.Errorf("engine: cannot aggregate column %q: unsupported column kind %T", a.Column, col)
+				}
+				pa.presence, rs.nulls = true, activeNulls(nb)
 			}
 		}
-		if a.Filter != nil {
-			idx, ok := fs.index[a.Filter]
-			if !ok {
-				return nil, fmt.Errorf("engine: internal: filter for %s not registered", a.Name())
-			}
-			ba.filterIdx = idx
+		key := physKey{a.Column, ba.filterIdx}
+		pi, ok := byKey[key]
+		if !ok || !share {
+			pi = len(phys)
+			byKey[key] = pi
+			pa.rows = localRows(rs)
+			phys = append(phys, pa)
 		}
-		out[i] = ba
+		slimUser := resultsOnly && (a.Func == AggCount || a.Func == AggSum || a.Func == AggAvg)
+		if !slimUser {
+			phys[pi].full = true
+		}
+		ba.phys = pi
+		logical[i] = ba
 	}
-	return out, nil
+	return logical, phys, rowSets, nil
 }
 
 // measureGetter returns a fast float accessor for the column. For
@@ -650,7 +765,8 @@ func measureGetter(col Column) func(row int) (float64, bool) {
 // fastKey maps one grouping column's rows to small dense integer codes
 // in [0, card]: code card is the NULL group, codes below it enumerate
 // the non-null key space (dictionary codes for strings, bin indices
-// offset by qmin for binned or small-range int/time columns).
+// offset by qmin for binned or small-range int/time columns and for
+// binned float columns).
 type fastKey struct {
 	typ   Type
 	codes []int32  // string path: dictionary codes, -1 = NULL
@@ -658,10 +774,16 @@ type fastKey struct {
 	vals  []int64  // int/time path: raw values
 	nulls *nullBitmap
 	width int64   // int/time path: bin width (1 = unbinned)
-	qmin  int64   // int/time path: lowest occupied bin index
+	qmin  int64   // int/time/float path: lowest occupied bin index
 	base  int64   // qmin*width: lowest bin's floor, so v-base >= 0
 	inv   float64 // 1/width when the reciprocal trick applies, else 0
 	card  int     // non-null code count; slot card = NULL
+
+	// float path: code = floor(v/fwidth) - qmin, the same division and
+	// floor binFloor performs, so codes and materialized keys agree with
+	// the generic encoder bit for bit.
+	fvals  []float64
+	fwidth float64
 }
 
 // binCode maps a non-null value to its dense bin code with a reciprocal
@@ -682,32 +804,38 @@ func (k *fastKey) binCode(v int64) int32 {
 	return int32(q)
 }
 
-// codeOf maps a row to its dense code (reference path; the kernel path
-// uses fillSlots).
-func (k *fastKey) codeOf(row int) int {
+// codeOf maps a row to its dense code (reference path and NULL-bearing
+// int/float keys; the kernel path otherwise uses fillCodes).
+func (k *fastKey) codeOf(row int) int32 {
 	if k.codes != nil {
 		c := k.codes[row]
 		if c < 0 {
-			return k.card
+			return int32(k.card)
 		}
-		return int(c)
+		return c
 	}
 	if k.nulls != nil && k.nulls.get(row) {
-		return k.card
+		return int32(k.card)
 	}
-	return int(floorDiv(k.vals[row], k.width) - k.qmin)
+	if k.typ == TypeFloat {
+		return int32(math.Floor(k.fvals[row]/k.fwidth) - float64(k.qmin))
+	}
+	return int32(floorDiv(k.vals[row], k.width) - k.qmin)
 }
 
 // valueOf materializes the boxed key value for a code — identical to
 // what the generic key encoder would have produced for any row in the
 // bin: dict[code] for strings, (qmin+code)*width = floor(v/width)*width
-// for int/time.
+// for int/time and (the bin index being exactly representable) float.
 func (k *fastKey) valueOf(code int) Value {
 	if code == k.card {
 		return NullValue(k.typ)
 	}
 	if k.codes != nil {
 		return String(k.dict[code])
+	}
+	if k.typ == TypeFloat {
+		return Float(canonFloat(float64(k.qmin+int64(code)) * k.fwidth))
 	}
 	v := (k.qmin + int64(code)) * k.width
 	if k.typ == TypeTime {
@@ -716,137 +844,92 @@ func (k *fastKey) valueOf(code int) Value {
 	return Int(v)
 }
 
-// fillSlots folds one key dimension into the per-row slot codes for a
-// chunk's selection vector. first=true initializes slots; otherwise
-// slots become slot*(card+1)+code (mixed radix, matching slotKey).
-// dense=true means sel[j] == j for the whole chunk, so the column is
-// streamed directly without the selection-vector indirection.
-func (k *fastKey) fillSlots(start int, sel []int32, slots []int32, first, dense bool) {
-	dim := int32(k.card + 1)
-	nullSlot := int32(k.card)
-	if k.codes != nil {
-		if dense {
-			codes := k.codes[start : start+len(slots)]
-			if first {
-				for j, c := range codes {
-					if c < 0 {
-						c = nullSlot
-					}
-					slots[j] = c
-				}
-				return
-			}
-			for j, c := range codes {
+// rowSel is one row set's rows within the current chunk: ascending
+// in-chunk offsets, or — dense — every row of the chunk, so consumers
+// stream column slices directly instead of indirecting through sel.
+type rowSel struct {
+	sel   []int32
+	dense bool
+}
+
+// fillCodes writes the dense code of each row in r (absolute row
+// start+off) to out[off]. n is the chunk's row count.
+func (k *fastKey) fillCodes(start, n int, r rowSel, out []int32) {
+	nullCode := int32(k.card)
+	switch {
+	case k.codes != nil:
+		if r.dense {
+			for j, c := range k.codes[start : start+n] {
 				if c < 0 {
-					c = nullSlot
+					c = nullCode
 				}
-				slots[j] = slots[j]*dim + c
+				out[j] = c
 			}
 			return
 		}
 		codes := k.codes[start:]
-		if first {
-			for j, off := range sel {
-				c := codes[off]
-				if c < 0 {
-					c = nullSlot
-				}
-				slots[j] = c
-			}
-			return
-		}
-		for j, off := range sel {
+		for _, off := range r.sel {
 			c := codes[off]
 			if c < 0 {
-				c = nullSlot
+				c = nullCode
 			}
-			slots[j] = slots[j]*dim + c
+			out[off] = c
 		}
-		return
-	}
-	w, qmin := k.width, k.qmin
-	if k.nulls == nil {
-		if dense {
-			vals := k.vals[start : start+len(slots)]
-			switch {
-			case w == 1 && first:
-				for j, v := range vals {
-					slots[j] = int32(v - qmin)
-				}
-			case w == 1:
-				for j, v := range vals {
-					slots[j] = slots[j]*dim + int32(v-qmin)
-				}
-			case k.inv != 0 && first:
-				for j, v := range vals {
-					slots[j] = k.binCode(v)
-				}
-			case k.inv != 0:
-				for j, v := range vals {
-					slots[j] = slots[j]*dim + k.binCode(v)
-				}
-			case first:
-				for j, v := range vals {
-					slots[j] = int32(floorDiv(v, w) - qmin)
-				}
-			default:
-				for j, v := range vals {
-					slots[j] = slots[j]*dim + int32(floorDiv(v, w)-qmin)
-				}
+	case k.nulls != nil:
+		if r.dense {
+			for j := range out[:n] {
+				out[j] = k.codeOf(start + j)
 			}
 			return
 		}
+		for _, off := range r.sel {
+			out[off] = k.codeOf(start + int(off))
+		}
+	case k.typ == TypeFloat:
+		w, qmin := k.fwidth, float64(k.qmin)
+		if r.dense {
+			for j, v := range k.fvals[start : start+n] {
+				out[j] = int32(math.Floor(v/w) - qmin)
+			}
+			return
+		}
+		vals := k.fvals[start:]
+		for _, off := range r.sel {
+			out[off] = int32(math.Floor(vals[off]/w) - qmin)
+		}
+	case r.dense:
+		w, qmin := k.width, k.qmin
+		vals := k.vals[start : start+n]
+		switch {
+		case w == 1:
+			for j, v := range vals {
+				out[j] = int32(v - qmin)
+			}
+		case k.inv != 0:
+			for j, v := range vals {
+				out[j] = k.binCode(v)
+			}
+		default:
+			for j, v := range vals {
+				out[j] = int32(floorDiv(v, w) - qmin)
+			}
+		}
+	default:
+		w, qmin := k.width, k.qmin
 		vals := k.vals[start:]
-		if w == 1 {
-			if first {
-				for j, off := range sel {
-					slots[j] = int32(vals[off] - qmin)
-				}
-			} else {
-				for j, off := range sel {
-					slots[j] = slots[j]*dim + int32(vals[off]-qmin)
-				}
+		switch {
+		case w == 1:
+			for _, off := range r.sel {
+				out[off] = int32(vals[off] - qmin)
 			}
-			return
-		}
-		if k.inv != 0 {
-			if first {
-				for j, off := range sel {
-					slots[j] = k.binCode(vals[off])
-				}
-			} else {
-				for j, off := range sel {
-					slots[j] = slots[j]*dim + k.binCode(vals[off])
-				}
+		case k.inv != 0:
+			for _, off := range r.sel {
+				out[off] = k.binCode(vals[off])
 			}
-			return
-		}
-		if first {
-			for j, off := range sel {
-				slots[j] = int32(floorDiv(vals[off], w) - qmin)
+		default:
+			for _, off := range r.sel {
+				out[off] = int32(floorDiv(vals[off], w) - qmin)
 			}
-		} else {
-			for j, off := range sel {
-				slots[j] = slots[j]*dim + int32(floorDiv(vals[off], w)-qmin)
-			}
-		}
-		return
-	}
-	vals := k.vals[start:]
-	nb := k.nulls
-	for j, off := range sel {
-		c := nullSlot
-		if !nb.get(start + int(off)) {
-			if w == 1 {
-				c = int32(vals[off] - qmin)
-			} else {
-				c = int32(floorDiv(vals[off], w) - qmin)
-			}
-		}
-		if first {
-			slots[j] = c
-		} else {
-			slots[j] = slots[j]*dim + c
 		}
 	}
 }
@@ -867,9 +950,18 @@ const (
 // per table), so it must happen once per query, not per partition.
 type grouperPlan struct {
 	set     []string
-	aggs    []boundAgg
+	aggs    []boundAgg // logical aggregates, in output order
 	nAggs   int
 	keyCols []Column
+
+	// phys and rowSets are the logical→physical map (see physAgg):
+	// rowSets lists the scan row sets (filterSet.rowSets indices) the
+	// physical accumulators consume. reference plans keep one private
+	// physical accumulator per logical aggregate and their groupers
+	// store row-at-a-time accumulator structs instead of columns.
+	phys      []physAgg
+	rowSets   []int
+	reference bool
 
 	// fast path: nil when the generic hash layout is used.
 	fast      []fastKey
@@ -880,9 +972,9 @@ type grouperPlan struct {
 }
 
 func newGrouperPlan(t *Table, gs GroupingSet, fs *filterSet, legacy, resultsOnly bool) (*grouperPlan, error) {
-	p := &grouperPlan{set: gs.By, nAggs: len(gs.Aggs)}
+	p := &grouperPlan{set: gs.By, nAggs: len(gs.Aggs), reference: legacy}
 	var err error
-	if p.aggs, err = bindAggs(t, gs.Aggs, fs, resultsOnly); err != nil {
+	if p.aggs, p.phys, p.rowSets, err = bindAggs(t, gs.Aggs, fs, !legacy, resultsOnly); err != nil {
 		return nil, err
 	}
 	for _, name := range p.set {
@@ -959,6 +1051,8 @@ func newFastKey(t *Table, col Column, binWidth float64) (fastKey, bool) {
 		return int64FastKey(t, col.Name(), TypeInt, c.Ints(), &c.nulls, binWidth)
 	case *TimeColumn:
 		return int64FastKey(t, col.Name(), TypeTime, c.Nanos(), &c.nulls, binWidth)
+	case *FloatColumn:
+		return floatFastKey(t, c, binWidth)
 	}
 	return fastKey{}, false
 }
@@ -996,8 +1090,37 @@ func int64FastKey(t *Table, name string, typ Type, vals []int64, nb *nullBitmap,
 	return k, true
 }
 
+// floatFastKey builds the dense-code mapping for a binned FLOAT key.
+// v -> floor(v/width) is monotone, so every finite value's bin index
+// lies between those of the column's finite min and max (memoized like
+// the int range). Unbinned floats, and columns holding NaN or ±Inf
+// (whose bins have no index), keep the hash layout.
+func floatFastKey(t *Table, c *FloatColumn, binWidth float64) (fastKey, bool) {
+	ci, ok := t.byName[c.Name()]
+	if !ok || !(binWidth > 0) || math.IsInf(binWidth, 0) {
+		return fastKey{}, false
+	}
+	vmin, vmax, any, nonFinite := t.float64RangeLocked(ci)
+	if nonFinite {
+		return fastKey{}, false
+	}
+	k := fastKey{typ: TypeFloat, fvals: c.Floats(), nulls: activeNulls(&c.nulls), fwidth: binWidth}
+	if !any {
+		return k, true // every row NULL (or no rows): one NULL slot
+	}
+	qmin, qmax := math.Floor(vmin/binWidth), math.Floor(vmax/binWidth)
+	// Bin indices must convert to int64 and back exactly (valueOf), and
+	// a tiny width can overflow the quotient to ±Inf.
+	const exact = 1 << 52
+	if !(qmin > -exact && qmax < exact) || qmax-qmin >= fastSlotLimit {
+		return fastKey{}, false
+	}
+	k.qmin, k.card = int64(qmin), int(qmax-qmin)+1
+	return k, true
+}
+
 // slotKey materializes the boxed group key for a dense slot (mixed-
-// radix decode; the last key varies fastest, matching fillSlots).
+// radix decode; the last key varies fastest, matching processChunk).
 func (p *grouperPlan) slotKey(slot int) []Value {
 	key := make([]Value, len(p.fast))
 	for i := len(p.fast) - 1; i >= 0; i-- {
@@ -1023,74 +1146,176 @@ func floorDiv(v, w int64) int64 {
 // grouper: aggregation state for one grouping-attribute list
 
 // grouper aggregates rows into groups keyed by a list of attributes.
-// Two layouts are used, chosen by the shared plan:
+// Every group has a slot; two layouts assign them, chosen by the shared
+// plan:
 //
 //   - fast path: every key column maps to small dense codes (unbinned
-//     dictionary strings, binned or small-range int/time), composed
-//     into one mixed-radix slot — groups live in a dense slice indexed
-//     by slot, no hashing. SeeDB's dominant one- and two-dimension
-//     group-bys all take this path.
+//     dictionary strings, binned or small-range int/time, binned
+//     float), composed into one mixed-radix slot — no hashing. SeeDB's
+//     default plans bind nothing else (TestDefaultPlanAllDense).
 //   - generic path: composite keys encoded to a byte string, hash map
-//     from key to group slot.
+//     from key to slot, slots handed out in order of first appearance.
 //
-// Accumulators for all aggregates of a group are stored contiguously.
+// Aggregate state is indexed by slot. The chunk kernels keep it
+// column-wise (one array per field of each PHYSICAL accumulator, see
+// physAgg), so a chunk's updates to one accumulator walk a few small
+// arrays — L1-resident at SeeDB's group cardinalities — rather than
+// striding through per-group structs. The row-at-a-time reference keeps
+// one accumulator struct per (slot, logical aggregate) and shares none
+// of the kernels' accumulate code, which is what makes it an oracle.
+//
 // Groupers are cheap arenas over their (immutable, shared) plan and
 // support reset() for reuse across scan segments.
 type grouper struct {
 	plan *grouperPlan
 
-	// fast path
-	fastAccs []accumulator // fastSlots * nAggs
-	fastSeen []bool        // whether the group appeared at all
-	slots    []int32       // per-chunk slot codes (kernel path scratch)
+	// stamp[slot] is 0 until the group first appears; the chunk kernels
+	// then keep it at the epoch of the last chunk that touched the slot.
+	stamp []uint32
 
 	// generic path
 	buf  []byte
 	m    map[string]int
 	keys [][]Value
-	accs []accumulator // len(keys) * nAggs
+
+	// kernel path. cnt[i][slot] counts the group's rows in
+	// plan.rowSets[i]; cols[p] is physical accumulator p. slots, codes,
+	// touched and epoch are per-chunk scratch.
+	cnt     [][]int64
+	cols    []physCols
+	slots   []int32 // in-chunk offset -> slot
+	codes   []int32 // second key's codes (two-key fast layouts)
+	touched []int32 // slots touched by the current chunk
+	epoch   uint32
+
+	// reference path: nAggs accumulators per slot.
+	accs []accumulator
 }
+
+// physCols is one physical accumulator's state, column-wise over slots.
+// sum/sumsq are the running float sums of the CURRENT chunk only: at
+// chunk end they are folded exactly into exSum/exSumSq and zeroed (see
+// accumulator for why sums are two-tier). The other fields exist only
+// on full accumulators.
+type physCols struct {
+	sum, sumsq     []float64
+	exSum, exSumSq []exactFloat
+	min, max       []float64
+	seen           []bool
+}
+
+// liveStamp marks a group as existing without claiming any chunk epoch
+// (epochs start above it).
+const liveStamp = 1
 
 // newGrouper instantiates an empty arena over the plan.
 func (p *grouperPlan) newGrouper() *grouper {
-	g := &grouper{plan: p}
-	if p.fast != nil {
-		g.fastAccs = make([]accumulator, p.fastSlots*p.nAggs)
-		g.fastSeen = make([]bool, p.fastSlots)
-		g.slots = make([]int32, ChunkRows)
-	} else {
+	g := &grouper{plan: p, epoch: liveStamp}
+	if p.fast == nil {
 		g.m = make(map[string]int)
+	}
+	if !p.reference {
+		g.cnt = make([][]int64, len(p.rowSets))
+		g.cols = make([]physCols, len(p.phys))
+		g.slots = make([]int32, ChunkRows)
+		if len(p.fast) > 1 {
+			g.codes = make([]int32, ChunkRows)
+		}
+	}
+	if p.fast != nil {
+		g.growSlots(p.fastSlots)
 	}
 	return g
 }
 
+// growSlots extends the per-slot state to n slots (new slots zero).
+func (g *grouper) growSlots(n int) {
+	if n <= len(g.stamp) {
+		return
+	}
+	p := g.plan
+	g.stamp = grown(g.stamp, n)
+	if p.reference {
+		g.accs = grown(g.accs, n*p.nAggs)
+		return
+	}
+	for i := range g.cnt {
+		g.cnt[i] = grown(g.cnt[i], n)
+	}
+	for i := range g.cols {
+		pa, c := &p.phys[i], &g.cols[i]
+		if pa.kind == measCount {
+			continue
+		}
+		c.sum, c.exSum = grown(c.sum, n), grown(c.exSum, n)
+		if pa.full {
+			c.sumsq, c.exSumSq = grown(c.sumsq, n), grown(c.exSumSq, n)
+			c.min, c.max, c.seen = grown(c.min, n), grown(c.max, n), grown(c.seen, n)
+		}
+	}
+}
+
+// grown returns s extended to length n, new elements zero, doubling
+// capacity so repeated growth is amortized. Elements between len and
+// cap are zero by construction (see grouper.reset).
+func grown[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	out := make([]T, n, max(n, 2*cap(s)))
+	copy(out, s)
+	return out
+}
+
 // reset clears accumulated state so the arena can be reused for the
-// next scan segment. Fast-path state is cleared sparsely (only touched
-// slots), so resetting between small segments costs O(groups seen),
-// not O(layout). Exported partials own their state (AccState digit
-// slices are fresh copies and key []Value slices are never mutated
-// afterwards), so reuse after partial() is safe.
+// next scan segment. Only slots that were touched are cleared, so
+// resetting between small segments costs O(groups seen), not O(layout),
+// and exact accumulators keep their limb arrays so a refilled arena does
+// not reallocate them. Exported partials own their state (AccState
+// digit slices are fresh copies and key []Value slices are never
+// mutated afterwards), so reuse after partial() is safe.
 func (g *grouper) reset() {
-	if g.fastAccs != nil {
-		nA := g.plan.nAggs
-		for slot, seen := range g.fastSeen {
-			if !seen {
+	p := g.plan
+	for slot, st := range g.stamp {
+		if st == 0 {
+			continue
+		}
+		g.stamp[slot] = 0
+		if p.reference {
+			clear(g.accs[slot*p.nAggs : (slot+1)*p.nAggs])
+			continue
+		}
+		for i := range g.cnt {
+			g.cnt[i][slot] = 0
+		}
+		for i := range g.cols {
+			c := &g.cols[i]
+			if c.exSum == nil {
 				continue
 			}
-			g.fastSeen[slot] = false
-			accs := g.fastAccs[slot*nA : (slot+1)*nA]
-			for i := range accs {
-				accs[i] = accumulator{}
+			c.exSum[slot].reset()
+			if c.exSumSq != nil {
+				c.exSumSq[slot].reset()
+				c.min[slot], c.max[slot], c.seen[slot] = 0, 0, false
 			}
 		}
-		return
 	}
-	if len(g.keys) == 0 {
-		return
+	if p.fast == nil {
+		// Slots are reassigned from zero; the cleared state stays behind
+		// as zeroed capacity for growSlots.
+		clear(g.m)
+		g.keys = g.keys[:0]
+		g.stamp = g.stamp[:0]
+		g.accs = g.accs[:0]
+		for i := range g.cnt {
+			g.cnt[i] = g.cnt[i][:0]
+		}
+		for i := range g.cols {
+			c := &g.cols[i]
+			c.sum, c.sumsq, c.exSum, c.exSumSq = c.sum[:0], c.sumsq[:0], c.exSum[:0], c.exSumSq[:0]
+			c.min, c.max, c.seen = c.min[:0], c.max[:0], c.seen[:0]
+		}
 	}
-	g.m = make(map[string]int, len(g.keys))
-	g.keys = g.keys[:0]
-	g.accs = g.accs[:0]
 }
 
 // keyEncoder appends row's key bytes for one column and materializes
@@ -1102,6 +1327,20 @@ type keyEncoder struct {
 
 // binFloor returns the lower bound of v's bin for the given width.
 func binFloor(v, width float64) float64 { return math.Floor(v/width) * width }
+
+// canonFloat maps every float that prints — and compares — as the same
+// group key to one bit pattern: -0 becomes +0 (binFloor(-0, w) is -0)
+// and every NaN becomes the canonical one. Group identity is decided on
+// key bytes, so without this one visible key could head several groups.
+func canonFloat(v float64) float64 {
+	if v == 0 {
+		return 0
+	}
+	if v != v {
+		return math.NaN()
+	}
+	return v
+}
 
 func appendU64(buf []byte, v uint64) []byte {
 	var tmp [8]byte
@@ -1128,10 +1367,10 @@ func newKeyEncoder(col Column, binWidth float64) (keyEncoder, error) {
 	case *FloatColumn:
 		vals := c.Floats()
 		nb := activeNulls(&c.nulls)
-		bin := func(v float64) float64 { return v }
+		bin := canonFloat
 		if binWidth > 0 {
 			width := binWidth
-			bin = func(v float64) float64 { return binFloor(v, width) }
+			bin = func(v float64) float64 { return canonFloat(binFloor(v, width)) }
 		}
 		if nb == nil {
 			// No NULLs: skip the per-row null check entirely.
@@ -1203,23 +1442,45 @@ func int64KeyEncoder(vals []int64, nb *nullBitmap, binWidth float64, typ Type) k
 	}
 }
 
+// hashSlot returns the slot of row's group on the generic path,
+// creating the group (key materialized, state not yet grown — see
+// growSlots) on first sight.
+func (g *grouper) hashSlot(row int) int {
+	p := g.plan
+	g.buf = g.buf[:0]
+	for _, e := range p.encs {
+		g.buf = e.encode(row, g.buf)
+	}
+	slot, ok := g.m[string(g.buf)]
+	if !ok {
+		slot = len(g.keys)
+		g.m[string(g.buf)] = slot
+		key := make([]Value, len(p.encs))
+		for i, e := range p.encs {
+			key[i] = e.value(row)
+		}
+		g.keys = append(g.keys, key)
+	}
+	return slot
+}
+
 // process folds one row into the group state; chunk is the row's
 // (1-based) grid cell and fvals holds the pre-evaluated shared filter
 // outcomes for this row. This is the row-at-a-time reference path.
 func (g *grouper) process(row int, chunk int32, fvals []bool) {
 	p := g.plan
-	var accs []accumulator
-	if g.fastAccs != nil {
-		slot := 0
+	slot := 0
+	if p.fast != nil {
 		for i := range p.fast {
 			fk := &p.fast[i]
-			slot = slot*(fk.card+1) + fk.codeOf(row)
+			slot = slot*(fk.card+1) + int(fk.codeOf(row))
 		}
-		g.fastSeen[slot] = true
-		accs = g.fastAccs[slot*p.nAggs : (slot+1)*p.nAggs]
 	} else {
-		accs = g.genericSlot(row)
+		slot = g.hashSlot(row)
+		g.growSlots(len(g.keys))
 	}
+	g.stamp[slot] = liveStamp
+	accs := g.accs[slot*p.nAggs : (slot+1)*p.nAggs]
 	for i := range p.aggs {
 		a := &p.aggs[i]
 		if a.filterIdx >= 0 && !fvals[a.filterIdx] {
@@ -1235,285 +1496,212 @@ func (g *grouper) process(row int, chunk int32, fvals []bool) {
 	}
 }
 
-// genericSlot hashes the row's encoded key, creating the group on
-// first sight, and returns its accumulator block.
-func (g *grouper) genericSlot(row int) []accumulator {
+// processChunk folds one chunk (n rows from absolute row start) into
+// the group state. rows holds the chunk's rows per scan row set
+// (filterSet.rowSets order; rows[0] is everything the scan selected),
+// extracted once for all groupers. Each accumulator sees the same
+// values in the same ascending row order as the row-at-a-time
+// reference, sums them from zero within the chunk, and folds the chunk
+// sum exactly — so the folded state is byte-identical.
+func (g *grouper) processChunk(start, n int, rows []rowSel) {
 	p := g.plan
-	g.buf = g.buf[:0]
-	for _, e := range p.encs {
-		g.buf = e.encode(row, g.buf)
-	}
-	slot, ok := g.m[string(g.buf)]
-	if !ok {
-		slot = len(g.keys)
-		g.m[string(g.buf)] = slot
-		key := make([]Value, len(p.encs))
-		for i, e := range p.encs {
-			key[i] = e.value(row)
-		}
-		g.keys = append(g.keys, key)
-		g.accs = append(g.accs, make([]accumulator, p.nAggs)...)
-	}
-	return g.accs[slot*p.nAggs : (slot+1)*p.nAggs]
-}
+	all := rows[0]
 
-// processChunk folds one chunk's selected rows (ascending in-chunk
-// offsets in sel, absolute rows start+off) into the group state.
-// fbits holds the pre-evaluated shared filter bitmaps for the chunk.
-// Rows are consumed in the same ascending order — and accumulators see
-// the same values with the same chunk tags — as the row-at-a-time
-// reference, so the folded state is byte-identical.
-func (g *grouper) processChunk(start int, chunk int32, sel []int32, fbits [][]uint64, dense bool) {
-	p := g.plan
-	if g.fastAccs == nil {
-		for _, off := range sel {
-			row := start + int(off)
-			accs := g.genericSlot(row)
-			for i := range p.aggs {
-				a := &p.aggs[i]
-				if a.filterIdx >= 0 && !bitAt(fbits[a.filterIdx], off) {
-					continue
+	// Every selected row's slot, computed once for all accumulators.
+	slots := g.slots
+	if p.fast != nil {
+		p.fast[0].fillCodes(start, n, all, slots)
+		for ki := 1; ki < len(p.fast); ki++ {
+			fk := &p.fast[ki]
+			fk.fillCodes(start, n, all, g.codes)
+			dim := int32(fk.card + 1)
+			if all.dense {
+				for j, c := range g.codes[:n] {
+					slots[j] = slots[j]*dim + c
 				}
-				if a.countOnly {
-					accs[i].addCountOnly()
-					continue
-				}
-				if v, ok := a.get(row); ok {
-					accs[i].addValue(v, chunk)
+			} else {
+				for _, off := range all.sel {
+					slots[off] = slots[off]*dim + g.codes[off]
 				}
 			}
+		}
+	} else {
+		if all.dense {
+			for j := 0; j < n; j++ {
+				slots[j] = int32(g.hashSlot(start + j))
+			}
+		} else {
+			for _, off := range all.sel {
+				slots[off] = int32(g.hashSlot(start + int(off)))
+			}
+		}
+		g.growSlots(len(g.keys))
+	}
+
+	// Mark group existence and collect the slots this chunk touches.
+	g.epoch++
+	epoch, stamp, touched := g.epoch, g.stamp, g.touched[:0]
+	if all.dense {
+		for _, s := range slots[:n] {
+			if stamp[s] != epoch {
+				stamp[s] = epoch
+				touched = append(touched, s)
+			}
+		}
+	} else {
+		for _, off := range all.sel {
+			if s := slots[off]; stamp[s] != epoch {
+				stamp[s] = epoch
+				touched = append(touched, s)
+			}
+		}
+	}
+	g.touched = touched
+
+	// One counting pass per row set, one summing pass per accumulator.
+	for i, ri := range p.rowSets {
+		countRows(g.cnt[i], slots, rows[ri], n)
+	}
+	for i := range p.phys {
+		pa, c := &p.phys[i], &g.cols[i]
+		r := rows[p.rowSets[pa.rows]]
+		switch {
+		case pa.kind == measFloat && pa.full:
+			addFull(c, pa.f64[start:], slots, r, n)
+		case pa.kind == measFloat:
+			addSums(c.sum, pa.f64[start:], slots, r, n)
+		case pa.kind == measInt && pa.full:
+			addFull(c, pa.i64[start:], slots, r, n)
+		case pa.kind == measInt:
+			addSums(c.sum, pa.i64[start:], slots, r, n)
+		}
+	}
+
+	// Fold the chunk's running sums into the exact totals.
+	for i := range g.cols {
+		c := &g.cols[i]
+		if c.sum != nil {
+			foldSums(c.sum, c.exSum, touched)
+		}
+		if c.sumsq != nil {
+			foldSums(c.sumsq, c.exSumSq, touched)
+		}
+	}
+}
+
+// countRows adds one to cnt[slot] for every row of r.
+func countRows(cnt []int64, slots []int32, r rowSel, n int) {
+	if r.dense {
+		for _, s := range slots[:n] {
+			cnt[s]++
 		}
 		return
 	}
+	for _, off := range r.sel {
+		cnt[slots[off]]++
+	}
+}
 
-	// Fast path, fused: compute every selected row's dense slot once,
-	// mark group existence, then stream each aggregate's measure slice
-	// over the selection vector.
-	slots := g.slots[:len(sel)]
-	for ki := range p.fast {
-		p.fast[ki].fillSlots(start, sel, slots, ki == 0, dense)
-	}
-	for _, s := range slots {
-		g.fastSeen[s] = true
-	}
-	accs, nA := g.fastAccs, p.nAggs
-	for i := range p.aggs {
-		a := &p.aggs[i]
-		var fb []uint64
-		if a.filterIdx >= 0 {
-			fb = fbits[a.filterIdx]
+// addSums is the slim per-row update: the chunk sum only.
+func addSums[T int64 | float64](sum []float64, vals []T, slots []int32, r rowSel, n int) {
+	if r.dense {
+		slots = slots[:n]
+		for j, v := range vals[:n] {
+			sum[slots[j]] += float64(v)
 		}
-		switch a.kind {
-		case measCountStar:
-			if fb == nil {
-				for _, s := range slots {
-					accs[int(s)*nA+i].count++
-				}
-				continue
+		return
+	}
+	for _, off := range r.sel {
+		sum[slots[off]] += float64(vals[off])
+	}
+}
+
+// addFull is the full per-row update, field for field what
+// accumulator.addValue does (the count lives with the row set).
+func addFull[T int64 | float64](c *physCols, vals []T, slots []int32, r rowSel, n int) {
+	sum, sumsq, mn, mx, seen := c.sum, c.sumsq, c.min, c.max, c.seen
+	if r.dense {
+		slots = slots[:n]
+		for j, x := range vals[:n] {
+			s, v := slots[j], float64(x)
+			sum[s] += v
+			sumsq[s] += v * v
+			if !seen[s] || v < mn[s] {
+				mn[s] = v
 			}
-			for j, off := range sel {
-				if bitAt(fb, off) {
-					accs[int(slots[j])*nA+i].count++
-				}
+			if !seen[s] || v > mx[s] {
+				mx[s] = v
 			}
-		case measFloat:
-			// addValue is open-coded (fold check + inlinable addHot) so
-			// the per-row arithmetic inlines into these loops; the fold
-			// branch only fires on an accumulator's first touch per chunk.
-			vals := a.f64[start:]
-			if a.slim && a.nulls == nil {
-				switch {
-				case fb == nil && dense:
-					dv := vals[:len(slots)]
-					for j, v := range dv {
-						ac := &accs[int(slots[j])*nA+i]
-						if ac.chunk != chunk {
-							ac.fold()
-							ac.chunk = chunk
-						}
-						ac.addSlim(v)
-					}
-				case fb == nil:
-					for j, off := range sel {
-						ac := &accs[int(slots[j])*nA+i]
-						if ac.chunk != chunk {
-							ac.fold()
-							ac.chunk = chunk
-						}
-						ac.addSlim(vals[off])
-					}
-				default:
-					for j, off := range sel {
-						if bitAt(fb, off) {
-							ac := &accs[int(slots[j])*nA+i]
-							if ac.chunk != chunk {
-								ac.fold()
-								ac.chunk = chunk
-							}
-							ac.addSlim(vals[off])
-						}
-					}
-				}
-				continue
-			}
-			switch {
-			case fb == nil && a.nulls == nil:
-				if dense {
-					vals := vals[:len(slots)]
-					for j, v := range vals {
-						ac := &accs[int(slots[j])*nA+i]
-						if ac.chunk != chunk {
-							ac.fold()
-							ac.chunk = chunk
-						}
-						ac.addHot(v)
-					}
-					continue
-				}
-				for j, off := range sel {
-					ac := &accs[int(slots[j])*nA+i]
-					if ac.chunk != chunk {
-						ac.fold()
-						ac.chunk = chunk
-					}
-					ac.addHot(vals[off])
-				}
-			case fb == nil:
-				for j, off := range sel {
-					if !a.nulls.get(start + int(off)) {
-						ac := &accs[int(slots[j])*nA+i]
-						if ac.chunk != chunk {
-							ac.fold()
-							ac.chunk = chunk
-						}
-						ac.addHot(vals[off])
-					}
-				}
-			case a.nulls == nil:
-				for j, off := range sel {
-					if bitAt(fb, off) {
-						ac := &accs[int(slots[j])*nA+i]
-						if ac.chunk != chunk {
-							ac.fold()
-							ac.chunk = chunk
-						}
-						ac.addHot(vals[off])
-					}
-				}
-			default:
-				for j, off := range sel {
-					if bitAt(fb, off) && !a.nulls.get(start+int(off)) {
-						ac := &accs[int(slots[j])*nA+i]
-						if ac.chunk != chunk {
-							ac.fold()
-							ac.chunk = chunk
-						}
-						ac.addHot(vals[off])
-					}
-				}
-			}
-		case measInt:
-			vals := a.i64[start:]
-			if a.slim && a.nulls == nil {
-				switch {
-				case fb == nil && dense:
-					dv := vals[:len(slots)]
-					for j, v := range dv {
-						ac := &accs[int(slots[j])*nA+i]
-						if ac.chunk != chunk {
-							ac.fold()
-							ac.chunk = chunk
-						}
-						ac.addSlim(float64(v))
-					}
-				case fb == nil:
-					for j, off := range sel {
-						ac := &accs[int(slots[j])*nA+i]
-						if ac.chunk != chunk {
-							ac.fold()
-							ac.chunk = chunk
-						}
-						ac.addSlim(float64(vals[off]))
-					}
-				default:
-					for j, off := range sel {
-						if bitAt(fb, off) {
-							ac := &accs[int(slots[j])*nA+i]
-							if ac.chunk != chunk {
-								ac.fold()
-								ac.chunk = chunk
-							}
-							ac.addSlim(float64(vals[off]))
-						}
-					}
-				}
-				continue
-			}
-			switch {
-			case fb == nil && a.nulls == nil:
-				if dense {
-					vals := vals[:len(slots)]
-					for j, v := range vals {
-						ac := &accs[int(slots[j])*nA+i]
-						if ac.chunk != chunk {
-							ac.fold()
-							ac.chunk = chunk
-						}
-						ac.addHot(float64(v))
-					}
-					continue
-				}
-				for j, off := range sel {
-					ac := &accs[int(slots[j])*nA+i]
-					if ac.chunk != chunk {
-						ac.fold()
-						ac.chunk = chunk
-					}
-					ac.addHot(float64(vals[off]))
-				}
-			case fb == nil:
-				for j, off := range sel {
-					if !a.nulls.get(start + int(off)) {
-						ac := &accs[int(slots[j])*nA+i]
-						if ac.chunk != chunk {
-							ac.fold()
-							ac.chunk = chunk
-						}
-						ac.addHot(float64(vals[off]))
-					}
-				}
-			case a.nulls == nil:
-				for j, off := range sel {
-					if bitAt(fb, off) {
-						ac := &accs[int(slots[j])*nA+i]
-						if ac.chunk != chunk {
-							ac.fold()
-							ac.chunk = chunk
-						}
-						ac.addHot(float64(vals[off]))
-					}
-				}
-			default:
-				for j, off := range sel {
-					if bitAt(fb, off) && !a.nulls.get(start+int(off)) {
-						ac := &accs[int(slots[j])*nA+i]
-						if ac.chunk != chunk {
-							ac.fold()
-							ac.chunk = chunk
-						}
-						ac.addHot(float64(vals[off]))
-					}
-				}
-			}
-		default: // measOther: presence only (COUNT over non-numeric)
-			for j, off := range sel {
-				if fb != nil && !bitAt(fb, off) {
-					continue
-				}
-				if !a.col.IsNull(start + int(off)) {
-					accs[int(slots[j])*nA+i].addValue(0, chunk)
-				}
-			}
+			seen[s] = true
+		}
+		return
+	}
+	for _, off := range r.sel {
+		s, v := slots[off], float64(vals[off])
+		sum[s] += v
+		sumsq[s] += v * v
+		if !seen[s] || v < mn[s] {
+			mn[s] = v
+		}
+		if !seen[s] || v > mx[s] {
+			mx[s] = v
+		}
+		seen[s] = true
+	}
+}
+
+// foldSums moves the touched slots' chunk sums into the exact totals —
+// accumulator.fold, column-wise.
+func foldSums(sum []float64, ex []exactFloat, touched []int32) {
+	for _, s := range touched {
+		if v := sum[s]; v != 0 {
+			ex[s].Add(v)
+			sum[s] = 0
+		}
+	}
+}
+
+// physAcc materializes physical accumulator pi of group slot as an
+// accumulator value (sharing, not copying, its exact limbs).
+func (g *grouper) physAcc(slot, pi int) accumulator {
+	p := g.plan
+	if p.reference {
+		// Fold in place first: a copy folding its pending chunk sum would
+		// write through to the limbs it shares with the original.
+		a := &g.accs[slot*p.nAggs+pi]
+		a.fold()
+		return *a
+	}
+	pa, c := &p.phys[pi], &g.cols[pi]
+	a := accumulator{count: g.cnt[pa.rows][slot]}
+	switch {
+	case pa.kind == measCount:
+		a.seen = pa.presence && a.count > 0
+	case pa.full:
+		a.exSum, a.exSumSq = c.exSum[slot], c.exSumSq[slot]
+		a.min, a.max, a.seen = c.min[slot], c.max[slot], c.seen[slot]
+	default:
+		a.exSum = c.exSum[slot]
+	}
+	return a
+}
+
+// forEachGroup calls fn with every existing group's key and physical
+// accumulators (a buffer reused across calls).
+func (g *grouper) forEachGroup(fn func(key []Value, phys []accumulator)) {
+	p := g.plan
+	phys := make([]accumulator, len(p.phys))
+	for slot, st := range g.stamp {
+		if st == 0 {
+			continue
+		}
+		for pi := range phys {
+			phys[pi] = g.physAcc(slot, pi)
+		}
+		if p.fast != nil {
+			fn(p.slotKey(slot), phys)
+		} else {
+			fn(g.keys[slot], phys)
 		}
 	}
 }
@@ -1521,33 +1709,67 @@ func (g *grouper) processChunk(start int, chunk int32, sel []int32, fbits [][]ui
 // mergeFrom folds another grouper's partial state (same plan, different
 // row partition) into g.
 func (g *grouper) mergeFrom(o *grouper) {
-	nA := g.plan.nAggs
-	if g.fastAccs != nil {
-		for slot := range o.fastSeen {
-			if !o.fastSeen[slot] {
-				continue
+	p := g.plan
+	if p.fast == nil {
+		// Adopt o's groups: after this, o's slot s is g's slot remap[s].
+		remap := make([]int, len(o.keys))
+		for key, oslot := range o.m {
+			slot, ok := g.m[key]
+			if !ok {
+				slot = len(g.keys)
+				g.m[key] = slot
+				g.keys = append(g.keys, o.keys[oslot])
 			}
-			g.fastSeen[slot] = true
-			dst := g.fastAccs[slot*nA : (slot+1)*nA]
-			src := o.fastAccs[slot*nA : (slot+1)*nA]
-			for i := range dst {
-				dst[i].merge(&src[i])
-			}
+			remap[oslot] = slot
+		}
+		g.growSlots(len(g.keys))
+		for oslot, slot := range remap {
+			g.mergeSlot(slot, o, oslot)
 		}
 		return
 	}
-	for key, oslot := range o.m {
-		slot, ok := g.m[key]
-		if !ok {
-			slot = len(g.keys)
-			g.m[key] = slot
-			g.keys = append(g.keys, o.keys[oslot])
-			g.accs = append(g.accs, make([]accumulator, nA)...)
+	for slot, st := range o.stamp {
+		if st != 0 {
+			g.mergeSlot(slot, o, slot)
 		}
-		dst := g.accs[slot*nA : (slot+1)*nA]
-		src := o.accs[oslot*nA : (oslot+1)*nA]
+	}
+}
+
+// mergeSlot folds o's group oslot into g's group slot.
+func (g *grouper) mergeSlot(slot int, o *grouper, oslot int) {
+	p := g.plan
+	if g.stamp[slot] == 0 {
+		g.stamp[slot] = liveStamp
+	}
+	if p.reference {
+		dst := g.accs[slot*p.nAggs : (slot+1)*p.nAggs]
+		src := o.accs[oslot*p.nAggs : (oslot+1)*p.nAggs]
 		for i := range dst {
 			dst[i].merge(&src[i])
+		}
+		return
+	}
+	for i := range g.cnt {
+		g.cnt[i][slot] += o.cnt[i][oslot]
+	}
+	for i := range g.cols {
+		c, oc := &g.cols[i], &o.cols[i]
+		if c.exSum == nil {
+			continue
+		}
+		c.exSum[slot].Merge(&oc.exSum[oslot])
+		if c.exSumSq == nil {
+			continue
+		}
+		c.exSumSq[slot].Merge(&oc.exSumSq[oslot])
+		if oc.seen[oslot] {
+			if !c.seen[slot] || oc.min[oslot] < c.min[slot] {
+				c.min[slot] = oc.min[oslot]
+			}
+			if !c.seen[slot] || oc.max[oslot] > c.max[slot] {
+				c.max[slot] = oc.max[oslot]
+			}
+			c.seen[slot] = true
 		}
 	}
 }
@@ -1562,28 +1784,15 @@ func (g *grouper) result() *Result {
 		cols = append(cols, a.spec.Name())
 	}
 	res := &Result{Columns: cols}
-
-	emit := func(key []Value, accs []accumulator) {
+	g.forEachGroup(func(key []Value, phys []accumulator) {
 		row := make([]Value, 0, len(key)+p.nAggs)
 		row = append(row, key...)
-		for i := range accs {
-			row = append(row, accs[i].finalize(p.aggs[i].spec.Func))
+		for i := range p.aggs {
+			a := &p.aggs[i]
+			row = append(row, phys[a.phys].finalize(a.spec.Func))
 		}
 		res.Rows = append(res.Rows, row)
-	}
-
-	if g.fastAccs != nil {
-		for slot, seen := range g.fastSeen {
-			if !seen {
-				continue
-			}
-			emit(p.slotKey(slot), g.fastAccs[slot*p.nAggs:(slot+1)*p.nAggs])
-		}
-	} else {
-		for slot := range g.keys {
-			emit(g.keys[slot], g.accs[slot*p.nAggs:(slot+1)*p.nAggs])
-		}
-	}
+	})
 
 	// Deterministic output order: sort by the grouping key columns.
 	keys := make([]OrderKey, len(p.set))

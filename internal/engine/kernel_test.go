@@ -18,7 +18,11 @@ import (
 
 // buildKernelTable makes a randomized table exercising every column
 // kind, null patterns, a huge-range int column (forces the generic
-// grouper layout), and enough rows to straddle chunk boundaries.
+// grouper layout), and enough rows to straddle chunk boundaries. Its
+// float columns cover the binned-float key space: amt (signed, NULLs),
+// neg (an all-negative range), odd (small values around ±0 — and, in
+// every other table, NaNs of several payloads and ±Inf, which push the
+// column off the dense layout) and nul (every row NULL).
 func buildKernelTable(tb testing.TB, rng *rand.Rand, rows int) *Table {
 	tb.Helper()
 	t := MustNewTable("kt", Schema{
@@ -28,6 +32,9 @@ func buildKernelTable(tb testing.TB, rng *rand.Rand, rows int) *Table {
 		{Name: "big", Type: TypeInt},
 		{Name: "amt", Type: TypeFloat},
 		{Name: "ts", Type: TypeTime},
+		{Name: "neg", Type: TypeFloat},
+		{Name: "odd", Type: TypeFloat},
+		{Name: "nul", Type: TypeFloat},
 	})
 	l := t.StartLoad()
 	dim := l.Column(0).(*StringColumn)
@@ -36,8 +43,16 @@ func buildKernelTable(tb testing.TB, rng *rand.Rand, rows int) *Table {
 	big := l.Column(3).(*IntColumn)
 	amt := l.Column(4).(*FloatColumn)
 	ts := l.Column(5).(*TimeColumn)
+	neg := l.Column(6).(*FloatColumn)
+	odd := l.Column(7).(*FloatColumn)
+	nul := l.Column(8).(*FloatColumn)
 	base := time.Date(2014, 9, 1, 0, 0, 0, 0, time.UTC)
 	card := 2 + rng.Intn(12)
+	nonFinite := rng.Intn(2) == 0
+	specials := []float64{
+		math.NaN(), math.Float64frombits(0x7FF8000000000002), math.Float64frombits(0xFFF8000000000000),
+		math.Inf(1), math.Inf(-1),
+	}
 	for i := 0; i < rows; i++ {
 		if rng.Intn(17) == 0 {
 			dim.AppendNull()
@@ -61,6 +76,20 @@ func buildKernelTable(tb testing.TB, rng *rand.Rand, rows int) *Table {
 		} else {
 			ts.AppendTime(base.Add(time.Duration(rng.Intn(90*24)) * time.Hour))
 		}
+		neg.AppendFloat(-10 - rng.Float64()*990)
+		switch k := rng.Intn(16); {
+		case k == 0:
+			odd.AppendNull()
+		case k == 1:
+			odd.AppendFloat(math.Copysign(0, -1))
+		case k == 2:
+			odd.AppendFloat(0)
+		case k == 3 && nonFinite:
+			odd.AppendFloat(specials[rng.Intn(len(specials))])
+		default:
+			odd.AppendFloat(float64(rng.Intn(61)-30) / 10)
+		}
+		nul.AppendNull()
 	}
 	if err := l.Close(); err != nil {
 		tb.Fatal(err)
@@ -115,14 +144,24 @@ func randomKernelPredicate(rng *rand.Rand, depth int) Predicate {
 
 // randomKernelQuery builds a random query over the table: 0-3 grouping
 // columns (hitting the dense fast layout, the two-attribute composite,
-// and the generic hash path), random bin widths, filtered aggregates,
-// sampling, parallelism, and row ranges.
+// and the generic hash path), random bin widths (float widths include
+// ones with no exact binary representation), filtered aggregates — every
+// third query a duplicate-aggregate plan, see dupAggs — sampling,
+// parallelism, and row ranges. No aggregate reads odd: MIN/MAX over NaN
+// depend on how rows are partitioned (NaN poisons only the partition it
+// starts), which is a known wart of the accumulator, not of the kernels.
 func randomKernelQuery(rng *rand.Rand, rows int) *Query {
 	q := &Query{Table: "kt", Parallelism: 1 + rng.Intn(4)}
 	if rng.Intn(3) > 0 {
 		q.Where = randomKernelPredicate(rng, 2)
 	}
-	groupPool := []string{"dim", "cat", "qty", "big", "ts", "amt"}
+	groupPool := []string{"dim", "cat", "qty", "big", "ts", "amt", "neg", "odd", "nul"}
+	floatWidths := map[string][]float64{
+		"amt": {25.5, 0.1, 7.0 / 3},
+		"neg": {0.3, 10, 33.3},
+		"odd": {0.5, 0.1, 1.0 / 3},
+		"nul": {1.5},
+	}
 	nby := rng.Intn(4)
 	perm := rng.Perm(len(groupPool))
 	for i := 0; i < nby; i++ {
@@ -140,9 +179,9 @@ func randomKernelQuery(rng *rand.Rand, rows int) *Query {
 			if rng.Intn(2) == 0 {
 				q.BinWidths = mergeWidths(q.BinWidths, col, math.Exp2(float64(30+rng.Intn(10))))
 			}
-		case "amt":
-			if rng.Intn(2) == 0 {
-				q.BinWidths = mergeWidths(q.BinWidths, col, 25.5)
+		case "amt", "neg", "odd", "nul":
+			if ws := floatWidths[col]; rng.Intn(4) > 0 {
+				q.BinWidths = mergeWidths(q.BinWidths, col, ws[rng.Intn(len(ws))])
 			}
 		}
 	}
@@ -156,14 +195,18 @@ func randomKernelQuery(rng *rand.Rand, rows int) *Query {
 		{Func: AggStddev, Column: "amt"},
 		{Func: AggSum, Column: "qty"},
 	}
-	naggs := 1 + rng.Intn(4)
-	for i := 0; i < naggs; i++ {
-		a := aggPool[rng.Intn(len(aggPool))]
-		a.Alias = fmt.Sprintf("a%d", i)
-		if rng.Intn(3) == 0 {
-			a.Filter = randomKernelPredicate(rng, 1)
+	if rng.Intn(3) == 0 {
+		q.Aggs = dupAggs(rng)
+	} else {
+		naggs := 1 + rng.Intn(4)
+		for i := 0; i < naggs; i++ {
+			a := aggPool[rng.Intn(len(aggPool))]
+			a.Alias = fmt.Sprintf("a%d", i)
+			if rng.Intn(3) == 0 {
+				a.Filter = randomKernelPredicate(rng, 1)
+			}
+			q.Aggs = append(q.Aggs, a)
 		}
-		q.Aggs = append(q.Aggs, a)
 	}
 	if rng.Intn(4) == 0 {
 		q.SampleFraction = 0.2 + rng.Float64()*0.6
@@ -175,6 +218,29 @@ func randomKernelQuery(rng *rand.Rand, rows int) *Query {
 		q.RowLo, q.RowHi = lo, hi
 	}
 	return q
+}
+
+// dupAggs builds the plan shape core emits: several aggregate functions
+// of one measure, each unfiltered and under one shared filter — logical
+// aggregates that map onto two physical accumulators. Half the plans
+// stop at SUM/COUNT/AVG, so a result-only run binds them slim; the rest
+// add VAR and MIN, which force the full state. Partial-exporting runs
+// bind full either way.
+func dupAggs(rng *rand.Rand) []AggSpec {
+	col := []string{"amt", "qty", "neg"}[rng.Intn(3)]
+	funcs := []AggFunc{AggSum, AggCount, AggAvg}
+	if rng.Intn(2) == 0 {
+		funcs = append(funcs, AggVariance, AggMin)
+	}
+	filter := randomKernelPredicate(rng, 1)
+	var aggs []AggSpec
+	for _, f := range funcs {
+		aggs = append(aggs,
+			AggSpec{Func: f, Column: col, Alias: fmt.Sprintf("c%d", len(aggs))},
+			AggSpec{Func: f, Column: col, Filter: filter, Alias: fmt.Sprintf("t%d", len(aggs))})
+	}
+	rng.Shuffle(len(aggs), func(i, j int) { aggs[i], aggs[j] = aggs[j], aggs[i] })
+	return aggs
 }
 
 func mergeWidths(m map[string]float64, col string, w float64) map[string]float64 {
@@ -352,6 +418,26 @@ func TestKernelDifferentialProperty(t *testing.T) {
 	}
 }
 
+// TestKernelDifferentialGridEdges runs the differential at the table
+// sizes where chunk bookkeeping can go wrong: one row, one short of a
+// grid cell, exactly one cell, one over, and several cells with a
+// ragged tail.
+func TestKernelDifferentialGridEdges(t *testing.T) {
+	for _, rows := range []int{1, 1023, 1024, 1025, 4200} {
+		rows := rows
+		t.Run(fmt.Sprintf("rows%d", rows), func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(0); seed < 4; seed++ {
+				rng := rand.New(rand.NewSource(1000*int64(rows) + seed))
+				tab := buildKernelTable(t, rng, rows)
+				for i := 0; i < 30; i++ {
+					runBothScans(t, tab, randomKernelQuery(rng, rows), i%3 == 0)
+				}
+			}
+		})
+	}
+}
+
 // TestKernelNaNSemantics pins the kernel's NaN comparison behavior to
 // the reference: the three-way cmpFloat treats NaN as "equal" to
 // everything (both < and > are false), and the branch-free kernels must
@@ -471,8 +557,11 @@ func TestGroupByUnknownColumnKindErrors(t *testing.T) {
 		byName: map[string]int{"weird": 0},
 		rows:   8,
 	}
-	fs := &filterSet{index: map[Predicate]int{}}
-	_, err := newGrouperPlan(tab, GroupingSet{By: []string{"weird"}, Aggs: []AggSpec{{Func: AggCount}}}, fs, false, false)
+	fs, err := buildFilterSet(tab, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = newGrouperPlan(tab, GroupingSet{By: []string{"weird"}, Aggs: []AggSpec{{Func: AggCount}}}, fs, false, false)
 	if err == nil {
 		t.Fatal("grouping by an unknown column kind succeeded; want error")
 	}
@@ -493,6 +582,120 @@ func TestGroupByUnknownColumnKindErrors(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "unsupported column kind") {
 		t.Fatalf("Run over unknown column kind: got %v, want unsupported-kind error", err)
+	}
+}
+
+// TestBindAggsSharesPhysical pins the logical→physical map on the
+// plan core emits: 30 aggregates (SUM/COUNT/AVG of five measures,
+// unfiltered and filtered) bind 10 physical accumulators over 2 row
+// sets, slim when only results are wanted and full when partials are
+// exported or one user needs more than a sum; the reference binds one
+// private accumulator per aggregate.
+func TestBindAggsSharesPhysical(t *testing.T) {
+	tab := defaultPlanTable(t, 10)
+	aggs := defaultPlanSets(Compare("d0", OpEq, String("v3")))[0].Aggs
+	bind := func(aggs []AggSpec, share, resultsOnly bool) ([]boundAgg, []physAgg, []int) {
+		t.Helper()
+		fs, err := buildFilterSet(tab, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logical, phys, rowSets, err := bindAggs(tab, aggs, fs, share, resultsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return logical, phys, rowSets
+	}
+	countFull := func(phys []physAgg) (n int) {
+		for _, pa := range phys {
+			if pa.full {
+				n++
+			}
+		}
+		return n
+	}
+
+	logical, phys, rowSets := bind(aggs, true, true)
+	if len(logical) != 30 || len(phys) != 10 || len(rowSets) != 2 || countFull(phys) != 0 {
+		t.Fatalf("result-only: %d logical, %d physical (%d full), %d row sets; want 30, 10 (0 full), 2",
+			len(logical), len(phys), countFull(phys), len(rowSets))
+	}
+	for i, a := range logical {
+		pa := phys[a.phys]
+		if got := tab.cols[tab.byName[a.spec.Column]].(*FloatColumn).Floats(); &got[0] != &pa.f64[0] {
+			t.Fatalf("aggregate %d (%s) mapped to an accumulator over another column", i, a.spec.Name())
+		}
+		if filtered := pa.rows != phys[logical[0].phys].rows; filtered != (a.filterIdx >= 0) {
+			t.Fatalf("aggregate %d (%s) mapped to an accumulator over the wrong row set", i, a.spec.Name())
+		}
+	}
+	if _, phys, _ := bind(aggs, true, false); len(phys) != 10 || countFull(phys) != 10 {
+		t.Fatalf("partial-exporting: %d physical, %d full; want 10, 10", len(phys), countFull(phys))
+	}
+	withMin := append(append([]AggSpec(nil), aggs...), AggSpec{Func: AggMin, Column: "m2", Alias: "min"})
+	if _, phys, _ := bind(withMin, true, true); len(phys) != 10 || countFull(phys) != 1 {
+		t.Fatalf("with one MIN: %d physical, %d full; want 10, 1", len(phys), countFull(phys))
+	}
+	if _, phys, _ := bind(aggs, false, true); len(phys) != 30 {
+		t.Fatalf("reference: %d physical accumulators, want one per aggregate (30)", len(phys))
+	}
+}
+
+// TestFloatGroupKeysCanonical: floats that print as one key must form
+// one group. The float key encoder used to key groups on raw IEEE
+// bits, so -0 and +0 (binFloor(-0, w) is -0) headed two groups that
+// both print "0", and NaNs split by payload. Checked on the dense
+// float layout (finite column, kernel scan), the hash layout it falls
+// back to (NaN in the column, and unbinned), and the reference scan.
+func TestFloatGroupKeysCanonical(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name   string
+		vals   []float64
+		width  float64
+		groups int
+	}{
+		{"binned zeros, dense layout", []float64{negZero, 0, 0.25, negZero, -0.75}, 0.5, 2},
+		{"unbinned zeros", []float64{negZero, 0, negZero}, 0, 1},
+		{"binned NaN payloads", []float64{math.NaN(), math.Float64frombits(0x7FF8000000000002), math.Float64frombits(0xFFF8000000000001), negZero, 0}, 0.5, 2},
+		{"unbinned NaN payloads", []float64{math.NaN(), math.Float64frombits(0x7FF8000000000002), 1}, 0, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tab := MustNewTable("kt", Schema{{Name: "x", Type: TypeFloat}})
+			l := tab.StartLoad()
+			for _, v := range tc.vals {
+				l.Column(0).(*FloatColumn).AppendFloat(v)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			q := &Query{Table: "kt", GroupBy: []string{"x"}, Aggs: []AggSpec{{Func: AggCount}}}
+			if tc.width > 0 {
+				q.BinWidths = map[string]float64{"x": tc.width}
+			}
+			cat := NewCatalog()
+			if err := cat.Register(tab); err != nil {
+				t.Fatal(err)
+			}
+			for _, ref := range []bool{false, true} {
+				ex := NewExecutor(cat)
+				ex.SetReferenceScan(ref)
+				res, err := ex.Run(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) != tc.groups {
+					t.Fatalf("reference=%v: %d groups, want %d:\n%s", ref, len(res.Rows), tc.groups, res)
+				}
+				for _, row := range res.Rows {
+					if bits := math.Float64bits(row[0].F); bits != math.Float64bits(canonFloat(row[0].F)) {
+						t.Fatalf("reference=%v: group key %v carries non-canonical bits %#x", ref, row[0].F, bits)
+					}
+				}
+			}
+			runBothScans(t, tab, q, false)
+		})
 	}
 }
 
@@ -534,6 +737,11 @@ func TestKeyEncoderNullBranchDifferential(t *testing.T) {
 
 // ---------------------------------------------------------------------
 // Bitmap plumbing units
+
+// bitAt tests bit off of a chunk bitmap.
+func bitAt(words []uint64, off int32) bool {
+	return words[off>>6]>>(uint(off)&63)&1 != 0
+}
 
 func TestNullBitmapWordsInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -603,6 +811,9 @@ func FuzzKernelDifferential(f *testing.F) {
 	f.Add(int64(2), uint16(1500), int64(9))
 	f.Add(int64(3), uint16(2100), int64(40))
 	f.Add(int64(99), uint16(17), int64(0))
+	for i, rows := range []uint16{0, 1022, 1023, 1024, 4199} { // n = 1, 1023, 1024, 1025, 4200
+		f.Add(int64(5+i), rows, int64(3*i))
+	}
 	f.Fuzz(func(t *testing.T, tableSeed int64, rows uint16, querySeed int64) {
 		n := int(rows%4200) + 1
 		tab := buildKernelTable(t, rand.New(rand.NewSource(tableSeed)), n)

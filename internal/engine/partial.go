@@ -110,7 +110,9 @@ func (e *Executor) RunPartials(ctx context.Context, q *Query, gsets []GroupingSe
 // partial exports the grouper state, groups sorted by key. Exported
 // state is fully owned by the Partial (accState snapshots fresh digit
 // slices, key []Value slices are never mutated afterwards), so the
-// grouper can be reset() and reused after this returns.
+// grouper can be reset() and reused after this returns. Logical
+// aggregates backed by one physical accumulator export one snapshot —
+// AccStates are immutable, so sharing their digit slices is safe.
 func (g *grouper) partial() *Partial {
 	plan := g.plan
 	p := &Partial{By: append([]string(nil), plan.set...)}
@@ -118,25 +120,17 @@ func (g *grouper) partial() *Partial {
 		p.Cols = append(p.Cols, a.spec.Name())
 		p.Funcs = append(p.Funcs, a.spec.Func)
 	}
-	emit := func(key []Value, accs []accumulator) {
-		pg := PartialGroup{Key: key, Accs: make([]AccState, len(accs))}
-		for i := range accs {
-			pg.Accs[i] = accState(&accs[i])
+	states := make([]AccState, len(plan.phys))
+	g.forEachGroup(func(key []Value, phys []accumulator) {
+		for i := range phys {
+			states[i] = accState(&phys[i])
+		}
+		pg := PartialGroup{Key: key, Accs: make([]AccState, plan.nAggs)}
+		for i := range plan.aggs {
+			pg.Accs[i] = states[plan.aggs[i].phys]
 		}
 		p.Groups = append(p.Groups, pg)
-	}
-	if g.fastAccs != nil {
-		for slot, seen := range g.fastSeen {
-			if !seen {
-				continue
-			}
-			emit(plan.slotKey(slot), g.fastAccs[slot*plan.nAggs:(slot+1)*plan.nAggs])
-		}
-	} else {
-		for slot := range g.keys {
-			emit(g.keys[slot], g.accs[slot*plan.nAggs:(slot+1)*plan.nAggs])
-		}
-	}
+	})
 	sort.Slice(p.Groups, func(i, j int) bool {
 		return compareKeys(p.Groups[i].Key, p.Groups[j].Key) < 0
 	})

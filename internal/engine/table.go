@@ -77,11 +77,35 @@ type Table struct {
 	colRanges []colRange
 }
 
-// colRange memoizes one column's min/max over non-null rows.
+// colRange memoizes one column's min/max over non-null rows: min/max
+// for INT/TIME columns, fmin/fmax (over finite values) for FLOAT.
 type colRange struct {
-	rows     int // rows covered so far
-	min, max int64
-	seen     bool // any non-null row covered
+	rows       int // rows covered so far
+	min, max   int64
+	fmin, fmax float64
+	seen       bool // any non-null (FLOAT: finite) row covered
+	nonFinite  bool // FLOAT: some non-null row holds NaN or ±Inf
+}
+
+// rangeLocked returns column ci's range memo extended to cover every
+// current row via extend(cr, from, to). The caller must hold t.mu (read
+// or write).
+func (t *Table) rangeLocked(ci int, extend func(cr *colRange, from, to int)) colRange {
+	t.rangeMu.Lock()
+	defer t.rangeMu.Unlock()
+	for len(t.colRanges) < len(t.cols) {
+		t.colRanges = append(t.colRanges, colRange{})
+	}
+	cr := &t.colRanges[ci]
+	if cr.rows > t.rows {
+		// A failed append rolls columns back to a previously published
+		// row count, which this memo never exceeds; recompute defensively
+		// if it somehow does.
+		*cr = colRange{}
+	}
+	extend(cr, cr.rows, t.rows)
+	cr.rows = t.rows
+	return *cr
 }
 
 // int64RangeLocked returns min/max over the non-null values of column
@@ -100,34 +124,54 @@ func (t *Table) int64RangeLocked(ci int) (lo, hi int64, any bool) {
 	default:
 		return 0, 0, false
 	}
-	t.rangeMu.Lock()
-	defer t.rangeMu.Unlock()
-	for len(t.colRanges) < len(t.cols) {
-		t.colRanges = append(t.colRanges, colRange{})
-	}
-	cr := &t.colRanges[ci]
-	if cr.rows > t.rows {
-		// A failed append rolls columns back to a previously published
-		// row count, which this memo never exceeds; recompute defensively
-		// if it somehow does.
-		*cr = colRange{}
-	}
-	hasNulls := nb.anySet()
-	for i := cr.rows; i < t.rows; i++ {
-		if hasNulls && nb.get(i) {
-			continue
+	cr := t.rangeLocked(ci, func(cr *colRange, from, to int) {
+		hasNulls := nb.anySet()
+		for i := from; i < to; i++ {
+			if hasNulls && nb.get(i) {
+				continue
+			}
+			v := vals[i]
+			if !cr.seen || v < cr.min {
+				cr.min = v
+			}
+			if !cr.seen || v > cr.max {
+				cr.max = v
+			}
+			cr.seen = true
 		}
-		v := vals[i]
-		if !cr.seen || v < cr.min {
-			cr.min = v
-		}
-		if !cr.seen || v > cr.max {
-			cr.max = v
-		}
-		cr.seen = true
-	}
-	cr.rows = t.rows
+	})
 	return cr.min, cr.max, cr.seen
+}
+
+// float64RangeLocked is int64RangeLocked for a FLOAT column: min/max
+// over its finite non-null values, plus whether any non-null value is
+// NaN or ±Inf (such a column has no dense bin-code space).
+func (t *Table) float64RangeLocked(ci int) (lo, hi float64, any, nonFinite bool) {
+	c, ok := t.cols[ci].(*FloatColumn)
+	if !ok {
+		return 0, 0, false, false
+	}
+	cr := t.rangeLocked(ci, func(cr *colRange, from, to int) {
+		hasNulls := c.nulls.anySet()
+		for i := from; i < to; i++ {
+			if hasNulls && c.nulls.get(i) {
+				continue
+			}
+			v := c.vals[i]
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				cr.nonFinite = true
+				continue
+			}
+			if !cr.seen || v < cr.fmin {
+				cr.fmin = v
+			}
+			if !cr.seen || v > cr.fmax {
+				cr.fmax = v
+			}
+			cr.seen = true
+		}
+	})
+	return cr.fmin, cr.fmax, cr.seen, cr.nonFinite
 }
 
 // Fingerprint returns a cheap content-version identifier for the

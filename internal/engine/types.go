@@ -180,6 +180,17 @@ func (v Value) Compare(o Value) int {
 		case v.F > o.F:
 			return 1
 		}
+		// Equal, or NaN is involved. NaN sorts before every other
+		// non-NULL float (and equal to NaN): callers order rows with
+		// this, and without a total order a NaN group key lands
+		// wherever the sort's input order leaves it.
+		vNaN, oNaN := v.F != v.F, o.F != o.F
+		switch {
+		case vNaN && !oNaN:
+			return -1
+		case oNaN && !vNaN:
+			return 1
+		}
 		return 0
 	case TypeString:
 		switch {

@@ -1,0 +1,64 @@
+package seedb
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"seedb/internal/engine"
+)
+
+// capturingBackend records the grouping sets of every shared scan.
+type capturingBackend struct {
+	Backend
+	mu    sync.Mutex
+	scans []capturedScan
+}
+
+type capturedScan struct {
+	table string
+	gsets []engine.GroupingSet
+}
+
+func (b *capturingBackend) RunSharedScan(ctx context.Context, q *engine.Query, gsets []engine.GroupingSet) ([]*engine.Result, error) {
+	b.mu.Lock()
+	b.scans = append(b.scans, capturedScan{q.Table, gsets})
+	b.mu.Unlock()
+	return b.Backend.RunSharedScan(ctx, q, gsets)
+}
+
+// Every grouping set of the shared scans DefaultOptions plans — string
+// dimensions and binned continuous ones alike — must bind the engine's
+// dense group layout: the hash layout is for genuinely ineligible
+// shapes, and a default plan sliding back onto it is a silent several-
+// fold scan slowdown that no result test would notice.
+func TestDefaultPlanAllDense(t *testing.T) {
+	db := goldenDB(t)
+	be := &capturingBackend{Backend: db.Backend()}
+	db.SetBackend(be)
+	for _, query := range goldenQueries {
+		if _, err := db.RecommendSQL(context.Background(), query, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(be.scans) == 0 {
+		t.Fatal("DefaultOptions issued no shared scan")
+	}
+	binned := 0
+	for _, scan := range be.scans {
+		dense, err := db.Engine().Executor().DenseLayouts(scan.table, scan.gsets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ok := range dense {
+			if !ok {
+				t.Errorf("table %s: grouping set %v (bin widths %v) binds the hash layout",
+					scan.table, scan.gsets[i].By, scan.gsets[i].BinWidths)
+			}
+			binned += len(scan.gsets[i].BinWidths)
+		}
+	}
+	if binned == 0 {
+		t.Fatal("no binned dimension was planned; the test no longer covers binned keys")
+	}
+}
