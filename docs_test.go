@@ -130,3 +130,67 @@ func TestDocsGoSnippetsGofmt(t *testing.T) {
 		}
 	}
 }
+
+var (
+	// A seedb command (the verify skill builds cmd/seedb as seedb-bin)
+	// with its arguments: up to the end of the line, a closing backtick
+	// or a pipe.
+	docCommandRe = regexp.MustCompile("(?m)(?:^|[\\s/`(])(seedb(?:-bench|-cli)?)(?:-bin)?((?:[ \\t]+[^\\s`|]+)*)")
+	docFlagRe    = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
+	flagDeclRe   = regexp.MustCompile(`flag\.\w+\((?:&\w+, )?"([a-z0-9-]+)"`)
+	rootJSONRe   = regexp.MustCompile("(?m)(?:^|[\\s`(])([A-Za-z0-9_][\\w.-]*\\.json)\\b")
+)
+
+// TestDocsCommandsExist keeps the docs from advertising entry points
+// that are gone: every flag shown after `seedb`, `seedb-bench` or
+// `seedb-cli` must be one that command registers, and every root-level
+// *.json file named must exist. The verify skill is held to the same.
+func TestDocsCommandsExist(t *testing.T) {
+	registered := map[string]map[string]bool{}
+	for _, cmd := range []string{"seedb", "seedb-bench", "seedb-cli"} {
+		src, err := os.ReadFile(filepath.Join("cmd", cmd, "main.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		registered[cmd] = map[string]bool{}
+		for _, m := range flagDeclRe.FindAllStringSubmatch(string(src), -1) {
+			registered[cmd][m[1]] = true
+		}
+		if len(registered[cmd]) == 0 {
+			t.Fatalf("found no flag declarations in cmd/%s/main.go", cmd)
+		}
+	}
+	files := docFiles(t)
+	if skill := filepath.Join(".claude", "skills", "verify", "SKILL.md"); fileExists(skill) {
+		files = append(files, skill)
+	}
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := strings.ReplaceAll(string(raw), "\\\n", " ") // join continued shell lines
+		flags := 0
+		for _, m := range docCommandRe.FindAllStringSubmatch(body, -1) {
+			for _, arg := range strings.Fields(m[2]) {
+				if f := docFlagRe.FindStringSubmatch(arg); f != nil {
+					flags++
+					if !registered[m[1]][f[1]] {
+						t.Errorf("%s: `%s%s` uses -%s, which cmd/%s does not register", file, m[1], m[2], f[1], m[1])
+					}
+				}
+			}
+		}
+		for _, m := range rootJSONRe.FindAllStringSubmatch(body, -1) {
+			if !fileExists(m[1]) {
+				t.Errorf("%s: names %s, which does not exist at the repository root", file, m[1])
+			}
+		}
+		t.Logf("%s: %d command flags checked", file, flags)
+	}
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}

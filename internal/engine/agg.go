@@ -98,81 +98,48 @@ func (a AggSpec) Name() string {
 // accumulator carries enough state to finalize any AggFunc and to merge
 // with a partial accumulator from another partition.
 //
-// Sums are kept in two tiers: sum/sumsq are plain float64 running sums
-// for the current scan chunk (the hot path), and exSum/exSumSq fold the
-// per-chunk partials exactly (see exactFloat). Chunk boundaries come
-// from the table's fixed row grid, so a group's folded state is a
-// function of the table contents alone — not of scan parallelism,
-// phase ranges, or shard layout. That makes every aggregate, including
-// AVG/VAR/STDDEV, partition-mergeable with bit-identical results.
+// Sums are exact (see exactFloat): the scan adds each grid cell's plain
+// float64 running sum, and everything above a cell — parallel workers,
+// phase ranges, shards, cached chunk partials — combines by exact
+// addition. Cell boundaries come from the table's fixed row grid, so a
+// group's state is a function of the table contents alone, which makes
+// every aggregate, including AVG/VAR/STDDEV, partition-mergeable with
+// bit-identical results.
 //
-// chunk tags which grid cell the running sums belong to (1-based;
-// 0 = nothing pending), so folding happens lazily on the first add of
-// a new chunk instead of by sweeping all groups at every boundary.
-//
-// The struct is the form state takes wherever it is handled one value
-// at a time: the row-at-a-time reference scan, partial merging, and
-// finalization. The chunk kernels hold the same fields column-wise
-// across groups and fold at every chunk end instead (see physCols),
-// converting to this form only to finalize or export.
+// The struct is the form state takes wherever it is handled one group at
+// a time: partial merging and finalization. The chunk kernels hold the
+// same fields column-wise across groups (see physCols) and convert to
+// this form only to finalize or export.
 type accumulator struct {
 	count   int64
-	sum     float64
-	sumsq   float64
 	exSum   exactFloat
 	exSumSq exactFloat
 	min     float64
 	max     float64
-	chunk   int32
 	seen    bool
 }
 
-func (a *accumulator) addValue(v float64, chunk int32) {
-	if a.chunk != chunk {
-		a.fold()
-		a.chunk = chunk
+// mergeExtremes folds another partition's extremes (omn, omx) into
+// (*mn, *mx). NaN is sticky: a group holding a NaN anywhere has min =
+// max = NaN, as its SUM has (exactFloat.special) — were a NaN only
+// adopted by the partition it opens, MIN/MAX would depend on where the
+// partition boundaries fall.
+func mergeExtremes(seen *bool, mn, mx *float64, omn, omx float64) {
+	if !*seen || omn < *mn || omn != omn {
+		*mn = omn
 	}
-	a.count++
-	a.sum += v
-	a.sumsq += v * v
-	if !a.seen || v < a.min {
-		a.min = v
+	if !*seen || omx > *mx || omx != omx {
+		*mx = omx
 	}
-	if !a.seen || v > a.max {
-		a.max = v
-	}
-	a.seen = true
-}
-
-func (a *accumulator) addCountOnly() { a.count++ }
-
-// fold moves the current chunk's running sums into the exact totals.
-func (a *accumulator) fold() {
-	if a.sum != 0 {
-		a.exSum.Add(a.sum)
-		a.sum = 0
-	}
-	if a.sumsq != 0 {
-		a.exSumSq.Add(a.sumsq)
-		a.sumsq = 0
-	}
+	*seen = true
 }
 
 func (a *accumulator) merge(b *accumulator) {
-	a.fold()
-	b.fold()
-	a.chunk, b.chunk = 0, 0
 	a.count += b.count
 	a.exSum.Merge(&b.exSum)
 	a.exSumSq.Merge(&b.exSumSq)
 	if b.seen {
-		if !a.seen || b.min < a.min {
-			a.min = b.min
-		}
-		if !a.seen || b.max > a.max {
-			a.max = b.max
-		}
-		a.seen = true
+		mergeExtremes(&a.seen, &a.min, &a.max, b.min, b.max)
 	}
 }
 
@@ -181,32 +148,13 @@ func (a *accumulator) merge(b *accumulator) {
 // the allocation-light path incremental execution merges cached chunk
 // partials with.
 func (a *accumulator) mergeState(st AccState) {
-	a.fold()
-	a.chunk = 0
 	a.count += st.Count
 	a.exSum.MergeState(st.Sum)
 	a.exSumSq.MergeState(st.SumSq)
 	if st.Seen {
-		if !a.seen || st.Min < a.min {
-			a.min = st.Min
-		}
-		if !a.seen || st.Max > a.max {
-			a.max = st.Max
-		}
-		a.seen = true
+		mn, mx := st.extremes()
+		mergeExtremes(&a.seen, &a.min, &a.max, mn, mx)
 	}
-}
-
-// sumValue / sumSqValue round the exact totals (including any pending
-// chunk) to float64.
-func (a *accumulator) sumValue() float64 {
-	a.fold()
-	return a.exSum.Round()
-}
-
-func (a *accumulator) sumSqValue() float64 {
-	a.fold()
-	return a.exSumSq.Round()
 }
 
 // finalize produces the aggregate's result value. COUNT of an empty
@@ -220,12 +168,12 @@ func (a *accumulator) finalize(f AggFunc) Value {
 		if a.count == 0 {
 			return NullValue(TypeFloat)
 		}
-		return Float(a.sumValue())
+		return Float(a.exSum.Round())
 	case AggAvg:
 		if a.count == 0 {
 			return NullValue(TypeFloat)
 		}
-		return Float(a.sumValue() / float64(a.count))
+		return Float(a.exSum.Round() / float64(a.count))
 	case AggMin:
 		if !a.seen {
 			return NullValue(TypeFloat)
@@ -241,8 +189,8 @@ func (a *accumulator) finalize(f AggFunc) Value {
 			return NullValue(TypeFloat)
 		}
 		n := float64(a.count)
-		mean := a.sumValue() / n
-		v := a.sumSqValue()/n - mean*mean
+		mean := a.exSum.Round() / n
+		v := a.exSumSq.Round()/n - mean*mean
 		if v < 0 { // numerical noise
 			v = 0
 		}

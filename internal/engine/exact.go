@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -173,13 +174,8 @@ func (x *exactFloat) MergeState(st ExactState) {
 			}
 		}
 	}
-	switch st.Special {
-	case "+inf":
-		x.special += math.Inf(1)
-	case "-inf":
-		x.special += math.Inf(-1)
-	case "nan":
-		x.special += math.NaN()
+	if st.Special != finite {
+		x.special += st.Special.value()
 	}
 }
 
@@ -237,9 +233,13 @@ func (x *exactFloat) canon() (neg bool, lo int, digits []uint32) {
 
 // Round returns the accumulated total rounded to the nearest float64
 // (ties to even). Non-finite inputs dominate, mirroring a plain
-// running float sum.
+// running float sum; a NaN total is the canonical NaN, as it is after a
+// trip through State, whatever payload the inputs carried.
 func (x *exactFloat) Round() float64 {
-	if x.special != 0 || math.IsNaN(x.special) {
+	if x.special != x.special {
+		return math.NaN()
+	}
+	if x.special != 0 {
 		return x.special
 	}
 	neg, lo, digits := x.canon()
@@ -310,29 +310,71 @@ func roundDigits(neg bool, lo int, digits []uint32) float64 {
 
 // ExactState is the canonical wire form of an exact sum: base-2^32
 // digits of the magnitude plus a sign, exactly as produced by canon.
-// Equal exact values always serialize to equal states. Non-finite
-// totals travel in Special ("+inf", "-inf", "nan") because JSON cannot
-// carry IEEE specials as numbers.
+// Equal exact values always serialize to equal states. A non-finite
+// total travels in Special because JSON cannot carry IEEE specials as
+// numbers.
 type ExactState struct {
-	Neg     bool     `json:"neg,omitempty"`
-	Lo      int      `json:"lo,omitempty"`
-	Digits  []uint32 `json:"d,omitempty"`
-	Special string   `json:"special,omitempty"`
+	Neg     bool      `json:"neg,omitempty"`
+	Lo      int       `json:"lo,omitempty"`
+	Digits  []uint32  `json:"d,omitempty"`
+	Special nonFinite `json:"special,omitempty"`
 }
 
 // State snapshots the accumulator in canonical form.
 func (x *exactFloat) State() ExactState {
 	neg, lo, digits := x.canon()
-	st := ExactState{Neg: neg, Lo: lo, Digits: digits}
+	return ExactState{Neg: neg, Lo: lo, Digits: digits, Special: nonFiniteOf(x.special)}
+}
+
+// nonFinite names a float that JSON has no number for. The zero value
+// means "finite" and is left off the wire; the others spell "+inf",
+// "-inf" and "nan".
+type nonFinite uint8
+
+const (
+	finite nonFinite = iota
+	posInf
+	negInf
+	notANumber
+)
+
+var nonFiniteNames = [...]string{posInf: "+inf", negInf: "-inf", notANumber: "nan"}
+
+func nonFiniteOf(v float64) nonFinite {
 	switch {
-	case math.IsNaN(x.special):
-		st.Special = "nan"
-	case math.IsInf(x.special, 1):
-		st.Special = "+inf"
-	case math.IsInf(x.special, -1):
-		st.Special = "-inf"
+	case v-v == 0: // ±Inf and NaN give NaN
+		return finite
+	case v != v:
+		return notANumber
+	case v > 0:
+		return posInf
 	}
-	return st
+	return negInf
+}
+
+// value returns the float s names (0 for finite).
+func (s nonFinite) value() float64 {
+	switch s {
+	case posInf:
+		return math.Inf(1)
+	case negInf:
+		return math.Inf(-1)
+	case notANumber:
+		return math.NaN()
+	}
+	return 0
+}
+
+func (s nonFinite) MarshalText() ([]byte, error) { return []byte(nonFiniteNames[s]), nil }
+
+func (s *nonFinite) UnmarshalText(text []byte) error {
+	for i, name := range nonFiniteNames {
+		if name != "" && name == string(text) {
+			*s = nonFinite(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("engine: unknown non-finite value %q", text)
 }
 
 // exactFromState rebuilds an accumulator from a serialized state.
@@ -349,13 +391,6 @@ func exactFromState(st ExactState) exactFloat {
 			}
 		}
 	}
-	switch st.Special {
-	case "+inf":
-		x.special = math.Inf(1)
-	case "-inf":
-		x.special = math.Inf(-1)
-	case "nan":
-		x.special = math.NaN()
-	}
+	x.special = st.Special.value()
 	return x
 }

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
+	randv2 "math/rand/v2"
+	"reflect"
 	"testing"
 )
 
@@ -68,6 +71,54 @@ func TestExactFloatMatchesBigFloat(t *testing.T) {
 					ci, pieces, math.Float64bits(got), got, math.Float64bits(want), want)
 			}
 		}
+	}
+}
+
+// TestOracleExactSum pins the two exact-sum implementations to each
+// other bit for bit: the engine's limb accumulator (split over pieces
+// and merged) and the differential oracle's math/big sum. Adversarial
+// cases first, then seeded random ones; a failure prints its seed.
+func TestOracleExactSum(t *testing.T) {
+	check := func(label string, vs []float64) {
+		t.Helper()
+		var o oracleSum
+		for _, v := range vs {
+			o.add(v)
+		}
+		want := o.round()
+		for _, pieces := range []int{1, 2, 5} {
+			if got := sumVia(vs, pieces); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s, %d pieces: exactFloat %x (%g), oracle %x (%g)",
+					label, pieces, math.Float64bits(got), got, math.Float64bits(want), want)
+			}
+		}
+	}
+	tiny := math.SmallestNonzeroFloat64
+	for i, vs := range [][]float64{
+		{},
+		{math.Copysign(0, -1), math.Copysign(0, -1)},
+		{1e308, tiny}, {1e308, tiny, -1e308}, {-1e308, -tiny, 1e308},
+		{1e308, 1e308, -1e308},                // the exact total passes through +overflow
+		{math.MaxFloat64, math.Ldexp(1, 969)}, // below the overflow tie: stays finite
+		{math.MaxFloat64, math.Ldexp(1, 970)}, // on the tie: rounds to +Inf
+		{1e16, 1, -1e16, 1}, {0.1, 0.2, -0.3}, // cancellation
+		{1, math.Ldexp(1, -53)}, {1, math.Ldexp(1, -53), tiny}, // tie, and a sticky bit far below it
+		{tiny, -tiny, tiny}, {math.Ldexp(1, -1022), -tiny}, // subnormal edge
+		{math.Inf(1), 1e308, -1e308}, {math.Inf(-1), 5}, {math.Inf(1), math.Inf(-1)},
+		{math.NaN(), 1}, {math.Float64frombits(0xFFF8000000000123), math.Inf(1)}, // NaN of any payload: canonical NaN
+	} {
+		check(fmt.Sprintf("case %d %v", i, vs), vs)
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := randv2.New(randv2.NewPCG(seed, 0))
+		vs := make([]float64, 1+rng.IntN(300))
+		for i := range vs {
+			vs[i] = math.Ldexp(rng.Float64()*2-1, rng.IntN(2098)-1074)
+			if rng.IntN(4) == 0 && i > 0 {
+				vs[i] = -vs[rng.IntN(i)] // exact cancellation of an earlier term
+			}
+		}
+		check(fmt.Sprintf("seed %d", seed), vs)
 	}
 }
 
@@ -157,7 +208,7 @@ func TestExactFloatWindowReuse(t *testing.T) {
 	for _, v := range vals {
 		fresh.Add(v)
 	}
-	if !exactStatesEq(y.State(), fresh.State()) {
+	if !reflect.DeepEqual(y.State(), fresh.State()) {
 		t.Fatalf("reset accumulator state %+v, fresh %+v", y.State(), fresh.State())
 	}
 	var edge exactFloat
@@ -177,8 +228,8 @@ func TestExactFloatSpecials(t *testing.T) {
 		t.Fatalf("expected +Inf, got %g", x.Round())
 	}
 	st := x.State()
-	if st.Special != "+inf" {
-		t.Fatalf("expected +inf special, got %q", st.Special)
+	if st.Special != posInf {
+		t.Fatalf("expected +inf special, got %v", st.Special)
 	}
 	y := exactFromState(st)
 	if !math.IsInf(y.Round(), 1) {

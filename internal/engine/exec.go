@@ -95,13 +95,6 @@ type Executor struct {
 	// cached per-chunk partials and only visit missing chunks (see
 	// PartialStore). Atomic so it can be installed on a live executor.
 	pstore atomic.Pointer[PartialStore]
-
-	// refScan routes aggregation scans through the retained
-	// row-at-a-time reference implementation instead of the compiled
-	// chunk kernels. The two paths are byte-identical by construction;
-	// the reference exists for differential tests and for measuring the
-	// kernel speedup (see SetReferenceScan).
-	refScan atomic.Bool
 }
 
 // NewExecutor returns an executor over the catalog.
@@ -121,20 +114,6 @@ func (e *Executor) SetPartialStore(s *PartialStore) { e.pstore.Store(s) }
 
 // PartialStore returns the installed chunk-partial store, if any.
 func (e *Executor) PartialStore() *PartialStore { return e.pstore.Load() }
-
-// SetReferenceScan switches aggregation scans to the row-at-a-time
-// reference implementation (true) or the default chunk-kernel pipeline
-// (false). Reference mode reproduces the pre-kernel engine end to end:
-// rows flow through bound closures one at a time AND the dense
-// group layout is restricted to its original eligibility (a single
-// unbinned string attribute), with every other shape taking the generic
-// hash path. Both modes produce byte-identical results — group state is
-// a pure function of (rows, chunk tags) and results are key-sorted — so
-// differential tests double as cross-validation of the generalized
-// dense layout against the hash path, and the kernel benchmark's
-// baseline is an honest pre-rewrite measurement. Safe on a live
-// executor.
-func (e *Executor) SetReferenceScan(on bool) { e.refScan.Store(on) }
 
 // GroupingSet pairs one grouping-attribute list with the aggregates to
 // compute for it. RunSharedScan evaluates many GroupingSets in a
@@ -329,17 +308,7 @@ func (e *Executor) runGroupers(ctx context.Context, q *Query, gsets []GroupingSe
 
 	// Record the access pattern: every column this query touches.
 	allAggs := e.recordQueryAccess(t, q, gsets)
-
-	var where BoundPredicate
-	if q.Where != nil {
-		if where, err = q.Where.Bind(t); err != nil {
-			return nil, err
-		}
-	}
-	fs, err := buildFilterSet(t, allAggs)
-	if err != nil {
-		return nil, err
-	}
+	fs := buildFilterSet(allAggs)
 	smp := newSampler(q.SampleFraction, q.SampleSeed, q.SampleBase)
 
 	lo, hi := 0, t.rows
@@ -362,41 +331,50 @@ func (e *Executor) runGroupers(ctx context.Context, q *Query, gsets []GroupingSe
 	// Plans (bound aggregates, key encoders, fast group layout) are
 	// built ONCE per query and shared read-only; groupers instantiated
 	// from them are cheap per-worker arenas.
-	ref := e.refScan.Load()
-	plans, err := buildGrouperPlans(t, gsets, fs, ref, resultsOnly)
+	plans, err := buildGrouperPlans(t, gsets, fs, resultsOnly)
 	if err != nil {
 		return nil, err
+	}
+
+	// Each worker owns private groupers over a grid-aligned row range and
+	// its own compiled kernels (they only read column data, but their
+	// chunk scratch buffers must never be shared).
+	ranges := [][2]int{{lo, hi}}
+	if workers > 1 {
+		ranges = splitAligned(lo, hi, workers)
+	}
+	kernels := make([]*scanKernels, len(ranges))
+	for w := range kernels {
+		if kernels[w], err = compileScan(t, q.Where, fs, smp); err != nil {
+			return nil, err
+		}
 	}
 
 	e.stats.Queries.Add(1)
 	e.stats.TableScans.Add(1)
 	e.stats.RowsRead.Add(int64(n))
 
-	if workers == 1 {
-		groupers := newGroupers(plans)
-		if err := e.scanRange(ctx, t, lo, hi, smp, q.Where, where, fs, groupers, ref); err != nil {
+	partials := make([][]*grouper, len(ranges))
+	for w := range partials {
+		partials[w] = newGroupers(plans)
+	}
+	if len(ranges) == 1 {
+		if err := kernels[0].scanPartition(ctx, lo, hi, partials[0]); err != nil {
 			return nil, err
 		}
-		return groupers, nil
+		return partials[0], nil
 	}
 
-	// Parallel path: each worker owns private groupers over a
-	// grid-aligned row range; partials are merged pairwise at the end.
-	// Grid alignment plus exact chunk folding makes the merged state —
-	// and therefore the result bytes — independent of the worker count.
-	ranges := splitAligned(lo, hi, workers)
-	partials := make([][]*grouper, len(ranges))
+	// Parallel path: partials are merged pairwise at the end. Grid
+	// alignment plus exact chunk folding makes the merged state — and
+	// therefore the result bytes — independent of the worker count.
 	errs := make([]error, len(ranges))
 	var wg sync.WaitGroup
 	for w, rng := range ranges {
-		partials[w] = newGroupers(plans)
 		wg.Add(1)
 		go func(w, wlo, whi int) {
 			defer wg.Done()
-			// Bound filter closures and compiled kernels only read
-			// column data; each worker compiles its own scanKernels so
-			// chunk scratch buffers are never shared.
-			errs[w] = e.scanRange(ctx, t, wlo, whi, smp, q.Where, where, fs, partials[w], ref)
+			errs[w] = kernels[w].scanPartition(ctx, wlo, whi, partials[w])
 		}(w, rng[0], rng[1])
 	}
 	wg.Wait()
@@ -429,11 +407,7 @@ func (e *Executor) DenseLayouts(table string, gsets []GroupingSet) ([]bool, erro
 	for _, gs := range gsets {
 		allAggs = append(allAggs, gs.Aggs...)
 	}
-	fs, err := buildFilterSet(t, allAggs)
-	if err != nil {
-		return nil, err
-	}
-	plans, err := buildGrouperPlans(t, gsets, fs, false, true)
+	plans, err := buildGrouperPlans(t, gsets, buildFilterSet(allAggs), true)
 	if err != nil {
 		return nil, err
 	}
@@ -444,75 +418,14 @@ func (e *Executor) DenseLayouts(table string, gsets []GroupingSet) ([]bool, erro
 	return dense, nil
 }
 
-// scanRange drives one partition through either the compiled chunk
-// kernels (default) or the row-at-a-time reference scan.
-func (e *Executor) scanRange(ctx context.Context, t *Table, lo, hi int, smp *sampler,
-	wherePred Predicate, whereBound BoundPredicate, fs *filterSet, groupers []*grouper, ref bool) error {
-	if ref {
-		return scanPartitionRows(ctx, lo, hi, smp, whereBound, fs, groupers)
-	}
-	sk, err := compileScan(t, wherePred, fs, smp)
-	if err != nil {
-		return err
-	}
-	return sk.scanPartition(ctx, lo, hi, groupers)
-}
-
-// scanPartitionRows is the retained row-at-a-time reference scan: it
-// drives rows [lo,hi) through sampling, filtering, and every grouper
-// one row at a time. Per-aggregate filters are deduplicated in fs and
-// evaluated once per row, no matter how many aggregates or grouping
-// sets share them. The current (absolute) grid cell is threaded into
-// every accumulator update so float sums fold per cell. The compiled
-// kernel pipeline (scanKernels.scanPartition) replays exactly this
-// row order and chunk tagging, which is what the differential tests
-// pin; keep the two in lockstep when changing either.
-func scanPartitionRows(ctx context.Context, lo, hi int, smp *sampler, where BoundPredicate, fs *filterSet, groupers []*grouper) error {
-	const cancelCheckMask = 0x3FFF
-	single := len(groupers) == 1
-	fvals := make([]bool, len(fs.bound))
-	cell := chunkOf(lo)
-	next := min(hi, chunkStart(cell+1))
-	chunk := int32(cell + 1) // 1-based: 0 marks "nothing pending"
-	for row := lo; row < hi; row++ {
-		if row >= next {
-			cell = chunkOf(row)
-			chunk = int32(cell + 1)
-			next = min(hi, chunkStart(cell+1))
-		}
-		if row&cancelCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("engine: scan cancelled: %w", err)
-			}
-		}
-		if smp != nil && !smp.keep(row) {
-			continue
-		}
-		if where != nil && !where(row) {
-			continue
-		}
-		for i, f := range fs.bound {
-			fvals[i] = f(row)
-		}
-		if single {
-			groupers[0].process(row, chunk, fvals)
-			continue
-		}
-		for _, g := range groupers {
-			g.process(row, chunk, fvals)
-		}
-	}
-	return nil
-}
-
 // filterSet deduplicates the per-aggregate filter predicates of a
-// query (by interface identity) and binds each once. It also registers
-// the scan's row sets: the distinct row subsets its accumulators
-// consume, which the chunk driver extracts once per chunk for every
-// grouper (see scanKernels.scanPartition).
+// query (by interface identity), so each is compiled and evaluated once
+// per chunk however many aggregates or grouping sets share it. It also
+// registers the scan's row sets: the distinct row subsets its
+// accumulators consume, which the chunk driver extracts once per chunk
+// for every grouper (see scanKernels.scanPartition).
 type filterSet struct {
 	preds []Predicate
-	bound []BoundPredicate
 	index map[Predicate]int
 
 	// rowSets[0] is always the unrestricted set (every row passing the
@@ -528,24 +441,18 @@ type rowSet struct {
 	nulls  *nullBitmap // NULL rows to drop; nil = none
 }
 
-func buildFilterSet(t *Table, aggs []AggSpec) (*filterSet, error) {
+func buildFilterSet(aggs []AggSpec) *filterSet {
 	fs := &filterSet{index: map[Predicate]int{}, rowSets: []rowSet{{filter: -1}}}
 	for _, a := range aggs {
 		if a.Filter == nil {
 			continue
 		}
-		if _, ok := fs.index[a.Filter]; ok {
-			continue
+		if _, ok := fs.index[a.Filter]; !ok {
+			fs.index[a.Filter] = len(fs.preds)
+			fs.preds = append(fs.preds, a.Filter)
 		}
-		b, err := a.Filter.Bind(t)
-		if err != nil {
-			return nil, err
-		}
-		fs.index[a.Filter] = len(fs.bound)
-		fs.preds = append(fs.preds, a.Filter)
-		fs.bound = append(fs.bound, b)
 	}
-	return fs, nil
+	return fs
 }
 
 // rowSetIndex returns the index of rs, registering it on first use. A
@@ -560,15 +467,13 @@ func (fs *filterSet) rowSetIndex(rs rowSet) int {
 	return len(fs.rowSets) - 1
 }
 
-// buildGrouperPlans binds one plan per grouping set. legacy restricts
-// the dense layout to its pre-kernel eligibility and keeps one private
-// accumulator per aggregate (see SetReferenceScan); resultsOnly marks
+// buildGrouperPlans binds one plan per grouping set. resultsOnly marks
 // plans whose groupers only ever finalize results (never export
 // partials), enabling slim accumulator updates.
-func buildGrouperPlans(t *Table, gsets []GroupingSet, fs *filterSet, legacy, resultsOnly bool) ([]*grouperPlan, error) {
+func buildGrouperPlans(t *Table, gsets []GroupingSet, fs *filterSet, resultsOnly bool) ([]*grouperPlan, error) {
 	out := make([]*grouperPlan, len(gsets))
 	for i, gs := range gsets {
-		p, err := newGrouperPlan(t, gs, fs, legacy, resultsOnly)
+		p, err := newGrouperPlan(t, gs, fs, resultsOnly)
 		if err != nil {
 			return nil, err
 		}
@@ -601,9 +506,7 @@ func finalizeGroupers(groupers []*grouper) ([]*Result, error) {
 // column of its Result and Partial — bound to a table.
 type boundAgg struct {
 	spec      AggSpec
-	get       func(row int) (float64, bool) // reference path; nil for COUNT(*)
-	filterIdx int                           // -1 when unfiltered
-	countOnly bool
+	filterIdx int // -1 when unfiltered
 
 	// phys indexes the physical accumulator (grouperPlan.phys) that
 	// holds this aggregate's state.
@@ -650,9 +553,8 @@ type physAgg struct {
 // bindAggs binds a grouping set's aggregates: the logical list in
 // output order, and the deduplicated physical accumulators behind it.
 // rowSets lists the scan row sets (indices into fs.rowSets) those
-// accumulators consume. With share off, every logical aggregate keeps a
-// private physical accumulator.
-func bindAggs(t *Table, aggs []AggSpec, fs *filterSet, share, resultsOnly bool) (logical []boundAgg, phys []physAgg, rowSets []int, err error) {
+// accumulators consume.
+func bindAggs(t *Table, aggs []AggSpec, fs *filterSet, resultsOnly bool) (logical []boundAgg, phys []physAgg, rowSets []int, err error) {
 	type physKey struct {
 		column string
 		filter int
@@ -684,7 +586,6 @@ func bindAggs(t *Table, aggs []AggSpec, fs *filterSet, share, resultsOnly bool) 
 			if a.Func != AggCount {
 				return nil, nil, nil, fmt.Errorf("engine: %s requires a column", a.Func)
 			}
-			ba.countOnly = true
 		} else {
 			col, err := t.Column(a.Column)
 			if err != nil {
@@ -693,7 +594,6 @@ func bindAggs(t *Table, aggs []AggSpec, fs *filterSet, share, resultsOnly bool) 
 			if a.Func != AggCount && !col.Type().Numeric() {
 				return nil, nil, nil, fmt.Errorf("engine: %s(%s): column is %v, need numeric", a.Func, a.Column, col.Type())
 			}
-			ba.get = measureGetter(col)
 			switch c := col.(type) {
 			case *FloatColumn:
 				pa.kind, pa.f64, rs.nulls = measFloat, c.Floats(), activeNulls(&c.nulls)
@@ -709,7 +609,7 @@ func bindAggs(t *Table, aggs []AggSpec, fs *filterSet, share, resultsOnly bool) 
 		}
 		key := physKey{a.Column, ba.filterIdx}
 		pi, ok := byKey[key]
-		if !ok || !share {
+		if !ok {
 			pi = len(phys)
 			byKey[key] = pi
 			pa.rows = localRows(rs)
@@ -723,43 +623,6 @@ func bindAggs(t *Table, aggs []AggSpec, fs *filterSet, share, resultsOnly bool) 
 		logical[i] = ba
 	}
 	return logical, phys, rowSets, nil
-}
-
-// measureGetter returns a fast float accessor for the column. For
-// non-numeric columns it returns a presence getter (sufficient for
-// COUNT).
-func measureGetter(col Column) func(row int) (float64, bool) {
-	switch c := col.(type) {
-	case *FloatColumn:
-		vals := c.Floats()
-		if !c.nulls.anySet() {
-			return func(row int) (float64, bool) { return vals[row], true }
-		}
-		return func(row int) (float64, bool) {
-			if c.nulls.get(row) {
-				return 0, false
-			}
-			return vals[row], true
-		}
-	case *IntColumn:
-		vals := c.Ints()
-		if !c.nulls.anySet() {
-			return func(row int) (float64, bool) { return float64(vals[row]), true }
-		}
-		return func(row int) (float64, bool) {
-			if c.nulls.get(row) {
-				return 0, false
-			}
-			return float64(vals[row]), true
-		}
-	default:
-		return func(row int) (float64, bool) {
-			if col.IsNull(row) {
-				return 0, false
-			}
-			return 0, true
-		}
-	}
 }
 
 // fastKey maps one grouping column's rows to small dense integer codes
@@ -804,8 +667,8 @@ func (k *fastKey) binCode(v int64) int32 {
 	return int32(q)
 }
 
-// codeOf maps a row to its dense code (reference path and NULL-bearing
-// int/float keys; the kernel path otherwise uses fillCodes).
+// codeOf maps a row to its dense code (NULL-bearing int/float keys;
+// fillCodes handles the other shapes in bulk).
 func (k *fastKey) codeOf(row int) int32 {
 	if k.codes != nil {
 		c := k.codes[row]
@@ -956,12 +819,9 @@ type grouperPlan struct {
 
 	// phys and rowSets are the logical→physical map (see physAgg):
 	// rowSets lists the scan row sets (filterSet.rowSets indices) the
-	// physical accumulators consume. reference plans keep one private
-	// physical accumulator per logical aggregate and their groupers
-	// store row-at-a-time accumulator structs instead of columns.
-	phys      []physAgg
-	rowSets   []int
-	reference bool
+	// physical accumulators consume.
+	phys    []physAgg
+	rowSets []int
 
 	// fast path: nil when the generic hash layout is used.
 	fast      []fastKey
@@ -971,10 +831,10 @@ type grouperPlan struct {
 	encs []keyEncoder
 }
 
-func newGrouperPlan(t *Table, gs GroupingSet, fs *filterSet, legacy, resultsOnly bool) (*grouperPlan, error) {
-	p := &grouperPlan{set: gs.By, nAggs: len(gs.Aggs), reference: legacy}
+func newGrouperPlan(t *Table, gs GroupingSet, fs *filterSet, resultsOnly bool) (*grouperPlan, error) {
+	p := &grouperPlan{set: gs.By, nAggs: len(gs.Aggs)}
 	var err error
-	if p.aggs, p.phys, p.rowSets, err = bindAggs(t, gs.Aggs, fs, !legacy, resultsOnly); err != nil {
+	if p.aggs, p.phys, p.rowSets, err = bindAggs(t, gs.Aggs, fs, resultsOnly); err != nil {
 		return nil, err
 	}
 	for _, name := range p.set {
@@ -992,7 +852,7 @@ func newGrouperPlan(t *Table, gs GroupingSet, fs *filterSet, legacy, resultsOnly
 		}
 		p.keyCols = append(p.keyCols, col)
 	}
-	if p.tryFastLayout(t, gs, legacy) {
+	if p.tryFastLayout(t, gs) {
 		return p, nil
 	}
 	for i, col := range p.keyCols {
@@ -1007,19 +867,10 @@ func newGrouperPlan(t *Table, gs GroupingSet, fs *filterSet, legacy, resultsOnly
 
 // tryFastLayout installs the dense array-indexed layout when every key
 // column (at most two) maps to small dense codes and the slot and
-// accumulator budgets hold. legacy narrows eligibility to the
-// pre-kernel engine's single-unbinned-string fast path.
-func (p *grouperPlan) tryFastLayout(t *Table, gs GroupingSet, legacy bool) bool {
+// accumulator budgets hold.
+func (p *grouperPlan) tryFastLayout(t *Table, gs GroupingSet) bool {
 	if len(p.set) == 0 || len(p.set) > 2 {
 		return false
-	}
-	if legacy {
-		if len(p.set) != 1 || gs.BinWidths[p.set[0]] != 0 {
-			return false
-		}
-		if _, ok := p.keyCols[0].(*StringColumn); !ok {
-			return false
-		}
 	}
 	keys := make([]fastKey, len(p.set))
 	slots := 1
@@ -1156,21 +1007,19 @@ func floorDiv(v, w int64) int64 {
 //   - generic path: composite keys encoded to a byte string, hash map
 //     from key to slot, slots handed out in order of first appearance.
 //
-// Aggregate state is indexed by slot. The chunk kernels keep it
-// column-wise (one array per field of each PHYSICAL accumulator, see
-// physAgg), so a chunk's updates to one accumulator walk a few small
-// arrays — L1-resident at SeeDB's group cardinalities — rather than
-// striding through per-group structs. The row-at-a-time reference keeps
-// one accumulator struct per (slot, logical aggregate) and shares none
-// of the kernels' accumulate code, which is what makes it an oracle.
+// Aggregate state is indexed by slot and kept column-wise (one array
+// per field of each PHYSICAL accumulator, see physAgg), so a chunk's
+// updates to one accumulator walk a few small arrays — L1-resident at
+// SeeDB's group cardinalities — rather than striding through per-group
+// structs.
 //
 // Groupers are cheap arenas over their (immutable, shared) plan and
 // support reset() for reuse across scan segments.
 type grouper struct {
 	plan *grouperPlan
 
-	// stamp[slot] is 0 until the group first appears; the chunk kernels
-	// then keep it at the epoch of the last chunk that touched the slot.
+	// stamp[slot] is 0 until the group first appears, then the epoch of
+	// the last chunk that touched the slot (liveStamp after a merge).
 	stamp []uint32
 
 	// generic path
@@ -1178,25 +1027,23 @@ type grouper struct {
 	m    map[string]int
 	keys [][]Value
 
-	// kernel path. cnt[i][slot] counts the group's rows in
-	// plan.rowSets[i]; cols[p] is physical accumulator p. slots, codes,
-	// touched and epoch are per-chunk scratch.
+	// cnt[i][slot] counts the group's rows in plan.rowSets[i]; cols[p]
+	// is physical accumulator p. slots, codes, touched and epoch are
+	// per-chunk scratch.
 	cnt     [][]int64
 	cols    []physCols
 	slots   []int32 // in-chunk offset -> slot
 	codes   []int32 // second key's codes (two-key fast layouts)
 	touched []int32 // slots touched by the current chunk
 	epoch   uint32
-
-	// reference path: nAggs accumulators per slot.
-	accs []accumulator
 }
 
 // physCols is one physical accumulator's state, column-wise over slots.
 // sum/sumsq are the running float sums of the CURRENT chunk only: at
 // chunk end they are folded exactly into exSum/exSumSq and zeroed (see
-// accumulator for why sums are two-tier). The other fields exist only
-// on full accumulators.
+// accumulator for why). The other fields exist only
+// on full accumulators; min/max may hold a NaN of any payload, which
+// physAcc canonicalizes.
 type physCols struct {
 	sum, sumsq     []float64
 	exSum, exSumSq []exactFloat
@@ -1214,13 +1061,11 @@ func (p *grouperPlan) newGrouper() *grouper {
 	if p.fast == nil {
 		g.m = make(map[string]int)
 	}
-	if !p.reference {
-		g.cnt = make([][]int64, len(p.rowSets))
-		g.cols = make([]physCols, len(p.phys))
-		g.slots = make([]int32, ChunkRows)
-		if len(p.fast) > 1 {
-			g.codes = make([]int32, ChunkRows)
-		}
+	g.cnt = make([][]int64, len(p.rowSets))
+	g.cols = make([]physCols, len(p.phys))
+	g.slots = make([]int32, ChunkRows)
+	if len(p.fast) > 1 {
+		g.codes = make([]int32, ChunkRows)
 	}
 	if p.fast != nil {
 		g.growSlots(p.fastSlots)
@@ -1235,10 +1080,6 @@ func (g *grouper) growSlots(n int) {
 	}
 	p := g.plan
 	g.stamp = grown(g.stamp, n)
-	if p.reference {
-		g.accs = grown(g.accs, n*p.nAggs)
-		return
-	}
 	for i := range g.cnt {
 		g.cnt[i] = grown(g.cnt[i], n)
 	}
@@ -1281,10 +1122,6 @@ func (g *grouper) reset() {
 			continue
 		}
 		g.stamp[slot] = 0
-		if p.reference {
-			clear(g.accs[slot*p.nAggs : (slot+1)*p.nAggs])
-			continue
-		}
 		for i := range g.cnt {
 			g.cnt[i][slot] = 0
 		}
@@ -1306,7 +1143,6 @@ func (g *grouper) reset() {
 		clear(g.m)
 		g.keys = g.keys[:0]
 		g.stamp = g.stamp[:0]
-		g.accs = g.accs[:0]
 		for i := range g.cnt {
 			g.cnt[i] = g.cnt[i][:0]
 		}
@@ -1464,45 +1300,13 @@ func (g *grouper) hashSlot(row int) int {
 	return slot
 }
 
-// process folds one row into the group state; chunk is the row's
-// (1-based) grid cell and fvals holds the pre-evaluated shared filter
-// outcomes for this row. This is the row-at-a-time reference path.
-func (g *grouper) process(row int, chunk int32, fvals []bool) {
-	p := g.plan
-	slot := 0
-	if p.fast != nil {
-		for i := range p.fast {
-			fk := &p.fast[i]
-			slot = slot*(fk.card+1) + int(fk.codeOf(row))
-		}
-	} else {
-		slot = g.hashSlot(row)
-		g.growSlots(len(g.keys))
-	}
-	g.stamp[slot] = liveStamp
-	accs := g.accs[slot*p.nAggs : (slot+1)*p.nAggs]
-	for i := range p.aggs {
-		a := &p.aggs[i]
-		if a.filterIdx >= 0 && !fvals[a.filterIdx] {
-			continue
-		}
-		if a.countOnly {
-			accs[i].addCountOnly()
-			continue
-		}
-		if v, ok := a.get(row); ok {
-			accs[i].addValue(v, chunk)
-		}
-	}
-}
-
 // processChunk folds one chunk (n rows from absolute row start) into
 // the group state. rows holds the chunk's rows per scan row set
 // (filterSet.rowSets order; rows[0] is everything the scan selected),
-// extracted once for all groupers. Each accumulator sees the same
-// values in the same ascending row order as the row-at-a-time
-// reference, sums them from zero within the chunk, and folds the chunk
-// sum exactly — so the folded state is byte-identical.
+// extracted once for all groupers. Each accumulator sees its values in
+// ascending row order, sums them from zero within the chunk, and folds
+// the chunk sum exactly — so the folded state is a function of the rows
+// and the grid alone.
 func (g *grouper) processChunk(start, n int, rows []rowSel) {
 	p := g.plan
 	all := rows[0]
@@ -1584,6 +1388,7 @@ func (g *grouper) processChunk(start, n int, rows []rowSel) {
 			foldSums(c.sum, c.exSum, touched)
 		}
 		if c.sumsq != nil {
+			stickNaN(c, touched)
 			foldSums(c.sumsq, c.exSumSq, touched)
 		}
 	}
@@ -1616,8 +1421,9 @@ func addSums[T int64 | float64](sum []float64, vals []T, slots []int32, r rowSel
 	}
 }
 
-// addFull is the full per-row update, field for field what
-// accumulator.addValue does (the count lives with the row set).
+// addFull is the full per-row update (the count lives with the row
+// set). A NaN is adopted only as a group's first value; stickNaN catches
+// the others at chunk end.
 func addFull[T int64 | float64](c *physCols, vals []T, slots []int32, r rowSel, n int) {
 	sum, sumsq, mn, mx, seen := c.sum, c.sumsq, c.min, c.max, c.seen
 	if r.dense {
@@ -1650,8 +1456,20 @@ func addFull[T int64 | float64](c *physCols, vals []T, slots []int32, r rowSel, 
 	}
 }
 
-// foldSums moves the touched slots' chunk sums into the exact totals —
-// accumulator.fold, column-wise.
+// stickNaN makes NaN sticky for MIN/MAX (see mergeExtremes) without a
+// per-row check: a chunk's sum of squares is NaN exactly when one of the
+// chunk's values is (the square of ±Inf is +Inf, and +Inf only ever adds
+// up to +Inf), and once an extreme is NaN no </> comparison replaces it.
+// Must run before the chunk's sums are folded away.
+func stickNaN(c *physCols, touched []int32) {
+	for _, s := range touched {
+		if sq := c.sumsq[s]; sq != sq {
+			c.min[s], c.max[s] = sq, sq
+		}
+	}
+}
+
+// foldSums moves the touched slots' chunk sums into the exact totals.
 func foldSums(sum []float64, ex []exactFloat, touched []int32) {
 	for _, s := range touched {
 		if v := sum[s]; v != 0 {
@@ -1664,15 +1482,7 @@ func foldSums(sum []float64, ex []exactFloat, touched []int32) {
 // physAcc materializes physical accumulator pi of group slot as an
 // accumulator value (sharing, not copying, its exact limbs).
 func (g *grouper) physAcc(slot, pi int) accumulator {
-	p := g.plan
-	if p.reference {
-		// Fold in place first: a copy folding its pending chunk sum would
-		// write through to the limbs it shares with the original.
-		a := &g.accs[slot*p.nAggs+pi]
-		a.fold()
-		return *a
-	}
-	pa, c := &p.phys[pi], &g.cols[pi]
+	pa, c := &g.plan.phys[pi], &g.cols[pi]
 	a := accumulator{count: g.cnt[pa.rows][slot]}
 	switch {
 	case pa.kind == measCount:
@@ -1680,6 +1490,9 @@ func (g *grouper) physAcc(slot, pi int) accumulator {
 	case pa.full:
 		a.exSum, a.exSumSq = c.exSum[slot], c.exSumSq[slot]
 		a.min, a.max, a.seen = c.min[slot], c.max[slot], c.seen[slot]
+		if a.min != a.min {
+			a.min, a.max = math.NaN(), math.NaN()
+		}
 	default:
 		a.exSum = c.exSum[slot]
 	}
@@ -1737,17 +1550,8 @@ func (g *grouper) mergeFrom(o *grouper) {
 
 // mergeSlot folds o's group oslot into g's group slot.
 func (g *grouper) mergeSlot(slot int, o *grouper, oslot int) {
-	p := g.plan
 	if g.stamp[slot] == 0 {
 		g.stamp[slot] = liveStamp
-	}
-	if p.reference {
-		dst := g.accs[slot*p.nAggs : (slot+1)*p.nAggs]
-		src := o.accs[oslot*p.nAggs : (oslot+1)*p.nAggs]
-		for i := range dst {
-			dst[i].merge(&src[i])
-		}
-		return
 	}
 	for i := range g.cnt {
 		g.cnt[i][slot] += o.cnt[i][oslot]
@@ -1763,13 +1567,7 @@ func (g *grouper) mergeSlot(slot int, o *grouper, oslot int) {
 		}
 		c.exSumSq[slot].Merge(&oc.exSumSq[oslot])
 		if oc.seen[oslot] {
-			if !c.seen[slot] || oc.min[oslot] < c.min[slot] {
-				c.min[slot] = oc.min[oslot]
-			}
-			if !c.seen[slot] || oc.max[oslot] > c.max[slot] {
-				c.max[slot] = oc.max[oslot]
-			}
-			c.seen[slot] = true
+			mergeExtremes(&c.seen[slot], &c.min[slot], &c.max[slot], oc.min[oslot], oc.max[oslot])
 		}
 	}
 }

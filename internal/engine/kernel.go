@@ -17,9 +17,10 @@ import (
 // NULL rows are cleared word-wise from the column's null bitmap, and
 // boolean combinators are word-wise AND/OR/NOT. The surviving rows come
 // out as a selection vector (ascending in-chunk offsets), so groupers
-// consume rows in exactly the order a row-at-a-time scan would have —
-// which is what keeps the per-chunk float64 running sums, and therefore
-// the result bytes, identical to the retained reference scan.
+// consume rows in ascending row order — which is what makes the
+// per-chunk float64 running sums, and therefore the result bytes, a
+// function of the table alone (the naive oracle in oracle_test.go sums
+// in the same order and must agree bit for bit).
 
 // kernelWords is the word capacity needed for one chunk's bitmap.
 const kernelWords = ChunkRows / 64
@@ -532,8 +533,7 @@ func compileScan(t *Table, where Predicate, fs *filterSet, smp *sampler) (*scanK
 // cut every row set's rows out of them word-wise (match ∧ filter ∧ ¬NULL
 // → selection vector), and feed every grouper the chunk. No accumulator
 // probes a bitmap per row, and rows reach accumulators in ascending
-// order, chunk by grid cell, exactly as in the row-at-a-time reference —
-// so the folded state, and the result bytes, are identical.
+// order, chunk by grid cell.
 func (sk *scanKernels) scanPartition(ctx context.Context, lo, hi int, groupers []*grouper) error {
 	for start := lo; start < hi; {
 		if err := ctx.Err(); err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,9 +13,10 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Differential harness: every query runs twice — once through the
-// retained row-at-a-time reference scan and once through the compiled
-// chunk kernels — and the results must be byte-identical.
+// Differential harness: every query runs through the naive oracle
+// (oracle_test.go) and through every path the engine can take — direct
+// scan, chunk-partial store cold and warm, split-and-merged partials,
+// parallelism 1/2/3 — and the results must be bit-identical.
 
 // buildKernelTable makes a randomized table exercising every column
 // kind, null patterns, a huge-range int column (forces the generic
@@ -22,7 +24,8 @@ import (
 // float columns cover the binned-float key space: amt (signed, NULLs),
 // neg (an all-negative range), odd (small values around ±0 — and, in
 // every other table, NaNs of several payloads and ±Inf, which push the
-// column off the dense layout) and nul (every row NULL).
+// column off the dense layout and make it the awkward measure) and nul
+// (every row NULL).
 func buildKernelTable(tb testing.TB, rng *rand.Rand, rows int) *Table {
 	tb.Helper()
 	t := MustNewTable("kt", Schema{
@@ -147,9 +150,8 @@ func randomKernelPredicate(rng *rand.Rand, depth int) Predicate {
 // and the generic hash path), random bin widths (float widths include
 // ones with no exact binary representation), filtered aggregates — every
 // third query a duplicate-aggregate plan, see dupAggs — sampling,
-// parallelism, and row ranges. No aggregate reads odd: MIN/MAX over NaN
-// depend on how rows are partitioned (NaN poisons only the partition it
-// starts), which is a known wart of the accumulator, not of the kernels.
+// parallelism, and row ranges. Aggregates over odd meet NaN, ±Inf and
+// -0 measures.
 func randomKernelQuery(rng *rand.Rand, rows int) *Query {
 	q := &Query{Table: "kt", Parallelism: 1 + rng.Intn(4)}
 	if rng.Intn(3) > 0 {
@@ -194,6 +196,10 @@ func randomKernelQuery(rng *rand.Rand, rows int) *Query {
 		{Func: AggMax, Column: "big"},
 		{Func: AggStddev, Column: "amt"},
 		{Func: AggSum, Column: "qty"},
+		{Func: AggMin, Column: "odd"},
+		{Func: AggMax, Column: "odd"},
+		{Func: AggAvg, Column: "odd"},
+		{Func: AggVariance, Column: "odd"},
 	}
 	if rng.Intn(3) == 0 {
 		q.Aggs = dupAggs(rng)
@@ -227,7 +233,7 @@ func randomKernelQuery(rng *rand.Rand, rows int) *Query {
 // add VAR and MIN, which force the full state. Partial-exporting runs
 // bind full either way.
 func dupAggs(rng *rand.Rand) []AggSpec {
-	col := []string{"amt", "qty", "neg"}[rng.Intn(3)]
+	col := []string{"amt", "qty", "neg", "odd"}[rng.Intn(4)]
 	funcs := []AggFunc{AggSum, AggCount, AggAvg}
 	if rng.Intn(2) == 0 {
 		funcs = append(funcs, AggVariance, AggMin)
@@ -286,120 +292,122 @@ func resultsEq(a, b *Result) bool {
 	return true
 }
 
-// runBothScans runs q through the reference scan and the kernel scan on
-// fresh executors over the same table and fails the test on any drift.
+// runBothScans runs q through the oracle and through the engine's
+// paths on fresh executors over the same table, and fails the test on
+// any drift. Every random query must be valid: an engine error fails.
 func runBothScans(t *testing.T, tab *Table, q *Query, withStore bool) {
 	t.Helper()
 	ctx := context.Background()
-
-	catRef := NewCatalog()
-	if err := catRef.Register(tab); err != nil {
+	cat := NewCatalog()
+	if err := cat.Register(tab); err != nil {
 		t.Fatal(err)
 	}
-	ref := NewExecutor(catRef)
-	ref.SetReferenceScan(true)
-	want, wantErr := ref.Run(ctx, q)
+	want := oracleRun(tab, q)
+	check := func(path string, got *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v\nquery: %+v", path, err, q)
+		}
+		if !resultsEq(want, got) {
+			t.Fatalf("%s differs from the oracle\nquery: %+v\noracle: %+v\ngot:    %+v", path, q, want, got)
+		}
+	}
 
-	kern := NewExecutor(catRef)
+	kern := NewExecutor(cat)
+	got, err := kern.Run(ctx, q)
+	check("direct scan", got, err)
+	execs := []*Executor{kern}
 	if withStore {
-		kern.SetPartialStore(NewPartialStore(0))
+		stored := NewExecutor(cat)
+		stored.SetPartialStore(NewPartialStore(0))
+		execs = append(execs, stored)
+		got, err = stored.Run(ctx, q)
+		check("partial store, cold", got, err)
+		// Second run: every sealed chunk now comes from the store.
+		got, err = stored.Run(ctx, q)
+		check("partial store, warm", got, err)
 	}
-	got, gotErr := kern.Run(ctx, q)
 
-	if (wantErr != nil) != (gotErr != nil) {
-		t.Fatalf("error drift: reference=%v kernel=%v (query %+v)", wantErr, gotErr, q)
+	// Partials carry exact state, not just finalized values: whole-range
+	// partials must be the same bytes at every parallelism and from the
+	// store, and finalize to the oracle's answer.
+	var wantBytes string
+	for _, par := range []int{1, 2, 3} {
+		pq := *q
+		pq.Parallelism = par
+		for _, ex := range execs {
+			ps, err := ex.RunPartials(ctx, &pq, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("whole-range partial (parallelism %d)", par), ps[0].Finalize(), nil)
+			if got := partialBytes(t, ps[0]); wantBytes == "" {
+				wantBytes = got
+			} else if got != wantBytes {
+				t.Fatalf("partial state differs at parallelism %d (store %v)\nquery: %+v\nwant: %s\ngot:  %s",
+					par, ex != kern, q, wantBytes, got)
+			}
+		}
 	}
-	if wantErr != nil {
+
+	// Split the range at a point on or off the grid, scan the halves
+	// separately and merge: the oracle's answer for that cut (on the
+	// grid, a cut changes nothing).
+	lo, hi := q.RowLo, q.RowHi
+	if hi <= 0 {
+		lo, hi = 0, tab.NumRows()
+	}
+	if hi-lo < 2 {
 		return
 	}
-	if !resultsEq(want, got) {
-		t.Fatalf("kernel result differs from reference\nquery: %+v\nref:  %+v\nkern: %+v", q, want, got)
+	rng := rand.New(rand.NewSource(int64(lo)<<20 ^ int64(hi)))
+	mid := lo + 1 + rng.Intn(hi-lo-1)
+	if g := alignToGrid(mid); rng.Intn(2) == 0 && g < hi {
+		mid = g
 	}
-	if withStore {
-		// Second run: every sealed chunk now comes from the store.
-		again, err := kern.Run(ctx, q)
+	want = oracleRun(tab, q, mid)
+	check(fmt.Sprintf("partials merged at row %d", mid), mergedHalves(t, kern, q, lo, mid, hi), nil)
+}
+
+// mergedHalves scans [lo,mid) and [mid,hi) of q separately, merges the
+// two partials and finalizes.
+func mergedHalves(t *testing.T, ex *Executor, q *Query, lo, mid, hi int) *Result {
+	t.Helper()
+	left, right := *q, *q
+	left.RowLo, left.RowHi, right.RowLo, right.RowHi = lo, mid, mid, hi
+	lp, err := ex.RunPartials(context.Background(), &left, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := ex.RunPartials(context.Background(), &right, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lp[0].Merge(rp[0]); err != nil {
+		t.Fatal(err)
+	}
+	return lp[0].Finalize()
+}
+
+// partialBytes renders a Partial's state exactly: accumulator states as
+// their wire JSON, group keys by bit pattern (a NaN or ±Inf float KEY
+// has no JSON number, which is ROADMAP item 4's business, not this
+// harness's).
+func partialBytes(t *testing.T, p *Partial) string {
+	t.Helper()
+	var b strings.Builder
+	fmt.Fprintf(&b, "%q %q %v", p.By, p.Cols, p.Funcs)
+	for _, g := range p.Groups {
+		for _, k := range g.Key {
+			fmt.Fprintf(&b, " %d/%v/%d/%x/%q", k.Kind, k.Null, k.I, math.Float64bits(k.F), k.S)
+		}
+		accs, err := json.Marshal(g.Accs)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("accumulator state does not encode: %v", err)
 		}
-		if !resultsEq(want, again) {
-			t.Fatalf("cached kernel result differs from reference (query %+v)", q)
-		}
+		b.Write(accs)
 	}
-
-	// Partials must agree too (exact accumulator state, not just
-	// finalized values).
-	wantP, err := ref.RunPartials(ctx, q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotP, err := kern.RunPartials(ctx, q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wantP) != len(gotP) {
-		t.Fatalf("partial count drift: %d vs %d", len(wantP), len(gotP))
-	}
-	for i := range wantP {
-		if !partialsEq(wantP[i], gotP[i]) {
-			t.Fatalf("kernel partials differ from reference\nquery: %+v\nref:  %#v\nkern: %#v", q, wantP[i], gotP[i])
-		}
-	}
-}
-
-// partialsEq compares two Partials semantically: nil and empty slices
-// are equal (the direct and chunked paths differ only in that
-// representation, never in JSON bytes), and float state compares
-// bit-exactly so NaN min/max still match.
-func partialsEq(a, b *Partial) bool {
-	if len(a.By) != len(b.By) || len(a.Cols) != len(b.Cols) || len(a.Funcs) != len(b.Funcs) || len(a.Groups) != len(b.Groups) {
-		return false
-	}
-	for i := range a.By {
-		if a.By[i] != b.By[i] {
-			return false
-		}
-	}
-	for i := range a.Cols {
-		if a.Cols[i] != b.Cols[i] || a.Funcs[i] != b.Funcs[i] {
-			return false
-		}
-	}
-	for i := range a.Groups {
-		ga, gb := a.Groups[i], b.Groups[i]
-		if len(ga.Key) != len(gb.Key) || len(ga.Accs) != len(gb.Accs) {
-			return false
-		}
-		for j := range ga.Key {
-			if !valuesEq(ga.Key[j], gb.Key[j]) {
-				return false
-			}
-		}
-		for j := range ga.Accs {
-			if !accStatesEq(ga.Accs[j], gb.Accs[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func accStatesEq(a, b AccState) bool {
-	return a.Count == b.Count && a.Seen == b.Seen &&
-		math.Float64bits(a.Min) == math.Float64bits(b.Min) &&
-		math.Float64bits(a.Max) == math.Float64bits(b.Max) &&
-		exactStatesEq(a.Sum, b.Sum) && exactStatesEq(a.SumSq, b.SumSq)
-}
-
-func exactStatesEq(a, b ExactState) bool {
-	if a.Neg != b.Neg || a.Lo != b.Lo || a.Special != b.Special || len(a.Digits) != len(b.Digits) {
-		return false
-	}
-	for i := range a.Digits {
-		if a.Digits[i] != b.Digits[i] {
-			return false
-		}
-	}
-	return true
+	return b.String()
 }
 
 func TestKernelDifferentialProperty(t *testing.T) {
@@ -439,9 +447,9 @@ func TestKernelDifferentialGridEdges(t *testing.T) {
 }
 
 // TestKernelNaNSemantics pins the kernel's NaN comparison behavior to
-// the reference: the three-way cmpFloat treats NaN as "equal" to
-// everything (both < and > are false), and the branch-free kernels must
-// reproduce that exactly.
+// the oracle's: a three-way compare treats NaN as "equal" to everything
+// (both < and > are false), and the branch-free kernels must reproduce
+// that exactly.
 func TestKernelNaNSemantics(t *testing.T) {
 	tab := MustNewTable("kt", Schema{
 		{Name: "dim", Type: TypeString},
@@ -472,9 +480,80 @@ func TestKernelNaNSemantics(t *testing.T) {
 	}
 }
 
+// TestMinMaxNaNSticky: one group spanning several grid cells with a
+// single NaN measure. MIN and MAX used to adopt a partition's first
+// value and then update only on </>, so the NaN won exactly when it
+// opened a partition — solo, parallel, split-and-merged and store-served
+// scans disagreed. Any NaN in the group must make both NaN, wherever
+// the NaN sits relative to a chunk edge and wherever the range is cut.
+func TestMinMaxNaNSticky(t *testing.T) {
+	const rows = 3*ChunkRows + 100
+	ctx := context.Background()
+	for _, nanRow := range []int{0, 1, ChunkRows - 1, ChunkRows, ChunkRows + 1, 2*ChunkRows - 1, 2 * ChunkRows, 3 * ChunkRows, rows - 1} {
+		tab := MustNewTable("kt", Schema{{Name: "m", Type: TypeFloat}})
+		l := tab.StartLoad()
+		for i := 0; i < rows; i++ {
+			v := float64(i%7) - 3
+			if i == nanRow {
+				v = math.NaN()
+			}
+			l.Column(0).(*FloatColumn).AppendFloat(v)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cat := NewCatalog()
+		if err := cat.Register(tab); err != nil {
+			t.Fatal(err)
+		}
+		ex := NewExecutor(cat)
+		wantNaN := func(path string, res *Result) {
+			t.Helper()
+			if len(res.Rows) != 1 || !math.IsNaN(res.Rows[0][0].F) || !math.IsNaN(res.Rows[0][1].F) {
+				t.Fatalf("NaN at row %d, %s: MIN, MAX = %v, want NaN, NaN", nanRow, path, res.Rows)
+			}
+		}
+		for _, par := range []int{1, 3} {
+			q := &Query{Table: "kt", Parallelism: par, Aggs: []AggSpec{{Func: AggMin, Column: "m"}, {Func: AggMax, Column: "m"}}}
+			res, err := ex.Run(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantNaN(fmt.Sprintf("parallelism %d", par), res)
+			for cut := ChunkRows; cut < rows; cut += ChunkRows {
+				wantNaN(fmt.Sprintf("parallelism %d, merged at row %d", par, cut), mergedHalves(t, ex, q, 0, cut, rows))
+			}
+			runBothScans(t, tab, q, true)
+		}
+	}
+}
+
+// TestBindMatchesOracle: Predicate.Bind still evaluates predicates row
+// by row for Executor.Scan and for shapes without a compiled kernel, so
+// it is held to the oracle's AST walk like the bitmaps are.
+func TestBindMatchesOracle(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rows := 100 + rng.Intn(300)
+		tab := buildKernelTable(t, rng, rows)
+		for i := 0; i < 40; i++ {
+			p := randomKernelPredicate(rng, 3)
+			bound, err := p.Bind(tab)
+			if err != nil {
+				t.Fatalf("seed %d: Bind(%s): %v", seed, p, err)
+			}
+			for row := 0; row < rows; row++ {
+				if got, want := bound(row), oracleMatch(tab, p, row); got != want {
+					t.Fatalf("seed %d: %s at row %d: Bind says %v, oracle %v", seed, p, row, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestKernelChunkStraddlingAppend pins that a table grown by appends
 // that straddle chunk boundaries aggregates identically to a cold-built
-// copy, under both scan paths.
+// copy, and both match the oracle.
 func TestKernelChunkStraddlingAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const total = 2600 // crosses the 1024 and 2048 grid boundaries
@@ -557,11 +636,7 @@ func TestGroupByUnknownColumnKindErrors(t *testing.T) {
 		byName: map[string]int{"weird": 0},
 		rows:   8,
 	}
-	fs, err := buildFilterSet(tab, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = newGrouperPlan(tab, GroupingSet{By: []string{"weird"}, Aggs: []AggSpec{{Func: AggCount}}}, fs, false, false)
+	_, err := newGrouperPlan(tab, GroupingSet{By: []string{"weird"}, Aggs: []AggSpec{{Func: AggCount}}}, buildFilterSet(nil), false)
 	if err == nil {
 		t.Fatal("grouping by an unknown column kind succeeded; want error")
 	}
@@ -589,18 +664,13 @@ func TestGroupByUnknownColumnKindErrors(t *testing.T) {
 // plan core emits: 30 aggregates (SUM/COUNT/AVG of five measures,
 // unfiltered and filtered) bind 10 physical accumulators over 2 row
 // sets, slim when only results are wanted and full when partials are
-// exported or one user needs more than a sum; the reference binds one
-// private accumulator per aggregate.
+// exported or one user needs more than a sum.
 func TestBindAggsSharesPhysical(t *testing.T) {
 	tab := defaultPlanTable(t, 10)
 	aggs := defaultPlanSets(Compare("d0", OpEq, String("v3")))[0].Aggs
-	bind := func(aggs []AggSpec, share, resultsOnly bool) ([]boundAgg, []physAgg, []int) {
+	bind := func(aggs []AggSpec, resultsOnly bool) ([]boundAgg, []physAgg, []int) {
 		t.Helper()
-		fs, err := buildFilterSet(tab, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		logical, phys, rowSets, err := bindAggs(tab, aggs, fs, share, resultsOnly)
+		logical, phys, rowSets, err := bindAggs(tab, aggs, buildFilterSet(aggs), resultsOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -615,7 +685,7 @@ func TestBindAggsSharesPhysical(t *testing.T) {
 		return n
 	}
 
-	logical, phys, rowSets := bind(aggs, true, true)
+	logical, phys, rowSets := bind(aggs, true)
 	if len(logical) != 30 || len(phys) != 10 || len(rowSets) != 2 || countFull(phys) != 0 {
 		t.Fatalf("result-only: %d logical, %d physical (%d full), %d row sets; want 30, 10 (0 full), 2",
 			len(logical), len(phys), countFull(phys), len(rowSets))
@@ -629,15 +699,12 @@ func TestBindAggsSharesPhysical(t *testing.T) {
 			t.Fatalf("aggregate %d (%s) mapped to an accumulator over the wrong row set", i, a.spec.Name())
 		}
 	}
-	if _, phys, _ := bind(aggs, true, false); len(phys) != 10 || countFull(phys) != 10 {
+	if _, phys, _ := bind(aggs, false); len(phys) != 10 || countFull(phys) != 10 {
 		t.Fatalf("partial-exporting: %d physical, %d full; want 10, 10", len(phys), countFull(phys))
 	}
 	withMin := append(append([]AggSpec(nil), aggs...), AggSpec{Func: AggMin, Column: "m2", Alias: "min"})
-	if _, phys, _ := bind(withMin, true, true); len(phys) != 10 || countFull(phys) != 1 {
+	if _, phys, _ := bind(withMin, true); len(phys) != 10 || countFull(phys) != 1 {
 		t.Fatalf("with one MIN: %d physical, %d full; want 10, 1", len(phys), countFull(phys))
-	}
-	if _, phys, _ := bind(aggs, false, true); len(phys) != 30 {
-		t.Fatalf("reference: %d physical accumulators, want one per aggregate (30)", len(phys))
 	}
 }
 
@@ -645,8 +712,8 @@ func TestBindAggsSharesPhysical(t *testing.T) {
 // one group. The float key encoder used to key groups on raw IEEE
 // bits, so -0 and +0 (binFloor(-0, w) is -0) headed two groups that
 // both print "0", and NaNs split by payload. Checked on the dense
-// float layout (finite column, kernel scan), the hash layout it falls
-// back to (NaN in the column, and unbinned), and the reference scan.
+// float layout (finite column) and the hash layout it falls back to
+// (NaN in the column, and unbinned), and against the oracle.
 func TestFloatGroupKeysCanonical(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	cases := []struct {
@@ -678,20 +745,16 @@ func TestFloatGroupKeysCanonical(t *testing.T) {
 			if err := cat.Register(tab); err != nil {
 				t.Fatal(err)
 			}
-			for _, ref := range []bool{false, true} {
-				ex := NewExecutor(cat)
-				ex.SetReferenceScan(ref)
-				res, err := ex.Run(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(res.Rows) != tc.groups {
-					t.Fatalf("reference=%v: %d groups, want %d:\n%s", ref, len(res.Rows), tc.groups, res)
-				}
-				for _, row := range res.Rows {
-					if bits := math.Float64bits(row[0].F); bits != math.Float64bits(canonFloat(row[0].F)) {
-						t.Fatalf("reference=%v: group key %v carries non-canonical bits %#x", ref, row[0].F, bits)
-					}
+			res, err := NewExecutor(cat).Run(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != tc.groups {
+				t.Fatalf("%d groups, want %d:\n%s", len(res.Rows), tc.groups, res)
+			}
+			for _, row := range res.Rows {
+				if bits := math.Float64bits(row[0].F); bits != math.Float64bits(canonFloat(row[0].F)) {
+					t.Fatalf("group key %v carries non-canonical bits %#x", row[0].F, bits)
 				}
 			}
 			runBothScans(t, tab, q, false)
@@ -804,7 +867,7 @@ func TestExtractSel(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Fuzz: kernel scan vs reference scan over fuzzer-chosen shapes.
+// Fuzz: kernel scan vs oracle over fuzzer-chosen shapes.
 
 func FuzzKernelDifferential(f *testing.F) {
 	f.Add(int64(1), uint16(300), int64(2))

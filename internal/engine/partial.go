@@ -38,39 +38,59 @@ type PartialGroup struct {
 	Accs []AccState `json:"accs"`
 }
 
-// AccState is the serializable state of one aggregate accumulator.
+// AccState is the serializable state of one aggregate accumulator. A
+// non-finite extreme travels as MinSpecial/MaxSpecial (with Min/Max
+// left zero), the way ExactState.Special carries a non-finite sum.
 type AccState struct {
-	Count int64      `json:"count,omitempty"`
-	Sum   ExactState `json:"sum,omitzero"`
-	SumSq ExactState `json:"sumsq,omitzero"`
-	Min   float64    `json:"min,omitempty"`
-	Max   float64    `json:"max,omitempty"`
-	Seen  bool       `json:"seen,omitempty"`
+	Count      int64      `json:"count,omitempty"`
+	Sum        ExactState `json:"sum,omitzero"`
+	SumSq      ExactState `json:"sumsq,omitzero"`
+	Min        float64    `json:"min,omitempty"`
+	Max        float64    `json:"max,omitempty"`
+	MinSpecial nonFinite  `json:"minSpecial,omitempty"`
+	MaxSpecial nonFinite  `json:"maxSpecial,omitempty"`
+	Seen       bool       `json:"seen,omitempty"`
 }
 
-// accState snapshots an accumulator (folding any pending chunk).
+// extremes decodes the state's min and max.
+func (st AccState) extremes() (mn, mx float64) {
+	mn, mx = st.Min, st.Max
+	if st.MinSpecial != finite {
+		mn = st.MinSpecial.value()
+	}
+	if st.MaxSpecial != finite {
+		mx = st.MaxSpecial.value()
+	}
+	return mn, mx
+}
+
+// accState snapshots an accumulator.
 func accState(a *accumulator) AccState {
-	a.fold()
-	return AccState{
+	st := AccState{
 		Count: a.count,
 		Sum:   a.exSum.State(),
 		SumSq: a.exSumSq.State(),
-		Min:   a.min,
-		Max:   a.max,
 		Seen:  a.seen,
 	}
+	if st.MinSpecial = nonFiniteOf(a.min); st.MinSpecial == finite {
+		st.Min = a.min
+	}
+	if st.MaxSpecial = nonFiniteOf(a.max); st.MaxSpecial == finite {
+		st.Max = a.max
+	}
+	return st
 }
 
 // accumulatorOf rebuilds the in-memory accumulator.
 func accumulatorOf(st AccState) accumulator {
-	return accumulator{
+	a := accumulator{
 		count:   st.Count,
 		exSum:   exactFromState(st.Sum),
 		exSumSq: exactFromState(st.SumSq),
-		min:     st.Min,
-		max:     st.Max,
 		seen:    st.Seen,
 	}
+	a.min, a.max = st.extremes()
+	return a
 }
 
 // mergeAccState folds b into a (same aggregate, disjoint partitions).

@@ -305,18 +305,20 @@ func (e *Executor) runPartialsChunked(ctx context.Context, q *Query, gsets []Gro
 		return nil, errChunkPathNA
 	}
 
-	allAggs := e.recordQueryAccess(t, q, gsets)
-	var where BoundPredicate
-	if q.Where != nil {
-		if where, err = q.Where.Bind(t); err != nil {
-			return nil, err
-		}
-	}
-	fs, err := buildFilterSet(t, allAggs)
+	// Plans — bound aggregates, key encoders, the fast group layout — are
+	// built ONCE for the whole query, and one kernel set is compiled up
+	// front so an invalid predicate fails the query whether or not every
+	// cell it touches happens to be cached.
+	fs := buildFilterSet(e.recordQueryAccess(t, q, gsets))
+	smp := newSampler(q.SampleFraction, q.SampleSeed, q.SampleBase)
+	plans, err := buildGrouperPlans(t, gsets, fs, false)
 	if err != nil {
 		return nil, err
 	}
-	smp := newSampler(q.SampleFraction, q.SampleSeed, q.SampleBase)
+	compiled, err := compileScan(t, q.Where, fs, smp)
+	if err != nil {
+		return nil, err
+	}
 	sig := PlanSignature(q, gsets)
 
 	e.stats.Queries.Add(1)
@@ -355,25 +357,11 @@ func (e *Executor) runPartialsChunked(ctx context.Context, q *Query, gsets []Gro
 
 	// Scan the missing segments, using the query's parallelism budget
 	// across segments (each segment is one grid cell or remainder, so
-	// per-segment parallel scans would be pointless). Plans — bound
-	// aggregates, key encoders, the fast group layout — are built ONCE
-	// for the whole query; each worker owns one grouper arena and one
-	// compiled kernel set, reset between segments, so per-segment cost
-	// is O(segment rows + groups seen), never O(plan).
-	ref := e.refScan.Load()
-	plans, err := buildGrouperPlans(t, gsets, fs, ref, false)
-	if err != nil {
-		return nil, err
-	}
-	newSegScanner := func() (func(seg *chunkSeg) error, error) {
+	// per-segment parallel scans would be pointless). Each worker owns one
+	// grouper arena and one compiled kernel set, reset between segments,
+	// so per-segment cost is O(segment rows + groups seen), never O(plan).
+	newSegScanner := func(sk *scanKernels) func(seg *chunkSeg) error {
 		groupers := newGroupers(plans)
-		var sk *scanKernels
-		if !ref {
-			var err error
-			if sk, err = compileScan(t, q.Where, fs, smp); err != nil {
-				return nil, err
-			}
-		}
 		first := true
 		return func(seg *chunkSeg) error {
 			if !first {
@@ -382,13 +370,7 @@ func (e *Executor) runPartialsChunked(ctx context.Context, q *Query, gsets []Gro
 				}
 			}
 			first = false
-			var err error
-			if ref {
-				err = scanPartitionRows(ctx, seg.lo, seg.hi, smp, where, fs, groupers)
-			} else {
-				err = sk.scanPartition(ctx, seg.lo, seg.hi, groupers)
-			}
-			if err != nil {
+			if err := sk.scanPartition(ctx, seg.lo, seg.hi, groupers); err != nil {
 				return err
 			}
 			seg.partials = make([]*Partial, len(groupers))
@@ -399,18 +381,12 @@ func (e *Executor) runPartialsChunked(ctx context.Context, q *Query, gsets []Gro
 			st.rowsScanned.Add(n)
 			e.stats.RowsRead.Add(n)
 			return nil
-		}, nil
+		}
 	}
-	workers := q.Parallelism
-	if workers > len(missing) {
-		workers = len(missing)
-	}
+	workers := min(q.Parallelism, len(missing))
 	if workers <= 1 {
 		if len(missing) > 0 {
-			scanSeg, err := newSegScanner()
-			if err != nil {
-				return nil, err
-			}
+			scanSeg := newSegScanner(compiled)
 			for _, seg := range missing {
 				if err := scanSeg(seg); err != nil {
 					return nil, err
@@ -418,28 +394,29 @@ func (e *Executor) runPartialsChunked(ctx context.Context, q *Query, gsets []Gro
 			}
 		}
 	} else {
+		kernels := []*scanKernels{compiled}
+		for len(kernels) < workers {
+			sk, err := compileScan(t, q.Where, fs, smp)
+			if err != nil {
+				return nil, err
+			}
+			kernels = append(kernels, sk)
+		}
 		segCh := make(chan *chunkSeg)
 		errs := make([]error, workers)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w, sk := range kernels {
 			wg.Add(1)
-			go func(w int) {
+			go func(w int, sk *scanKernels) {
 				defer wg.Done()
-				scanSeg, err := newSegScanner()
-				if err != nil {
-					errs[w] = err
-					for range segCh {
-						// drain so the sender never blocks
-					}
-					return
-				}
+				scanSeg := newSegScanner(sk)
 				for seg := range segCh {
 					if errs[w] != nil {
 						continue // drain after failure
 					}
 					errs[w] = scanSeg(seg)
 				}
-			}(w)
+			}(w, sk)
 		}
 		for _, seg := range missing {
 			segCh <- seg

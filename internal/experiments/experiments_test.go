@@ -153,27 +153,3 @@ func TestConfigDefaults(t *testing.T) {
 		t.Error("rows override wrong")
 	}
 }
-
-func TestRunWALBenchSmoke(t *testing.T) {
-	b, err := RunWALBench(4000, 500, 7, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Modes) != 3 {
-		t.Fatalf("want 3 modes, got %+v", b.Modes)
-	}
-	for _, pt := range b.Modes {
-		if pt.IngestMillis <= 0 || pt.RowsPerSec <= 0 {
-			t.Fatalf("mode %s has no measurement: %+v", pt.Mode, pt)
-		}
-	}
-	if b.Modes[2].Syncs != int64(b.Batches) {
-		t.Fatalf("fsync-per-batch should sync once per batch: %+v", b.Modes[2])
-	}
-	if b.Replay.ReplayedRows != b.Rows || b.Replay.WALReplayMillis <= 0 {
-		t.Fatalf("replay measurement missing: %+v", b.Replay)
-	}
-	if _, err := b.JSON(); err != nil {
-		t.Fatal(err)
-	}
-}

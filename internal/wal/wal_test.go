@@ -195,19 +195,23 @@ func TestTornTailTruncated(t *testing.T) {
 // byte-identical to the live one.
 func TestStoreCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	cat, live, _, _ := newStoreWithBase(t, dir, Options{SyncEvery: 1, SnapshotEvery: 1000})
+	cat, live, s, _ := newStoreWithBase(t, dir, Options{SyncEvery: 1, SnapshotEvery: 1000})
 	for k := 0; k < 7; k++ {
 		if _, err := cat.Append(live, testBatch(k)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// fsync-per-batch, no checkpoint in between: one sync per acked batch.
+	if st := s.Stats(); st.Syncs != 7 {
+		t.Errorf("Syncs = %d after 7 batches under SyncEvery=1, want 7", st.Syncs)
 	}
 	wantHash := contentHash(t, live)
 	wantVersion := live.Version()
 	// No Close: the store is simply abandoned, as a crash would.
 
 	_, recovered, _, info := newStoreWithBase(t, dir, Options{})
-	if info.ReplayedBatches != 7 {
-		t.Errorf("replayed %d batches, want 7", info.ReplayedBatches)
+	if info.ReplayedBatches != 7 || info.ReplayedRows != 14 {
+		t.Errorf("replayed %d batches / %d rows, want 7 / 14", info.ReplayedBatches, info.ReplayedRows)
 	}
 	if got := contentHash(t, recovered); got != wantHash {
 		t.Errorf("recovered ContentHash %s != live %s", got, wantHash)
