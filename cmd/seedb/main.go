@@ -172,7 +172,7 @@ func main() {
 			log.Printf("seedb: worker %s healthy=%v", st.ID, st.Healthy)
 		}
 		cancel()
-		log.Printf("seedb: coordinating %d workers (%s); unhealthy shards fail over to local execution", b.NumShards(), b.Signature())
+		log.Printf("seedb: coordinating %d workers (%s); unhealthy shards fail over to local execution", b.NumWorkers(), b.Signature())
 	case *shards > 0:
 		db.ShardLocal(*shards, seedb.ClusterConfig{})
 		log.Printf("seedb: in-process scatter-gather across %d shards", *shards)

@@ -1,4 +1,4 @@
-package seedb
+package seedb_test
 
 import (
 	"fmt"
@@ -6,14 +6,19 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"seedb/internal/frontend"
 )
 
 // Documentation lint, run as ordinary tests so `go test ./...` (and
 // the CI docs job) keeps README.md, ARCHITECTURE.md, and docs/ honest:
-// every relative link must resolve to a real file, and every ```go
-// snippet must be gofmt-clean.
+// every relative link must resolve to a real file, every ```go snippet
+// must be gofmt-clean, and every command flag and HTTP route named
+// must exist. (An external test package, so it can ask the frontend —
+// which imports seedb — for its routes.)
 
 // docFiles lists the markdown files under lint.
 func docFiles(t *testing.T) []string {
@@ -187,6 +192,50 @@ func TestDocsCommandsExist(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d command flags checked", file, flags)
+	}
+}
+
+// A quoted API path, with what follows it when that makes it a prefix
+// ("/api/shard/*", "/api/shard/").
+var docRouteRe = regexp.MustCompile(`(/api/[a-z]+(?:/[a-z]+)*)(/\*|/)?`)
+
+// TestDocsRoutesExist keeps the docs and the mux in step, so moving an
+// endpoint cannot leave a dangling doc: every /api/... path quoted in
+// README.md, ARCHITECTURE.md, docs/ and the verify skill is a route the
+// frontend registers (or, written as a prefix, covers one), and every
+// registered /api/ route appears in docs/API.md.
+func TestDocsRoutesExist(t *testing.T) {
+	routes := frontend.Routes()
+	files := docFiles(t)
+	if skill := filepath.Join(".claude", "skills", "verify", "SKILL.md"); fileExists(skill) {
+		files = append(files, skill)
+	}
+	documented := map[string]bool{}
+	for _, file := range files {
+		body, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := 0
+		for _, m := range docRouteRe.FindAllStringSubmatch(string(body), -1) {
+			paths++
+			ok := slices.Contains(routes, m[1])
+			if m[2] != "" {
+				ok = slices.ContainsFunc(routes, func(r string) bool { return strings.HasPrefix(r, m[1]+"/") })
+			}
+			if !ok {
+				t.Errorf("%s: names %s%s, which the frontend does not register", file, m[1], m[2])
+			}
+			if file == filepath.Join("docs", "API.md") {
+				documented[m[1]] = true
+			}
+		}
+		t.Logf("%s: %d API paths checked", file, paths)
+	}
+	for _, r := range routes {
+		if strings.HasPrefix(r, "/api/") && !documented[r] {
+			t.Errorf("docs/API.md does not document the registered route %s", r)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -14,36 +15,35 @@ import (
 	"seedb/internal/obs"
 )
 
-// Config tunes a ShardedBackend.
+// Config tunes a Backend.
 type Config struct {
-	// Retries is how many extra attempts a failing shard gets before
-	// the coordinator fails over (default 1).
-	Retries int
-	// Cooldown is how long an unhealthy shard is skipped before the
-	// next query half-opens it again (default 15s).
+	// Replication selects the layout: 0 is replicated (every worker
+	// holds every table whole; each query's window is cut into one
+	// range per worker), >= 1 is placed (each placement lives on that
+	// many distinct workers, clamped to the worker count).
+	Replication int
+	// PlacementChunks is the number of 1024-row grid cells per
+	// placement (default 4; placed layout only). Boundaries are
+	// absolute, so appends never move existing ones.
+	PlacementChunks int
+	// Cooldown is how long a failed worker is skipped before the next
+	// query half-opens it again (default 15s).
 	Cooldown time.Duration
-	// DisableFailover makes a shard failure fail the whole query
-	// instead of running the shard's range on the coordinator replica.
+	// DisableFailover makes a range no worker could serve fail the
+	// query instead of running on the coordinator's replica. Only
+	// worker faults surface this way: a range that failed by the
+	// query's own doing always runs locally, where the query's real
+	// error (if any) is produced.
 	DisableFailover bool
-	// MaxConcurrent caps shards in flight per query (0 = all at once).
-	MaxConcurrent int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 1
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 15 * time.Second
-	}
-	return c
-}
+// retries is how many extra attempts a failing owner gets before the
+// task moves on (to the next owner, then the coordinator).
+const retries = 1
 
-// slot is one shard plus its health/accounting state.
-type slot struct {
-	shard Shard
+// member is one worker plus its health, accounting, and inventory.
+type member struct {
+	w Worker
 
 	mu          sync.Mutex
 	healthy     bool
@@ -51,190 +51,282 @@ type slot struct {
 	lastFailure time.Time
 	execs       int64
 	execNanos   int64
+	// holds maps fragment name -> content hash last verified on this
+	// worker: advisory for routing (skip workers known not to hold a
+	// fragment) and the diff basis for rebalancing — the per-request
+	// hash handshake remains the correctness check. nil = inventory
+	// never taken (Join): every fragment is presumed held.
+	holds map[string]string
 }
 
-func (s *slot) markFailure(now time.Time) {
-	s.mu.Lock()
-	s.healthy = false
-	s.failures++
-	s.lastFailure = now
-	s.mu.Unlock()
+func (m *member) markFailure() {
+	m.mu.Lock()
+	m.healthy = false
+	m.failures++
+	m.lastFailure = time.Now()
+	m.mu.Unlock()
 }
 
-func (s *slot) markSuccess(d time.Duration) {
-	s.mu.Lock()
-	s.healthy = true
-	s.execs++
-	s.execNanos += int64(d)
-	s.mu.Unlock()
+func (m *member) markHealthy() {
+	m.mu.Lock()
+	m.healthy = true
+	m.mu.Unlock()
 }
 
-// usable reports whether the shard should be tried now: healthy, or
+// usable reports whether the worker should be tried now: healthy, or
 // unhealthy but past the cooldown (half-open probe).
-func (s *slot) usable(now time.Time, cooldown time.Duration) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.healthy || now.Sub(s.lastFailure) >= cooldown
+func (m *member) usable(cooldown time.Duration) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.healthy || time.Since(m.lastFailure) >= cooldown
 }
 
-// ShardedBackend is a core.Backend that scatter-gathers every engine
-// query across horizontal table shards and merges the
-// partition-mergeable partials. Results are byte-identical to a
-// single-node scan for every shard count: ranges are cut on the
-// engine's deterministic chunk grid and all float state merges
-// exactly.
+// hold returns the hash last verified for frag; held is also true,
+// with an empty hash, when the inventory is unknown.
+func (m *member) hold(frag string) (hash string, held bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	hash, held = m.holds[frag]
+	return hash, held || m.holds == nil
+}
+
+// setHold records a verified (hash != "") or lost (hash == "")
+// fragment. An unknown inventory stays unknown.
+func (m *member) setHold(frag, hash string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch {
+	case m.holds == nil:
+	case hash == "":
+		delete(m.holds, frag)
+	default:
+		m.holds[frag] = hash
+	}
+}
+
+func (m *member) status() ShardStatus {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := ShardStatus{ID: m.w.ID(), Healthy: m.healthy, Failures: m.failures,
+		LastFailure: m.lastFailure, Execs: m.execs, Fragments: len(m.holds)}
+	if m.execs > 0 {
+		st.AvgMillis = float64(m.execNanos) / float64(m.execs) / 1e6
+	}
+	return st
+}
+
+// Backend is the cluster core.Backend: it cuts every engine query's
+// row window into tasks, runs each on a worker that holds the rows (or,
+// failing that, on the coordinator's own replica), and merges the
+// partials — byte-identical to a single-node scan for every layout and
+// topology, because tasks are cut on the engine's deterministic chunk
+// grid and all float state merges exactly.
 //
-// Failure semantics: a shard gets Retries extra attempts; a shard
-// whose replica fingerprint diverged is not retried (the condition is
-// permanent until the operator reloads data). After final failure the
-// shard is marked unhealthy — skipped until Cooldown passes, then
-// half-opened — and, unless DisableFailover is set, its row range runs
-// on the coordinator's own replica, so queries degrade to local
-// execution rather than failing.
-type ShardedBackend struct {
-	ex    *engine.Executor
-	local *LocalShard
-	cfg   Config
-	kind  string // "local" or "remote", for the layout signature
+// Failure semantics: an owner gets one retry (none for a diverged
+// fragment hash, which is permanent until re-shipped), is then marked
+// unhealthy — skipped until Cooldown passes, then half-opened — and the
+// task moves to its next owner; when none served it the range runs on
+// the coordinator's replica, so queries degrade rather than fail.
+type Backend struct {
+	ex     *engine.Executor
+	cfg    Config
+	layout layout
 
-	mu    sync.RWMutex
-	slots []*slot
+	// mu guards membership.
+	mu sync.RWMutex
+	fleet
 
-	scatters   atomic.Int64
-	shardCalls atomic.Int64
-	retriesN   atomic.Int64
-	failovers  atomic.Int64
-	mismatches atomic.Int64
+	// ingestMu serializes appends and rebalances fleet-wide: owners
+	// applying identical deltas in identical order is what keeps
+	// fragment hashes aligned, and a rebalance racing an append could
+	// ship a fragment matching neither pre- nor post-append state.
+	ingestMu sync.Mutex
 
-	// ingestMu serializes appends through the coordinator so every
-	// replica applies the same batches in the same order — the property
-	// that keeps content hashes aligned across the fleet.
-	ingestMu   sync.Mutex
-	ingests    atomic.Int64
-	ingestRows atomic.Int64
+	scatters    atomic.Int64
+	shardCalls  atomic.Int64
+	retriesN    atomic.Int64
+	failovers   atomic.Int64
+	mismatches  atomic.Int64
+	ingests     atomic.Int64
+	ingestRows  atomic.Int64
+	rebalances  atomic.Int64
+	fragShipped atomic.Int64
+	fragDropped atomic.Int64
+	moveBytes   atomic.Int64
 
-	// Scatter clock: cumulative wall time spent inside scatters and
-	// the projected time had all shards of each scatter run truly
-	// concurrently (gather + max per-shard latency). On a machine with
-	// fewer cores than shards the two diverge; the shard benchmark
-	// reports both.
-	scatterWall atomic.Int64
-	scatterProj atomic.Int64
-
-	// obsM carries the event-time metrics (nil = observability off);
-	// scrape-time collectors over the counters above are registered by
-	// EnableMetrics directly.
-	obsM atomic.Pointer[clusterObs]
+	// rpcSeconds: per-worker attempt latency (nil = observability off).
+	rpcSeconds atomic.Pointer[obs.HistogramVec]
 }
 
-// clusterObs is the backend's event-time observability state.
-type clusterObs struct {
-	rpcSeconds *obs.HistogramVec // per-shard range execution latency
+// New builds a coordinator backend over the executor's catalog — the
+// authoritative replica: ingest entry point and degraded path. Workers
+// join via AddWorker, Join, or the frontend's /api/shard/register.
+func New(ex *engine.Executor, cfg Config) *Backend {
+	if cfg.Cooldown <= 0 {
+		cfg.Cooldown = 15 * time.Second
+	}
+	if cfg.PlacementChunks <= 0 {
+		cfg.PlacementChunks = 4
+	}
+	b := &Backend{ex: ex, cfg: cfg, layout: replicated{}, fleet: fleet{ring: newHashRing()}}
+	if cfg.Replication > 0 {
+		b.layout = &placed{rf: cfg.Replication, span: cfg.PlacementChunks * engine.ChunkRows,
+			hashes: make(map[fragHashKey]string)}
+	}
+	return b
+}
+
+// NewLocal builds the zero-worker replicated backend: every query is
+// cut into n grid-aligned ranges that run concurrently on ex and merge
+// through the same path a fleet's partials do — single-binary sharding,
+// and the exact merge path testable without a fleet.
+func NewLocal(ex *engine.Executor, n int, cfg Config) *Backend {
+	cfg.Replication = 0
+	b := New(ex, cfg)
+	b.layout = replicated{local: max(n, 1)}
+	return b
 }
 
 // EnableMetrics registers the backend's counters with the metrics
-// registry and turns on the per-shard RPC latency histogram. Safe on a
-// live backend; observation-only either way.
-func (b *ShardedBackend) EnableMetrics(reg *obs.Registry) {
-	if reg == nil {
-		b.obsM.Store(nil)
-		return
+// registry and turns on the per-worker attempt latency histogram. Safe
+// on a live backend; observation-only.
+func (b *Backend) EnableMetrics(reg *obs.Registry) {
+	for _, c := range []struct {
+		name, help string
+		v          *atomic.Int64
+	}{
+		{"scatters_total", "Queries scatter-gathered across the fleet.", &b.scatters},
+		{"shard_calls_total", "Task executions attempted on workers.", &b.shardCalls},
+		{"retries_total", "Extra attempts after a worker failure.", &b.retriesN},
+		{"failovers_total", "Tasks degraded to the coordinator's replica (no owner served them).", &b.failovers},
+		{"mismatches_total", "Fragment content-hash mismatches observed.", &b.mismatches},
+		{"ingest_rows_total", "Rows ingested through the coordinator.", &b.ingestRows},
+		{"rebalances_total", "Rebalance passes run.", &b.rebalances},
+		{"fragments_shipped_total", "Fragments shipped to workers by rebalancing and ingest.", &b.fragShipped},
+		{"fragments_dropped_total", "Fragments dropped from workers that lost ownership.", &b.fragDropped},
+		{"rebalance_bytes_total", "Serialized fragment bytes moved to workers.", &b.moveBytes},
+	} {
+		reg.CounterFunc("seedb_cluster_"+c.name, c.help, func() float64 { return float64(c.v.Load()) })
 	}
-	reg.CounterFunc("seedb_cluster_scatters_total", "Queries scatter-gathered across shards.",
-		func() float64 { return float64(b.scatters.Load()) })
-	reg.CounterFunc("seedb_cluster_shard_calls_total", "Per-shard range executions attempted.",
-		func() float64 { return float64(b.shardCalls.Load()) })
-	reg.CounterFunc("seedb_cluster_retries_total", "Extra attempts after a shard failure.",
-		func() float64 { return float64(b.retriesN.Load()) })
-	reg.CounterFunc("seedb_cluster_failovers_total", "Ranges degraded to the coordinator's local replica.",
-		func() float64 { return float64(b.failovers.Load()) })
-	reg.CounterFunc("seedb_cluster_mismatches_total", "Replica fingerprint/content-hash mismatches observed.",
-		func() float64 { return float64(b.mismatches.Load()) })
-	reg.CounterFunc("seedb_cluster_ingest_rows_total", "Rows ingested through the coordinator.",
-		func() float64 { return float64(b.ingestRows.Load()) })
-	reg.GaugeFunc("seedb_cluster_shards", "Registered shards.",
-		func() float64 { return float64(b.NumShards()) })
-	b.obsM.Store(&clusterObs{
-		rpcSeconds: reg.HistogramVec("seedb_shard_rpc_seconds",
-			"Per-shard range execution latency, including retries and failover.",
-			obs.DefBuckets, "shard"),
-	})
+	reg.GaugeFunc("seedb_cluster_workers", "Registered workers.",
+		func() float64 { return float64(b.NumWorkers()) })
+	reg.GaugeFunc("seedb_cluster_ownership_skew", "Max/mean fragments held per worker (1.0 = perfectly even).",
+		func() float64 {
+			st := b.Counters()
+			if st.MeanPerWorker == 0 {
+				return 0
+			}
+			return float64(st.MaxPerWorker) / st.MeanPerWorker
+		})
+	b.rpcSeconds.Store(reg.HistogramVec("seedb_shard_rpc_seconds",
+		"Latency of each task attempt on the worker that served it (coordinator failover not included).",
+		obs.DefBuckets, "shard"))
 }
 
-// NewLocal builds an in-process scatter-gather backend: n logical
-// shards over the given executor, executed on a goroutine pool. This
-// is single-node sharding — it exists so one binary can exercise (and
-// test) the exact merge path, and so per-query shard counts can be
-// benchmarked without a fleet.
-func NewLocal(ex *engine.Executor, n int, cfg Config) *ShardedBackend {
-	if n < 1 {
-		n = 1
-	}
-	b := &ShardedBackend{ex: ex, local: NewLocalShard("coordinator", ex), cfg: cfg.withDefaults(), kind: "local"}
-	for i := 0; i < n; i++ {
-		b.slots = append(b.slots, &slot{shard: NewLocalShard(fmt.Sprintf("local-%d", i), ex), healthy: true})
-	}
-	return b
+// ---------------------------------------------------------------------
+// Membership
+
+// members snapshots the fleet in join order. The slice is never
+// written below its length again (joins append, leaves reallocate), so
+// callers may range over it without the lock.
+func (b *Backend) members() []*member {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.order
 }
 
-// NewDistributed builds a coordinator backend over remote worker
-// shards. ex is the coordinator's own replica (metadata, pruning, and
-// the degraded path). Workers can also be added later via AddShard
-// (shard registration).
-func NewDistributed(ex *engine.Executor, shards []Shard, cfg Config) *ShardedBackend {
-	b := &ShardedBackend{ex: ex, local: NewLocalShard("coordinator", ex), cfg: cfg.withDefaults(), kind: "remote"}
-	for _, s := range shards {
-		b.slots = append(b.slots, &slot{shard: s, healthy: true})
-	}
-	return b
+// NumWorkers returns the registered worker count.
+func (b *Backend) NumWorkers() int { return len(b.members()) }
+
+// Signature implements core.Backend: the layout plus its topology.
+// Results are byte-identical across topologies by construction, but an
+// exec-cache entry computed under a vanished membership must not
+// masquerade as evidence about the current one.
+func (b *Backend) Signature() string {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.layout.signature(&b.fleet)
 }
 
-// AddShard registers a shard with the live backend; it reports whether
-// the shard was added (false when the ID is already registered).
-func (b *ShardedBackend) AddShard(s Shard) bool {
+// Join registers a worker without taking its inventory or shipping it
+// anything: it is presumed to hold whatever it is asked for and the
+// per-request hash handshake decides, so a pre-loaded worker costs
+// nothing to admit and a diverged one is detected (409, range served
+// locally), not overwritten. False when the ID is already registered.
+func (b *Backend) Join(w Worker) bool {
+	_, added := b.join(w, nil)
+	return added
+}
+
+func (b *Backend) join(w Worker, holds map[string]string) (*member, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, sl := range b.slots {
-		if sl.shard.ID() == s.ID() {
-			return false
-		}
+	if m := b.find(w.ID()); m != nil {
+		return m, false
 	}
-	b.slots = append(b.slots, &slot{shard: s, healthy: true})
-	return true
+	m := &member{w: w, healthy: true, holds: holds}
+	b.order = append(b.order, m)
+	b.ring.Add(w.ID())
+	b.epoch.Add(1)
+	return m, true
 }
 
-// NumShards returns the registered shard count.
-func (b *ShardedBackend) NumShards() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.slots)
-}
-
-// HasRemoteShards reports whether any shard holds its own table
-// replica (a remote worker). In-process shards share the
-// coordinator's tables, so appends reach them with no forwarding;
-// with remote shards, appends MUST go through Ingest or the replicas
-// drift. DB.Append uses this to route.
-func (b *ShardedBackend) HasRemoteShards() bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	for _, sl := range b.slots {
-		if _, local := sl.shard.(*LocalShard); !local {
-			return true
-		}
+// inventory is the worker's own report of what it holds. An
+// unreachable worker is assumed to hold nothing, so the ships that
+// follow are attempted (and reported) rather than skipped.
+func inventory(ctx context.Context, w Worker) map[string]string {
+	if theirs, err := w.TableHashes(ctx); err == nil && theirs != nil {
+		return theirs
 	}
-	return false
+	return map[string]string{}
 }
 
-// Signature implements core.Backend: the layout is the backend kind
-// plus its shard count, so exec-cache entries are scoped to one
-// topology.
-func (b *ShardedBackend) Signature() string {
-	return fmt.Sprintf("sharded(%s,n=%d)", b.kind, b.NumShards())
+// AddWorker registers a worker, takes its inventory, and rebalances so
+// it holds exactly what the layout now assigns it — replica bootstrap
+// under the replicated layout, its ring share under the placed one. A
+// durable worker that recovered its fragments from disk is not
+// re-shipped bytes it already holds. added is false when the ID was
+// already registered (inventory and rebalance still run: re-announcing
+// after a restart re-ships anything lost). Ingest is held throughout.
+func (b *Backend) AddWorker(ctx context.Context, w Worker) (rep *RebalanceReport, added bool, err error) {
+	b.ingestMu.Lock()
+	defer b.ingestMu.Unlock()
+	holds := inventory(ctx, w)
+	m, added := b.join(w, holds)
+	m.mu.Lock()
+	m.holds = holds
+	m.mu.Unlock()
+	rep, err = b.rebalanceLocked(ctx)
+	return rep, added, err
 }
+
+// RemoveWorker deregisters a worker and rebalances what it owned onto
+// the remaining members (shipped from the coordinator's replica).
+// removed is false when the ID was not registered.
+func (b *Backend) RemoveWorker(ctx context.Context, id string) (rep *RebalanceReport, removed bool, err error) {
+	b.ingestMu.Lock()
+	defer b.ingestMu.Unlock()
+
+	b.mu.Lock()
+	if i := slices.Index(b.order, b.find(id)); i >= 0 {
+		b.order = slices.Delete(slices.Clone(b.order), i, i+1)
+		b.ring.Remove(id)
+		b.epoch.Add(1)
+		removed = true
+	}
+	b.mu.Unlock()
+	if !removed {
+		return nil, false, nil
+	}
+	rep, err = b.rebalanceLocked(ctx)
+	return rep, true, err
+}
+
+// ---------------------------------------------------------------------
+// Query routing
 
 // Run implements core.Backend.
-func (b *ShardedBackend) Run(ctx context.Context, q *engine.Query) (*engine.Result, error) {
+func (b *Backend) Run(ctx context.Context, q *engine.Query) (*engine.Result, error) {
 	results, err := b.scatter(ctx, q, nil)
 	if err != nil {
 		return nil, err
@@ -252,37 +344,30 @@ func (b *ShardedBackend) Run(ctx context.Context, q *engine.Query) (*engine.Resu
 }
 
 // RunSharedScan implements core.Backend.
-func (b *ShardedBackend) RunSharedScan(ctx context.Context, q *engine.Query, gsets []engine.GroupingSet) ([]*engine.Result, error) {
+func (b *Backend) RunSharedScan(ctx context.Context, q *engine.Query, gsets []engine.GroupingSet) ([]*engine.Result, error) {
 	if len(gsets) == 0 {
 		return nil, fmt.Errorf("cluster: RunSharedScan needs at least one grouping set")
 	}
 	return b.scatter(ctx, q, gsets)
 }
 
-// scatter assigns grid-aligned row ranges to shards, executes them
-// concurrently, and merges the partials in range order.
-func (b *ShardedBackend) scatter(ctx context.Context, q *engine.Query, gsets []engine.GroupingSet) ([]*engine.Result, error) {
+// scatter cuts the query's row window into the layout's tasks, runs
+// them all concurrently, and merges the partials in row order.
+func (b *Backend) scatter(ctx context.Context, q *engine.Query, gsets []engine.GroupingSet) ([]*engine.Result, error) {
 	t, err := b.ex.Catalog().Table(q.Table)
 	if err != nil {
 		return nil, err
 	}
 	rows := t.NumRows()
-
-	b.mu.RLock()
-	slots := append([]*slot(nil), b.slots...)
-	b.mu.RUnlock()
-
-	n := q.Shards
-	if n <= 0 || n > len(slots) {
-		n = len(slots)
-	}
 	lo, hi := 0, rows
 	if q.RowHi > 0 {
-		lo, hi = q.RowLo, q.RowHi
+		lo, hi = q.RowLo, min(q.RowHi, rows)
 	}
-	ranges := engine.ShardRanges(rows, lo, hi, n)
-	if len(slots) == 0 || len(ranges) == 0 {
-		// Nothing to scatter (no workers, or an empty range): run
+	b.mu.RLock()
+	tasks := b.layout.cut(t, rows, lo, hi, q.Shards, &b.fleet)
+	b.mu.RUnlock()
+	if len(tasks) == 0 {
+		// Nothing to scatter (no workers, or an empty window): run
 		// whole-range locally, preserving exact semantics.
 		if gsets == nil {
 			res, err := b.ex.Run(ctx, q)
@@ -295,58 +380,28 @@ func (b *ShardedBackend) scatter(ctx context.Context, q *engine.Query, gsets []e
 	}
 
 	b.scatters.Add(1)
-	start := time.Now()
-
-	type rangeOut struct {
-		partials []*engine.Partial
-		dur      time.Duration
-		err      error
-	}
-	outs := make([]rangeOut, len(ranges))
-	sem := make(chan struct{}, maxConcurrent(b.cfg.MaxConcurrent, len(ranges)))
+	outs := make([][]*engine.Partial, len(tasks))
+	errs := make([]error, len(tasks))
 	var wg sync.WaitGroup
-	for i, rg := range ranges {
+	for i, tk := range tasks {
 		wg.Add(1)
-		go func(i int, rlo, rhi int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sl := slots[i%len(slots)]
-			// Span and histogram cover the whole range execution —
-			// retries and a failover to the coordinator included — which
-			// is the latency the gather actually waits on.
-			span := obs.TraceFrom(ctx).StartSpan("shard-exec").
-				SetAttr("shard", sl.shard.ID()).
-				SetAttr("rows", strconv.Itoa(rlo)+":"+strconv.Itoa(rhi))
-			t0 := time.Now()
-			ps, err := b.execRange(ctx, sl, q, gsets, rlo, rhi, len(ranges))
-			d := time.Since(t0)
-			span.Finish()
-			if m := b.obsM.Load(); m != nil {
-				m.rpcSeconds.With(sl.shard.ID()).Observe(d.Seconds())
-			}
-			outs[i] = rangeOut{partials: ps, dur: d, err: err}
-		}(i, rg[0], rg[1])
+			outs[i], errs[i] = b.execTask(ctx, t, q, gsets, tk, len(tasks))
+		}()
 	}
 	wg.Wait()
-
-	var maxShard time.Duration
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		if o.dur > maxShard {
-			maxShard = o.dur
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 
-	// Gather: merge in ascending range order. Order does not change the
-	// bytes (exact state), but keeping it fixed makes the merge path
-	// deterministic end to end.
-	mergeStart := time.Now()
-	merged := outs[0].partials
-	for i := 1; i < len(outs); i++ {
-		for s, p := range outs[i].partials {
+	// Gather: merge in ascending row order — exact state, so order does
+	// not change the bytes, but fixed keeps the path deterministic.
+	merged := outs[0]
+	for _, out := range outs[1:] {
+		for s, p := range out {
 			if err := merged[s].Merge(p); err != nil {
 				return nil, err
 			}
@@ -356,159 +411,154 @@ func (b *ShardedBackend) scatter(ctx context.Context, q *engine.Query, gsets []e
 	for s, p := range merged {
 		results[s] = p.Finalize()
 	}
-	mergeDur := time.Since(mergeStart)
-	b.scatterWall.Add(int64(time.Since(start)))
-	b.scatterProj.Add(int64(maxShard + mergeDur))
 	return results, nil
 }
 
-func maxConcurrent(limit, n int) int {
-	if limit <= 0 || limit > n {
-		return n
-	}
-	return limit
-}
-
-// execRange runs one shard's range with retries, half-open health
-// gating, and local failover.
-func (b *ShardedBackend) execRange(ctx context.Context, sl *slot, q *engine.Query, gsets []engine.GroupingSet, lo, hi, nRanges int) ([]*engine.Partial, error) {
-	// Per-range scan parallelism: remote workers own their machine and
-	// get the full query parallelism; in-process shards share this one,
-	// so each gets a slice.
-	scanPar := q.Parallelism
-	if _, isLocal := sl.shard.(*LocalShard); isLocal && nRanges > 0 {
-		if scanPar = q.Parallelism / nRanges; scanPar < 1 {
-			scanPar = 1
-		}
-	}
+// execTask runs one task on its owners in order and, when none served
+// it, on the coordinator's replica. Owners that are cooling down or
+// known not to hold the fragment are skipped without blame.
+func (b *Backend) execTask(ctx context.Context, t *engine.Table, q *engine.Query, gsets []engine.GroupingSet, tk task, nTasks int) ([]*engine.Partial, error) {
+	span := obs.TraceFrom(ctx).StartSpan("shard-exec").
+		SetAttr("fragment", tk.frag.name).
+		SetAttr("rows", strconv.Itoa(tk.lo)+":"+strconv.Itoa(tk.hi))
+	defer span.Finish()
 
 	var lastErr error
-	shardFault := false
-	if sl.usable(time.Now(), b.cfg.Cooldown) {
-		attempts := 1 + b.cfg.Retries
-		for attempt := 0; attempt < attempts; attempt++ {
-			if attempt > 0 {
-				b.retriesN.Add(1)
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			b.shardCalls.Add(1)
-			t0 := time.Now()
-			ps, err := b.execOnShard(ctx, sl.shard, q, gsets, lo, hi, scanPar, nRanges)
-			if err == nil {
-				sl.markSuccess(time.Since(t0))
-				return ps, nil
-			}
-			lastErr = err
-			if ctx.Err() != nil {
-				return nil, err // cancelled, not a shard fault
-			}
-			var qf *queryFaultError
-			if errors.As(err, &qf) {
-				// Deterministic in the query (unserializable predicate,
-				// worker-rejected request): retrying would fail the same
-				// way and the shard is blameless — don't poison its
-				// health, just run the range locally.
-				shardFault = false
-				break
-			}
-			shardFault = true
-			var mm *FingerprintMismatchError
-			if errors.As(err, &mm) {
-				// Permanent until the operator intervenes: no retry.
-				b.mismatches.Add(1)
-				break
-			}
+	queryFault := false
+	for _, m := range tk.owners {
+		if !m.usable(b.cfg.Cooldown) {
+			lastErr = fmt.Errorf("cluster: worker %s is cooling down after failure", m.w.ID())
+			continue
 		}
-		if shardFault {
-			sl.markFailure(time.Now())
+		if _, held := m.hold(tk.frag.name); !held {
+			lastErr = fmt.Errorf("cluster: worker %s does not hold fragment %s", m.w.ID(), tk.frag.name)
+			continue
 		}
-	} else {
-		lastErr = fmt.Errorf("cluster: shard %s is cooling down after failure", sl.shard.ID())
+		ps, err := b.execOnOwner(ctx, m, t, q, gsets, tk)
+		if err == nil {
+			span.SetAttr("shard", m.w.ID())
+			return ps, nil
+		}
+		if ctx.Err() != nil {
+			return nil, err // cancelled, not a worker fault
+		}
+		lastErr = err
+		var qf *queryFaultError
+		if queryFault = errors.As(err, &qf); queryFault {
+			break // no owner can do better
+		}
 	}
-
-	if b.cfg.DisableFailover {
-		return nil, fmt.Errorf("cluster: shard %s failed for rows [%d,%d): %w", sl.shard.ID(), lo, hi, lastErr)
+	if len(tk.owners) > 0 {
+		if b.cfg.DisableFailover && !queryFault {
+			return nil, fmt.Errorf("cluster: fragment %s failed for rows [%d,%d): %w", tk.frag.name, tk.lo, tk.hi, lastErr)
+		}
+		b.failovers.Add(1)
 	}
-	// Degraded path: the coordinator's replica covers every range. Cap
-	// the local scan parallelism at this range's fair share, so a mass
-	// failover (whole fleet down → every range lands here concurrently)
-	// uses one machine's worth of workers in total instead of
-	// nRanges × Parallelism.
-	b.failovers.Add(1)
-	localPar := q.Parallelism / nRanges
-	if localPar < 1 {
-		localPar = 1
-	}
-	return b.local.runRangeDirect(ctx, q, gsets, lo, hi, localPar)
+	// The coordinator's replica covers every range. The scan gets this
+	// task's fair share of the parallelism, so a mass failover (every
+	// task landing here at once) uses one machine's worth of workers,
+	// not nTasks × Parallelism. No wire round-trip: predicates with no
+	// SQL form are perfectly runnable here.
+	span.SetAttr("shard", "coordinator")
+	sub := *q
+	sub.RowLo, sub.RowHi = tk.lo, tk.hi
+	sub.Parallelism = max(q.Parallelism/nTasks, 1)
+	sub.OrderBy, sub.Limit = nil, 0 // ordering is applied after the merge
+	return b.ex.RunPartials(ctx, &sub, gsets)
 }
 
-// execOnShard dispatches to the shard, using the direct in-process
-// path for local shards and the wire for remote ones. A query whose
-// predicates cannot be serialized is not distributable; that error
-// reaches execRange, which falls back to the local path (where no
-// serialization is needed).
-func (b *ShardedBackend) execOnShard(ctx context.Context, s Shard, q *engine.Query, gsets []engine.GroupingSet, lo, hi, scanPar, nRanges int) ([]*engine.Partial, error) {
-	if ls, ok := s.(*LocalShard); ok {
-		return ls.runRangeDirect(ctx, q, gsets, lo, hi, scanPar)
-	}
-	t, err := b.ex.Catalog().Table(q.Table)
+// execOnOwner encodes the task as a fragment-local shard request and
+// runs it on one owner, with one retry. Rows are rebased to the
+// fragment (whose row 0 is absolute row frag.lo) and SampleBase is
+// advanced by the same offset, so the worker's scan is positionally
+// indistinguishable from the same rows of a whole-table scan. A
+// queryFaultError blames nobody; any other error has already been
+// charged to the owner's health.
+func (b *Backend) execOnOwner(ctx context.Context, m *member, t *engine.Table, q *engine.Query, gsets []engine.GroupingSet, tk task) ([]*engine.Partial, error) {
+	hash, err := tk.frag.hash()
 	if err != nil {
-		return nil, err
-	}
-	chash, err := t.ContentHash()
-	if err != nil {
-		return nil, err
-	}
-	req, err := EncodeShardRequest(q, gsets, chash, lo, hi, scanPar)
-	if err != nil {
-		// Not distributable (e.g. a predicate with no SQL wire form):
-		// a query fault, not a shard fault.
 		return nil, &queryFaultError{err: err}
 	}
-	resp, err := s.ExecPartials(ctx, req)
+	req, err := EncodeShardRequest(q, gsets, hash, tk.lo-tk.frag.lo, tk.hi-tk.frag.lo, q.Parallelism)
 	if err != nil {
+		// Not distributable (e.g. a predicate with no SQL wire form).
+		return nil, &queryFaultError{err: err}
+	}
+	req.Table = tk.frag.name
+	req.SampleBase = q.SampleBase + tk.frag.lo
+	want := max(len(gsets), 1)
+
+	for attempt := 0; attempt <= retries; attempt++ {
+		if attempt > 0 {
+			b.retriesN.Add(1)
+		}
+		if err = ctx.Err(); err != nil {
+			return nil, err
+		}
+		b.shardCalls.Add(1)
+		t0 := time.Now()
+		var resp *ShardResponse
+		resp, err = m.w.ExecPartials(ctx, req)
+		d := time.Since(t0)
+		m.mu.Lock()
+		m.execs++
+		m.execNanos += int64(d)
+		m.mu.Unlock()
+		if h := b.rpcSeconds.Load(); h != nil {
+			h.With(m.w.ID()).Observe(d.Seconds())
+		}
+		if err == nil && len(resp.Partials) != want {
+			err = fmt.Errorf("cluster: worker %s returned %d partials, want %d", m.w.ID(), len(resp.Partials), want)
+		}
+		if err == nil {
+			m.markHealthy()
+			return resp.Partials, nil
+		}
+		if ctx.Err() != nil {
+			return nil, err
+		}
+		var qf *queryFaultError
+		if errors.As(err, &qf) {
+			return nil, err
+		}
 		var mm *FingerprintMismatchError
 		if errors.As(err, &mm) {
-			// A 409 can mean two very different things: the replica's
-			// data really diverged, or an ingest landed between our hash
-			// snapshot and the worker executing the request (the worker
-			// is AHEAD, not wrong). Re-hash the coordinator's table: if
-			// our own hash moved, the mismatch is transient version skew
-			// from a racing append — a query fault (re-plan locally), not
-			// a shard fault worth poisoning health over.
-			if cur, herr := t.ContentHash(); herr == nil && cur != chash {
-				return nil, &queryFaultError{err: fmt.Errorf("cluster: table %q mutated mid-scatter: %w", q.Table, err)}
+			// A 409 means the worker's fragment really diverged, or an
+			// ingest landed between our hash and the worker running
+			// the request (the worker is AHEAD, not wrong). Re-derive
+			// the fragment: if our own hash moved it is version skew
+			// from a racing append — re-plan locally, blame nobody.
+			if cur := b.layout.fragments(t, t.NumRows(), tk.frag.lo, tk.frag.lo+1); len(cur) == 1 {
+				if now, herr := cur[0].hash(); herr == nil && now != hash {
+					return nil, &queryFaultError{err: fmt.Errorf("cluster: table %q mutated mid-scatter: %w", q.Table, err)}
+				}
 			}
+			// Permanent for this owner until re-shipped: no retry.
+			b.mismatches.Add(1)
+			m.setHold(tk.frag.name, "")
+			break
 		}
-		return nil, err
 	}
-	want := len(gsets)
-	if want == 0 {
-		want = 1
-	}
-	if len(resp.Partials) != want {
-		return nil, fmt.Errorf("cluster: shard %s returned %d partials, want %d", s.ID(), len(resp.Partials), want)
-	}
-	return resp.Partials, nil
+	m.markFailure()
+	return nil, err
 }
 
 // ---------------------------------------------------------------------
-// Ingest: the append path in distributed mode
+// Ingest: the append path
 
-// ShardIngestStatus reports one remote replica's outcome for a
-// forwarded append.
+// ShardIngestStatus reports one owner's outcome for one fragment a
+// forwarded append touched.
 type ShardIngestStatus struct {
+	// ID is "worker/fragment".
 	ID string `json:"id"`
 	OK bool   `json:"ok"`
-	// Rows is the replica's post-append row count and ContentHash its
-	// post-append table digest (both zero-valued on error).
+	// Rows and ContentHash are the fragment's post-append state (zero
+	// on error).
 	Rows        int    `json:"rows,omitempty"`
 	ContentHash string `json:"contentHash,omitempty"`
-	// Diverged means the replica applied the append but its content
-	// hash no longer matches the coordinator's — permanent data drift,
-	// the shard is marked unhealthy.
+	// Diverged means the owner applied the append but its hash no
+	// longer matches the coordinator's: permanent drift, the worker is
+	// marked unhealthy.
 	Diverged bool   `json:"diverged,omitempty"`
 	Error    string `json:"error,omitempty"`
 }
@@ -522,27 +572,23 @@ type IngestSummary struct {
 	Shards      []ShardIngestStatus `json:"shards,omitempty"`
 }
 
-// Ingest applies a batched append to the coordinator's replica and
-// forwards it to every remote shard, then re-verifies each replica's
-// post-append ContentHash against the coordinator's — so distributed
-// mode stays byte-identical after every append. Appends are serialized
-// (one batch fleet-wide at a time): replicas applying identical batches
-// in identical order necessarily agree on content.
+// Ingest applies a batched append to the coordinator's replica — the
+// durability seam: with a data dir the batch is write-ahead-logged
+// before any forwarding — then, per fragment the delta touches and per
+// owner of it, forwards exactly the delta rows that fall inside (or
+// ships the fragment whole when this append gave birth to it or the
+// owner missed it) and verifies the post-append content hash. One
+// batch is in flight fleet-wide at a time (ingestMu), so owners apply
+// identical deltas in identical order; the owners of one fragment are
+// independent and are forwarded to concurrently.
 //
-// A worker that fails to apply (or that diverges) is marked unhealthy
-// rather than failing the ingest: its replica is now behind, every
-// scatter re-verifies content hashes per request (HTTP 409), and the
-// coordinator's degraded path covers its ranges until the operator
-// reloads it. The coordinator's own append failing IS an error — the
-// authoritative replica rejected the rows.
-//
-// Cost note: the post-append re-verification hashes the WHOLE table
-// on every node (ContentHash memoization is per version, and each
-// batch bumps the version), so per-batch ingest cost in cluster mode
-// is O(table), traded deliberately for the byte-identity guarantee.
-// High-rate ingest should batch aggressively; a sealed-chunk-based
-// incremental content hash could lift this later.
-func (b *ShardedBackend) Ingest(ctx context.Context, table string, rows [][]any) (*IngestSummary, error) {
+// An owner that fails to apply (or diverges) is marked unhealthy
+// rather than failing the ingest: scatters re-verify hashes per
+// request, so another owner or the coordinator covers its ranges until
+// a rebalance re-ships it. The coordinator's own append failing IS an
+// error. Every touched fragment is re-hashed whole per batch on every
+// owner (and the table on the coordinator): batch aggressively.
+func (b *Backend) Ingest(ctx context.Context, table string, rows [][]any) (*IngestSummary, error) {
 	b.ingestMu.Lock()
 	defer b.ingestMu.Unlock()
 
@@ -554,10 +600,7 @@ func (b *ShardedBackend) Ingest(ctx context.Context, table string, rows [][]any)
 	if err != nil {
 		return nil, err
 	}
-	// Catalog.Append is the durability seam: on a coordinator running
-	// with a data dir, the batch is write-ahead-logged before any
-	// replica forwarding — the ack below then covers both properties
-	// (durable locally, applied fleet-wide).
+	oldRows := t.NumRows()
 	total, err := b.ex.Catalog().Append(t, typed)
 	if err != nil {
 		return nil, err
@@ -570,129 +613,192 @@ func (b *ShardedBackend) Ingest(ctx context.Context, table string, rows [][]any)
 	b.ingestRows.Add(int64(len(rows)))
 	sum := &IngestSummary{Table: table, Appended: len(rows), Rows: total, ContentHash: chash}
 
-	b.mu.RLock()
-	slots := append([]*slot(nil), b.slots...)
-	b.mu.RUnlock()
-	req := &IngestRequest{Table: table, Rows: rows, Verify: true}
-	type target struct {
-		sl  *slot
-		ing interface {
-			Ingest(context.Context, *IngestRequest) (*IngestResponse, error)
+	for _, f := range b.layout.fragments(t, total, oldRows, total) {
+		b.mu.RLock()
+		owners := b.layout.owners(f, &b.fleet)
+		b.mu.RUnlock()
+		if len(owners) == 0 {
+			continue
 		}
-	}
-	var targets []target
-	for _, sl := range slots {
-		if ing, ok := sl.shard.(interface {
-			Ingest(context.Context, *IngestRequest) (*IngestResponse, error)
-		}); ok {
-			targets = append(targets, target{sl: sl, ing: ing})
+		expected, err := f.hash()
+		if err != nil {
+			return nil, err
 		}
-		// In-process shards read the coordinator's own tables; the
-		// local append above already covers them.
+		delta := rows[max(f.lo-oldRows, 0) : f.hi-oldRows]
+		statuses := make([]ShardIngestStatus, len(owners))
+		var wg sync.WaitGroup
+		for i, m := range owners {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				statuses[i] = b.forward(ctx, m, t, f, expected, delta, f.lo < oldRows)
+			}()
+		}
+		wg.Wait()
+		sum.Shards = append(sum.Shards, statuses...)
 	}
-	// Forward concurrently: the replicas are independent and batch
-	// ORDER is already serialized by ingestMu, so one slow worker
-	// costs max latency, not the sum.
-	statuses := make([]ShardIngestStatus, len(targets))
-	var wg sync.WaitGroup
-	for i, tg := range targets {
-		wg.Add(1)
-		go func(i int, tg target) {
-			defer wg.Done()
-			st := ShardIngestStatus{ID: tg.sl.shard.ID()}
-			resp, err := tg.ing.Ingest(ctx, req)
-			switch {
-			case err != nil:
-				st.Error = err.Error()
-				tg.sl.markFailure(time.Now())
-			case resp.ContentHash != chash:
-				st.Rows, st.ContentHash = resp.Rows, resp.ContentHash
-				st.Diverged = true
-				st.Error = fmt.Sprintf("replica diverged after append (want %s, got %s)", chash, resp.ContentHash)
-				b.mismatches.Add(1)
-				tg.sl.markFailure(time.Now())
-			default:
-				st.OK = true
-				st.Rows, st.ContentHash = resp.Rows, resp.ContentHash
-			}
-			statuses[i] = st
-		}(i, tg)
-	}
-	wg.Wait()
-	sum.Shards = statuses
 	return sum, nil
 }
 
-// ---------------------------------------------------------------------
-// Replica bootstrap: catching up a joining worker
-
-// BootstrapReport describes how a joining worker was brought in line
-// with the coordinator's replica set.
-type BootstrapReport struct {
-	// Synced lists tables pushed to the worker (its copy was missing
-	// or diverged); Matched lists tables whose content hash already
-	// agreed.
-	Synced  []string `json:"synced,omitempty"`
-	Matched []string `json:"matched,omitempty"`
+// forward brings one owner's copy of f up to the post-append state:
+// the delta rows when the fragment pre-existed and the owner holds it,
+// the whole fragment otherwise.
+func (b *Backend) forward(ctx context.Context, m *member, t *engine.Table, f fragment, expected string, delta [][]any, existed bool) ShardIngestStatus {
+	st := ShardIngestStatus{ID: m.w.ID() + "/" + f.name}
+	if _, held := m.hold(f.name); !existed || !held {
+		if _, err := b.shipFragment(ctx, m, t, f, expected); err != nil {
+			st.Error = err.Error()
+			m.markFailure()
+			return st
+		}
+		st.OK, st.Rows, st.ContentHash = true, f.hi-f.lo, expected
+		return st
+	}
+	resp, err := m.w.Ingest(ctx, &IngestRequest{Table: f.name, Rows: delta, Verify: true})
+	switch {
+	case err != nil:
+		st.Error = err.Error()
+	case resp.ContentHash != expected:
+		st.Rows, st.ContentHash, st.Diverged = resp.Rows, resp.ContentHash, true
+		st.Error = fmt.Sprintf("fragment diverged after append (want %s, got %s)", expected, resp.ContentHash)
+		b.mismatches.Add(1)
+	default:
+		st.OK, st.Rows, st.ContentHash = true, resp.Rows, resp.ContentHash
+		m.setHold(f.name, expected)
+		return st
+	}
+	m.markFailure()
+	m.setHold(f.name, "")
+	return st
 }
 
-// BootstrapShard brings a joining worker's replica in line with the
-// coordinator before it serves traffic: every coordinator table whose
-// content hash the worker cannot match is serialized (snapshot + WAL
-// tail, materialized — the live table IS that state) and pushed via
-// the worker's sync endpoint, then re-verified by the same ContentHash
-// handshake scatter requests use. Ingest is held for the duration
-// (ingestMu), so no batch can land between the hash comparison and the
-// push — the worker joins exactly caught up.
-//
-// Shards without the TableSyncer capability (in-process shards, which
-// read the coordinator's own tables) trivially succeed.
-func (b *ShardedBackend) BootstrapShard(ctx context.Context, s Shard) (*BootstrapReport, error) {
-	rep := &BootstrapReport{}
-	syncer, ok := s.(TableSyncer)
-	if !ok {
-		return rep, nil
-	}
+// ---------------------------------------------------------------------
+// Rebalancing
+
+// RebalanceReport describes one rebalance pass.
+type RebalanceReport struct {
+	Epoch uint64 `json:"epoch"`
+	// Fragment movements this pass, and their serialized size.
+	Shipped    int   `json:"shipped"`
+	Dropped    int   `json:"dropped"`
+	BytesMoved int64 `json:"bytesMoved"`
+	// PerWorker is each worker's fragment count after the pass.
+	PerWorker map[string]int `json:"perWorker"`
+	// Errors lists workers that could not be brought in line; the map
+	// converges on a later pass once they are reachable (or removed).
+	Errors []string `json:"errors,omitempty"`
+}
+
+// Rebalance diffs every worker's inventory against the layout's
+// current assignment and reconciles: ship owned-but-missing (or
+// diverged) fragments from the coordinator's replica, drop
+// no-longer-owned ones. Ingest is held for the duration, so the
+// shipped bytes are a consistent cut of every table.
+func (b *Backend) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 	b.ingestMu.Lock()
 	defer b.ingestMu.Unlock()
+	return b.rebalanceLocked(ctx)
+}
 
-	theirs, err := syncer.TableHashes(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: bootstrapping %s: %w", s.ID(), err)
+func (b *Backend) rebalanceLocked(ctx context.Context) (*RebalanceReport, error) {
+	b.rebalances.Add(1)
+	members := b.members()
+	rep := &RebalanceReport{Epoch: b.epoch.Load(), PerWorker: map[string]int{}}
+
+	for _, m := range members {
+		m.mu.Lock()
+		unknown := m.holds == nil
+		m.mu.Unlock()
+		if unknown { // joined without an inventory: take it now
+			holds := inventory(ctx, m.w)
+			m.mu.Lock()
+			m.holds = holds
+			m.mu.Unlock()
+		}
 	}
-	for _, name := range b.ex.Catalog().TableNames() {
-		t, err := b.ex.Catalog().Table(name)
+
+	for _, table := range b.ex.Catalog().TableNames() {
+		t, err := b.ex.Catalog().Table(table)
 		if err != nil {
 			continue // dropped between listing and lookup
 		}
-		chash, err := t.ContentHash()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: bootstrapping %s: hashing %q: %w", s.ID(), name, err)
+		rows := t.NumRows()
+		for _, f := range b.layout.fragments(t, rows, 0, rows) {
+			b.mu.RLock()
+			owners := b.layout.owners(f, &b.fleet)
+			b.mu.RUnlock()
+			expected := ""
+			for _, m := range members {
+				has, held := m.hold(f.name)
+				switch {
+				case slices.Contains(owners, m):
+					if expected == "" {
+						if expected, err = f.hash(); err != nil {
+							return nil, err
+						}
+					}
+					if held && has == expected {
+						continue
+					}
+					nbytes, err := b.shipFragment(ctx, m, t, f, expected)
+					if err != nil {
+						rep.Errors = append(rep.Errors, fmt.Sprintf("%s %s: %v", m.w.ID(), f.name, err))
+						m.markFailure()
+						continue
+					}
+					rep.Shipped++
+					rep.BytesMoved += int64(nbytes)
+				case held:
+					if err := m.w.DropTable(ctx, f.name); err != nil {
+						rep.Errors = append(rep.Errors, fmt.Sprintf("%s drop %s: %v", m.w.ID(), f.name, err))
+						m.markFailure()
+						continue
+					}
+					m.setHold(f.name, "")
+					b.fragDropped.Add(1)
+					rep.Dropped++
+				}
+			}
 		}
-		if theirs[name] == chash {
-			rep.Matched = append(rep.Matched, name)
-			continue
-		}
-		var buf bytes.Buffer
-		if err := engine.WriteTableSnapshot(&buf, t); err != nil {
-			return nil, fmt.Errorf("cluster: bootstrapping %s: serializing %q: %w", s.ID(), name, err)
-		}
-		resp, err := syncer.SyncTable(ctx, name, buf.Bytes())
-		if err != nil {
-			return nil, fmt.Errorf("cluster: bootstrapping %s: %w", s.ID(), err)
-		}
-		if resp.ContentHash != chash {
-			return nil, &FingerprintMismatchError{Shard: s.ID(), Table: name, Want: chash, Got: resp.ContentHash}
-		}
-		rep.Synced = append(rep.Synced, name)
+	}
+	for _, m := range members {
+		rep.PerWorker[m.w.ID()] = m.status().Fragments
 	}
 	return rep, nil
+}
+
+// shipFragment serializes f as the worker-side table, pushes the
+// snapshot, and verifies the ContentHash handshake — replica bootstrap
+// when f is a whole table. Returns the snapshot's size in bytes.
+func (b *Backend) shipFragment(ctx context.Context, m *member, t *engine.Table, f fragment, expected string) (int, error) {
+	frag, err := f.extract(t)
+	if err != nil {
+		return 0, err
+	}
+	var buf bytes.Buffer
+	if err := engine.WriteTableSnapshot(&buf, frag); err != nil {
+		return 0, err
+	}
+	resp, err := m.w.SyncTable(ctx, f.name, buf.Bytes())
+	if err != nil {
+		return 0, err
+	}
+	if resp.ContentHash != expected {
+		return 0, &FingerprintMismatchError{Shard: m.w.ID(), Table: f.name, Want: expected, Got: resp.ContentHash}
+	}
+	m.setHold(f.name, expected)
+	b.fragShipped.Add(1)
+	b.moveBytes.Add(int64(buf.Len()))
+	return buf.Len(), nil
 }
 
 // ---------------------------------------------------------------------
 // Introspection
 
-// ShardStatus is one shard's health and accounting snapshot.
+// ShardStatus is one worker's health and accounting snapshot. Execs
+// and AvgMillis count every task attempt made on the worker (what
+// seedb_shard_rpc_seconds observes); Fragments is its verified
+// inventory (0 while never taken).
 type ShardStatus struct {
 	ID          string    `json:"id"`
 	Healthy     bool      `json:"healthy"`
@@ -700,92 +806,167 @@ type ShardStatus struct {
 	LastFailure time.Time `json:"lastFailure,omitzero"`
 	Execs       int64     `json:"execs"`
 	AvgMillis   float64   `json:"avgMillis"`
+	Fragments   int       `json:"fragments"`
 }
 
-// Status snapshots every shard.
-func (b *ShardedBackend) Status() []ShardStatus {
-	b.mu.RLock()
-	slots := append([]*slot(nil), b.slots...)
-	b.mu.RUnlock()
-	out := make([]ShardStatus, len(slots))
-	for i, sl := range slots {
-		sl.mu.Lock()
-		st := ShardStatus{
-			ID:          sl.shard.ID(),
-			Healthy:     sl.healthy,
-			Failures:    sl.failures,
-			LastFailure: sl.lastFailure,
-			Execs:       sl.execs,
-		}
-		if sl.execs > 0 {
-			st.AvgMillis = float64(sl.execNanos) / float64(sl.execs) / 1e6
-		}
-		sl.mu.Unlock()
-		out[i] = st
+// Status snapshots every worker, in join order.
+func (b *Backend) Status() []ShardStatus {
+	members := b.members()
+	out := make([]ShardStatus, len(members))
+	for i, m := range members {
+		out[i] = m.status()
 	}
 	return out
 }
 
-// Stats is the backend's cumulative counters.
-type Stats struct {
-	Scatters    int64 `json:"scatters"`
-	ShardCalls  int64 `json:"shardCalls"`
-	Retries     int64 `json:"retries"`
-	Failovers   int64 `json:"failovers"`
-	Mismatches  int64 `json:"mismatches"`
-	Ingests     int64 `json:"ingests"`
-	IngestRows  int64 `json:"ingestRows"`
-	ShardsTotal int   `json:"shards"`
-}
-
-// Counters snapshots the backend counters.
-func (b *ShardedBackend) Counters() Stats {
-	return Stats{
-		Scatters:    b.scatters.Load(),
-		ShardCalls:  b.shardCalls.Load(),
-		Retries:     b.retriesN.Load(),
-		Failovers:   b.failovers.Load(),
-		Mismatches:  b.mismatches.Load(),
-		Ingests:     b.ingests.Load(),
-		IngestRows:  b.ingestRows.Load(),
-		ShardsTotal: b.NumShards(),
-	}
-}
-
-// HealthCheck probes every shard once and updates health state; it
-// returns the post-probe status. Coordinators may call it on a timer;
-// it is also what /api/shard/register uses to vet a new worker.
-func (b *ShardedBackend) HealthCheck(ctx context.Context) []ShardStatus {
-	b.mu.RLock()
-	slots := append([]*slot(nil), b.slots...)
-	b.mu.RUnlock()
+// HealthCheck probes every worker once, updates health state, and
+// returns the post-probe status.
+func (b *Backend) HealthCheck(ctx context.Context) []ShardStatus {
 	var wg sync.WaitGroup
-	for _, sl := range slots {
+	for _, m := range b.members() {
 		wg.Add(1)
-		go func(sl *slot) {
+		go func() {
 			defer wg.Done()
-			if err := sl.shard.Health(ctx); err != nil {
-				sl.markFailure(time.Now())
+			if err := m.w.Health(ctx); err != nil {
+				m.markFailure()
 			} else {
-				sl.mu.Lock()
-				sl.healthy = true
-				sl.mu.Unlock()
+				m.markHealthy()
 			}
-		}(sl)
+		}()
 	}
 	wg.Wait()
 	return b.Status()
 }
 
-// ResetScatterClock zeroes the wall/projected scatter clocks (used by
-// the shard benchmark between measurements).
-func (b *ShardedBackend) ResetScatterClock() {
-	b.scatterWall.Store(0)
-	b.scatterProj.Store(0)
+// Stats is the backend's cumulative counters plus the current
+// ownership shape.
+type Stats struct {
+	Replication     int     `json:"replication"`
+	PlacementChunks int     `json:"placementChunks"`
+	Epoch           uint64  `json:"epoch"`
+	Workers         int     `json:"workers"`
+	Placements      int     `json:"placements"`
+	MaxPerWorker    int     `json:"maxPerWorker"`
+	MeanPerWorker   float64 `json:"meanPerWorker"`
+	Scatters        int64   `json:"scatters"`
+	// ShardCalls counts task attempts made on workers; RangeCalls is
+	// the same number under its old placement-backend name, kept only
+	// until the frozen benchmark/ stops reading it.
+	ShardCalls       int64 `json:"shardCalls"`
+	RangeCalls       int64 `json:"rangeCalls"`
+	Retries          int64 `json:"retries"`
+	Failovers        int64 `json:"failovers"`
+	Mismatches       int64 `json:"mismatches"`
+	Ingests          int64 `json:"ingests"`
+	IngestRows       int64 `json:"ingestRows"`
+	Rebalances       int64 `json:"rebalances"`
+	FragmentsShipped int64 `json:"fragmentsShipped"`
+	FragmentsDropped int64 `json:"fragmentsDropped"`
+	RebalanceBytes   int64 `json:"rebalanceBytes"`
 }
 
-// ScatterClock returns cumulative wall time spent scattering and the
-// projected time had every scatter's shards run fully concurrently.
-func (b *ShardedBackend) ScatterClock() (wall, projected time.Duration) {
-	return time.Duration(b.scatterWall.Load()), time.Duration(b.scatterProj.Load())
+// Counters snapshots the backend counters. Placements is the fragment
+// count across tables right now; Max/MeanPerWorker describe ownership.
+func (b *Backend) Counters() Stats {
+	calls := b.shardCalls.Load()
+	st := Stats{
+		Replication:      b.cfg.Replication,
+		PlacementChunks:  b.cfg.PlacementChunks,
+		Epoch:            b.epoch.Load(),
+		Scatters:         b.scatters.Load(),
+		ShardCalls:       calls,
+		RangeCalls:       calls,
+		Retries:          b.retriesN.Load(),
+		Failovers:        b.failovers.Load(),
+		Mismatches:       b.mismatches.Load(),
+		Ingests:          b.ingests.Load(),
+		IngestRows:       b.ingestRows.Load(),
+		Rebalances:       b.rebalances.Load(),
+		FragmentsShipped: b.fragShipped.Load(),
+		FragmentsDropped: b.fragDropped.Load(),
+		RebalanceBytes:   b.moveBytes.Load(),
+	}
+	for _, name := range b.ex.Catalog().TableNames() {
+		if t, err := b.ex.Catalog().Table(name); err == nil {
+			st.Placements += len(b.layout.fragments(t, t.NumRows(), 0, t.NumRows()))
+		}
+	}
+	total := 0
+	for _, ws := range b.Status() {
+		st.Workers++
+		total += ws.Fragments
+		st.MaxPerWorker = max(st.MaxPerWorker, ws.Fragments)
+	}
+	if st.Workers > 0 {
+		st.MeanPerWorker = float64(total) / float64(st.Workers)
+	}
+	return st
+}
+
+// PlacementOwner is one owner's view of a placement in a Dump.
+type PlacementOwner struct {
+	Worker string `json:"worker"`
+	// Held: the verified inventory carries it at the expected hash.
+	Held bool `json:"held"`
+}
+
+// PlacementInfo is one fragment in a Dump.
+type PlacementInfo struct {
+	Index       int              `json:"index"`
+	RowLo       int              `json:"rowLo"`
+	RowHi       int              `json:"rowHi"`
+	Fragment    string           `json:"fragment"`
+	ContentHash string           `json:"contentHash"`
+	Owners      []PlacementOwner `json:"owners"`
+}
+
+// TablePlacements is one table's fragment map in a Dump.
+type TablePlacements struct {
+	Table      string          `json:"table"`
+	Rows       int             `json:"rows"`
+	Placements []PlacementInfo `json:"placements"`
+}
+
+// PlacementDump is the full fragment map (the /api/shard/map body).
+type PlacementDump struct {
+	Replication     int               `json:"replication"`
+	PlacementChunks int               `json:"placementChunks"`
+	Epoch           uint64            `json:"epoch"`
+	Workers         []string          `json:"workers"`
+	Tables          []TablePlacements `json:"tables"`
+}
+
+// Dump snapshots the fragment map: every table's fragments with their
+// expected hash, assigned owners, and whether each verifiably holds it.
+func (b *Backend) Dump() (*PlacementDump, error) {
+	d := &PlacementDump{Replication: b.cfg.Replication, PlacementChunks: b.cfg.PlacementChunks, Epoch: b.epoch.Load()}
+	for _, m := range b.members() {
+		d.Workers = append(d.Workers, m.w.ID())
+	}
+	slices.Sort(d.Workers)
+	for _, name := range b.ex.Catalog().TableNames() {
+		t, err := b.ex.Catalog().Table(name)
+		if err != nil {
+			continue
+		}
+		rows := t.NumRows()
+		tp := TablePlacements{Table: name, Rows: rows}
+		for _, f := range b.layout.fragments(t, rows, 0, rows) {
+			hash, err := f.hash()
+			if err != nil {
+				return nil, err
+			}
+			pi := PlacementInfo{Index: f.idx, RowLo: f.lo, RowHi: f.hi, Fragment: f.name, ContentHash: hash}
+			b.mu.RLock()
+			owners := b.layout.owners(f, &b.fleet)
+			b.mu.RUnlock()
+			for _, m := range owners {
+				held, _ := m.hold(f.name)
+				pi.Owners = append(pi.Owners, PlacementOwner{Worker: m.w.ID(), Held: held == hash})
+			}
+			tp.Placements = append(tp.Placements, pi)
+		}
+		d.Tables = append(d.Tables, tp)
+	}
+	return d, nil
 }

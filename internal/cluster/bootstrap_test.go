@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -66,8 +67,15 @@ func TestRegisterBootstrapsDivergedWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(resp, `"added":true`) || !strings.Contains(resp, `"synced"`) {
-		t.Fatalf("registration should add the shard and report synced tables: %s", resp)
+	var reg struct {
+		Added     bool                     `json:"added"`
+		Rebalance *cluster.RebalanceReport `json:"rebalance"`
+	}
+	if err := json.Unmarshal([]byte(resp), &reg); err != nil {
+		t.Fatalf("registration response %q: %v", resp, err)
+	}
+	if !reg.Added || reg.Rebalance == nil || reg.Rebalance.Shipped != len(coordDB.Tables()) {
+		t.Fatalf("registration should add the worker and report every table shipped: %s", resp)
 	}
 	if got := tableHashes(t, workerDB); got["orders"] != want["orders"] || got["synthetic"] != want["synthetic"] {
 		t.Fatalf("worker not rebuilt to coordinator state:\ngot  %v\nwant %v", got, want)
@@ -136,38 +144,39 @@ func TestRegisterBootstrapsEmptyWorker(t *testing.T) {
 	}
 }
 
-// TestBootstrapShardReportsMatchedAndSynced exercises BootstrapShard
-// directly: a diverged worker syncs, an in-step worker is a no-op, and
-// re-bootstrapping a just-synced worker finds everything matched.
-func TestBootstrapShardReportsMatchedAndSynced(t *testing.T) {
+// TestAddWorkerShipsOnlyWhatDiverged exercises AddWorker directly (the
+// replicated layout's replica bootstrap): a diverged worker is shipped
+// every table, re-announcing a just-synced worker ships nothing, and
+// an identically-loaded worker ships nothing either.
+func TestAddWorkerShipsOnlyWhatDiverged(t *testing.T) {
 	ctx := context.Background()
 	coordDB := newDB(t, 2000)
 	b := coordDB.ShardRemote(nil, 5*time.Second, seedb.ClusterConfig{})
 
 	worker, _ := startWorker(t, 500)
 	shard := cluster.NewRemoteShard(worker.URL, 5*time.Second)
-	rep, err := b.BootstrapShard(ctx, shard)
+	rep, added, err := b.AddWorker(ctx, shard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Synced) == 0 {
-		t.Fatalf("diverged worker should sync tables, got %+v", rep)
+	if !added || rep.Shipped != len(coordDB.Tables()) {
+		t.Fatalf("diverged worker should be shipped every table, got %+v", rep)
 	}
-	rep2, err := b.BootstrapShard(ctx, shard)
+	rep2, added, err := b.AddWorker(ctx, shard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep2.Synced) != 0 || len(rep2.Matched) != len(coordDB.Tables()) {
-		t.Fatalf("second bootstrap should match everything: %+v", rep2)
+	if added || rep2.Shipped != 0 || rep2.PerWorker[worker.URL] != len(coordDB.Tables()) {
+		t.Fatalf("re-announcing should find everything matched: %+v", rep2)
 	}
 
 	inStep, _ := startWorker(t, 2000)
-	rep3, err := b.BootstrapShard(ctx, cluster.NewRemoteShard(inStep.URL, 5*time.Second))
+	rep3, _, err := b.AddWorker(ctx, cluster.NewRemoteShard(inStep.URL, 5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep3.Synced) != 0 {
-		t.Fatalf("identically-loaded worker should not sync, got %+v", rep3)
+	if rep3.Shipped != 0 || len(rep3.Errors) != 0 {
+		t.Fatalf("identically-loaded worker should not be shipped anything, got %+v", rep3)
 	}
 }
 
@@ -189,12 +198,12 @@ func TestBootstrapSyncSurvivesWorkerRestart(t *testing.T) {
 	worker := httptest.NewServer(frontend.New(workerDB, nil, log.New(testWriter{t}, "worker: ", 0)))
 	t.Cleanup(worker.Close)
 
-	rep, err := b.BootstrapShard(ctx, cluster.NewRemoteShard(worker.URL, 5*time.Second))
+	rep, _, err := b.AddWorker(ctx, cluster.NewRemoteShard(worker.URL, 5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Synced) != len(coordDB.Tables()) {
-		t.Fatalf("empty durable worker should sync everything, got %+v", rep)
+	if rep.Shipped != len(coordDB.Tables()) {
+		t.Fatalf("empty durable worker should be shipped everything, got %+v", rep)
 	}
 	// Crash the worker (abandon, no CloseDurability) and reboot an
 	// empty process over the same data dir.
@@ -213,11 +222,11 @@ func TestBootstrapSyncSurvivesWorkerRestart(t *testing.T) {
 	// And it passes a fresh handshake with zero pushes.
 	rebootedSrv := httptest.NewServer(frontend.New(rebooted, nil, log.New(testWriter{t}, "worker2: ", 0)))
 	t.Cleanup(rebootedSrv.Close)
-	rep2, err := b.BootstrapShard(ctx, cluster.NewRemoteShard(rebootedSrv.URL, 5*time.Second))
+	rep2, _, err := b.AddWorker(ctx, cluster.NewRemoteShard(rebootedSrv.URL, 5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep2.Synced) != 0 {
+	if rep2.Shipped != 0 || len(rep2.Errors) != 0 {
 		t.Fatalf("recovered replicas should already match, got %+v", rep2)
 	}
 }

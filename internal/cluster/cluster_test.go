@@ -67,10 +67,10 @@ func httpPostJSON(url, body string) (string, error) {
 	return string(data), err
 }
 
-// TestLocalShardedMatchesSingleNode: the tentpole invariant — sharded
+// TestShardLocalMatchesSingleNode: the tentpole invariant — sharded
 // scatter-gather returns byte-identical recommendations for every
 // shard count.
-func TestLocalShardedMatchesSingleNode(t *testing.T) {
+func TestShardLocalMatchesSingleNode(t *testing.T) {
 	ctx := context.Background()
 	opts := testOptions()
 
@@ -284,8 +284,8 @@ func TestShardRegistration(t *testing.T) {
 	if !strings.Contains(resp, `"added":true`) {
 		t.Fatalf("registration response: %s", resp)
 	}
-	if b.NumShards() != 1 {
-		t.Fatalf("expected 1 shard after registration, got %d", b.NumShards())
+	if b.NumWorkers() != 1 {
+		t.Fatalf("expected 1 worker after registration, got %d", b.NumWorkers())
 	}
 	got, err := coordDB.RecommendSQL(ctx, "SELECT * FROM synthetic WHERE d0 = 'd0_v0'", testOptions())
 	if err != nil {

@@ -1,0 +1,216 @@
+package cluster
+
+import (
+	"fmt"
+	"strconv"
+	"sync"
+	"sync/atomic"
+
+	"seedb/internal/engine"
+)
+
+// fragment is a run of a table's rows as one worker-side table: the
+// unit that is owned, shipped, appended to, verified and scanned.
+type fragment struct {
+	table  string // source table on the coordinator
+	name   string // table name on the worker
+	idx    int    // placement index (0 for a whole table)
+	lo, hi int    // absolute source rows [lo,hi) the fragment holds
+	// hash is the fragment's expected content hash — a function,
+	// because hashing is O(rows) and only a task that goes to a
+	// worker should pay for it.
+	hash func() (string, error)
+}
+
+// extract materializes the fragment as a table named f.name; a whole
+// table under its own name is the live table itself (no copy, and a
+// worker's hash of it is t.ContentHash by construction).
+func (f fragment) extract(t *engine.Table) (*engine.Table, error) {
+	if f.name == t.Name() {
+		return t, nil
+	}
+	return t.ExtractRange(f.name, f.lo, f.hi)
+}
+
+// task is one unit of a scatter: rows [lo,hi) of frag, tried on owners
+// in order and then on the coordinator's replica.
+type task struct {
+	frag   fragment
+	lo, hi int // absolute rows to scan, within frag
+	owners []*member
+}
+
+// fleet is the backend's membership, guarded by Backend.mu. Layout
+// methods that take a fleet are called with that lock held.
+type fleet struct {
+	order []*member     // join order
+	ring  *hashRing     // over the members' IDs
+	epoch atomic.Uint64 // bumped on every join and leave
+}
+
+func (fl *fleet) find(id string) *member {
+	for _, m := range fl.order {
+		if m.w.ID() == id {
+			return m
+		}
+	}
+	return nil
+}
+
+// layout is the policy half of the backend — the only thing that
+// differs between replicate-everything and data-partitioned placement.
+type layout interface {
+	// fragments lists, in row order, the fragments of t (rows rows
+	// long) that intersect rows [lo,hi).
+	fragments(t *engine.Table, rows, lo, hi int) []fragment
+	// owners returns the workers that should hold f, in try order.
+	owners(f fragment, fl *fleet) []*member
+	// cut splits a query's window [lo,hi) into tasks, in row order;
+	// width is Query.Shards (0 = the layout's natural width). No tasks
+	// means the window runs on the coordinator unscattered.
+	cut(t *engine.Table, rows, lo, hi, width int, fl *fleet) []task
+	// signature is the backend's core.Backend signature.
+	signature(fl *fleet) string
+}
+
+// replicated: every worker holds every table whole; the WORK is
+// partitioned per query.
+type replicated struct {
+	// local is the scatter width when there are no workers: that many
+	// ranges run on the coordinator's executor (NewLocal).
+	local int
+}
+
+func (replicated) fragments(t *engine.Table, rows, lo, hi int) []fragment {
+	if lo >= hi || lo >= rows {
+		return nil
+	}
+	return []fragment{{table: t.Name(), name: t.Name(), hi: rows, hash: t.ContentHash}}
+}
+
+func (replicated) owners(f fragment, fl *fleet) []*member { return fl.order }
+
+func (l replicated) cut(t *engine.Table, rows, lo, hi, width int, fl *fleet) []task {
+	n := len(fl.order)
+	if n == 0 {
+		n = l.local
+	}
+	if width > 0 && width < n {
+		n = width
+	}
+	frags := l.fragments(t, rows, lo, hi)
+	if n == 0 || len(frags) == 0 {
+		return nil
+	}
+	var tasks []task
+	for i, rg := range engine.ShardRanges(rows, lo, hi, n) {
+		tk := task{frag: frags[0], lo: rg[0], hi: rg[1]}
+		if len(fl.order) > 0 {
+			tk.owners = fl.order[i%len(fl.order):][:1]
+		}
+		tasks = append(tasks, tk)
+	}
+	return tasks
+}
+
+func (l replicated) signature(fl *fleet) string {
+	if len(fl.order) == 0 && l.local > 0 {
+		return fmt.Sprintf("sharded(local,n=%d)", l.local)
+	}
+	return fmt.Sprintf("sharded(remote,n=%d)", len(fl.order))
+}
+
+// placed: the DATA is partitioned into chunk-aligned placements on a
+// consistent-hash ring.
+type placed struct {
+	rf   int // owners per placement (clamped to the worker count)
+	span int // rows per placement, a multiple of engine.ChunkRows
+
+	// hashes memoizes fragment content hashes. Keys carry the table
+	// instance identity and the row bounds, so a replaced table (new
+	// identity) or a grown last placement (new hi) miss naturally;
+	// tables are append-only, so a hit can never be stale.
+	mu     sync.Mutex
+	hashes map[fragHashKey]string
+}
+
+type fragHashKey struct {
+	ident  string // table instance identity (name#id)
+	lo, hi int
+}
+
+// FragmentName is the name of table's placement idx on a worker:
+// plain identifier characters only, as it must stay SQL-parseable
+// (shard predicates round-trip as "SELECT * FROM <name> WHERE ...")
+// and filesystem-safe (durable workers snapshot under it).
+func FragmentName(table string, idx int) string {
+	return table + "__p" + strconv.Itoa(idx)
+}
+
+// placementKey is the ring key for (table, placement index).
+func placementKey(table string, idx int) string {
+	return table + "\x00" + strconv.Itoa(idx)
+}
+
+func (l *placed) fragments(t *engine.Table, rows, lo, hi int) []fragment {
+	hi = min(hi, rows)
+	var out []fragment
+	for idx := max(lo, 0) / l.span; idx*l.span < hi; idx++ {
+		f := fragment{table: t.Name(), name: FragmentName(t.Name(), idx), idx: idx,
+			lo: idx * l.span, hi: min((idx+1)*l.span, rows)}
+		f.hash = func() (string, error) { return l.fragmentHash(t, f) }
+		out = append(out, f)
+	}
+	return out
+}
+
+// fragmentHash is the content hash of ExtractRange(f.name, f.lo,
+// f.hi). A fragment's bytes are immutable once its row range is fixed;
+// only the last (growing) placement ever recomputes.
+func (l *placed) fragmentHash(t *engine.Table, f fragment) (string, error) {
+	key := fragHashKey{ident: t.Identity(), lo: f.lo, hi: f.hi}
+	l.mu.Lock()
+	h, ok := l.hashes[key]
+	l.mu.Unlock()
+	if ok {
+		return h, nil
+	}
+	h, err := t.RangeContentHash(f.name, f.lo, f.hi)
+	if err != nil {
+		return "", err
+	}
+	l.mu.Lock()
+	l.hashes[key] = h
+	l.mu.Unlock()
+	return h, nil
+}
+
+func (l *placed) owners(f fragment, fl *fleet) []*member {
+	ids := fl.ring.Owners(placementKey(f.table, f.idx), l.rf)
+	out := make([]*member, 0, len(ids))
+	for _, id := range ids {
+		if m := fl.find(id); m != nil {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// cut is one task per placement the window touches. Boundaries are
+// absolute — placement i covers rows [i*span, (i+1)*span) — so appends
+// never move them and Query.Shards has nothing to narrow.
+func (l *placed) cut(t *engine.Table, rows, lo, hi, _ int, fl *fleet) []task {
+	if len(fl.order) == 0 {
+		return nil
+	}
+	var tasks []task
+	for _, f := range l.fragments(t, rows, lo, hi) {
+		tasks = append(tasks, task{frag: f, lo: max(f.lo, lo), hi: min(f.hi, hi), owners: l.owners(f, fl)})
+	}
+	return tasks
+}
+
+func (l *placed) signature(fl *fleet) string {
+	return fmt.Sprintf("placed(rf=%d,chunks=%d,epoch=%d,workers=%d)",
+		l.rf, l.span/engine.ChunkRows, fl.epoch.Load(), len(fl.order))
+}

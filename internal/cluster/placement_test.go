@@ -123,13 +123,13 @@ func TestPlacementElasticByteIdentity(t *testing.T) {
 	// A fresh, empty worker joins: the ring hands it ~1/4 of the
 	// placements, the coordinator ships them, and previous owners drop
 	// what they lost.
-	epochBefore := b.Epoch()
+	epochBefore := b.Counters().Epoch
 	rep2, added, err := b.AddWorker(ctx, seedb.NewMemberShard("member-4"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !added || b.Epoch() != epochBefore+1 {
-		t.Fatalf("join not registered (added=%v epoch %d -> %d)", added, epochBefore, b.Epoch())
+	if epoch := b.Counters().Epoch; !added || epoch != epochBefore+1 {
+		t.Fatalf("join not registered (added=%v epoch %d -> %d)", added, epochBefore, epoch)
 	}
 	if rep2.Shipped == 0 || rep2.PerWorker["member-4"] == 0 {
 		t.Fatalf("joiner received nothing: %+v", rep2)
@@ -251,9 +251,9 @@ func TestPlacementIngestForwardsDeltas(t *testing.T) {
 // TestPlacementHTTPLifecycle drives the whole placement protocol over
 // real HTTP: empty workers self-register against a placement
 // coordinator (/api/shard/register ships them their fragments),
-// /api/placement exposes the verified map, queries route through
+// /api/shard/map exposes the verified map, queries route through
 // worker HTTP handlers byte-identically, a kill -9'd worker degrades
-// to the surviving owner, and /api/placement/rebalance reports the
+// to the surviving owner, and /api/shard/rebalance reports the
 // corpse without wedging.
 func TestPlacementHTTPLifecycle(t *testing.T) {
 	ctx := context.Background()
@@ -298,7 +298,7 @@ func TestPlacementHTTPLifecycle(t *testing.T) {
 
 	// The placement map over HTTP: every placement fully held.
 	var dump cluster.PlacementDump
-	mustGetJSON(t, coordSrv.URL+"/api/placement", &dump)
+	mustGetJSON(t, coordSrv.URL+"/api/shard/map", &dump)
 	if len(dump.Workers) != 2 || dump.Replication != 2 {
 		t.Fatalf("dump header %+v", dump)
 	}
@@ -330,16 +330,16 @@ func TestPlacementHTTPLifecycle(t *testing.T) {
 		t.Fatalf("expected clean routed execution, got %+v", c)
 	}
 
-	// /api/stats carries the placement section.
+	// /api/stats carries the cluster section.
 	var stats struct {
-		Placement *struct {
-			Signature string                 `json:"signature"`
-			Counters  cluster.PlacementStats `json:"counters"`
-		} `json:"placement"`
+		Cluster *struct {
+			Signature string        `json:"signature"`
+			Counters  cluster.Stats `json:"counters"`
+		} `json:"cluster"`
 	}
 	mustGetJSON(t, coordSrv.URL+"/api/stats", &stats)
-	if stats.Placement == nil || stats.Placement.Counters.Workers != 2 {
-		t.Fatalf("stats placement section missing or wrong: %+v", stats.Placement)
+	if stats.Cluster == nil || stats.Cluster.Counters.Workers != 2 {
+		t.Fatalf("stats cluster section missing or wrong: %+v", stats.Cluster)
 	}
 
 	// Kill one worker hard. rf=2 over 2 workers means every placement
@@ -371,7 +371,7 @@ func TestPlacementHTTPLifecycle(t *testing.T) {
 	// A rebalance with the corpse still registered is a no-op: its
 	// last-verified inventory already matches the assignment, so
 	// nothing moves and nothing errors.
-	body, err := httpPostJSON(coordSrv.URL+"/api/placement/rebalance", "{}")
+	body, err := httpPostJSON(coordSrv.URL+"/api/shard/rebalance", "{}")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestPlacementHTTPLifecycle(t *testing.T) {
 
 	// Now the dead worker is missing a hold it owns, so a rebalance
 	// must attempt the re-ship, fail, and report it — without wedging.
-	body, err = httpPostJSON(coordSrv.URL+"/api/placement/rebalance", "{}")
+	body, err = httpPostJSON(coordSrv.URL+"/api/shard/rebalance", "{}")
 	if err != nil {
 		t.Fatal(err)
 	}

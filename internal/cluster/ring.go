@@ -15,10 +15,9 @@ import (
 // mean. Hashes come from SHA-256, so every process (and every test
 // run) derives the identical assignment from the same membership.
 //
-// hashRing is not goroutine-safe; PlacementBackend guards it with its
+// hashRing is not goroutine-safe; Backend guards it with its
 // membership lock.
 type hashRing struct {
-	vnodes int
 	nodes  map[string]struct{}
 	points []ringPoint // sorted by hash
 }
@@ -28,16 +27,13 @@ type ringPoint struct {
 	node string
 }
 
-// defaultVnodes balances skew against ring size: at 64 points per
-// node the max/mean placement ratio stays within ~1.35 for the worker
-// counts this system targets (see the ring property tests).
-const defaultVnodes = 64
+// vnodes balances skew against ring size: at 64 points per node the
+// max/mean placement ratio stays within ~1.35 for the worker counts
+// this system targets (see the ring property tests).
+const vnodes = 64
 
-func newHashRing(vnodes int) *hashRing {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
-	return &hashRing{vnodes: vnodes, nodes: make(map[string]struct{})}
+func newHashRing() *hashRing {
+	return &hashRing{nodes: make(map[string]struct{})}
 }
 
 // ringHash maps an arbitrary string to a point on the circle.
@@ -52,7 +48,7 @@ func (r *hashRing) Add(node string) {
 		return
 	}
 	r.nodes[node] = struct{}{}
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < vnodes; i++ {
 		var buf [8]byte
 		binary.BigEndian.PutUint64(buf[:], uint64(i))
 		r.points = append(r.points, ringPoint{hash: ringHash(node + "\x00" + string(buf[:])), node: node})
@@ -80,19 +76,6 @@ func (r *hashRing) Remove(node string) {
 		}
 	}
 	r.points = kept
-}
-
-// Len returns the member count.
-func (r *hashRing) Len() int { return len(r.nodes) }
-
-// Members returns the node names, sorted.
-func (r *hashRing) Members() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Owners returns up to n distinct nodes clockwise from the key's

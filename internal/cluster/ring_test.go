@@ -16,8 +16,8 @@ import (
 // (membership, key) — two independently built rings agree on every
 // owner list regardless of insertion order.
 func TestRingOwnersDeterministic(t *testing.T) {
-	a := newHashRing(0)
-	b := newHashRing(0)
+	a := newHashRing()
+	b := newHashRing()
 	nodes := []string{"w0", "w1", "w2", "w3", "w4"}
 	for _, n := range nodes {
 		a.Add(n)
@@ -48,7 +48,7 @@ func TestRingOwnershipSkewBounded(t *testing.T) {
 		workers := 2 + rng.Intn(7)       // 2..8 workers
 		placements := 64 + rng.Intn(448) // 64..511 placements
 		rf := 1 + rng.Intn(2)            // rf 1..2
-		r := newHashRing(0)
+		r := newHashRing()
 		for w := 0; w < workers; w++ {
 			r.Add(fmt.Sprintf("w%d-%d", trial, w))
 		}
@@ -84,7 +84,7 @@ func TestRingJoinMovesFraction(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		workers := 3 + rng.Intn(6) // 3..8
 		placements := 512
-		r := newHashRing(0)
+		r := newHashRing()
 		for w := 0; w < workers; w++ {
 			r.Add(fmt.Sprintf("w%d", w))
 		}
@@ -123,7 +123,7 @@ func TestRingJoinMovesFraction(t *testing.T) {
 // TestRingFewerMembersThanReplication: owner lists degrade gracefully
 // when the fleet is smaller than the replication factor.
 func TestRingFewerMembersThanReplication(t *testing.T) {
-	r := newHashRing(0)
+	r := newHashRing()
 	if got := r.Owners("k", 2); got != nil {
 		t.Fatalf("empty ring should own nothing, got %v", got)
 	}

@@ -1,19 +1,41 @@
-// Package cluster implements SeeDB's sharded scatter-gather execution
-// layer: a core.Backend that horizontally partitions every engine
-// query across table shards, runs the shards on an in-process worker
-// pool or on remote worker nodes over HTTP, and merges the
-// partition-mergeable partials back into results byte-identical to a
-// single-node scan.
+// Package cluster is SeeDB's distributed execution layer: one
+// core.Backend that decides WHERE the row ranges of the engine's shared
+// scan run and merges their partition-mergeable partials back into
+// results byte-identical to a single-node scan.
 //
-// Topology: every node (coordinator and workers) loads the same
-// tables; what is partitioned is the WORK, not the data. A shard is a
-// row range of the table, assigned per query along the engine's
-// deterministic chunk grid, so any shard count yields the same result
-// bytes. Workers are plain seedb servers exposing /api/shard/exec and
-// /api/shard/health; the coordinator verifies table fingerprints on
-// every exchange, retries failed shards, and falls back to executing a
-// shard's range on its own replica (the degraded path) when a worker
-// stays unreachable.
+// One backend, two layouts. Mechanism exists once, in Backend: worker
+// health (fail, cool down, half-open), the scatter (cut the window into
+// tasks, try each task's owners with one retry, sort failures into
+// query faults and worker faults, fail over to the coordinator's own
+// replica, merge in row order), ingest (append through the durability
+// seam, then per touched fragment per owner forward the delta or ship
+// whole, verifying the hash), rebalance (ship what an owner lacks, drop
+// what a worker no longer owns) and the status/metrics surface. Policy
+// lives behind the unexported layout interface, which answers only:
+// which fragments cover these rows, who owns each, and how is a query's
+// window cut into tasks.
+//
+//   - replicated (Config.Replication == 0): every worker holds every
+//     table whole, under its own name; the WORK is partitioned — one
+//     grid-aligned range per worker per query. With no workers the
+//     ranges run on the coordinator's executor (NewLocal).
+//   - placed (Config.Replication >= 1): the DATA is partitioned. A
+//     table is cut into placements of PlacementChunks grid cells, a
+//     consistent-hash ring assigns each to Replication workers, and a
+//     worker holds an owned placement as a private fragment table
+//     (FragmentName) — no worker needs RAM for the whole table. One
+//     task per placement, owners tried in ring order.
+//
+// A fragment is (name on the worker, source rows [lo,hi), content
+// hash); a whole table is the fragment with lo = 0. Every request is
+// (fragment name, fragment hash, rows rebased by lo, SampleBase + lo),
+// so the worker's scan is positionally indistinguishable from the same
+// rows of a whole-table scan: fragments start on the engine's absolute
+// 1024-row grid, partials carry no positions and merge exactly, and
+// sampling is re-anchored. Workers are plain seedb servers
+// (/api/shard/*, /api/ingest) or in-process MemberShards; the
+// coordinator keeps the authoritative full replica — ingest entry point
+// and degraded path — and verifies the fragment hash on every exchange.
 package cluster
 
 import (
@@ -22,6 +44,17 @@ import (
 
 	"seedb/internal/engine"
 	"seedb/internal/sql"
+)
+
+// Body bounds of the cluster protocol: a body over its bound is refused
+// with a typed error (*http.MaxBytesError, HTTP 413), not buffered.
+const (
+	// MaxSnapshotBytes bounds one /api/shard/sync upload (a serialized
+	// table or fragment); far above any demo dataset, yet finite.
+	MaxSnapshotBytes = 1 << 30
+	// MaxWireBytes bounds every JSON body: /api/shard/exec requests,
+	// /api/ingest batches, and the responses RemoteShard decodes.
+	MaxWireBytes = 64 << 20
 )
 
 // ShardRequest is the wire form of one shard's slice of an engine
@@ -33,15 +66,14 @@ type ShardRequest struct {
 	// ContentHash pins the table data the coordinator planned against
 	// (engine.Table.ContentHash — equal data hashes equal across
 	// processes); a worker whose replica differs must refuse (HTTP
-	// 409), which the coordinator treats as permanent shard failure.
+	// 409), which the coordinator treats as permanent worker failure.
 	ContentHash    string  `json:"contentHash,omitempty"`
 	WhereSQL       string  `json:"where,omitempty"`
 	SampleFraction float64 `json:"sampleFraction,omitempty"`
 	SampleSeed     uint64  `json:"sampleSeed,omitempty"`
 	// SampleBase is the absolute row index the target table's row 0
-	// maps to (engine.Query.SampleBase). Zero for whole-table shards;
-	// the placement layer sets it so sampled fragment scans pick
-	// exactly the rows a single-node scan would.
+	// maps to (engine.Query.SampleBase), advanced by the fragment's lo
+	// so sampled scans pick exactly the rows a single-node scan would.
 	SampleBase  int                `json:"sampleBase,omitempty"`
 	RowLo       int                `json:"rowLo"`
 	RowHi       int                `json:"rowHi"`

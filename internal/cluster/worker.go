@@ -1,0 +1,413 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/url"
+	"sync/atomic"
+	"time"
+
+	"seedb/internal/engine"
+	"seedb/internal/obs"
+)
+
+// Worker is what the backend needs from a node that holds fragments:
+// run a shard request over one of them, and the fragment lifecycle
+// (list, ship, append, drop). RemoteShard implements it over HTTP,
+// MemberShard in-process.
+type Worker interface {
+	// ID names the worker for logs, stats, and failure accounting.
+	ID() string
+	// ExecPartials returns partition-mergeable partials, one per
+	// grouping set of the request.
+	ExecPartials(ctx context.Context, req *ShardRequest) (*ShardResponse, error)
+	// Health probes liveness.
+	Health(ctx context.Context) error
+	// TableHashes is the worker's inventory: table name -> content hash.
+	TableHashes(ctx context.Context) (map[string]string, error)
+	// SyncTable replaces (or creates) a table from a serialized
+	// snapshot and reports the post-replacement state.
+	SyncTable(ctx context.Context, table string, snapshot []byte) (*SyncResponse, error)
+	// Ingest appends a forwarded batch to one of the worker's tables.
+	Ingest(ctx context.Context, req *IngestRequest) (*IngestResponse, error)
+	// DropTable removes a table; an unknown name succeeds (rebalance
+	// converges by re-issuing drops).
+	DropTable(ctx context.Context, name string) error
+}
+
+// SyncResponse is the worker's post-replacement table state, verified
+// by the same ContentHash handshake every scatter request uses.
+type SyncResponse struct {
+	Table       string `json:"table"`
+	Rows        int    `json:"rows"`
+	ContentHash string `json:"contentHash"`
+}
+
+// ExecShardRequest is the single worker-side implementation behind
+// MemberShard and the HTTP /api/shard/exec handler: verify the table's
+// content hash, decode the wire query, run partials. The status is
+// what an HTTP server should answer on error (a 409 still carries a
+// response so the coordinator learns this worker's hash). Once the
+// handshake has passed both sides provably hold the same rows, so a
+// decode or run error is a property of the query — 400 — unless the
+// request's own context ended.
+func ExecShardRequest(ctx context.Context, ex *engine.Executor, req *ShardRequest) (*ShardResponse, int, error) {
+	t, err := ex.Catalog().Table(req.Table)
+	if err != nil {
+		return nil, http.StatusNotFound, err
+	}
+	fp, err := t.ContentHash()
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	if req.ContentHash != "" && fp != req.ContentHash {
+		return &ShardResponse{ContentHash: fp}, http.StatusConflict,
+			&FingerprintMismatchError{Shard: "local", Table: req.Table, Want: req.ContentHash, Got: fp}
+	}
+	q, gsets, err := req.Decode(ex.Catalog())
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	partials, err := ex.RunPartials(ctx, q, gsets)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, http.StatusInternalServerError, err
+		}
+		return nil, http.StatusBadRequest, err
+	}
+	return &ShardResponse{ContentHash: fp, Partials: partials}, http.StatusOK, nil
+}
+
+// execError types a failed exchange from the status ExecShardRequest
+// chose — the one place an answer is sorted into "the data diverged"
+// (409), "the query is at fault" (400; 413 for a body over
+// MaxWireBytes) and "the worker is" (the rest), so in-process and HTTP
+// workers agree. got is the worker's own content hash on a 409.
+func execError(worker string, req *ShardRequest, status int, got string, err error) error {
+	switch status {
+	case http.StatusConflict:
+		return &FingerprintMismatchError{Shard: worker, Table: req.Table, Want: req.ContentHash, Got: got}
+	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		return &queryFaultError{err: err}
+	}
+	return err
+}
+
+// queryFaultError marks a failure deterministic in the query itself —
+// an unserializable predicate, a request the worker rejected, a table
+// that moved mid-scatter. No worker is at fault, so the coordinator
+// neither retries nor penalizes health; the range runs on its replica.
+type queryFaultError struct{ err error }
+
+func (e *queryFaultError) Error() string { return e.err.Error() }
+func (e *queryFaultError) Unwrap() error { return e.err }
+
+// FingerprintMismatchError reports a worker whose copy of a fragment
+// diverged from the coordinator's: permanent until re-shipped (or
+// reloaded), so the worker is marked unhealthy rather than retried.
+type FingerprintMismatchError struct {
+	Shard string
+	Table string
+	Want  string
+	Got   string
+}
+
+func (e *FingerprintMismatchError) Error() string {
+	return fmt.Sprintf("cluster: shard %s table %q replica diverged (want fingerprint %s, got %s)",
+		e.Shard, e.Table, e.Want, e.Got)
+}
+
+// ---------------------------------------------------------------------
+// RemoteShard
+
+// RemoteShard is a worker node reached over HTTP (the worker is an
+// ordinary seedb server; see the frontend's /api/shard/* and
+// /api/ingest). The zero timeout uses DefaultRemoteTimeout.
+type RemoteShard struct {
+	url    string // base URL, also the worker's ID
+	client *http.Client
+}
+
+// DefaultRemoteTimeout bounds one exchange with a worker.
+const DefaultRemoteTimeout = 30 * time.Second
+
+// NewRemoteShard points a worker handle at a base URL, e.g.
+// "http://worker-3:8080".
+func NewRemoteShard(baseURL string, timeout time.Duration) *RemoteShard {
+	if timeout <= 0 {
+		timeout = DefaultRemoteTimeout
+	}
+	return &RemoteShard{url: baseURL, client: &http.Client{Timeout: timeout}}
+}
+
+// ID implements Worker.
+func (s *RemoteShard) ID() string { return s.url }
+
+// call runs one exchange with the worker. A 200 is decoded into out
+// (when non-nil, bounded by MaxWireBytes); any other status returns
+// the head of the error body next to the error so callers can type it.
+// The run's trace ID rides along, so the worker files its spans under
+// it in its own ring.
+func (s *RemoteShard) call(ctx context.Context, op, method, path, contentType string, body []byte, out any) (int, []byte, error) {
+	hreq, err := http.NewRequestWithContext(ctx, method, s.url+path, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	if contentType != "" {
+		hreq.Header.Set("Content-Type", contentType)
+	}
+	if id := obs.TraceFrom(ctx).ID(); id != "" {
+		hreq.Header.Set(obs.TraceHeader, id)
+	}
+	hres, err := s.client.Do(hreq)
+	if err != nil {
+		return 0, nil, fmt.Errorf("cluster: shard %s %s: %w", s.url, op, err)
+	}
+	defer hres.Body.Close()
+	if hres.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(hres.Body, 4096))
+		msg = bytes.TrimSpace(msg)
+		return hres.StatusCode, msg, fmt.Errorf("cluster: shard %s %s: HTTP %d: %s", s.url, op, hres.StatusCode, msg)
+	}
+	if out != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(nil, hres.Body, MaxWireBytes)).Decode(out); err != nil {
+			return hres.StatusCode, nil, fmt.Errorf("cluster: shard %s %s: decoding response: %w", s.url, op, err)
+		}
+	}
+	return hres.StatusCode, nil, nil
+}
+
+func (s *RemoteShard) postJSON(ctx context.Context, op, path string, in, out any) (int, []byte, error) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return 0, nil, err
+	}
+	return s.call(ctx, op, http.MethodPost, path, "application/json", body, out)
+}
+
+// ExecPartials implements Worker over POST /api/shard/exec.
+func (s *RemoteShard) ExecPartials(ctx context.Context, req *ShardRequest) (*ShardResponse, error) {
+	var resp ShardResponse
+	status, msg, err := s.postJSON(ctx, "exec", "/api/shard/exec", req, &resp)
+	if err == nil {
+		return &resp, nil
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		// The partials outgrew the wire bound: how much state a query
+		// produces is the query's doing, not the worker's.
+		status = http.StatusRequestEntityTooLarge
+	}
+	// A 409 body carries the worker's own content hash.
+	var conflict ShardResponse
+	got := string(msg)
+	if json.Unmarshal(msg, &conflict) == nil && conflict.ContentHash != "" {
+		got = conflict.ContentHash
+	}
+	return nil, execError(s.url, req, status, got, err)
+}
+
+// Ingest implements Worker over POST /api/ingest.
+func (s *RemoteShard) Ingest(ctx context.Context, req *IngestRequest) (*IngestResponse, error) {
+	var resp IngestResponse
+	if _, _, err := s.postJSON(ctx, "ingest", "/api/ingest", req, &resp); err != nil {
+		return nil, err
+	}
+	return &resp, nil
+}
+
+// TableHashes implements Worker over GET /api/shard/health, which
+// reports every table's content hash.
+func (s *RemoteShard) TableHashes(ctx context.Context) (map[string]string, error) {
+	var body struct {
+		Tables map[string]struct {
+			ContentHash string `json:"contentHash"`
+		} `json:"tables"`
+	}
+	if _, _, err := s.call(ctx, "hashes", http.MethodGet, "/api/shard/health", "", nil, &body); err != nil {
+		return nil, err
+	}
+	hashes := make(map[string]string, len(body.Tables))
+	for name, t := range body.Tables {
+		hashes[name] = t.ContentHash
+	}
+	return hashes, nil
+}
+
+// SyncTable implements Worker over POST /api/shard/sync, which replaces
+// the worker's copy wholesale and reports the post-replacement hash.
+func (s *RemoteShard) SyncTable(ctx context.Context, table string, snapshot []byte) (*SyncResponse, error) {
+	var resp SyncResponse
+	path := "/api/shard/sync?table=" + url.QueryEscape(table)
+	if _, _, err := s.call(ctx, "sync", http.MethodPost, path, "application/octet-stream", snapshot, &resp); err != nil {
+		return nil, err
+	}
+	return &resp, nil
+}
+
+// DropTable implements Worker over POST /api/shard/drop.
+func (s *RemoteShard) DropTable(ctx context.Context, name string) error {
+	_, _, err := s.call(ctx, "drop", http.MethodPost, "/api/shard/drop?table="+url.QueryEscape(name), "", nil, nil)
+	return err
+}
+
+// Health implements Worker: GET /api/shard/health must answer 200.
+func (s *RemoteShard) Health(ctx context.Context) error {
+	_, _, err := s.call(ctx, "health", http.MethodGet, "/api/shard/health", "", nil, nil)
+	return err
+}
+
+// ---------------------------------------------------------------------
+// MemberShard
+
+// MemberShard is an in-process worker with its OWN catalog and
+// executor: it holds only what was shipped to it — fragments under the
+// placed layout, whole tables under the replicated one — so
+// single-binary tests exercise the data movement a remote fleet does,
+// including a fragment that was never shipped. The root golden
+// placement tests are built on it (the HTTP frontend would be an
+// import cycle there).
+type MemberShard struct {
+	id  string
+	cat *engine.Catalog
+	ex  *engine.Executor
+
+	// gate, when set, sees every operation's name ("exec", "ingest",
+	// "sync", "drop", "hashes", "health") first; a non-nil result
+	// simulates an unreachable worker. Fault tests flip it mid-run.
+	gate atomic.Pointer[func(op string) error]
+}
+
+// NewMemberShard creates an empty in-process worker.
+func NewMemberShard(id string) *MemberShard {
+	cat := engine.NewCatalog()
+	return &MemberShard{id: id, cat: cat, ex: engine.NewExecutor(cat)}
+}
+
+// ID implements Worker.
+func (m *MemberShard) ID() string { return m.id }
+
+// Catalog exposes the worker's private catalog so tests can assert
+// which fragments it actually holds.
+func (m *MemberShard) Catalog() *engine.Catalog { return m.cat }
+
+// SetGate installs (or, with nil, removes) the fault-injection hook.
+func (m *MemberShard) SetGate(gate func(op string) error) {
+	if gate == nil {
+		m.gate.Store(nil)
+		return
+	}
+	m.gate.Store(&gate)
+}
+
+func (m *MemberShard) pass(op string) error {
+	if g := m.gate.Load(); g != nil {
+		return (*g)(op)
+	}
+	return nil
+}
+
+// Health implements Worker.
+func (m *MemberShard) Health(context.Context) error { return m.pass("health") }
+
+// ExecPartials implements Worker against the worker's own catalog —
+// the same ExecShardRequest path a remote worker's HTTP handler runs,
+// content-hash verification included.
+func (m *MemberShard) ExecPartials(ctx context.Context, req *ShardRequest) (*ShardResponse, error) {
+	if err := m.pass("exec"); err != nil {
+		return nil, err
+	}
+	resp, status, err := ExecShardRequest(ctx, m.ex, req)
+	if err != nil {
+		got := ""
+		if resp != nil {
+			got = resp.ContentHash
+		}
+		return nil, execError(m.id, req, status, got, err)
+	}
+	return resp, nil
+}
+
+// Ingest implements Worker.
+func (m *MemberShard) Ingest(ctx context.Context, req *IngestRequest) (*IngestResponse, error) {
+	if err := m.pass("ingest"); err != nil {
+		return nil, err
+	}
+	t, err := m.cat.Table(req.Table)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: member %s: %w", m.id, err)
+	}
+	typed, err := t.ParseRows(req.Rows)
+	if err != nil {
+		return nil, err
+	}
+	total, err := m.cat.Append(t, typed)
+	if err != nil {
+		return nil, err
+	}
+	resp := &IngestResponse{Table: req.Table, Appended: len(req.Rows), Rows: total}
+	if req.Verify {
+		if resp.ContentHash, err = t.ContentHash(); err != nil {
+			return nil, err
+		}
+	}
+	return resp, nil
+}
+
+// TableHashes implements Worker.
+func (m *MemberShard) TableHashes(ctx context.Context) (map[string]string, error) {
+	if err := m.pass("hashes"); err != nil {
+		return nil, err
+	}
+	out := map[string]string{}
+	for _, name := range m.cat.TableNames() {
+		t, err := m.cat.Table(name)
+		if err != nil {
+			continue
+		}
+		h, err := t.ContentHash()
+		if err != nil {
+			return nil, err
+		}
+		out[name] = h
+	}
+	return out, nil
+}
+
+// SyncTable implements Worker: accept a serialized table and swap it
+// in wholesale, exactly like a remote worker's /api/shard/sync.
+func (m *MemberShard) SyncTable(ctx context.Context, table string, snapshot []byte) (*SyncResponse, error) {
+	if err := m.pass("sync"); err != nil {
+		return nil, err
+	}
+	t, err := engine.ReadTable(bytes.NewReader(snapshot))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: member %s: parsing sync snapshot: %w", m.id, err)
+	}
+	if t.Name() != table {
+		return nil, fmt.Errorf("cluster: member %s: sync snapshot is of table %q, not %q", m.id, t.Name(), table)
+	}
+	chash, err := t.ContentHash()
+	if err != nil {
+		return nil, err
+	}
+	m.cat.Drop(table)
+	if err := m.cat.Register(t); err != nil {
+		return nil, err
+	}
+	return &SyncResponse{Table: table, Rows: t.NumRows(), ContentHash: chash}, nil
+}
+
+// DropTable implements Worker.
+func (m *MemberShard) DropTable(ctx context.Context, name string) error {
+	if err := m.pass("drop"); err != nil {
+		return err
+	}
+	m.cat.Drop(name)
+	return nil
+}

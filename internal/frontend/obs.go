@@ -19,29 +19,10 @@ import (
 	"seedb/internal/obs"
 )
 
-// knownRoutes is the closed set of route label values. Unknown paths
-// collapse to "other" so a path-scanning client cannot explode the
-// metric's label cardinality.
-var knownRoutes = map[string]struct{}{
-	"/":                     {},
-	"/metrics":              {},
-	"/api/meta":             {},
-	"/api/recommend":        {},
-	"/api/recommend/stream": {},
-	"/api/drilldown":        {},
-	"/api/sql":              {},
-	"/api/session":          {},
-	"/api/stats":            {},
-	"/api/trace":            {},
-	"/api/ingest":           {},
-	"/api/shard/exec":       {},
-	"/api/shard/health":     {},
-	"/api/shard/register":   {},
-	"/api/shard/sync":       {},
-}
-
+// routeLabel collapses unknown paths to "other" so a path-scanning
+// client cannot explode the metric's label cardinality.
 func routeLabel(path string) string {
-	if _, ok := knownRoutes[path]; ok {
+	if _, ok := routes[path]; ok {
 		return path
 	}
 	return "other"

@@ -13,10 +13,11 @@ import (
 	"fmt"
 	"html/template"
 	"log"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"seedb"
@@ -92,36 +93,50 @@ func NewWithConfig(db *seedb.DB, cfg seedb.ServeConfig, templates []QueryTemplat
 		streamTimeout: 10 * time.Minute,
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/api/meta", s.handleMeta)
-	mux.HandleFunc("/api/recommend", s.handleRecommend)
-	mux.HandleFunc("/api/recommend/stream", s.handleRecommendStream)
-	mux.HandleFunc("/api/drilldown", s.handleDrillDown)
-	mux.HandleFunc("/api/sql", s.handleSQL)
-	mux.HandleFunc("/api/session", s.handleSession)
-	mux.HandleFunc("/api/stats", s.handleStats)
-	mux.HandleFunc("/api/ingest", s.handleIngest)
+	for path, h := range routes {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) { h(s, w, r) })
+	}
+	s.mux = mux
+	s.installObs(svc.Observability())
+	return s
+}
+
+// routes is every path the server answers, and the closed set of
+// route label values for the HTTP metrics.
+var routes = map[string]func(*Server, http.ResponseWriter, *http.Request){
+	"/":                     (*Server).handleIndex,
+	"/api/meta":             (*Server).handleMeta,
+	"/api/recommend":        (*Server).handleRecommend,
+	"/api/recommend/stream": (*Server).handleRecommendStream,
+	"/api/drilldown":        (*Server).handleDrillDown,
+	"/api/sql":              (*Server).handleSQL,
+	"/api/session":          (*Server).handleSession,
+	"/api/stats":            (*Server).handleStats,
+	"/api/ingest":           (*Server).handleIngest,
 	// Observability: Prometheus exposition + per-run trace dumps. Both
 	// answer 404 when the service was started with observability
 	// disabled (the routes stay mounted so the behavior is a status,
 	// not a routing difference).
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/api/trace", s.handleTrace)
-	// Cluster endpoints: every server can act as a worker shard
-	// (/api/shard/exec, /api/shard/health); a server whose DB runs a
-	// sharded backend additionally accepts worker registrations.
-	mux.HandleFunc("/api/shard/exec", s.handleShardExec)
-	mux.HandleFunc("/api/shard/health", s.handleShardHealth)
-	mux.HandleFunc("/api/shard/register", s.handleShardRegister)
-	mux.HandleFunc("/api/shard/sync", s.handleShardSync)
-	mux.HandleFunc("/api/shard/drop", s.handleShardDrop)
-	// Placement endpoints (data-partitioned coordinators only): the
-	// placement map and an operator-triggered rebalance pass.
-	mux.HandleFunc("/api/placement", s.handlePlacement)
-	mux.HandleFunc("/api/placement/rebalance", s.handlePlacementRebalance)
-	s.mux = mux
-	s.installObs(svc.Observability())
-	return s
+	"/metrics":   (*Server).handleMetrics,
+	"/api/trace": (*Server).handleTrace,
+	// Cluster protocol, worker side: every server can hold fragments
+	// and run shard requests over them.
+	"/api/shard/exec":   (*Server).handleShardExec,
+	"/api/shard/health": (*Server).handleShardHealth,
+	"/api/shard/sync":   (*Server).handleShardSync,
+	"/api/shard/drop":   (*Server).handleShardDrop,
+	// Coordinator side (a server whose DB runs a cluster backend):
+	// worker registration, the fragment map, an operator-triggered
+	// rebalance pass.
+	"/api/shard/register":  (*Server).handleShardRegister,
+	"/api/shard/map":       (*Server).handleShardMap,
+	"/api/shard/rebalance": (*Server).handleShardRebalance,
+}
+
+// Routes lists every registered path, sorted (the docs lint checks
+// them against the documentation).
+func Routes() []string {
+	return slices.Sorted(maps.Keys(routes))
 }
 
 // SetTimeouts overrides the per-request deadlines: request bounds
@@ -670,20 +685,14 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// clusterStats is the /api/stats section of a cluster coordinator:
+// layout signature, cumulative counters (scatter, failover, ingest,
+// rebalance movement, ownership shape), and per-worker health with
+// fragment counts.
 type clusterStats struct {
 	Signature string                `json:"signature"`
 	Counters  cluster.Stats         `json:"counters"`
-	Shards    []cluster.ShardStatus `json:"shards"`
-}
-
-// placementStats is the /api/stats section for a data-partitioned
-// coordinator: layout signature, cumulative counters (rebalance bytes
-// moved, fragments shipped/dropped, failovers), and per-worker health
-// with fragment counts.
-type placementStats struct {
-	Signature string                          `json:"signature"`
-	Counters  cluster.PlacementStats          `json:"counters"`
-	Workers   []cluster.PlacementWorkerStatus `json:"workers"`
+	Workers   []cluster.ShardStatus `json:"workers"`
 }
 
 // incrementalStats surfaces the chunk-partial store's delta-reuse
@@ -705,12 +714,8 @@ type statsResponse struct {
 	// Incremental reports chunk-partial reuse when the store is
 	// enabled (it is by default under Serve).
 	Incremental *incrementalStats `json:"incremental,omitempty"`
-	// Cluster reports shard health when a sharded backend is active.
+	// Cluster reports the fleet when a cluster backend is active.
 	Cluster *clusterStats `json:"cluster,omitempty"`
-	// Placement reports the data-partitioned layout (placement
-	// counts, rebalance movement, ownership skew) when a placement
-	// backend is active.
-	Placement *placementStats `json:"placement,omitempty"`
 	// Durability reports the WAL'd store (log size, checkpoint times,
 	// fsync latency) when the server runs with a data dir.
 	Durability *durabilityStats `json:"durability,omitempty"`
@@ -753,18 +758,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Incremental = &incrementalStats{Store: st, ReuseRatio: st.ReuseRatio()}
 	}
 	if b := s.clusterBackend(); b != nil {
-		resp.Cluster = &clusterStats{
-			Signature: b.Signature(),
-			Counters:  b.Counters(),
-			Shards:    b.Status(),
-		}
-	}
-	if b := s.placementBackend(); b != nil {
-		resp.Placement = &placementStats{
-			Signature: b.Signature(),
-			Counters:  b.Counters(),
-			Workers:   b.Status(),
-		}
+		resp.Cluster = &clusterStats{Signature: b.Signature(), Counters: b.Counters(), Workers: b.Status()}
 	}
 	if st, ok := s.db.DurabilityStats(); ok {
 		resp.Durability = &durabilityStats{DurabilityStats: st, Recovery: s.db.RecoveryReport()}
@@ -782,10 +776,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // /api/ingest: the live-table append path
 
 // handleIngest applies a batched append to this node's tables. On a
-// cluster coordinator the append is also forwarded to every worker
-// replica and each post-append ContentHash is re-verified against the
-// coordinator's, so distributed execution stays byte-identical across
-// appends; on a plain node (or worker) it applies locally. Rows are
+// cluster coordinator the append is also forwarded to the owners of
+// every fragment it touches and each post-append ContentHash is
+// re-verified against the coordinator's, so distributed execution
+// stays byte-identical across appends; on a plain node (or worker) it
+// applies locally. Rows are
 // loosely typed JSON ([[...], ...], numbers/strings/nulls) coerced
 // against the table schema; a bad batch is rejected atomically.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -794,8 +789,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req cluster.IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: parsing ingest request: %w", err))
+	if !s.decodeWire(w, r, "ingest request", &req) {
 		return
 	}
 	if req.Table == "" || len(req.Rows) == 0 {
@@ -804,19 +798,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	// Both coordinator backends expose the same Ingest contract:
-	// apply locally (through the durability seam), forward to the
-	// replicas/owners, verify content hashes.
-	var ing interface {
-		Ingest(ctx context.Context, table string, rows [][]any) (*cluster.IngestSummary, error)
-	}
+	// A coordinator applies locally (through the durability seam),
+	// forwards to the fragments' owners, and verifies content hashes.
 	if b := s.clusterBackend(); b != nil {
-		ing = b
-	} else if b := s.placementBackend(); b != nil {
-		ing = b
-	}
-	if ing != nil {
-		sum, err := ing.Ingest(ctx, req.Table, req.Rows)
+		sum, err := b.Ingest(ctx, req.Table, req.Rows)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, err)
 			return
@@ -865,23 +850,33 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // Cluster endpoints: worker side (/api/shard/exec, /api/shard/health)
 // and coordinator side (/api/shard/register)
 
-// clusterBackend returns the DB's sharded backend, or nil when the
+// clusterBackend returns the DB's cluster backend, or nil when the
 // plain in-process backend is active.
-func (s *Server) clusterBackend() *cluster.ShardedBackend {
-	b, _ := s.db.Backend().(*cluster.ShardedBackend)
+func (s *Server) clusterBackend() *cluster.Backend {
+	b, _ := s.db.Backend().(*cluster.Backend)
 	return b
 }
 
-// placementBackend returns the DB's placement backend, or nil when a
-// different backend is active.
-func (s *Server) placementBackend() *cluster.PlacementBackend {
-	b, _ := s.db.Backend().(*cluster.PlacementBackend)
-	return b
+// decodeWire decodes a cluster-protocol JSON body, bounded by
+// cluster.MaxWireBytes: malformed JSON answers 400, an oversized body
+// 413, and false is returned.
+func (s *Server) decodeWire(w http.ResponseWriter, r *http.Request, what string, into any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxWireBytes)).Decode(into)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeError(w, status, fmt.Errorf("frontend: parsing %s: %w", what, err))
+	return false
 }
 
 // handleShardExec is the worker half of scatter-gather: it runs a
-// coordinator's shard request over this node's table replica and
-// returns partition-mergeable partials. A fingerprint mismatch answers
+// coordinator's shard request over one of this node's tables (a whole
+// replica or a fragment) and returns partition-mergeable partials. A fingerprint mismatch answers
 // 409 with this replica's fingerprint so the coordinator can tell data
 // drift from transient failure.
 func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
@@ -890,8 +885,7 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req cluster.ShardRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: parsing shard request: %w", err))
+	if !s.decodeWire(w, r, "shard request", &req) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
@@ -960,18 +954,23 @@ type shardRegisterRequest struct {
 	URL string `json:"url"`
 }
 
-// handleShardRegister adds a worker to a coordinator's shard set after
-// probing its health. Registering twice is a no-op, so workers can
-// re-announce on every restart.
+// handleShardRegister adds a worker to a coordinator's fleet after
+// probing its health, and brings it in line before it serves traffic:
+// AddWorker takes the worker's inventory and ships — from the
+// coordinator's live replica, ingest held, every hash verified —
+// whatever the layout assigns it and it lacks (whole tables under the
+// replicated layout, its ring share under the placed one). An empty or
+// stale node can join and catch up; an in-step one costs nothing.
+// Registering twice is safe, so workers can re-announce on every
+// restart.
 func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	b := s.clusterBackend()
-	pb := s.placementBackend()
-	if b == nil && pb == nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: this node is not a cluster coordinator"))
+	if b == nil {
+		s.writeError(w, http.StatusBadRequest, errNotCoordinator)
 		return
 	}
 	var req shardRegisterRequest
@@ -986,50 +985,25 @@ func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadGateway, fmt.Errorf("frontend: worker %s failed its health probe: %w", req.URL, err))
 		return
 	}
-	if pb != nil {
-		// Placement coordinator: the joining worker receives only the
-		// fragments the ring assigns it — not full replicas. AddWorker
-		// holds ingest, rebalances, and verifies every shipped
-		// fragment's ContentHash.
-		syncCtx, cancelSync := context.WithTimeout(r.Context(), 2*time.Minute)
-		defer cancelSync()
-		rep, added, err := pb.AddWorker(syncCtx, shard)
-		if err != nil {
-			s.writeError(w, http.StatusBadGateway, fmt.Errorf("frontend: worker %s failed placement rebalance: %w", req.URL, err))
-			return
-		}
-		s.logger.Printf("frontend: placement worker %s %s (epoch %d, shipped %d fragments / %d bytes)",
-			req.URL, map[bool]string{true: "registered", false: "re-announced"}[added], rep.Epoch, rep.Shipped, rep.BytesMoved)
-		s.writeJSON(w, http.StatusOK, map[string]any{"added": added, "workers": pb.NumWorkers(), "rebalance": rep})
-		return
-	}
-	// Bootstrap before admission: push every table the worker is
-	// missing (or holds a diverged copy of) from the coordinator's
-	// live replica — snapshot + WAL tail, materialized — and verify
-	// the ContentHash handshake. Workers no longer need identical
-	// pre-provisioned data; an empty node can join and catch up.
-	// Snapshot serialization runs with ingest held, so the worker
-	// joins exactly in step. The sync budget is larger than the health
-	// probe's: it moves whole tables.
+	// The sync budget is larger than the health probe's: it moves
+	// whole fragments.
 	syncCtx, cancelSync := context.WithTimeout(r.Context(), 2*time.Minute)
 	defer cancelSync()
-	boot, err := b.BootstrapShard(syncCtx, shard)
+	rep, added, err := b.AddWorker(syncCtx, shard)
 	if err != nil {
-		s.writeError(w, http.StatusBadGateway, fmt.Errorf("frontend: worker %s failed bootstrap: %w", req.URL, err))
+		s.writeError(w, http.StatusBadGateway, fmt.Errorf("frontend: worker %s failed rebalance: %w", req.URL, err))
 		return
 	}
-	if len(boot.Synced) > 0 {
-		s.logger.Printf("frontend: worker %s caught up (synced: %s)", req.URL, strings.Join(boot.Synced, ", "))
-	}
-	added := b.AddShard(shard)
-	s.logger.Printf("frontend: worker %s %s (now %d shards)", req.URL,
-		map[bool]string{true: "registered", false: "already registered"}[added], b.NumShards())
-	s.writeJSON(w, http.StatusOK, map[string]any{"added": added, "shards": b.NumShards(), "bootstrap": boot})
+	s.logger.Printf("frontend: worker %s %s (epoch %d, shipped %d fragments / %d bytes)",
+		req.URL, map[bool]string{true: "registered", false: "re-announced"}[added], rep.Epoch, rep.Shipped, rep.BytesMoved)
+	s.writeJSON(w, http.StatusOK, map[string]any{"added": added, "workers": b.NumWorkers(), "rebalance": rep})
 }
 
-// handleShardSync is the worker half of replica bootstrap: it accepts
+var errNotCoordinator = errors.New("frontend: this node is not a cluster coordinator")
+
+// handleShardSync is the worker half of fragment shipping: it accepts
 // a serialized table snapshot from a coordinator, swaps it in as this
-// node's replica (dropping any previous copy), and reports the
+// node's copy (dropping any previous one), and reports the
 // post-replacement content hash for the coordinator's handshake. With
 // durability enabled the replacement is checkpointed immediately, so
 // the caught-up replica survives this worker's own crashes.
@@ -1043,7 +1017,7 @@ func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: sync needs a table query parameter"))
 		return
 	}
-	t, err := engine.ReadTable(http.MaxBytesReader(w, r.Body, maxSyncSnapshotBytes))
+	t, err := engine.ReadTable(http.MaxBytesReader(w, r.Body, cluster.MaxSnapshotBytes))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: parsing sync snapshot: %w", err))
 		return
@@ -1066,13 +1040,7 @@ func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, cluster.SyncResponse{Table: name, Rows: t.NumRows(), ContentHash: chash})
 }
 
-// maxSyncSnapshotBytes bounds one sync upload (a whole serialized
-// table); 1 GiB is far above any demo dataset while still refusing
-// unbounded bodies.
-const maxSyncSnapshotBytes = 1 << 30
-
-// handleShardDrop is the worker half of placement rebalancing's
-// shrink side: a coordinator asks this node to remove a fragment it no
+// handleShardDrop is the worker half of rebalancing's shrink side: a coordinator asks this node to remove a fragment it no
 // longer owns. With durability enabled the fragment's snapshot is
 // removed too, so a durable worker checkpoints only owned placements.
 // Dropping an unknown name succeeds — drops are re-issued until the
@@ -1095,17 +1063,17 @@ func (s *Server) handleShardDrop(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"dropped": name})
 }
 
-// handlePlacement dumps the placement map: every table's placements
-// with expected content hashes, assigned owners, and whether each
-// owner verifiably holds its fragment.
-func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
+// handleShardMap dumps the fragment map: every table's fragments with
+// expected content hashes, assigned owners, and whether each owner
+// verifiably holds its fragment.
+func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	b := s.placementBackend()
+	b := s.clusterBackend()
 	if b == nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: this node is not a placement coordinator"))
+		s.writeError(w, http.StatusBadRequest, errNotCoordinator)
 		return
 	}
 	w.Header().Set("Cache-Control", "no-store")
@@ -1117,18 +1085,18 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, dump)
 }
 
-// handlePlacementRebalance runs one reconcile pass: ship
+// handleShardRebalance runs one reconcile pass: ship
 // owned-but-missing fragments, drop no-longer-owned ones. Operators
 // (and the placement smoke test) call it after membership churn to
 // force convergence instead of waiting for the next join.
-func (s *Server) handlePlacementRebalance(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleShardRebalance(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	b := s.placementBackend()
+	b := s.clusterBackend()
 	if b == nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: this node is not a placement coordinator"))
+		s.writeError(w, http.StatusBadRequest, errNotCoordinator)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Minute)

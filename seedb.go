@@ -331,24 +331,12 @@ func (db *DB) LoadCSV(name string, r io.Reader) (*Table, error) {
 // enabled (see Serve and EnableIncremental) recomputation reuses every
 // sealed chunk's partials and only scans the appended delta, so a
 // query after an append costs O(delta), not O(table). On a cluster
-// coordinator with remote workers the batch is automatically forwarded
-// to every replica (ClusterBackend.Ingest) — appending only locally
-// would leave the fleet permanently diverged. It returns the table's
-// new row count.
+// coordinator with workers the batch automatically goes through
+// ClusterBackend.Ingest, which forwards it to the owners of every
+// fragment it touches — appending only locally would leave the fleet
+// permanently diverged. It returns the table's new row count.
 func (db *DB) Append(name string, rows [][]Value) (int, error) {
-	switch b := db.core.Backend().(type) {
-	case *cluster.ShardedBackend:
-		if b.HasRemoteShards() {
-			sum, err := b.Ingest(context.Background(), name, engine.FormatRowsWire(rows))
-			if err != nil {
-				return 0, err
-			}
-			return sum.Rows, nil
-		}
-	case *cluster.PlacementBackend:
-		// Placement workers always hold private fragments (even
-		// in-process members), so the append must fan the delta out to
-		// the owners of the placements it lands in.
+	if b, ok := db.core.Backend().(*cluster.Backend); ok && b.NumWorkers() > 0 {
 		sum, err := b.Ingest(context.Background(), name, engine.FormatRowsWire(rows))
 		if err != nil {
 			return 0, err
@@ -714,31 +702,30 @@ func Chart(d *ViewData, normalized bool) ChartSpec {
 // ---------------------------------------------------------------------
 // Cluster execution (see internal/cluster)
 
-// Re-exported cluster types.
+// Re-exported cluster types. There is one cluster backend and one
+// config; the Placement* spellings predate that and are kept as
+// aliases for callers written against them.
 type (
 	// Backend routes the optimizer's engine queries; see core.Backend.
 	Backend = core.Backend
-	// ClusterConfig tunes a sharded backend (retries, cooldown,
-	// failover).
+	// ClusterConfig tunes a cluster backend (replication, placement
+	// size, cooldown, failover).
 	ClusterConfig = cluster.Config
 	// ClusterBackend is the scatter-gather coordinator backend.
-	ClusterBackend = cluster.ShardedBackend
-	// ShardStatus is one shard's health snapshot.
+	ClusterBackend = cluster.Backend
+	// ShardStatus is one worker's health snapshot.
 	ShardStatus = cluster.ShardStatus
-	// PlacementConfig tunes a data-partitioned placement backend
-	// (replication factor, placement size, failover).
-	PlacementConfig = cluster.PlacementConfig
-	// PlacementBackend is the data-partitioned coordinator backend:
-	// tables are cut into chunk-aligned placements assigned to workers
-	// via a consistent-hash ring.
-	PlacementBackend = cluster.PlacementBackend
-	// PlacementWorker is what the placement layer needs from a worker
-	// node (shard execution + fragment lifecycle).
-	PlacementWorker = cluster.PlacementWorker
-	// MemberShard is an in-process placement worker holding only its
-	// owned fragments in a private catalog.
+	// PlacementConfig is ClusterConfig.
+	PlacementConfig = cluster.Config
+	// PlacementBackend is ClusterBackend.
+	PlacementBackend = cluster.Backend
+	// PlacementWorker is what the backend needs from a worker node
+	// (shard execution + fragment lifecycle).
+	PlacementWorker = cluster.Worker
+	// MemberShard is an in-process worker holding only what was
+	// shipped to it, in a private catalog.
 	MemberShard = cluster.MemberShard
-	// RebalanceReport describes one placement rebalance pass.
+	// RebalanceReport describes one rebalance pass.
 	RebalanceReport = cluster.RebalanceReport
 )
 
@@ -754,6 +741,13 @@ func (db *DB) SetBackend(b Backend) { db.core.SetBackend(b) }
 // Backend returns the active execution backend.
 func (db *DB) Backend() Backend { return db.core.Backend() }
 
+// useCluster installs b as the execution backend.
+func (db *DB) useCluster(b *ClusterBackend) *ClusterBackend {
+	b.EnableMetrics(db.obs.Metrics)
+	db.core.SetBackend(b)
+	return b
+}
+
 // ShardLocal switches the instance to in-process scatter-gather
 // execution across n logical table shards and returns the backend for
 // introspection. Results are byte-identical to the default backend for
@@ -761,52 +755,46 @@ func (db *DB) Backend() Backend { return db.core.Backend() }
 // Options.Shards (or the frontend's "shards" knob) can lower the
 // per-query shard count below n.
 func (db *DB) ShardLocal(n int, cfg ClusterConfig) *ClusterBackend {
-	b := cluster.NewLocal(db.ex, n, cfg)
-	b.EnableMetrics(db.obs.Metrics)
-	db.core.SetBackend(b)
-	return b
+	return db.useCluster(cluster.NewLocal(db.ex, n, cfg))
 }
 
-// ShardRemote switches the instance into cluster-coordinator mode:
-// every view query is scattered across the given worker base URLs
-// (each a seedb server that loaded the same tables, e.g.
-// "http://worker-1:8080"). The local replica remains the degraded
-// path — if a worker stays unreachable past its retries, its row range
+// ShardRemote switches the instance into cluster-coordinator mode with
+// the replicated layout: every view query's row window is cut into one
+// range per worker and scattered across the given worker base URLs
+// (each a seedb server holding the same tables, e.g.
+// "http://worker-1:8080"). The workers are joined as they are —
+// nothing is shipped, and a worker whose data differs is detected per
+// request, not overwritten. The local replica remains the degraded
+// path — if a worker stays unreachable past its retry, its row range
 // is executed locally, so queries keep succeeding with reduced
 // offload. Additional workers can register later via the coordinator's
-// /api/shard/register endpoint or AddShard on the returned backend.
+// /api/shard/register endpoint or AddWorker on the returned backend,
+// both of which ship the joiner whatever it lacks.
 func (db *DB) ShardRemote(workers []string, timeout time.Duration, cfg ClusterConfig) *ClusterBackend {
-	shards := make([]cluster.Shard, len(workers))
-	for i, url := range workers {
-		shards[i] = cluster.NewRemoteShard(url, timeout)
+	cfg.Replication = 0
+	b := db.useCluster(cluster.New(db.ex, cfg))
+	for _, url := range workers {
+		b.Join(cluster.NewRemoteShard(url, timeout))
 	}
-	b := cluster.NewDistributed(db.ex, shards, cfg)
-	b.EnableMetrics(db.obs.Metrics)
-	db.core.SetBackend(b)
 	return b
 }
 
-// PlaceRemote switches the instance into placement-coordinator mode:
-// every table is cut into chunk-aligned placements assigned to the
-// given worker base URLs via a consistent-hash ring with cfg's
-// replication factor, and each scan range is routed to a live owner
-// of that range. The local replica remains authoritative (ingest
-// entry point and degraded path); workers hold only their owned
-// fragments, so the fleet can serve tables no single worker could
-// hold whole. Workers are rebalanced in as they are added; more can
-// register later via /api/shard/register or AddWorker on the
-// returned backend.
+// PlaceRemote switches the instance into cluster-coordinator mode with
+// the placed layout: every table is cut into chunk-aligned placements
+// assigned to the given worker base URLs via a consistent-hash ring
+// with cfg's replication factor (default 2), and each scan range is
+// routed to a live owner of that range. The local replica remains
+// authoritative (ingest entry point and degraded path); workers hold
+// only their owned fragments, so the fleet can serve tables no single
+// worker could hold whole. Workers are rebalanced in as they are
+// added; more can register later via /api/shard/register or AddWorker
+// on the returned backend.
 func (db *DB) PlaceRemote(ctx context.Context, workers []string, timeout time.Duration, cfg PlacementConfig) (*PlacementBackend, error) {
-	b := cluster.NewPlacement(db.ex, cfg)
-	b.EnableMetrics(db.obs.Metrics)
-	db.core.SetBackend(b)
-	var firstErr error
-	for _, url := range workers {
-		if _, _, err := b.AddWorker(ctx, cluster.NewRemoteShard(url, timeout)); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	ws := make([]PlacementWorker, len(workers))
+	for i, url := range workers {
+		ws[i] = cluster.NewRemoteShard(url, timeout)
 	}
-	return b, firstErr
+	return db.place(ctx, ws, cfg)
 }
 
 // PlaceMembers is PlaceRemote with n in-process MemberShard workers —
@@ -815,32 +803,32 @@ func (db *DB) PlaceRemote(ctx context.Context, workers []string, timeout time.Du
 // full ship/verify/rebalance machinery runs (and is testable) without
 // a fleet.
 func (db *DB) PlaceMembers(ctx context.Context, n int, cfg PlacementConfig) (*PlacementBackend, error) {
-	b := cluster.NewPlacement(db.ex, cfg)
-	b.EnableMetrics(db.obs.Metrics)
-	db.core.SetBackend(b)
+	ws := make([]PlacementWorker, n)
+	for i := range ws {
+		ws[i] = cluster.NewMemberShard(fmt.Sprintf("member-%d", i))
+	}
+	return db.place(ctx, ws, cfg)
+}
+
+func (db *DB) place(ctx context.Context, workers []PlacementWorker, cfg PlacementConfig) (*PlacementBackend, error) {
+	if cfg.Replication <= 0 {
+		cfg.Replication = 2
+	}
+	b := db.useCluster(cluster.New(db.ex, cfg))
 	var firstErr error
-	for i := 0; i < n; i++ {
-		if _, _, err := b.AddWorker(ctx, cluster.NewMemberShard(fmt.Sprintf("member-%d", i))); err != nil && firstErr == nil {
+	for _, w := range workers {
+		if _, _, err := b.AddWorker(ctx, w); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return b, firstErr
 }
 
-// ClusterStatus returns the sharded backend's shard health snapshot,
-// or nil when the instance runs the plain in-process backend. In
-// placement mode it reports the worker health snapshots.
+// ClusterStatus returns the cluster backend's worker health snapshot,
+// or nil when the instance runs the plain in-process backend.
 func (db *DB) ClusterStatus() []ShardStatus {
-	switch b := db.core.Backend().(type) {
-	case *cluster.ShardedBackend:
+	if b, ok := db.core.Backend().(*cluster.Backend); ok {
 		return b.Status()
-	case *cluster.PlacementBackend:
-		sts := b.Status()
-		out := make([]ShardStatus, len(sts))
-		for i, st := range sts {
-			out[i] = st.ShardStatus
-		}
-		return out
 	}
 	return nil
 }
