@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"seedb/internal/engine"
@@ -269,5 +270,46 @@ func TestMaxDeltaKey(t *testing.T) {
 	empty := &ViewData{}
 	if k, _ := empty.MaxDeltaKey(); k != "" {
 		t.Errorf("empty MaxDeltaKey = %q", k)
+	}
+}
+
+// TestDetectRolesFloatOrderIndependent: whether a float column with NaN
+// or ±Inf among its values is offered as a binned dimension, and how
+// wide its bins are, must not depend on where in the table those values
+// sit — the column's range is taken over its finite values.
+func TestDetectRolesFloatOrderIndependent(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	roles := func(vals ...float64) attributeRoles {
+		tb := engine.MustNewTable("f", engine.Schema{
+			{Name: "d", Type: engine.TypeString},
+			{Name: "f", Type: engine.TypeFloat},
+		})
+		for i, v := range vals {
+			if err := tb.AppendRow(engine.String(fmt.Sprint(i%2)), engine.Float(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		opts, _ := DefaultOptions().normalize()
+		opts.MaxGroupsPerDim = 2 // three distinct floats are "continuous"
+		r, err := detectRoles(stats.Collect(tb), tb.Schema(), opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want := roles(1, 2, 3)
+	if want.binWidths["f"] <= 0 {
+		t.Fatalf("f should be a binned dimension of the plain table: %+v", want)
+	}
+	for name, vals := range map[string][]float64{
+		"NaN last":   {1, 3, nan},
+		"NaN first":  {nan, 1, 3},
+		"Inf middle": {1, inf, -inf, 3},
+		"Inf first":  {-inf, inf, 1, 3},
+	} {
+		got := roles(vals...)
+		if fmt.Sprint(got.dims) != fmt.Sprint(want.dims) || got.binWidths["f"] != want.binWidths["f"] {
+			t.Errorf("%s: dims %v widths %v, want %v %v", name, got.dims, got.binWidths, want.dims, want.binWidths)
+		}
 	}
 }

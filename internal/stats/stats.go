@@ -1,15 +1,27 @@
 // Package stats implements SeeDB's Metadata Collector (paper §3.1):
-// per-column statistics (distinct counts, null counts, numeric moments,
+// per-column statistics (distinct counts, null counts, value range,
 // entropy), pairwise correlation between dimension attributes (Cramér's
 // V over contingency tables), and correlation clustering. The pruning
 // strategies in internal/core consume these statistics together with
 // the access-pattern counters kept by the engine catalog.
+//
+// A Collector keeps, per table instance, a typed prefix summary of
+// every column (summary.go) and one contingency table per attribute
+// pair it was asked about (corr.go). Both cover rows [0, n) and are
+// read straight off the columns' backing slices — dictionary codes,
+// int64s, float bits; no boxed value, no formatted label, no string
+// key. Tables are append-only, so a query after an append extends the
+// state by the appended rows alone, in row order, and what it then
+// finalizes is bit for bit what a cold collection over the same rows
+// returns: the counts are equal integers, and every float pass over
+// them (entropy, χ²) runs in an order the rows alone determine. The
+// state is built lazily, inside Stats, Describe and
+// CorrelationClusters only; nothing is computed at registration or
+// append time, and nothing is persisted.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -30,11 +42,11 @@ type ColumnStats struct {
 	Nulls    int
 	Distinct int // distinct non-null values
 
-	// Numeric moments; valid when Type is numeric and Distinct > 0.
-	Min      float64
-	Max      float64
-	Mean     float64
-	Variance float64
+	// Min and Max span the non-null values of an int, float or timestamp
+	// column (timestamps in Unix nanoseconds). A float column's NaN and
+	// ±Inf values are left out; both are 0 when nothing is left.
+	Min float64
+	Max float64
 
 	// Entropy is the Shannon entropy (nats) of the value-frequency
 	// distribution; NormEntropy = Entropy / ln(Distinct) lies in [0,1]
@@ -45,7 +57,7 @@ type ColumnStats struct {
 	NormEntropy float64
 
 	// TopValues holds the most frequent values (up to 5), for the
-	// frontend's per-view metadata pane.
+	// frontend's metadata pane. Only Describe and Collect fill it.
 	TopValues []ValueCount
 }
 
@@ -81,465 +93,153 @@ func (t *TableStats) Column(name string) (*ColumnStats, error) {
 	return c, nil
 }
 
-// valueKey returns a lossless string key for a non-null value.
-// Value.Format truncates timestamps to seconds, which would collapse
-// distinct sub-second values.
-func valueKey(v engine.Value) string {
-	if v.Kind == engine.TypeTime {
-		return fmt.Sprintf("t%d", v.I)
-	}
-	return v.Format()
-}
-
-// Collect computes statistics for every column of the table in one
-// pass per column, under the table's read lock (appends may race).
-func Collect(t *engine.Table) *TableStats {
-	rows := t.NumRows()
-	ts := &TableStats{Table: t.Name(), Rows: rows, Columns: map[string]*ColumnStats{}}
-	t.View(func() {
-		for i := 0; i < t.NumCols(); i++ {
-			col := t.ColumnAt(i)
-			st := newColState()
-			st.extend(col, 0, rows)
-			ts.Columns[col.Name()] = st.finalize(col, rows)
-		}
-	})
-	return ts
-}
-
-// colState is the accumulable form of one column's statistics. The
-// table is append-only, so a state covering rows [0,n) is extended to
-// [0,m) by scanning only [n,m) — and because the running float sums
-// simply CONTINUE in row order, the finalized stats are byte-identical
-// to a fresh full pass, never merely close.
-type colState struct {
-	counts      map[string]int // value label -> count
-	nulls       int
-	sum, sumsq  float64
-	min, max    float64
-	numericSeen int
-}
-
-func newColState() *colState { return &colState{counts: map[string]int{}} }
-
-// extend folds rows [lo,hi) of the column into the state.
-func (s *colState) extend(col engine.Column, lo, hi int) {
-	for row := lo; row < hi; row++ {
-		if col.IsNull(row) {
-			s.nulls++
-			continue
-		}
-		v := col.Value(row)
-		s.counts[valueKey(v)]++
-		if f, ok := v.AsFloat(); ok {
-			if s.numericSeen == 0 || f < s.min {
-				s.min = f
-			}
-			if s.numericSeen == 0 || f > s.max {
-				s.max = f
-			}
-			s.sum += f
-			s.sumsq += f * f
-			s.numericSeen++
-		} else if col.Type() == engine.TypeTime {
-			f := float64(v.I)
-			if s.numericSeen == 0 || f < s.min {
-				s.min = f
-			}
-			if s.numericSeen == 0 || f > s.max {
-				s.max = f
-			}
-			s.numericSeen++
-		}
-	}
-}
-
-// finalize materializes the state as ColumnStats for a table of rows
-// rows.
-func (s *colState) finalize(col engine.Column, rows int) *ColumnStats {
-	cs := &ColumnStats{Name: col.Name(), Type: col.Type(), Rows: rows, Nulls: s.nulls}
-	cs.Distinct = len(s.counts)
-	if s.numericSeen > 0 {
-		cs.Min, cs.Max = s.min, s.max
-	}
-	if s.numericSeen > 0 && col.Type().Numeric() {
-		n := float64(s.numericSeen)
-		cs.Mean = s.sum / n
-		cs.Variance = s.sumsq/n - cs.Mean*cs.Mean
-		if cs.Variance < 0 {
-			cs.Variance = 0
-		}
-	}
-	nonNull := rows - s.nulls
-	if nonNull > 0 {
-		// Entropy depends only on the multiset of counts; summing in
-		// sorted order makes the float accumulation deterministic (map
-		// iteration order is not), so two passes over equal data — cold
-		// or incrementally extended — always agree to the last bit.
-		freqs := make([]int, 0, len(s.counts))
-		for _, c := range s.counts {
-			freqs = append(freqs, c)
-		}
-		sort.Ints(freqs)
-		h := 0.0
-		for _, c := range freqs {
-			p := float64(c) / float64(nonNull)
-			h -= p * math.Log(p)
-		}
-		cs.Entropy = h
-		if cs.Distinct > 1 {
-			cs.NormEntropy = h / math.Log(float64(cs.Distinct))
-		}
-	}
-	// Top values, by count desc then label asc for determinism.
-	top := make([]ValueCount, 0, len(s.counts))
-	for v, c := range s.counts {
-		top = append(top, ValueCount{Value: v, Count: c})
-	}
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].Count != top[j].Count {
-			return top[i].Count > top[j].Count
-		}
-		return top[i].Value < top[j].Value
-	})
-	if len(top) > 5 {
-		top = top[:5]
-	}
-	cs.TopValues = top
-	return cs
-}
-
-// ---------------------------------------------------------------------
-// Correlation
-
-// categoryCodes maps a column's values to dense category codes
-// (-1 for NULL) plus the category count. String columns reuse their
-// dictionary; other types build an ad-hoc dictionary.
-func categoryCodes(col engine.Column) ([]int32, int) {
-	if sc, ok := col.(*engine.StringColumn); ok {
-		return sc.Codes(), sc.Cardinality()
-	}
-	codes := make([]int32, col.Len())
-	index := map[string]int32{}
-	for row := 0; row < col.Len(); row++ {
-		if col.IsNull(row) {
-			codes[row] = -1
-			continue
-		}
-		label := valueKey(col.Value(row))
-		code, ok := index[label]
-		if !ok {
-			code = int32(len(index))
-			index[label] = code
-		}
-		codes[row] = code
-	}
-	return codes, len(index)
-}
-
-// CramersV computes Cramér's V ∈ [0,1] between two columns treated as
-// categorical variables, over rows where both are non-null. V near 1
-// means the attributes are nearly determined by each other (the
-// paper's airport-name / airport-abbreviation example); SeeDB prunes
-// all but one attribute of such a cluster.
-func CramersV(t *engine.Table, a, b string) (float64, error) {
-	ca, err := t.Column(a)
-	if err != nil {
-		return 0, err
-	}
-	cb, err := t.Column(b)
-	if err != nil {
-		return 0, err
-	}
-	var codesA, codesB []int32
-	var cardA, cardB int
-	t.View(func() {
-		codesA, cardA = categoryCodes(ca)
-		codesB, cardB = categoryCodes(cb)
-	})
-	if cardA == 0 || cardB == 0 {
-		return 0, nil
-	}
-	cont := make([]int, cardA*cardB)
-	rowTot := make([]int, cardA)
-	colTot := make([]int, cardB)
-	n := 0
-	for row := 0; row < len(codesA); row++ {
-		i, j := codesA[row], codesB[row]
-		if i < 0 || j < 0 {
-			continue
-		}
-		cont[int(i)*cardB+int(j)]++
-		rowTot[i]++
-		colTot[j]++
-		n++
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	minDim := cardA
-	if cardB < minDim {
-		minDim = cardB
-	}
-	if minDim <= 1 {
-		return 0, nil // degenerate: one side is constant
-	}
-	chi2 := 0.0
-	for i := 0; i < cardA; i++ {
-		if rowTot[i] == 0 {
-			continue
-		}
-		for j := 0; j < cardB; j++ {
-			if colTot[j] == 0 {
-				continue
-			}
-			expected := float64(rowTot[i]) * float64(colTot[j]) / float64(n)
-			d := float64(cont[i*cardB+j]) - expected
-			chi2 += d * d / expected
-		}
-	}
-	v := math.Sqrt(chi2 / (float64(n) * float64(minDim-1)))
-	if v > 1 { // numerical safety
-		v = 1
-	}
-	return v, nil
-}
-
-// CorrelationClusters groups the given columns so that any pair with
-// Cramér's V ≥ threshold lands in the same cluster (transitively, via
-// union-find). Clusters and their members are returned sorted by name
-// for determinism.
-func CorrelationClusters(t *engine.Table, cols []string, threshold float64) ([][]string, error) {
-	parent := make(map[string]string, len(cols))
-	for _, c := range cols {
-		parent[c] = c
-	}
-	var find func(string) string
-	find = func(x string) string {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	union := func(a, b string) { parent[find(a)] = find(b) }
-
-	for i := 0; i < len(cols); i++ {
-		for j := i + 1; j < len(cols); j++ {
-			v, err := CramersV(t, cols[i], cols[j])
-			if err != nil {
-				return nil, err
-			}
-			if v >= threshold {
-				union(cols[i], cols[j])
-			}
-		}
-	}
-	groups := map[string][]string{}
-	for _, c := range cols {
-		root := find(c)
-		groups[root] = append(groups[root], c)
-	}
-	out := make([][]string, 0, len(groups))
-	for _, members := range groups {
-		sort.Strings(members)
-		out = append(out, members)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out, nil
-}
-
-// ---------------------------------------------------------------------
-// Collector: cached table statistics
-
-// Collector caches TableStats and correlation clusterings per table,
-// the way SeeDB's metadata collector amortizes metadata queries across
-// requests. Cache keys are table fingerprints (identity + mutation
-// version), so a mutated or reloaded table — even one reusing a name —
-// is always re-collected.
+// Collector serves table statistics and correlation clusterings from
+// per-table accumulated state, the way SeeDB's metadata collector
+// amortizes metadata queries across requests. State is keyed by table
+// instance (engine.Table.Identity) and tagged with the rows it covers,
+// so a reloaded table — even one reusing a name — starts afresh and an
+// appended one is extended. It lives until Invalidate.
 type Collector struct {
-	mu       sync.Mutex
-	cache    map[string]*TableStats
-	clusters map[string][][]string
-	// states/corr hold accumulable per-table-INSTANCE statistics and
-	// contingency state (see incremental.go): a version bump (append)
-	// extends them by the delta rows instead of re-scanning the table,
-	// with byte-identical results.
-	states map[string]*tableState
-	corr   map[string]*corrState
-	// flights de-duplicates concurrent cold computations per memo key
-	// (singleflight): N clients hitting an empty memo after a restart
-	// must not each run the full table scan / quadratic pair scan.
-	flights map[string]chan struct{}
+	mu     sync.Mutex
+	tables map[string]*tableState
 }
 
-// NewCollector returns an empty stats cache.
+// NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
-		cache:    map[string]*TableStats{},
-		clusters: map[string][][]string{},
-		states:   map[string]*tableState{},
-		corr:     map[string]*corrState{},
-		flights:  map[string]chan struct{}{},
-	}
+	return &Collector{tables: map[string]*tableState{}}
 }
 
-// endFlight unregisters a computation and wakes waiters. Deferred by
-// leaders so a panicking computation cannot wedge the key.
-func (c *Collector) endFlight(key string, ch chan struct{}) {
+// tableState is the accumulated statistics state of one table
+// instance. mu serializes collection: concurrent callers queue behind
+// the first, which leaves them nothing to do.
+type tableState struct {
+	mu    sync.Mutex
+	rows  int                   // rows the summaries cover
+	cols  []colSummary          // by column position
+	pairs map[[2]int]*pairTable // by column positions, in the order asked
+
+	// Finalized forms of the summaries at rows; nil until asked for.
+	stats     *TableStats
+	described *TableStats
+
+	// Cells read so far by summary and by pair extension: the cost model
+	// the tests hold the collector to.
+	cellVisits, pairVisits int
+}
+
+func (c *Collector) stateFor(t *engine.Table) *tableState {
 	c.mu.Lock()
-	delete(c.flights, key)
-	c.mu.Unlock()
-	close(ch)
-}
-
-// flightLoop is the Collector's memoization cycle, shared by Stats and
-// CorrelationClusters: check the memo and register a flight in ONE
-// critical section (so a caller can never become leader for an
-// already-stored key), wait on an existing flight and re-check, or
-// lead the computation. lookup runs with c.mu held; compute runs
-// unlocked and is responsible for storing its result (taking c.mu
-// itself). On leader failure nothing is stored and the next waiter
-// retries the computation.
-func flightLoop[V any](c *Collector, fkey string, lookup func() (V, bool), compute func() (V, error)) (V, error) {
-	for {
-		c.mu.Lock()
-		if v, ok := lookup(); ok {
-			c.mu.Unlock()
-			return v, nil
-		}
-		if ch, ok := c.flights[fkey]; ok {
-			c.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		c.flights[fkey] = ch
-		c.mu.Unlock()
-
-		var v V
-		var err error
-		func() {
-			defer c.endFlight(fkey, ch)
-			v, err = compute()
-		}()
-		return v, err
+	defer c.mu.Unlock()
+	st, ok := c.tables[t.Identity()]
+	if !ok {
+		st = &tableState{cols: make([]colSummary, t.NumCols()), pairs: map[[2]int]*pairTable{}}
+		c.tables[t.Identity()] = st
 	}
+	return st
 }
 
-// maxCollectorEntries bounds each memo map; beyond it the maps are
-// reset wholesale (entries are cheap to recompute relative to view
-// queries, and the bound only trips under heavy table churn).
-const maxCollectorEntries = 256
-
-// Stats returns (computing and caching on first use) the statistics
-// for a table. Concurrent misses on the same key share one collection.
-// A miss caused by an append does NOT re-scan the table: the
-// collector's accumulated per-instance state is extended by the delta
-// rows only (byte-identical to a full recollection — see
-// incremental.go).
-func (c *Collector) Stats(t *engine.Table) *TableStats {
-	key := t.Fingerprint()
-	ts, _ := flightLoop(c, "stats|"+key,
-		func() (*TableStats, bool) { ts, ok := c.cache[key]; return ts, ok },
-		func() (*TableStats, error) {
-			ts := c.tableStateFor(t).extendTo(t, t.NumRows())
-			c.mu.Lock()
-			dropStaleVersions(c.cache, key, func(k string) bool { return k == key })
-			if len(c.cache) >= maxCollectorEntries {
-				c.cache = map[string]*TableStats{}
-			}
-			c.cache[key] = ts
-			c.mu.Unlock()
-			return ts, nil
-		})
-	return ts
+// view runs f on the table's state with the state locked and the
+// table's read lock held, passing the row count read inside that scope:
+// the prefix f extends to, the dictionaries it reads and the row count
+// it reports all describe one version of the table, and a concurrent
+// append can never tear a column mid-scan.
+func (c *Collector) view(t *engine.Table, f func(st *tableState, rows int)) {
+	st := c.stateFor(t)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	t.View(func() {
+		rows := 0
+		if t.NumCols() > 0 {
+			rows = t.ColumnAt(0).Len()
+		}
+		f(st, rows)
+	})
 }
 
-// dropStaleVersions removes memo entries belonging to other versions
-// of the same table instance: fingerprints are "name#id.version", so
-// keys sharing everything up to fp's last '.' belong to the same
-// table, and only those accepted by keep survive. A mutating table
-// therefore holds one generation of metadata at a time instead of
-// growing without bound.
-func dropStaleVersions[V any](m map[string]V, fp string, keep func(key string) bool) {
-	dot := strings.LastIndexByte(fp, '.')
-	if dot < 0 {
+// extend folds rows [st.rows, rows) of every column into the summaries
+// and finalizes them.
+func (st *tableState) extend(t *engine.Table, rows int) {
+	if st.stats != nil && rows == st.rows {
 		return
 	}
-	inst := fp[:dot+1]
-	for k := range m {
-		if strings.HasPrefix(k, inst) && !keep(k) {
-			delete(m, k)
-		}
+	ts := &TableStats{Table: t.Name(), Rows: rows, Columns: make(map[string]*ColumnStats, len(st.cols))}
+	for i := range st.cols {
+		col := t.ColumnAt(i)
+		st.cols[i].extend(col, st.rows, rows)
+		ts.Columns[col.Name()] = st.cols[i].finalize(col, rows)
 	}
+	st.cellVisits += (rows - st.rows) * len(st.cols)
+	st.rows, st.stats, st.described = rows, ts, nil
 }
 
-// CorrelationClusters is the cached form of the package-level
-// function: pairwise Cramér's V is quadratic in attribute count and
-// scans the table per pair, which would otherwise dominate every
-// warm-cache request, so clusterings are memoized against the table
-// fingerprint, threshold, and attribute list. Concurrent misses on the
-// same key share one computation (singleflight).
+// Stats returns the statistics of the table as it stands. The first
+// call on a table summarizes it in one pass per column; a call after an
+// append reads the appended rows only; a call with nothing new returns
+// the previous result. TopValues is not filled: see Describe.
+func (c *Collector) Stats(t *engine.Table) *TableStats {
+	var ts *TableStats
+	c.view(t, func(st *tableState, rows int) {
+		st.extend(t, rows)
+		ts = st.stats
+	})
+	return ts
+}
+
+// Describe is Stats with every column's TopValues filled in, for the
+// metadata pane; the per-query path never formats a value label.
+func (c *Collector) Describe(t *engine.Table) *TableStats {
+	var ts *TableStats
+	c.view(t, func(st *tableState, rows int) {
+		st.extend(t, rows)
+		if st.described == nil {
+			st.described = &TableStats{Table: st.stats.Table, Rows: rows, Columns: make(map[string]*ColumnStats, len(st.cols))}
+			for i := range st.cols {
+				col := t.ColumnAt(i)
+				cs := *st.stats.Columns[col.Name()]
+				cs.TopValues = st.cols[i].topValues(col)
+				st.described.Columns[col.Name()] = &cs
+			}
+		}
+		ts = st.described
+	})
+	return ts
+}
+
+// Collect computes a table's statistics, TopValues included, in one
+// cold pass that keeps no state.
+func Collect(t *engine.Table) *TableStats { return NewCollector().Describe(t) }
+
+// CorrelationClusters groups the given columns so that any pair with
+// Cramér's V ≥ threshold lands in the same cluster (transitively);
+// clusters and their members are returned sorted by name. Pairwise V is
+// quadratic in attribute count, so each pair's contingency table is
+// kept and extended like the column summaries.
 func (c *Collector) CorrelationClusters(t *engine.Table, cols []string, threshold float64) ([][]string, error) {
-	fp := t.Fingerprint()
-	key := fmt.Sprintf("%s|%g|%s", fp, threshold, strings.Join(cols, ","))
-	return flightLoop(c, "clusters|"+key,
-		func() ([][]string, bool) { cl, ok := c.clusters[key]; return cl, ok },
-		func() ([][]string, error) {
-			// Delta-extend the per-pair contingency state instead of
-			// re-scanning the table per pair (see incremental.go).
-			cl, err := c.corrStateFor(t).clustersIncremental(t, cols, threshold)
-			if err != nil {
-				return nil, err
+	var out [][]string
+	var err error
+	c.view(t, func(st *tableState, rows int) {
+		schema, idx := t.Schema(), make([]int, len(cols))
+		for k, name := range cols {
+			if idx[k] = schema.ColumnIndex(name); idx[k] < 0 {
+				_, err = t.Column(name)
+				return
 			}
-			c.mu.Lock()
-			// Cluster keys are "<fp>|<threshold>|<cols>": keep every
-			// key of the current version, drop other versions'.
-			cur := fp + "|"
-			dropStaleVersions(c.clusters, fp, func(k string) bool { return strings.HasPrefix(k, cur) })
-			if len(c.clusters) >= maxCollectorEntries {
-				c.clusters = map[string][][]string{}
-			}
-			c.clusters[key] = cl
-			c.mu.Unlock()
-			return cl, nil
-		})
+		}
+		st.extend(t, rows)
+		out = st.clusters(t, idx, cols, threshold, rows)
+	})
+	return out, err
 }
 
-// Invalidate drops cached stats and clusterings for a table (all
-// tables when name is empty). Fingerprint keying already prevents
-// stale reads; Invalidate just reclaims memory for dropped tables.
+// Invalidate drops the state kept for a table (for every table when
+// name is empty). Keying by table instance already prevents stale
+// reads; Invalidate reclaims the memory of dropped tables.
 func (c *Collector) Invalidate(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if name == "" {
-		c.cache = map[string]*TableStats{}
-		c.clusters = map[string][][]string{}
-		c.states = map[string]*tableState{}
-		c.corr = map[string]*corrState{}
-		return
-	}
-	owns := func(key string) bool {
-		return len(key) > len(name) && key[:len(name)] == name && key[len(name)] == '#'
-	}
-	for key := range c.cache {
-		if owns(key) {
-			delete(c.cache, key)
-		}
-	}
-	for key := range c.clusters {
-		if owns(key) {
-			delete(c.clusters, key)
-		}
-	}
-	for key := range c.states {
-		if owns(key) {
-			delete(c.states, key)
-		}
-	}
-	for key := range c.corr {
-		if owns(key) {
-			delete(c.corr, key)
+	for id := range c.tables {
+		if name == "" || strings.HasPrefix(id, name+"#") {
+			delete(c.tables, id)
 		}
 	}
 }

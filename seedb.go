@@ -296,6 +296,7 @@ func (db *DB) RegisterTable(t *Table) error { return db.cat.Register(t) }
 // when a worker loses ownership of a fragment.
 func (db *DB) DropTable(name string) error {
 	db.cat.Drop(name)
+	db.core.Collector().Invalidate(name)
 	db.durMu.Lock()
 	s := db.durStore
 	db.durMu.Unlock()
@@ -458,6 +459,7 @@ func (db *DB) CloseDurability() error {
 // coordinator's snapshot + WAL tail.
 func (db *DB) ReplaceTable(t *Table) error {
 	db.cat.Drop(t.Name())
+	db.core.Collector().Invalidate(t.Name())
 	if err := db.cat.Register(t); err != nil {
 		return err
 	}
@@ -595,13 +597,14 @@ func (db *DB) DrillDown(ctx context.Context, table string, predicate Predicate, 
 	return db.core.DrillDown(ctx, core.Query{Table: table, Predicate: predicate}, view, label, opts)
 }
 
-// TableStats computes (cached) metadata statistics for a table.
+// TableStats computes (cached) metadata statistics for a table,
+// including each column's most frequent values.
 func (db *DB) TableStats(name string) (*TableStats, error) {
 	t, err := db.cat.Table(name)
 	if err != nil {
 		return nil, err
 	}
-	return db.core.Collector().Stats(t), nil
+	return db.core.Collector().Describe(t), nil
 }
 
 // ExecStats exposes cumulative executor counters (queries, scans, rows
