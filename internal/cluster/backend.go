@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"slices"
 	"strconv"
 	"sync"
@@ -37,8 +39,8 @@ type Config struct {
 	DisableFailover bool
 }
 
-// retries is how many extra attempts a failing owner gets before the
-// task moves on (to the next owner, then the coordinator).
+// retries is how many extra attempts a failing exchange gets before its
+// tasks move on (to their next owners, then the coordinator).
 const retries = 1
 
 // member is one worker plus its health, accounting, and inventory.
@@ -116,17 +118,18 @@ func (m *member) status() ShardStatus {
 }
 
 // Backend is the cluster core.Backend: it cuts every engine query's
-// row window into tasks, runs each on a worker that holds the rows (or,
-// failing that, on the coordinator's own replica), and merges the
-// partials — byte-identical to a single-node scan for every layout and
-// topology, because tasks are cut on the engine's deterministic chunk
-// grid and all float state merges exactly.
+// row window into tasks, sends each worker its tasks in one exchange
+// (what no worker served runs on the coordinator's own replica), and
+// merges the partials in row order — byte-identical to a single-node
+// scan for every layout and topology, because tasks are cut on the
+// engine's deterministic chunk grid and all float state merges exactly.
 //
-// Failure semantics: an owner gets one retry (none for a diverged
-// fragment hash, which is permanent until re-shipped), is then marked
-// unhealthy — skipped until Cooldown passes, then half-opened — and the
-// task moves to its next owner; when none served it the range runs on
-// the coordinator's replica, so queries degrade rather than fail.
+// Failure semantics: an exchange that fails whole gets one retry, then
+// its worker is marked unhealthy — skipped until Cooldown passes, then
+// half-opened — and its tasks move to their next owners; a fragment the
+// worker lacks or holds diverged moves alone, unretried (permanent
+// until re-shipped). What no owner served runs on the coordinator's
+// replica, so queries degrade rather than fail.
 type Backend struct {
 	ex     *engine.Executor
 	cfg    Config
@@ -196,9 +199,9 @@ func (b *Backend) EnableMetrics(reg *obs.Registry) {
 		v          *atomic.Int64
 	}{
 		{"scatters_total", "Queries scatter-gathered across the fleet.", &b.scatters},
-		{"shard_calls_total", "Task executions attempted on workers.", &b.shardCalls},
+		{"shard_calls_total", "Exchanges attempted with workers: one per worker per scan, plus retries and re-cuts.", &b.shardCalls},
 		{"retries_total", "Extra attempts after a worker failure.", &b.retriesN},
-		{"failovers_total", "Tasks degraded to the coordinator's replica (no owner served them).", &b.failovers},
+		{"failovers_total", "Fragments degraded to the coordinator's replica (no owner served them).", &b.failovers},
 		{"mismatches_total", "Fragment content-hash mismatches observed.", &b.mismatches},
 		{"ingest_rows_total", "Rows ingested through the coordinator.", &b.ingestRows},
 		{"rebalances_total", "Rebalance passes run.", &b.rebalances},
@@ -219,7 +222,7 @@ func (b *Backend) EnableMetrics(reg *obs.Registry) {
 			return float64(st.MaxPerWorker) / st.MeanPerWorker
 		})
 	b.rpcSeconds.Store(reg.HistogramVec("seedb_shard_rpc_seconds",
-		"Latency of each task attempt on the worker that served it (coordinator failover not included).",
+		"Latency of each exchange attempt, by worker (coordinator failover not included).",
 		obs.DefBuckets, "shard"))
 }
 
@@ -351,8 +354,11 @@ func (b *Backend) RunSharedScan(ctx context.Context, q *engine.Query, gsets []en
 	return b.scatter(ctx, q, gsets)
 }
 
-// scatter cuts the query's row window into the layout's tasks, runs
-// them all concurrently, and merges the partials in row order.
+// scatter cuts the query's row window into the layout's tasks, routes
+// them — one exchange per worker, the coordinator's replica for what no
+// worker served — and folds the resulting runs in ascending row order.
+// The merge is exact and associative and every fold (a worker's run,
+// this gather) keeps row order, so the bytes are those of one scan.
 func (b *Backend) scatter(ctx context.Context, q *engine.Query, gsets []engine.GroupingSet) ([]*engine.Result, error) {
 	t, err := b.ex.Catalog().Table(q.Table)
 	if err != nil {
@@ -380,31 +386,19 @@ func (b *Backend) scatter(ctx context.Context, q *engine.Query, gsets []engine.G
 	}
 
 	b.scatters.Add(1)
-	outs := make([][]*engine.Partial, len(tasks))
-	errs := make([]error, len(tasks))
-	var wg sync.WaitGroup
-	for i, tk := range tasks {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs[i], errs[i] = b.execTask(ctx, t, q, gsets, tk, len(tasks))
-		}()
+	runs, err := b.route(ctx, t, q, gsets, tasks)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	slices.SortFunc(runs, func(x, y ShardRun) int { return cmp.Compare(x.Lo, y.Lo) })
+	merged := runs[0].Partials
+	if len(runs) > 1 {
+		parts := make([][]*engine.Partial, len(runs))
+		for i, r := range runs {
+			parts[i] = r.Partials
 		}
-	}
-
-	// Gather: merge in ascending row order — exact state, so order does
-	// not change the bytes, but fixed keeps the path deterministic.
-	merged := outs[0]
-	for _, out := range outs[1:] {
-		for s, p := range out {
-			if err := merged[s].Merge(p); err != nil {
-				return nil, err
-			}
+		if merged, err = engine.MergePartials(parts); err != nil {
+			return nil, err
 		}
 	}
 	results := make([]*engine.Result, len(merged))
@@ -414,91 +408,212 @@ func (b *Backend) scatter(ctx context.Context, q *engine.Query, gsets []engine.G
 	return results, nil
 }
 
-// execTask runs one task on its owners in order and, when none served
-// it, on the coordinator's replica. Owners that are cooling down or
-// known not to hold the fragment are skipped without blame.
-func (b *Backend) execTask(ctx context.Context, t *engine.Table, q *engine.Query, gsets []engine.GroupingSet, tk task, nTasks int) ([]*engine.Partial, error) {
-	span := obs.TraceFrom(ctx).StartSpan("shard-exec").
-		SetAttr("fragment", tk.frag.name).
-		SetAttr("rows", strconv.Itoa(tk.lo)+":"+strconv.Itoa(tk.hi))
-	defer span.Finish()
-
-	var lastErr error
-	queryFault := false
-	for _, m := range tk.owners {
-		if !m.usable(b.cfg.Cooldown) {
-			lastErr = fmt.Errorf("cluster: worker %s is cooling down after failure", m.w.ID())
-			continue
-		}
-		if _, held := m.hold(tk.frag.name); !held {
-			lastErr = fmt.Errorf("cluster: worker %s does not hold fragment %s", m.w.ID(), tk.frag.name)
-			continue
-		}
-		ps, err := b.execOnOwner(ctx, m, t, q, gsets, tk)
-		if err == nil {
-			span.SetAttr("shard", m.w.ID())
-			return ps, nil
-		}
-		if ctx.Err() != nil {
-			return nil, err // cancelled, not a worker fault
-		}
-		lastErr = err
-		var qf *queryFaultError
-		if queryFault = errors.As(err, &qf); queryFault {
-			break // no owner can do better
-		}
+// route gets every task served and returns the runs (table row
+// coordinates, any order). Each round assigns the pending tasks to
+// workers and runs one exchange per worker, all concurrently; a task a
+// worker failed goes into the next round, on its next owner. Tasks left
+// without a candidate, and tasks that failed by the query's own doing,
+// run on the coordinator's replica, which covers every range.
+func (b *Backend) route(ctx context.Context, t *engine.Table, q *engine.Query, gsets []engine.GroupingSet, tasks []task) ([]ShardRun, error) {
+	pending := make([]*task, len(tasks))
+	for i := range tasks {
+		pending[i] = &tasks[i]
+		pending[i].owned = len(tasks[i].owners) > 0
 	}
-	if len(tk.owners) > 0 {
-		if b.cfg.DisableFailover && !queryFault {
-			return nil, fmt.Errorf("cluster: fragment %s failed for rows [%d,%d): %w", tk.frag.name, tk.lo, tk.hi, lastErr)
+	var local []*task
+	req, err := EncodeShardRequest(q, gsets, "", 0, 0, q.Parallelism)
+	if err != nil {
+		// Not distributable (e.g. a predicate with no SQL wire form).
+		for _, tk := range pending {
+			tk.err, tk.fault = err, true
+		}
+		local, pending = pending, nil
+	}
+	want := max(len(gsets), 1)
+	var runs []ShardRun
+	for len(pending) > 0 {
+		plan, idle := b.assign(pending)
+		local = append(local, idle...)
+		outs := make([]exchangeOut, len(plan))
+		var wg sync.WaitGroup
+		for i, x := range plan {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs[i] = b.exchange(ctx, x.m, t, q, *req, x.tasks, want)
+			}()
+		}
+		wg.Wait()
+		pending = nil
+		for i, out := range outs {
+			if out.err != nil {
+				return nil, out.err // cancelled, not a worker fault
+			}
+			runs = append(runs, out.runs...)
+			for _, tk := range out.failed {
+				if tk.fault {
+					local = append(local, tk) // no owner can do better
+					continue
+				}
+				// Next round, without the worker that just failed it.
+				tk.owners = slices.DeleteFunc(slices.Clone(tk.owners), func(m *member) bool { return m == plan[i].m })
+				pending = append(pending, tk)
+			}
+		}
+		slices.SortFunc(pending, func(x, y *task) int { return cmp.Compare(x.lo, y.lo) })
+	}
+
+	for _, tk := range local {
+		if !tk.owned {
+			continue // a zero-worker backend's own range, not a failover
+		}
+		if b.cfg.DisableFailover && !tk.fault {
+			return nil, fmt.Errorf("cluster: fragment %s failed for rows [%d,%d): %w", tk.frag.name, tk.lo, tk.hi, tk.err)
 		}
 		b.failovers.Add(1)
 	}
-	// The coordinator's replica covers every range. The scan gets this
-	// task's fair share of the parallelism, so a mass failover (every
-	// task landing here at once) uses one machine's worth of workers,
-	// not nTasks × Parallelism. No wire round-trip: predicates with no
-	// SQL form are perfectly runnable here.
-	span.SetAttr("shard", "coordinator")
-	sub := *q
-	sub.RowLo, sub.RowHi = tk.lo, tk.hi
-	sub.Parallelism = max(q.Parallelism/nTasks, 1)
-	sub.OrderBy, sub.Limit = nil, 0 // ordering is applied after the merge
-	return b.ex.RunPartials(ctx, &sub, gsets)
+	// Each local scan gets its fair share of the parallelism, so a mass
+	// failover uses one machine's worth of workers. No wire round-trip:
+	// predicates with no SQL form are perfectly runnable here.
+	out := make([]ShardRun, len(local))
+	errs := make([]error, len(local))
+	var wg sync.WaitGroup
+	for i, tk := range local {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			span := obs.TraceFrom(ctx).StartSpan("shard-exec").SetAttr("shard", "coordinator").
+				SetAttr("fragment", tk.frag.name).SetAttr("rows", strconv.Itoa(tk.lo)+":"+strconv.Itoa(tk.hi))
+			defer span.Finish()
+			sub := *q
+			sub.RowLo, sub.RowHi = tk.lo, tk.hi
+			sub.Parallelism = max(q.Parallelism/len(local), 1)
+			sub.OrderBy, sub.Limit = nil, 0 // ordering is applied after the merge
+			out[i] = ShardRun{Lo: tk.lo, Hi: tk.hi}
+			out[i].Partials, errs[i] = b.ex.RunPartials(ctx, &sub, gsets)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return append(runs, out...), nil
 }
 
-// execOnOwner encodes the task as a fragment-local shard request and
-// runs it on one owner, with one retry. Rows are rebased to the
-// fragment (whose row 0 is absolute row frag.lo) and SampleBase is
-// advanced by the same offset, so the worker's scan is positionally
-// indistinguishable from the same rows of a whole-table scan. A
-// queryFaultError blames nobody; any other error has already been
-// charged to the owner's health.
-func (b *Backend) execOnOwner(ctx context.Context, m *member, t *engine.Table, q *engine.Query, gsets []engine.GroupingSet, tk task) ([]*engine.Partial, error) {
-	hash, err := tk.frag.hash()
-	if err != nil {
-		return nil, &queryFaultError{err: err}
-	}
-	req, err := EncodeShardRequest(q, gsets, hash, tk.lo-tk.frag.lo, tk.hi-tk.frag.lo, q.Parallelism)
-	if err != nil {
-		// Not distributable (e.g. a predicate with no SQL wire form).
-		return nil, &queryFaultError{err: err}
-	}
-	req.Table = tk.frag.name
-	req.SampleBase = q.SampleBase + tk.frag.lo
-	want := max(len(gsets), 1)
-
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			b.retriesN.Add(1)
+// assign gives each pending task (row order) to one usable worker that
+// holds its fragment: the previous task's worker while that is also a
+// candidate here and below its fair share — so a worker's tasks form
+// long row-adjacent runs it can pre-merge — else the least-loaded
+// candidate, ties to ring order. Deterministic for a given fleet state.
+// idle tasks have no candidate; owners that are cooling down or known
+// not to hold the fragment are skipped without blame.
+func (b *Backend) assign(tasks []*task) (plan []exchangePlan, idle []*task) {
+	usable := map[*member]bool{}
+	n := 0
+	for _, m := range b.members() {
+		if usable[m] = m.usable(b.cfg.Cooldown); usable[m] {
+			n++
 		}
-		if err = ctx.Err(); err != nil {
-			return nil, err
+	}
+	share := (len(tasks) + n - 1) / max(n, 1)
+	by := map[*member]*exchangePlan{}
+	var order []*exchangePlan // first-candidacy order
+	var prev *exchangePlan
+	for _, tk := range tasks {
+		var pick *exchangePlan
+		for _, m := range tk.owners {
+			if !usable[m] {
+				tk.err = fmt.Errorf("cluster: worker %s is cooling down after failure", m.w.ID())
+				continue
+			}
+			if _, held := m.hold(tk.frag.name); !held {
+				tk.err = fmt.Errorf("cluster: worker %s does not hold fragment %s", m.w.ID(), tk.frag.name)
+				continue
+			}
+			x := by[m]
+			if x == nil {
+				x = &exchangePlan{m: m}
+				by[m] = x
+				order = append(order, x)
+			}
+			if x == prev && len(x.tasks) < share {
+				pick = x
+				break
+			}
+			if pick == nil || len(x.tasks) < len(pick.tasks) {
+				pick = x
+			}
+		}
+		if prev = pick; pick == nil {
+			idle = append(idle, tk)
+			continue
+		}
+		pick.tasks = append(pick.tasks, tk)
+	}
+	for _, x := range order {
+		// One request per worker, short of the protocol's bound.
+		for part := range slices.Chunk(x.tasks, MaxExchangeFragments) {
+			plan = append(plan, exchangePlan{m: x.m, tasks: part})
+		}
+	}
+	return plan, idle
+}
+
+// exchangePlan is one worker's share of a round; exchangeOut what came
+// of it: the runs it served, the tasks it did not (their err and fault
+// say why), and err only when the scatter's context ended.
+type exchangePlan struct {
+	m     *member
+	tasks []*task
+}
+
+type exchangeOut struct {
+	runs   []ShardRun
+	failed []*task
+	err    error
+}
+
+// exchange sends m its tasks as one request, with one retry. Rows are
+// rebased to each fragment (whose row 0 is absolute row frag.lo) and
+// SampleBase is advanced by the same offset, so the worker's scan is
+// positionally indistinguishable from the same rows of a whole-table
+// scan. A failed task with fault set blames nobody; any other failure
+// has been charged to m's health.
+func (b *Backend) exchange(ctx context.Context, m *member, t *engine.Table, q *engine.Query, req ShardRequest, tasks []*task, want int) (out exchangeOut) {
+	span := obs.TraceFrom(ctx).StartSpan("shard-exec").SetAttr("shard", m.w.ID()).
+		SetAttr("fragments", strconv.Itoa(len(tasks))).
+		SetAttr("rows", strconv.Itoa(tasks[0].lo)+":"+strconv.Itoa(tasks[len(tasks)-1].hi))
+	defer span.Finish()
+
+	req.Fragments = nil
+	var sent []*task
+	for _, tk := range tasks {
+		if tk.hash == "" {
+			if tk.hash, tk.err = tk.frag.hash(); tk.err != nil {
+				tk.fault = true
+				out.failed = append(out.failed, tk)
+				continue
+			}
+		}
+		sent = append(sent, tk)
+		req.Fragments = append(req.Fragments, ShardFragment{Table: tk.frag.name, ContentHash: tk.hash,
+			SampleBase: q.SampleBase + tk.frag.lo, RowLo: tk.lo - tk.frag.lo, RowHi: tk.hi - tk.frag.lo})
+	}
+	if len(sent) == 0 {
+		return out
+	}
+
+	var resp *ShardResponse
+	for attempt := 0; ; attempt++ {
+		if out.err = ctx.Err(); out.err != nil {
+			return out
 		}
 		b.shardCalls.Add(1)
 		t0 := time.Now()
-		var resp *ShardResponse
-		resp, err = m.w.ExecPartials(ctx, req)
+		var err error
+		resp, err = m.w.ExecPartials(ctx, &req)
 		d := time.Since(t0)
 		m.mu.Lock()
 		m.execs++
@@ -507,40 +622,63 @@ func (b *Backend) execOnOwner(ctx context.Context, m *member, t *engine.Table, q
 		if h := b.rpcSeconds.Load(); h != nil {
 			h.With(m.w.ID()).Observe(d.Seconds())
 		}
-		if err == nil && len(resp.Partials) != want {
-			err = fmt.Errorf("cluster: worker %s returned %d partials, want %d", m.w.ID(), len(resp.Partials), want)
-		}
 		if err == nil {
-			m.markHealthy()
-			return resp.Partials, nil
+			if err = checkResponse(resp, req.Fragments, want); err == nil {
+				break
+			}
+			err = fmt.Errorf("cluster: worker %s: %w", m.w.ID(), err)
 		}
 		if ctx.Err() != nil {
-			return nil, err
+			out.err = err
+			return out
 		}
 		var qf *queryFaultError
-		if errors.As(err, &qf) {
-			return nil, err
+		if fault := errors.As(err, &qf); fault || attempt == retries {
+			if !fault {
+				m.markFailure()
+			}
+			for _, tk := range sent {
+				tk.err, tk.fault = err, fault
+			}
+			out.failed = append(out.failed, sent...)
+			return out
 		}
-		var mm *FingerprintMismatchError
-		if errors.As(err, &mm) {
-			// A 409 means the worker's fragment really diverged, or an
-			// ingest landed between our hash and the worker running
-			// the request (the worker is AHEAD, not wrong). Re-derive
-			// the fragment: if our own hash moved it is version skew
-			// from a racing append — re-plan locally, blame nobody.
+		b.retriesN.Add(1)
+	}
+
+	for _, r := range resp.Runs {
+		out.runs = append(out.runs, ShardRun{Lo: r.Lo - q.SampleBase, Hi: r.Hi - q.SampleBase, Partials: r.Partials})
+	}
+	blame := false
+	for _, st := range resp.Failed {
+		tk := sent[st.Fragment]
+		tk.err = fmt.Errorf("cluster: worker %s: %s", m.w.ID(), st.Error)
+		out.failed = append(out.failed, tk)
+		if st.Status == http.StatusConflict {
+			// The worker's fragment really diverged, or an ingest landed
+			// between our hash and the worker running the request (the
+			// worker is AHEAD, not wrong). Re-derive the fragment: if our
+			// own hash moved it is version skew from a racing append —
+			// re-plan locally, blame nobody.
+			tk.err = &FingerprintMismatchError{Shard: m.w.ID(), Table: tk.frag.name, Want: tk.hash, Got: st.ContentHash}
 			if cur := b.layout.fragments(t, t.NumRows(), tk.frag.lo, tk.frag.lo+1); len(cur) == 1 {
-				if now, herr := cur[0].hash(); herr == nil && now != hash {
-					return nil, &queryFaultError{err: fmt.Errorf("cluster: table %q mutated mid-scatter: %w", q.Table, err)}
+				if now, herr := cur[0].hash(); herr == nil && now != tk.hash {
+					tk.err, tk.fault = fmt.Errorf("cluster: table %q mutated mid-scatter: %w", q.Table, tk.err), true
+					continue
 				}
 			}
-			// Permanent for this owner until re-shipped: no retry.
 			b.mismatches.Add(1)
-			m.setHold(tk.frag.name, "")
-			break
 		}
+		// Lost or diverged: permanent for this owner until re-shipped.
+		m.setHold(tk.frag.name, "")
+		blame = true
 	}
-	m.markFailure()
-	return nil, err
+	if blame {
+		m.markFailure()
+	} else {
+		m.markHealthy()
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------
@@ -796,7 +934,7 @@ func (b *Backend) shipFragment(ctx context.Context, m *member, t *engine.Table, 
 // Introspection
 
 // ShardStatus is one worker's health and accounting snapshot. Execs
-// and AvgMillis count every task attempt made on the worker (what
+// and AvgMillis count every exchange attempted with the worker (what
 // seedb_shard_rpc_seconds observes); Fragments is its verified
 // inventory (0 while never taken).
 type ShardStatus struct {
@@ -849,9 +987,11 @@ type Stats struct {
 	MaxPerWorker    int     `json:"maxPerWorker"`
 	MeanPerWorker   float64 `json:"meanPerWorker"`
 	Scatters        int64   `json:"scatters"`
-	// ShardCalls counts task attempts made on workers; RangeCalls is
-	// the same number under its old placement-backend name, kept only
-	// until the frozen benchmark/ stops reading it.
+	// ShardCalls counts exchanges attempted with workers — one per worker
+	// per scan, plus retries and re-cuts — while Failovers and Mismatches
+	// count fragments; RangeCalls is ShardCalls under its old
+	// placement-backend name, kept only until the frozen benchmark/ stops
+	// reading it.
 	ShardCalls       int64 `json:"shardCalls"`
 	RangeCalls       int64 `json:"rangeCalls"`
 	Retries          int64 `json:"retries"`

@@ -32,12 +32,18 @@ func (f fragment) extract(t *engine.Table) (*engine.Table, error) {
 	return t.ExtractRange(f.name, f.lo, f.hi)
 }
 
-// task is one unit of a scatter: rows [lo,hi) of frag, tried on owners
-// in order and then on the coordinator's replica.
+// task is one unit of a scatter: rows [lo,hi) of frag, served by one of
+// owners or else by the coordinator's replica.
 type task struct {
 	frag   fragment
-	lo, hi int // absolute rows to scan, within frag
-	owners []*member
+	lo, hi int       // absolute rows to scan, within frag
+	owners []*member // candidates not yet tried, in ring order
+
+	// Routing state (Backend.route).
+	owned bool   // had owners when cut: running it locally is a failover
+	hash  string // frag's expected content hash, once a worker is asked
+	err   error  // why the last candidate (or the lack of one) did not serve it
+	fault bool   // err is the query's doing: no worker can do better
 }
 
 // fleet is the backend's membership, guarded by Backend.mu. Layout

@@ -112,3 +112,51 @@ func TestNonFiniteMeasuresCrossTheWire(t *testing.T) {
 		t.Fatalf("placed query was not answered by the workers: %+v", c)
 	}
 }
+
+// TestNegativeZeroExtremeCrossesTheWire: a MIN (or MAX) that is −0 used
+// to leave the worker as an omitted JSON number and arrive as +0 — one
+// bit off solo. Two HTTP workers, the −0 in the second one's range.
+func TestNegativeZeroExtremeCrossesTheWire(t *testing.T) {
+	ctx := context.Background()
+	table := func() *engine.Table {
+		tab := engine.MustNewTable("nz", engine.Schema{{Name: "m", Type: engine.TypeFloat}})
+		l := tab.StartLoad()
+		m := l.Column(0).(*engine.FloatColumn)
+		for i := 0; i < 3000; i++ {
+			m.AppendFloat(float64(1 + i%7))
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.AppendRow(engine.Float(math.Copysign(0, -1))); err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	coord := seedb.Open()
+	if err := coord.RegisterTable(table()); err != nil {
+		t.Fatal(err)
+	}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		hs, wdb := startEmptyWorker(t)
+		if err := wdb.RegisterTable(table()); err != nil {
+			t.Fatal(err)
+		}
+		urls = append(urls, hs.URL)
+	}
+	b := coord.ShardRemote(urls, 10*time.Second, seedb.ClusterConfig{})
+	q := &engine.Query{Table: "nz", Aggs: []engine.AggSpec{{Func: engine.AggMin, Column: "m"}, {Func: engine.AggMax, Column: "m", Filter: engine.Compare("m", engine.OpLt, engine.Float(1))}}}
+	res, err := b.Run(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range res.Rows[0] {
+		if v.F != 0 || !math.Signbit(v.F) {
+			t.Fatalf("aggregate %d = %v (bits %x), want -0", i, v.F, math.Float64bits(v.F))
+		}
+	}
+	if c := b.Counters(); c.ShardCalls != 2 || c.Failovers != 0 {
+		t.Fatalf("the query was not answered by the workers: %+v", c)
+	}
+}

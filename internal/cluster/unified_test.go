@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"regexp"
 	"strings"
@@ -168,12 +169,7 @@ func TestQueryFaultRunsLocallyDespiteDisableFailover(t *testing.T) {
 
 		// A worker fault, by contrast, IS surfaced.
 		for _, m := range members {
-			m.SetGate(func(op string) error {
-				if op == "exec" {
-					return errKilled
-				}
-				return nil
-			})
+			m.SetGate(killExec)
 		}
 		q.Where = engine.Eq("category", engine.String("Furniture"))
 		if _, err := b.Run(ctx, q); err == nil || !strings.Contains(err.Error(), "failed for rows") {
@@ -191,12 +187,7 @@ var rpcCountRe = regexp.MustCompile(`(?m)^seedb_shard_rpc_seconds_count\{shard="
 func TestRPCHistogramObservesAttemptsPerWorker(t *testing.T) {
 	ctx := context.Background()
 	bothLayouts(t, 1000, 1, seedb.ClusterConfig{Cooldown: time.Hour}, func(t *testing.T, db *seedb.DB, b *seedb.ClusterBackend, members []*seedb.MemberShard) {
-		members[0].SetGate(func(op string) error {
-			if op == "exec" {
-				return errKilled
-			}
-			return nil
-		})
+		members[0].SetGate(killExec)
 		q := &engine.Query{Table: "orders", GroupBy: []string{"region"}, Aggs: []engine.AggSpec{{Func: engine.AggCount}}}
 		if _, err := b.Run(ctx, q); err != nil {
 			t.Fatal(err)
@@ -272,11 +263,76 @@ type layoutCase struct {
 	rf   int // 0 = replicated
 }
 
+// canaryTable is the row-order canary: MIN/MAX keep the FIRST of −0/+0
+// they meet (the two compare equal), so a fold that puts a later row
+// range before an earlier one flips a sign bit. Group "edge" holds
+// alternating −0/+0 on both sides of every 1024-row edge (a chunk edge,
+// and a fragment edge at one chunk per placement) and mid-chunk, in a
+// measure whose other values are positive (lo: MIN is the first zero)
+// and one whose other values are negative (hi: MAX is); group "nan"
+// meets a NaN on one edge; the rest is order-sensitive float noise.
+func canaryTable(t *testing.T, rng *rand.Rand) *engine.Table {
+	t.Helper()
+	tab := engine.MustNewTable("canary", engine.Schema{
+		{Name: "g", Type: engine.TypeString},
+		{Name: "lo", Type: engine.TypeFloat},
+		{Name: "hi", Type: engine.TypeFloat},
+	})
+	rows := 4*1024 + 1 + rng.IntN(2000)
+	zero := math.Copysign(0, float64(rng.IntN(2)*2-1))
+	nanRow := (1+rng.IntN(4))*1024 - rng.IntN(2)
+	l := tab.StartLoad()
+	g, lo, hi := l.Column(0).(*engine.StringColumn), l.Column(1).(*engine.FloatColumn), l.Column(2).(*engine.FloatColumn)
+	for i := 0; i < rows; i++ {
+		noise := float64(1+rng.IntN(100000)) / 100
+		switch at := i % 1024; {
+		case i == nanRow:
+			g.AppendString("nan")
+			lo.AppendFloat(math.NaN())
+			hi.AppendFloat(-noise)
+		case at == 1023 || at == 0 || at == 511 || at == 512:
+			g.AppendString("edge")
+			lo.AppendFloat(zero)
+			hi.AppendFloat(-zero)
+			zero = -zero
+		default:
+			g.AppendString([]string{"edge", "nan", "a", "b"}[rng.IntN(4)])
+			lo.AppendFloat(noise)
+			hi.AppendFloat(-noise)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+var canaryQuery = engine.Query{Table: "canary", GroupBy: []string{"g"}, Parallelism: 2, Aggs: []engine.AggSpec{
+	{Func: engine.AggMin, Column: "lo"}, {Func: engine.AggMax, Column: "hi"},
+	{Func: engine.AggMax, Column: "lo"}, {Func: engine.AggMin, Column: "hi"},
+	{Func: engine.AggSum, Column: "lo"}, {Func: engine.AggAvg, Column: "hi"},
+}}
+
+// renderBits renders a result's floats as bit patterns, so −0 ≠ +0.
+func renderBits(res *engine.Result) string {
+	var sb strings.Builder
+	for _, row := range res.Rows {
+		sb.WriteString(row[0].S)
+		for _, v := range row[1:] {
+			fmt.Fprintf(&sb, " %x", math.Float64bits(v.F))
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
 // TestLayoutEquivalence: for workers {1,2,4}, replicated ≡ placed rf 1
 // ≡ placed rf 2 ≡ placed rf N ≡ solo bytes — before and after an append
 // that straddles a placement boundary, and again with one worker gated
-// off. In-process members only. Inputs are seeded; a failure prints the
-// seed.
+// off; and the row-order canary's MIN/MAX/SUM/AVG bits ≡ solo under
+// every assignment the router can be pushed into: random workers
+// gated, random fragments missing from random workers. In-process
+// members only. Inputs are seeded; a failure prints the seed.
 func TestLayoutEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []uint64{1, 2} {
@@ -289,6 +345,15 @@ func TestLayoutEquivalence(t *testing.T) {
 			[]string{"Furniture", "Technology", "Office Supplies"}[rng.IntN(3)])
 
 		solo := newDB(t, rows)
+		canary := canaryTable(t, rng)
+		if err := solo.RegisterTable(canary); err != nil {
+			t.Fatal(err)
+		}
+		canaryRes, err := solo.Backend().Run(ctx, &canaryQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCanary := renderBits(canaryRes)
 		var want [2]string
 		for stage := range want {
 			if stage == 1 {
@@ -329,6 +394,51 @@ func TestLayoutEquivalence(t *testing.T) {
 				if c := b.Counters(); c.Failovers != 0 || c.Mismatches != 0 || c.Retries != 0 || c.ShardCalls == 0 {
 					t.Fatalf("%s: healthy fleet degraded or idle: %+v", name, c)
 				}
+
+				// The canary joins late: a rebalance ships it. Each trial
+				// heals the fleet, then breaks it at random.
+				if err := db.RegisterTable(canary.Clone("canary")); err != nil {
+					t.Fatal(err)
+				}
+				for trial := 0; trial < 4; trial++ {
+					for _, m := range members {
+						m.SetGate(nil)
+					}
+					b.HealthCheck(ctx)
+					if rep, err := b.Rebalance(ctx); err != nil || len(rep.Errors) != 0 {
+						t.Fatalf("%s: rebalance: %v %+v", name, err, rep)
+					}
+					broken := ""
+					for _, m := range members {
+						if trial > 0 && rng.IntN(3) == 0 {
+							m.SetGate(killExec)
+							broken += " gated:" + m.ID()
+						}
+						var held []string
+						for _, f := range m.Catalog().TableNames() {
+							if strings.HasPrefix(f, "canary") {
+								held = append(held, f)
+							}
+						}
+						for k := rng.IntN(3); trial > 0 && k > 0 && len(held) > 0; k-- {
+							f := held[rng.IntN(len(held))]
+							m.Catalog().Drop(f) // behind the coordinator's back: a 404 mid-exchange
+							broken += " dropped:" + m.ID() + "/" + f
+						}
+					}
+					res, err := b.Run(ctx, &canaryQuery)
+					if err != nil {
+						t.Fatalf("%s canary trial %d (%s): %v", name, trial, broken, err)
+					}
+					if got := renderBits(res); got != wantCanary {
+						t.Fatalf("%s canary trial %d (broken:%s): bits differ from solo — a fold left row order:\n%s\nvs\n%s", name, trial, broken, got, wantCanary)
+					}
+				}
+
+				for _, m := range members {
+					m.SetGate(nil)
+				}
+				b.HealthCheck(ctx)
 				members[rng.IntN(n)].SetGate(func(string) error { return errKilled })
 				check("one worker down", want[1])
 			}

@@ -5,15 +5,16 @@
 //
 // One backend, two layouts. Mechanism exists once, in Backend: worker
 // health (fail, cool down, half-open), the scatter (cut the window into
-// tasks, try each task's owners with one retry, sort failures into
-// query faults and worker faults, fail over to the coordinator's own
-// replica, merge in row order), ingest (append through the durability
-// seam, then per touched fragment per owner forward the delta or ship
-// whole, verifying the hash), rebalance (ship what an owner lacks, drop
-// what a worker no longer owns) and the status/metrics surface. Policy
-// lives behind the unexported layout interface, which answers only:
-// which fragments cover these rows, who owns each, and how is a query's
-// window cut into tasks.
+// tasks, assign each to one live owner that holds it, send every worker
+// its tasks in ONE exchange, re-cut only what failed onto the next
+// owners, sort failures into query faults and worker faults, fail over
+// to the coordinator's own replica, fold the runs in row order), ingest
+// (append through the durability seam, then per touched fragment per
+// owner forward the delta or ship whole, verifying the hash), rebalance
+// (ship what an owner lacks, drop what a worker no longer owns) and the
+// status/metrics surface. Policy lives behind the unexported layout
+// interface, which answers only: which fragments cover these rows, who
+// owns each, and how is a query's window cut into tasks.
 //
 //   - replicated (Config.Replication == 0): every worker holds every
 //     table whole, under its own name; the WORK is partitioned — one
@@ -24,18 +25,22 @@
 //     consistent-hash ring assigns each to Replication workers, and a
 //     worker holds an owned placement as a private fragment table
 //     (FragmentName) — no worker needs RAM for the whole table. One
-//     task per placement, owners tried in ring order.
+//     task per placement; a worker's tasks travel together.
 //
 // A fragment is (name on the worker, source rows [lo,hi), content
-// hash); a whole table is the fragment with lo = 0. Every request is
-// (fragment name, fragment hash, rows rebased by lo, SampleBase + lo),
-// so the worker's scan is positionally indistinguishable from the same
-// rows of a whole-table scan: fragments start on the engine's absolute
-// 1024-row grid, partials carry no positions and merge exactly, and
-// sampling is re-anchored. Workers are plain seedb servers
-// (/api/shard/*, /api/ingest) or in-process MemberShards; the
+// hash); a whole table is the fragment with lo = 0. An exchange carries
+// the query once and, per fragment, (name, hash, rows rebased by lo,
+// SampleBase + lo), so each scan is positionally indistinguishable from
+// the same rows of a whole-table scan: fragments start on the engine's
+// absolute 1024-row grid, partials carry no positions and merge
+// exactly, and sampling is re-anchored. The worker verifies every
+// fragment's hash and folds each run of row-adjacent fragments into one
+// partial per grouping set before answering — a partial's size is set
+// by the groups, not the rows, so this is what keeps a placed scan from
+// shipping the whole result once per placement. Workers are plain seedb
+// servers (/api/shard/*, /api/ingest) or in-process MemberShards; the
 // coordinator keeps the authoritative full replica — ingest entry point
-// and degraded path — and verifies the fragment hash on every exchange.
+// and degraded path.
 package cluster
 
 import (
@@ -57,29 +62,46 @@ const (
 	MaxWireBytes = 64 << 20
 )
 
-// ShardRequest is the wire form of one shard's slice of an engine
-// query: everything a worker needs to run RunPartials over [RowLo,
-// RowHi) of its table replica. Predicates travel as SQL text (the
-// same dialect the analyst front door parses).
+// ShardRequest is the wire form of one exchange: the engine query's
+// predicate, sampling and grouping sets once, plus every fragment this
+// worker is to scan for it. Predicates travel as SQL text (the same
+// dialect the analyst front door parses).
 type ShardRequest struct {
-	Table string `json:"table"`
-	// ContentHash pins the table data the coordinator planned against
-	// (engine.Table.ContentHash — equal data hashes equal across
-	// processes); a worker whose replica differs must refuse (HTTP
-	// 409), which the coordinator treats as permanent worker failure.
-	ContentHash    string  `json:"contentHash,omitempty"`
 	WhereSQL       string  `json:"where,omitempty"`
 	SampleFraction float64 `json:"sampleFraction,omitempty"`
 	SampleSeed     uint64  `json:"sampleSeed,omitempty"`
-	// SampleBase is the absolute row index the target table's row 0
-	// maps to (engine.Query.SampleBase), advanced by the fragment's lo
-	// so sampled scans pick exactly the rows a single-node scan would.
-	SampleBase  int                `json:"sampleBase,omitempty"`
-	RowLo       int                `json:"rowLo"`
-	RowHi       int                `json:"rowHi"`
+	// Parallelism is the budget for the whole exchange; the worker
+	// spreads it across the fragments.
 	Parallelism int                `json:"parallelism,omitempty"`
 	Sets        []ShardGroupingSet `json:"sets"`
+	// Fragments lists the scans in ascending row order, disjoint, at
+	// most MaxExchangeFragments of them.
+	Fragments []ShardFragment `json:"fragments"`
 }
+
+// ShardFragment is one scan of an exchange: rows [RowLo,RowHi) of a
+// worker-side table.
+type ShardFragment struct {
+	Table string `json:"table"`
+	// ContentHash pins the data the coordinator planned against
+	// (engine.Table.ContentHash — equal data hashes equal across
+	// processes); a worker whose copy differs refuses the fragment
+	// (status 409 in ShardResponse.Failed).
+	ContentHash string `json:"contentHash,omitempty"`
+	// SampleBase is the absolute row index the table's row 0 maps to
+	// (engine.Query.SampleBase advanced by the fragment's lo), so
+	// sampled scans pick exactly the rows a single-node scan would.
+	SampleBase int `json:"sampleBase,omitempty"`
+	RowLo      int `json:"rowLo"`
+	RowHi      int `json:"rowHi"`
+}
+
+// Span is where the scan sits in the query's absolute row order.
+func (f ShardFragment) Span() (lo, hi int) { return f.SampleBase + f.RowLo, f.SampleBase + f.RowHi }
+
+// MaxExchangeFragments bounds one request's fragment list; a longer one
+// is refused (400) before anything is scanned.
+const MaxExchangeFragments = 1 << 16
 
 // ShardGroupingSet mirrors engine.GroupingSet on the wire.
 type ShardGroupingSet struct {
@@ -97,11 +119,30 @@ type ShardAgg struct {
 	FilterSQL string `json:"filter,omitempty"`
 }
 
-// ShardResponse carries the worker's partials plus the content hash of
-// the replica that produced them.
+// ShardResponse is a worker's answer to one exchange: the fragments it
+// served, pre-merged, and the ones it could not.
 type ShardResponse struct {
-	ContentHash string            `json:"contentHash"`
-	Partials    []*engine.Partial `json:"partials"`
+	Runs   []ShardRun            `json:"runs"`
+	Failed []ShardFragmentStatus `json:"failed,omitempty"`
+}
+
+// ShardRun is one maximal run of served, row-adjacent fragments folded
+// in row order into one partial per grouping set. [Lo,Hi) are absolute
+// positions (SampleBase + row).
+type ShardRun struct {
+	Lo       int               `json:"lo"`
+	Hi       int               `json:"hi"`
+	Partials []*engine.Partial `json:"partials"`
+}
+
+// ShardFragmentStatus reports a fragment the worker could not serve:
+// 404 (it holds no such table) or 409 (its copy differs; ContentHash is
+// the worker's own). The rest of the exchange is unaffected.
+type ShardFragmentStatus struct {
+	Fragment    int    `json:"fragment"` // index into ShardRequest.Fragments
+	Status      int    `json:"status"`
+	ContentHash string `json:"contentHash,omitempty"`
+	Error       string `json:"error"`
 }
 
 // IngestRequest is the wire form of a batched append: loosely-typed
@@ -134,20 +175,17 @@ type IngestResponse struct {
 	ContentHash string `json:"contentHash,omitempty"`
 }
 
-// EncodeShardRequest lowers (q, gsets) restricted to rows [lo,hi) into
-// the wire form. It fails when a predicate cannot be rendered as SQL —
-// callers treat that as "this query cannot be distributed" and run the
-// range locally instead.
+// EncodeShardRequest lowers (q, gsets) restricted to rows [lo,hi) of
+// q.Table into the wire form, as an exchange of one fragment. It fails
+// when a predicate cannot be rendered as SQL — callers treat that as
+// "this query cannot be distributed" and run the range locally instead.
 func EncodeShardRequest(q *engine.Query, gsets []engine.GroupingSet, contentHash string, lo, hi, parallelism int) (*ShardRequest, error) {
 	req := &ShardRequest{
-		Table:          q.Table,
-		ContentHash:    contentHash,
 		SampleFraction: q.SampleFraction,
 		SampleSeed:     q.SampleSeed,
-		SampleBase:     q.SampleBase,
-		RowLo:          lo,
-		RowHi:          hi,
 		Parallelism:    parallelism,
+		Fragments: []ShardFragment{{Table: q.Table, ContentHash: contentHash,
+			SampleBase: q.SampleBase, RowLo: lo, RowHi: hi}},
 	}
 	var err error
 	if req.WhereSQL, err = renderPredicateSQL(q.Where); err != nil {
@@ -170,11 +208,12 @@ func EncodeShardRequest(q *engine.Query, gsets []engine.GroupingSet, contentHash
 	return req, nil
 }
 
-// Decode rebuilds the engine query and grouping sets against the
-// worker's catalog. Filter predicates are parsed once per distinct SQL
-// string and the instance reused, preserving the engine's
+// Decode rebuilds the engine query and grouping sets for one fragment
+// of the request against the worker's catalog (literals are coerced to
+// that table's column types). Filter predicates are parsed once per
+// distinct SQL string and the instance reused, preserving the engine's
 // filter-deduplication (identical filters are evaluated once per row).
-func (r *ShardRequest) Decode(cat *engine.Catalog) (*engine.Query, []engine.GroupingSet, error) {
+func (r *ShardRequest) Decode(cat *engine.Catalog, f ShardFragment) (*engine.Query, []engine.GroupingSet, error) {
 	preds := map[string]engine.Predicate{}
 	parse := func(sqlText string) (engine.Predicate, error) {
 		if sqlText == "" {
@@ -183,7 +222,7 @@ func (r *ShardRequest) Decode(cat *engine.Catalog) (*engine.Query, []engine.Grou
 		if p, ok := preds[sqlText]; ok {
 			return p, nil
 		}
-		_, p, err := sql.AnalystQuery(fmt.Sprintf("SELECT * FROM %s WHERE %s", r.Table, sqlText), cat)
+		_, p, err := sql.AnalystQuery(fmt.Sprintf("SELECT * FROM %s WHERE %s", f.Table, sqlText), cat)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: parsing shard predicate %q: %w", sqlText, err)
 		}
@@ -191,13 +230,12 @@ func (r *ShardRequest) Decode(cat *engine.Catalog) (*engine.Query, []engine.Grou
 		return p, nil
 	}
 	q := &engine.Query{
-		Table:          r.Table,
+		Table:          f.Table,
 		SampleFraction: r.SampleFraction,
 		SampleSeed:     r.SampleSeed,
-		SampleBase:     r.SampleBase,
-		RowLo:          r.RowLo,
-		RowHi:          r.RowHi,
-		Parallelism:    r.Parallelism,
+		SampleBase:     f.SampleBase,
+		RowLo:          f.RowLo,
+		RowHi:          f.RowHi,
 	}
 	var err error
 	if q.Where, err = parse(r.WhereSQL); err != nil {

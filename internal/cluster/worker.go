@@ -7,8 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
+	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,50 +53,149 @@ type SyncResponse struct {
 }
 
 // ExecShardRequest is the single worker-side implementation behind
-// MemberShard and the HTTP /api/shard/exec handler: verify the table's
-// content hash, decode the wire query, run partials. The status is
-// what an HTTP server should answer on error (a 409 still carries a
-// response so the coordinator learns this worker's hash). Once the
-// handshake has passed both sides provably hold the same rows, so a
-// decode or run error is a property of the query — 400 — unless the
-// request's own context ended.
+// MemberShard and the HTTP /api/shard/exec handler. It checks the
+// fragment list's shape, verifies each fragment's content hash — one it
+// does not hold (404) or holds differently (409, carrying this copy's
+// hash) is reported in Failed and costs the others nothing — scans the
+// rest with the request's parallelism spread across them, and folds
+// every run of row-adjacent fragments, in row order, into one partial
+// per grouping set. The status is what an HTTP server should answer on
+// error. Once a fragment's handshake has passed both sides provably
+// hold the same rows, so a decode or run error is a property of the
+// query — 400 — unless the request's own context ended.
 func ExecShardRequest(ctx context.Context, ex *engine.Executor, req *ShardRequest) (*ShardResponse, int, error) {
-	t, err := ex.Catalog().Table(req.Table)
-	if err != nil {
-		return nil, http.StatusNotFound, err
+	n := len(req.Fragments)
+	if n == 0 || n > MaxExchangeFragments {
+		return nil, http.StatusBadRequest, fmt.Errorf("cluster: shard request carries %d fragments, want 1..%d", n, MaxExchangeFragments)
 	}
-	fp, err := t.ContentHash()
-	if err != nil {
-		return nil, http.StatusInternalServerError, err
+	resp := &ShardResponse{}
+	var served []int // indices into req.Fragments
+	prevHi := math.MinInt
+	for i, f := range req.Fragments {
+		lo, hi := f.Span()
+		if f.RowLo < 0 || f.RowHi <= f.RowLo {
+			return nil, http.StatusBadRequest, fmt.Errorf("cluster: fragment %s has an empty or inverted row range [%d,%d)", f.Table, f.RowLo, f.RowHi)
+		}
+		if lo < prevHi {
+			return nil, http.StatusBadRequest, fmt.Errorf("cluster: fragment %s is out of row order or overlaps its predecessor", f.Table)
+		}
+		prevHi = hi
+		t, err := ex.Catalog().Table(f.Table)
+		if err != nil {
+			resp.Failed = append(resp.Failed, ShardFragmentStatus{Fragment: i, Status: http.StatusNotFound, Error: err.Error()})
+			continue
+		}
+		fp, err := t.ContentHash()
+		if err != nil {
+			return nil, http.StatusInternalServerError, err
+		}
+		if f.ContentHash != "" && fp != f.ContentHash {
+			mm := &FingerprintMismatchError{Shard: "local", Table: f.Table, Want: f.ContentHash, Got: fp}
+			resp.Failed = append(resp.Failed, ShardFragmentStatus{Fragment: i, Status: http.StatusConflict, ContentHash: fp, Error: mm.Error()})
+			continue
+		}
+		served = append(served, i)
 	}
-	if req.ContentHash != "" && fp != req.ContentHash {
-		return &ShardResponse{ContentHash: fp}, http.StatusConflict,
-			&FingerprintMismatchError{Shard: "local", Table: req.Table, Want: req.ContentHash, Got: fp}
+
+	// Scan: min(parallelism, fragments) at a time, each with its share.
+	partials := make([][]*engine.Partial, len(served))
+	errs := make([]error, len(served))
+	par := max(req.Parallelism, 1)
+	sem := make(chan struct{}, min(par, len(served)))
+	var wg sync.WaitGroup
+	for j, i := range served {
+		sem <- struct{}{} // before the go statement: at most cap(sem) scans exist
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			q, gsets, err := req.Decode(ex.Catalog(), req.Fragments[i])
+			if err == nil {
+				q.Parallelism = max(par/len(served), 1)
+				partials[j], err = ex.RunPartials(ctx, q, gsets)
+			}
+			errs[j] = err
+		}()
 	}
-	q, gsets, err := req.Decode(ex.Catalog())
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	partials, err := ex.RunPartials(ctx, q, gsets)
-	if err != nil {
+	wg.Wait()
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
 		if ctx.Err() != nil {
 			return nil, http.StatusInternalServerError, err
 		}
 		return nil, http.StatusBadRequest, err
 	}
-	return &ShardResponse{ContentHash: fp, Partials: partials}, http.StatusOK, nil
+
+	for _, r := range fragmentRuns(req.Fragments, served) {
+		run := ShardRun{Lo: r.lo, Hi: r.hi, Partials: partials[r.j]}
+		if r.k > r.j+1 {
+			var err error
+			if run.Partials, err = engine.MergePartials(partials[r.j:r.k]); err != nil {
+				return nil, http.StatusInternalServerError, err
+			}
+		}
+		resp.Runs = append(resp.Runs, run)
+	}
+	return resp, http.StatusOK, nil
+}
+
+// fragmentRun is served[j:k], a maximal run of row-adjacent fragments
+// covering absolute positions [lo,hi).
+type fragmentRun struct{ j, k, lo, hi int }
+
+// fragmentRuns groups served — ascending indices into frags — into
+// runs: the pre-merge rule, shared by the worker that applies it and
+// the coordinator that checks the answer against it.
+func fragmentRuns(frags []ShardFragment, served []int) []fragmentRun {
+	var runs []fragmentRun
+	for j, i := range served {
+		lo, hi := frags[i].Span()
+		if last := len(runs) - 1; last >= 0 && runs[last].hi == lo {
+			runs[last].k, runs[last].hi = j+1, hi
+		} else {
+			runs = append(runs, fragmentRun{j: j, k: j + 1, lo: lo, hi: hi})
+		}
+	}
+	return runs
+}
+
+// checkResponse verifies that resp accounts for every fragment of the
+// request exactly once — refused in Failed, or inside the run the
+// pre-merge rule puts it in, with want partials.
+func checkResponse(resp *ShardResponse, frags []ShardFragment, want int) error {
+	failed := make([]bool, len(frags))
+	for _, st := range resp.Failed {
+		if st.Fragment < 0 || st.Fragment >= len(frags) || failed[st.Fragment] ||
+			(st.Status != http.StatusNotFound && st.Status != http.StatusConflict) {
+			return fmt.Errorf("malformed fragment status %+v", st)
+		}
+		failed[st.Fragment] = true
+	}
+	var served []int
+	for i := range frags {
+		if !failed[i] {
+			served = append(served, i)
+		}
+	}
+	runs := fragmentRuns(frags, served)
+	if len(runs) != len(resp.Runs) {
+		return fmt.Errorf("returned %d runs, want %d", len(resp.Runs), len(runs))
+	}
+	for i, r := range runs {
+		if got := resp.Runs[i]; got.Lo != r.lo || got.Hi != r.hi || len(got.Partials) != want || slices.Contains(got.Partials, nil) {
+			return fmt.Errorf("returned run [%d,%d) with %d partials, want [%d,%d) with %d", got.Lo, got.Hi, len(got.Partials), r.lo, r.hi, want)
+		}
+	}
+	return nil
 }
 
 // execError types a failed exchange from the status ExecShardRequest
-// chose — the one place an answer is sorted into "the data diverged"
-// (409), "the query is at fault" (400; 413 for a body over
-// MaxWireBytes) and "the worker is" (the rest), so in-process and HTTP
-// workers agree. got is the worker's own content hash on a 409.
-func execError(worker string, req *ShardRequest, status int, got string, err error) error {
-	switch status {
-	case http.StatusConflict:
-		return &FingerprintMismatchError{Shard: worker, Table: req.Table, Want: req.ContentHash, Got: got}
-	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+// chose — the one place an answer is sorted into "the query is at
+// fault" (400; 413 for a body over MaxWireBytes) and "the worker is"
+// (the rest), so in-process and HTTP workers agree.
+func execError(status int, err error) error {
+	if status == http.StatusBadRequest || status == http.StatusRequestEntityTooLarge {
 		return &queryFaultError{err: err}
 	}
 	return err
@@ -136,13 +239,25 @@ type RemoteShard struct {
 // DefaultRemoteTimeout bounds one exchange with a worker.
 const DefaultRemoteTimeout = 30 * time.Second
 
+// transport is shared by every RemoteShard. http.DefaultTransport keeps
+// two idle connections per host, so a coordinator running more than two
+// scans at once (plus ingest forwards) would dial afresh on every
+// exchange; this one keeps as many per worker as a coordinator has
+// pipelines in flight (the scheduler defaults to one per core).
+var transport = func() *http.Transport {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = max(64, 2*runtime.GOMAXPROCS(0))
+	tr.MaxIdleConns = 0 // bounded per worker, not fleet-wide
+	return tr
+}()
+
 // NewRemoteShard points a worker handle at a base URL, e.g.
 // "http://worker-3:8080".
 func NewRemoteShard(baseURL string, timeout time.Duration) *RemoteShard {
 	if timeout <= 0 {
 		timeout = DefaultRemoteTimeout
 	}
-	return &RemoteShard{url: baseURL, client: &http.Client{Timeout: timeout}}
+	return &RemoteShard{url: baseURL, client: &http.Client{Timeout: timeout, Transport: transport}}
 }
 
 // ID implements Worker.
@@ -193,7 +308,7 @@ func (s *RemoteShard) postJSON(ctx context.Context, op, path string, in, out any
 // ExecPartials implements Worker over POST /api/shard/exec.
 func (s *RemoteShard) ExecPartials(ctx context.Context, req *ShardRequest) (*ShardResponse, error) {
 	var resp ShardResponse
-	status, msg, err := s.postJSON(ctx, "exec", "/api/shard/exec", req, &resp)
+	status, _, err := s.postJSON(ctx, "exec", "/api/shard/exec", req, &resp)
 	if err == nil {
 		return &resp, nil
 	}
@@ -203,13 +318,7 @@ func (s *RemoteShard) ExecPartials(ctx context.Context, req *ShardRequest) (*Sha
 		// produces is the query's doing, not the worker's.
 		status = http.StatusRequestEntityTooLarge
 	}
-	// A 409 body carries the worker's own content hash.
-	var conflict ShardResponse
-	got := string(msg)
-	if json.Unmarshal(msg, &conflict) == nil && conflict.ContentHash != "" {
-		got = conflict.ContentHash
-	}
-	return nil, execError(s.url, req, status, got, err)
+	return nil, execError(status, err)
 }
 
 // Ingest implements Worker over POST /api/ingest.
@@ -324,11 +433,7 @@ func (m *MemberShard) ExecPartials(ctx context.Context, req *ShardRequest) (*Sha
 	}
 	resp, status, err := ExecShardRequest(ctx, m.ex, req)
 	if err != nil {
-		got := ""
-		if resp != nil {
-			got = resp.ContentHash
-		}
-		return nil, execError(m.id, req, status, got, err)
+		return nil, execError(status, err)
 	}
 	return resp, nil
 }

@@ -134,15 +134,6 @@ func mergeExtremes(seen *bool, mn, mx *float64, omn, omx float64) {
 	*seen = true
 }
 
-func (a *accumulator) merge(b *accumulator) {
-	a.count += b.count
-	a.exSum.Merge(&b.exSum)
-	a.exSumSq.Merge(&b.exSumSq)
-	if b.seen {
-		mergeExtremes(&a.seen, &a.min, &a.max, b.min, b.max)
-	}
-}
-
 // mergeState folds a serialized partial-accumulator state (a disjoint
 // partition of the same group) into a, via direct digit additions —
 // the allocation-light path incremental execution merges cached chunk

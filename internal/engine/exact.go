@@ -326,9 +326,10 @@ func (x *exactFloat) State() ExactState {
 	return ExactState{Neg: neg, Lo: lo, Digits: digits, Special: nonFiniteOf(x.special)}
 }
 
-// nonFinite names a float that JSON has no number for. The zero value
-// means "finite" and is left off the wire; the others spell "+inf",
-// "-inf" and "nan".
+// nonFinite names a float the wire's plain numbers cannot carry. The
+// zero value means "finite" and is left off the wire; the others spell
+// "+inf", "-inf", "nan" and "-0" (a JSON number field with omitempty
+// drops a negative zero, and MIN/MAX must keep its sign).
 type nonFinite uint8
 
 const (
@@ -336,12 +337,15 @@ const (
 	posInf
 	negInf
 	notANumber
+	negZero
 )
 
-var nonFiniteNames = [...]string{posInf: "+inf", negInf: "-inf", notANumber: "nan"}
+var nonFiniteNames = [...]string{posInf: "+inf", negInf: "-inf", notANumber: "nan", negZero: "-0"}
 
 func nonFiniteOf(v float64) nonFinite {
 	switch {
+	case v == 0 && math.Signbit(v):
+		return negZero
 	case v-v == 0: // ±Inf and NaN give NaN
 		return finite
 	case v != v:
@@ -361,6 +365,8 @@ func (s nonFinite) value() float64 {
 		return math.Inf(-1)
 	case notANumber:
 		return math.NaN()
+	case negZero:
+		return math.Copysign(0, -1)
 	}
 	return 0
 }

@@ -93,13 +93,6 @@ func accumulatorOf(st AccState) accumulator {
 	return a
 }
 
-// mergeAccState folds b into a (same aggregate, disjoint partitions).
-func mergeAccState(a, b AccState) AccState {
-	aa, bb := accumulatorOf(a), accumulatorOf(b)
-	aa.merge(&bb)
-	return accState(&aa)
-}
-
 // RunPartials executes one scan feeding every grouping set — exactly
 // like RunSharedScan — but returns partition-mergeable partials
 // instead of finalized results. q.GroupBy/q.Aggs are used as a single
@@ -203,45 +196,131 @@ func valueKey(key []Value) string {
 	return string(buf)
 }
 
-// Merge folds another partial — the same grouping set computed over a
-// disjoint row partition — into p. Groups stay sorted by key.
-func (p *Partial) Merge(o *Partial) error {
-	if len(p.Cols) != len(o.Cols) {
-		return fmt.Errorf("engine: merging partials with %d vs %d aggregates", len(p.Cols), len(o.Cols))
+// MergePartials is the engine's merge entry point: parts[i] holds
+// partition i's partials, one per grouping set, over disjoint row
+// partitions of one table; the result is one partial per set with the
+// partitions folded in the order given. Per set, one key index and one
+// array of in-memory accumulators live across all inputs, so the cost is
+// digit additions per (partition, group, aggregate) plus ONE
+// canonicalization per group at the end. Partitions are walked one at a
+// time, all sets of each (a partition's partials were built together
+// and sit together in memory). Inputs are never mutated and share no
+// mutable state with the result.
+func MergePartials(parts [][]*Partial) ([]*Partial, error) {
+	if len(parts) == 0 {
+		return nil, nil
 	}
-	for i := range p.Cols {
-		if p.Cols[i] != o.Cols[i] || p.Funcs[i] != o.Funcs[i] {
-			return fmt.Errorf("engine: merging partials with mismatched aggregate %d: %s(%v) vs %s(%v)",
-				i, p.Cols[i], p.Funcs[i], o.Cols[i], o.Funcs[i])
+	mergers := make([]*partialMerger, len(parts[0]))
+	for _, ps := range parts {
+		if len(ps) != len(mergers) {
+			return nil, fmt.Errorf("engine: merging partitions with %d vs %d grouping sets", len(ps), len(mergers))
 		}
-	}
-	idx := make(map[string]int, len(p.Groups))
-	for i, g := range p.Groups {
-		idx[valueKey(g.Key)] = i
-	}
-	added := false
-	for _, og := range o.Groups {
-		if len(og.Accs) != len(p.Cols) {
-			return fmt.Errorf("engine: partial group carries %d accumulators, want %d", len(og.Accs), len(p.Cols))
-		}
-		if i, ok := idx[valueKey(og.Key)]; ok {
-			dst := p.Groups[i].Accs
-			for j := range dst {
-				dst[j] = mergeAccState(dst[j], og.Accs[j])
+		for s, p := range ps {
+			if p == nil {
+				return nil, fmt.Errorf("engine: merging a nil partial (grouping set %d)", s)
 			}
-			continue
+			if mergers[s] == nil {
+				mergers[s] = newPartialMerger(p)
+			}
+			if err := mergers[s].fold(p); err != nil {
+				return nil, err
+			}
 		}
-		cp := PartialGroup{Key: og.Key, Accs: append([]AccState(nil), og.Accs...)}
-		idx[valueKey(cp.Key)] = len(p.Groups)
-		p.Groups = append(p.Groups, cp)
-		added = true
 	}
-	if added {
-		sort.Slice(p.Groups, func(i, j int) bool {
-			return compareKeys(p.Groups[i].Key, p.Groups[j].Key) < 0
-		})
+	out := make([]*Partial, len(mergers))
+	for s, m := range mergers {
+		out[s] = m.partial()
+	}
+	return out, nil
+}
+
+// Merge folds another partial — the same grouping set computed over a
+// disjoint row partition — into p: MergePartials' two-input case.
+func (p *Partial) Merge(o *Partial) error {
+	merged, err := MergePartials([][]*Partial{{p}, {o}})
+	if err != nil {
+		return err
+	}
+	p.Groups = merged[0].Groups
+	return nil
+}
+
+// partialMerger accumulates many disjoint-partition partials of one
+// grouping set into in-memory accumulator state.
+type partialMerger struct {
+	by    []string
+	cols  []string
+	funcs []AggFunc
+	m     map[string]int
+	keys  [][]Value
+	accs  []accumulator // len(keys) * len(cols)
+}
+
+// newPartialMerger builds an empty merger with the shape (grouping
+// columns, aggregate list) of the given partial, sized for its groups —
+// partitions of one table mostly meet the same groups, and growing the
+// accumulator array by doubling would copy it whole several times.
+func newPartialMerger(shape *Partial) *partialMerger {
+	n := len(shape.Groups)
+	return &partialMerger{
+		by:    append([]string(nil), shape.By...),
+		cols:  append([]string(nil), shape.Cols...),
+		funcs: append([]AggFunc(nil), shape.Funcs...),
+		m:     make(map[string]int, n),
+		keys:  make([][]Value, 0, n),
+		accs:  make([]accumulator, 0, n*len(shape.Cols)),
+	}
+}
+
+// fold merges one partial (a disjoint row partition) into the merger.
+func (m *partialMerger) fold(p *Partial) error {
+	if len(p.Cols) != len(m.cols) {
+		return fmt.Errorf("engine: merging partials with %d vs %d aggregates", len(p.Cols), len(m.cols))
+	}
+	for i := range m.cols {
+		if p.Cols[i] != m.cols[i] || p.Funcs[i] != m.funcs[i] {
+			return fmt.Errorf("engine: merging partials with mismatched aggregate %d: %s(%v) vs %s(%v)",
+				i, m.cols[i], m.funcs[i], p.Cols[i], p.Funcs[i])
+		}
+	}
+	nAggs := len(m.cols)
+	for _, g := range p.Groups {
+		if len(g.Accs) != nAggs {
+			return fmt.Errorf("engine: partial group carries %d accumulators, want %d", len(g.Accs), nAggs)
+		}
+		k := valueKey(g.Key)
+		slot, ok := m.m[k]
+		if !ok {
+			slot = len(m.keys)
+			m.m[k] = slot
+			m.keys = append(m.keys, g.Key)
+			m.accs = append(m.accs, make([]accumulator, nAggs)...)
+		}
+		dst := m.accs[slot*nAggs : (slot+1)*nAggs]
+		for i := range dst {
+			dst[i].mergeState(g.Accs[i])
+		}
 	}
 	return nil
+}
+
+// partial exports the merged state, groups sorted by key.
+func (m *partialMerger) partial() *Partial {
+	p := &Partial{By: m.by, Cols: m.cols, Funcs: m.funcs}
+	nAggs := len(m.cols)
+	p.Groups = make([]PartialGroup, len(m.keys))
+	for slot, key := range m.keys {
+		accs := m.accs[slot*nAggs : (slot+1)*nAggs]
+		pg := PartialGroup{Key: key, Accs: make([]AccState, nAggs)}
+		for i := range accs {
+			pg.Accs[i] = accState(&accs[i])
+		}
+		p.Groups[slot] = pg
+	}
+	sort.Slice(p.Groups, func(i, j int) bool {
+		return compareKeys(p.Groups[i].Key, p.Groups[j].Key) < 0
+	})
+	return p
 }
 
 // Finalize materializes the merged state as a Result, rows sorted by

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -260,5 +261,119 @@ func TestPartialJSONRoundTrip(t *testing.T) {
 	}
 	if got, wantB := resultBytes(t, back.Finalize()), resultBytes(t, want); got != wantB {
 		t.Fatalf("JSON round-trip changed finalized bytes:\n%s\nvs\n%s", got, wantB)
+	}
+}
+
+// chainMergeOracle is Partial.Merge as it stood before MergePartials
+// became the one merger: index p's groups, fold matching groups'
+// AccStates pairwise through accumulatorOf/accState, append the rest
+// verbatim, re-sort. Kept as the reference the merger is compared with.
+func chainMergeOracle(p, o *Partial) {
+	idx := make(map[string]int, len(p.Groups))
+	for i, g := range p.Groups {
+		idx[valueKey(g.Key)] = i
+	}
+	for _, og := range o.Groups {
+		if i, ok := idx[valueKey(og.Key)]; ok {
+			dst := p.Groups[i].Accs
+			for j := range dst {
+				aa, bb := accumulatorOf(dst[j]), accumulatorOf(og.Accs[j])
+				aa.count += bb.count
+				aa.exSum.Merge(&bb.exSum)
+				aa.exSumSq.Merge(&bb.exSumSq)
+				if bb.seen {
+					mergeExtremes(&aa.seen, &aa.min, &aa.max, bb.min, bb.max)
+				}
+				dst[j] = accState(&aa)
+			}
+			continue
+		}
+		idx[valueKey(og.Key)] = len(p.Groups)
+		p.Groups = append(p.Groups, PartialGroup{Key: og.Key, Accs: append([]AccState(nil), og.Accs...)})
+	}
+	sort.Slice(p.Groups, func(i, j int) bool { return compareKeys(p.Groups[i].Key, p.Groups[j].Key) < 0 })
+}
+
+// TestMergePartialsMatchesChain: MergePartials over k random partials
+// of one table — random cut points, so groups come and go between
+// partitions, with ±0, NaN and ±Inf in the measure — is byte-for-byte
+// (AccState JSON) what chaining Partial.Merge gives, and what the
+// pre-merger Merge gave.
+func TestMergePartialsMatchesChain(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := partialTestTable(t, 3000+rng.Intn(3000), seed)
+		specials := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1)}
+		for i := 0; i < 40; i++ {
+			if err := tb.AppendRow(String(fmt.Sprintf("s%d", rng.Intn(6))), Int(int64(rng.Intn(4))), Float(specials[rng.Intn(len(specials))])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cat := NewCatalog()
+		if err := cat.Register(tb); err != nil {
+			t.Fatal(err)
+		}
+		ex := NewExecutor(cat)
+		cuts := []int{0, tb.NumRows()}
+		for k := 1 + rng.Intn(12); k > 0; k-- {
+			cuts = append(cuts, rng.Intn(tb.NumRows()))
+		}
+		sort.Ints(cuts)
+		gsets := []GroupingSet{
+			{By: []string{"d"}, Aggs: partialTestQuery(1).Aggs},
+			{By: []string{"g", "d"}, Aggs: partialTestQuery(1).Aggs[:5]},
+			{Aggs: partialTestQuery(1).Aggs[3:6]},
+		}
+		var parts [][]*Partial
+		for i := 1; i < len(cuts); i++ {
+			if cuts[i] == cuts[i-1] {
+				continue
+			}
+			q := &Query{Table: "pt", RowLo: cuts[i-1], RowHi: cuts[i], Parallelism: 1}
+			ps, err := ex.RunPartials(ctx, q, gsets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, ps)
+		}
+		clone := func(p *Partial) *Partial {
+			data, err := json.Marshal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cp Partial
+			if err := json.Unmarshal(data, &cp); err != nil {
+				t.Fatal(err)
+			}
+			return &cp
+		}
+		before, _ := json.Marshal(parts)
+		got, err := MergePartials(parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after, _ := json.Marshal(parts); string(after) != string(before) {
+			t.Fatalf("seed %d: MergePartials mutated its inputs", seed)
+		}
+		for s := range gsets {
+			chain, oracle := clone(parts[0][s]), clone(parts[0][s])
+			for _, ps := range parts[1:] {
+				if err := chain.Merge(clone(ps[s])); err != nil {
+					t.Fatal(err)
+				}
+				chainMergeOracle(oracle, clone(ps[s]))
+			}
+			want, _ := json.Marshal(chain)
+			ref, _ := json.Marshal(oracle)
+			have, _ := json.Marshal(got[s])
+			if string(have) != string(want) || string(have) != string(ref) {
+				t.Fatalf("seed %d set %d (%d partitions): merger, chained Merge and the oracle disagree:\n%s\n%s\n%s",
+					seed, s, len(parts), have, want, ref)
+			}
+		}
+	}
+	if _, err := MergePartials([][]*Partial{{{Cols: []string{"a"}, Funcs: []AggFunc{AggCount}}}, {nil}}); err == nil {
+		t.Fatal("a nil partial must be an error, not a panic")
 	}
 }

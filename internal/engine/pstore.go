@@ -435,102 +435,13 @@ func (e *Executor) runPartialsChunked(ctx context.Context, q *Query, gsets []Gro
 		}
 	}
 
-	// Merge in range order into fresh accumulators. Stored partials are
-	// only ever merge SOURCES (never mutated), and the merger keeps its
-	// group index and in-memory accumulators across all segments, so a
-	// query's merge cost is limb additions per (chunk, group, aggregate)
-	// plus ONE canonicalization per group at the end — not a canon pass
-	// per chunk.
-	mergers := make([]*partialMerger, len(segs[0].partials))
-	for i, p := range segs[0].partials {
-		mergers[i] = newPartialMerger(p)
+	// Merge in range order into fresh accumulators: stored partials are
+	// only ever merge SOURCES (never mutated).
+	parts := make([][]*Partial, len(segs))
+	for i, seg := range segs {
+		parts[i] = seg.partials
 	}
-	for _, seg := range segs {
-		for i, p := range seg.partials {
-			if err := mergers[i].fold(p); err != nil {
-				return nil, err
-			}
-		}
-	}
-	acc := make([]*Partial, len(mergers))
-	for i, m := range mergers {
-		acc[i] = m.partial()
-	}
-	return acc, nil
-}
-
-// partialMerger accumulates many disjoint-partition partials of one
-// grouping set into in-memory accumulator state.
-type partialMerger struct {
-	by    []string
-	cols  []string
-	funcs []AggFunc
-	m     map[string]int
-	keys  [][]Value
-	accs  []accumulator // len(keys) * len(cols)
-}
-
-// newPartialMerger builds an empty merger with the shape (grouping
-// columns, aggregate list) of the given partial.
-func newPartialMerger(shape *Partial) *partialMerger {
-	return &partialMerger{
-		by:    append([]string(nil), shape.By...),
-		cols:  append([]string(nil), shape.Cols...),
-		funcs: append([]AggFunc(nil), shape.Funcs...),
-		m:     make(map[string]int),
-	}
-}
-
-// fold merges one partial (a disjoint row partition) into the merger.
-func (m *partialMerger) fold(p *Partial) error {
-	if len(p.Cols) != len(m.cols) {
-		return fmt.Errorf("engine: merging partials with %d vs %d aggregates", len(p.Cols), len(m.cols))
-	}
-	for i := range m.cols {
-		if p.Cols[i] != m.cols[i] || p.Funcs[i] != m.funcs[i] {
-			return fmt.Errorf("engine: merging partials with mismatched aggregate %d: %s(%v) vs %s(%v)",
-				i, m.cols[i], m.funcs[i], p.Cols[i], p.Funcs[i])
-		}
-	}
-	nAggs := len(m.cols)
-	for _, g := range p.Groups {
-		if len(g.Accs) != nAggs {
-			return fmt.Errorf("engine: partial group carries %d accumulators, want %d", len(g.Accs), nAggs)
-		}
-		k := valueKey(g.Key)
-		slot, ok := m.m[k]
-		if !ok {
-			slot = len(m.keys)
-			m.m[k] = slot
-			m.keys = append(m.keys, g.Key)
-			m.accs = append(m.accs, make([]accumulator, nAggs)...)
-		}
-		dst := m.accs[slot*nAggs : (slot+1)*nAggs]
-		for i := range dst {
-			dst[i].mergeState(g.Accs[i])
-		}
-	}
-	return nil
-}
-
-// partial exports the merged state, groups sorted by key — identical
-// bytes to chaining Partial.Merge over the same inputs.
-func (m *partialMerger) partial() *Partial {
-	p := &Partial{By: m.by, Cols: m.cols, Funcs: m.funcs}
-	nAggs := len(m.cols)
-	p.Groups = make([]PartialGroup, len(m.keys))
-	for slot, key := range m.keys {
-		accs := m.accs[slot*nAggs : (slot+1)*nAggs]
-		pg := PartialGroup{Key: key, Accs: make([]AccState, nAggs)}
-		for i := range accs {
-			pg.Accs[i] = accState(&accs[i])
-		}
-		p.Groups[slot] = pg
-	}
-	sort.Slice(p.Groups, func(i, j int) bool {
-		return compareKeys(p.Groups[i].Key, p.Groups[j].Key) < 0
-	})
-	return p
+	return MergePartials(parts)
 }
 
 // recordQueryAccess records the query's column-access pattern (the raw

@@ -874,11 +874,12 @@ func (s *Server) decodeWire(w http.ResponseWriter, r *http.Request, what string,
 	return false
 }
 
-// handleShardExec is the worker half of scatter-gather: it runs a
-// coordinator's shard request over one of this node's tables (a whole
-// replica or a fragment) and returns partition-mergeable partials. A fingerprint mismatch answers
-// 409 with this replica's fingerprint so the coordinator can tell data
-// drift from transient failure.
+// handleShardExec is the worker half of scatter-gather: it runs one
+// exchange — every fragment (whole replica or placement) a coordinator
+// wants scanned on this node for one query — and returns the
+// pre-merged, partition-mergeable runs. A fragment this node lacks or
+// holds differently is reported inside the 200 (with this copy's hash),
+// so the coordinator can tell data drift from transient failure.
 func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -896,9 +897,12 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 	// coordinator and worker dumps of one sharded run.
 	if id := r.Header.Get(obs.TraceHeader); id != "" && s.hub != nil {
 		tr := s.hub.Traces.New(id)
-		span := tr.StartSpan("worker-exec").
-			SetAttr("table", req.Table).
-			SetAttr("rows", fmt.Sprintf("%d:%d", req.RowLo, req.RowHi))
+		span := tr.StartSpan("worker-exec").SetAttr("fragments", strconv.Itoa(len(req.Fragments)))
+		if n := len(req.Fragments); n > 0 {
+			lo, _ := req.Fragments[0].Span()
+			_, hi := req.Fragments[n-1].Span()
+			span.SetAttr("table", req.Fragments[0].Table).SetAttr("rows", fmt.Sprintf("%d:%d", lo, hi))
+		}
 		ctx = obs.ContextWithTrace(ctx, tr)
 		defer func() {
 			span.Finish()
@@ -908,15 +912,6 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, status, err := cluster.ExecShardRequest(ctx, s.db.Engine().Executor(), &req)
 	if err != nil {
-		if status == http.StatusConflict {
-			// Carry this replica's hash so the coordinator can tell data
-			// drift from transient failure.
-			s.writeJSON(w, status, map[string]string{
-				"error":       err.Error(),
-				"contentHash": resp.ContentHash,
-			})
-			return
-		}
 		s.writeError(w, status, err)
 		return
 	}
