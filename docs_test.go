@@ -1,15 +1,20 @@
 package seedb_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/format"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"seedb"
 	"seedb/internal/frontend"
 )
 
@@ -242,4 +247,115 @@ func TestDocsRoutesExist(t *testing.T) {
 func fileExists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
+}
+
+var statsExampleRe = regexp.MustCompile("(?s)\n## GET /api/stats\n.*?```json\n(.*?)```")
+
+// jsonKeyPaths flattens a decoded JSON value into the set of its key
+// paths ("cluster.workers[].id"); an array contributes its elements'
+// paths under "[]".
+func jsonKeyPaths(prefix string, v any, into map[string]bool) {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, child := range v {
+			path := strings.TrimPrefix(prefix+"."+k, ".")
+			into[path] = true
+			jsonKeyPaths(path, child, into)
+		}
+	case []any:
+		for _, child := range v {
+			jsonKeyPaths(prefix+"[]", child, into)
+		}
+	}
+}
+
+// TestDocsStatsKeys keeps the /api/stats example in docs/API.md equal,
+// key for key, to what a server really answers: a field the structs
+// never emitted cannot be documented, and a new field cannot go
+// undocumented. The live server has every optional section switched on
+// (sharded backend, a data dir recovered from an earlier life, a
+// checkpoint taken) so every key the example shows has a reason to
+// appear.
+func TestDocsStatsKeys(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("docs", "API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := statsExampleRe.FindSubmatch(doc)
+	if m == nil {
+		t.Fatal("docs/API.md: no ```json example under \"## GET /api/stats\"")
+	}
+	var documented any
+	if err := json.Unmarshal(m[1], &documented); err != nil {
+		t.Fatalf("docs/API.md: the /api/stats example is not valid JSON: %v", err)
+	}
+
+	// First life: log a batch and take a checkpoint, so the second life
+	// has snapshots to load. Every instance appends the same row, so the
+	// worker below holds the coordinator's bytes.
+	open := func(dataDir string, batches int) *seedb.DB {
+		t.Helper()
+		db := seedb.Open()
+		if err := db.RegisterTable(seedb.SuperstoreTable("orders", 2000, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if dataDir != "" {
+			if _, err := db.EnableDurability(dataDir, 1, 1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		orders, err := db.Table("orders")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ; batches > 0; batches-- {
+			if _, err := db.Append("orders", [][]seedb.Value{orders.Row(0)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if dataDir != "" {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	dir := t.TempDir()
+	if err := open(dir, 1).CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	db := open(dir, 1)
+	defer db.CloseDurability()
+	worker := httptest.NewServer(frontend.New(open("", 2), nil, nil))
+	defer worker.Close()
+	db.ShardRemote([]string{worker.URL}, 10*time.Second, seedb.ClusterConfig{})
+	srv := frontend.New(db, nil, nil)
+	post := httptest.NewRequest(http.MethodPost, "/api/recommend",
+		strings.NewReader(`{"sql":"SELECT * FROM orders WHERE category = 'Furniture'","k":3}`))
+	post.Header.Set("Content-Type", "application/json")
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, post)
+	if w.Code != http.StatusOK {
+		t.Fatalf("recommend = %d: %s", w.Code, w.Body)
+	}
+	w = httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/stats", nil))
+	var live any
+	if err := json.Unmarshal(w.Body.Bytes(), &live); err != nil {
+		t.Fatalf("GET /api/stats = %d, not JSON: %v", w.Code, err)
+	}
+
+	want, got := map[string]bool{}, map[string]bool{}
+	jsonKeyPaths("", documented, want)
+	jsonKeyPaths("", live, got)
+	for path := range want {
+		if !got[path] {
+			t.Errorf("docs/API.md documents /api/stats key %q, which a live response does not carry", path)
+		}
+	}
+	for path := range got {
+		if !want[path] {
+			t.Errorf("a live /api/stats response carries key %q, which the docs/API.md example does not show", path)
+		}
+	}
 }

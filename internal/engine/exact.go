@@ -114,29 +114,12 @@ func (x *exactFloat) reserve(from, to int) {
 	if to > curHi {
 		newHi = max(to, min(to+exactHeadroom, exactMaxLimb))
 	}
-	need := newHi - newLo + 1
-	if len(x.limbs) == 0 && cap(x.limbs) >= need {
-		// Reuse after reset: the retained backing array may hold stale
-		// digits.
-		x.limbs = x.limbs[:need]
-		clear(x.limbs)
-	} else {
-		grown := make([]int64, need)
-		if len(x.limbs) > 0 {
-			copy(grown[curLo-newLo:], x.limbs)
-		}
-		x.limbs = grown
+	grown := make([]int64, newHi-newLo+1)
+	if len(x.limbs) > 0 {
+		copy(grown[curLo-newLo:], x.limbs)
 	}
+	x.limbs = grown
 	x.lo = int32(newLo)
-}
-
-// reset empties the accumulator but keeps the limb backing array, so an
-// arena that is refilled with similar values (see grouper.reset) does
-// not reallocate.
-func (x *exactFloat) reset() {
-	x.limbs = x.limbs[:0]
-	x.lo = 0
-	x.special = 0
 }
 
 // Merge folds another accumulator's exact state into x. Merging is

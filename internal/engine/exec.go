@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -91,8 +90,8 @@ type Executor struct {
 	cat   *Catalog
 	stats ExecStats
 
-	// pstore, when set, enables incremental execution: scans merge
-	// cached per-chunk partials and only visit missing chunks (see
+	// pstore, when set, enables incremental execution: a scan reuses the
+	// plan's stored run and only visits the rows it does not cover (see
 	// PartialStore). Atomic so it can be installed on a live executor.
 	pstore atomic.Pointer[PartialStore]
 }
@@ -106,13 +105,12 @@ func (e *Executor) Catalog() *Catalog { return e.cat }
 // Stats returns the executor's counters.
 func (e *Executor) Stats() *ExecStats { return &e.stats }
 
-// SetPartialStore installs (or, with nil, removes) the chunk-partial
-// store, switching aggregation queries to the incremental execution
-// path. Safe on a live executor; in-flight queries keep the store they
-// started with.
+// SetPartialStore installs (or, with nil, removes) the partial store,
+// switching aggregation queries to incremental execution. Safe on a
+// live executor; in-flight queries keep the store they started with.
 func (e *Executor) SetPartialStore(s *PartialStore) { e.pstore.Store(s) }
 
-// PartialStore returns the installed chunk-partial store, if any.
+// PartialStore returns the installed partial store, if any.
 func (e *Executor) PartialStore() *PartialStore { return e.pstore.Load() }
 
 // GroupingSet pairs one grouping-attribute list with the aggregates to
@@ -189,8 +187,8 @@ func (e *Executor) RunSharedScan(ctx context.Context, q *Query, gsets []Grouping
 // fractions of the current row count. That makes it append-stable —
 // appending rows never moves an existing boundary, so a cell that was
 // fully populated ("sealed") before an append holds exactly the same
-// rows after it. The chunk-partial store (pstore.go) relies on this:
-// per-cell partials cached before an append remain byte-valid, and a
+// rows after it. The partial store (pstore.go) relies on this: a run of
+// sealed cells aggregated before an append remains byte-valid, and a
 // query after the append only has to scan the cells the append touched.
 
 // ChunkRows is the fixed number of rows per grid cell. 1024 keeps the
@@ -268,32 +266,72 @@ func ShardRanges(rows, lo, hi, n int) [][2]int {
 func (r *Result) Sort(keys []OrderKey) error { return r.sortBy(keys) }
 
 // runSets is the shared implementation: one scan, many groupers. With
-// a partial store installed, the scan is served incrementally from
-// cached chunk partials instead (identical bytes, see
-// runPartialsChunked).
+// a partial store that applies to the range, the scan is answered from
+// the plan's stored run plus whatever the run does not cover
+// (identical bytes, see scan.partials).
 func (e *Executor) runSets(ctx context.Context, q *Query, gsets []GroupingSet) ([]*Result, error) {
-	if ps, err := e.runPartialsChunked(ctx, q, gsets); err == nil {
-		results := make([]*Result, len(ps))
-		for i, p := range ps {
-			results[i] = p.Finalize()
-		}
-		return results, nil
-	} else if !errors.Is(err, errChunkPathNA) {
-		return nil, err
-	}
-	groupers, err := e.runGroupers(ctx, q, gsets, true)
+	s, err := e.bindScan(q, gsets, true)
 	if err != nil {
 		return nil, err
 	}
-	return finalizeGroupers(groupers)
+	defer s.t.mu.RUnlock()
+	if s.st == nil {
+		groupers, err := s.runGroupers(ctx, s.lo, s.hi)
+		if err != nil {
+			return nil, err
+		}
+		return finalizeGroupers(groupers)
+	}
+	ps, err := s.partials(ctx)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*Result, len(ps))
+	for i, p := range ps {
+		results[i] = p.Finalize()
+	}
+	return results, nil
 }
 
-// runGroupers executes the scan and returns the merged groupers, for
-// callers that finalize (Run and friends) or export partition-mergeable
-// partials (RunPartials). resultsOnly must be false when partials will
-// be exported — it licenses slim accumulator updates that skip state
-// finalization never reads (see bindAggs).
-func (e *Executor) runGroupers(ctx context.Context, q *Query, gsets []GroupingSet, resultsOnly bool) ([]*grouper, error) {
+// scan is one query bound to its table: the validated row range, the
+// plans (bound aggregates, key encoders, fast group layout — built ONCE
+// per query and shared read-only by every worker and every piece of the
+// range), and the compiled kernels. It lives exactly as long as the
+// table's read lock, which bindScan takes and the caller releases.
+type scan struct {
+	e     *Executor
+	t     *Table
+	q     *Query
+	fs    *filterSet
+	smp   *sampler
+	plans []*grouperPlan
+	// kernels holds one compiled kernel set per worker, grown on demand
+	// and reused across the pieces of a range (pieces run one after
+	// another; kernels only read column data, but their chunk scratch
+	// buffers must never be shared between concurrent workers).
+	kernels []*scanKernels
+
+	lo, hi int
+
+	// st is the partial store when it applies to this range — installed,
+	// and [lo,hi) contains at least one sealed grid cell — else nil. sig
+	// is then the plan signature and [a,ahi) the range's sealed body: the
+	// whole cells inside it.
+	st     *PartialStore
+	sig    string
+	a, ahi int
+}
+
+// bindScan validates (q, gsets) against the table, read-locks it and
+// builds everything a scan of the query's range needs; one kernel set is
+// compiled up front so an invalid predicate fails the query whether or
+// not a stored run happens to cover its rows. It counts the logical
+// query once, however many pieces the range is later scanned in. On
+// success the caller owns the read lock on s.t. resultsOnly licenses
+// slim accumulator updates that skip state finalization never reads
+// (see bindAggs); it is ignored when the store applies, because a
+// stored run is exported partials.
+func (e *Executor) bindScan(q *Query, gsets []GroupingSet, resultsOnly bool) (s *scan, err error) {
 	for _, gs := range gsets {
 		if len(gs.Aggs) == 0 {
 			return nil, fmt.Errorf("engine: query on %q has a grouping set with no aggregates", q.Table)
@@ -304,62 +342,109 @@ func (e *Executor) runGroupers(ctx context.Context, q *Query, gsets []GroupingSe
 		return nil, err
 	}
 	t.mu.RLock()
-	defer t.mu.RUnlock()
+	defer func() {
+		if err != nil {
+			t.mu.RUnlock()
+		}
+	}()
 
 	// Record the access pattern: every column this query touches.
-	allAggs := e.recordQueryAccess(t, q, gsets)
-	fs := buildFilterSet(allAggs)
-	smp := newSampler(q.SampleFraction, q.SampleSeed, q.SampleBase)
-
-	lo, hi := 0, t.rows
+	fs := buildFilterSet(e.recordQueryAccess(t, q, gsets))
+	s = &scan{e: e, t: t, q: q, fs: fs, hi: t.rows,
+		smp: newSampler(q.SampleFraction, q.SampleSeed, q.SampleBase)}
 	if q.RowHi > 0 {
 		if q.RowLo < 0 || q.RowLo > q.RowHi || q.RowHi > t.rows {
 			return nil, fmt.Errorf("engine: row range [%d,%d) invalid for table %q with %d rows",
 				q.RowLo, q.RowHi, q.Table, t.rows)
 		}
-		lo, hi = q.RowLo, q.RowHi
+		s.lo, s.hi = q.RowLo, q.RowHi
 	}
-	n := hi - lo
-	workers := q.Parallelism
-	if workers < 1 {
-		workers = 1
+	// Every cell below hi's is sealed: hi <= t.rows and the grid is
+	// absolute.
+	s.a, s.ahi = alignToGrid(s.lo), chunkStart(chunkOf(s.hi))
+	if st := e.PartialStore(); st != nil && s.ahi-s.a >= ChunkRows {
+		s.st, s.sig = st, PlanSignature(q, gsets)
+		resultsOnly = false
 	}
-	if workers > n {
-		workers = max(1, n)
+	if s.plans, err = buildGrouperPlans(t, gsets, fs, resultsOnly); err != nil {
+		return nil, err
 	}
-
-	// Plans (bound aggregates, key encoders, fast group layout) are
-	// built ONCE per query and shared read-only; groupers instantiated
-	// from them are cheap per-worker arenas.
-	plans, err := buildGrouperPlans(t, gsets, fs, resultsOnly)
+	sk, err := compileScan(t, q.Where, fs, s.smp)
 	if err != nil {
 		return nil, err
 	}
+	s.kernels = []*scanKernels{sk}
+	e.stats.Queries.Add(1)
+	e.stats.TableScans.Add(1)
+	return s, nil
+}
 
-	// Each worker owns private groupers over a grid-aligned row range and
-	// its own compiled kernels (they only read column data, but their
-	// chunk scratch buffers must never be shared).
+// recordQueryAccess records the query's column-access pattern (the raw
+// data behind SeeDB's access-frequency pruning) and returns the flat
+// aggregate list.
+func (e *Executor) recordQueryAccess(t *Table, q *Query, gsets []GroupingSet) []AggSpec {
+	var touched []string
+	seen := map[string]struct{}{}
+	touch := func(cols ...string) {
+		for _, c := range cols {
+			if c == "" {
+				continue
+			}
+			if _, ok := seen[c]; !ok {
+				seen[c] = struct{}{}
+				touched = append(touched, c)
+			}
+		}
+	}
+	var allAggs []AggSpec
+	for _, gs := range gsets {
+		touch(gs.By...)
+		for _, a := range gs.Aggs {
+			touch(a.Column)
+			if a.Filter != nil {
+				touch(a.Filter.Columns()...)
+			}
+		}
+		allAggs = append(allAggs, gs.Aggs...)
+	}
+	if q.Where != nil {
+		touch(q.Where.Columns()...)
+	}
+	e.cat.RecordAccess(q.Table, touched...)
+	return allAggs
+}
+
+// runGroupers scans rows [lo,hi) and returns the merged groupers, for
+// callers that finalize (Run and friends) or export partition-mergeable
+// partials. It is the engine's one scan driver and its one worker pool.
+func (s *scan) runGroupers(ctx context.Context, lo, hi int) ([]*grouper, error) {
+	n := hi - lo
+	workers := min(max(s.q.Parallelism, 1), max(n, 1))
+
+	// Each worker owns private groupers — cheap per-worker arenas
+	// instantiated from the shared plans — over a grid-aligned row range.
 	ranges := [][2]int{{lo, hi}}
 	if workers > 1 {
 		ranges = splitAligned(lo, hi, workers)
 	}
-	kernels := make([]*scanKernels, len(ranges))
-	for w := range kernels {
-		if kernels[w], err = compileScan(t, q.Where, fs, smp); err != nil {
+	for len(s.kernels) < len(ranges) {
+		sk, err := compileScan(s.t, s.q.Where, s.fs, s.smp)
+		if err != nil {
 			return nil, err
 		}
+		s.kernels = append(s.kernels, sk)
 	}
-
-	e.stats.Queries.Add(1)
-	e.stats.TableScans.Add(1)
-	e.stats.RowsRead.Add(int64(n))
+	s.e.stats.RowsRead.Add(int64(n))
+	if s.st != nil {
+		s.st.rowsScanned.Add(int64(n))
+	}
 
 	partials := make([][]*grouper, len(ranges))
 	for w := range partials {
-		partials[w] = newGroupers(plans)
+		partials[w] = newGroupers(s.plans)
 	}
 	if len(ranges) == 1 {
-		if err := kernels[0].scanPartition(ctx, lo, hi, partials[0]); err != nil {
+		if err := s.kernels[0].scanPartition(ctx, lo, hi, partials[0]); err != nil {
 			return nil, err
 		}
 		return partials[0], nil
@@ -374,7 +459,7 @@ func (e *Executor) runGroupers(ctx context.Context, q *Query, gsets []GroupingSe
 		wg.Add(1)
 		go func(w, wlo, whi int) {
 			defer wg.Done()
-			errs[w] = kernels[w].scanPartition(ctx, wlo, whi, partials[w])
+			errs[w] = s.kernels[w].scanPartition(ctx, wlo, whi, partials[w])
 		}(w, rng[0], rng[1])
 	}
 	wg.Wait()
@@ -385,11 +470,25 @@ func (e *Executor) runGroupers(ctx context.Context, q *Query, gsets []GroupingSe
 	}
 	merged := partials[0]
 	for w := 1; w < len(ranges); w++ {
-		for s := range merged {
-			merged[s].mergeFrom(partials[w][s])
+		for i := range merged {
+			merged[i].mergeFrom(partials[w][i])
 		}
 	}
 	return merged, nil
+}
+
+// export scans rows [lo,hi) and exports the state as ONE partial per
+// grouping set.
+func (s *scan) export(ctx context.Context, lo, hi int) ([]*Partial, error) {
+	groupers, err := s.runGroupers(ctx, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Partial, len(groupers))
+	for i, g := range groupers {
+		out[i] = g.partial()
+	}
+	return out, nil
 }
 
 // DenseLayouts reports, per grouping set, whether a scan of the table
@@ -1013,8 +1112,7 @@ func floorDiv(v, w int64) int64 {
 // SeeDB's group cardinalities — rather than striding through per-group
 // structs.
 //
-// Groupers are cheap arenas over their (immutable, shared) plan and
-// support reset() for reuse across scan segments.
+// Groupers are cheap arenas over their (immutable, shared) plan.
 type grouper struct {
 	plan *grouperPlan
 
@@ -1098,7 +1196,7 @@ func (g *grouper) growSlots(n int) {
 
 // grown returns s extended to length n, new elements zero, doubling
 // capacity so repeated growth is amortized. Elements between len and
-// cap are zero by construction (see grouper.reset).
+// cap are zero: nothing ever shrinks these slices.
 func grown[T any](s []T, n int) []T {
 	if n <= cap(s) {
 		return s[:n]
@@ -1106,52 +1204,6 @@ func grown[T any](s []T, n int) []T {
 	out := make([]T, n, max(n, 2*cap(s)))
 	copy(out, s)
 	return out
-}
-
-// reset clears accumulated state so the arena can be reused for the
-// next scan segment. Only slots that were touched are cleared, so
-// resetting between small segments costs O(groups seen), not O(layout),
-// and exact accumulators keep their limb arrays so a refilled arena does
-// not reallocate them. Exported partials own their state (AccState
-// digit slices are fresh copies and key []Value slices are never
-// mutated afterwards), so reuse after partial() is safe.
-func (g *grouper) reset() {
-	p := g.plan
-	for slot, st := range g.stamp {
-		if st == 0 {
-			continue
-		}
-		g.stamp[slot] = 0
-		for i := range g.cnt {
-			g.cnt[i][slot] = 0
-		}
-		for i := range g.cols {
-			c := &g.cols[i]
-			if c.exSum == nil {
-				continue
-			}
-			c.exSum[slot].reset()
-			if c.exSumSq != nil {
-				c.exSumSq[slot].reset()
-				c.min[slot], c.max[slot], c.seen[slot] = 0, 0, false
-			}
-		}
-	}
-	if p.fast == nil {
-		// Slots are reassigned from zero; the cleared state stays behind
-		// as zeroed capacity for growSlots.
-		clear(g.m)
-		g.keys = g.keys[:0]
-		g.stamp = g.stamp[:0]
-		for i := range g.cnt {
-			g.cnt[i] = g.cnt[i][:0]
-		}
-		for i := range g.cols {
-			c := &g.cols[i]
-			c.sum, c.sumsq, c.exSum, c.exSumSq = c.sum[:0], c.sumsq[:0], c.exSum[:0], c.exSumSq[:0]
-			c.min, c.max, c.seen = c.min[:0], c.max[:0], c.seen[:0]
-		}
-	}
 }
 
 // keyEncoder appends row's key bytes for one column and materializes

@@ -293,8 +293,10 @@ func resultsEq(a, b *Result) bool {
 }
 
 // runBothScans runs q through the oracle and through the engine's
-// paths on fresh executors over the same table, and fails the test on
-// any drift. Every random query must be valid: an engine error fails.
+// paths on fresh executors over the same table (withStore: also over a
+// copy that grows by an append between the store's passes), and fails
+// the test on any drift. Every random query must be valid: an engine
+// error fails.
 func runBothScans(t *testing.T, tab *Table, q *Query, withStore bool) {
 	t.Helper()
 	ctx := context.Background()
@@ -318,14 +320,7 @@ func runBothScans(t *testing.T, tab *Table, q *Query, withStore bool) {
 	check("direct scan", got, err)
 	execs := []*Executor{kern}
 	if withStore {
-		stored := NewExecutor(cat)
-		stored.SetPartialStore(NewPartialStore(0))
-		execs = append(execs, stored)
-		got, err = stored.Run(ctx, q)
-		check("partial store, cold", got, err)
-		// Second run: every sealed chunk now comes from the store.
-		got, err = stored.Run(ctx, q)
-		check("partial store, warm", got, err)
+		execs = append(execs, runStoredGrowing(t, tab, q, check))
 	}
 
 	// Partials carry exact state, not just finalized values: whole-range
@@ -367,6 +362,52 @@ func runBothScans(t *testing.T, tab *Table, q *Query, withStore bool) {
 	}
 	want = oracleRun(tab, q, mid)
 	check(fmt.Sprintf("partials merged at row %d", mid), mergedHalves(t, kern, q, lo, mid, hi), nil)
+}
+
+// runStoredGrowing runs q on an executor with a partial store whose
+// copy of tab arrives in two steps: a cold pass over a prefix (checked
+// against the oracle on that prefix), an append of the rest, then two
+// warm passes over the whole table — the first grows the cold pass's
+// run by the appended cells, the second is served by the grown run.
+// It returns the executor, warm, for the caller's partial checks.
+func runStoredGrowing(t *testing.T, tab *Table, q *Query, check func(string, *Result, error)) *Executor {
+	t.Helper()
+	ctx := context.Background()
+	n := tab.NumRows()
+	prefix := 1 + rand.New(rand.NewSource(int64(n)<<20^int64(q.RowHi))).Intn(n) // == n: nothing to append
+	grown, err := tab.ExtractRange(tab.Name(), 0, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := NewCatalog()
+	if err := cat.Register(grown); err != nil {
+		t.Fatal(err)
+	}
+	stored := NewExecutor(cat)
+	stored.SetPartialStore(NewPartialStore(0))
+	if q.RowLo < prefix {
+		cold := *q
+		cold.RowHi = min(q.RowHi, prefix) // 0 stays "to the end"
+		got, err := stored.Run(ctx, &cold)
+		if err != nil {
+			t.Fatalf("partial store, cold on %d of %d rows: %v\nquery: %+v", prefix, n, err, cold)
+		}
+		if want := oracleRun(grown, &cold); !resultsEq(want, got) {
+			t.Fatalf("partial store, cold on %d of %d rows, differs from the oracle\nquery: %+v\noracle: %+v\ngot:    %+v", prefix, n, cold, want, got)
+		}
+	}
+	rest := make([][]Value, 0, n-prefix)
+	for r := prefix; r < n; r++ {
+		rest = append(rest, tab.Row(r))
+	}
+	if _, err := grown.Append(rest); err != nil {
+		t.Fatal(err)
+	}
+	got, err := stored.Run(ctx, q)
+	check(fmt.Sprintf("partial store, after appending rows [%d,%d)", prefix, n), got, err)
+	got, err = stored.Run(ctx, q)
+	check("partial store, warm", got, err)
+	return stored
 }
 
 // mergedHalves scans [lo,mid) and [mid,hi) of q separately, merges the

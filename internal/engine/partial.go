@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -97,33 +96,25 @@ func accumulatorOf(st AccState) accumulator {
 // like RunSharedScan — but returns partition-mergeable partials
 // instead of finalized results. q.GroupBy/q.Aggs are used as a single
 // implicit set when gsets is nil, mirroring Run. With a partial store
-// installed, sealed-chunk partials are reused and only missing chunks
-// are scanned (cluster workers therefore keep serving the sealed
-// prefix of a table from cache across appends).
+// installed, the plan's stored run is reused and only the rows it does
+// not cover are scanned (cluster workers therefore keep serving the
+// sealed prefix of a table from the store across appends). The caller
+// owns what comes back: no returned partial is shared with the store.
 func (e *Executor) RunPartials(ctx context.Context, q *Query, gsets []GroupingSet) ([]*Partial, error) {
 	if gsets == nil {
 		gsets = []GroupingSet{{By: q.GroupBy, Aggs: q.Aggs, BinWidths: q.BinWidths}}
 	}
-	if ps, err := e.runPartialsChunked(ctx, q, gsets); err == nil {
-		return ps, nil
-	} else if !errors.Is(err, errChunkPathNA) {
-		return nil, err
-	}
-	groupers, err := e.runGroupers(ctx, q, gsets, false)
+	s, err := e.bindScan(q, gsets, false)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Partial, len(groupers))
-	for i, g := range groupers {
-		out[i] = g.partial()
-	}
-	return out, nil
+	defer s.t.mu.RUnlock()
+	return s.partials(ctx)
 }
 
 // partial exports the grouper state, groups sorted by key. Exported
 // state is fully owned by the Partial (accState snapshots fresh digit
-// slices, key []Value slices are never mutated afterwards), so the
-// grouper can be reset() and reused after this returns. Logical
+// slices, key []Value slices are never mutated afterwards). Logical
 // aggregates backed by one physical accumulator export one snapshot —
 // AccStates are immutable, so sharing their digit slices is safe.
 func (g *grouper) partial() *Partial {

@@ -1,132 +1,112 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"seedb/internal/lru"
 )
 
 // PartialStore is the engine's incremental-execution cache: a
-// content-addressed, size-bounded LRU of per-chunk aggregation partials.
-// Entries are keyed by (chunk content hash, chunk position, plan
-// signature), so a hit means "this exact grid cell, holding these exact
-// rows, was already aggregated under this exact plan" — reuse is always
-// byte-safe, and no invalidation is ever needed: the table is
-// append-only and the chunk grid is absolute, so a sealed cell's
-// contents (and therefore its key) can never change. Appending rows
-// only adds new cells; a query after an append reuses every sealed
-// cell's partials and scans just the tail plus the new cells, making
-// query-after-append cost O(delta), not O(table).
+// content-addressed, size-bounded LRU holding, per plan, ONE run — the
+// exported partials of a stretch of sealed grid cells starting at an
+// anchor row. A query splits its range at the grid into an unaligned
+// head, the sealed body and a tail, looks up its plan's run at the
+// body's first row, scans only what the run does not cover and stores
+// the grown run (see scan.partials). The table is append-only and the
+// chunk grid is absolute, so a sealed cell's contents can never change:
+// a run is validated by content alone — never by table name or version
+// — and no invalidation is ever needed. Appending rows only adds cells
+// after the run, so a query after an append scans the new cells and the
+// tail: O(delta), not O(table).
 //
 // The same property gives cross-table and cross-process sharing for
 // free: two replicas that loaded identical data produce identical chunk
 // hashes, so a worker's store primed before an append keeps serving the
 // sealed prefix after it.
+//
+// A partial's size is set by the groups, not the rows, which is why the
+// unit is one run per plan and not an entry per cell: a never-seen
+// predicate costs one export of a groups-sized partial. The price is
+// that only a range which starts at the run's anchor and reaches at
+// least as far reuses it — a shorter range, or one whose first sealed
+// cell moved (phased ranges after an append, a replicated shard cut
+// that crossed a cell), rescans. Same bytes either way.
 type PartialStore struct {
-	maxBytes int64
-
-	mu      sync.Mutex
-	entries map[string]*psEntry
-	lru     *list.List // front = most recently used
-	bytes   int64
+	mu   sync.Mutex
+	runs *lru.Cache[*run]
 
 	hits        atomic.Int64
 	misses      atomic.Int64
-	evictions   atomic.Int64
 	rowsReused  atomic.Int64
 	rowsScanned atomic.Int64
 }
 
-// psEntry is one cached chunk: the partials of every grouping set of
-// one plan over one sealed grid cell.
-type psEntry struct {
-	key      string
+// run is one plan's aggregated state over cells sealed grid cells from
+// its anchor row. Immutable once stored, and never handed to a caller:
+// it is only ever a merge SOURCE.
+type run struct {
+	cells    int
+	digest   string // over the cells' chunk hashes, see scan.runDigest
 	partials []*Partial
-	size     int64
-	elem     *list.Element
 }
-
-// DefaultPartialStoreBytes bounds the store when no budget is given.
-const DefaultPartialStoreBytes = 256 << 20
 
 // NewPartialStore builds a store bounded to maxBytes of estimated
-// partial state (<= 0 selects DefaultPartialStoreBytes).
+// partial state (<= 0 selects the 256 MiB default).
 func NewPartialStore(maxBytes int64) *PartialStore {
 	if maxBytes <= 0 {
-		maxBytes = DefaultPartialStoreBytes
+		maxBytes = 256 << 20
 	}
-	return &PartialStore{
-		maxBytes: maxBytes,
-		entries:  make(map[string]*psEntry),
-		lru:      list.New(),
-	}
+	return &PartialStore{runs: lru.New[*run](maxBytes)}
 }
 
-// get returns the cached partials for key. Returned partials are shared
-// and must never be mutated — callers merge FROM them into fresh
-// accumulators, never INTO them.
-func (s *PartialStore) get(key string) ([]*Partial, bool) {
+// lookup returns the run stored under key, if any.
+func (s *PartialStore) lookup(key string) *run {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return nil, false
-	}
-	s.lru.MoveToFront(e.elem)
-	return e.partials, true
+	r, _ := s.runs.Get(key)
+	return r
 }
 
-// put stores the partials for key, evicting least-recently-used entries
-// until the budget holds again. Oversized single entries are still
-// admitted, mirroring the view cache's policy.
-func (s *PartialStore) put(key string, partials []*Partial) {
-	e := &psEntry{key: key, partials: partials, size: partialsSize(partials)}
+// put stores r under key: one entry per key, and a longer run is never
+// displaced by a shorter one (a short range rescans; it must not shrink
+// what longer ranges reuse). replaced is the run the caller looked up
+// and either extended or found stale — that one always gives way.
+func (s *PartialStore) put(key string, r, replaced *run) {
+	size := int64(len(key)) + runOverhead + partialsSize(r.partials)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
-		return // racing scan of the same chunk already stored it
+	if old, ok := s.runs.Get(key); ok && old != replaced && old.cells >= r.cells {
+		return
 	}
-	e.elem = s.lru.PushFront(e)
-	s.entries[key] = e
-	s.bytes += e.size
-	for s.bytes > s.maxBytes && s.lru.Len() > 1 {
-		tail := s.lru.Back()
-		victim := tail.Value.(*psEntry)
-		s.lru.Remove(tail)
-		delete(s.entries, victim.key)
-		s.bytes -= victim.size
-		s.evictions.Add(1)
-	}
+	s.runs.Put(key, r, size)
 }
 
-// Purge drops every entry.
+// Purge drops every run.
 func (s *PartialStore) Purge() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = make(map[string]*psEntry)
-	s.lru.Init()
-	s.bytes = 0
+	s.runs.Purge()
 }
 
 // PartialStoreStats is a point-in-time snapshot of store effectiveness.
 type PartialStoreStats struct {
-	// Hits and Misses count sealed-chunk lookups.
+	// Hits and Misses count run lookups: one per scan whose range holds
+	// a sealed cell. A hit found a valid run for the plan.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// Evictions counts entries dropped to stay under the byte budget.
+	// Evictions counts runs dropped to stay under the byte budget.
 	Evictions int64 `json:"evictions"`
-	// RowsReused counts rows whose aggregation was served from cached
-	// chunk partials; RowsScanned counts rows the incremental path
-	// actually re-scanned (delta rows, unsealed tails, and cold misses).
-	// Their ratio is the delta-reuse ratio surfaced in /api/stats.
+	// RowsReused counts rows whose aggregation was served from a stored
+	// run; RowsScanned counts rows the incremental path actually scanned
+	// (delta rows, unaligned heads and tails, and cold misses). Their
+	// ratio is the delta-reuse ratio surfaced in /api/stats.
 	RowsReused  int64 `json:"rowsReused"`
 	RowsScanned int64 `json:"rowsScanned"`
 	// Entries and Bytes describe the current contents.
@@ -147,35 +127,50 @@ func (st PartialStoreStats) ReuseRatio() float64 {
 // Stats snapshots the store counters.
 func (s *PartialStore) Stats() PartialStoreStats {
 	s.mu.Lock()
-	entries, bytes := len(s.entries), s.bytes
-	s.mu.Unlock()
+	defer s.mu.Unlock()
 	return PartialStoreStats{
 		Hits:        s.hits.Load(),
 		Misses:      s.misses.Load(),
-		Evictions:   s.evictions.Load(),
+		Evictions:   s.runs.Evictions(),
 		RowsReused:  s.rowsReused.Load(),
 		RowsScanned: s.rowsScanned.Load(),
-		Entries:     entries,
-		Bytes:       bytes,
+		Entries:     s.runs.Len(),
+		Bytes:       s.runs.Bytes(),
 	}
 }
 
-// partialsSize estimates the heap footprint of a chunk's partials.
+// Heap sizes the budget charges (pinned to unsafe.Sizeof and to measured
+// heap growth by TestPartialStoreAccounting).
+const (
+	runOverhead = 256 // run, digest, LRU entry, list element, map bucket share
+	partialSize = 96  // Partial: four slice headers
+	groupSize   = 48  // PartialGroup: two slice headers
+	valueSize   = 48  // Value
+	accSize     = 128 // AccState
+)
+
+// partialsSize estimates the heap footprint of a run's partials.
 func partialsSize(partials []*Partial) int64 {
-	const accSize = 96 // AccState struct + slice header share
 	var n int64
 	for _, p := range partials {
-		n += 128
-		for _, c := range p.Cols {
-			n += int64(len(c)) + 24
+		n += partialSize + int64(8*len(p.Funcs))
+		for _, c := range p.By {
+			n += 16 + int64(len(c))
 		}
+		for _, c := range p.Cols {
+			n += 16 + int64(len(c))
+		}
+		n += groupSize * int64(len(p.Groups))
 		for _, g := range p.Groups {
-			n += 48
+			n += valueSize * int64(len(g.Key))
 			for _, k := range g.Key {
-				n += 48 + int64(len(k.S))
+				n += int64(len(k.S))
 			}
+			n += accSize * int64(len(g.Accs))
 			for _, a := range g.Accs {
-				n += accSize + int64(4*(len(a.Sum.Digits)+len(a.SumSq.Digits)))
+				// cap, not len: canon trims zero digits by reslicing, and
+				// the whole backing array stays reachable.
+				n += int64(4*cap(a.Sum.Digits)+7)&^7 + int64(4*cap(a.SumSq.Digits)+7)&^7
 			}
 		}
 	}
@@ -183,14 +178,91 @@ func partialsSize(partials []*Partial) int64 {
 }
 
 // ---------------------------------------------------------------------
+// Incremental execution
+
+// partials answers the bound scan as one partial per grouping set that
+// the caller owns. Without a store that applies, that is one export of
+// one scan. With one, the range is cut at the grid into head [lo,a),
+// sealed body [a,ahi) and tail [ahi,hi); the plan's run at anchor a —
+// valid iff it ends inside the body and its digest matches this table's
+// cells — stands in for the rows it covers, the rest of the body is
+// scanned and folded onto it, and the grown run is stored. The pieces
+// are then folded in row order into fresh state, so a stored partial is
+// never handed out. Every cut lies on the absolute grid except the
+// range's own ends, and partial merging at grid boundaries is exactly
+// the partition-invariance the engine already guarantees for parallel
+// and sharded scans: the bytes are those of a direct whole-range scan.
+func (s *scan) partials(ctx context.Context) ([]*Partial, error) {
+	if s.st == nil {
+		return s.export(ctx, s.lo, s.hi)
+	}
+	var pieces [][]*Partial
+	if s.lo < s.a {
+		head, err := s.export(ctx, s.lo, s.a)
+		if err != nil {
+			return nil, err
+		}
+		pieces = append(pieces, head)
+	}
+
+	key := s.sig + "|" + strconv.Itoa(s.a) + "|" + s.t.chunkHashLocked(chunkOf(s.a))
+	cells := (s.ahi - s.a) / ChunkRows
+	covered, body := s.a, []*Partial(nil)
+	old := s.st.lookup(key)
+	if old != nil && old.cells > cells {
+		old = nil // a longer range's run: not usable here, not to be displaced
+	}
+	if old != nil && old.digest == s.runDigest(old.cells) {
+		covered, body = s.a+old.cells*ChunkRows, old.partials
+		s.st.hits.Add(1)
+		s.st.rowsReused.Add(int64(old.cells * ChunkRows))
+	} else {
+		s.st.misses.Add(1)
+	}
+	if covered < s.ahi {
+		fresh, err := s.export(ctx, covered, s.ahi)
+		if err != nil {
+			return nil, err
+		}
+		if body == nil {
+			body = fresh
+		} else if body, err = MergePartials([][]*Partial{body, fresh}); err != nil {
+			return nil, err
+		}
+		s.st.put(key, &run{cells: cells, digest: s.runDigest(cells), partials: body}, old)
+	}
+	pieces = append(pieces, body)
+
+	if s.ahi < s.hi {
+		tail, err := s.export(ctx, s.ahi, s.hi)
+		if err != nil {
+			return nil, err
+		}
+		pieces = append(pieces, tail)
+	}
+	return MergePartials(pieces)
+}
+
+// runDigest digests the content of the n sealed cells from the scan's
+// anchor: a stored run is valid for this table iff it was built over
+// cells with these hashes.
+func (s *scan) runDigest(n int) string {
+	h := sha256.New()
+	for c := chunkOf(s.a); c < chunkOf(s.a)+n; c++ {
+		h.Write([]byte(s.t.chunkHashLocked(c)))
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// ---------------------------------------------------------------------
 // Plan signature
 
 // PlanSignature digests everything about a query that determines a
-// chunk's partial state besides the rows themselves: predicate,
+// row range's partial state besides the rows themselves: predicate,
 // sampling parameters, grouping structure, bin widths, and aggregate
 // list. Row range, table identity, and parallelism are deliberately
-// absent — the row position travels in the chunk key, the chunk hash
-// covers the data, and partials are partition-invariant. The service
+// absent — the anchor row travels in the run key, the chunk hashes
+// cover the data, and partials are partition-invariant. The service
 // layer reuses this digest (plus table fingerprint and row range) as
 // its execution-cache key, so the two caches agree on what "same plan"
 // means.
@@ -246,235 +318,4 @@ func PlanSignature(q *Query, gsets []GroupingSet) string {
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:16])
-}
-
-// ---------------------------------------------------------------------
-// Incremental (chunked) execution
-
-// errChunkPathNA reports that the incremental path cannot serve a query
-// (no store installed, or the scanned range contains no sealed cell);
-// callers fall back to the direct scan.
-var errChunkPathNA = errors.New("engine: chunk-partial path not applicable")
-
-// chunkSeg is one contiguous piece of a chunked scan: either a sealed
-// grid cell (key != "", cacheable) or an unaligned remainder (key ==
-// "", always scanned, never stored).
-type chunkSeg struct {
-	lo, hi   int
-	key      string
-	partials []*Partial
-}
-
-// runPartialsChunked executes (q, gsets) as a merge of per-chunk
-// partials, reusing cached sealed-cell state from the partial store and
-// scanning only what is missing. The merged result is byte-identical
-// to a direct whole-range scan: segment boundaries lie on the chunk
-// grid, and partial merging at grid boundaries is exactly the
-// partition-invariance the engine already guarantees for parallel and
-// sharded scans.
-func (e *Executor) runPartialsChunked(ctx context.Context, q *Query, gsets []GroupingSet) ([]*Partial, error) {
-	st := e.PartialStore()
-	if st == nil {
-		return nil, errChunkPathNA
-	}
-	for _, gs := range gsets {
-		if len(gs.Aggs) == 0 {
-			return nil, fmt.Errorf("engine: query on %q has a grouping set with no aggregates", q.Table)
-		}
-	}
-	t, err := e.cat.Table(q.Table)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-
-	lo, hi := 0, t.rows
-	if q.RowHi > 0 {
-		if q.RowLo < 0 || q.RowLo > q.RowHi || q.RowHi > t.rows {
-			return nil, fmt.Errorf("engine: row range [%d,%d) invalid for table %q with %d rows",
-				q.RowLo, q.RowHi, q.Table, t.rows)
-		}
-		lo, hi = q.RowLo, q.RowHi
-	}
-	// Sealed cells fully inside [lo,hi): cells in [alo, ahi).
-	sealedHi := (t.rows / ChunkRows) * ChunkRows
-	alo := alignToGrid(lo)
-	ahi := min(chunkStart(chunkOf(hi)), sealedHi)
-	if ahi-alo < ChunkRows {
-		return nil, errChunkPathNA
-	}
-
-	// Plans — bound aggregates, key encoders, the fast group layout — are
-	// built ONCE for the whole query, and one kernel set is compiled up
-	// front so an invalid predicate fails the query whether or not every
-	// cell it touches happens to be cached.
-	fs := buildFilterSet(e.recordQueryAccess(t, q, gsets))
-	smp := newSampler(q.SampleFraction, q.SampleSeed, q.SampleBase)
-	plans, err := buildGrouperPlans(t, gsets, fs, false)
-	if err != nil {
-		return nil, err
-	}
-	compiled, err := compileScan(t, q.Where, fs, smp)
-	if err != nil {
-		return nil, err
-	}
-	sig := PlanSignature(q, gsets)
-
-	e.stats.Queries.Add(1)
-	e.stats.TableScans.Add(1)
-
-	// Segment the range: head remainder, sealed cells, tail remainder.
-	var segs []*chunkSeg
-	if lo < alo {
-		segs = append(segs, &chunkSeg{lo: lo, hi: min(alo, hi)})
-	}
-	for c := alo / ChunkRows; c < ahi/ChunkRows; c++ {
-		segs = append(segs, &chunkSeg{
-			lo:  chunkStart(c),
-			hi:  chunkStart(c + 1),
-			key: t.chunkHashLocked(c) + "|" + strconv.Itoa(chunkStart(c)) + "|" + sig,
-		})
-	}
-	if ahi < hi {
-		segs = append(segs, &chunkSeg{lo: ahi, hi: hi})
-	}
-
-	// Serve sealed cells from the store; collect what must be scanned.
-	var missing []*chunkSeg
-	for _, seg := range segs {
-		if seg.key != "" {
-			if ps, ok := st.get(seg.key); ok {
-				seg.partials = ps
-				st.hits.Add(1)
-				st.rowsReused.Add(int64(seg.hi - seg.lo))
-				continue
-			}
-			st.misses.Add(1)
-		}
-		missing = append(missing, seg)
-	}
-
-	// Scan the missing segments, using the query's parallelism budget
-	// across segments (each segment is one grid cell or remainder, so
-	// per-segment parallel scans would be pointless). Each worker owns one
-	// grouper arena and one compiled kernel set, reset between segments,
-	// so per-segment cost is O(segment rows + groups seen), never O(plan).
-	newSegScanner := func(sk *scanKernels) func(seg *chunkSeg) error {
-		groupers := newGroupers(plans)
-		first := true
-		return func(seg *chunkSeg) error {
-			if !first {
-				for _, g := range groupers {
-					g.reset()
-				}
-			}
-			first = false
-			if err := sk.scanPartition(ctx, seg.lo, seg.hi, groupers); err != nil {
-				return err
-			}
-			seg.partials = make([]*Partial, len(groupers))
-			for i, g := range groupers {
-				seg.partials[i] = g.partial()
-			}
-			n := int64(seg.hi - seg.lo)
-			st.rowsScanned.Add(n)
-			e.stats.RowsRead.Add(n)
-			return nil
-		}
-	}
-	workers := min(q.Parallelism, len(missing))
-	if workers <= 1 {
-		if len(missing) > 0 {
-			scanSeg := newSegScanner(compiled)
-			for _, seg := range missing {
-				if err := scanSeg(seg); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		kernels := []*scanKernels{compiled}
-		for len(kernels) < workers {
-			sk, err := compileScan(t, q.Where, fs, smp)
-			if err != nil {
-				return nil, err
-			}
-			kernels = append(kernels, sk)
-		}
-		segCh := make(chan *chunkSeg)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w, sk := range kernels {
-			wg.Add(1)
-			go func(w int, sk *scanKernels) {
-				defer wg.Done()
-				scanSeg := newSegScanner(sk)
-				for seg := range segCh {
-					if errs[w] != nil {
-						continue // drain after failure
-					}
-					errs[w] = scanSeg(seg)
-				}
-			}(w, sk)
-		}
-		for _, seg := range missing {
-			segCh <- seg
-		}
-		close(segCh)
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, seg := range missing {
-		if seg.key != "" {
-			st.put(seg.key, seg.partials)
-		}
-	}
-
-	// Merge in range order into fresh accumulators: stored partials are
-	// only ever merge SOURCES (never mutated).
-	parts := make([][]*Partial, len(segs))
-	for i, seg := range segs {
-		parts[i] = seg.partials
-	}
-	return MergePartials(parts)
-}
-
-// recordQueryAccess records the query's column-access pattern (the raw
-// data behind SeeDB's access-frequency pruning) and returns the flat
-// aggregate list. Shared by the direct and chunked execution paths.
-func (e *Executor) recordQueryAccess(t *Table, q *Query, gsets []GroupingSet) []AggSpec {
-	var touched []string
-	seen := map[string]struct{}{}
-	touch := func(cols ...string) {
-		for _, c := range cols {
-			if c == "" {
-				continue
-			}
-			if _, ok := seen[c]; !ok {
-				seen[c] = struct{}{}
-				touched = append(touched, c)
-			}
-		}
-	}
-	var allAggs []AggSpec
-	for _, gs := range gsets {
-		touch(gs.By...)
-		for _, a := range gs.Aggs {
-			touch(a.Column)
-			if a.Filter != nil {
-				touch(a.Filter.Columns()...)
-			}
-		}
-		allAggs = append(allAggs, gs.Aggs...)
-	}
-	if q.Where != nil {
-		touch(q.Where.Columns()...)
-	}
-	e.cat.RecordAccess(q.Table, touched...)
-	return allAggs
 }

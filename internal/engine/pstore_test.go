@@ -2,9 +2,13 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 // appendRows generates deterministic extra rows shaped like
@@ -118,54 +122,415 @@ func TestIncrementalScansOnlyDelta(t *testing.T) {
 	}
 }
 
-// TestIncrementalRowRanges: the chunked path composes with explicit
-// RowLo/RowHi ranges (the cluster's scatter unit), including ranges
-// that do not start at zero.
-func TestIncrementalRowRanges(t *testing.T) {
-	ctx := context.Background()
+// storeFixture registers tables in a fresh catalog and returns an
+// executor with a default-budget partial store beside a store-free one
+// over the same catalog.
+func storeFixture(t *testing.T, tables ...*Table) (stored, cold *Executor) {
+	t.Helper()
 	cat := NewCatalog()
-	tb := partialTestTable(t, 10_000, 3)
-	if err := cat.Register(tb); err != nil {
-		t.Fatal(err)
+	for _, tb := range tables {
+		if err := cat.Register(tb); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cold := NewExecutor(cat)
-	want, err := cold.Run(ctx, partialTestQuery(1))
+	stored = NewExecutor(cat)
+	stored.SetPartialStore(NewPartialStore(0))
+	return stored, NewExecutor(cat)
+}
+
+// mustRun runs q and returns the result's exact bytes.
+func mustRun(t *testing.T, ex *Executor, q *Query) string {
+	t.Helper()
+	res, err := ex.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExecutor(cat)
-	ex.SetPartialStore(NewPartialStore(0))
-	for _, n := range []int{1, 3, 7} {
-		ranges := ShardRanges(tb.NumRows(), 0, 0, n)
-		var merged *Partial
-		for _, rg := range ranges {
-			q := partialTestQuery(1)
-			q.RowLo, q.RowHi = rg[0], rg[1]
-			ps, err := ex.RunPartials(ctx, q, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if merged == nil {
-				merged = ps[0]
-				continue
-			}
-			if err := merged.Merge(ps[0]); err != nil {
-				t.Fatal(err)
-			}
+	return resultBytes(t, res)
+}
+
+// rangeQuery is partialTestQuery(1) on table over rows [lo,hi).
+func rangeQuery(table string, lo, hi int) *Query {
+	q := partialTestQuery(1)
+	q.Table, q.RowLo, q.RowHi = table, lo, hi
+	return q
+}
+
+// TestNeverSeenPlanStoresOneRun is what exploration pays: every
+// never-seen predicate on 100k rows stores exactly one run — about one
+// whole-range partial, whatever the row count — and 50 of them fit the
+// default budget without a single eviction.
+func TestNeverSeenPlanStoresOneRun(t *testing.T) {
+	tb := partialTestTable(t, 100_000, 17)
+	ex, cold := storeFixture(t, tb)
+	whole, err := cold.RunPartials(context.Background(), partialTestQuery(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxRun := 2 * (partialsSize(whole) + runOverhead + 128)
+	for i := 0; i < 50; i++ {
+		q := partialTestQuery(1 + i%3)
+		q.Where = Compare("m", OpGt, Float(float64(i-25)))
+		before := ex.PartialStore().Stats()
+		if got, want := mustRun(t, ex, q), mustRun(t, cold, q); got != want {
+			t.Fatalf("predicate %d: stored scan differs from cold scan", i)
 		}
-		if got, w := resultBytes(t, merged.Finalize()), resultBytes(t, want); got != w {
-			t.Fatalf("n=%d: range-merged incremental partials differ from cold scan", n)
+		st := ex.PartialStore().Stats()
+		if st.Entries != before.Entries+1 || st.Misses != before.Misses+1 || st.Hits != before.Hits {
+			t.Fatalf("predicate %d: want one new run from one missed lookup, got %+v after %+v", i, st, before)
+		}
+		if grew := st.Bytes - before.Bytes; grew > maxRun {
+			t.Fatalf("predicate %d: run charged %d bytes, want <= %d (2x a whole-range partial)", i, grew, maxRun)
 		}
 	}
-	if st := ex.PartialStore().Stats(); st.Hits == 0 {
-		t.Fatalf("second and later splits should reuse chunk partials, got %+v", st)
+	if st := ex.PartialStore().Stats(); st.Evictions != 0 || st.Entries != 50 {
+		t.Fatalf("50 distinct predicates: want 50 runs and no evictions, got %+v", st)
+	}
+}
+
+// TestIncrementalRowRanges: explicit RowLo/RowHi ranges (the cluster's
+// scatter unit) each keep their own run at their own anchor — on or off
+// the grid — so repeating a split reuses every range's sealed body, and
+// the merged partials equal the cold whole-table scan.
+func TestIncrementalRowRanges(t *testing.T) {
+	ctx := context.Background()
+	tb := partialTestTable(t, 10_000, 3)
+	ex, cold := storeFixture(t, tb)
+	want := mustRun(t, cold, partialTestQuery(1))
+	splits := [][][2]int{
+		ShardRanges(tb.NumRows(), 0, 0, 3),
+		{{0, 1500}, {1500, 6000}, {6000, 10_000}}, // cuts off the grid: heads and tails
+	}
+	for _, ranges := range splits {
+		ex.PartialStore().Purge() // the splits share anchors; each starts cold
+		for pass := 0; pass < 2; pass++ {
+			before := ex.PartialStore().Stats()
+			var parts [][]*Partial
+			for _, rg := range ranges {
+				ps, err := ex.RunPartials(ctx, rangeQuery("pt", rg[0], rg[1]), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts = append(parts, ps)
+			}
+			if ranges[0][1]%ChunkRows == 0 { // off-grid cuts change float sums, by design
+				merged, err := MergePartials(parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := resultBytes(t, merged[0].Finalize()); got != want {
+					t.Fatalf("ranges %v pass %d: merged partials differ from cold scan", ranges, pass)
+				}
+			}
+			for i, rg := range ranges {
+				if got, w := resultBytes(t, parts[i][0].Finalize()), mustRun(t, cold, rangeQuery("pt", rg[0], rg[1])); got != w {
+					t.Fatalf("range %v pass %d: stored scan differs from cold scan", rg, pass)
+				}
+			}
+			st := ex.PartialStore().Stats()
+			if hits := st.Hits - before.Hits; pass == 1 && hits != int64(len(ranges)) {
+				t.Fatalf("ranges %v: repeat should hit once per range, got %d hits (%+v)", ranges, hits, st)
+			}
+		}
+	}
+}
+
+// TestShorterRangeAndMovedAnchorRescan writes down what one run per
+// plan gives up: a range that ends before the stored run does, or whose
+// first sealed cell is not the run's anchor, reuses nothing — and
+// returns the same bytes as a cold scan. The longer run survives the
+// shorter query.
+func TestShorterRangeAndMovedAnchorRescan(t *testing.T) {
+	tb := partialTestTable(t, 9_000, 21)
+	ex, cold := storeFixture(t, tb)
+	mustRun(t, ex, rangeQuery("pt", 0, 9_000)) // run: 8 cells at anchor 0
+	for _, rg := range [][2]int{{0, 5_000}, {1_024, 9_000}, {2_100, 9_000}} {
+		before := ex.PartialStore().Stats()
+		q := rangeQuery("pt", rg[0], rg[1])
+		if got, want := mustRun(t, ex, q), mustRun(t, cold, q); got != want {
+			t.Fatalf("range %v: stored scan differs from cold scan", rg)
+		}
+		st := ex.PartialStore().Stats()
+		if st.Hits != before.Hits || st.RowsReused != before.RowsReused {
+			t.Fatalf("range %v: expected a rescan, got reuse (%+v after %+v)", rg, st, before)
+		}
+		if scanned := st.RowsScanned - before.RowsScanned; scanned != int64(rg[1]-rg[0]) {
+			t.Fatalf("range %v: scanned %d rows, want the whole range", rg, scanned)
+		}
+	}
+	before := ex.PartialStore().Stats()
+	mustRun(t, ex, rangeQuery("pt", 0, 9_000))
+	if st := ex.PartialStore().Stats(); st.RowsReused-before.RowsReused != 8*ChunkRows {
+		t.Fatalf("the whole-range run should have survived the shorter query: %+v after %+v", st, before)
+	}
+}
+
+// TestRunsAreContentAddressed: the run key carries the anchor cell's
+// content hash, so two tables — or two placed fragments of one table —
+// answering the same plan over different data each keep their run; and
+// a run is validated by every cell it covers, so a table that merely
+// shares the anchor cell with another never reuses the other's state.
+func TestRunsAreContentAddressed(t *testing.T) {
+	whole := partialTestTable(t, 3*4096, 77)
+	var frags []*Table
+	for i := 0; i < 3; i++ {
+		f, err := whole.ExtractRange(fmt.Sprintf("pt__p%d", i), i*4096, (i+1)*4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frags = append(frags, f)
+	}
+	// twin shares fragment 0's first cell and nothing after it.
+	twin, err := whole.ExtractRange("twin", 0, ChunkRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.Append(appendRows(3*ChunkRows, 5)); err != nil {
+		t.Fatal(err)
+	}
+	ex, cold := storeFixture(t, append(frags, twin)...)
+	for pass := 0; pass < 2; pass++ {
+		for _, f := range frags {
+			q := rangeQuery(f.Name(), 0, 0)
+			if got, want := mustRun(t, ex, q), mustRun(t, cold, q); got != want {
+				t.Fatalf("%s pass %d: stored scan differs from cold scan", f.Name(), pass)
+			}
+		}
+	}
+	if st := ex.PartialStore().Stats(); st.Entries != 3 || st.Hits != 3 || st.Misses != 3 || st.Evictions != 0 {
+		t.Fatalf("three fragments, two passes: want 3 runs, 3 misses then 3 hits, got %+v", st)
+	}
+	for _, name := range []string{"twin", "pt__p0", "twin"} {
+		before := ex.PartialStore().Stats()
+		q := rangeQuery(name, 0, 0)
+		if got, want := mustRun(t, ex, q), mustRun(t, cold, q); got != want {
+			t.Fatalf("%s: a run built over another table's cells leaked into the answer", name)
+		}
+		if st := ex.PartialStore().Stats(); st.Hits != before.Hits || st.Entries != 3 {
+			t.Fatalf("%s: same anchor cell, different run: want a miss that replaces the entry, got %+v after %+v", name, st, before)
+		}
+	}
+}
+
+// TestReturnedPartialIsCallerOwned: callers fold other partitions INTO
+// what RunPartials returns (the cluster gather does), so nothing
+// returned may alias the stored run — on a miss, a hit or a grown run.
+func TestReturnedPartialIsCallerOwned(t *testing.T) {
+	ctx := context.Background()
+	tb := partialTestTable(t, 5*ChunkRows, 9) // no tail: the answer IS the run
+	ex, cold := storeFixture(t, tb)
+	other, err := cold.RunPartials(ctx, rangeQuery("pt", 0, 700), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 3; pass++ {
+		if pass == 2 {
+			if _, err := tb.Append(appendRows(ChunkRows, 3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := mustRun(t, cold, partialTestQuery(1))
+		ps, err := ex.RunPartials(ctx, partialTestQuery(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resultBytes(t, ps[0].Finalize()); got != want {
+			t.Fatalf("pass %d: stored scan differs from cold scan", pass)
+		}
+		// Deface the returned partial every way a caller can.
+		if err := ps[0].Merge(other[0]); err != nil {
+			t.Fatal(err)
+		}
+		for g := range ps[0].Groups {
+			for a := range ps[0].Groups[g].Accs {
+				acc := &ps[0].Groups[g].Accs[a]
+				acc.Count = -1
+				for d := range acc.Sum.Digits {
+					acc.Sum.Digits[d] = 0xDEAD
+				}
+			}
+		}
+		if got := mustRun(t, ex, partialTestQuery(1)); got != want {
+			t.Fatalf("pass %d: mutating a returned partial changed the next answer", pass)
+		}
+	}
+}
+
+// TestPartialStoreEviction: the byte budget holds and evictions are
+// counted; queries stay correct when their run was evicted.
+func TestPartialStoreEviction(t *testing.T) {
+	tb := partialTestTable(t, 12_000, 5)
+	ex, cold := storeFixture(t, tb)
+	const budget = 16 << 10 // a couple of runs
+	store := NewPartialStore(budget)
+	ex.SetPartialStore(store)
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < 8; i++ {
+			q := partialTestQuery(1)
+			q.Where = Compare("g", OpNe, Int(int64(i)))
+			if got, want := mustRun(t, ex, q), mustRun(t, cold, q); got != want {
+				t.Fatalf("pass %d predicate %d: evicting store changed result bytes", pass, i)
+			}
+		}
+	}
+	st := store.Stats()
+	if st.Evictions == 0 || st.Entries >= 8 {
+		t.Fatalf("tiny budget should evict, got %+v", st)
+	}
+	if st.Bytes > budget {
+		t.Fatalf("store is over its budget with more than one entry: %+v", st)
+	}
+}
+
+// TestPartialStoreAccounting pins the budget charge two ways: the size
+// constants are the structs' real sizes, and the bytes charged for a run
+// are within 25% of the heap the run actually holds — for a freshly
+// exported run (logical aggregates share their physical accumulator's
+// digits) and for one grown by a merge after an append (they do not).
+func TestPartialStoreAccounting(t *testing.T) {
+	for name, c := range map[string][2]uintptr{
+		"Partial":      {partialSize, unsafe.Sizeof(Partial{})},
+		"PartialGroup": {groupSize, unsafe.Sizeof(PartialGroup{})},
+		"Value":        {valueSize, unsafe.Sizeof(Value{})},
+		"AccState":     {accSize, unsafe.Sizeof(AccState{})},
+	} {
+		if c[0] != c[1] {
+			t.Errorf("store charges %d bytes per %s, unsafe.Sizeof says %d", c[0], name, c[1])
+		}
+	}
+
+	const rows, keys = 40 * ChunkRows, 4000
+	tb := MustNewTable("acct", Schema{{Name: "k", Type: TypeInt}, {Name: "m", Type: TypeFloat}})
+	rng := rand.New(rand.NewSource(1))
+	mkRows := func(n int) [][]Value {
+		out := make([][]Value, n)
+		for i := range out {
+			out[i] = []Value{Int(int64(rng.Intn(keys))), Float(math.Round(rng.Float64()*1e6) / 100)}
+		}
+		return out
+	}
+	if _, err := tb.Append(mkRows(rows)); err != nil {
+		t.Fatal(err)
+	}
+	ex, _ := storeFixture(t, tb)
+	query := func(where Predicate) *Query {
+		q := partialTestQuery(1)
+		q.Table, q.GroupBy, q.Where = "acct", []string{"k"}, where
+		q.Aggs = q.Aggs[:7] // the unfiltered aggregates of m
+		return q
+	}
+	run := func(q *Query) {
+		t.Helper()
+		if _, err := ex.Run(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm everything a first scan memoizes on the table (chunk hashes,
+	// column ranges) so the window below holds the run and nothing else.
+	run(query(Compare("m", OpGe, Float(0))))
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	check := func(what string, queries ...*Query) {
+		t.Helper()
+		ex.PartialStore().Purge()
+		heapBefore := heap()
+		for _, q := range queries {
+			run(q)
+		}
+		measured, accounted := heap()-heapBefore, ex.PartialStore().Stats().Bytes
+		if measured < 1<<20 {
+			t.Skipf("%s: heap grew only %d bytes (GC interference); nothing to pin", what, measured)
+		}
+		ratio := float64(accounted) / float64(measured)
+		t.Logf("%s: charged %d bytes, heap grew %d (ratio %.2f)", what, accounted, measured, ratio)
+		if ratio < 0.75 || ratio > 1.25 {
+			t.Fatalf("%s: store charged %d bytes, the heap grew %d (ratio %.2f, want within 25%%)", what, accounted, measured, ratio)
+		}
+	}
+	check("fresh run", query(nil))
+	if _, err := tb.Append(mkRows(3 * ChunkRows)); err != nil {
+		t.Fatal(err)
+	}
+	run(query(Compare("m", OpGe, Float(0)))) // warm the new cells' hashes
+	short := query(nil)
+	short.RowHi = rows
+	check("grown run", short, query(nil))
+}
+
+// TestPartialStoreConcurrentGrowth: readers of one plan race an
+// appender; every answer must equal a cold scan of SOME prefix the
+// table went through, and the final one the whole table's. Run under
+// -race in CI.
+func TestPartialStoreConcurrentGrowth(t *testing.T) {
+	tb := partialTestTable(t, 4_000, 41)
+	ex, cold := storeFixture(t, tb)
+	const batches, batch = 12, 700
+	valid := map[string]bool{mustRun(t, cold, partialTestQuery(1)): true}
+	var mu sync.Mutex // guards valid
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(par int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := ex.Run(context.Background(), partialTestQuery(par))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got := resultBytes(t, res)
+				mu.Lock()
+				ok := valid[got]
+				mu.Unlock()
+				if !ok {
+					t.Error("a concurrent stored scan matched no prefix of the table")
+					return
+				}
+			}
+		}(1 + r%2)
+	}
+	for b := 0; b < batches; b++ {
+		// Publish the next prefix's answer before the rows become visible.
+		next := tb.Clone("pt")
+		rows := appendRows(batch, int64(b))
+		if _, err := next.Append(rows); err != nil {
+			t.Fatal(err)
+		}
+		nextCat := NewCatalog()
+		if err := nextCat.Register(next); err != nil {
+			t.Fatal(err)
+		}
+		want := mustRun(t, NewExecutor(nextCat), partialTestQuery(1))
+		mu.Lock()
+		valid[want] = true
+		mu.Unlock()
+		if _, err := tb.Append(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got, want := mustRun(t, ex, partialTestQuery(1)), mustRun(t, cold, partialTestQuery(1)); got != want {
+		t.Fatal("after the appends the stored scan differs from a cold scan")
+	}
+	if st := ex.PartialStore().Stats(); st.Hits == 0 || st.Entries != 1 {
+		t.Fatalf("one plan, one table: want one run and some reuse, got %+v", st)
 	}
 }
 
 // TestIncrementalSampledAndFiltered: sampling and per-aggregate filters
 // are part of the plan signature, so differently-parameterized queries
-// never share chunk entries — and each stays byte-identical to its own
-// cold scan.
+// never share a run — and each stays byte-identical to its own cold
+// scan.
 func TestIncrementalSampledAndFiltered(t *testing.T) {
 	ctx := context.Background()
 	cat := NewCatalog()
@@ -198,40 +563,6 @@ func TestIncrementalSampledAndFiltered(t *testing.T) {
 				t.Fatalf("sample=%g seed=%d pass=%d: incremental differs from cold", q.SampleFraction, q.SampleSeed, i)
 			}
 		}
-	}
-}
-
-// TestPartialStoreEviction: the byte budget holds and evictions are
-// counted; queries stay correct when everything was evicted.
-func TestPartialStoreEviction(t *testing.T) {
-	ctx := context.Background()
-	cat := NewCatalog()
-	tb := partialTestTable(t, 12_000, 5)
-	if err := cat.Register(tb); err != nil {
-		t.Fatal(err)
-	}
-	ex := NewExecutor(cat)
-	store := NewPartialStore(4 << 10) // 4 KiB: a few chunk entries at most
-	ex.SetPartialStore(store)
-	want, err := NewExecutor(cat).Run(ctx, partialTestQuery(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		got, err := ex.Run(ctx, partialTestQuery(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g, w := resultBytes(t, got), resultBytes(t, want); g != w {
-			t.Fatalf("pass %d: evicting store changed result bytes", i)
-		}
-	}
-	st := store.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("tiny budget should evict, got %+v", st)
-	}
-	if st.Bytes > 3*(4<<10) {
-		t.Fatalf("store grew far past its budget: %+v", st)
 	}
 }
 

@@ -397,8 +397,9 @@ func (t *Table) SealedChunks() int {
 // memoized for the table's lifetime. The digest covers the schema
 // (names and types) plus every cell value, so two tables holding
 // identical rows at the same grid position produce identical digests —
-// the content address the chunk-partial store keys on. The caller must
-// hold t.mu (read or write) and guarantee that cell c is sealed.
+// the content address the partial store's runs are keyed and validated
+// by. The caller must hold t.mu (read or write) and guarantee that cell
+// c is sealed.
 func (t *Table) chunkHashLocked(c int) string {
 	t.chunkMu.Lock()
 	defer t.chunkMu.Unlock()

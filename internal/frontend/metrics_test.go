@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -203,7 +204,7 @@ func TestMetricsExpositionRoundtrip(t *testing.T) {
 		"seedb_scheduler_queue_wait_seconds", "seedb_run_duration_seconds",
 		"seedb_phase_duration_seconds", "seedb_cache_hits_total",
 		"seedb_cache_misses_total", "seedb_cache_bytes", "seedb_sessions",
-		"seedb_pstore_hits_total",
+		"seedb_pstore_hits_total", "seedb_pstore_evictions_total", "seedb_pstore_entries",
 	} {
 		if _, ok := e.typ[fam]; !ok {
 			t.Errorf("scrape is missing family %q", fam)
@@ -332,6 +333,47 @@ func TestMetricsExpositionRoundtrip(t *testing.T) {
 	}
 	if a, b := e2.total("seedb_http_requests_total"), before["seedb_http_requests_total"]; a <= b {
 		t.Errorf("http request counter did not advance: %v -> %v", b, a)
+	}
+}
+
+// TestMetricsMirrorStoreStats: /metrics and /api/stats read the partial
+// store through the same snapshot, so every store figure an operator
+// can see in one is in the other — evictions and entries included.
+func TestMetricsMirrorStoreStats(t *testing.T) {
+	s := testServer(t)
+	// orders has 2,000 rows: one sealed cell, so its scans reach the store.
+	for _, category := range []string{"Furniture", "Technology"} {
+		if w := postJSON(t, s, "/api/recommend", map[string]any{
+			"sql": "SELECT * FROM orders WHERE category = '" + category + "'",
+		}); w.Code != http.StatusOK {
+			t.Fatalf("recommend = %d: %s", w.Code, w.Body.String())
+		}
+	}
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/stats", nil))
+	var st statsResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Incremental == nil || st.Incremental.Store.Entries == 0 {
+		t.Fatalf("the default service should have stored runs: %s", w.Body.String())
+	}
+	e := scrapeMetrics(t, s)
+	store := st.Incremental.Store
+	for name, want := range map[string]int64{
+		"seedb_pstore_hits_total":         store.Hits,
+		"seedb_pstore_misses_total":       store.Misses,
+		"seedb_pstore_evictions_total":    store.Evictions,
+		"seedb_pstore_rows_reused_total":  store.RowsReused,
+		"seedb_pstore_rows_scanned_total": store.RowsScanned,
+		"seedb_pstore_entries":            int64(store.Entries),
+		"seedb_pstore_bytes":              store.Bytes,
+	} {
+		if _, ok := e.typ[name]; !ok {
+			t.Errorf("scrape is missing family %q", name)
+		} else if got := e.total(name); got != float64(want) {
+			t.Errorf("%s = %v, /api/stats says %d", name, got, want)
+		}
 	}
 }
 

@@ -695,9 +695,9 @@ type clusterStats struct {
 	Workers   []cluster.ShardStatus `json:"workers"`
 }
 
-// incrementalStats surfaces the chunk-partial store's delta-reuse
+// incrementalStats surfaces the partial store's delta-reuse
 // effectiveness: how much aggregation work queries over live tables
-// served from sealed-chunk cache instead of re-scanning.
+// served from stored runs of sealed chunks instead of re-scanning.
 type incrementalStats struct {
 	Store seedb.PartialStoreStats `json:"store"`
 	// ReuseRatio = rowsReused / (rowsReused + rowsScanned).
@@ -711,7 +711,7 @@ type statsResponse struct {
 	Scheduler seedb.SchedulerStats `json:"scheduler"`
 	// Sessions is a count, not an ID list: IDs are capabilities.
 	Sessions int `json:"sessions"`
-	// Incremental reports chunk-partial reuse when the store is
+	// Incremental reports partial-store reuse when the store is
 	// enabled (it is by default under Serve).
 	Incremental *incrementalStats `json:"incremental,omitempty"`
 	// Cluster reports the fleet when a cluster backend is active.

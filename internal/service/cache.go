@@ -22,7 +22,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -30,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"seedb/internal/engine"
+	"seedb/internal/lru"
 	"seedb/internal/obs"
 )
 
@@ -50,14 +50,6 @@ type CacheStats struct {
 	Bytes   int64 `json:"bytes"`
 }
 
-// cacheEntry is one stored exec-unit result set.
-type cacheEntry struct {
-	key     string
-	results []*engine.Result
-	size    int64
-	elem    *list.Element
-}
-
 // inflight tracks one in-progress compute so concurrent identical
 // misses can wait for it instead of scanning again.
 type inflight struct {
@@ -71,18 +63,13 @@ type inflight struct {
 // singleflight de-duplication. It implements core.ExecCache. All
 // methods are safe for concurrent use.
 type ViewCache struct {
-	maxBytes int64
-
 	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	lru     *list.List // front = most recently used
+	entries *lru.Cache[[]*engine.Result]
 	flights map[string]*inflight
-	bytes   int64
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	shared    atomic.Int64
-	evictions atomic.Int64
+	hits   atomic.Int64
+	misses atomic.Int64
+	shared atomic.Int64
 }
 
 // NewViewCache builds a cache bounded to maxBytes of estimated result
@@ -92,10 +79,8 @@ func NewViewCache(maxBytes int64) *ViewCache {
 		maxBytes = 64 << 20
 	}
 	return &ViewCache{
-		maxBytes: maxBytes,
-		entries:  make(map[string]*cacheEntry),
-		lru:      list.New(),
-		flights:  make(map[string]*inflight),
+		entries: lru.New[[]*engine.Result](maxBytes),
+		flights: make(map[string]*inflight),
 	}
 }
 
@@ -118,12 +103,11 @@ func (c *ViewCache) GetOrCompute(ctx context.Context, key string, compute func()
 	}
 	for {
 		c.mu.Lock()
-		if e, ok := c.entries[key]; ok {
-			c.lru.MoveToFront(e.elem)
+		if results, ok := c.entries.Get(key); ok {
 			c.mu.Unlock()
 			c.hits.Add(1)
 			fin("hit")
-			return e.results, nil
+			return results, nil
 		}
 		fl, joined := c.flights[key]
 		if !joined {
@@ -176,7 +160,7 @@ func (c *ViewCache) GetOrCompute(ctx context.Context, key string, compute func()
 		c.mu.Lock()
 		delete(c.flights, key)
 		if fl.err == nil && fl.cacheable {
-			c.store(key, fl.results)
+			c.entries.Put(key, fl.results, entrySize(key, fl.results))
 		}
 		c.mu.Unlock()
 		fin("miss")
@@ -190,58 +174,32 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// store inserts the entry and evicts from the LRU tail until the cache
-// fits the budget again. Caller holds c.mu. Oversized single entries
-// are still admitted (the cache then holds just that entry); refusing
-// them would make the largest — most expensive — results permanently
-// uncacheable.
-func (c *ViewCache) store(key string, results []*engine.Result) {
-	if _, ok := c.entries[key]; ok {
-		return // a racing singleflight already stored it
-	}
-	e := &cacheEntry{key: key, results: results, size: entrySize(key, results)}
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	c.bytes += e.size
-	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
-		tail := c.lru.Back()
-		victim := tail.Value.(*cacheEntry)
-		c.lru.Remove(tail)
-		delete(c.entries, victim.key)
-		c.bytes -= victim.size
-		c.evictions.Add(1)
-	}
-}
-
 // Purge drops every entry (in-flight computations are unaffected).
 func (c *ViewCache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[string]*cacheEntry)
-	c.lru.Init()
-	c.bytes = 0
+	c.entries.Purge()
 }
 
 // Stats snapshots the effectiveness counters.
 func (c *ViewCache) Stats() CacheStats {
 	c.mu.Lock()
-	entries, bytes := len(c.entries), c.bytes
-	c.mu.Unlock()
+	defer c.mu.Unlock()
 	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Shared:    c.shared.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   entries,
-		Bytes:     bytes,
+		Evictions: c.entries.Evictions(),
+		Entries:   c.entries.Len(),
+		Bytes:     c.entries.Bytes(),
 	}
 }
 
 // cacheEntryOverhead approximates the per-entry bookkeeping heap that
-// is not part of the result payload: the cacheEntry struct itself, its
-// list.Element, and the entries-map bucket share. Without it (and the
-// key bytes) a cache full of small results held far more real heap
-// than CacheMaxBytes admitted to.
+// is not part of the result payload: the LRU's entry struct, its
+// list.Element, and the key-map bucket share. Without it (and the key
+// bytes) a cache full of small results held far more real heap than
+// the budget admitted to.
 const cacheEntryOverhead = 160
 
 // entrySize is the budget charge for one stored entry: the key string

@@ -18,23 +18,11 @@ import (
 
 // Config tunes the service layer.
 type Config struct {
-	// CacheMaxBytes bounds the view-result cache (<= 0 selects the
-	// 64 MiB default).
-	CacheMaxBytes int64
 	// MaxSessions caps the session registry (<= 0 selects 1024). At
 	// the cap, creating a session evicts the one idle the longest, so
 	// clients that never close sessions cannot grow memory without
 	// bound.
 	MaxSessions int
-	// PartialStoreMaxBytes bounds the engine's chunk-partial store (the
-	// incremental-execution cache that makes queries over live tables
-	// cost O(delta) after an append; see engine.PartialStore). <= 0
-	// selects the 256 MiB default; DisableIncremental turns the store
-	// off entirely.
-	PartialStoreMaxBytes int64
-	// DisableIncremental leaves the engine on the direct scan path (no
-	// chunk-partial reuse).
-	DisableIncremental bool
 	// MaxConcurrentRuns bounds how many recommendation pipelines
 	// execute simultaneously; further runs queue for a worker slot.
 	// <= 0 selects one per core (minimum 2).
@@ -58,10 +46,6 @@ type Config struct {
 	// SnapshotEveryBatches checkpoints (snapshot + WAL compaction)
 	// once per N ingest batches; <= 0 selects 256.
 	SnapshotEveryBatches int
-	// DisableDurability ignores DataDir entirely — for benchmarks that
-	// want the in-memory ingest path while keeping a config file's
-	// DataDir set.
-	DisableDurability bool
 
 	// DisableObservability leaves the obs hub uninstalled: no metrics
 	// registry, no tracing, and the frontend's /metrics and /api/trace
@@ -96,20 +80,20 @@ func NewManager(eng *core.Engine, cfg Config) *Manager {
 	}
 	m := &Manager{
 		eng:         eng,
-		cache:       NewViewCache(cfg.CacheMaxBytes),
+		cache:       NewViewCache(0),
 		maxSessions: cfg.MaxSessions,
 		sessions:    make(map[string]*Session),
 	}
 	m.sched = newScheduler(m, cfg.MaxConcurrentRuns, cfg.MaxQueueDepth)
 	eng.SetCache(m.cache)
-	// Incremental execution: the chunk-partial store sits below the
-	// view cache. The view cache answers "this exact query against this
-	// exact table version"; on a version bump (append) it misses, and
-	// the recompute falls through to the store, which reuses every
-	// sealed chunk and scans only the delta. Respect a store a caller
+	// Incremental execution: the partial store sits below the view
+	// cache. The view cache answers "this exact query against this exact
+	// table version"; on a version bump (append) it misses, and the
+	// recompute falls through to the store, which reuses the plan's
+	// sealed run and scans only the delta. Respect a store a caller
 	// installed beforehand (benchmarks do).
-	if !cfg.DisableIncremental && eng.Executor().PartialStore() == nil {
-		eng.Executor().SetPartialStore(engine.NewPartialStore(cfg.PartialStoreMaxBytes))
+	if eng.Executor().PartialStore() == nil {
+		eng.Executor().SetPartialStore(engine.NewPartialStore(0))
 	}
 	return m
 }
@@ -152,20 +136,24 @@ func (m *Manager) SetObservability(h *obs.Hub) {
 	reg.CounterFunc("seedb_cache_shared_total", "View-cache lookups that joined a concurrent identical miss.",
 		func() float64 { return float64(c.shared.Load()) })
 	reg.CounterFunc("seedb_cache_evictions_total", "View-cache entries evicted to stay under the byte budget.",
-		func() float64 { return float64(c.evictions.Load()) })
+		func() float64 { return float64(c.Stats().Evictions) })
 	reg.GaugeFunc("seedb_cache_entries", "View-cache entries resident.",
 		func() float64 { return float64(c.Stats().Entries) })
 	reg.GaugeFunc("seedb_cache_bytes", "View-cache resident bytes (estimated).",
 		func() float64 { return float64(c.Stats().Bytes) })
-	reg.CounterFunc("seedb_pstore_hits_total", "Chunk-partial store hits (sealed chunks reused).",
+	reg.CounterFunc("seedb_pstore_hits_total", "Partial-store lookups that found a valid sealed run for the plan.",
 		func() float64 { return float64(m.PartialStoreStats().Hits) })
-	reg.CounterFunc("seedb_pstore_misses_total", "Chunk-partial store misses.",
+	reg.CounterFunc("seedb_pstore_misses_total", "Partial-store lookups that found no usable run.",
 		func() float64 { return float64(m.PartialStoreStats().Misses) })
-	reg.CounterFunc("seedb_pstore_rows_reused_total", "Rows answered from sealed-chunk partials instead of scanning.",
+	reg.CounterFunc("seedb_pstore_evictions_total", "Partial-store runs evicted to stay under the byte budget.",
+		func() float64 { return float64(m.PartialStoreStats().Evictions) })
+	reg.CounterFunc("seedb_pstore_rows_reused_total", "Rows answered from a stored run instead of scanning.",
 		func() float64 { return float64(m.PartialStoreStats().RowsReused) })
 	reg.CounterFunc("seedb_pstore_rows_scanned_total", "Rows scanned on the incremental path.",
 		func() float64 { return float64(m.PartialStoreStats().RowsScanned) })
-	reg.GaugeFunc("seedb_pstore_bytes", "Chunk-partial store resident bytes.",
+	reg.GaugeFunc("seedb_pstore_entries", "Partial-store runs resident.",
+		func() float64 { return float64(m.PartialStoreStats().Entries) })
+	reg.GaugeFunc("seedb_pstore_bytes", "Partial-store resident bytes (estimated).",
 		func() float64 { return float64(m.PartialStoreStats().Bytes) })
 	reg.GaugeFunc("seedb_sessions", "Live analyst sessions.",
 		func() float64 { return float64(m.SessionCount()) })
@@ -187,9 +175,8 @@ func (m *Manager) SetObservability(h *obs.Hub) {
 // Observability returns the installed obs hub, or nil.
 func (m *Manager) Observability() *obs.Hub { return m.hub.Load() }
 
-// PartialStoreStats snapshots the engine's chunk-partial store
-// counters; the zero value comes back when incremental execution is
-// disabled.
+// PartialStoreStats snapshots the engine's partial-store counters;
+// the zero value comes back when no store is installed.
 func (m *Manager) PartialStoreStats() engine.PartialStoreStats {
 	if st := m.eng.Executor().PartialStore(); st != nil {
 		return st.Stats()

@@ -204,7 +204,8 @@ func NewTable(name string, schema Schema) (*Table, error) {
 
 // Re-exported service-layer types (see DB.Serve).
 type (
-	// ServeConfig tunes the service layer (cache budget).
+	// ServeConfig tunes the service layer (sessions, scheduler,
+	// durability, observability).
 	ServeConfig = service.Config
 	// Service is the concurrent recommendation service: a shared
 	// view-result cache plus a session registry.
@@ -240,7 +241,7 @@ var ErrRunPanicked = service.ErrRunPanicked
 var ErrNotDurable = engine.ErrNotDurable
 
 type (
-	// PartialStoreStats snapshots the chunk-partial store (incremental
+	// PartialStoreStats snapshots the partial store (incremental
 	// execution) counters.
 	PartialStoreStats = engine.PartialStoreStats
 )
@@ -329,9 +330,9 @@ func (db *DB) LoadCSV(name string, r io.Reader) (*Table, error) {
 // registered table under one version bump — the live-table ingest
 // path. Results cached against the previous table version become
 // unreachable (fingerprint change), but with incremental execution
-// enabled (see Serve and EnableIncremental) recomputation reuses every
-// sealed chunk's partials and only scans the appended delta, so a
-// query after an append costs O(delta), not O(table). On a cluster
+// enabled (see Serve and EnableIncremental) recomputation reuses each
+// plan's stored run of sealed chunks and only scans the appended delta,
+// so a query after an append costs O(delta), not O(table). On a cluster
 // coordinator with workers the batch automatically goes through
 // ClusterBackend.Ingest, which forwards it to the owners of every
 // fragment it touches — appending only locally would leave the fleet
@@ -472,8 +473,8 @@ func (db *DB) ReplaceTable(t *Table) error {
 	return nil
 }
 
-// EnableIncremental installs the engine's chunk-partial store (sized
-// by maxBytes; <= 0 selects the 256 MiB default) without starting the
+// EnableIncremental installs the engine's partial store (sized by
+// maxBytes; <= 0 selects the 256 MiB default) without starting the
 // full service layer. Serve does this automatically; this entry point
 // exists for embedded and benchmark use.
 func (db *DB) EnableIncremental(maxBytes int64) {
@@ -482,8 +483,8 @@ func (db *DB) EnableIncremental(maxBytes int64) {
 	}
 }
 
-// IncrementalStats snapshots the chunk-partial store counters (zero
-// value when incremental execution is not enabled).
+// IncrementalStats snapshots the partial-store counters (zero value
+// when incremental execution is not enabled).
 func (db *DB) IncrementalStats() PartialStoreStats {
 	if st := db.ex.PartialStore(); st != nil {
 		return st.Stats()
@@ -639,7 +640,7 @@ func (db *DB) Serve(cfg ServeConfig) *Service {
 		// failed enablement is recorded for DurabilityError; callers
 		// that need fail-fast semantics (cmd/seedb) call
 		// EnableDurability themselves beforehand.
-		if cfg.DataDir != "" && !cfg.DisableDurability {
+		if cfg.DataDir != "" {
 			if _, err := db.EnableDurability(cfg.DataDir, cfg.WALSyncEvery, cfg.SnapshotEveryBatches); err != nil {
 				db.durMu.Lock()
 				db.durErr = err
