@@ -115,7 +115,7 @@ func (e *Engine) RecommendProgress(ctx context.Context, q Query, opts Options, l
 		return nil, err
 	}
 	start := time.Now()
-	statsBaseQ, statsBaseS, statsBaseR := e.ex.Stats().Snapshot()
+	ctx, tally := e.ex.WithTally(ctx)
 
 	// |D_Q|: validates the predicate and rejects empty targets early.
 	targetRows, err := e.countTarget(ctx, q, opts)
@@ -147,7 +147,7 @@ func (e *Engine) RecommendProgress(ctx context.Context, q Query, opts Options, l
 	}
 	res.Stats.CandidateViews = len(views)
 
-	outcome, err := pruneViews(views, tb, ts, e.collector, e.ex.Catalog(), opts, &res.Stats)
+	outcome, err := pruneViews(views, tb, ts, e.collector, opts, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -236,10 +236,7 @@ func (e *Engine) RecommendProgress(ctx context.Context, q Query, opts Options, l
 		}
 	}
 
-	qn, sn, rn := e.ex.Stats().Snapshot()
-	res.Stats.QueriesIssued = qn - statsBaseQ
-	res.Stats.TableScans = sn - statsBaseS
-	res.Stats.RowsRead = rn - statsBaseR
+	res.Stats.QueriesIssued, res.Stats.TableScans, res.Stats.RowsRead = tally.Snapshot()
 	res.Stats.ElapsedMillis = float64(time.Since(start).Microseconds()) / 1000
 	return res, nil
 }

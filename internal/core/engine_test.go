@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"seedb/internal/datagen"
@@ -682,5 +683,54 @@ func TestKthLargest(t *testing.T) {
 	}
 	if got := kthLargest(items, 99, func(x s) float64 { return x.v }); got != 1 {
 		t.Errorf("clamped = %v", got)
+	}
+}
+
+// TestConcurrentRecommendStatsAreOwn: QueriesIssued, TableScans and
+// RowsRead count the call's own scans. Two different requests on one
+// engine, run at the same time, each report exactly what they report
+// alone — never a share of the other's work.
+func TestConcurrentRecommendStatsAreOwn(t *testing.T) {
+	syn, gt, err := datagen.Synthetic(datagen.DefaultSynthetic("synthetic", 20000, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := engine.NewCatalog()
+	for _, tb := range []*engine.Table{datagen.Superstore("orders", 20000, 42), syn} {
+		if err := cat.Register(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New(engine.NewExecutor(cat))
+	queries := []Query{
+		{Table: "orders", Predicate: engine.Eq("category", engine.String("Furniture"))},
+		{Table: "synthetic", Predicate: gt.Predicate},
+	}
+	run := func(q Query) [3]int64 {
+		res, err := e.Recommend(context.Background(), q, DefaultOptions())
+		if err != nil {
+			t.Error(err)
+			return [3]int64{}
+		}
+		return [3]int64{res.Stats.QueriesIssued, res.Stats.TableScans, res.Stats.RowsRead}
+	}
+	solo := [2][3]int64{run(queries[0]), run(queries[1])}
+	for trial := 0; trial < 10; trial++ {
+		var got [2][3]int64
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, q := range queries {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[i] = run(q)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got != solo {
+			t.Fatalf("trial %d: concurrent queries/scans/rows = %v, solo %v", trial, got, solo)
+		}
 	}
 }

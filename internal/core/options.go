@@ -99,15 +99,6 @@ type Options struct {
 	PruneCorrelated      bool
 	CorrelationThreshold float64
 
-	// PruneRarelyAccessed drops dimensions whose historical access
-	// count (from the catalog's tracker) falls below
-	// AccessKeepFraction of the most-accessed dimension's count; it
-	// only activates once the table has at least AccessMinHistory
-	// recorded column touches.
-	PruneRarelyAccessed bool
-	AccessKeepFraction  float64
-	AccessMinHistory    int64
-
 	// --- Query optimizations (paper §3.3, "View Query Optimizations") ---
 
 	// CombineTargetComparison merges each view's target and comparison
@@ -171,9 +162,6 @@ func DefaultOptions() Options {
 		VarianceMinEntropy:      0.02,
 		PruneCorrelated:         true,
 		CorrelationThreshold:    0.95,
-		PruneRarelyAccessed:     false, // opt-in: needs access history
-		AccessKeepFraction:      0.1,
-		AccessMinHistory:        100,
 		CombineTargetComparison: true,
 		CombineAggregates:       true,
 		CombineGroupBys:         CombineGroupingSets,
@@ -193,7 +181,6 @@ func BasicOptions() Options {
 	o := DefaultOptions()
 	o.PruneLowVariance = false
 	o.PruneCorrelated = false
-	o.PruneRarelyAccessed = false
 	o.CombineTargetComparison = false
 	o.CombineAggregates = false
 	o.CombineGroupBys = CombineNone
@@ -263,9 +250,6 @@ func (o Options) normalize() (Options, error) {
 	}
 	if o.VarianceMinEntropy < 0 {
 		o.VarianceMinEntropy = 0
-	}
-	if o.AccessKeepFraction <= 0 {
-		o.AccessKeepFraction = 0.1
 	}
 	return o, nil
 }

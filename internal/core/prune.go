@@ -15,11 +15,13 @@ type pruneOutcome struct {
 	represents map[string][]string
 }
 
-// pruneViews applies the paper's three view-space pruning strategies
-// in order: variance-based, correlated-attribute clustering, and
-// access-frequency. Each strategy removes whole dimensions (and with
-// them every view on that dimension), recording reasons in st.
-func pruneViews(views []View, tb *engine.Table, ts *stats.TableStats, coll *stats.Collector, cat *engine.Catalog, opts Options, st *RunStats) (pruneOutcome, error) {
+// pruneViews applies the paper's metadata-driven view-space pruning
+// strategies in order: variance-based, then correlated-attribute
+// clustering. Each strategy removes whole dimensions (and with them
+// every view on that dimension), recording reasons in st. Both read
+// only the table's contents, never the process's query history, so the
+// same request always keeps the same views.
+func pruneViews(views []View, tb *engine.Table, ts *stats.TableStats, coll *stats.Collector, opts Options, st *RunStats) (pruneOutcome, error) {
 	out := pruneOutcome{views: views, represents: map[string][]string{}}
 
 	if opts.PruneLowVariance {
@@ -27,13 +29,10 @@ func pruneViews(views []View, tb *engine.Table, ts *stats.TableStats, coll *stat
 	}
 	if opts.PruneCorrelated {
 		var err error
-		out.views, err = pruneCorrelated(out.views, tb, coll, cat, opts, st, out.represents)
+		out.views, err = pruneCorrelated(out.views, tb, coll, opts, st, out.represents)
 		if err != nil {
 			return out, err
 		}
-	}
-	if opts.PruneRarelyAccessed {
-		out.views = pruneRarelyAccessed(out.views, tb.Name(), cat, opts, st)
 	}
 	return out, nil
 }
@@ -76,10 +75,10 @@ func dimDecision(m map[string]bool, dim string) (keep, seen bool) {
 // pruneCorrelated clusters the surviving dimensions by Cramér's V and
 // keeps one representative view-set per cluster ("SEEDB clusters
 // attributes based on correlation and evaluates a representative view
-// per cluster", §3.3). The representative is the most-accessed member
-// (ties broken by name) so the kept attribute is the one analysts
-// actually look at — e.g. full airport name over its abbreviation.
-func pruneCorrelated(views []View, tb *engine.Table, coll *stats.Collector, cat *engine.Catalog, opts Options, st *RunStats, represents map[string][]string) ([]View, error) {
+// per cluster", §3.3). The representative is the cluster's first
+// member by name (CorrelationClusters sorts members), a pure function of
+// the table.
+func pruneCorrelated(views []View, tb *engine.Table, coll *stats.Collector, opts Options, st *RunStats, represents map[string][]string) ([]View, error) {
 	dims, byDim := viewsByDimension(views)
 	// Binned (continuous) dimensions are excluded from correlation
 	// clustering: Cramér's V over thousands of raw numeric categories
@@ -101,7 +100,7 @@ func pruneCorrelated(views []View, tb *engine.Table, coll *stats.Collector, cat 
 	keepDim := map[string]bool{}
 	clustered := map[string]bool{}
 	for _, cluster := range clusters {
-		rep := chooseRepresentative(cluster, tb.Name(), cat)
+		rep := cluster[0]
 		keepDim[rep] = true
 		for _, member := range cluster {
 			clustered[member] = true
@@ -121,57 +120,4 @@ func pruneCorrelated(views []View, tb *engine.Table, coll *stats.Collector, cat 
 		}
 	}
 	return kept, nil
-}
-
-func chooseRepresentative(cluster []string, table string, cat *engine.Catalog) string {
-	best := cluster[0]
-	bestCount := cat.AccessCount(table, best)
-	for _, c := range cluster[1:] {
-		n := cat.AccessCount(table, c)
-		if n > bestCount || (n == bestCount && c < best) {
-			best, bestCount = c, n
-		}
-	}
-	return best
-}
-
-// pruneRarelyAccessed drops dimensions whose access count is below
-// AccessKeepFraction of the hottest dimension's count ("SEEDB tracks
-// access patterns ... to prune attributes that are rarely accessed",
-// §3.3). It is a no-op until the table has accumulated
-// AccessMinHistory column touches, so cold-start recommendations are
-// never starved.
-func pruneRarelyAccessed(views []View, table string, cat *engine.Catalog, opts Options, st *RunStats) []View {
-	counts := cat.AccessCounts(table)
-	var total, maxCount int64
-	for _, n := range counts {
-		total += n
-		if n > maxCount {
-			maxCount = n
-		}
-	}
-	if total < opts.AccessMinHistory || maxCount == 0 {
-		return views
-	}
-	cut := float64(maxCount) * opts.AccessKeepFraction
-	decided := map[string]bool{}
-	kept := views[:0]
-	for _, v := range views {
-		if keep, seen := dimDecision(decided, v.Dimension); seen {
-			if keep {
-				kept = append(kept, v)
-			} else {
-				st.addPrune(PrunedRarelyUsed, "", 1)
-			}
-			continue
-		}
-		keep := float64(counts[v.Dimension]) >= cut
-		decided[v.Dimension] = !keep
-		if keep {
-			kept = append(kept, v)
-		} else {
-			st.addPrune(PrunedRarelyUsed, v.Dimension, 1)
-		}
-	}
-	return kept
 }

@@ -11,7 +11,7 @@ import (
 
 // pruneFixture builds a table with a constant dim, a skewed dim, two
 // perfectly correlated dims, and a normal dim.
-func pruneFixture(t *testing.T) (*engine.Table, *stats.TableStats, *engine.Catalog) {
+func pruneFixture(t *testing.T) (*engine.Table, *stats.TableStats) {
 	t.Helper()
 	tb := engine.MustNewTable("p", engine.Schema{
 		{Name: "normal", Type: engine.TypeString},
@@ -38,11 +38,7 @@ func pruneFixture(t *testing.T) (*engine.Table, *stats.TableStats, *engine.Catal
 			engine.Float(rng.Float64()),
 		)
 	}
-	cat := engine.NewCatalog()
-	if err := cat.Register(tb); err != nil {
-		t.Fatal(err)
-	}
-	return tb, stats.Collect(tb), cat
+	return tb, stats.Collect(tb)
 }
 
 func viewsForDims(dims ...string) []View {
@@ -63,7 +59,7 @@ func dimSet(views []View) map[string]bool {
 }
 
 func TestPruneLowVariance(t *testing.T) {
-	_, ts, _ := pruneFixture(t)
+	_, ts := pruneFixture(t)
 	opts, _ := DefaultOptions().normalize()
 	opts.VarianceMinEntropy = 0.02
 	st := &RunStats{}
@@ -96,12 +92,12 @@ func TestPruneLowVariance(t *testing.T) {
 }
 
 func TestPruneCorrelated(t *testing.T) {
-	tb, _, cat := pruneFixture(t)
+	tb, _ := pruneFixture(t)
 	opts, _ := DefaultOptions().normalize()
 	st := &RunStats{}
 	represents := map[string][]string{}
 	views := viewsForDims("normal", "city", "city_code")
-	kept, err := pruneCorrelated(views, tb, stats.NewCollector(), cat, opts, st, represents)
+	kept, err := pruneCorrelated(views, tb, stats.NewCollector(), opts, st, represents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,52 +105,25 @@ func TestPruneCorrelated(t *testing.T) {
 	if !dims["normal"] {
 		t.Error("uncorrelated dim must survive")
 	}
-	if dims["city"] && dims["city_code"] {
-		t.Error("correlated pair must be collapsed to one representative")
+	// The representative is the cluster's first member by name — a
+	// function of the table alone.
+	if !dims["city"] || dims["city_code"] {
+		t.Errorf("correlated pair must collapse to its first member by name, city: %v", dims)
 	}
-	if !dims["city"] && !dims["city_code"] {
-		t.Error("one of the correlated pair must survive")
-	}
-	var rep, other string
-	if dims["city"] {
-		rep, other = "city", "city_code"
-	} else {
-		rep, other = "city_code", "city"
-	}
-	if len(represents[rep]) != 1 || represents[rep][0] != other {
-		t.Errorf("represents[%s] = %v, want [%s]", rep, represents[rep], other)
+	if len(represents["city"]) != 1 || represents["city"][0] != "city_code" {
+		t.Errorf("represents[city] = %v, want [city_code]", represents["city"])
 	}
 	if st.PrunedViews[PrunedCorrelated] != 2 {
 		t.Errorf("pruned views = %d, want 2", st.PrunedViews[PrunedCorrelated])
 	}
 }
 
-func TestPruneCorrelatedRepresentativeByAccess(t *testing.T) {
-	tb, _, cat := pruneFixture(t)
-	// Make city_code the hot column; it should become the
-	// representative despite alphabetical order favoring city.
-	for i := 0; i < 50; i++ {
-		cat.RecordAccess("p", "city_code")
-	}
-	opts, _ := DefaultOptions().normalize()
-	st := &RunStats{}
-	represents := map[string][]string{}
-	kept, err := pruneCorrelated(viewsForDims("city", "city_code"), tb, stats.NewCollector(), cat, opts, st, represents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dims := dimSet(kept)
-	if !dims["city_code"] || dims["city"] {
-		t.Errorf("most-accessed member should represent the cluster: %v", dims)
-	}
-}
-
 func TestPruneCorrelatedSingleDim(t *testing.T) {
-	tb, _, cat := pruneFixture(t)
+	tb, _ := pruneFixture(t)
 	opts, _ := DefaultOptions().normalize()
 	st := &RunStats{}
 	views := viewsForDims("normal")
-	kept, err := pruneCorrelated(views, tb, stats.NewCollector(), cat, opts, st, map[string][]string{})
+	kept, err := pruneCorrelated(views, tb, stats.NewCollector(), opts, st, map[string][]string{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,51 +132,12 @@ func TestPruneCorrelatedSingleDim(t *testing.T) {
 	}
 }
 
-func TestPruneRarelyAccessed(t *testing.T) {
-	_, _, cat := pruneFixture(t)
-	opts, _ := DefaultOptions().normalize()
-	opts.AccessKeepFraction = 0.5
-	opts.AccessMinHistory = 100
-	st := &RunStats{}
-	views := viewsForDims("normal", "city", "city_code")
-
-	// Below history threshold: no-op.
-	cat.RecordAccess("p", "normal")
-	kept := pruneRarelyAccessed(views, "p", cat, opts, st)
-	if len(kept) != len(views) {
-		t.Error("pruning must not activate before AccessMinHistory")
-	}
-
-	// Build history: normal hot (100), city warm (60), city_code cold (2).
-	for i := 0; i < 99; i++ {
-		cat.RecordAccess("p", "normal")
-	}
-	for i := 0; i < 60; i++ {
-		cat.RecordAccess("p", "city")
-	}
-	cat.RecordAccess("p", "city_code")
-	cat.RecordAccess("p", "city_code")
-
-	st2 := &RunStats{}
-	kept2 := pruneRarelyAccessed(views, "p", cat, opts, st2)
-	dims := dimSet(kept2)
-	if !dims["normal"] || !dims["city"] {
-		t.Errorf("hot dims must survive: %v", dims)
-	}
-	if dims["city_code"] {
-		t.Error("cold dim must be pruned")
-	}
-	if st2.PrunedViews[PrunedRarelyUsed] != 2 {
-		t.Errorf("pruned views = %d", st2.PrunedViews[PrunedRarelyUsed])
-	}
-}
-
 func TestPruneViewsPipeline(t *testing.T) {
-	tb, ts, cat := pruneFixture(t)
+	tb, ts := pruneFixture(t)
 	opts, _ := DefaultOptions().normalize()
 	views := viewsForDims("normal", "constant", "city", "city_code")
 	st := &RunStats{}
-	outcome, err := pruneViews(views, tb, ts, stats.NewCollector(), cat, opts, st)
+	outcome, err := pruneViews(views, tb, ts, stats.NewCollector(), opts, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +152,8 @@ func TestPruneViewsPipeline(t *testing.T) {
 	off := opts
 	off.PruneLowVariance = false
 	off.PruneCorrelated = false
-	off.PruneRarelyAccessed = false
 	st2 := &RunStats{}
-	outcome2, err := pruneViews(views, tb, ts, stats.NewCollector(), cat, off, st2)
+	outcome2, err := pruneViews(views, tb, ts, stats.NewCollector(), off, st2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,7 +195,6 @@ type PruneReason string
 const (
 	PrunedLowVariance PruneReason = "low-variance dimension"
 	PrunedCorrelated  PruneReason = "correlated with representative dimension"
-	PrunedRarelyUsed  PruneReason = "rarely accessed attribute"
 	PrunedPhased      PruneReason = "confidence-interval pruning"
 )
 
@@ -208,6 +207,10 @@ type RunStats struct {
 	PrunedViews    map[PruneReason]int
 	PrunedDims     map[string]PruneReason
 
+	// QueriesIssued, TableScans and RowsRead count this call's own
+	// executor work (see engine.Executor.WithTally): concurrent calls
+	// never see each other's scans, and results served from the exec
+	// cache cost nothing.
 	QueriesIssued int64
 	TableScans    int64
 	RowsRead      int64

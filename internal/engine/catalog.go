@@ -13,15 +13,11 @@ import (
 // was valid; the durability machinery faulted), never a client error.
 var ErrNotDurable = errors.New("append applied but not durable")
 
-// Catalog is the named-table registry plus the access-pattern tracker
-// that SeeDB's Metadata Collector reads. The paper's access-frequency
-// pruning ("SEEDB tracks access patterns for each table to identify the
-// most frequently accessed columns") is fed from here: every executed
-// query records which columns it touched.
+// Catalog is the named-table registry, and the durability seam every
+// append goes through (see Append).
 type Catalog struct {
-	mu       sync.RWMutex
-	tables   map[string]*Table
-	accesses map[string]map[string]int64 // table -> column -> touch count
+	mu     sync.RWMutex
+	tables map[string]*Table
 
 	// Durability seam (see Append). appendMu serializes the
 	// capture-version → append → log sequence so WAL records are written
@@ -43,10 +39,7 @@ type AppendSink interface {
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{
-		tables:   make(map[string]*Table),
-		accesses: make(map[string]map[string]int64),
-	}
+	return &Catalog{tables: make(map[string]*Table)}
 }
 
 // Register adds a table; it fails if the name is taken.
@@ -103,7 +96,6 @@ func (c *Catalog) Drop(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.tables, name)
-	delete(c.accesses, name)
 }
 
 // Table looks up a table by name.
@@ -127,54 +119,4 @@ func (c *Catalog) TableNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// RecordAccess bumps the access counter of the given columns of a
-// table. The executor calls this once per query with every column the
-// query referenced (grouping, aggregation, and predicate columns alike).
-func (c *Catalog) RecordAccess(table string, columns ...string) {
-	if len(columns) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.accesses[table]
-	if !ok {
-		m = make(map[string]int64)
-		c.accesses[table] = m
-	}
-	for _, col := range columns {
-		m[col]++
-	}
-}
-
-// AccessCount returns how many queries have touched table.column.
-func (c *Catalog) AccessCount(table, column string) int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.accesses[table][column]
-}
-
-// AccessCounts returns a copy of the per-column access counters for a
-// table. Columns never touched are absent from the map.
-func (c *Catalog) AccessCounts(table string) map[string]int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string]int64, len(c.accesses[table]))
-	for col, n := range c.accesses[table] {
-		out[col] = n
-	}
-	return out
-}
-
-// ResetAccessCounts clears the access history for a table (all tables
-// if name is empty). Experiments use this to start from a clean slate.
-func (c *Catalog) ResetAccessCounts(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if name == "" {
-		c.accesses = make(map[string]map[string]int64)
-		return
-	}
-	delete(c.accesses, name)
 }

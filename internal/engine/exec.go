@@ -63,8 +63,9 @@ type Query struct {
 	BinWidths map[string]float64
 }
 
-// ExecStats exposes executor-level counters used by the experiments to
-// show *why* an optimization wins (fewer table scans, fewer rows read).
+// ExecStats counts an executor's work — all of it (Executor.Stats) or
+// one call's (Executor.WithTally) — so the experiments can show *why*
+// an optimization wins (fewer table scans, fewer rows read).
 type ExecStats struct {
 	Queries    atomic.Int64 // logical queries executed
 	TableScans atomic.Int64 // physical scans performed (grouping sets share one)
@@ -83,9 +84,13 @@ func (s *ExecStats) Reset() {
 	s.RowsRead.Store(0)
 }
 
-// Executor runs queries against tables in a Catalog, recording column
-// access patterns as it goes (the raw data behind SeeDB's
-// access-frequency pruning).
+func (s *ExecStats) add(scans, rows int64) {
+	s.Queries.Add(scans)
+	s.TableScans.Add(scans)
+	s.RowsRead.Add(rows)
+}
+
+// Executor runs queries against tables in a Catalog.
 type Executor struct {
 	cat   *Catalog
 	stats ExecStats
@@ -104,6 +109,26 @@ func (e *Executor) Catalog() *Catalog { return e.cat }
 
 // Stats returns the executor's counters.
 func (e *Executor) Stats() *ExecStats { return &e.stats }
+
+// WithTally returns ctx carrying a fresh per-call tally: every query
+// this executor runs under the returned context is counted there as
+// well as in Stats, so concurrent callers each see only their own work.
+// The context key is the executor itself, so the tally counts what
+// Stats counts — another executor reached with the same context (an
+// in-process cluster member) keeps its work to itself, as an HTTP
+// worker does.
+func (e *Executor) WithTally(ctx context.Context) (context.Context, *ExecStats) {
+	t := new(ExecStats)
+	return context.WithValue(ctx, e, t), t
+}
+
+// count charges scans and rows to Stats and to the call's tally.
+func (e *Executor) count(ctx context.Context, scans, rows int64) {
+	e.stats.add(scans, rows)
+	if t, ok := ctx.Value(e).(*ExecStats); ok {
+		t.add(scans, rows)
+	}
+}
 
 // SetPartialStore installs (or, with nil, removes) the partial store,
 // switching aggregation queries to incremental execution. Safe on a
@@ -270,7 +295,7 @@ func (r *Result) Sort(keys []OrderKey) error { return r.sortBy(keys) }
 // the plan's stored run plus whatever the run does not cover
 // (identical bytes, see scan.partials).
 func (e *Executor) runSets(ctx context.Context, q *Query, gsets []GroupingSet) ([]*Result, error) {
-	s, err := e.bindScan(q, gsets, true)
+	s, err := e.bindScan(ctx, q, gsets, true)
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +356,7 @@ type scan struct {
 // slim accumulator updates that skip state finalization never reads
 // (see bindAggs); it is ignored when the store applies, because a
 // stored run is exported partials.
-func (e *Executor) bindScan(q *Query, gsets []GroupingSet, resultsOnly bool) (s *scan, err error) {
+func (e *Executor) bindScan(ctx context.Context, q *Query, gsets []GroupingSet, resultsOnly bool) (s *scan, err error) {
 	for _, gs := range gsets {
 		if len(gs.Aggs) == 0 {
 			return nil, fmt.Errorf("engine: query on %q has a grouping set with no aggregates", q.Table)
@@ -348,8 +373,7 @@ func (e *Executor) bindScan(q *Query, gsets []GroupingSet, resultsOnly bool) (s 
 		}
 	}()
 
-	// Record the access pattern: every column this query touches.
-	fs := buildFilterSet(e.recordQueryAccess(t, q, gsets))
+	fs := buildFilterSet(gsets)
 	s = &scan{e: e, t: t, q: q, fs: fs, hi: t.rows,
 		smp: newSampler(q.SampleFraction, q.SampleSeed, q.SampleBase)}
 	if q.RowHi > 0 {
@@ -374,44 +398,8 @@ func (e *Executor) bindScan(q *Query, gsets []GroupingSet, resultsOnly bool) (s 
 		return nil, err
 	}
 	s.kernels = []*scanKernels{sk}
-	e.stats.Queries.Add(1)
-	e.stats.TableScans.Add(1)
+	e.count(ctx, 1, 0)
 	return s, nil
-}
-
-// recordQueryAccess records the query's column-access pattern (the raw
-// data behind SeeDB's access-frequency pruning) and returns the flat
-// aggregate list.
-func (e *Executor) recordQueryAccess(t *Table, q *Query, gsets []GroupingSet) []AggSpec {
-	var touched []string
-	seen := map[string]struct{}{}
-	touch := func(cols ...string) {
-		for _, c := range cols {
-			if c == "" {
-				continue
-			}
-			if _, ok := seen[c]; !ok {
-				seen[c] = struct{}{}
-				touched = append(touched, c)
-			}
-		}
-	}
-	var allAggs []AggSpec
-	for _, gs := range gsets {
-		touch(gs.By...)
-		for _, a := range gs.Aggs {
-			touch(a.Column)
-			if a.Filter != nil {
-				touch(a.Filter.Columns()...)
-			}
-		}
-		allAggs = append(allAggs, gs.Aggs...)
-	}
-	if q.Where != nil {
-		touch(q.Where.Columns()...)
-	}
-	e.cat.RecordAccess(q.Table, touched...)
-	return allAggs
 }
 
 // runGroupers scans rows [lo,hi) and returns the merged groupers, for
@@ -434,7 +422,7 @@ func (s *scan) runGroupers(ctx context.Context, lo, hi int) ([]*grouper, error) 
 		}
 		s.kernels = append(s.kernels, sk)
 	}
-	s.e.stats.RowsRead.Add(int64(n))
+	s.e.count(ctx, 0, int64(n))
 	if s.st != nil {
 		s.st.rowsScanned.Add(int64(n))
 	}
@@ -502,11 +490,7 @@ func (e *Executor) DenseLayouts(table string, gsets []GroupingSet) ([]bool, erro
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var allAggs []AggSpec
-	for _, gs := range gsets {
-		allAggs = append(allAggs, gs.Aggs...)
-	}
-	plans, err := buildGrouperPlans(t, gsets, buildFilterSet(allAggs), true)
+	plans, err := buildGrouperPlans(t, gsets, buildFilterSet(gsets), true)
 	if err != nil {
 		return nil, err
 	}
@@ -540,15 +524,17 @@ type rowSet struct {
 	nulls  *nullBitmap // NULL rows to drop; nil = none
 }
 
-func buildFilterSet(aggs []AggSpec) *filterSet {
+func buildFilterSet(gsets []GroupingSet) *filterSet {
 	fs := &filterSet{index: map[Predicate]int{}, rowSets: []rowSet{{filter: -1}}}
-	for _, a := range aggs {
-		if a.Filter == nil {
-			continue
-		}
-		if _, ok := fs.index[a.Filter]; !ok {
-			fs.index[a.Filter] = len(fs.preds)
-			fs.preds = append(fs.preds, a.Filter)
+	for _, gs := range gsets {
+		for _, a := range gs.Aggs {
+			if a.Filter == nil {
+				continue
+			}
+			if _, ok := fs.index[a.Filter]; !ok {
+				fs.index[a.Filter] = len(fs.preds)
+				fs.preds = append(fs.preds, a.Filter)
+			}
 		}
 	}
 	return fs
@@ -1685,12 +1671,10 @@ func (e *Executor) Scan(ctx context.Context, table string, columns []string, whe
 			return nil, err
 		}
 	}
-	e.cat.RecordAccess(table, columns...)
-	e.stats.Queries.Add(1)
-	e.stats.TableScans.Add(1)
 
 	res := &Result{Columns: append([]string(nil), columns...)}
-	for row := 0; row < t.rows; row++ {
+	row := 0
+	for ; row < t.rows && (limit <= 0 || len(res.Rows) < limit); row++ {
 		if row&0x3FFF == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("engine: scan cancelled: %w", err)
@@ -1704,11 +1688,8 @@ func (e *Executor) Scan(ctx context.Context, table string, columns []string, whe
 			out[i] = c.Value(row)
 		}
 		res.Rows = append(res.Rows, out)
-		if limit > 0 && len(res.Rows) >= limit {
-			break
-		}
 	}
-	e.stats.RowsRead.Add(int64(t.rows))
+	e.count(ctx, 1, int64(row)) // rows visited: a limit stops the scan early
 	return res, nil
 }
 

@@ -683,6 +683,22 @@ func TestScan(t *testing.T) {
 	if len(all.Columns) != 5 {
 		t.Errorf("want all 5 columns, got %v", all.Columns)
 	}
+	// RowsRead counts the rows a scan visited, not the table: an
+	// unfiltered LIMIT 3 stops after three rows, an unlimited scan reads
+	// all 100.
+	ex.Stats().Reset()
+	if _, err := ex.Scan(ctx, "sales", nil, nil, 3); err != nil {
+		t.Fatal(err)
+	}
+	if q, scans, rows := ex.Stats().Snapshot(); q != 1 || scans != 1 || rows != 3 {
+		t.Errorf("LIMIT 3 scan stats = %d/%d/%d, want 1/1/3", q, scans, rows)
+	}
+	if _, err := ex.Scan(ctx, "sales", nil, Eq("product", String("p1")), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, rows := ex.Stats().Snapshot(); rows != 103 {
+		t.Errorf("rows read after an unlimited scan = %d, want 3+100", rows)
+	}
 	if _, err := ex.Scan(ctx, "zz", nil, nil, 0); err == nil {
 		t.Error("missing table must error")
 	}
@@ -723,28 +739,6 @@ func TestMaterializeSample(t *testing.T) {
 	}
 }
 
-func TestAccessRecordingDuringRun(t *testing.T) {
-	cat, ex := buildSalesCatalog(t, 100, 3)
-	cat.ResetAccessCounts("")
-	_, err := ex.Run(context.Background(), &Query{
-		Table:   "sales",
-		Where:   Eq("product", String("p1")),
-		GroupBy: []string{"store"},
-		Aggs:    []AggSpec{{Func: AggSum, Column: "amount", Filter: Eq("region", String("r1"))}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, col := range []string{"store", "amount", "product", "region"} {
-		if cat.AccessCount("sales", col) != 1 {
-			t.Errorf("column %q access count = %d, want 1", col, cat.AccessCount("sales", col))
-		}
-	}
-	if cat.AccessCount("sales", "qty") != 0 {
-		t.Error("untouched column must not be recorded")
-	}
-}
-
 func TestExecStats(t *testing.T) {
 	_, ex := buildSalesCatalog(t, 500, 3)
 	ex.Stats().Reset()
@@ -756,6 +750,17 @@ func TestExecStats(t *testing.T) {
 	q, scans, rows := ex.Stats().Snapshot()
 	if q != 3 || scans != 3 || rows != 1500 {
 		t.Errorf("stats = %d/%d/%d, want 3/3/1500", q, scans, rows)
+	}
+	// A per-call tally sees its own query only; Stats sees all four.
+	ctx, tally := ex.WithTally(context.Background())
+	if _, err := ex.Run(ctx, &Query{Table: "sales", Aggs: []AggSpec{{Func: AggCount}}}); err != nil {
+		t.Fatal(err)
+	}
+	if q, scans, rows := tally.Snapshot(); q != 1 || scans != 1 || rows != 500 {
+		t.Errorf("tally = %d/%d/%d, want 1/1/500", q, scans, rows)
+	}
+	if q, _, rows := ex.Stats().Snapshot(); q != 4 || rows != 2000 {
+		t.Errorf("stats after tallied run = %d queries, %d rows; want 4, 2000", q, rows)
 	}
 }
 

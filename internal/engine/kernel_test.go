@@ -711,7 +711,7 @@ func TestBindAggsSharesPhysical(t *testing.T) {
 	aggs := defaultPlanSets(Compare("d0", OpEq, String("v3")))[0].Aggs
 	bind := func(aggs []AggSpec, resultsOnly bool) ([]boundAgg, []physAgg, []int) {
 		t.Helper()
-		logical, phys, rowSets, err := bindAggs(tab, aggs, buildFilterSet(aggs), resultsOnly)
+		logical, phys, rowSets, err := bindAggs(tab, aggs, buildFilterSet([]GroupingSet{{Aggs: aggs}}), resultsOnly)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,7 +104,7 @@ func (e *Executor) RunPartials(ctx context.Context, q *Query, gsets []GroupingSe
 	if gsets == nil {
 		gsets = []GroupingSet{{By: q.GroupBy, Aggs: q.Aggs, BinWidths: q.BinWidths}}
 	}
-	s, err := e.bindScan(q, gsets, false)
+	s, err := e.bindScan(ctx, q, gsets, false)
 	if err != nil {
 		return nil, err
 	}

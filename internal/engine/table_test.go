@@ -193,38 +193,3 @@ func TestCatalog(t *testing.T) {
 	}
 	cat.Drop("sales") // no-op
 }
-
-func TestCatalogAccessTracking(t *testing.T) {
-	cat := NewCatalog()
-	cat.RecordAccess("t", "a", "b")
-	cat.RecordAccess("t", "a")
-	if got := cat.AccessCount("t", "a"); got != 2 {
-		t.Errorf("AccessCount(a) = %d", got)
-	}
-	if got := cat.AccessCount("t", "b"); got != 1 {
-		t.Errorf("AccessCount(b) = %d", got)
-	}
-	if got := cat.AccessCount("t", "never"); got != 0 {
-		t.Errorf("AccessCount(never) = %d", got)
-	}
-	counts := cat.AccessCounts("t")
-	if counts["a"] != 2 || counts["b"] != 1 {
-		t.Errorf("AccessCounts = %v", counts)
-	}
-	// Mutating the returned map must not affect the catalog.
-	counts["a"] = 99
-	if cat.AccessCount("t", "a") != 2 {
-		t.Error("AccessCounts must return a copy")
-	}
-	cat.ResetAccessCounts("t")
-	if cat.AccessCount("t", "a") != 0 {
-		t.Error("reset should clear counts")
-	}
-	cat.RecordAccess("t", "a")
-	cat.RecordAccess("u", "x")
-	cat.ResetAccessCounts("")
-	if cat.AccessCount("t", "a") != 0 || cat.AccessCount("u", "x") != 0 {
-		t.Error("reset all should clear everything")
-	}
-	cat.RecordAccess("t") // empty column list is a no-op
-}

@@ -91,16 +91,23 @@ func runE10(cfg Config) (*Report, error) {
 			fmt.Sprintf("%.2f", jaccard(ref, topViews(res, 3))))
 	}
 
-	// Access-frequency pruning needs history: simulate an analyst who
-	// keeps querying d1/m0.
-	ex := e.Executor()
-	for i := 0; i < 200; i++ {
-		ex.Catalog().RecordAccess("e10", "d1", "d2", "m0", "m1")
+	// Access-frequency pruning ranks columns by an analyst's history,
+	// which SeeDB does not keep (a request's answer never depends on
+	// earlier requests). The simulated analyst's profile — 200 queries
+	// touching d1, d2, m0 and m1 — is given explicitly, and the
+	// dimensions touched at least 30% as often as the hottest column
+	// become the request's dimensions.
+	profile := map[string]int64{"d1": 200, "d2": 200, "m0": 200, "m1": 200}
+	var hottest int64
+	for _, n := range profile {
+		hottest = max(hottest, n)
 	}
 	opts := base
-	opts.PruneRarelyAccessed = true
-	opts.AccessKeepFraction = 0.3
-	opts.AccessMinHistory = 100
+	for _, dim := range synth.Dims {
+		if float64(profile[dim.Name]) >= 0.3*float64(hottest) {
+			opts.Dimensions = append(opts.Dimensions, dim.Name)
+		}
+	}
 	res, d, err := recommendTimed(cfg, e, q, opts)
 	if err != nil {
 		return nil, err

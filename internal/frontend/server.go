@@ -433,11 +433,9 @@ func (s *Server) optionsFrom(req recommendRequest, base seedb.Options) seedb.Opt
 		if *req.DisablePruning {
 			opts.PruneLowVariance = false
 			opts.PruneCorrelated = false
-			opts.PruneRarelyAccessed = false
 		} else {
 			opts.PruneLowVariance = def.PruneLowVariance
 			opts.PruneCorrelated = def.PruneCorrelated
-			opts.PruneRarelyAccessed = def.PruneRarelyAccessed
 		}
 	}
 	if req.DisableCombining != nil {
