@@ -429,10 +429,12 @@ func (c *countingBody) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // calls) on the 50k Superstore table placed rf=2 over two workers —
 // in-process members, then real HTTP workers. exchanges/op is what
 // cluster.placed.rpc_per_op measures in benchmark/; CI fails when it
-// exceeds 2 per worker.
+// exceeds 2 per worker, or when the HTTP workers' frames exceed
+// maxRespBytes per op (one physical state per accumulator in a binary
+// frame: about 52k; JSON of logical state was 475k).
 func BenchmarkPlacedScatter(b *testing.B) {
 	ctx := context.Background()
-	const workers = 2
+	const workers, maxRespBytes = 2, 95_000
 	run := func(b *testing.B, db *seedb.DB, be *seedb.ClusterBackend, respBytes *atomic.Int64) {
 		const sql = "SELECT * FROM orders WHERE category = 'Furniture'"
 		if _, err := db.RecommendSQL(ctx, sql, seedb.DefaultOptions()); err != nil { // statistics, hashes
@@ -456,11 +458,15 @@ func BenchmarkPlacedScatter(b *testing.B) {
 		}
 		perOp := float64(c.ShardCalls-before.ShardCalls) / float64(b.N)
 		b.ReportMetric(perOp, "exchanges/op")
-		if respBytes != nil {
-			b.ReportMetric(float64(respBytes.Load())/float64(b.N), "resp-bytes/op")
-		}
 		if perOp > 2*workers {
 			b.Fatalf("%.1f exchanges/op, want at most 2 per worker (%d)", perOp, 2*workers)
+		}
+		if respBytes != nil {
+			perOp := float64(respBytes.Load()) / float64(b.N)
+			b.ReportMetric(perOp, "resp-bytes/op")
+			if perOp > maxRespBytes {
+				b.Fatalf("%.0f response bytes/op, want at most %d", perOp, maxRespBytes)
+			}
 		}
 	}
 	b.Run("members", func(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,5 +159,63 @@ func TestNegativeZeroExtremeCrossesTheWire(t *testing.T) {
 	}
 	if c := b.Counters(); c.ShardCalls != 2 || c.Failovers != 0 {
 		t.Fatalf("the query was not answered by the workers: %+v", c)
+	}
+}
+
+// TestNonFiniteGroupKeyCrossesTheWire: a NaN or ±Inf float group key
+// used to have no JSON number, so a worker's answer failed to encode
+// after its 200 had been sent — the coordinator read a truncated body,
+// retried, failed over and struck every worker, and later scans all ran
+// on the coordinator. A property of the data must not strike a worker:
+// keys NaN, +Inf, −Inf and −0 (one group with +0), sharded and placed
+// rf=2 over two HTTP workers, bit-identical to solo, nothing retried or
+// failed over, every worker healthy.
+func TestNonFiniteGroupKeyCrossesTheWire(t *testing.T) {
+	ctx := context.Background()
+	q := &engine.Query{Table: "nf", GroupBy: []string{"m"}, Aggs: []engine.AggSpec{
+		{Func: engine.AggCount}, {Func: engine.AggSum, Column: "m"}, {Func: engine.AggMin, Column: "m"},
+	}}
+	table := func() *engine.Table {
+		tab := nonFiniteTable(t)
+		for i := 0; i < 3; i++ {
+			if err := tab.AppendRow(engine.String("g0"), engine.Float(math.Copysign(0, -1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tab
+	}
+	render := func(res *engine.Result) string {
+		out := ""
+		for _, row := range res.Rows {
+			out += fmt.Sprintf("%x %d %x %x\n", math.Float64bits(row[0].F), row[1].I, math.Float64bits(row[2].F), math.Float64bits(row[3].F))
+		}
+		return out
+	}
+	solo := seedb.Open()
+	if err := solo.RegisterTable(table()); err != nil {
+		t.Fatal(err)
+	}
+	soloRes, err := solo.Backend().Run(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := render(soloRes)
+	for _, key := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
+		if !strings.Contains("\n"+want, fmt.Sprintf("\n%x ", math.Float64bits(key))) {
+			t.Fatalf("solo answer lacks the %v group:\n%s", key, want)
+		}
+	}
+	for _, rf := range []int{0, 2} {
+		b := httpFleet(t, rf, table)
+		for pass := 0; pass < 2; pass++ {
+			res, err := b.Run(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := render(res); got != want {
+				t.Fatalf("rf=%d pass %d: differs from solo:\n%s\nvs\n%s", rf, pass, got, want)
+			}
+		}
+		cleanFleet(t, fmt.Sprintf("rf=%d", rf), b)
 	}
 }

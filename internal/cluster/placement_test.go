@@ -14,6 +14,7 @@ import (
 
 	"seedb"
 	"seedb/internal/cluster"
+	"seedb/internal/engine"
 	"seedb/internal/frontend"
 )
 
@@ -34,6 +35,49 @@ func startEmptyWorker(t *testing.T) (*httptest.Server, *seedb.DB) {
 // to mean something.
 func placementConfig(rf int) seedb.PlacementConfig {
 	return seedb.PlacementConfig{Replication: rf, PlacementChunks: 1}
+}
+
+// httpFleet stands a coordinator up over two HTTP workers, each exchange
+// one frame each way: replicated (rf 0; every worker loads its own copy
+// of table()) or placed at rf (the coordinator ships the fragments).
+func httpFleet(t *testing.T, rf int, table func() *engine.Table) *seedb.ClusterBackend {
+	t.Helper()
+	coord := seedb.Open()
+	if err := coord.RegisterTable(table()); err != nil {
+		t.Fatal(err)
+	}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		hs, wdb := startEmptyWorker(t)
+		if rf == 0 {
+			if err := wdb.RegisterTable(table()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		urls = append(urls, hs.URL)
+	}
+	if rf == 0 {
+		return coord.ShardRemote(urls, 10*time.Second, seedb.ClusterConfig{})
+	}
+	b, err := coord.PlaceRemote(context.Background(), urls, 10*time.Second, placementConfig(rf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// cleanFleet fails unless the workers answered every exchange: nothing
+// retried, failed over or mismatched, and every worker healthy.
+func cleanFleet(t *testing.T, name string, b *seedb.ClusterBackend) {
+	t.Helper()
+	if c := b.Counters(); c.ShardCalls == 0 || c.Retries != 0 || c.Failovers != 0 || c.Mismatches != 0 {
+		t.Fatalf("%s: the workers did not answer cleanly: %+v", name, c)
+	}
+	for _, st := range b.Status() {
+		if !st.Healthy || st.Failures != 0 {
+			t.Fatalf("%s: a worker was struck: %+v", name, st)
+		}
+	}
 }
 
 // TestPlacementElasticByteIdentity is the issue's acceptance scenario:

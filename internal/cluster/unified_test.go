@@ -332,7 +332,8 @@ func renderBits(res *engine.Result) string {
 // off; and the row-order canary's MIN/MAX/SUM/AVG bits ≡ solo under
 // every assignment the router can be pushed into: random workers
 // gated, random fragments missing from random workers. In-process
-// members only. Inputs are seeded; a failure prints the seed.
+// members, then the canary alone over two HTTP workers (replicated and
+// placed rf 2). Inputs are seeded; a failure prints the seed.
 func TestLayoutEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []uint64{1, 2} {
@@ -442,6 +443,21 @@ func TestLayoutEquivalence(t *testing.T) {
 				members[rng.IntN(n)].SetGate(func(string) error { return errKilled })
 				check("one worker down", want[1])
 			}
+		}
+
+		// The canary once more over two HTTP workers, so the binary
+		// frame is on the path of every −0 and NaN.
+		for _, rf := range []int{0, 2} {
+			name := fmt.Sprintf("seed=%d/http/rf=%d", seed, rf)
+			b := httpFleet(t, rf, func() *engine.Table { return canary.Clone("canary") })
+			res, err := b.Run(ctx, &canaryQuery)
+			if err != nil {
+				t.Fatalf("%s canary: %v", name, err)
+			}
+			if got := renderBits(res); got != wantCanary {
+				t.Fatalf("%s canary: bits differ from solo:\n%s\nvs\n%s", name, got, wantCanary)
+			}
+			cleanFleet(t, name, b)
 		}
 	}
 }

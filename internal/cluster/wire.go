@@ -40,11 +40,14 @@
 // shipping the whole result once per placement. Workers are plain seedb
 // servers (/api/shard/*, /api/ingest) or in-process MemberShards; the
 // coordinator keeps the authoritative full replica — ingest entry point
-// and degraded path.
+// and degraded path. Over HTTP an exchange is one binary frame each way.
 package cluster
 
 import (
+	"encoding"
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"seedb/internal/engine"
@@ -57,10 +60,35 @@ const (
 	// MaxSnapshotBytes bounds one /api/shard/sync upload (a serialized
 	// table or fragment); far above any demo dataset, yet finite.
 	MaxSnapshotBytes = 1 << 30
-	// MaxWireBytes bounds every JSON body: /api/shard/exec requests,
-	// /api/ingest batches, and the responses RemoteShard decodes.
+	// MaxWireBytes bounds every other body: /api/shard/exec frames both
+	// ways, /api/ingest batches, and the JSON answers RemoteShard decodes.
 	MaxWireBytes = 64 << 20
 )
+
+// An exchange is one frame each way (engine.EncodeFrame) under magic,
+// version and 'Q' or 'R'; another build's version is refused with 400.
+const FrameContentType, frameHeader = "application/x-seedb-frame", "SDBX\x01"
+
+// frameError types a refused frame.
+func frameError(err error) error {
+	if err != nil {
+		return fmt.Errorf("cluster: not a well-formed %s frame of this build (coordinator and workers must run the same build): %w", FrameContentType, err)
+	}
+	return nil
+}
+
+// ReadWire decodes one cluster-protocol body: a frame into an
+// encoding.BinaryUnmarshaler (ShardRequest, ShardResponse), else JSON.
+func ReadWire(r io.Reader, into any) error {
+	if bu, ok := into.(encoding.BinaryUnmarshaler); ok {
+		data, err := io.ReadAll(r)
+		if err == nil {
+			err = bu.UnmarshalBinary(data)
+		}
+		return err
+	}
+	return json.NewDecoder(r).Decode(into)
+}
 
 // ShardRequest is the wire form of one exchange: the engine query's
 // predicate, sampling and grouping sets once, plus every fragment this
@@ -77,6 +105,48 @@ type ShardRequest struct {
 	// Fragments lists the scans in ascending row order, disjoint, at
 	// most MaxExchangeFragments of them.
 	Fragments []ShardFragment `json:"fragments"`
+}
+
+// MarshalBinary encodes the request as a frame.
+func (r *ShardRequest) MarshalBinary() ([]byte, error) {
+	return engine.EncodeFrame(frameHeader+"Q", r.frame), nil
+}
+
+// UnmarshalBinary decodes a request frame (≤ MaxExchangeFragments).
+func (r *ShardRequest) UnmarshalBinary(data []byte) error {
+	*r = ShardRequest{}
+	return frameError(engine.DecodeFrame(data, frameHeader+"Q", r.frame))
+}
+
+// frame walks the request's frame form (engine.FrameCodec).
+func (r *ShardRequest) frame(c engine.FrameCodec) {
+	c.Str(&r.WhereSQL)
+	c.Float(&r.SampleFraction)
+	c.Uint(&r.SampleSeed)
+	c.Int(&r.Parallelism)
+	engine.FrameList(c, &r.Sets, 3, MaxWireBytes)
+	for i := range r.Sets {
+		gs := &r.Sets[i]
+		c.Strs(&gs.By)
+		c.FloatMap(&gs.BinWidths)
+		engine.FrameList(c, &gs.Aggs, 4, MaxWireBytes)
+		for j := range gs.Aggs {
+			a := &gs.Aggs[j]
+			c.Str(&a.Func)
+			c.Str(&a.Column)
+			c.Str(&a.Alias)
+			c.Str(&a.FilterSQL)
+		}
+	}
+	engine.FrameList(c, &r.Fragments, 5, MaxExchangeFragments)
+	for i := range r.Fragments {
+		f := &r.Fragments[i]
+		c.Str(&f.Table)
+		c.Str(&f.ContentHash)
+		c.Int(&f.SampleBase)
+		c.Int(&f.RowLo)
+		c.Int(&f.RowHi)
+	}
 }
 
 // ShardFragment is one scan of an exchange: rows [RowLo,RowHi) of a
@@ -133,6 +203,39 @@ type ShardRun struct {
 	Lo       int               `json:"lo"`
 	Hi       int               `json:"hi"`
 	Partials []*engine.Partial `json:"partials"`
+}
+
+// MarshalBinary encodes the response as a frame, partials bit for bit.
+func (r *ShardResponse) MarshalBinary() ([]byte, error) {
+	return engine.EncodeFrame(frameHeader+"R", r.frame), nil
+}
+
+// UnmarshalBinary decodes a response frame; checkResponse vets it.
+func (r *ShardResponse) UnmarshalBinary(data []byte) error {
+	*r = ShardResponse{}
+	return frameError(engine.DecodeFrame(data, frameHeader+"R", r.frame))
+}
+
+// frame walks the response's frame form (engine.FrameCodec).
+func (r *ShardResponse) frame(c engine.FrameCodec) {
+	engine.FrameList(c, &r.Runs, 3, MaxWireBytes)
+	for i := range r.Runs {
+		run := &r.Runs[i]
+		c.Int(&run.Lo)
+		c.Int(&run.Hi)
+		engine.FrameList(c, &run.Partials, 6, MaxWireBytes)
+		for j := range run.Partials {
+			c.Partial(&run.Partials[j])
+		}
+	}
+	engine.FrameList(c, &r.Failed, 4, MaxWireBytes)
+	for i := range r.Failed {
+		f := &r.Failed[i]
+		c.Int(&f.Fragment)
+		c.Int(&f.Status)
+		c.Str(&f.ContentHash)
+		c.Str(&f.Error)
+	}
 }
 
 // ShardFragmentStatus reports a fragment the worker could not serve:

@@ -290,25 +290,18 @@ func (s *RemoteShard) call(ctx context.Context, op, method, path, contentType st
 		return hres.StatusCode, msg, fmt.Errorf("cluster: shard %s %s: HTTP %d: %s", s.url, op, hres.StatusCode, msg)
 	}
 	if out != nil {
-		if err := json.NewDecoder(http.MaxBytesReader(nil, hres.Body, MaxWireBytes)).Decode(out); err != nil {
+		if err := ReadWire(http.MaxBytesReader(nil, hres.Body, MaxWireBytes), out); err != nil {
 			return hres.StatusCode, nil, fmt.Errorf("cluster: shard %s %s: decoding response: %w", s.url, op, err)
 		}
 	}
 	return hres.StatusCode, nil, nil
 }
 
-func (s *RemoteShard) postJSON(ctx context.Context, op, path string, in, out any) (int, []byte, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return 0, nil, err
-	}
-	return s.call(ctx, op, http.MethodPost, path, "application/json", body, out)
-}
-
 // ExecPartials implements Worker over POST /api/shard/exec.
 func (s *RemoteShard) ExecPartials(ctx context.Context, req *ShardRequest) (*ShardResponse, error) {
+	body, _ := req.MarshalBinary() // encoding a frame cannot fail
 	var resp ShardResponse
-	status, _, err := s.postJSON(ctx, "exec", "/api/shard/exec", req, &resp)
+	status, _, err := s.call(ctx, "exec", http.MethodPost, "/api/shard/exec", FrameContentType, body, &resp)
 	if err == nil {
 		return &resp, nil
 	}
@@ -323,8 +316,12 @@ func (s *RemoteShard) ExecPartials(ctx context.Context, req *ShardRequest) (*Sha
 
 // Ingest implements Worker over POST /api/ingest.
 func (s *RemoteShard) Ingest(ctx context.Context, req *IngestRequest) (*IngestResponse, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
 	var resp IngestResponse
-	if _, _, err := s.postJSON(ctx, "ingest", "/api/ingest", req, &resp); err != nil {
+	if _, _, err := s.call(ctx, "ingest", http.MethodPost, "/api/ingest", "application/json", body, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -138,20 +138,37 @@ func mergeExtremes(seen *bool, mn, mx *float64, omn, omx float64) {
 // partition of the same group) into a, via direct digit additions —
 // the allocation-light path incremental execution merges cached chunk
 // partials with.
-func (a *accumulator) mergeState(st AccState) {
+func (a *accumulator) mergeState(st *AccState) {
 	a.count += st.Count
 	a.exSum.MergeState(st.Sum)
 	a.exSumSq.MergeState(st.SumSq)
 	if st.Seen {
-		mn, mx := st.extremes()
-		mergeExtremes(&a.seen, &a.min, &a.max, mn, mx)
+		mergeExtremes(&a.seen, &a.min, &a.max, st.Min, st.Max)
 	}
+}
+
+// finalState is what finalization reads of one physical accumulator: its
+// count and extremes, and its exact sums rounded once for every logical
+// aggregate it backs.
+type finalState struct {
+	count      int64
+	sum, sumSq float64
+	min, max   float64
+	seen       bool
+}
+
+func (a *accumulator) final() finalState {
+	return finalState{count: a.count, sum: a.exSum.Round(), sumSq: a.exSumSq.Round(), min: a.min, max: a.max, seen: a.seen}
+}
+
+func (st *AccState) final() finalState {
+	return finalState{count: st.Count, sum: st.Sum.round(), sumSq: st.SumSq.round(), min: st.Min, max: st.Max, seen: st.Seen}
 }
 
 // finalize produces the aggregate's result value. COUNT of an empty
 // group is 0; every other aggregate of an empty group is NULL, matching
 // SQL semantics.
-func (a *accumulator) finalize(f AggFunc) Value {
+func (a *finalState) finalize(f AggFunc) Value {
 	switch f {
 	case AggCount:
 		return Int(a.count)
@@ -159,12 +176,12 @@ func (a *accumulator) finalize(f AggFunc) Value {
 		if a.count == 0 {
 			return NullValue(TypeFloat)
 		}
-		return Float(a.exSum.Round())
+		return Float(a.sum)
 	case AggAvg:
 		if a.count == 0 {
 			return NullValue(TypeFloat)
 		}
-		return Float(a.exSum.Round() / float64(a.count))
+		return Float(a.sum / float64(a.count))
 	case AggMin:
 		if !a.seen {
 			return NullValue(TypeFloat)
@@ -180,8 +197,8 @@ func (a *accumulator) finalize(f AggFunc) Value {
 			return NullValue(TypeFloat)
 		}
 		n := float64(a.count)
-		mean := a.exSum.Round() / n
-		v := a.exSumSq.Round()/n - mean*mean
+		mean := a.sum / n
+		v := a.sumSq/n - mean*mean
 		if v < 0 { // numerical noise
 			v = 0
 		}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -144,7 +143,7 @@ func (x *exactFloat) Merge(o *exactFloat) {
 // cost limb additions, not canon passes.
 func (x *exactFloat) MergeState(st ExactState) {
 	if len(st.Digits) > 0 {
-		lo := st.Lo
+		lo := int(st.Lo)
 		x.reserve(lo, lo+len(st.Digits)-1)
 		base := lo - int(x.lo)
 		if st.Neg {
@@ -157,61 +156,62 @@ func (x *exactFloat) MergeState(st ExactState) {
 			}
 		}
 	}
-	if st.Special != finite {
-		x.special += st.Special.value()
-	}
+	x.special += st.Special
 }
+
+// exactMaxDigits bounds a canonical state's digit window [lo, lo+n):
+// carries out of the top input limb reach two digits higher, as far as a
+// total of 2^63 of the largest double (2^1087, bit offset 2161) needs.
+const exactMaxDigits = exactMaxLimb + 3
+
+// canonBuf is canon's scratch: every limb window a reachable state has,
+// plus the carry digits propagation can add above it.
+type canonBuf [exactMaxDigits + 2]uint32
 
 // canon propagates carries into a canonical sign-magnitude form:
 // digits in [0, 2^32), trimmed of leading/trailing zeros. The
 // canonical form of an exact value is unique, so two accumulators that
 // hold the same mathematical sum — however it was assembled — have
-// identical canonical states.
-func (x *exactFloat) canon() (neg bool, lo int, digits []uint32) {
-	propagate := func(limbs []int64) (int64, []uint32) {
-		out := make([]uint32, len(limbs))
-		var carry int64
-		for i, l := range limbs {
-			t := l + carry
-			d := t & 0xFFFFFFFF // non-negative: Go & on int64 keeps low bits
-			if d < 0 {
-				d += 1 << 32
-			}
+// identical canonical states. digits is a window of buf, which the
+// caller provides so that rounding allocates nothing.
+func (x *exactFloat) canon(buf *canonBuf) (neg bool, lo int, digits []uint32) {
+	out := buf[:]
+	if n := len(x.limbs) + 2; n > len(out) {
+		out = make([]uint32, n)
+	}
+	propagate := func(sign int64) (carry int64) {
+		for i, l := range x.limbs {
+			t := sign*l + carry
+			d := t & 0xFFFFFFFF // the low digit, non-negative whatever t's sign
 			out[i] = uint32(d)
 			carry = (t - d) >> 32
 		}
-		return carry, out
+		return carry
 	}
-	carry, digitsU := propagate(x.limbs)
+	carry := propagate(1)
 	if carry < 0 {
 		// The total is negative: negate and re-propagate to get the
 		// magnitude (the negated total is non-negative, so its carry
 		// chain terminates with carry >= 0).
-		negated := make([]int64, len(x.limbs))
-		for i, l := range x.limbs {
-			negated[i] = -l
-		}
-		carry, digitsU = propagate(negated)
-		neg = true
+		carry, neg = propagate(-1), true
 	}
-	lo = int(x.lo)
-	for carry > 0 {
-		digitsU = append(digitsU, uint32(carry&0xFFFFFFFF))
-		carry >>= 32
+	end := len(x.limbs)
+	for ; carry > 0; carry >>= 32 {
+		out[end] = uint32(carry)
+		end++
 	}
 	// Trim trailing (low) and leading (high) zero digits.
 	start := 0
-	for start < len(digitsU) && digitsU[start] == 0 {
+	for start < end && out[start] == 0 {
 		start++
 	}
-	end := len(digitsU)
-	for end > start && digitsU[end-1] == 0 {
+	for end > start && out[end-1] == 0 {
 		end--
 	}
 	if start == end {
 		return false, 0, nil
 	}
-	return neg, lo + start, digitsU[start:end]
+	return neg, int(x.lo) + start, out[start:end]
 }
 
 // Round returns the accumulated total rounded to the nearest float64
@@ -225,7 +225,8 @@ func (x *exactFloat) Round() float64 {
 	if x.special != 0 {
 		return x.special
 	}
-	neg, lo, digits := x.canon()
+	var buf canonBuf
+	neg, lo, digits := x.canon(&buf)
 	return roundDigits(neg, lo, digits)
 }
 
@@ -291,95 +292,42 @@ func roundDigits(neg bool, lo int, digits []uint32) float64 {
 	return f
 }
 
-// ExactState is the canonical wire form of an exact sum: base-2^32
-// digits of the magnitude plus a sign, exactly as produced by canon.
-// Equal exact values always serialize to equal states. A non-finite
-// total travels in Special because JSON cannot carry IEEE specials as
-// numbers.
+// ExactState is the canonical serialized form of an exact sum: base-2^32
+// digits of the magnitude plus a sign, exactly as produced by canon, and
+// the non-finite part (0 when the sum is finite). Equal exact values
+// always serialize to equal states.
 type ExactState struct {
-	Neg     bool      `json:"neg,omitempty"`
-	Lo      int       `json:"lo,omitempty"`
-	Digits  []uint32  `json:"d,omitempty"`
-	Special nonFinite `json:"special,omitempty"`
+	Digits  []uint32 `json:"d,omitempty"`
+	Special float64  `json:"special,omitempty"`
+	Lo      int32    `json:"lo,omitempty"`
+	Neg     bool     `json:"neg,omitempty"`
 }
 
-// State snapshots the accumulator in canonical form.
+// State snapshots the accumulator in canonical form. Digits is a fresh
+// slice exactly as long as the digits (stored runs hold states for a long
+// time, so none keeps a wider scratch array alive), and a NaN Special is
+// the canonical NaN, as Round returns it.
 func (x *exactFloat) State() ExactState {
-	neg, lo, digits := x.canon()
-	return ExactState{Neg: neg, Lo: lo, Digits: digits, Special: nonFiniteOf(x.special)}
-}
-
-// nonFinite names a float the wire's plain numbers cannot carry. The
-// zero value means "finite" and is left off the wire; the others spell
-// "+inf", "-inf", "nan" and "-0" (a JSON number field with omitempty
-// drops a negative zero, and MIN/MAX must keep its sign).
-type nonFinite uint8
-
-const (
-	finite nonFinite = iota
-	posInf
-	negInf
-	notANumber
-	negZero
-)
-
-var nonFiniteNames = [...]string{posInf: "+inf", negInf: "-inf", notANumber: "nan", negZero: "-0"}
-
-func nonFiniteOf(v float64) nonFinite {
-	switch {
-	case v == 0 && math.Signbit(v):
-		return negZero
-	case v-v == 0: // ±Inf and NaN give NaN
-		return finite
-	case v != v:
-		return notANumber
-	case v > 0:
-		return posInf
+	var buf canonBuf
+	neg, lo, digits := x.canon(&buf)
+	st := ExactState{Neg: neg, Lo: int32(lo), Special: x.special}
+	if len(digits) > 0 {
+		st.Digits = append([]uint32(nil), digits...)
 	}
-	return negInf
+	if st.Special != st.Special {
+		st.Special = math.NaN()
+	}
+	return st
 }
 
-// value returns the float s names (0 for finite).
-func (s nonFinite) value() float64 {
-	switch s {
-	case posInf:
-		return math.Inf(1)
-	case negInf:
-		return math.Inf(-1)
-	case notANumber:
+// round is Round of the accumulator the state was taken from, read off
+// its canonical digits.
+func (st *ExactState) round() float64 {
+	if st.Special != st.Special {
 		return math.NaN()
-	case negZero:
-		return math.Copysign(0, -1)
 	}
-	return 0
-}
-
-func (s nonFinite) MarshalText() ([]byte, error) { return []byte(nonFiniteNames[s]), nil }
-
-func (s *nonFinite) UnmarshalText(text []byte) error {
-	for i, name := range nonFiniteNames {
-		if name != "" && name == string(text) {
-			*s = nonFinite(i)
-			return nil
-		}
+	if st.Special != 0 {
+		return st.Special
 	}
-	return fmt.Errorf("engine: unknown non-finite value %q", text)
-}
-
-// exactFromState rebuilds an accumulator from a serialized state.
-func exactFromState(st ExactState) exactFloat {
-	var x exactFloat
-	if len(st.Digits) > 0 {
-		x.lo = int32(st.Lo)
-		x.limbs = make([]int64, len(st.Digits))
-		for i, d := range st.Digits {
-			if st.Neg {
-				x.limbs[i] = -int64(d)
-			} else {
-				x.limbs[i] = int64(d)
-			}
-		}
-	}
-	x.special = st.Special.value()
-	return x
+	return roundDigits(st.Neg, int(st.Lo), st.Digits)
 }

@@ -152,6 +152,13 @@ func TestExactFloatOrderIndependence(t *testing.T) {
 	}
 }
 
+// exactFromState rebuilds an accumulator from a serialized state.
+func exactFromState(st ExactState) exactFloat {
+	var x exactFloat
+	x.MergeState(st)
+	return x
+}
+
 func TestExactFloatStateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var x exactFloat
@@ -207,7 +214,7 @@ func TestExactFloatSpecials(t *testing.T) {
 		t.Fatalf("expected +Inf, got %g", x.Round())
 	}
 	st := x.State()
-	if st.Special != posInf {
+	if !math.IsInf(st.Special, 1) {
 		t.Fatalf("expected +inf special, got %v", st.Special)
 	}
 	y := exactFromState(st)

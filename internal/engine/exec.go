@@ -612,8 +612,8 @@ const (
 // only on which rows reach it and what values they carry, never on the
 // aggregate function, so SUM(m), COUNT(m), AVG(m), MIN(m)… over the
 // same filter all read one physical accumulator: the scan updates
-// physical state once per row and result()/partial() fan it back out
-// per logical aggregate.
+// physical state once per row, partial() exports it once, and result()
+// and Partial.Finalize fan it back out per logical aggregate.
 type physAgg struct {
 	kind measKind
 	f64  []float64
@@ -1620,12 +1620,16 @@ func (g *grouper) result() *Result {
 		cols = append(cols, a.spec.Name())
 	}
 	res := &Result{Columns: cols}
+	finals := make([]finalState, len(p.phys))
 	g.forEachGroup(func(key []Value, phys []accumulator) {
+		for i := range phys {
+			finals[i] = phys[i].final()
+		}
 		row := make([]Value, 0, len(key)+p.nAggs)
 		row = append(row, key...)
 		for i := range p.aggs {
 			a := &p.aggs[i]
-			row = append(row, phys[a.phys].finalize(a.spec.Func))
+			row = append(row, finals[a.phys].finalize(a.spec.Func))
 		}
 		res.Rows = append(res.Rows, row)
 	})

@@ -834,7 +834,8 @@ func TestParseAggFunc(t *testing.T) {
 }
 
 func TestAccumulatorFinalizeEmpty(t *testing.T) {
-	var a accumulator
+	var acc accumulator
+	a := acc.final()
 	if v := a.finalize(AggCount); v.I != 0 || v.Null {
 		t.Errorf("COUNT of empty = %v, want 0", v)
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -336,7 +335,7 @@ func runBothScans(t *testing.T, tab *Table, q *Query, withStore bool) {
 				t.Fatal(err)
 			}
 			check(fmt.Sprintf("whole-range partial (parallelism %d)", par), ps[0].Finalize(), nil)
-			if got := partialBytes(t, ps[0]); wantBytes == "" {
+			if got := partialBytes(ps[0]); wantBytes == "" {
 				wantBytes = got
 			} else if got != wantBytes {
 				t.Fatalf("partial state differs at parallelism %d (store %v)\nquery: %+v\nwant: %s\ngot:  %s",
@@ -430,23 +429,23 @@ func mergedHalves(t *testing.T, ex *Executor, q *Query, lo, mid, hi int) *Result
 	return lp[0].Finalize()
 }
 
-// partialBytes renders a Partial's state exactly: accumulator states as
-// their wire JSON, group keys by bit pattern (a NaN or ±Inf float KEY
-// has no JSON number, which is ROADMAP item 4's business, not this
-// harness's).
-func partialBytes(t *testing.T, p *Partial) string {
-	t.Helper()
+// partialBytes renders a Partial's state exactly, bit patterns
+// throughout: the physical map, then per group the key and every
+// physical accumulator's state.
+func partialBytes(p *Partial) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%q %q %v", p.By, p.Cols, p.Funcs)
+	fmt.Fprintf(&b, "%q %q %v %v\n", p.By, p.Cols, p.Funcs, p.Phys)
+	exact := func(st ExactState) string {
+		return fmt.Sprintf("%v/%d/%x/%x", st.Neg, st.Lo, st.Digits, math.Float64bits(st.Special))
+	}
 	for _, g := range p.Groups {
 		for _, k := range g.Key {
-			fmt.Fprintf(&b, " %d/%v/%d/%x/%q", k.Kind, k.Null, k.I, math.Float64bits(k.F), k.S)
+			fmt.Fprintf(&b, "%d/%v/%d/%x/%q ", k.Kind, k.Null, k.I, math.Float64bits(k.F), k.S)
 		}
-		accs, err := json.Marshal(g.Accs)
-		if err != nil {
-			t.Fatalf("accumulator state does not encode: %v", err)
+		for _, a := range g.Accs {
+			fmt.Fprintf(&b, "[%d %v %x %x %s %s]", a.Count, a.Seen, math.Float64bits(a.Min), math.Float64bits(a.Max), exact(a.Sum), exact(a.SumSq))
 		}
-		b.Write(accs)
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -19,77 +19,57 @@ import (
 // partial merging to the full aggregate set and is the unit of
 // exchange between cluster shards and their coordinator.
 //
-// Partials are JSON-serializable: group keys are Values (exported
-// fields) and accumulator state travels as AccState.
+// The state is physical: every aggregate of a grouping set over one
+// (measure, filter) pair — SUM(m), AVG(m), MIN(m)… — reads one
+// accumulator during the scan, and a partial carries that accumulator's
+// state once. Phys maps the logical aggregates onto the states; Finalize
+// is the one place they fan back out.
+//
+// Partials cross processes as binary frames (FrameCodec.Partial), which
+// carry every bit — −0 and NaN payloads included. The JSON tags serve
+// debugging views only: JSON has no number for a non-finite float.
 type Partial struct {
 	// By lists the grouping columns; Cols and Funcs describe the
 	// aggregate output columns, parallel slices.
 	By    []string  `json:"by,omitempty"`
 	Cols  []string  `json:"cols"`
 	Funcs []AggFunc `json:"funcs"`
+	// Phys maps logical aggregate i to the physical accumulator holding
+	// its state: PartialGroup.Accs[Phys[i]].
+	Phys []int `json:"phys"`
 	// Groups holds one entry per group, sorted by key.
 	Groups []PartialGroup `json:"groups"`
 }
 
-// PartialGroup is one group's key and per-aggregate state.
+// PartialGroup is one group's key and per-physical-accumulator state.
 type PartialGroup struct {
 	Key  []Value    `json:"key,omitempty"`
 	Accs []AccState `json:"accs"`
 }
 
-// AccState is the serializable state of one aggregate accumulator. A
-// non-finite extreme travels as MinSpecial/MaxSpecial (with Min/Max
-// left zero), the way ExactState.Special carries a non-finite sum.
+// AccState is the serializable state of one physical accumulator.
 type AccState struct {
-	Count      int64      `json:"count,omitempty"`
-	Sum        ExactState `json:"sum,omitzero"`
-	SumSq      ExactState `json:"sumsq,omitzero"`
-	Min        float64    `json:"min,omitempty"`
-	Max        float64    `json:"max,omitempty"`
-	MinSpecial nonFinite  `json:"minSpecial,omitempty"`
-	MaxSpecial nonFinite  `json:"maxSpecial,omitempty"`
-	Seen       bool       `json:"seen,omitempty"`
+	Count int64      `json:"count,omitempty"`
+	Sum   ExactState `json:"sum,omitzero"`
+	SumSq ExactState `json:"sumsq,omitzero"`
+	Min   float64    `json:"min,omitempty"`
+	Max   float64    `json:"max,omitempty"`
+	Seen  bool       `json:"seen,omitempty"`
 }
 
-// extremes decodes the state's min and max.
-func (st AccState) extremes() (mn, mx float64) {
-	mn, mx = st.Min, st.Max
-	if st.MinSpecial != finite {
-		mn = st.MinSpecial.value()
+// numPhys is the number of physical accumulators behind the logical
+// aggregates: every one backs at least one of them.
+func numPhys(phys []int) int {
+	n := 0
+	for _, i := range phys {
+		n = max(n, i+1)
 	}
-	if st.MaxSpecial != finite {
-		mx = st.MaxSpecial.value()
-	}
-	return mn, mx
+	return n
 }
 
 // accState snapshots an accumulator.
 func accState(a *accumulator) AccState {
-	st := AccState{
-		Count: a.count,
-		Sum:   a.exSum.State(),
-		SumSq: a.exSumSq.State(),
-		Seen:  a.seen,
-	}
-	if st.MinSpecial = nonFiniteOf(a.min); st.MinSpecial == finite {
-		st.Min = a.min
-	}
-	if st.MaxSpecial = nonFiniteOf(a.max); st.MaxSpecial == finite {
-		st.Max = a.max
-	}
-	return st
-}
-
-// accumulatorOf rebuilds the in-memory accumulator.
-func accumulatorOf(st AccState) accumulator {
-	a := accumulator{
-		count:   st.Count,
-		exSum:   exactFromState(st.Sum),
-		exSumSq: exactFromState(st.SumSq),
-		seen:    st.Seen,
-	}
-	a.min, a.max = st.extremes()
-	return a
+	return AccState{Count: a.count, Sum: a.exSum.State(), SumSq: a.exSumSq.State(), Min: a.min, Max: a.max, Seen: a.seen}
 }
 
 // RunPartials executes one scan feeding every grouping set — exactly
@@ -112,28 +92,34 @@ func (e *Executor) RunPartials(ctx context.Context, q *Query, gsets []GroupingSe
 	return s.partials(ctx)
 }
 
-// partial exports the grouper state, groups sorted by key. Exported
+// partial exports the grouper state, groups sorted by key: one state per
+// physical accumulator, all of a partial's states in one array. Exported
 // state is fully owned by the Partial (accState snapshots fresh digit
-// slices, key []Value slices are never mutated afterwards). Logical
-// aggregates backed by one physical accumulator export one snapshot —
-// AccStates are immutable, so sharing their digit slices is safe.
+// slices, key []Value slices are never mutated afterwards).
 func (g *grouper) partial() *Partial {
 	plan := g.plan
-	p := &Partial{By: append([]string(nil), plan.set...)}
-	for _, a := range plan.aggs {
+	p := &Partial{By: append([]string(nil), plan.set...), Phys: make([]int, len(plan.aggs))}
+	for i, a := range plan.aggs {
 		p.Cols = append(p.Cols, a.spec.Name())
 		p.Funcs = append(p.Funcs, a.spec.Func)
+		p.Phys[i] = a.phys
 	}
-	states := make([]AccState, len(plan.phys))
+	groups := 0
+	for _, st := range g.stamp {
+		if st != 0 {
+			groups++
+		}
+	}
+	nPhys := len(plan.phys)
+	states := make([]AccState, groups*nPhys)
+	p.Groups = make([]PartialGroup, 0, groups)
 	g.forEachGroup(func(key []Value, phys []accumulator) {
+		accs := states[:nPhys:nPhys]
+		states = states[nPhys:]
 		for i := range phys {
-			states[i] = accState(&phys[i])
+			accs[i] = accState(&phys[i])
 		}
-		pg := PartialGroup{Key: key, Accs: make([]AccState, plan.nAggs)}
-		for i := range plan.aggs {
-			pg.Accs[i] = states[plan.aggs[i].phys]
-		}
-		p.Groups = append(p.Groups, pg)
+		p.Groups = append(p.Groups, PartialGroup{Key: key, Accs: accs})
 	})
 	sort.Slice(p.Groups, func(i, j int) bool {
 		return compareKeys(p.Groups[i].Key, p.Groups[j].Key) < 0
@@ -158,11 +144,10 @@ func compareKeys(a, b []Value) int {
 	return 0
 }
 
-// valueKey encodes a group key to a canonical comparable string for
-// merge lookups. Kind and null status are part of the encoding, so
+// appendValueKey appends a group key's canonical comparable encoding,
+// for merge lookups. Kind and null status are part of the encoding, so
 // Int(0) and Float(0) never collide.
-func valueKey(key []Value) string {
-	var buf []byte
+func appendValueKey(buf []byte, key []Value) []byte {
 	var tmp [8]byte
 	for _, v := range key {
 		buf = append(buf, byte(v.Kind))
@@ -184,7 +169,7 @@ func valueKey(key []Value) string {
 			buf = append(buf, v.S...)
 		}
 	}
-	return string(buf)
+	return buf
 }
 
 // MergePartials is the engine's merge entry point: parts[i] holds
@@ -237,35 +222,42 @@ func (p *Partial) Merge(o *Partial) error {
 }
 
 // partialMerger accumulates many disjoint-partition partials of one
-// grouping set into in-memory accumulator state.
+// grouping set into in-memory accumulator state, one per physical
+// accumulator per group.
 type partialMerger struct {
 	by    []string
 	cols  []string
 	funcs []AggFunc
+	phys  []int
+	nPhys int
 	m     map[string]int
 	keys  [][]Value
-	accs  []accumulator // len(keys) * len(cols)
+	accs  []accumulator // len(keys) * nPhys
+	kbuf  []byte        // scratch for appendValueKey
 }
 
 // newPartialMerger builds an empty merger with the shape (grouping
-// columns, aggregate list) of the given partial, sized for its groups —
-// partitions of one table mostly meet the same groups, and growing the
-// accumulator array by doubling would copy it whole several times.
+// columns, aggregate list, physical map) of the given partial, sized for
+// its groups — partitions of one table mostly meet the same groups, and
+// growing the accumulator array by doubling would copy it whole several
+// times.
 func newPartialMerger(shape *Partial) *partialMerger {
-	n := len(shape.Groups)
+	n, nPhys := len(shape.Groups), numPhys(shape.Phys)
 	return &partialMerger{
 		by:    append([]string(nil), shape.By...),
 		cols:  append([]string(nil), shape.Cols...),
 		funcs: append([]AggFunc(nil), shape.Funcs...),
+		phys:  append([]int(nil), shape.Phys...),
+		nPhys: nPhys,
 		m:     make(map[string]int, n),
 		keys:  make([][]Value, 0, n),
-		accs:  make([]accumulator, 0, n*len(shape.Cols)),
+		accs:  make([]accumulator, 0, n*nPhys),
 	}
 }
 
 // fold merges one partial (a disjoint row partition) into the merger.
 func (m *partialMerger) fold(p *Partial) error {
-	if len(p.Cols) != len(m.cols) {
+	if len(p.Cols) != len(m.cols) || len(p.Funcs) != len(m.cols) || len(p.Phys) != len(m.cols) {
 		return fmt.Errorf("engine: merging partials with %d vs %d aggregates", len(p.Cols), len(m.cols))
 	}
 	for i := range m.cols {
@@ -273,23 +265,28 @@ func (m *partialMerger) fold(p *Partial) error {
 			return fmt.Errorf("engine: merging partials with mismatched aggregate %d: %s(%v) vs %s(%v)",
 				i, m.cols[i], m.funcs[i], p.Cols[i], p.Funcs[i])
 		}
-	}
-	nAggs := len(m.cols)
-	for _, g := range p.Groups {
-		if len(g.Accs) != nAggs {
-			return fmt.Errorf("engine: partial group carries %d accumulators, want %d", len(g.Accs), nAggs)
+		if p.Phys[i] != m.phys[i] {
+			return fmt.Errorf("engine: merging partials that map aggregate %d (%s) to physical accumulator %d vs %d",
+				i, m.cols[i], m.phys[i], p.Phys[i])
 		}
-		k := valueKey(g.Key)
-		slot, ok := m.m[k]
+	}
+	nPhys := m.nPhys
+	for gi := range p.Groups {
+		g := &p.Groups[gi]
+		if len(g.Accs) != nPhys {
+			return fmt.Errorf("engine: partial group carries %d accumulators, want %d", len(g.Accs), nPhys)
+		}
+		m.kbuf = appendValueKey(m.kbuf[:0], g.Key)
+		slot, ok := m.m[string(m.kbuf)]
 		if !ok {
 			slot = len(m.keys)
-			m.m[k] = slot
+			m.m[string(m.kbuf)] = slot
 			m.keys = append(m.keys, g.Key)
-			m.accs = append(m.accs, make([]accumulator, nAggs)...)
+			m.accs = append(m.accs, make([]accumulator, nPhys)...)
 		}
-		dst := m.accs[slot*nAggs : (slot+1)*nAggs]
+		dst := m.accs[slot*nPhys : (slot+1)*nPhys]
 		for i := range dst {
-			dst[i].mergeState(g.Accs[i])
+			dst[i].mergeState(&g.Accs[i])
 		}
 	}
 	return nil
@@ -297,16 +294,15 @@ func (m *partialMerger) fold(p *Partial) error {
 
 // partial exports the merged state, groups sorted by key.
 func (m *partialMerger) partial() *Partial {
-	p := &Partial{By: m.by, Cols: m.cols, Funcs: m.funcs}
-	nAggs := len(m.cols)
+	p := &Partial{By: m.by, Cols: m.cols, Funcs: m.funcs, Phys: m.phys}
+	nPhys := m.nPhys
+	states := make([]AccState, len(m.accs))
+	for i := range m.accs {
+		states[i] = accState(&m.accs[i])
+	}
 	p.Groups = make([]PartialGroup, len(m.keys))
 	for slot, key := range m.keys {
-		accs := m.accs[slot*nAggs : (slot+1)*nAggs]
-		pg := PartialGroup{Key: key, Accs: make([]AccState, nAggs)}
-		for i := range accs {
-			pg.Accs[i] = accState(&accs[i])
-		}
-		p.Groups[slot] = pg
+		p.Groups[slot] = PartialGroup{Key: key, Accs: states[slot*nPhys : (slot+1)*nPhys : (slot+1)*nPhys]}
 	}
 	sort.Slice(p.Groups, func(i, j int) bool {
 		return compareKeys(p.Groups[i].Key, p.Groups[j].Key) < 0
@@ -316,18 +312,23 @@ func (m *partialMerger) partial() *Partial {
 
 // Finalize materializes the merged state as a Result, rows sorted by
 // group key — byte-identical to what a single whole-range scan would
-// have returned.
+// have returned. Each physical state is rounded once, then read by every
+// logical aggregate it backs.
 func (p *Partial) Finalize() *Result {
 	cols := make([]string, 0, len(p.By)+len(p.Cols))
 	cols = append(cols, p.By...)
 	cols = append(cols, p.Cols...)
 	res := &Result{Columns: cols}
-	for _, g := range p.Groups {
-		row := make([]Value, 0, len(g.Key)+len(g.Accs))
+	finals := make([]finalState, numPhys(p.Phys))
+	for gi := range p.Groups {
+		g := &p.Groups[gi]
+		for i := range finals {
+			finals[i] = g.Accs[i].final()
+		}
+		row := make([]Value, 0, len(g.Key)+len(p.Funcs))
 		row = append(row, g.Key...)
-		for i := range g.Accs {
-			acc := accumulatorOf(g.Accs[i])
-			row = append(row, acc.finalize(p.Funcs[i]))
+		for i, f := range p.Funcs {
+			row = append(row, finals[p.Phys[i]].finalize(f))
 		}
 		res.Rows = append(res.Rows, row)
 	}

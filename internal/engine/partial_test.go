@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -141,22 +142,15 @@ func TestPartialMergeOrderIrrelevant(t *testing.T) {
 		parts[i] = ps[0]
 	}
 	mergeOrder := func(order []int) string {
-		// Deep-copy via JSON so reruns don't share mutated state.
+		// Deep-copy through the frame so reruns don't share mutated state.
 		var acc *Partial
 		for _, i := range order {
-			data, err := json.Marshal(parts[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			var cp Partial
-			if err := json.Unmarshal(data, &cp); err != nil {
-				t.Fatal(err)
-			}
+			cp := clonePartial(t, parts[i])
 			if acc == nil {
-				acc = &cp
+				acc = cp
 				continue
 			}
-			if err := acc.Merge(&cp); err != nil {
+			if err := acc.Merge(cp); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -224,7 +218,9 @@ func TestScanParallelismInvariance(t *testing.T) {
 	}
 }
 
-// TestPartialJSONRoundTrip: the wire form preserves merge semantics.
+// TestPartialJSONRoundTrip: the JSON debugging view of finite state
+// round-trips (tooling marshals partials and shard responses to JSON;
+// the wire is the binary frame, see frame_test.go).
 func TestPartialJSONRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	cat := NewCatalog()
@@ -264,17 +260,39 @@ func TestPartialJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// clonePartial deep-copies p through the binary frame.
+func clonePartial(t *testing.T, p *Partial) *Partial {
+	t.Helper()
+	frame := EncodeFrame("", func(c FrameCodec) { c.Partial(&p) })
+	var cp *Partial
+	if err := DecodeFrame(frame, "", func(c FrameCodec) { c.Partial(&cp) }); err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+// accumulatorOf rebuilds the in-memory accumulator of a state.
+func accumulatorOf(st AccState) accumulator {
+	return accumulator{count: st.Count, exSum: exactFromState(st.Sum), exSumSq: exactFromState(st.SumSq),
+		min: st.Min, max: st.Max, seen: st.Seen}
+}
+
 // chainMergeOracle is Partial.Merge as it stood before MergePartials
-// became the one merger: index p's groups, fold matching groups'
-// AccStates pairwise through accumulatorOf/accState, append the rest
-// verbatim, re-sort. Kept as the reference the merger is compared with.
-func chainMergeOracle(p, o *Partial) {
+// became the one merger, over physical state: index p's groups, fold
+// matching groups' AccStates pairwise through accumulatorOf/accState,
+// append the rest verbatim, re-sort. Kept as the reference the merger is
+// compared with.
+func chainMergeOracle(t *testing.T, p, o *Partial) {
+	t.Helper()
+	if fmt.Sprint(p.Phys) != fmt.Sprint(o.Phys) {
+		t.Fatalf("oracle: physical maps differ: %v vs %v", p.Phys, o.Phys)
+	}
 	idx := make(map[string]int, len(p.Groups))
 	for i, g := range p.Groups {
-		idx[valueKey(g.Key)] = i
+		idx[string(appendValueKey(nil, g.Key))] = i
 	}
 	for _, og := range o.Groups {
-		if i, ok := idx[valueKey(og.Key)]; ok {
+		if i, ok := idx[string(appendValueKey(nil, og.Key))]; ok {
 			dst := p.Groups[i].Accs
 			for j := range dst {
 				aa, bb := accumulatorOf(dst[j]), accumulatorOf(og.Accs[j])
@@ -288,7 +306,7 @@ func chainMergeOracle(p, o *Partial) {
 			}
 			continue
 		}
-		idx[valueKey(og.Key)] = len(p.Groups)
+		idx[string(appendValueKey(nil, og.Key))] = len(p.Groups)
 		p.Groups = append(p.Groups, PartialGroup{Key: og.Key, Accs: append([]AccState(nil), og.Accs...)})
 	}
 	sort.Slice(p.Groups, func(i, j int) bool { return compareKeys(p.Groups[i].Key, p.Groups[j].Key) < 0 })
@@ -297,8 +315,9 @@ func chainMergeOracle(p, o *Partial) {
 // TestMergePartialsMatchesChain: MergePartials over k random partials
 // of one table — random cut points, so groups come and go between
 // partitions, with ±0, NaN and ±Inf in the measure — is byte-for-byte
-// (AccState JSON) what chaining Partial.Merge gives, and what the
-// pre-merger Merge gave.
+// (partialBytes: physical state and map) what chaining Partial.Merge
+// gives, and what the pre-merger Merge gave. Partials whose physical
+// maps differ do not merge.
 func TestMergePartialsMatchesChain(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 6; seed++ {
@@ -337,43 +356,47 @@ func TestMergePartialsMatchesChain(t *testing.T) {
 			}
 			parts = append(parts, ps)
 		}
-		clone := func(p *Partial) *Partial {
-			data, err := json.Marshal(p)
-			if err != nil {
-				t.Fatal(err)
+		render := func(pss [][]*Partial) string {
+			var b strings.Builder
+			for _, ps := range pss {
+				for _, p := range ps {
+					b.WriteString(partialBytes(p))
+				}
 			}
-			var cp Partial
-			if err := json.Unmarshal(data, &cp); err != nil {
-				t.Fatal(err)
-			}
-			return &cp
+			return b.String()
 		}
-		before, _ := json.Marshal(parts)
+		before := render(parts)
 		got, err := MergePartials(parts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if after, _ := json.Marshal(parts); string(after) != string(before) {
+		if render(parts) != before {
 			t.Fatalf("seed %d: MergePartials mutated its inputs", seed)
 		}
 		for s := range gsets {
-			chain, oracle := clone(parts[0][s]), clone(parts[0][s])
+			chain, oracle := clonePartial(t, parts[0][s]), clonePartial(t, parts[0][s])
 			for _, ps := range parts[1:] {
-				if err := chain.Merge(clone(ps[s])); err != nil {
+				if err := chain.Merge(clonePartial(t, ps[s])); err != nil {
 					t.Fatal(err)
 				}
-				chainMergeOracle(oracle, clone(ps[s]))
+				chainMergeOracle(t, oracle, clonePartial(t, ps[s]))
 			}
-			want, _ := json.Marshal(chain)
-			ref, _ := json.Marshal(oracle)
-			have, _ := json.Marshal(got[s])
-			if string(have) != string(want) || string(have) != string(ref) {
+			have, want, ref := partialBytes(got[s]), partialBytes(chain), partialBytes(oracle)
+			if have != want || have != ref {
 				t.Fatalf("seed %d set %d (%d partitions): merger, chained Merge and the oracle disagree:\n%s\n%s\n%s",
 					seed, s, len(parts), have, want, ref)
 			}
 		}
+		if len(got[0].Phys) < 2 || numPhys(got[0].Phys) >= len(got[0].Phys) {
+			t.Fatalf("seed %d: %d aggregates over %v physical accumulators: nothing shared", seed, len(got[0].Phys), got[0].Phys)
+		}
+		remapped := clonePartial(t, parts[0][0])
+		remapped.Phys[0], remapped.Phys[1] = remapped.Phys[1], remapped.Phys[0]
+		if _, err := MergePartials([][]*Partial{{parts[0][0]}, {remapped}}); err == nil {
+			t.Fatalf("seed %d: partials with different physical maps merged", seed)
+		}
 	}
-	if _, err := MergePartials([][]*Partial{{{Cols: []string{"a"}, Funcs: []AggFunc{AggCount}}}, {nil}}); err == nil {
+	if _, err := MergePartials([][]*Partial{{{Cols: []string{"a"}, Funcs: []AggFunc{AggCount}, Phys: []int{0}}}, {nil}}); err == nil {
 		t.Fatal("a nil partial must be an error, not a panic")
 	}
 }

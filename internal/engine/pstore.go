@@ -143,17 +143,20 @@ func (s *PartialStore) Stats() PartialStoreStats {
 // heap growth by TestPartialStoreAccounting).
 const (
 	runOverhead = 256 // run, digest, LRU entry, list element, map bucket share
-	partialSize = 96  // Partial: four slice headers
+	partialSize = 120 // Partial: five slice headers
 	groupSize   = 48  // PartialGroup: two slice headers
 	valueSize   = 48  // Value
-	accSize     = 128 // AccState
+	accSize     = 112 // AccState
 )
 
-// partialsSize estimates the heap footprint of a run's partials.
+// partialsSize estimates the heap footprint of a run's partials: one
+// AccState per physical accumulator per group, and digit slices at their
+// capacity (State allocates them to their length; cap is what the
+// allocator's size class made of that).
 func partialsSize(partials []*Partial) int64 {
 	var n int64
 	for _, p := range partials {
-		n += partialSize + int64(8*len(p.Funcs))
+		n += partialSize + int64(8*len(p.Funcs)) + int64(8*len(p.Phys))
 		for _, c := range p.By {
 			n += 16 + int64(len(c))
 		}
@@ -168,8 +171,6 @@ func partialsSize(partials []*Partial) int64 {
 			}
 			n += accSize * int64(len(g.Accs))
 			for _, a := range g.Accs {
-				// cap, not len: canon trims zero digits by reslicing, and
-				// the whole backing array stays reachable.
 				n += int64(4*cap(a.Sum.Digits)+7)&^7 + int64(4*cap(a.SumSq.Digits)+7)&^7
 			}
 		}

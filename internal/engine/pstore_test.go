@@ -182,9 +182,11 @@ func TestNeverSeenPlanStoresOneRun(t *testing.T) {
 			t.Fatalf("predicate %d: run charged %d bytes, want <= %d (2x a whole-range partial)", i, grew, maxRun)
 		}
 	}
-	if st := ex.PartialStore().Stats(); st.Evictions != 0 || st.Entries != 50 {
+	st := ex.PartialStore().Stats()
+	if st.Evictions != 0 || st.Entries != 50 {
 		t.Fatalf("50 distinct predicates: want 50 runs and no evictions, got %+v", st)
 	}
+	t.Logf("%d bytes per run (%d groups of %d aggregates)", st.Bytes/int64(st.Entries), len(whole[0].Groups), len(whole[0].Cols))
 }
 
 // TestIncrementalRowRanges: explicit RowLo/RowHi ranges (the cluster's
@@ -384,8 +386,8 @@ func TestPartialStoreEviction(t *testing.T) {
 // TestPartialStoreAccounting pins the budget charge two ways: the size
 // constants are the structs' real sizes, and the bytes charged for a run
 // are within 25% of the heap the run actually holds — for a freshly
-// exported run (logical aggregates share their physical accumulator's
-// digits) and for one grown by a merge after an append (they do not).
+// exported run and for one grown by a merge after an append (one state
+// per physical accumulator, digit slices at their length in both).
 func TestPartialStoreAccounting(t *testing.T) {
 	for name, c := range map[string][2]uintptr{
 		"Partial":      {partialSize, unsafe.Sizeof(Partial{})},

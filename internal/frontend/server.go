@@ -855,11 +855,11 @@ func (s *Server) clusterBackend() *cluster.Backend {
 	return b
 }
 
-// decodeWire decodes a cluster-protocol JSON body, bounded by
-// cluster.MaxWireBytes: malformed JSON answers 400, an oversized body
-// 413, and false is returned.
+// decodeWire decodes a cluster-protocol body (cluster.ReadWire), bounded
+// by cluster.MaxWireBytes: a malformed body answers 400, an oversized
+// one 413, and false is returned.
 func (s *Server) decodeWire(w http.ResponseWriter, r *http.Request, what string, into any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxWireBytes)).Decode(into)
+	err := cluster.ReadWire(http.MaxBytesReader(w, r.Body, cluster.MaxWireBytes), into)
 	if err == nil {
 		return true
 	}
@@ -913,7 +913,11 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, *resp)
+	frame, _ := resp.MarshalBinary() // encoding a frame cannot fail
+	w.Header().Set("Content-Type", cluster.FrameContentType)
+	if _, err := w.Write(frame); err != nil {
+		s.logger.Printf("frontend: writing shard response: %v", err)
+	}
 }
 
 type shardHealthTable struct {

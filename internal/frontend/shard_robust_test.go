@@ -1,9 +1,10 @@
 package frontend
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,99 +16,152 @@ import (
 	"seedb/internal/cluster"
 )
 
-func postRaw(s *Server, path string, body io.Reader) *httptest.ResponseRecorder {
+func postRaw(s *Server, path, contentType string, body io.Reader) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, path, body)
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
 	return w
 }
 
-// shardBody is an /api/shard/exec body: a fragment list beside the
-// rest of the request (sets, where).
-func shardBody(rest string, frags ...string) string {
-	return `{"fragments":[` + strings.Join(frags, ",") + `],` + rest + `}`
+// shardFrame encodes an /api/shard/exec request: the sets (COUNT by
+// region unless given) beside a fragment list.
+func shardFrame(t *testing.T, req cluster.ShardRequest, frags ...cluster.ShardFragment) []byte {
+	t.Helper()
+	if req.Sets == nil {
+		req.Sets = []cluster.ShardGroupingSet{{By: []string{"region"}, Aggs: []cluster.ShardAgg{{Func: "COUNT"}}}}
+	}
+	req.Fragments = frags
+	b, err := req.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
-// shardFrag is one fragment of a body; hash may be empty.
-func shardFrag(table string, lo, hi, sampleBase int, hash string) string {
-	return fmt.Sprintf(`{"table":%q,"contentHash":%q,"sampleBase":%d,"rowLo":%d,"rowHi":%d}`, table, hash, sampleBase, lo, hi)
+// shardFrag is one fragment of a request; hash may be empty.
+func shardFrag(table string, lo, hi, sampleBase int, hash string) cluster.ShardFragment {
+	return cluster.ShardFragment{Table: table, ContentHash: hash, SampleBase: sampleBase, RowLo: lo, RowHi: hi}
+}
+
+// sets is one grouping set of the given aggregates.
+func sets(by []string, bins map[string]float64, aggs ...cluster.ShardAgg) []cluster.ShardGroupingSet {
+	return []cluster.ShardGroupingSet{{By: by, BinWidths: bins, Aggs: aggs}}
 }
 
 // TestShardExecMalformedPayloads: hostile or buggy /api/shard/exec
-// bodies are the sender's fault — every one answers 4xx, none 5xx,
-// none panics. (A 5xx would make a coordinator mark this worker
-// unhealthy for what is a property of the request.) A fragment this
-// node cannot serve is not a malformed request: it is reported inside a
-// 200 and the rest of the exchange is served.
+// bodies are the sender's fault — every one answers 4xx with a typed
+// body, none 5xx, none panics, none scans. (A 5xx would make a
+// coordinator mark this worker unhealthy for what is a property of the
+// request.) That covers frames naming what the table cannot serve,
+// frames broken at the envelope or at any byte, and JSON — the wire
+// before frames, answered 400 naming the format. A fragment this node
+// cannot serve is not a malformed request: it is reported inside a 200
+// and the rest of the exchange is served.
 func TestShardExecMalformedPayloads(t *testing.T) {
 	s := testServer(t)
-	count := `"sets":[{"by":["region"],"aggs":[{"func":"COUNT"}]}]`
-	orders := func(lo, hi int) string { return shardFrag("orders", lo, hi, 0, "") }
-	var tooMany []string
+	count := cluster.ShardRequest{}
+	orders := func(lo, hi int) cluster.ShardFragment { return shardFrag("orders", lo, hi, 0, "") }
+	var tooMany []cluster.ShardFragment
 	for i := 0; i <= cluster.MaxExchangeFragments; i++ {
 		tooMany = append(tooMany, shardFrag("orders", 0, 1, i, "")) // in order, disjoint: only the bound is wrong
 	}
-	cases := []struct{ name, body string }{
-		{"negative range", shardBody(count, orders(-5, 10))},
-		{"inverted range", shardBody(count, orders(900, 100))},
-		{"empty range", shardBody(count, orders(100, 100))},
-		{"past-the-end range", shardBody(count, orders(0, 99999999))},
-		{"unknown column", shardBody(`"sets":[{"by":["nope"],"aggs":[{"func":"COUNT"}]}]`, orders(0, 100))},
-		{"unknown measure", shardBody(`"sets":[{"by":["region"],"aggs":[{"func":"SUM","column":"nope"}]}]`, orders(0, 100))},
-		{"empty aggs", shardBody(`"sets":[{"by":["region"],"aggs":[]}]`, orders(0, 100))},
-		{"no sets", shardBody(`"sets":[]`, orders(0, 100))},
-		{"negative bin width", shardBody(`"sets":[{"by":["sales"],"binWidths":{"sales":-1},"aggs":[{"func":"COUNT"}]}]`, orders(0, 100))},
-		{"SUM of a string", shardBody(`"sets":[{"by":["category"],"aggs":[{"func":"SUM","column":"region"}]}]`, orders(0, 100))},
-		{"unknown aggregate", shardBody(`"sets":[{"by":["region"],"aggs":[{"func":"MEDIANISH"}]}]`, orders(0, 100))},
-		{"unparseable predicate", shardBody(`"where":"region = = 3",`+count, orders(0, 100))},
-		{"empty fragment list", shardBody(count)},
-		{"no fragment list", `{` + count + `}`},
-		{"pre-exchange shape", `{"table":"orders","rowLo":0,"rowHi":100,` + count + `}`},
-		{"duplicate fragment", shardBody(count, orders(0, 100), orders(0, 100))},
-		{"fragments out of row order", shardBody(count, orders(1024, 2000), orders(0, 1024))},
-		{"overlapping fragments", shardBody(count, orders(0, 1024), orders(1000, 2000))},
-		{"fragment list over the bound", shardBody(count, tooMany...)},
-		{"truncated JSON", `{"fragments":[{"table":"orders","rowLo":0,"rowHi":1`},
-		{"wrong JSON type", shardBody(count, `{"table":"orders","rowLo":"zero"}`)},
-		{"not JSON", `SELECT 1`},
-		{"empty body", ``},
+	valid := shardFrame(t, count, orders(0, 100))
+	withSets := func(gs []cluster.ShardGroupingSet) cluster.ShardRequest { return cluster.ShardRequest{Sets: gs} }
+	reframed := func(mutate func(b []byte)) []byte {
+		b := append([]byte(nil), valid...)
+		mutate(b)
+		return b
+	}
+	// The request up to (not including) its fragment count — the last
+	// byte of a request without fragments — under a header that declares
+	// exactly that.
+	noFragments := shardFrame(t, count)
+	noFragments = noFragments[:len(noFragments)-1]
+	binary.LittleEndian.PutUint32(noFragments[6:10], uint32(len(noFragments)-10))
+	const jsonCount = `"sets":[{"by":["region"],"aggs":[{"func":"COUNT"}]}]`
+	cases := []struct {
+		name   string
+		body   []byte
+		format bool // the answer must name the frame format
+	}{
+		{"negative range", shardFrame(t, count, orders(-5, 10)), false},
+		{"inverted range", shardFrame(t, count, orders(900, 100)), false},
+		{"empty range", shardFrame(t, count, orders(100, 100)), false},
+		{"past-the-end range", shardFrame(t, count, orders(0, 99999999)), false},
+		{"unknown column", shardFrame(t, withSets(sets([]string{"nope"}, nil, cluster.ShardAgg{Func: "COUNT"})), orders(0, 100)), false},
+		{"unknown measure", shardFrame(t, withSets(sets([]string{"region"}, nil, cluster.ShardAgg{Func: "SUM", Column: "nope"})), orders(0, 100)), false},
+		{"empty aggs", shardFrame(t, withSets(sets([]string{"region"}, nil)), orders(0, 100)), false},
+		{"no sets", shardFrame(t, withSets([]cluster.ShardGroupingSet{}), orders(0, 100)), false},
+		{"negative bin width", shardFrame(t, withSets(sets([]string{"sales"}, map[string]float64{"sales": -1}, cluster.ShardAgg{Func: "COUNT"})), orders(0, 100)), false},
+		{"SUM of a string", shardFrame(t, withSets(sets([]string{"category"}, nil, cluster.ShardAgg{Func: "SUM", Column: "region"})), orders(0, 100)), false},
+		{"unknown aggregate", shardFrame(t, withSets(sets([]string{"region"}, nil, cluster.ShardAgg{Func: "MEDIANISH"})), orders(0, 100)), false},
+		{"unparseable predicate", shardFrame(t, cluster.ShardRequest{WhereSQL: "region = = 3"}, orders(0, 100)), false},
+		{"empty fragment list", shardFrame(t, count), false},
+		{"no fragment list", noFragments, false},
+		{"duplicate fragment", shardFrame(t, count, orders(0, 100), orders(0, 100)), false},
+		{"fragments out of row order", shardFrame(t, count, orders(1024, 2000), orders(0, 1024)), false},
+		{"overlapping fragments", shardFrame(t, count, orders(0, 1024), orders(1000, 2000)), false},
+		{"fragment list over the bound", shardFrame(t, count, tooMany...), false},
+		{"wrong magic", reframed(func(b []byte) { b[0] = 'X' }), true},
+		{"wrong version", reframed(func(b []byte) { b[4]++ }), false},
+		{"response frame", reframed(func(b []byte) { b[5] = 'R' }), false},
+		{"trailing bytes", append(shardFrame(t, count, orders(0, 100)), 0), false},
+		{"pre-exchange shape", []byte(`{"table":"orders","rowLo":0,"rowHi":100,` + jsonCount + `}`), true},
+		{"JSON exchange", []byte(`{"fragments":[{"table":"orders","rowLo":0,"rowHi":100}],` + jsonCount + `}`), true},
+		{"truncated JSON", []byte(`{"fragments":[{"table":"orders","rowLo":0,"rowHi":1`), true},
+		{"wrong JSON type", []byte(`{"fragments":[{"table":"orders","rowLo":"zero"}],` + jsonCount + `}`), true},
+		{"not JSON", []byte(`SELECT 1`), true},
+		{"empty body", nil, true},
+	}
+	refused := func(t *testing.T, body io.Reader, wantStatus int, format bool) {
+		t.Helper()
+		_, scansBefore, _ := s.db.Engine().Executor().Stats().Snapshot()
+		w := postRaw(s, "/api/shard/exec", cluster.FrameContentType, body)
+		if w.Code < 400 || w.Code > 499 || (wantStatus != 0 && w.Code != wantStatus) {
+			t.Fatalf("status = %d, want 4xx (%d): %.300s", w.Code, wantStatus, w.Body.String())
+		}
+		var e map[string]string
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e["error"] == "" {
+			t.Fatalf("error body is not typed JSON: %s", w.Body.String())
+		}
+		if format && !strings.Contains(e["error"], cluster.FrameContentType) {
+			t.Fatalf("the refusal does not name the format it wants: %s", e["error"])
+		}
+		if _, scans, _ := s.db.Engine().Executor().Stats().Snapshot(); scans != scansBefore {
+			t.Fatalf("a refused request scanned (%d -> %d table scans)", scansBefore, scans)
+		}
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, scansBefore, _ := s.db.Engine().Executor().Stats().Snapshot()
-			w := postRaw(s, "/api/shard/exec", strings.NewReader(tc.body))
-			if w.Code < 400 || w.Code > 499 {
-				t.Fatalf("status = %d, want 4xx: %.300s", w.Code, w.Body.String())
-			}
-			var e map[string]any
-			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e["error"] == nil {
-				t.Fatalf("error body is not typed JSON: %s", w.Body.String())
-			}
-			if _, scans, _ := s.db.Engine().Executor().Stats().Snapshot(); scans != scansBefore {
-				t.Fatalf("a refused request scanned (%d -> %d table scans)", scansBefore, scans)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { refused(t, bytes.NewReader(tc.body), 0, tc.format) })
 	}
+	t.Run("frame truncated at every byte", func(t *testing.T) {
+		for n := range len(valid) {
+			refused(t, bytes.NewReader(valid[:n]), http.StatusBadRequest, false)
+		}
+	})
+	t.Run("oversize body", func(t *testing.T) {
+		refused(t, io.MultiReader(bytes.NewReader(valid), io.LimitReader(zeros{}, cluster.MaxWireBytes)), http.StatusRequestEntityTooLarge, false)
+	})
 
-	exec := func(t *testing.T, body string) cluster.ShardResponse {
+	exec := func(t *testing.T, body []byte) cluster.ShardResponse {
 		t.Helper()
-		w := postRaw(s, "/api/shard/exec", strings.NewReader(body))
-		if w.Code != http.StatusOK {
-			t.Fatalf("status = %d, want 200: %s", w.Code, w.Body.String())
+		w := postRaw(s, "/api/shard/exec", cluster.FrameContentType, bytes.NewReader(body))
+		if w.Code != http.StatusOK || w.Header().Get("Content-Type") != cluster.FrameContentType {
+			t.Fatalf("status = %d (%s), want a 200 frame: %s", w.Code, w.Header().Get("Content-Type"), w.Body.String())
 		}
 		var resp cluster.ShardResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		if err := resp.UnmarshalBinary(w.Body.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		return resp
 	}
 	// The valid request the cases were derived from does answer 200,
 	// and two adjacent fragments come back as one run.
-	if resp := exec(t, shardBody(count, orders(0, 100))); len(resp.Runs) != 1 || len(resp.Failed) != 0 {
+	if resp := exec(t, valid); len(resp.Runs) != 1 || len(resp.Failed) != 0 {
 		t.Fatalf("control request: %+v", resp)
 	}
-	if resp := exec(t, shardBody(count, orders(0, 1024), orders(1024, 2000))); len(resp.Runs) != 1 ||
+	if resp := exec(t, shardFrame(t, count, orders(0, 1024), orders(1024, 2000))); len(resp.Runs) != 1 ||
 		resp.Runs[0].Lo != 0 || resp.Runs[0].Hi != 2000 || len(resp.Runs[0].Partials) != 1 {
 		t.Fatalf("adjacent fragments were not pre-merged into one run: %+v", resp)
 	}
@@ -121,8 +175,9 @@ func TestShardExecMalformedPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name, bad string
-		status    int
+		name   string
+		bad    cluster.ShardFragment
+		status int
 	}{
 		{"unknown fragment among good ones", shardFrag("nope", 0, 100, 1024, ""), http.StatusNotFound},
 		{"stale hash among good ones", shardFrag("orders", 0, 100, 1024, "deadbeef"), http.StatusConflict},
@@ -131,7 +186,7 @@ func TestShardExecMalformedPayloads(t *testing.T) {
 			// Positions: orders rows [0,1024), the bad fragment at
 			// [1024,1124), orders rows [1124,2000) — so the good ones
 			// are NOT adjacent and stay two runs.
-			resp := exec(t, shardBody(count, shardFrag("orders", 0, 1024, 0, hash), tc.bad, shardFrag("orders", 1124, 2000, 0, hash)))
+			resp := exec(t, shardFrame(t, count, shardFrag("orders", 0, 1024, 0, hash), tc.bad, shardFrag("orders", 1124, 2000, 0, hash)))
 			if len(resp.Failed) != 1 || resp.Failed[0].Fragment != 1 || resp.Failed[0].Status != tc.status || resp.Failed[0].Error == "" {
 				t.Fatalf("want fragment 1 reported %d: %+v", tc.status, resp.Failed)
 			}
@@ -144,7 +199,7 @@ func TestShardExecMalformedPayloads(t *testing.T) {
 		})
 	}
 	// Nothing servable is still an answer, not an error.
-	if resp := exec(t, shardBody(count, shardFrag("nope", 0, 100, 0, ""))); len(resp.Runs) != 0 || len(resp.Failed) != 1 || resp.Failed[0].Status != http.StatusNotFound {
+	if resp := exec(t, shardFrame(t, count, shardFrag("nope", 0, 100, 0, ""))); len(resp.Runs) != 0 || len(resp.Failed) != 1 || resp.Failed[0].Status != http.StatusNotFound {
 		t.Fatalf("unknown fragment alone: %+v", resp)
 	}
 }
@@ -169,7 +224,7 @@ func (zeros) Read(p []byte) (int, error) {
 func TestClusterBodiesAreBounded(t *testing.T) {
 	s := testServer(t)
 	for _, path := range []string{"/api/shard/exec", "/api/ingest"} {
-		w := postRaw(s, path, endlessJSON(cluster.MaxWireBytes))
+		w := postRaw(s, path, "application/json", endlessJSON(cluster.MaxWireBytes))
 		if w.Code != http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s: status = %d, want 413: %.200s", path, w.Code, w.Body.String())
 		}
