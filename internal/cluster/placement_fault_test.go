@@ -42,9 +42,11 @@ func placeManual(t *testing.T, rows, n int, cfg seedb.PlacementConfig) (*seedb.D
 }
 
 // TestPlacementWorkerDiesMidQuery: a worker that answers its first
-// range and then drops dead mid-scatter loses its remaining ranges to
-// the surviving owner — bytes identical, retries counted, corpse
-// marked unhealthy, no local failover needed at rf=2.
+// exchange and then drops dead inside the next one loses that
+// exchange's ranges to the surviving owner — bytes identical, retries
+// counted, corpse marked unhealthy, no local failover needed at rf=2.
+// A Recommend is one exchange per worker, so the worker answers one
+// recommendation whole and dies during the next.
 func TestPlacementWorkerDiesMidQuery(t *testing.T) {
 	ctx := context.Background()
 	const rows = 4000
@@ -59,6 +61,16 @@ func TestPlacementWorkerDiesMidQuery(t *testing.T) {
 		}
 		return nil
 	})
+
+	if _, err := db.RecommendSQL(ctx, "SELECT * FROM synthetic WHERE d0 = 'd0_v2'", testOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if n := memberExecs(b, members[1].ID()); n != 1 {
+		t.Fatalf("the worker must answer the first recommendation's exchange before it dies, got %d exchanges", n)
+	}
+	if c := b.Counters(); c.Retries != 0 {
+		t.Fatalf("no retry before the worker dies, got %+v", c)
+	}
 
 	got, err := db.RecommendSQL(ctx, testQuery, testOptions())
 	if err != nil {

@@ -90,9 +90,6 @@ func execCacheKey(fingerprint, layout, operator string, q *engine.Query, gsets [
 	b.WriteByte(',')
 	b.WriteString(strconv.Itoa(q.RowHi))
 	b.WriteByte('\n')
-	if gsets == nil {
-		gsets = []engine.GroupingSet{{By: q.GroupBy, Aggs: q.Aggs, BinWidths: q.BinWidths}}
-	}
 	b.WriteString(engine.PlanSignature(q, gsets))
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])

@@ -117,13 +117,21 @@ func (e *Engine) RecommendProgress(ctx context.Context, q Query, opts Options, l
 	start := time.Now()
 	ctx, tally := e.ex.WithTally(ctx)
 
-	// |D_Q|: validates the predicate and rejects empty targets early.
-	targetRows, err := e.countTarget(ctx, q, opts)
-	if err != nil {
+	// |D_Q| comes out of the plan's first scan (targetCountSet), so an
+	// empty target is rejected after execution; a bad predicate is
+	// rejected here, before anything is scanned. A sampled run counts
+	// up front instead (see countTarget).
+	sample := opts.SampleFraction > 0 && tb.NumRows() >= opts.SampleMinRows
+	var targetRows int64
+	if sample {
+		if targetRows, err = e.countTarget(ctx, q, opts); err != nil {
+			return nil, err
+		}
+		if targetRows == 0 {
+			return nil, emptyTargetError(q)
+		}
+	} else if err := validatePredicate(tb, q.Predicate); err != nil {
 		return nil, err
-	}
-	if targetRows == 0 {
-		return nil, fmt.Errorf("core: query %q selects no rows; nothing to recommend", describePredicate(q.Predicate))
 	}
 
 	// Metadata Collector.
@@ -140,10 +148,9 @@ func (e *Engine) RecommendProgress(ctx context.Context, q Query, opts Options, l
 	}
 	views := EnumerateViews(roles, opts.AggFuncs)
 	res := &Result{
-		Query:          q,
-		Metric:         metric.Name(),
-		Operator:       op.Name(),
-		TargetRowCount: targetRows,
+		Query:    q,
+		Metric:   metric.Name(),
+		Operator: op.Name(),
 	}
 	res.Stats.CandidateViews = len(views)
 
@@ -174,7 +181,6 @@ func (e *Engine) RecommendProgress(ctx context.Context, q Query, opts Options, l
 	}
 	res.Stats.ExecutedViews = len(outcome.views)
 
-	sample := opts.SampleFraction > 0 && tb.NumRows() >= opts.SampleMinRows
 	res.Stats.Sampled = sample
 	if sample {
 		res.Stats.SampleFraction = opts.SampleFraction
@@ -182,20 +188,27 @@ func (e *Engine) RecommendProgress(ctx context.Context, q Query, opts Options, l
 
 	// Optimizer + DBMS + View Processor.
 	var data []*ViewData
+	var counted int64
 	phasesUsed := 1
 	if opts.Phases > 1 {
-		data, phasesUsed, err = e.runPhased(ctx, outcome.views, ts, q, opts, op, metric, sample, &res.Stats, listener)
+		data, phasesUsed, counted, err = e.runPhased(ctx, outcome.views, ts, q, opts, op, metric, sample, &res.Stats, listener)
 	} else {
 		var p *plan
 		p, err = buildPlan(outcome.views, ts, q, opts)
 		if err == nil {
 			res.Stats.PlanSummary = p.summary(opts.CombineTargetComparison)
-			data, err = executePlan(ctx, e, p, q, opts, op.NeedsReference(), sample, 0, 0)
+			data, counted, err = executePlan(ctx, e, p, q, opts, op.NeedsReference(), sample, !sample, 0, 0)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
+	if !sample {
+		if targetRows = counted; targetRows == 0 {
+			return nil, emptyTargetError(q)
+		}
+	}
+	res.TargetRowCount = targetRows
 
 	// Exploration operator: score the evaluated batch. Both execution
 	// paths hand the operator unscored views, so single-pass and phased
@@ -269,9 +282,27 @@ func validateRequiredView(v View, ts *stats.TableStats, opName string) error {
 	return nil
 }
 
-// countTarget runs SELECT COUNT(*) FROM D WHERE predicate. It goes
-// through the backend, so in cluster mode even the validation count is
-// scattered.
+// emptyTargetError is the error of a query whose predicate selects no
+// rows.
+func emptyTargetError(q Query) error {
+	return fmt.Errorf("core: query %q selects no rows; nothing to recommend", describePredicate(q.Predicate))
+}
+
+// validatePredicate binds the predicate against the table's schema —
+// no scan — so a bad column or type fails a Recommend before anything
+// is scanned, with the error a scan would have returned.
+func validatePredicate(tb *engine.Table, p engine.Predicate) (err error) {
+	if p == nil {
+		return nil
+	}
+	tb.View(func() { _, err = p.Bind(tb) })
+	return err
+}
+
+// countTarget runs SELECT COUNT(*) FROM D WHERE predicate through the
+// backend. Only sampled runs call it: their scans see a Bernoulli
+// subset, so the count set an exact run reads |D_Q| from
+// (targetCountSet) would not see the exact target size.
 func (e *Engine) countTarget(ctx context.Context, q Query, opts Options) (int64, error) {
 	res, err := e.Backend().Run(ctx, &engine.Query{
 		Table:  q.Table,

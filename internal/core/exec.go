@@ -21,57 +21,25 @@ import (
 // duplicates) skip the scan entirely. needsRef comes from the
 // operator's data declaration: when false only the target-side query
 // runs and its results are mirrored into the comparison slot.
-func runUnit(ctx context.Context, e *Engine, be Backend, cache ExecCache, tb *engine.Table, fingerprint string, u *execUnit, q Query, opts Options, needsRef, sample bool, scanPar, rowLo, rowHi int) ([]*ViewData, error) {
-	mkQuery := func(aggs []engine.AggSpec, where engine.Predicate) *engine.Query {
-		eq := &engine.Query{Table: q.Table, Where: where, Aggs: aggs, Parallelism: scanPar, Shards: opts.Shards, RowLo: rowLo, RowHi: rowHi}
+//
+// With count set, the unit's target-side scan also carries
+// targetCountSet and runUnit returns |D_Q| (in the range) from it, so
+// the target count costs no scan of its own; otherwise it returns 0.
+func runUnit(ctx context.Context, e *Engine, be Backend, cache ExecCache, tb *engine.Table, fingerprint string, u *execUnit, q Query, opts Options, needsRef, sample, count bool, scanPar, rowLo, rowHi int) ([]*ViewData, int64, error) {
+	// run issues one shared scan of the unit, with extra appended to its
+	// grouping sets.
+	run := func(combined bool, where engine.Predicate, extra ...engine.GroupingSet) ([]*engine.Result, error) {
+		eq := &engine.Query{Table: q.Table, Where: where, Parallelism: scanPar, Shards: opts.Shards, RowLo: rowLo, RowHi: rowHi}
 		if sample {
 			eq.SampleFraction = opts.SampleFraction
 			eq.SampleSeed = opts.SampleSeed
 		}
-		if u.sets == nil { // composite key or single dimension
-			eq.GroupBy = u.dims
-			if len(u.binWidths) > 0 {
-				eq.BinWidths = u.binWidths
-			}
-		}
-		return eq
-	}
-
-	// results per side: comparison first, then target (same slice when
-	// the combined rewrite is active).
-	var compRes, targRes []*engine.Result
-	run := func(combined bool, where engine.Predicate) ([]*engine.Result, error) {
-		var eq *engine.Query
-		var gsets []engine.GroupingSet
-		if u.sets != nil {
-			// Shared scan: each dimension's grouping set computes only
-			// its own aggregates.
-			gsets = make([]engine.GroupingSet, len(u.dims))
-			for i, d := range u.dims {
-				gsets[i] = engine.GroupingSet{By: []string{d}, Aggs: u.aggsFor(d, combined)}
-				if w, ok := u.binWidths[d]; ok {
-					gsets[i].BinWidths = map[string]float64{d: w}
-				}
-			}
-			eq = mkQuery(nil, where)
-		} else {
-			eq = mkQuery(u.allAggs(combined), where)
-		}
-		do := func() ([]*engine.Result, error) {
-			if gsets != nil {
-				return be.RunSharedScan(ctx, eq, gsets)
-			}
-			res, err := be.Run(ctx, eq)
-			if err != nil {
-				return nil, err
-			}
-			return []*engine.Result{res}, nil
-		}
+		gsets := append(u.groupingSets(combined), extra...)
 		if cache == nil || fingerprint == "" {
-			return do()
+			return be.RunSharedScan(ctx, eq, gsets)
 		}
 		return cache.GetOrCompute(ctx, execCacheKey(fingerprint, be.Signature(), opts.Operator, eq, gsets), func() ([]*engine.Result, bool, error) {
-			res, err := do()
+			res, err := be.RunSharedScan(ctx, eq, gsets)
 			if err != nil {
 				return nil, false, err
 			}
@@ -88,28 +56,52 @@ func runUnit(ctx context.Context, e *Engine, be Backend, cache ExecCache, tb *en
 		})
 	}
 
+	// The count set rides the scan that sees the target: the combined
+	// scan has no WHERE, so its count filters by the predicate itself;
+	// the WHERE-predicate scan counts every row it selects.
+	var countSet []engine.GroupingSet
+	if count {
+		var filter engine.Predicate
+		if opts.CombineTargetComparison {
+			filter = q.Predicate
+		}
+		countSet = []engine.GroupingSet{targetCountSet(filter)}
+	}
+
+	// results per side: comparison first, then target (same slice when
+	// the combined rewrite is active). The count set's result, when
+	// present, trails the target side's and no view reads it.
+	var compRes, targRes []*engine.Result
 	switch {
 	case opts.CombineTargetComparison:
-		results, err := run(true, nil)
+		results, err := run(true, nil, countSet...)
 		if err != nil {
-			return nil, fmt.Errorf("core: unit %v: %w", u.dims, err)
+			return nil, 0, fmt.Errorf("core: unit %v: %w", u.dims, err)
 		}
 		compRes, targRes = results, results
 	case !needsRef:
 		// Target-only operator: one scan of D_Q; the comparison slot
 		// mirrors it so ViewData keeps its shape (Target == Comparison).
-		results, err := run(false, q.Predicate)
+		results, err := run(false, q.Predicate, countSet...)
 		if err != nil {
-			return nil, fmt.Errorf("core: unit %v target: %w", u.dims, err)
+			return nil, 0, fmt.Errorf("core: unit %v target: %w", u.dims, err)
 		}
 		compRes, targRes = results, results
 	default:
 		var err error
 		if compRes, err = run(false, nil); err != nil {
-			return nil, fmt.Errorf("core: unit %v comparison: %w", u.dims, err)
+			return nil, 0, fmt.Errorf("core: unit %v comparison: %w", u.dims, err)
 		}
-		if targRes, err = run(false, q.Predicate); err != nil {
-			return nil, fmt.Errorf("core: unit %v target: %w", u.dims, err)
+		if targRes, err = run(false, q.Predicate, countSet...); err != nil {
+			return nil, 0, fmt.Errorf("core: unit %v target: %w", u.dims, err)
+		}
+	}
+	var targetRows int64
+	if count {
+		// The count set's one group, or none when the scan selected no
+		// rows.
+		if res := targRes[len(targRes)-1]; len(res.Rows) > 0 {
+			targetRows = res.Rows[0][0].I
 		}
 	}
 
@@ -134,7 +126,7 @@ func runUnit(ctx context.Context, e *Engine, be Backend, cache ExecCache, tb *en
 			}
 		}
 	}
-	return out, nil
+	return out, targetRows, nil
 }
 
 // avgAuxMaps holds an AVG view's per-group sum and count partials for
@@ -334,10 +326,12 @@ func buildViewData(v View, tMap, cMap map[string]float64) *ViewData {
 }
 
 // executePlan dispatches units across a worker pool ("Parallel Query
-// Execution", §3.3) and gathers evaluated (not yet scored) views.
-func executePlan(ctx context.Context, e *Engine, p *plan, q Query, opts Options, needsRef, sample bool, rowLo, rowHi int) ([]*ViewData, error) {
+// Execution", §3.3) and gathers evaluated (not yet scored) views. With
+// count set, the first unit also counts the target rows in the range
+// (see runUnit), which executePlan returns; otherwise it returns 0.
+func executePlan(ctx context.Context, e *Engine, p *plan, q Query, opts Options, needsRef, sample, count bool, rowLo, rowHi int) ([]*ViewData, int64, error) {
 	if len(p.units) == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	// One cache + backend + fingerprint snapshot per plan: every unit
 	// of this call caches against the same table version and runs on
@@ -350,61 +344,56 @@ func executePlan(ctx context.Context, e *Engine, p *plan, q Query, opts Options,
 	if cache != nil {
 		var err error
 		if tb, err = e.ex.Catalog().Table(q.Table); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		fingerprint = tb.Fingerprint()
 	}
-	workers := opts.Parallelism
-	if workers > len(p.units) {
-		workers = len(p.units)
-	}
-	if workers <= 1 {
-		var all []*ViewData
-		for _, u := range p.units {
-			vds, err := runUnit(ctx, e, be, cache, tb, fingerprint, u, q, opts, needsRef, sample, p.scanParallelism, rowLo, rowHi)
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, vds...)
-		}
-		return all, nil
-	}
-
-	unitCh := make(chan *execUnit)
 	results := make([][]*ViewData, len(p.units))
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	idx := map[*execUnit]int{}
-	for i, u := range p.units {
-		idx[u] = i
+	var targetRows int64
+	run := func(i int) error {
+		vds, n, err := runUnit(ctx, e, be, cache, tb, fingerprint, p.units[i], q, opts, needsRef, sample, count && i == 0, p.scanParallelism, rowLo, rowHi)
+		if i == 0 {
+			targetRows = n
+		}
+		results[i] = vds
+		return err
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for u := range unitCh {
-				vds, err := runUnit(ctx, e, be, cache, tb, fingerprint, u, q, opts, needsRef, sample, p.scanParallelism, rowLo, rowHi)
-				if err != nil {
-					errs[w] = err
-					continue
-				}
-				results[idx[u]] = vds
+	workers := min(opts.Parallelism, len(p.units))
+	if workers <= 1 {
+		for i := range p.units {
+			if err := run(i); err != nil {
+				return nil, 0, err
 			}
-		}(w)
-	}
-	for _, u := range p.units {
-		unitCh <- u
-	}
-	close(unitCh)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		}
+	} else {
+		unitCh := make(chan int)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := range unitCh {
+					if err := run(i); err != nil {
+						errs[w] = err
+					}
+				}
+			}(w)
+		}
+		for i := range p.units {
+			unitCh <- i
+		}
+		close(unitCh)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return nil, 0, err
+			}
 		}
 	}
 	var all []*ViewData
 	for _, vds := range results {
 		all = append(all, vds...)
 	}
-	return all, nil
+	return all, targetRows, nil
 }

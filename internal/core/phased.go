@@ -178,18 +178,20 @@ func metricBound(name string, maxGroups int) float64 {
 // produced, with op.UtilityBound as the degenerate fallback. listener,
 // when non-nil, receives a ProgressSnapshot after every non-final
 // phase; the final snapshot is emitted by RecommendProgress once the
-// ranking is sorted.
-func (e *Engine) runPhased(ctx context.Context, views []View, ts *stats.TableStats, q Query, opts Options, op ExplorationOperator, metric distance.Metric, sample bool, st *RunStats, listener ProgressListener) ([]*ViewData, int, error) {
+// ranking is sorted. Unless sample is set, every phase's first scan
+// also counts the target rows of its range, and runPhased returns the
+// sum — |D_Q| exactly, since the phases partition the table.
+func (e *Engine) runPhased(ctx context.Context, views []View, ts *stats.TableStats, q Query, opts Options, op ExplorationOperator, metric distance.Metric, sample bool, st *RunStats, listener ProgressListener) ([]*ViewData, int, int64, error) {
 	for _, v := range views {
 		switch v.Func {
 		case engine.AggCount, engine.AggSum, engine.AggMin, engine.AggMax, engine.AggAvg:
 		default:
-			return nil, 0, fmt.Errorf("core: phased execution supports COUNT/SUM/AVG/MIN/MAX views; %s is not partition-mergeable without auxiliary state", v)
+			return nil, 0, 0, fmt.Errorf("core: phased execution supports COUNT/SUM/AVG/MIN/MAX views; %s is not partition-mergeable without auxiliary state", v)
 		}
 	}
 	tb, err := e.ex.Catalog().Table(q.Table)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	rows := tb.NumRows()
 	phases := opts.Phases
@@ -208,10 +210,11 @@ func (e *Engine) runPhased(ctx context.Context, views []View, ts *stats.TableSta
 	}
 	surviving := views
 	prunedTotal := 0
+	var targetRows int64
 
 	for phase := 0; phase < phases; phase++ {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		lo := phase * rows / phases
 		hi := (phase + 1) * rows / phases
@@ -226,13 +229,14 @@ func (e *Engine) runPhased(ctx context.Context, views []View, ts *stats.TableSta
 		p, err := buildPlan(surviving, ts, q, opts)
 		if err != nil {
 			span.Finish()
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
-		phaseData, err := executePlan(ctx, e, p, q, opts, op.NeedsReference(), sample, lo, hi)
+		phaseData, phaseRows, err := executePlan(ctx, e, p, q, opts, op.NeedsReference(), sample, !sample, lo, hi)
 		if err != nil {
 			span.Finish()
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
+		targetRows += phaseRows
 		for _, d := range phaseData {
 			if acc, ok := accs[d.View.Key()]; ok && !acc.pruned {
 				acc.merge(d)
@@ -263,7 +267,7 @@ func (e *Engine) runPhased(ctx context.Context, views []View, ts *stats.TableSta
 		}
 		scoredData, err := op.Score(sc, interimData)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		type scored struct {
 			key  string
@@ -337,7 +341,7 @@ func (e *Engine) runPhased(ctx context.Context, views []View, ts *stats.TableSta
 			out = append(out, d)
 		}
 	}
-	return out, phases, nil
+	return out, phases, targetRows, nil
 }
 
 // kthLargest returns the k-th largest value (1-indexed) of the scored

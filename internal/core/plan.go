@@ -67,6 +67,36 @@ func (u *execUnit) allAggs(combined bool) []engine.AggSpec {
 	return out
 }
 
+// groupingSets lowers the unit to the grouping sets of one shared scan:
+// a shared-scan unit gives each dimension a set computing only its own
+// aggregates; a single-dimension or composite unit is one set keyed by
+// all of its dimensions.
+func (u *execUnit) groupingSets(combined bool) []engine.GroupingSet {
+	if u.sets == nil {
+		gs := engine.GroupingSet{By: u.dims, Aggs: u.allAggs(combined)}
+		if len(u.binWidths) > 0 {
+			gs.BinWidths = u.binWidths
+		}
+		return []engine.GroupingSet{gs}
+	}
+	gsets := make([]engine.GroupingSet, len(u.dims))
+	for i, d := range u.dims {
+		gsets[i] = engine.GroupingSet{By: []string{d}, Aggs: u.aggsFor(d, combined)}
+		if w, ok := u.binWidths[d]; ok {
+			gsets[i].BinWidths = map[string]float64{d: w}
+		}
+	}
+	return gsets
+}
+
+// targetCountSet is the zero-key grouping set that counts |D_Q| inside
+// the plan's first scan: COUNT(*) over the rows filter selects, or over
+// every row the scan selects when filter is nil (the scan's WHERE is
+// then the predicate). The dense layout serves it with one slot.
+func targetCountSet(filter engine.Predicate) engine.GroupingSet {
+	return engine.GroupingSet{Aggs: []engine.AggSpec{{Func: engine.AggCount, Filter: filter, Alias: "target_rows"}}}
+}
+
 // plan is the full execution plan for a Recommend call.
 type plan struct {
 	units []*execUnit

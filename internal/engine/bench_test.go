@@ -62,9 +62,17 @@ func defaultPlanSets(filter Predicate) []GroupingSet {
 	return sets
 }
 
+// countedSet is the zero-key set core adds to a Recommend's first scan
+// to count the target rows: COUNT(*) FILTER (predicate).
+func countedSet(filter Predicate) GroupingSet {
+	return GroupingSet{Aggs: []AggSpec{{Func: AggCount, Filter: filter, Alias: "target_rows"}}}
+}
+
 // BenchmarkSharedScanDefaultPlan times the shared scan behind a cold
 // Recommend at three filter selectivities — the kernel-work inner loop,
-// seconds per run. The end-to-end claim is judged by benchmark/.
+// seconds per run — as the default plan alone (plain) and with the
+// target count riding it (counted: the scan a Recommend issues). The
+// end-to-end claim is judged by benchmark/.
 func BenchmarkSharedScanDefaultPlan(b *testing.B) {
 	const rows = 200_000
 	cat := NewCatalog()
@@ -81,17 +89,22 @@ func BenchmarkSharedScanDefaultPlan(b *testing.B) {
 		{"sel100", IsNotNull("d0")},
 	}
 	for _, f := range filters {
-		b.Run(f.name, func(b *testing.B) {
-			sets := defaultPlanSets(f.pred)
-			q := &Query{Table: "events", Parallelism: 1}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ex.RunSharedScan(context.Background(), q, sets); err != nil {
-					b.Fatal(err)
+		for _, variant := range []string{"plain", "counted"} {
+			b.Run(f.name+"/"+variant, func(b *testing.B) {
+				sets := defaultPlanSets(f.pred)
+				if variant == "counted" {
+					sets = append(sets, countedSet(f.pred))
 				}
-			}
-			b.ReportMetric(float64(rows)*float64(b.N)/float64(b.Elapsed().Milliseconds()+1), "rows/ms")
-		})
+				q := &Query{Table: "events", Parallelism: 1}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := ex.RunSharedScan(context.Background(), q, sets); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(rows)*float64(b.N)/float64(b.Elapsed().Milliseconds()+1), "rows/ms")
+			})
+		}
 	}
 }

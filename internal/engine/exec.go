@@ -952,12 +952,13 @@ func newGrouperPlan(t *Table, gs GroupingSet, fs *filterSet, resultsOnly bool) (
 
 // tryFastLayout installs the dense array-indexed layout when every key
 // column (at most two) maps to small dense codes and the slot and
-// accumulator budgets hold.
+// accumulator budgets hold. A set with no keys is one global group: one
+// slot, which every row maps to without a key fill or a hash probe.
 func (p *grouperPlan) tryFastLayout(t *Table, gs GroupingSet) bool {
-	if len(p.set) == 0 || len(p.set) > 2 {
+	if len(p.set) > 2 {
 		return false
 	}
-	keys := make([]fastKey, len(p.set))
+	keys := make([]fastKey, len(p.set)) // non-nil even with no keys: p.fast != nil marks the layout
 	slots := 1
 	for i, name := range p.set {
 		fk, ok := newFastKey(t, p.keyCols[i], gs.BinWidths[name])
@@ -1349,10 +1350,13 @@ func (g *grouper) processChunk(start, n int, rows []rowSel) {
 	p := g.plan
 	all := rows[0]
 
-	// Every selected row's slot, computed once for all accumulators.
+	// Every selected row's slot, computed once for all accumulators. With
+	// no keys every slot is 0, as allocated.
 	slots := g.slots
 	if p.fast != nil {
-		p.fast[0].fillCodes(start, n, all, slots)
+		if len(p.fast) > 0 {
+			p.fast[0].fillCodes(start, n, all, slots)
+		}
 		for ki := 1; ki < len(p.fast); ki++ {
 			fk := &p.fast[ki]
 			fk.fillCodes(start, n, all, g.codes)

@@ -317,6 +317,7 @@ func runBothScans(t *testing.T, tab *Table, q *Query, withStore bool) {
 	kern := NewExecutor(cat)
 	got, err := kern.Run(ctx, q)
 	check("direct scan", got, err)
+	checkZeroKeySet(t, kern, tab, q, want)
 	execs := []*Executor{kern}
 	if withStore {
 		execs = append(execs, runStoredGrowing(t, tab, q, check))
@@ -361,6 +362,90 @@ func runBothScans(t *testing.T, tab *Table, q *Query, withStore bool) {
 	}
 	want = oracleRun(tab, q, mid)
 	check(fmt.Sprintf("partials merged at row %d", mid), mergedHalves(t, kern, q, lo, mid, hi), nil)
+}
+
+// checkZeroKeySet runs q's aggregates twice in one shared scan — under
+// q's keys and under none, the shape of the target count a Recommend's
+// first scan carries — and checks the zero-key set binds the dense
+// layout and agrees with the oracle and, bit for bit, with the hash
+// layout (hashLayoutResults). want is the oracle's answer to q.
+func checkZeroKeySet(t *testing.T, ex *Executor, tab *Table, q *Query, want *Result) {
+	t.Helper()
+	sets := []GroupingSet{{By: q.GroupBy, Aggs: q.Aggs, BinWidths: q.BinWidths}, {Aggs: q.Aggs}}
+	dense, err := ex.DenseLayouts(tab.Name(), sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dense[1] {
+		t.Fatalf("a zero-key set binds the hash layout\nquery: %+v", q)
+	}
+	got, err := ex.RunSharedScan(context.Background(), q, sets)
+	if err != nil {
+		t.Fatalf("shared scan with a zero-key set: %v\nquery: %+v", err, q)
+	}
+	zq := *q
+	zq.GroupBy, zq.BinWidths = nil, nil
+	for i, want := range []*Result{want, oracleRun(tab, &zq)} {
+		if !resultsEq(want, got[i]) {
+			t.Fatalf("shared scan with a zero-key set: set %d differs from the oracle\nquery: %+v\noracle: %+v\ngot:    %+v", i, q, want, got[i])
+		}
+	}
+	for i, h := range hashLayoutResults(t, tab, q, sets) {
+		if !resultsEq(h, got[i]) {
+			t.Fatalf("set %d: dense layout differs from the hash layout\nquery: %+v\nhash:  %+v\ndense: %+v", i, q, h, got[i])
+		}
+	}
+}
+
+// hashLayoutResults scans gsets with every grouper plan forced onto the
+// generic hash layout, and finalizes.
+func hashLayoutResults(t *testing.T, tab *Table, q *Query, gsets []GroupingSet) []*Result {
+	t.Helper()
+	cat := NewCatalog()
+	if err := cat.Register(tab); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewExecutor(cat).bindScan(context.Background(), q, gsets, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.t.mu.RUnlock()
+	for i, p := range s.plans {
+		if p.fast == nil {
+			continue
+		}
+		p.fast, p.fastSlots = nil, 0
+		for k, col := range p.keyCols {
+			enc, err := newKeyEncoder(col, gsets[i].BinWidths[p.set[k]])
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.encs = append(p.encs, enc)
+		}
+	}
+	groupers, err := s.runGroupers(context.Background(), s.lo, s.hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := finalizeGroupers(groupers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// withScanEdge moves q, half the time, onto an edge of the scan: an
+// empty row range (RowLo == RowHi; at the table's end that is on the
+// grid for a whole number of cells) or a WHERE no row passes, so every
+// chunk arrives all-filtered.
+func withScanEdge(rng *rand.Rand, q *Query, rows int) {
+	switch rng.Intn(4) {
+	case 0:
+		at := 1 + rng.Intn(rows) // RowHi 0 would mean the whole table
+		q.RowLo, q.RowHi = at, at
+	case 1:
+		q.Where = Compare("dim", OpEq, String("nope"))
+	}
 }
 
 // runStoredGrowing runs q on an executor with a partial store whose
@@ -483,6 +568,43 @@ func TestKernelDifferentialGridEdges(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestZeroKeySetEdges runs a zero-key grouping set — the target count's
+// shape — through every engine path at the table sizes around one grid
+// cell: the whole table, empty ranges, a sub-range across the grid, all
+// rows filtered by WHERE or by the aggregate's own filter, sampled and
+// parallel scans.
+func TestZeroKeySetEdges(t *testing.T) {
+	aggs := []AggSpec{
+		{Func: AggCount, Alias: "n"},
+		{Func: AggCount, Filter: Compare("cat", OpEq, String("c1")), Alias: "t"},
+		{Func: AggCount, Filter: Compare("dim", OpEq, String("nope")), Alias: "none"},
+		{Func: AggSum, Column: "amt", Alias: "s"},
+		{Func: AggMin, Column: "odd", Alias: "m"},
+	}
+	for _, rows := range []int{1023, 1024, 1025} {
+		tab := buildKernelTable(t, rand.New(rand.NewSource(int64(rows))), rows)
+		shapes := []struct {
+			name string
+			q    Query
+		}{
+			{"whole table", Query{}},
+			{"empty range", Query{RowLo: ChunkRows / 2, RowHi: ChunkRows / 2}},
+			{"empty range at the end", Query{RowLo: rows, RowHi: rows}},
+			{"sub-range", Query{RowLo: 1000, RowHi: rows}},
+			{"all rows filtered", Query{Where: Compare("dim", OpEq, String("nope"))}},
+			{"sampled", Query{SampleFraction: 0.3, SampleSeed: 7}},
+			{"parallel", Query{Parallelism: 3}},
+		}
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("rows%d/%s", rows, sh.name), func(t *testing.T) {
+				q := sh.q
+				q.Table, q.Aggs = "kt", aggs
+				runBothScans(t, tab, &q, true)
+			})
+		}
 	}
 }
 
@@ -907,7 +1029,9 @@ func TestExtractSel(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Fuzz: kernel scan vs oracle over fuzzer-chosen shapes.
+// Fuzz: kernel scan vs oracle over fuzzer-chosen shapes. Every plan also
+// runs with a zero-key set beside its own (checkZeroKeySet), and a
+// quarter of them over an empty range or all-filtered chunks.
 
 func FuzzKernelDifferential(f *testing.F) {
 	f.Add(int64(1), uint16(300), int64(2))
@@ -922,6 +1046,7 @@ func FuzzKernelDifferential(f *testing.F) {
 		tab := buildKernelTable(t, rand.New(rand.NewSource(tableSeed)), n)
 		qrng := rand.New(rand.NewSource(querySeed))
 		q := randomKernelQuery(qrng, n)
+		withScanEdge(qrng, q, n)
 		runBothScans(t, tab, q, querySeed%3 == 0)
 	})
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -73,11 +74,13 @@ func TestExperimentOutcomes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// separate scans ≈ 2 × combined scans (+1 count query each).
+		// separate scans = 2 × combined scans exactly: the target count
+		// rides a view query's scan on both sides.
 		for _, row := range rep.Rows {
-			sep, comb := row[4], row[5]
-			if sep == comb {
-				t.Errorf("scan counts should differ: %v", row)
+			sep, err1 := strconv.Atoi(row[4])
+			comb, err2 := strconv.Atoi(row[5])
+			if err1 != nil || err2 != nil || comb == 0 || sep != 2*comb {
+				t.Errorf("separate scans should be exactly twice the combined: %v", row)
 			}
 		}
 	})

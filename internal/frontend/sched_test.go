@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"seedb"
+	"seedb/internal/core"
 	"seedb/internal/engine"
 )
 
@@ -44,6 +45,25 @@ func (h *holdBackend) RunSharedScan(ctx context.Context, q *engine.Query, gsets 
 }
 
 func (h *holdBackend) Signature() string { return h.inner.Signature() }
+
+// holdCache wraps the engine's exec cache and parks every lookup until
+// the gate closes (or the run's context ends). A run served wholly from
+// the cache never reaches the backend, so this is where a warm run is
+// held; the inner cache answers, so held and solo runs share one cache
+// world.
+type holdCache struct {
+	inner core.ExecCache
+	gate  chan struct{}
+}
+
+func (h *holdCache) GetOrCompute(ctx context.Context, key string, compute func() ([]*engine.Result, bool, error)) ([]*engine.Result, error) {
+	select {
+	case <-h.gate:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return h.inner.GetOrCompute(ctx, key, compute)
+}
 
 // slowBackend delays every query by a fixed amount — a deterministic
 // way to make a run outlast a short deadline.
@@ -112,12 +132,14 @@ func TestCoalescedMatchesSolo(t *testing.T) {
 			t.Fatalf("shards=%d: solo status %d: %s", shards, solo.Code, solo.Body.String())
 		}
 
-		// Hold the backend and fire two identical requests: one starts
-		// the run, the other provably coalesces before anything can
-		// finish (the gate blocks the run's first engine query).
+		// Hold the cache and fire two identical requests: one starts the
+		// run, the other provably coalesces before anything can finish
+		// (the gate blocks the run's first exec-cache lookup — the run is
+		// warm, so it never reaches the backend).
 		base := db.Service().SchedulerStats()
 		gate := make(chan struct{})
-		db.SetBackend(&holdBackend{inner: db.Backend(), gate: gate})
+		cache := db.Engine().Cache()
+		db.Engine().SetCache(&holdCache{inner: cache, gate: gate})
 		var wg sync.WaitGroup
 		responses := make([]*httptest.ResponseRecorder, 2)
 		for i := range responses {
@@ -132,6 +154,7 @@ func TestCoalescedMatchesSolo(t *testing.T) {
 		})
 		close(gate)
 		wg.Wait()
+		db.Engine().SetCache(cache)
 
 		want := normalizeElapsed(solo.Body.Bytes())
 		for i, w := range responses {
@@ -162,23 +185,25 @@ func TestCoalescedMatchesSolo(t *testing.T) {
 // deterministically (one worker slot, one queue slot, backend held)
 // and asserts the shed contract: HTTP 503, a Retry-After header of at
 // least one second, and a JSON error body — while the admitted
-// requests complete normally once the backend resumes.
+// requests complete normally once the backend resumes. Every held
+// request is one the server has never answered: a cached run would
+// never reach the held backend.
 func TestRecommendSheds503WithRetryAfter(t *testing.T) {
 	db := streamTestDB(t)
 	s := NewWithConfig(db, seedb.ServeConfig{MaxConcurrentRuns: 1, MaxQueueDepth: 1}, nil, nil)
 	gate := make(chan struct{})
 	db.SetBackend(&holdBackend{inner: db.Backend(), gate: gate})
 
-	mk := func(category string) map[string]any {
-		return map[string]any{"sql": "SELECT * FROM orders WHERE category = '" + category + "'", "k": 2}
+	mk := func(predicate string) map[string]any {
+		return map[string]any{"sql": "SELECT * FROM orders WHERE " + predicate, "k": 2}
 	}
 	admitted := make(chan *httptest.ResponseRecorder, 2)
-	go func() { admitted <- postJSON(t, s, "/api/recommend", mk("Furniture")) }()
+	go func() { admitted <- postJSON(t, s, "/api/recommend", mk("category = 'Furniture'")) }()
 	waitForStats(t, db, "first run to occupy the slot", func(st seedb.SchedulerStats) bool { return st.Running == 1 })
-	go func() { admitted <- postJSON(t, s, "/api/recommend", mk("Technology")) }()
+	go func() { admitted <- postJSON(t, s, "/api/recommend", mk("category = 'Technology'")) }()
 	waitForStats(t, db, "second run to queue", func(st seedb.SchedulerStats) bool { return st.Queued == 1 })
 
-	w := postJSON(t, s, "/api/recommend", mk("Office Supplies"))
+	w := postJSON(t, s, "/api/recommend", mk("category = 'Office Supplies'"))
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("overloaded request status = %d, want 503 (%s)", w.Code, w.Body.String())
 	}
@@ -206,9 +231,9 @@ func TestRecommendSheds503WithRetryAfter(t *testing.T) {
 	gate2 := make(chan struct{})
 	db.SetBackend(&holdBackend{inner: db.Backend(), gate: gate2})
 	done := make(chan *httptest.ResponseRecorder, 2)
-	go func() { done <- postJSON(t, s, "/api/recommend", mk("Furniture")) }()
+	go func() { done <- postJSON(t, s, "/api/recommend", mk("region = 'West'")) }()
 	waitForStats(t, db, "held run", func(st seedb.SchedulerStats) bool { return st.Running == 1 })
-	go func() { done <- postJSON(t, s, "/api/recommend", mk("Technology")) }()
+	go func() { done <- postJSON(t, s, "/api/recommend", mk("region = 'Central'")) }()
 	waitForStats(t, db, "queued run", func(st seedb.SchedulerStats) bool { return st.Queued == 1 })
 	req := httptest.NewRequest(http.MethodGet,
 		"/api/recommend/stream?sql=SELECT+*+FROM+orders+WHERE+region+%3D+%27East%27&k=2", nil)

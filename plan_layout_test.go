@@ -44,7 +44,7 @@ func TestDefaultPlanAllDense(t *testing.T) {
 	if len(be.scans) == 0 {
 		t.Fatal("DefaultOptions issued no shared scan")
 	}
-	binned := 0
+	binned, counts := 0, 0
 	for _, scan := range be.scans {
 		dense, err := db.Engine().Executor().DenseLayouts(scan.table, scan.gsets)
 		if err != nil {
@@ -56,9 +56,15 @@ func TestDefaultPlanAllDense(t *testing.T) {
 					scan.table, scan.gsets[i].By, scan.gsets[i].BinWidths)
 			}
 			binned += len(scan.gsets[i].BinWidths)
+			if len(scan.gsets[i].By) == 0 {
+				counts++
+			}
 		}
 	}
 	if binned == 0 {
 		t.Fatal("no binned dimension was planned; the test no longer covers binned keys")
+	}
+	if counts != len(goldenQueries) {
+		t.Fatalf("%d zero-key target-count sets over %d recommendations, want one each", counts, len(goldenQueries))
 	}
 }
