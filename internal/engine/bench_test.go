@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -70,8 +71,10 @@ func countedSet(filter Predicate) GroupingSet {
 
 // BenchmarkSharedScanDefaultPlan times the shared scan behind a cold
 // Recommend at three filter selectivities — the kernel-work inner loop,
-// seconds per run — as the default plan alone (plain) and with the
-// target count riding it (counted: the scan a Recommend issues). The
+// seconds per run — as the default plan alone (plain), with the target
+// count riding it (counted: the scan a Recommend issues), and that scan
+// under a partial store whose predicate-free runs are warm, a predicate
+// it has never seen every op (stored: what exploration issues). The
 // end-to-end claim is judged by benchmark/.
 func BenchmarkSharedScanDefaultPlan(b *testing.B) {
 	const rows = 200_000
@@ -80,26 +83,55 @@ func BenchmarkSharedScanDefaultPlan(b *testing.B) {
 		b.Fatal(err)
 	}
 	ex := NewExecutor(cat)
+	stored := NewExecutor(cat)
+	// Each selectivity's predicate, and (stored) a never-seen one of the
+	// same selectivity per op: d0 IN (the same values, a value no row
+	// holds), or NOT IN (that value).
 	filters := []struct {
-		name string
-		pred Predicate
+		name   string
+		pred   Predicate
+		in     []Value
+		negate bool
 	}{
-		{"sel10", Compare("d0", OpEq, String("v3"))},
-		{"sel50", In("d0", String("v0"), String("v2"), String("v4"), String("v6"), String("v8"))},
-		{"sel100", IsNotNull("d0")},
+		{"sel10", Compare("d0", OpEq, String("v3")), []Value{String("v3")}, false},
+		{"sel50", In("d0", String("v0"), String("v2"), String("v4"), String("v6"), String("v8")),
+			[]Value{String("v0"), String("v2"), String("v4"), String("v6"), String("v8")}, false},
+		{"sel100", IsNotNull("d0"), nil, true},
 	}
 	for _, f := range filters {
-		for _, variant := range []string{"plain", "counted"} {
+		fresh := func(i int) Predicate {
+			p := In("d0", append(slices.Clip(f.in), String(fmt.Sprintf("nope%d", i)))...)
+			p.Negate = f.negate
+			return p
+		}
+		for _, variant := range []string{"plain", "counted", "stored"} {
 			b.Run(f.name+"/"+variant, func(b *testing.B) {
-				sets := defaultPlanSets(f.pred)
-				if variant == "counted" {
-					sets = append(sets, countedSet(f.pred))
+				plan := func(pred Predicate) []GroupingSet {
+					sets := defaultPlanSets(pred)
+					if variant != "plain" {
+						sets = append(sets, countedSet(pred))
+					}
+					return sets
 				}
+				sets := plan(f.pred)
 				q := &Query{Table: "events", Parallelism: 1}
+				run := ex
+				if variant == "stored" {
+					run = stored
+					stored.SetPartialStore(NewPartialStore(0))
+					if _, err := stored.RunSharedScan(context.Background(), q, sets); err != nil {
+						b.Fatal(err)
+					}
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := ex.RunSharedScan(context.Background(), q, sets); err != nil {
+					if variant == "stored" {
+						b.StopTimer()
+						sets = plan(fresh(i))
+						b.StartTimer()
+					}
+					if _, err := run.RunSharedScan(context.Background(), q, sets); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -301,7 +301,7 @@ func (e *Executor) runSets(ctx context.Context, q *Query, gsets []GroupingSet) (
 	}
 	defer s.t.mu.RUnlock()
 	if s.st == nil {
-		groupers, err := s.runGroupers(ctx, s.lo, s.hi)
+		groupers, err := s.runGroupers(ctx, s.plans, s.lo, s.hi)
 		if err != nil {
 			return nil, err
 		}
@@ -339,12 +339,16 @@ type scan struct {
 	lo, hi int
 
 	// st is the partial store when it applies to this range — installed,
-	// and [lo,hi) contains at least one sealed grid cell — else nil. sig
-	// is then the plan signature and [a,ahi) the range's sealed body: the
-	// whole cells inside it.
-	st     *PartialStore
-	sig    string
-	a, ahi int
+	// and [lo,hi) contains at least one sealed grid cell — else nil.
+	// [a,ahi) is then the range's sealed body: the whole cells inside it.
+	// parts are the runs the body's state is kept in and zips, when the
+	// scan is split, how each set's partial is put back together from
+	// them (see splitParts); digests memoizes runDigest.
+	st      *PartialStore
+	a, ahi  int
+	parts   []*runPart
+	zips    []setZip
+	digests map[int]string
 }
 
 // bindScan validates (q, gsets) against the table, read-locks it and
@@ -387,11 +391,15 @@ func (e *Executor) bindScan(ctx context.Context, q *Query, gsets []GroupingSet, 
 	// absolute.
 	s.a, s.ahi = alignToGrid(s.lo), chunkStart(chunkOf(s.hi))
 	if st := e.PartialStore(); st != nil && s.ahi-s.a >= ChunkRows {
-		s.st, s.sig = st, PlanSignature(q, gsets)
+		s.st = st
 		resultsOnly = false
 	}
 	if s.plans, err = buildGrouperPlans(t, gsets, fs, resultsOnly); err != nil {
 		return nil, err
+	}
+	if s.st != nil {
+		// Split parts register the row sets their groups come from: before compiling.
+		s.parts, s.zips = splitParts(gsets, s.plans, fs, PlanSignature(q, gsets), q.Where == nil && s.smp == nil)
 	}
 	sk, err := compileScan(t, q.Where, fs, s.smp)
 	if err != nil {
@@ -402,10 +410,12 @@ func (e *Executor) bindScan(ctx context.Context, q *Query, gsets []GroupingSet, 
 	return s, nil
 }
 
-// runGroupers scans rows [lo,hi) and returns the merged groupers, for
-// callers that finalize (Run and friends) or export partition-mergeable
-// partials. It is the engine's one scan driver and its one worker pool.
-func (s *scan) runGroupers(ctx context.Context, lo, hi int) ([]*grouper, error) {
+// runGroupers scans rows [lo,hi) into one grouper per plan (the scan's
+// own plans, or some of its split parts') and returns the merged
+// groupers, for callers that finalize (Run and friends) or export
+// partition-mergeable partials. It is the engine's one scan loop and
+// its one worker pool.
+func (s *scan) runGroupers(ctx context.Context, plans []*grouperPlan, lo, hi int) ([]*grouper, error) {
 	n := hi - lo
 	workers := min(max(s.q.Parallelism, 1), max(n, 1))
 
@@ -429,7 +439,7 @@ func (s *scan) runGroupers(ctx context.Context, lo, hi int) ([]*grouper, error) 
 
 	partials := make([][]*grouper, len(ranges))
 	for w := range partials {
-		partials[w] = newGroupers(s.plans)
+		partials[w] = newGroupers(plans)
 	}
 	if len(ranges) == 1 {
 		if err := s.kernels[0].scanPartition(ctx, lo, hi, partials[0]); err != nil {
@@ -466,9 +476,9 @@ func (s *scan) runGroupers(ctx context.Context, lo, hi int) ([]*grouper, error) 
 }
 
 // export scans rows [lo,hi) and exports the state as ONE partial per
-// grouping set.
-func (s *scan) export(ctx context.Context, lo, hi int) ([]*Partial, error) {
-	groupers, err := s.runGroupers(ctx, lo, hi)
+// plan.
+func (s *scan) export(ctx context.Context, plans []*grouperPlan, lo, hi int) ([]*Partial, error) {
+	groupers, err := s.runGroupers(ctx, plans, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -479,26 +489,51 @@ func (s *scan) export(ctx context.Context, lo, hi int) ([]*Partial, error) {
 	return out, nil
 }
 
-// DenseLayouts reports, per grouping set, whether a scan of the table
-// would bind the dense array-indexed group layout (true) or the hash
-// layout (false). It is a planning diagnostic: it reads nothing but
-// the memoized column ranges and never affects what a scan returns.
-func (e *Executor) DenseLayouts(table string, gsets []GroupingSet) ([]bool, error) {
+// SetLayout describes the grouper plans a scan binds for one grouping
+// set.
+type SetLayout struct {
+	// Dense is true when every plan bound for the set — the set's own
+	// and, when it is split, both halves — uses the dense array-indexed
+	// group layout, false when one uses the hash layout.
+	Dense bool
+	// Split is true when a where-free, unsampled scan under a partial
+	// store keeps the set's predicate-free accumulators in a run of their
+	// own, apart from the rest of the plan (see splitParts).
+	Split bool
+}
+
+// Layouts reports, per grouping set, how a scan of the table would bind
+// it. It is a planning diagnostic: it reads nothing but the memoized
+// column ranges and never affects what a scan returns.
+func (e *Executor) Layouts(table string, gsets []GroupingSet) ([]SetLayout, error) {
 	t, err := e.cat.Table(table)
 	if err != nil {
 		return nil, err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	plans, err := buildGrouperPlans(t, gsets, buildFilterSet(gsets), true)
+	fs := buildFilterSet(gsets)
+	plans, err := buildGrouperPlans(t, gsets, fs, true)
 	if err != nil {
 		return nil, err
 	}
-	dense := make([]bool, len(plans))
+	parts, zips := splitParts(gsets, plans, fs, "", true)
+	out := make([]SetLayout, len(plans))
 	for i, p := range plans {
-		dense[i] = p.fast != nil
+		out[i].Dense = p.fast != nil
+		if zips == nil {
+			continue
+		}
+		z := zips[i]
+		if z.ref >= 0 {
+			out[i].Split = true
+			out[i].Dense = out[i].Dense && parts[z.ref].plans[0].fast != nil
+		}
+		if z.own >= 0 {
+			out[i].Dense = out[i].Dense && parts[len(parts)-1].plans[z.own].fast != nil
+		}
 	}
-	return dense, nil
+	return out, nil
 }
 
 // filterSet deduplicates the per-aggregate filter predicates of a
@@ -615,6 +650,7 @@ const (
 // physical state once per row, partial() exports it once, and result()
 // and Partial.Finalize fan it back out per logical aggregate.
 type physAgg struct {
+	col  string // measure column; "" for COUNT(*)
 	kind measKind
 	f64  []float64
 	i64  []int64
@@ -665,7 +701,7 @@ func bindAggs(t *Table, aggs []AggSpec, fs *filterSet, resultsOnly bool) (logica
 			}
 			ba.filterIdx = idx
 		}
-		pa := physAgg{kind: measCount}
+		pa := physAgg{col: a.Column, kind: measCount}
 		rs := rowSet{filter: ba.filterIdx}
 		if a.Column == "" {
 			if a.Func != AggCount {
@@ -907,6 +943,11 @@ type grouperPlan struct {
 	// physical accumulators consume.
 	phys    []physAgg
 	rowSets []int
+
+	// groupRows is the scan row set whose rows give the groups: 0, every
+	// selected row, except on the half of a split set that holds its
+	// filtered accumulators (see splitParts).
+	groupRows int
 
 	// fast path: nil when the generic hash layout is used.
 	fast      []fastKey
@@ -1348,10 +1389,11 @@ func (g *grouper) hashSlot(row int) int {
 // and the grid alone.
 func (g *grouper) processChunk(start, n int, rows []rowSel) {
 	p := g.plan
-	all := rows[0]
+	all := rows[p.groupRows]
 
-	// Every selected row's slot, computed once for all accumulators. With
-	// no keys every slot is 0, as allocated.
+	// Every such row's slot, computed once for all accumulators (their
+	// row sets lie inside groupRows). With no keys every slot is 0, as
+	// allocated.
 	slots := g.slots
 	if p.fast != nil {
 		if len(p.fast) > 0 {

@@ -372,11 +372,11 @@ func runBothScans(t *testing.T, tab *Table, q *Query, withStore bool) {
 func checkZeroKeySet(t *testing.T, ex *Executor, tab *Table, q *Query, want *Result) {
 	t.Helper()
 	sets := []GroupingSet{{By: q.GroupBy, Aggs: q.Aggs, BinWidths: q.BinWidths}, {Aggs: q.Aggs}}
-	dense, err := ex.DenseLayouts(tab.Name(), sets)
+	layouts, err := ex.Layouts(tab.Name(), sets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dense[1] {
+	if !layouts[1].Dense {
 		t.Fatalf("a zero-key set binds the hash layout\nquery: %+v", q)
 	}
 	got, err := ex.RunSharedScan(context.Background(), q, sets)
@@ -423,7 +423,7 @@ func hashLayoutResults(t *testing.T, tab *Table, q *Query, gsets []GroupingSet) 
 			p.encs = append(p.encs, enc)
 		}
 	}
-	groupers, err := s.runGroupers(context.Background(), s.lo, s.hi)
+	groupers, err := s.runGroupers(context.Background(), s.plans, s.lo, s.hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,6 +546,9 @@ func TestKernelDifferentialProperty(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				q := randomKernelQuery(rng, rows)
 				runBothScans(t, tab, q, i%4 == 0)
+				if i%4 == 0 {
+					runSplitStates(t, tab, q)
+				}
 			}
 		})
 	}
@@ -564,7 +567,11 @@ func TestKernelDifferentialGridEdges(t *testing.T) {
 				rng := rand.New(rand.NewSource(1000*int64(rows) + seed))
 				tab := buildKernelTable(t, rng, rows)
 				for i := 0; i < 30; i++ {
-					runBothScans(t, tab, randomKernelQuery(rng, rows), i%3 == 0)
+					q := randomKernelQuery(rng, rows)
+					runBothScans(t, tab, q, i%3 == 0)
+					if i%3 == 0 {
+						runSplitStates(t, tab, q)
+					}
 				}
 			}
 		})
@@ -605,6 +612,9 @@ func TestZeroKeySetEdges(t *testing.T) {
 				runBothScans(t, tab, &q, true)
 			})
 		}
+		t.Run(fmt.Sprintf("rows%d/split store states", rows), func(t *testing.T) {
+			runSplitStates(t, tab, &Query{Table: "kt", Aggs: aggs})
+		})
 	}
 }
 
@@ -1031,7 +1041,9 @@ func TestExtractSel(t *testing.T) {
 // ---------------------------------------------------------------------
 // Fuzz: kernel scan vs oracle over fuzzer-chosen shapes. Every plan also
 // runs with a zero-key set beside its own (checkZeroKeySet), and a
-// quarter of them over an empty range or all-filtered chunks.
+// quarter of them over an empty range or all-filtered chunks; a third,
+// where-free and beside the canary sets, through every state of the
+// partial store's split runs (runSplitStates).
 
 func FuzzKernelDifferential(f *testing.F) {
 	f.Add(int64(1), uint16(300), int64(2))
@@ -1048,5 +1060,8 @@ func FuzzKernelDifferential(f *testing.F) {
 		q := randomKernelQuery(qrng, n)
 		withScanEdge(qrng, q, n)
 		runBothScans(t, tab, q, querySeed%3 == 0)
+		if querySeed%3 == 0 {
+			runSplitStates(t, tab, q)
+		}
 	})
 }

@@ -98,12 +98,7 @@ func (e *Executor) RunPartials(ctx context.Context, q *Query, gsets []GroupingSe
 // slices, key []Value slices are never mutated afterwards).
 func (g *grouper) partial() *Partial {
 	plan := g.plan
-	p := &Partial{By: append([]string(nil), plan.set...), Phys: make([]int, len(plan.aggs))}
-	for i, a := range plan.aggs {
-		p.Cols = append(p.Cols, a.spec.Name())
-		p.Funcs = append(p.Funcs, a.spec.Func)
-		p.Phys[i] = a.phys
-	}
+	p := plan.emptyPartial()
 	groups := 0
 	for _, st := range g.stamp {
 		if st != 0 {
@@ -125,6 +120,18 @@ func (g *grouper) partial() *Partial {
 		return compareKeys(p.Groups[i].Key, p.Groups[j].Key) < 0
 	})
 	return p
+}
+
+// emptyPartial returns a partial with the plan's shape — grouping
+// columns, aggregate list, physical map — and no groups.
+func (p *grouperPlan) emptyPartial() *Partial {
+	out := &Partial{By: append([]string(nil), p.set...), Phys: make([]int, len(p.aggs))}
+	for i, a := range p.aggs {
+		out.Cols = append(out.Cols, a.spec.Name())
+		out.Funcs = append(out.Funcs, a.spec.Func)
+		out.Phys[i] = a.phys
+	}
+	return out
 }
 
 // compareKeys orders group keys column-wise (NULLs first), matching

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -83,6 +84,209 @@ func TestIncrementalMatchesColdScan(t *testing.T) {
 	}
 }
 
+// partialsFrame renders partials exactly as they cross processes.
+func partialsFrame(ps []*Partial) []byte {
+	return EncodeFrame("TEST", func(c FrameCodec) {
+		for i := range ps {
+			c.Partial(&ps[i])
+		}
+	})
+}
+
+// splitStatePlan is the where-free plan runSplitStates drives: q's set,
+// a canary set whose measures carry −0/+0, NaN/±Inf (odd) and NULLs
+// (amt), a set whose filtered half is empty in every group, a set
+// binned at width, and the target count's zero-key set — every filtered
+// aggregate under filter (q's own filters under rename(f)).
+func splitStatePlan(q *Query, filter Predicate, rename func(Predicate) Predicate, width float64) []GroupingSet {
+	aggs := make([]AggSpec, len(q.Aggs))
+	for i, a := range q.Aggs {
+		if aggs[i] = a; a.Filter != nil {
+			aggs[i].Filter = rename(a.Filter)
+		}
+	}
+	nope := Compare("dim", OpEq, String("nope"))
+	return []GroupingSet{
+		{By: q.GroupBy, Aggs: aggs, BinWidths: q.BinWidths},
+		{By: []string{"cat"}, Aggs: []AggSpec{
+			{Func: AggMin, Column: "odd", Alias: "c_min"}, {Func: AggMin, Column: "odd", Filter: filter, Alias: "t_min"},
+			{Func: AggMax, Column: "odd", Alias: "c_max"}, {Func: AggMax, Column: "odd", Filter: filter, Alias: "t_max"},
+			{Func: AggSum, Column: "amt", Alias: "c_sum"}, {Func: AggSum, Column: "amt", Filter: filter, Alias: "t_sum"},
+		}},
+		{By: []string{"dim"}, Aggs: []AggSpec{
+			{Func: AggCount, Column: "amt", Alias: "c_n"}, {Func: AggCount, Column: "amt", Filter: nope, Alias: "t_n"},
+		}},
+		{By: []string{"neg"}, BinWidths: map[string]float64{"neg": width}, Aggs: []AggSpec{
+			{Func: AggAvg, Column: "qty", Alias: "c_avg"}, {Func: AggAvg, Column: "qty", Filter: filter, Alias: "t_avg"},
+		}},
+		{Aggs: []AggSpec{{Func: AggCount, Filter: filter, Alias: "target_rows"}}},
+	}
+}
+
+// runSplitStates runs a where-free, unsampled version of q over a
+// buildKernelTable table through every state its split runs can be in,
+// and checks each answer against a store-free executor over the same
+// rows — the partials' frame bytes and their finalized results. The
+// states: cold; the predicate-free runs warm (stored by the same plan
+// under the complementary filters) with the plan's own run cold; both
+// warm; one set binned at another width beside warm runs of the first;
+// after an append, the predicate-free runs grown (again by the other
+// plan) and the own run stale; and on the warm store a shorter range, a
+// moved anchor, and an unaligned head and tail.
+func runSplitStates(t *testing.T, tab *Table, q *Query) {
+	t.Helper()
+	ctx := context.Background()
+	n := tab.NumRows()
+	prefix := max(1, n/2, n-ChunkRows-7)
+	grown, err := tab.ExtractRange(tab.Name(), 0, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, cold := storeFixture(t, grown)
+
+	// The target filter is q's first (the empty one when q has none);
+	// the other plan complements every filter, so it shares nothing but
+	// the predicate-free runs.
+	var filter Predicate = Compare("dim", OpEq, String("nope"))
+	for _, a := range q.Aggs {
+		if a.Filter != nil {
+			filter = a.Filter
+			break
+		}
+	}
+	same := func(p Predicate) Predicate { return p }
+	negated := map[Predicate]Predicate{}
+	negate := func(p Predicate) Predicate {
+		if _, ok := negated[p]; !ok {
+			negated[p] = Not(p)
+		}
+		return negated[p]
+	}
+	mine := splitStatePlan(q, filter, same, 10)
+	other := splitStatePlan(q, negate(filter), negate, 10)
+
+	check := func(state string, lo, hi int, sets []GroupingSet) {
+		t.Helper()
+		sq := &Query{Table: tab.Name(), RowLo: lo, RowHi: hi, Parallelism: q.Parallelism}
+		got, err := stored.RunPartials(ctx, sq, sets)
+		if err != nil {
+			t.Fatalf("%s: %v\nquery: %+v", state, err, q)
+		}
+		want, err := cold.RunPartials(ctx, sq, sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(partialsFrame(got), partialsFrame(want)) {
+			for i := range got {
+				if g, w := partialBytes(got[i]), partialBytes(want[i]); g != w {
+					t.Fatalf("%s, rows [%d,%d): set %d's partial differs from the store-free one\nquery: %+v\nwant: %s\ngot:  %s", state, lo, hi, i, q, w, g)
+				}
+			}
+			t.Fatalf("%s, rows [%d,%d): partial frames differ from the store-free ones\nquery: %+v", state, lo, hi, q)
+		}
+		res, err := cold.RunSharedScan(ctx, sq, sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res {
+			if f := got[i].Finalize(); !resultsEq(res[i], f) {
+				t.Fatalf("%s, rows [%d,%d): set %d finalizes differently from a store-free scan\nquery: %+v\nwant: %+v\ngot:  %+v", state, lo, hi, i, q, res[i], f)
+			}
+		}
+	}
+	check("cold", 0, 0, mine)
+	check("predicate-free runs warm, own run cold", 0, 0, other)
+	check("both warm", 0, 0, mine)
+	check("another bin width", 0, 0, splitStatePlan(q, filter, same, 33.3))
+	rest := make([][]Value, 0, n-prefix)
+	for r := prefix; r < n; r++ {
+		rest = append(rest, tab.Row(r))
+	}
+	if _, err := grown.Append(rest); err != nil {
+		t.Fatal(err)
+	}
+	check("after an append, every run behind by the same cells", 0, 0, other)
+	check("after an append, predicate-free runs grown, own run stale", 0, 0, mine)
+	check("shorter range", 0, max(1, n-ChunkRows-ChunkRows/2), mine)
+	check("moved anchor", min(ChunkRows, n), n, mine)
+	check("unaligned head and tail", min(100, n), max(min(100, n), n-100), mine)
+}
+
+// TestNeverSeenPredicateReusesReference is what the split buys
+// exploration: the default plan (and its target count) under 50
+// distinct FILTER-form predicates on different columns. After the first,
+// every predicate hits every predicate-free run, scans none of the rows
+// those runs cover, stores exactly one run — its own — and answers byte
+// for byte what a store-free executor answers.
+func TestNeverSeenPredicateReusesReference(t *testing.T) {
+	const rows = 20 * ChunkRows // whole cells: nothing to scan around the runs
+	ctx := context.Background()
+	ex, cold := storeFixture(t, defaultPlanTable(t, rows))
+	q := &Query{Table: "events", Parallelism: 2}
+	for i := 0; i < 50; i++ {
+		var pred Predicate
+		if c := i % 15; c < 10 {
+			pred = Compare(fmt.Sprintf("d%d", c), OpEq, String(fmt.Sprintf("v%d", i/15)))
+		} else {
+			pred = Compare(fmt.Sprintf("m%d", c-10), OpGt, Float(float64(110+5*(i/15))))
+		}
+		sets := append(defaultPlanSets(pred), countedSet(pred))
+		before := ex.PartialStore().Stats()
+		s, err := ex.bindScan(ctx, q, sets, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.partials(ctx)
+		s.t.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keyed := len(sets) - 1; len(s.zips) != len(sets) || len(s.parts) != keyed+1 {
+			t.Fatalf("predicate %d: %d runs for %d keyed sets, want one predicate-free run each plus one", i, len(s.parts), keyed)
+		}
+
+		want, err := cold.RunPartials(ctx, q, sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(partialsFrame(got), partialsFrame(want)) {
+			t.Fatalf("predicate %d (%s): partial frames differ from a store-free executor's", i, pred)
+		}
+		res, err := cold.RunSharedScan(ctx, q, sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range res {
+			if !resultsEq(res[j], got[j].Finalize()) {
+				t.Fatalf("predicate %d (%s): set %d differs from a store-free executor's", i, pred, j)
+			}
+		}
+
+		st := ex.PartialStore().Stats()
+		refs := int64(len(s.parts) - 1)
+		if i == 0 {
+			if st.Misses != refs+1 || st.Entries != int(refs)+1 {
+				t.Fatalf("first predicate: want %d runs from %d misses, got %+v", refs+1, refs+1, st)
+			}
+			continue
+		}
+		if hits := st.Hits - before.Hits; hits != refs {
+			t.Fatalf("predicate %d (%s): hit %d of %d predicate-free runs (%+v)", i, pred, hits, refs, st)
+		}
+		for _, p := range s.parts[:refs] {
+			if p.from != s.ahi || s.lo != s.a || s.hi != s.ahi {
+				t.Fatalf("predicate %d (%s): a predicate-free run was fed rows [%d,%d)", i, pred, p.from, s.ahi)
+			}
+		}
+		if scanned := st.RowsScanned - before.RowsScanned; scanned != rows {
+			t.Fatalf("predicate %d (%s): scanned %d rows, want one pass over %d", i, pred, scanned, rows)
+		}
+		if st.Misses != before.Misses+1 || st.Entries != before.Entries+1 {
+			t.Fatalf("predicate %d (%s): want one new run from one missed lookup, got %+v after %+v", i, pred, st, before)
+		}
+	}
+}
+
 // TestIncrementalScansOnlyDelta pins the O(delta) property: after the
 // store is primed, a query following an append reads only the tail and
 // the appended rows — not the table.
@@ -148,6 +352,11 @@ func mustRun(t *testing.T, ex *Executor, q *Query) string {
 	return resultBytes(t, res)
 }
 
+// partialTestRuns is how many runs partialTestQuery keeps: it has no
+// WHERE, so its one set splits into its predicate-free accumulators
+// (COUNT(*) and m) and the rest (the FILTER aggregate), one run each.
+const partialTestRuns = 2
+
 // rangeQuery is partialTestQuery(1) on table over rows [lo,hi).
 func rangeQuery(table string, lo, hi int) *Query {
 	q := partialTestQuery(1)
@@ -190,9 +399,9 @@ func TestNeverSeenPlanStoresOneRun(t *testing.T) {
 }
 
 // TestIncrementalRowRanges: explicit RowLo/RowHi ranges (the cluster's
-// scatter unit) each keep their own run at their own anchor — on or off
-// the grid — so repeating a split reuses every range's sealed body, and
-// the merged partials equal the cold whole-table scan.
+// scatter unit) each keep their own runs at their own anchor — on or
+// off the grid — so repeating a split reuses every range's sealed body,
+// and the merged partials equal the cold whole-table scan.
 func TestIncrementalRowRanges(t *testing.T) {
 	ctx := context.Background()
 	tb := partialTestTable(t, 10_000, 3)
@@ -229,18 +438,18 @@ func TestIncrementalRowRanges(t *testing.T) {
 				}
 			}
 			st := ex.PartialStore().Stats()
-			if hits := st.Hits - before.Hits; pass == 1 && hits != int64(len(ranges)) {
-				t.Fatalf("ranges %v: repeat should hit once per range, got %d hits (%+v)", ranges, hits, st)
+			if hits := st.Hits - before.Hits; pass == 1 && hits != int64(partialTestRuns*len(ranges)) {
+				t.Fatalf("ranges %v: repeat should hit every run of every range, got %d hits (%+v)", ranges, hits, st)
 			}
 		}
 	}
 }
 
-// TestShorterRangeAndMovedAnchorRescan writes down what one run per
-// plan gives up: a range that ends before the stored run does, or whose
-// first sealed cell is not the run's anchor, reuses nothing — and
-// returns the same bytes as a cold scan. The longer run survives the
-// shorter query.
+// TestShorterRangeAndMovedAnchorRescan writes down what runs give up: a
+// range that ends before the stored runs do, or whose first sealed cell
+// is not the runs' anchor, reuses nothing — and returns the same bytes
+// as a cold scan, from one pass over the range. The longer runs survive
+// the shorter query.
 func TestShorterRangeAndMovedAnchorRescan(t *testing.T) {
 	tb := partialTestTable(t, 9_000, 21)
 	ex, cold := storeFixture(t, tb)
@@ -261,8 +470,8 @@ func TestShorterRangeAndMovedAnchorRescan(t *testing.T) {
 	}
 	before := ex.PartialStore().Stats()
 	mustRun(t, ex, rangeQuery("pt", 0, 9_000))
-	if st := ex.PartialStore().Stats(); st.RowsReused-before.RowsReused != 8*ChunkRows {
-		t.Fatalf("the whole-range run should have survived the shorter query: %+v after %+v", st, before)
+	if st := ex.PartialStore().Stats(); st.RowsReused-before.RowsReused != partialTestRuns*8*ChunkRows {
+		t.Fatalf("the whole-range runs should have survived the shorter query: %+v after %+v", st, before)
 	}
 }
 
@@ -298,8 +507,9 @@ func TestRunsAreContentAddressed(t *testing.T) {
 			}
 		}
 	}
-	if st := ex.PartialStore().Stats(); st.Entries != 3 || st.Hits != 3 || st.Misses != 3 || st.Evictions != 0 {
-		t.Fatalf("three fragments, two passes: want 3 runs, 3 misses then 3 hits, got %+v", st)
+	const runs = 3 * partialTestRuns
+	if st := ex.PartialStore().Stats(); st.Entries != runs || st.Hits != runs || st.Misses != runs || st.Evictions != 0 {
+		t.Fatalf("three fragments, two passes: want %d runs, %d misses then %d hits, got %+v", runs, runs, runs, st)
 	}
 	for _, name := range []string{"twin", "pt__p0", "twin"} {
 		before := ex.PartialStore().Stats()
@@ -307,8 +517,8 @@ func TestRunsAreContentAddressed(t *testing.T) {
 		if got, want := mustRun(t, ex, q), mustRun(t, cold, q); got != want {
 			t.Fatalf("%s: a run built over another table's cells leaked into the answer", name)
 		}
-		if st := ex.PartialStore().Stats(); st.Hits != before.Hits || st.Entries != 3 {
-			t.Fatalf("%s: same anchor cell, different run: want a miss that replaces the entry, got %+v after %+v", name, st, before)
+		if st := ex.PartialStore().Stats(); st.Hits != before.Hits || st.Entries != runs {
+			t.Fatalf("%s: same anchor cell, different runs: want misses that replace the entries, got %+v after %+v", name, st, before)
 		}
 	}
 }
@@ -524,8 +734,8 @@ func TestPartialStoreConcurrentGrowth(t *testing.T) {
 	if got, want := mustRun(t, ex, partialTestQuery(1)), mustRun(t, cold, partialTestQuery(1)); got != want {
 		t.Fatal("after the appends the stored scan differs from a cold scan")
 	}
-	if st := ex.PartialStore().Stats(); st.Hits == 0 || st.Entries != 1 {
-		t.Fatalf("one plan, one table: want one run and some reuse, got %+v", st)
+	if st := ex.PartialStore().Stats(); st.Hits == 0 || st.Entries != partialTestRuns {
+		t.Fatalf("one plan, one table: want %d runs and some reuse, got %+v", partialTestRuns, st)
 	}
 }
 

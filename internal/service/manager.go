@@ -141,13 +141,13 @@ func (m *Manager) SetObservability(h *obs.Hub) {
 		func() float64 { return float64(c.Stats().Entries) })
 	reg.GaugeFunc("seedb_cache_bytes", "View-cache resident bytes (estimated).",
 		func() float64 { return float64(c.Stats().Bytes) })
-	reg.CounterFunc("seedb_pstore_hits_total", "Partial-store lookups that found a valid sealed run for the plan.",
+	reg.CounterFunc("seedb_pstore_hits_total", "Partial-store run lookups that found a valid sealed run (a where-free scan looks up one run per grouping set's predicate-free part plus one for the rest).",
 		func() float64 { return float64(m.PartialStoreStats().Hits) })
-	reg.CounterFunc("seedb_pstore_misses_total", "Partial-store lookups that found no usable run.",
+	reg.CounterFunc("seedb_pstore_misses_total", "Partial-store run lookups that found no usable run.",
 		func() float64 { return float64(m.PartialStoreStats().Misses) })
 	reg.CounterFunc("seedb_pstore_evictions_total", "Partial-store runs evicted to stay under the byte budget.",
 		func() float64 { return float64(m.PartialStoreStats().Evictions) })
-	reg.CounterFunc("seedb_pstore_rows_reused_total", "Rows answered from a stored run instead of scanning.",
+	reg.CounterFunc("seedb_pstore_rows_reused_total", "Rows a stored run stood in for, counted once per hit run.",
 		func() float64 { return float64(m.PartialStoreStats().RowsReused) })
 	reg.CounterFunc("seedb_pstore_rows_scanned_total", "Rows scanned on the incremental path.",
 		func() float64 { return float64(m.PartialStoreStats().RowsScanned) })

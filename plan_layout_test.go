@@ -31,7 +31,10 @@ func (b *capturingBackend) RunSharedScan(ctx context.Context, q *engine.Query, g
 // dimensions and binned continuous ones alike — must bind the engine's
 // dense group layout: the hash layout is for genuinely ineligible
 // shapes, and a default plan sliding back onto it is a silent several-
-// fold scan slowdown that no result test would notice.
+// fold scan slowdown that no result test would notice. That holds for
+// both halves of every split set too: under the partial store each
+// dimension's comparison accumulators and its target accumulators are
+// grouped by plans of their own, and the target-count set stays whole.
 func TestDefaultPlanAllDense(t *testing.T) {
 	db := goldenDB(t)
 	be := &capturingBackend{Backend: db.Backend()}
@@ -46,18 +49,21 @@ func TestDefaultPlanAllDense(t *testing.T) {
 	}
 	binned, counts := 0, 0
 	for _, scan := range be.scans {
-		dense, err := db.Engine().Executor().DenseLayouts(scan.table, scan.gsets)
+		layouts, err := db.Engine().Executor().Layouts(scan.table, scan.gsets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, ok := range dense {
-			if !ok {
+		for i, l := range layouts {
+			if !l.Dense {
 				t.Errorf("table %s: grouping set %v (bin widths %v) binds the hash layout",
 					scan.table, scan.gsets[i].By, scan.gsets[i].BinWidths)
 			}
 			binned += len(scan.gsets[i].BinWidths)
 			if len(scan.gsets[i].By) == 0 {
 				counts++
+			}
+			if want := len(scan.gsets[i].By) > 0; l.Split != want {
+				t.Errorf("table %s: grouping set %v split = %v, want %v", scan.table, scan.gsets[i].By, l.Split, want)
 			}
 		}
 	}
