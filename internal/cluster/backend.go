@@ -174,7 +174,7 @@ func New(ex *engine.Executor, cfg Config) *Backend {
 	b := &Backend{ex: ex, cfg: cfg, layout: replicated{}, fleet: fleet{ring: newHashRing()}}
 	if cfg.Replication > 0 {
 		b.layout = &placed{rf: cfg.Replication, span: cfg.PlacementChunks * engine.ChunkRows,
-			hashes: make(map[fragHashKey]string)}
+			hashes: make(map[placementID]fragHash)}
 	}
 	return b
 }
@@ -917,7 +917,11 @@ func (b *Backend) shipFragment(ctx context.Context, m *member, t *engine.Table, 
 	if err := engine.WriteTableSnapshot(&buf, frag); err != nil {
 		return 0, err
 	}
-	resp, err := m.w.SyncTable(ctx, f.name, buf.Bytes())
+	lo := -1 // a whole table
+	if f.name != f.table {
+		lo = f.lo
+	}
+	resp, err := m.w.SyncTable(ctx, f.name, lo, buf.Bytes())
 	if err != nil {
 		return 0, err
 	}

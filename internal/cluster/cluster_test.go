@@ -399,7 +399,7 @@ func TestPredicateWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		dq, gsets, err := req.Decode(cat, req.Fragments[0])
+		dq, gsets, err := req.Decode(cat, req.Fragments[0].Table)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", p, err)
 		}

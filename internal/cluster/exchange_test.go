@@ -150,6 +150,11 @@ func TestOneExchangePerWorkerPerScan(t *testing.T) {
 	if fragments != 13 {
 		t.Fatalf("the two exchanges carried %d fragments, want all 13", fragments)
 	}
+	for _, s := range spies {
+		if _, scans, _ := s.Executor().Stats().Snapshot(); scans != 1 {
+			t.Fatalf("%s scanned %d times for its one exchange, want 1: it holds orders as one segment", s.ID(), scans)
+		}
+	}
 	for _, st := range b.Status() {
 		if st.Execs != 1 {
 			t.Fatalf("Status().Execs counts exchanges, want 1: %+v", st)
@@ -296,26 +301,17 @@ func TestOnlyOwnerDownRunsItsFragmentsLocally(t *testing.T) {
 // everything else the worker answered is kept.
 func TestMismatchRecutsOneFragment(t *testing.T) {
 	ctx := context.Background()
-	_, b, spies := placeSpies(t, 2, 2, seedb.ClusterConfig{Cooldown: time.Hour})
+	db, b, spies := placeSpies(t, 2, 2, seedb.ClusterConfig{Cooldown: time.Hour})
 	if _, err := b.RunSharedScan(ctx, exchangeQuery(), exchangeSets); err != nil {
 		t.Fatal(err)
 	}
 	reqs, _ := spies[1].take()
 	spies[0].take()
 	// Corrupt the middle fragment of spy-1's share behind the
-	// coordinator's back: one more row.
+	// coordinator's back: its last row replaced, inside the segment
+	// that holds the whole share.
 	bad := reqs[0].Fragments[len(reqs[0].Fragments)/2].Table
-	ft, err := spies[1].Catalog().Table(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	typed, err := ft.ParseRows(ingestRows(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ft.Append(typed); err != nil {
-		t.Fatal(err)
-	}
+	corruptPlacement(t, db, b, spies[1].MemberShard, bad)
 
 	before := b.Counters()
 	res, err := b.RunSharedScan(ctx, exchangeQuery(), exchangeSets)
@@ -473,27 +469,32 @@ func (c *countingBody) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // BenchmarkPlacedScatter is one default-options recommendation (the
 // default plan's sets plus the target count, one shared scan, one
 // backend call) on the 50k Superstore table placed rf=2 over two
-// workers — in-process members, then real HTTP workers. exchanges/op is
-// what cluster.placed.rpc_per_op measures in benchmark/; CI fails when
-// it exceeds 1 per worker, or when the HTTP workers' frames exceed
-// maxRespBytes per op (one physical state per accumulator in a binary
-// frame: about 52k; JSON of logical state was 475k).
+// workers — in-process members, then real HTTP workers — and, as
+// never-seen, a fresh predicate every op over HTTP workers with their
+// partial stores on, placed and sharded: what cluster_scatter's
+// companion and query classes do. exchanges/op is what
+// cluster.placed.rpc_per_op measures in benchmark/; scans/exchange is
+// read from the workers' executor stats. CI fails when a run exceeds 1
+// exchange per worker, when a worker scans more than once per exchange
+// (rf = workers, so each holds the table as one segment), or when the
+// HTTP workers' frames exceed maxRespBytes per op (one physical state
+// per accumulator in a binary frame: about 52k; JSON of logical state
+// was 475k).
 func BenchmarkPlacedScatter(b *testing.B) {
 	ctx := context.Background()
 	const workers, maxRespBytes = 2, 95_000
-	run := func(b *testing.B, db *seedb.DB, be *seedb.ClusterBackend, respBytes *atomic.Int64) {
-		const sql = "SELECT * FROM orders WHERE category = 'Furniture'"
-		if _, err := db.RecommendSQL(ctx, sql, seedb.DefaultOptions()); err != nil { // statistics, hashes
+	same := func(int) string { return "SELECT * FROM orders WHERE category = 'Furniture'" }
+	fresh := func(i int) string { return fmt.Sprintf("SELECT * FROM orders WHERE sales > %g", 20+float64(i)/1000) }
+	run := func(b *testing.B, db *seedb.DB, be *seedb.ClusterBackend, sql func(int) string, scans func() int64, respBytes *atomic.Int64) {
+		if _, err := db.RecommendSQL(ctx, sql(-1), seedb.DefaultOptions()); err != nil { // statistics, hashes
 			b.Fatal(err)
 		}
-		before := be.Counters()
-		if respBytes != nil {
-			respBytes.Store(0)
-		}
+		before, scans0 := be.Counters(), scans()
+		respBytes.Store(0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.RecommendSQL(ctx, sql, seedb.DefaultOptions()); err != nil {
+			if _, err := db.RecommendSQL(ctx, sql(i), seedb.DefaultOptions()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -502,39 +503,84 @@ func BenchmarkPlacedScatter(b *testing.B) {
 		if c.Failovers != 0 || c.Retries != 0 || c.Mismatches != 0 {
 			b.Fatalf("degraded: %+v", c)
 		}
-		perOp := float64(c.ShardCalls-before.ShardCalls) / float64(b.N)
+		exchanges := c.ShardCalls - before.ShardCalls
+		perOp := float64(exchanges) / float64(b.N)
 		b.ReportMetric(perOp, "exchanges/op")
 		if perOp > workers {
 			b.Fatalf("%.1f exchanges/op, want at most 1 per worker (%d)", perOp, workers)
 		}
-		if respBytes != nil {
-			perOp := float64(respBytes.Load()) / float64(b.N)
+		perExchange := float64(scans()-scans0) / float64(exchanges)
+		b.ReportMetric(perExchange, "scans/exchange")
+		if perExchange > 1 {
+			b.Fatalf("%.2f worker scans per exchange, want 1", perExchange)
+		}
+		if n := respBytes.Load(); n > 0 {
+			perOp := float64(n) / float64(b.N)
 			b.ReportMetric(perOp, "resp-bytes/op")
 			if perOp > maxRespBytes {
 				b.Fatalf("%.0f response bytes/op, want at most %d", perOp, maxRespBytes)
 			}
 		}
 	}
-	b.Run("members", func(b *testing.B) {
-		db, be, _ := placeSpies(b, workers, 2, seedb.ClusterConfig{})
-		run(b, db, be, nil)
-	})
-	b.Run("http", func(b *testing.B) {
+	// fleet stands a coordinator up over HTTP workers: empty ones it
+	// places the table on, or full replicas it shards across.
+	fleet := func(b *testing.B, placed bool) (*seedb.DB, *seedb.ClusterBackend, func() int64, *atomic.Int64) {
 		db := seedb.Open()
 		if err := db.RegisterTable(seedb.SuperstoreTable("orders", exchangeRows, 1)); err != nil {
 			b.Fatal(err)
 		}
 		var urls []string
-		var respBytes atomic.Int64
+		var wdbs []*seedb.DB
+		respBytes := new(atomic.Int64)
 		for i := 0; i < workers; i++ {
-			hs := httptest.NewServer(&countingBody{inner: frontend.New(seedb.Open(), nil, log.New(io.Discard, "", 0)), bytes: &respBytes})
+			wdb := seedb.Open()
+			if !placed {
+				if err := wdb.RegisterTable(seedb.SuperstoreTable("orders", exchangeRows, 1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			hs := httptest.NewServer(&countingBody{inner: frontend.New(wdb, nil, log.New(io.Discard, "", 0)), bytes: respBytes})
 			b.Cleanup(hs.Close)
-			urls = append(urls, hs.URL)
+			urls, wdbs = append(urls, hs.URL), append(wdbs, wdb)
 		}
-		be, err := db.PlaceRemote(ctx, urls, 30*time.Second, seedb.ClusterConfig{Replication: 2})
-		if err != nil {
-			b.Fatal(err)
+		var be *seedb.ClusterBackend
+		if placed {
+			var err error
+			if be, err = db.PlaceRemote(ctx, urls, 30*time.Second, seedb.ClusterConfig{Replication: 2}); err != nil {
+				b.Fatal(err)
+			}
+		} else {
+			be = db.ShardRemote(urls, 30*time.Second, seedb.ClusterConfig{})
 		}
-		run(b, db, be, &respBytes)
+		scans := func() (n int64) {
+			for _, w := range wdbs {
+				_, s, _ := w.ExecStats()
+				n += s
+			}
+			return n
+		}
+		return db, be, scans, respBytes
+	}
+	b.Run("members", func(b *testing.B) {
+		db, be, spies := placeSpies(b, workers, 2, seedb.ClusterConfig{})
+		run(b, db, be, same, func() (n int64) {
+			for _, s := range spies {
+				_, scans, _ := s.Executor().Stats().Snapshot()
+				n += scans
+			}
+			return n
+		}, new(atomic.Int64))
+	})
+	b.Run("http", func(b *testing.B) {
+		db, be, scans, resp := fleet(b, true)
+		run(b, db, be, same, scans, resp)
+	})
+	b.Run("never-seen/placed", func(b *testing.B) {
+		db, be, scans, resp := fleet(b, true)
+		run(b, db, be, fresh, scans, resp)
+	})
+	b.Run("never-seen/sharded", func(b *testing.B) {
+		db, be, scans, resp := fleet(b, false)
+		run(b, db, be, fresh, scans, resp)
 	})
 }

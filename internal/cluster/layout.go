@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -132,17 +133,23 @@ type placed struct {
 	rf   int // owners per placement (clamped to the worker count)
 	span int // rows per placement, a multiple of engine.ChunkRows
 
-	// hashes memoizes fragment content hashes. Keys carry the table
-	// instance identity and the row bounds, so a replaced table (new
-	// identity) or a grown last placement (new hi) miss naturally;
-	// tables are append-only, so a hit can never be stale.
+	// hashes memoizes fragment content hashes, one entry per (table,
+	// placement index), overwritten when the table instance (a
+	// replacement) or the placement's end (an append) moves; tables are
+	// append-only, so an entry that matches both can never be stale.
 	mu     sync.Mutex
-	hashes map[fragHashKey]string
+	hashes map[placementID]fragHash
 }
 
-type fragHashKey struct {
-	ident  string // table instance identity (name#id)
-	lo, hi int
+type placementID struct {
+	table string
+	idx   int
+}
+
+type fragHash struct {
+	ident string // table instance identity (name#id)
+	hi    int
+	hash  string
 }
 
 // FragmentName is the name of table's placement idx on a worker:
@@ -151,6 +158,16 @@ type fragHashKey struct {
 // and filesystem-safe (durable workers snapshot under it).
 func FragmentName(table string, idx int) string {
 	return table + "__p" + strconv.Itoa(idx)
+}
+
+// fragmentSource inverts FragmentName: the table a placement name is
+// of, and false for a name FragmentName cannot produce.
+func fragmentSource(name string) (string, bool) {
+	i := strings.LastIndex(name, "__p")
+	if i <= 0 || i+3 == len(name) || strings.Trim(name[i+3:], "0123456789") != "" {
+		return "", false
+	}
+	return name[:i], true
 }
 
 // placementKey is the ring key for (table, placement index).
@@ -174,19 +191,19 @@ func (l *placed) fragments(t *engine.Table, rows, lo, hi int) []fragment {
 // f.hi). A fragment's bytes are immutable once its row range is fixed;
 // only the last (growing) placement ever recomputes.
 func (l *placed) fragmentHash(t *engine.Table, f fragment) (string, error) {
-	key := fragHashKey{ident: t.Identity(), lo: f.lo, hi: f.hi}
+	key, ident := placementID{table: f.table, idx: f.idx}, t.Identity()
 	l.mu.Lock()
-	h, ok := l.hashes[key]
+	e, ok := l.hashes[key]
 	l.mu.Unlock()
-	if ok {
-		return h, nil
+	if ok && e.ident == ident && e.hi == f.hi {
+		return e.hash, nil
 	}
 	h, err := t.RangeContentHash(f.name, f.lo, f.hi)
 	if err != nil {
 		return "", err
 	}
 	l.mu.Lock()
-	l.hashes[key] = h
+	l.hashes[key] = fragHash{ident: ident, hi: f.hi, hash: h}
 	l.mu.Unlock()
 	return h, nil
 }

@@ -9,7 +9,7 @@ package cluster_test
 import (
 	"context"
 	"errors"
-	"strings"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,6 +39,45 @@ func placeManual(t *testing.T, rows, n int, cfg seedb.PlacementConfig) (*seedb.D
 		}
 	}
 	return db, b, members
+}
+
+// corruptPlacement re-ships placement name to m behind the
+// coordinator's back with its last row replaced: the same row count at
+// the same position, so it slots back into its segment between its
+// neighbours, holding different bytes.
+func corruptPlacement(t *testing.T, db *seedb.DB, b *seedb.ClusterBackend, m *cluster.MemberShard, name string) {
+	t.Helper()
+	dump, err := b.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range dump.Tables {
+		for _, p := range tp.Placements {
+			if p.Fragment != name {
+				continue
+			}
+			src, err := db.Table(tp.Table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frag, err := src.ExtractRange(name, p.RowLo, p.RowHi-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			typed, err := frag.ParseRows(ingestRows(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := frag.Append(typed); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Store().Sync(frag, p.RowLo); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatalf("the coordinator has no placement %s", name)
 }
 
 // TestPlacementWorkerDiesMidQuery: a worker that answers its first
@@ -186,29 +225,13 @@ func TestPlacementCorruptFragmentDegrades(t *testing.T) {
 	cfg.Cooldown = time.Hour
 	db, b, members := placeManual(t, rows, 2, cfg)
 
-	// Corrupt one orders fragment on one member by appending a row
-	// behind the coordinator's back.
-	var corrupted string
-	for _, name := range members[1].Catalog().TableNames() {
-		if strings.HasPrefix(name, "orders__p") {
-			ft, err := members[1].Catalog().Table(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			typed, err := ft.ParseRows(ingestRows(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ft.Append(typed); err != nil {
-				t.Fatal(err)
-			}
-			corrupted = name
-			break
-		}
+	// Corrupt the middle orders placement on one member behind the
+	// coordinator's back: it sits inside the member's one orders
+	// segment, between two placements that stay true.
+	if segs := members[1].Catalog().TableNames(); !slices.Contains(segs, "orders__p0") || slices.Contains(segs, "orders__p1") {
+		t.Fatalf("member-1 should hold orders as one segment, holds %v", segs)
 	}
-	if corrupted == "" {
-		t.Fatal("member-1 holds no orders fragment to corrupt")
-	}
+	corruptPlacement(t, db, b, members[1], "orders__p1")
 
 	q := "SELECT * FROM orders WHERE category = 'Furniture'"
 	got, err := db.RecommendSQL(ctx, q, testOptions())

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -415,15 +416,10 @@ func TestLayoutEquivalence(t *testing.T) {
 							m.SetGate(killExec)
 							broken += " gated:" + m.ID()
 						}
-						var held []string
-						for _, f := range m.Catalog().TableNames() {
-							if strings.HasPrefix(f, "canary") {
-								held = append(held, f)
-							}
-						}
+						held := heldLike(t, m, "canary")
 						for k := rng.IntN(3); trial > 0 && k > 0 && len(held) > 0; k-- {
 							f := held[rng.IntN(len(held))]
-							m.Catalog().Drop(f) // behind the coordinator's back: a 404 mid-exchange
+							dropBehindBack(t, m, f) // a 404 mid-exchange
 							broken += " dropped:" + m.ID() + "/" + f
 						}
 					}
@@ -462,6 +458,37 @@ func TestLayoutEquivalence(t *testing.T) {
 	}
 }
 
+// heldLike lists, sorted, the placements and whole tables m holds whose
+// names start with prefix.
+func heldLike(t *testing.T, m *seedb.MemberShard, prefix string) []string {
+	t.Helper()
+	inv, err := m.Store().Inventory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []string
+	for name := range inv {
+		if strings.HasPrefix(name, prefix) {
+			held = append(held, name)
+		}
+	}
+	slices.Sort(held)
+	return held
+}
+
+// dropBehindBack removes a placement or whole table from m without the
+// coordinator knowing.
+func dropBehindBack(t *testing.T, m *seedb.MemberShard, name string) {
+	t.Helper()
+	held, err := m.Store().Drop(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !held {
+		m.Catalog().Drop(name)
+	}
+}
+
 // appendOrders appends n generated rows to orders through DB.Append —
 // the path that routes through Backend.Ingest on a coordinator.
 func appendOrders(t *testing.T, db *seedb.DB, n int) {
@@ -488,6 +515,11 @@ func TestFullReplicationIsPlacementWithRFN(t *testing.T) {
 	const rows, n = 3500, 3
 	db, _, members := placeManual(t, rows, n, seedb.ClusterConfig{Replication: n, PlacementChunks: 1})
 	for _, m := range members {
+		// Each table is one segment: the worker's catalog holds one table
+		// per source table, named after its first placement.
+		if got := m.Catalog().TableNames(); len(got) != len(db.Tables()) {
+			t.Fatalf("%s holds %v, want one segment per table %v", m.ID(), got, db.Tables())
+		}
 		held := map[string]int{}
 		for _, name := range m.Catalog().TableNames() {
 			table, _, ok := strings.Cut(name, "__p")

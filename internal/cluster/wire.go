@@ -23,24 +23,29 @@
 //   - placed (Config.Replication >= 1): the DATA is partitioned. A
 //     table is cut into placements of PlacementChunks grid cells, a
 //     consistent-hash ring assigns each to Replication workers, and a
-//     worker holds an owned placement as a private fragment table
-//     (FragmentName) — no worker needs RAM for the whole table. One
-//     task per placement; a worker's tasks travel together.
+//     worker keeps the placements it owns as segments — one table per
+//     maximal run of adjacent placements (PlacementStore) — so no
+//     worker needs RAM for the whole table and a worker's share of a
+//     scan is one scan per segment. One task per placement; a worker's
+//     tasks travel together.
 //
 // A fragment is (name on the worker, source rows [lo,hi), content
-// hash); a whole table is the fragment with lo = 0. An exchange carries
+// hash): a whole table is the fragment with lo = 0 under its own name,
+// a placement the fragment FragmentName(table, i). An exchange carries
 // the query once and, per fragment, (name, hash, rows rebased by lo,
 // SampleBase + lo), so each scan is positionally indistinguishable from
-// the same rows of a whole-table scan: fragments start on the engine's
-// absolute 1024-row grid, partials carry no positions and merge
-// exactly, and sampling is re-anchored. The worker verifies every
-// fragment's hash and folds each run of row-adjacent fragments into one
-// partial per grouping set before answering — a partial's size is set
-// by the groups, not the rows, so this is what keeps a placed scan from
-// shipping the whole result once per placement. Workers are plain seedb
-// servers (/api/shard/*, /api/ingest) or in-process MemberShards; the
-// coordinator keeps the authoritative full replica — ingest entry point
-// and degraded path. Over HTTP an exchange is one binary frame each way.
+// the same rows of a whole-table scan: fragments and segments start on
+// the engine's absolute 1024-row grid, partials carry no positions and
+// merge exactly, and sampling is re-anchored. The worker verifies every
+// fragment's hash on its own and scans each run of row-adjacent
+// fragments inside one of its tables once, into one partial per
+// grouping set — a partial's size is set by the groups, not the rows,
+// so this is what keeps a placed scan from shipping the whole result
+// once per placement. Workers are plain seedb servers (/api/shard/*,
+// /api/ingest) or in-process MemberShards, both over a PlacementStore;
+// the coordinator keeps the authoritative full replica — ingest entry
+// point and degraded path. Over HTTP an exchange is one binary frame
+// each way.
 package cluster
 
 import (
@@ -311,12 +316,14 @@ func EncodeShardRequest(q *engine.Query, gsets []engine.GroupingSet, contentHash
 	return req, nil
 }
 
-// Decode rebuilds the engine query and grouping sets for one fragment
-// of the request against the worker's catalog (literals are coerced to
-// that table's column types). Filter predicates are parsed once per
-// distinct SQL string and the instance reused, preserving the engine's
+// Decode rebuilds the engine query and grouping sets of the request
+// against table in the worker's catalog, once per exchange: literals
+// are coerced to that table's column types, and each distinct filter
+// is parsed once and the instance reused, preserving the engine's
 // filter-deduplication (identical filters are evaluated once per row).
-func (r *ShardRequest) Decode(cat *engine.Catalog, f ShardFragment) (*engine.Query, []engine.GroupingSet, error) {
+// The query names table and covers all of it; the caller sets the row
+// range and sample base of each scan.
+func (r *ShardRequest) Decode(cat *engine.Catalog, table string) (*engine.Query, []engine.GroupingSet, error) {
 	preds := map[string]engine.Predicate{}
 	parse := func(sqlText string) (engine.Predicate, error) {
 		if sqlText == "" {
@@ -325,21 +332,14 @@ func (r *ShardRequest) Decode(cat *engine.Catalog, f ShardFragment) (*engine.Que
 		if p, ok := preds[sqlText]; ok {
 			return p, nil
 		}
-		_, p, err := sql.AnalystQuery(fmt.Sprintf("SELECT * FROM %s WHERE %s", f.Table, sqlText), cat)
+		_, p, err := sql.AnalystQuery(fmt.Sprintf("SELECT * FROM %s WHERE %s", table, sqlText), cat)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: parsing shard predicate %q: %w", sqlText, err)
 		}
 		preds[sqlText] = p
 		return p, nil
 	}
-	q := &engine.Query{
-		Table:          f.Table,
-		SampleFraction: r.SampleFraction,
-		SampleSeed:     r.SampleSeed,
-		SampleBase:     f.SampleBase,
-		RowLo:          f.RowLo,
-		RowHi:          f.RowHi,
-	}
+	q := &engine.Query{Table: table, SampleFraction: r.SampleFraction, SampleSeed: r.SampleSeed}
 	var err error
 	if q.Where, err = parse(r.WhereSQL); err != nil {
 		return nil, nil, err

@@ -7,12 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"runtime"
 	"slices"
-	"sync"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -34,9 +33,10 @@ type Worker interface {
 	Health(ctx context.Context) error
 	// TableHashes is the worker's inventory: table name -> content hash.
 	TableHashes(ctx context.Context) (map[string]string, error)
-	// SyncTable replaces (or creates) a table from a serialized
-	// snapshot and reports the post-replacement state.
-	SyncTable(ctx context.Context, table string, snapshot []byte) (*SyncResponse, error)
+	// SyncTable replaces (or creates) a fragment from a serialized
+	// snapshot and reports the post-replacement state: a placement
+	// whose first absolute row is lo, or, with lo < 0, a whole table.
+	SyncTable(ctx context.Context, table string, lo int, snapshot []byte) (*SyncResponse, error)
 	// Ingest appends a forwarded batch to one of the worker's tables.
 	Ingest(ctx context.Context, req *IngestRequest) (*IngestResponse, error)
 	// DropTable removes a table; an unknown name succeeds (rebalance
@@ -52,117 +52,11 @@ type SyncResponse struct {
 	ContentHash string `json:"contentHash"`
 }
 
-// ExecShardRequest is the single worker-side implementation behind
-// MemberShard and the HTTP /api/shard/exec handler. It checks the
-// fragment list's shape, verifies each fragment's content hash — one it
-// does not hold (404) or holds differently (409, carrying this copy's
-// hash) is reported in Failed and costs the others nothing — scans the
-// rest with the request's parallelism spread across them, and folds
-// every run of row-adjacent fragments, in row order, into one partial
-// per grouping set. The status is what an HTTP server should answer on
-// error. Once a fragment's handshake has passed both sides provably
-// hold the same rows, so a decode or run error is a property of the
-// query — 400 — unless the request's own context ended.
-func ExecShardRequest(ctx context.Context, ex *engine.Executor, req *ShardRequest) (*ShardResponse, int, error) {
-	n := len(req.Fragments)
-	if n == 0 || n > MaxExchangeFragments {
-		return nil, http.StatusBadRequest, fmt.Errorf("cluster: shard request carries %d fragments, want 1..%d", n, MaxExchangeFragments)
-	}
-	resp := &ShardResponse{}
-	var served []int // indices into req.Fragments
-	prevHi := math.MinInt
-	for i, f := range req.Fragments {
-		lo, hi := f.Span()
-		if f.RowLo < 0 || f.RowHi <= f.RowLo {
-			return nil, http.StatusBadRequest, fmt.Errorf("cluster: fragment %s has an empty or inverted row range [%d,%d)", f.Table, f.RowLo, f.RowHi)
-		}
-		if lo < prevHi {
-			return nil, http.StatusBadRequest, fmt.Errorf("cluster: fragment %s is out of row order or overlaps its predecessor", f.Table)
-		}
-		prevHi = hi
-		t, err := ex.Catalog().Table(f.Table)
-		if err != nil {
-			resp.Failed = append(resp.Failed, ShardFragmentStatus{Fragment: i, Status: http.StatusNotFound, Error: err.Error()})
-			continue
-		}
-		fp, err := t.ContentHash()
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		if f.ContentHash != "" && fp != f.ContentHash {
-			mm := &FingerprintMismatchError{Shard: "local", Table: f.Table, Want: f.ContentHash, Got: fp}
-			resp.Failed = append(resp.Failed, ShardFragmentStatus{Fragment: i, Status: http.StatusConflict, ContentHash: fp, Error: mm.Error()})
-			continue
-		}
-		served = append(served, i)
-	}
-
-	// Scan: min(parallelism, fragments) at a time, each with its share.
-	partials := make([][]*engine.Partial, len(served))
-	errs := make([]error, len(served))
-	par := max(req.Parallelism, 1)
-	sem := make(chan struct{}, min(par, len(served)))
-	var wg sync.WaitGroup
-	for j, i := range served {
-		sem <- struct{}{} // before the go statement: at most cap(sem) scans exist
-		wg.Add(1)
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			q, gsets, err := req.Decode(ex.Catalog(), req.Fragments[i])
-			if err == nil {
-				q.Parallelism = max(par/len(served), 1)
-				partials[j], err = ex.RunPartials(ctx, q, gsets)
-			}
-			errs[j] = err
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if ctx.Err() != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return nil, http.StatusBadRequest, err
-	}
-
-	for _, r := range fragmentRuns(req.Fragments, served) {
-		run := ShardRun{Lo: r.lo, Hi: r.hi, Partials: partials[r.j]}
-		if r.k > r.j+1 {
-			var err error
-			if run.Partials, err = engine.MergePartials(partials[r.j:r.k]); err != nil {
-				return nil, http.StatusInternalServerError, err
-			}
-		}
-		resp.Runs = append(resp.Runs, run)
-	}
-	return resp, http.StatusOK, nil
-}
-
-// fragmentRun is served[j:k], a maximal run of row-adjacent fragments
-// covering absolute positions [lo,hi).
-type fragmentRun struct{ j, k, lo, hi int }
-
-// fragmentRuns groups served — ascending indices into frags — into
-// runs: the pre-merge rule, shared by the worker that applies it and
-// the coordinator that checks the answer against it.
-func fragmentRuns(frags []ShardFragment, served []int) []fragmentRun {
-	var runs []fragmentRun
-	for j, i := range served {
-		lo, hi := frags[i].Span()
-		if last := len(runs) - 1; last >= 0 && runs[last].hi == lo {
-			runs[last].k, runs[last].hi = j+1, hi
-		} else {
-			runs = append(runs, fragmentRun{j: j, k: j + 1, lo: lo, hi: hi})
-		}
-	}
-	return runs
-}
-
 // checkResponse verifies that resp accounts for every fragment of the
-// request exactly once — refused in Failed, or inside the run the
-// pre-merge rule puts it in, with want partials.
+// request exactly once — refused in Failed, or inside one run of
+// consecutive, row-adjacent served fragments whose bounds are theirs,
+// with want partials. How the worker groups fragments into runs is its
+// storage's business; that each placement is answered once is not.
 func checkResponse(resp *ShardResponse, frags []ShardFragment, want int) error {
 	failed := make([]bool, len(frags))
 	for _, st := range resp.Failed {
@@ -172,19 +66,35 @@ func checkResponse(resp *ShardResponse, frags []ShardFragment, want int) error {
 		}
 		failed[st.Fragment] = true
 	}
-	var served []int
-	for i := range frags {
-		if !failed[i] {
-			served = append(served, i)
+	next := 0 // first fragment no run or status has accounted for
+	for _, run := range resp.Runs {
+		for next < len(frags) && failed[next] {
+			next++
+		}
+		if len(run.Partials) != want || slices.Contains(run.Partials, nil) {
+			return fmt.Errorf("returned run [%d,%d) with %d partials, want %d", run.Lo, run.Hi, len(run.Partials), want)
+		}
+		if next == len(frags) {
+			return fmt.Errorf("returned run [%d,%d) past the last fragment", run.Lo, run.Hi)
+		}
+		lo, hi := frags[next].Span()
+		if run.Lo != lo {
+			return fmt.Errorf("returned run [%d,%d), want one starting at %d", run.Lo, run.Hi, lo)
+		}
+		for next++; hi < run.Hi && next < len(frags) && !failed[next]; next++ {
+			if l, h := frags[next].Span(); l == hi {
+				hi = h
+			} else {
+				break
+			}
+		}
+		if hi != run.Hi {
+			return fmt.Errorf("returned run [%d,%d), which no row-adjacent fragments from %d end", run.Lo, run.Hi, run.Lo)
 		}
 	}
-	runs := fragmentRuns(frags, served)
-	if len(runs) != len(resp.Runs) {
-		return fmt.Errorf("returned %d runs, want %d", len(resp.Runs), len(runs))
-	}
-	for i, r := range runs {
-		if got := resp.Runs[i]; got.Lo != r.lo || got.Hi != r.hi || len(got.Partials) != want || slices.Contains(got.Partials, nil) {
-			return fmt.Errorf("returned run [%d,%d) with %d partials, want [%d,%d) with %d", got.Lo, got.Hi, len(got.Partials), r.lo, r.hi, want)
+	for ; next < len(frags); next++ {
+		if !failed[next] {
+			return fmt.Errorf("fragment %d neither served nor refused", next)
 		}
 	}
 	return nil
@@ -347,9 +257,12 @@ func (s *RemoteShard) TableHashes(ctx context.Context) (map[string]string, error
 
 // SyncTable implements Worker over POST /api/shard/sync, which replaces
 // the worker's copy wholesale and reports the post-replacement hash.
-func (s *RemoteShard) SyncTable(ctx context.Context, table string, snapshot []byte) (*SyncResponse, error) {
+func (s *RemoteShard) SyncTable(ctx context.Context, table string, lo int, snapshot []byte) (*SyncResponse, error) {
 	var resp SyncResponse
 	path := "/api/shard/sync?table=" + url.QueryEscape(table)
+	if lo >= 0 {
+		path += "&lo=" + strconv.Itoa(lo)
+	}
 	if _, _, err := s.call(ctx, "sync", http.MethodPost, path, "application/octet-stream", snapshot, &resp); err != nil {
 		return nil, err
 	}
@@ -371,17 +284,17 @@ func (s *RemoteShard) Health(ctx context.Context) error {
 // ---------------------------------------------------------------------
 // MemberShard
 
-// MemberShard is an in-process worker with its OWN catalog and
-// executor: it holds only what was shipped to it — fragments under the
-// placed layout, whole tables under the replicated one — so
-// single-binary tests exercise the data movement a remote fleet does,
-// including a fragment that was never shipped. The root golden
-// placement tests are built on it (the HTTP frontend would be an
-// import cycle there).
+// MemberShard is an in-process worker with its OWN catalog, executor
+// and placement store: it holds only what was shipped to it —
+// placements under the placed layout, whole tables under the
+// replicated one — so single-binary tests exercise the data movement a
+// remote fleet does, including a fragment that was never shipped. The
+// root golden placement tests are built on it (the HTTP frontend would
+// be an import cycle there).
 type MemberShard struct {
-	id  string
-	cat *engine.Catalog
-	ex  *engine.Executor
+	id    string
+	ex    *engine.Executor
+	store *PlacementStore
 
 	// gate, when set, sees every operation's name ("exec", "ingest",
 	// "sync", "drop", "hashes", "health") first; a non-nil result
@@ -391,16 +304,23 @@ type MemberShard struct {
 
 // NewMemberShard creates an empty in-process worker.
 func NewMemberShard(id string) *MemberShard {
-	cat := engine.NewCatalog()
-	return &MemberShard{id: id, cat: cat, ex: engine.NewExecutor(cat)}
+	ex := engine.NewExecutor(engine.NewCatalog())
+	return &MemberShard{id: id, ex: ex, store: NewPlacementStore(ex)}
 }
 
 // ID implements Worker.
 func (m *MemberShard) ID() string { return m.id }
 
-// Catalog exposes the worker's private catalog so tests can assert
-// which fragments it actually holds.
-func (m *MemberShard) Catalog() *engine.Catalog { return m.cat }
+// Catalog exposes the worker's private catalog (its whole tables and
+// segment tables) so tests can assert what it actually holds.
+func (m *MemberShard) Catalog() *engine.Catalog { return m.ex.Catalog() }
+
+// Executor exposes the worker's executor, whose stats count its scans.
+func (m *MemberShard) Executor() *engine.Executor { return m.ex }
+
+// Store exposes the worker's placement store, so tests can drop or
+// corrupt a placement behind the coordinator's back.
+func (m *MemberShard) Store() *PlacementStore { return m.store }
 
 // SetGate installs (or, with nil, removes) the fault-injection hook.
 func (m *MemberShard) SetGate(gate func(op string) error) {
@@ -421,26 +341,32 @@ func (m *MemberShard) pass(op string) error {
 // Health implements Worker.
 func (m *MemberShard) Health(context.Context) error { return m.pass("health") }
 
-// ExecPartials implements Worker against the worker's own catalog —
-// the same ExecShardRequest path a remote worker's HTTP handler runs,
-// content-hash verification included.
+// ExecPartials implements Worker through the placement store — the
+// same path a remote worker's HTTP handler runs, content-hash
+// verification included.
 func (m *MemberShard) ExecPartials(ctx context.Context, req *ShardRequest) (*ShardResponse, error) {
 	if err := m.pass("exec"); err != nil {
 		return nil, err
 	}
-	resp, status, err := ExecShardRequest(ctx, m.ex, req)
+	resp, status, err := m.store.Exec(ctx, req)
 	if err != nil {
 		return nil, execError(status, err)
 	}
 	return resp, nil
 }
 
-// Ingest implements Worker.
+// Ingest implements Worker: a placement grows in the store, a whole
+// table in the catalog.
 func (m *MemberShard) Ingest(ctx context.Context, req *IngestRequest) (*IngestResponse, error) {
 	if err := m.pass("ingest"); err != nil {
 		return nil, err
 	}
-	t, err := m.cat.Table(req.Table)
+	if m.store.Holds(req.Table) {
+		resp, _, err := m.store.Ingest(req)
+		return resp, err
+	}
+	cat := m.ex.Catalog()
+	t, err := cat.Table(req.Table)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: member %s: %w", m.id, err)
 	}
@@ -448,7 +374,7 @@ func (m *MemberShard) Ingest(ctx context.Context, req *IngestRequest) (*IngestRe
 	if err != nil {
 		return nil, err
 	}
-	total, err := m.cat.Append(t, typed)
+	total, err := cat.Append(t, typed)
 	if err != nil {
 		return nil, err
 	}
@@ -461,29 +387,25 @@ func (m *MemberShard) Ingest(ctx context.Context, req *IngestRequest) (*IngestRe
 	return resp, nil
 }
 
-// TableHashes implements Worker.
+// TableHashes implements Worker from the store's inventory.
 func (m *MemberShard) TableHashes(ctx context.Context) (map[string]string, error) {
 	if err := m.pass("hashes"); err != nil {
 		return nil, err
 	}
-	out := map[string]string{}
-	for _, name := range m.cat.TableNames() {
-		t, err := m.cat.Table(name)
-		if err != nil {
-			continue
-		}
-		h, err := t.ContentHash()
-		if err != nil {
-			return nil, err
-		}
-		out[name] = h
+	inv, err := m.store.Inventory()
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]string, len(inv))
+	for name, st := range inv {
+		out[name] = st.ContentHash
 	}
 	return out, nil
 }
 
-// SyncTable implements Worker: accept a serialized table and swap it
-// in wholesale, exactly like a remote worker's /api/shard/sync.
-func (m *MemberShard) SyncTable(ctx context.Context, table string, snapshot []byte) (*SyncResponse, error) {
+// SyncTable implements Worker: accept a serialized fragment and install
+// it, exactly like a remote worker's /api/shard/sync.
+func (m *MemberShard) SyncTable(ctx context.Context, table string, lo int, snapshot []byte) (*SyncResponse, error) {
 	if err := m.pass("sync"); err != nil {
 		return nil, err
 	}
@@ -494,12 +416,15 @@ func (m *MemberShard) SyncTable(ctx context.Context, table string, snapshot []by
 	if t.Name() != table {
 		return nil, fmt.Errorf("cluster: member %s: sync snapshot is of table %q, not %q", m.id, t.Name(), table)
 	}
+	if lo >= 0 {
+		return m.store.Sync(t, lo)
+	}
 	chash, err := t.ContentHash()
 	if err != nil {
 		return nil, err
 	}
-	m.cat.Drop(table)
-	if err := m.cat.Register(t); err != nil {
+	m.ex.Catalog().Drop(table)
+	if err := m.ex.Catalog().Register(t); err != nil {
 		return nil, err
 	}
 	return &SyncResponse{Table: table, Rows: t.NumRows(), ContentHash: chash}, nil
@@ -510,6 +435,9 @@ func (m *MemberShard) DropTable(ctx context.Context, name string) error {
 	if err := m.pass("drop"); err != nil {
 		return err
 	}
-	m.cat.Drop(name)
+	if held, err := m.store.Drop(name); held || err != nil {
+		return err
+	}
+	m.ex.Catalog().Drop(name)
 	return nil
 }

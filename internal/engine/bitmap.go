@@ -1,5 +1,7 @@
 package engine
 
+import "math/bits"
+
 // nullBitmap tracks which row positions of a column hold NULL. It is a
 // plain bit set; the zero value is an empty bitmap with no nulls.
 type nullBitmap struct {
@@ -76,6 +78,15 @@ func (b *nullBitmap) andNotInto(start, n int, out []uint64) {
 			w |= b.words[w0+i+1] << (64 - sh)
 		}
 		out[i] &^= w
+	}
+}
+
+// appendFrom sets position base+i for every position i set in src.
+func (b *nullBitmap) appendFrom(base int, src *nullBitmap) {
+	for w, word := range src.words {
+		for ; word != 0; word &= word - 1 {
+			b.set(base + 64*w + bits.TrailingZeros64(word))
+		}
 	}
 }
 

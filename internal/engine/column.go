@@ -31,6 +31,12 @@ type Column interface {
 	gather(name string, sel []int32) Column
 }
 
+// columnAppender is a Column that can append every row of src, a
+// column of its own type, in place (the engine's column types).
+type columnAppender interface {
+	appendColumn(src Column)
+}
+
 // NewColumn constructs an empty column of the given type.
 func NewColumn(name string, t Type) Column {
 	switch t {
@@ -106,6 +112,12 @@ func (c *IntColumn) clone(name string) Column {
 	vals := make([]int64, len(c.vals))
 	copy(vals, c.vals)
 	return &IntColumn{name: name, vals: vals, nulls: c.nulls.clone()}
+}
+
+func (c *IntColumn) appendColumn(src Column) {
+	o := src.(*IntColumn)
+	c.nulls.appendFrom(len(c.vals), &o.nulls)
+	c.vals = append(c.vals, o.vals...)
 }
 
 func (c *IntColumn) gather(name string, sel []int32) Column {
@@ -184,6 +196,12 @@ func (c *FloatColumn) clone(name string) Column {
 	vals := make([]float64, len(c.vals))
 	copy(vals, c.vals)
 	return &FloatColumn{name: name, vals: vals, nulls: c.nulls.clone()}
+}
+
+func (c *FloatColumn) appendColumn(src Column) {
+	o := src.(*FloatColumn)
+	c.nulls.appendFrom(len(c.vals), &o.nulls)
+	c.vals = append(c.vals, o.vals...)
 }
 
 func (c *FloatColumn) gather(name string, sel []int32) Column {
@@ -299,6 +317,29 @@ func (c *StringColumn) clone(name string) Column {
 	return &StringColumn{name: name, codes: codes, dict: dict, index: index, nulls: c.nulls.clone()}
 }
 
+// appendColumn re-codes src's rows against c's dictionary: one
+// intern per distinct string of src, not per row.
+func (c *StringColumn) appendColumn(src Column) {
+	o := src.(*StringColumn)
+	recode := make([]int32, len(o.dict))
+	for i, s := range o.dict {
+		code, ok := c.index[s]
+		if !ok {
+			code = int32(len(c.dict))
+			c.dict = append(c.dict, s)
+			c.index[s] = code
+		}
+		recode[i] = code
+	}
+	c.nulls.appendFrom(len(c.codes), &o.nulls)
+	for _, code := range o.codes {
+		if code >= 0 {
+			code = recode[code]
+		}
+		c.codes = append(c.codes, code)
+	}
+}
+
 func (c *StringColumn) gather(name string, sel []int32) Column {
 	out := NewStringColumn(name)
 	hasNulls := c.nulls.anySet()
@@ -371,6 +412,12 @@ func (c *TimeColumn) clone(name string) Column {
 	vals := make([]int64, len(c.vals))
 	copy(vals, c.vals)
 	return &TimeColumn{name: name, vals: vals, nulls: c.nulls.clone()}
+}
+
+func (c *TimeColumn) appendColumn(src Column) {
+	o := src.(*TimeColumn)
+	c.nulls.appendFrom(len(c.vals), &o.nulls)
+	c.vals = append(c.vals, o.vals...)
 }
 
 func (c *TimeColumn) gather(name string, sel []int32) Column {

@@ -240,9 +240,17 @@ func (s *scan) body(ctx context.Context) ([]*Partial, error) {
 	cells := (s.ahi - s.a) / ChunkRows
 	anchor := "|" + strconv.Itoa(s.a) + "|" + s.t.chunkHashLocked(chunkOf(s.a))
 	for _, p := range s.parts {
-		p.found, p.body, p.from = s.st.lookup(p.key+anchor), nil, s.a
+		p.slot = p.key + anchor
+		p.found, p.body, p.from = s.st.lookup(p.slot), nil, s.a
 		if p.found != nil && p.found.cells > cells {
-			p.found = nil // a longer range's run: not usable here, not to be displaced
+			// A longer range's run: not usable here, not to be displaced. A
+			// shorter range from the same anchor — another cut of the same
+			// rows, as a worker's whole-table replica and its placement
+			// segment get — keeps its run in a second slot beside it.
+			p.slot += "<"
+			if p.found = s.st.lookup(p.slot); p.found != nil && p.found.cells > cells {
+				p.found = nil
+			}
 		}
 		if p.found != nil && p.found.digest == s.runDigest(p.found.cells) {
 			p.body, p.from = p.found.partials, s.a+p.found.cells*ChunkRows
@@ -279,7 +287,7 @@ func (s *scan) body(ctx context.Context) ([]*Partial, error) {
 				}
 			}
 			q.body = mine
-			s.st.put(q.key+anchor, &run{cells: cells, digest: s.runDigest(cells), partials: mine}, q.found)
+			s.st.put(q.slot, &run{cells: cells, digest: s.runDigest(cells), partials: mine}, q.found)
 		}
 	}
 	if s.zips == nil {
@@ -318,6 +326,7 @@ type runPart struct {
 	key   string         // run key, before the anchor
 	plans []*grouperPlan // the run holds one partial per plan, in order
 
+	slot  string // the store key found was looked up under, and the grown run goes to
 	found *run
 	body  []*Partial
 	from  int

@@ -473,6 +473,13 @@ func TestShorterRangeAndMovedAnchorRescan(t *testing.T) {
 	if st := ex.PartialStore().Stats(); st.RowsReused-before.RowsReused != partialTestRuns*8*ChunkRows {
 		t.Fatalf("the whole-range runs should have survived the shorter query: %+v after %+v", st, before)
 	}
+	// The shorter range kept its runs in the anchor's second slot: a
+	// repeat reuses them beside the longer ones.
+	before = ex.PartialStore().Stats()
+	mustRun(t, ex, rangeQuery("pt", 0, 5_000))
+	if st := ex.PartialStore().Stats(); st.RowsReused-before.RowsReused != partialTestRuns*4*ChunkRows {
+		t.Fatalf("the shorter range should reuse its own runs on repeat: %+v after %+v", st, before)
+	}
 }
 
 // TestRunsAreContentAddressed: the run key carries the anchor cell's

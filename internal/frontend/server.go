@@ -807,6 +807,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, sum)
 		return
 	}
+	// A worker grows a placement it was shipped in its placement store.
+	if st := s.db.Placements(); st.Holds(req.Table) {
+		resp, status, err := st.Ingest(&req)
+		if err != nil {
+			s.writeError(w, status, err)
+			return
+		}
+		s.writeJSON(w, http.StatusOK, resp)
+		return
+	}
 	t, err := s.db.Table(req.Table)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, err)
@@ -874,10 +884,11 @@ func (s *Server) decodeWire(w http.ResponseWriter, r *http.Request, what string,
 
 // handleShardExec is the worker half of scatter-gather: it runs one
 // exchange — every fragment (whole replica or placement) a coordinator
-// wants scanned on this node for one query — and returns the
-// pre-merged, partition-mergeable runs. A fragment this node lacks or
-// holds differently is reported inside the 200 (with this copy's hash),
-// so the coordinator can tell data drift from transient failure.
+// wants scanned on this node for one query — through the placement
+// store, one scan per row-adjacent run of fragments in one segment,
+// and returns the partition-mergeable runs. A fragment this node lacks
+// or holds differently is reported inside the 200 (with this copy's
+// hash), so the coordinator can tell data drift from transient failure.
 func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -908,7 +919,7 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 		}()
 		w.Header().Set(obs.TraceHeader, id)
 	}
-	resp, status, err := cluster.ExecShardRequest(ctx, s.db.Engine().Executor(), &req)
+	resp, status, err := s.db.Placements().Exec(ctx, &req)
 	if err != nil {
 		s.writeError(w, status, err)
 		return
@@ -920,28 +931,20 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-type shardHealthTable struct {
-	Rows        int    `json:"rows"`
-	ContentHash string `json:"contentHash"`
-}
-
-// handleShardHealth reports liveness plus the replica's table contents
-// (row counts and content hashes), so coordinators and operators can
-// verify data agreement before routing work here.
+// handleShardHealth reports liveness plus what the node holds — every
+// placement by placement name and every whole table, each with its row
+// count and content hash — so coordinators and operators can verify
+// data agreement before routing work here. Segment tables are not
+// listed: they are how the placements are stored, not what is held.
 func (s *Server) handleShardHealth(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	tables := map[string]shardHealthTable{}
-	for _, name := range s.db.Tables() {
-		if t, err := s.db.Table(name); err == nil {
-			h, err := t.ContentHash()
-			if err != nil {
-				continue
-			}
-			tables[name] = shardHealthTable{Rows: t.NumRows(), ContentHash: h}
-		}
+	tables, err := s.db.Placements().Inventory()
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, err)
+		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"ok": true, "tables": tables})
 }
@@ -999,11 +1002,14 @@ func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 var errNotCoordinator = errors.New("frontend: this node is not a cluster coordinator")
 
 // handleShardSync is the worker half of fragment shipping: it accepts
-// a serialized table snapshot from a coordinator, swaps it in as this
-// node's copy (dropping any previous one), and reports the
-// post-replacement content hash for the coordinator's handshake. With
-// durability enabled the replacement is checkpointed immediately, so
-// the caught-up replica survives this worker's own crashes.
+// a serialized snapshot from a coordinator, installs it as this node's
+// copy (replacing any previous one), and reports the post-replacement
+// content hash for the coordinator's handshake. With lo (the
+// placement's first absolute row) it is a placement, which the
+// placement store appends to the segment it extends; without, a whole
+// table swapped in under its name. With durability enabled the
+// snapshot is checkpointed immediately — a placement's rows, never its
+// segment — so the caught-up copy survives this worker's own crashes.
 func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -1014,6 +1020,14 @@ func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: sync needs a table query parameter"))
 		return
 	}
+	lo := -1
+	if v := r.URL.Query().Get("lo"); v != "" {
+		var err error
+		if lo, err = strconv.Atoi(v); err != nil || lo < 0 {
+			s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: sync lo %q is not a row number", v))
+			return
+		}
+	}
 	t, err := engine.ReadTable(http.MaxBytesReader(w, r.Body, cluster.MaxSnapshotBytes))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: parsing sync snapshot: %w", err))
@@ -1022,6 +1036,15 @@ func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 	if t.Name() != name {
 		s.writeError(w, http.StatusBadRequest,
 			fmt.Errorf("frontend: sync snapshot is of table %q, not %q", t.Name(), name))
+		return
+	}
+	if lo >= 0 {
+		resp, err := s.db.Placements().Sync(t, lo)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		s.writeJSON(w, http.StatusOK, resp)
 		return
 	}
 	chash, err := t.ContentHash()
@@ -1037,11 +1060,13 @@ func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, cluster.SyncResponse{Table: name, Rows: t.NumRows(), ContentHash: chash})
 }
 
-// handleShardDrop is the worker half of rebalancing's shrink side: a coordinator asks this node to remove a fragment it no
-// longer owns. With durability enabled the fragment's snapshot is
-// removed too, so a durable worker checkpoints only owned placements.
-// Dropping an unknown name succeeds — drops are re-issued until the
-// map converges.
+// handleShardDrop is the worker half of rebalancing's shrink side: a
+// coordinator asks this node to remove a fragment it no longer owns. A
+// placement leaves its segment, which is re-cut around it; a whole
+// table leaves the catalog. With durability enabled the fragment's
+// snapshot is removed too, so a durable worker checkpoints only owned
+// placements. Dropping an unknown name succeeds — drops are re-issued
+// until the map converges.
 func (s *Server) handleShardDrop(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -1052,11 +1077,15 @@ func (s *Server) handleShardDrop(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: drop needs a table query parameter"))
 		return
 	}
-	if err := s.db.DropTable(name); err != nil {
+	held, err := s.db.Placements().Drop(name)
+	if err == nil && !held {
+		err = s.db.DropTable(name)
+	}
+	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.logger.Printf("frontend: dropped table %q (coordinator request)", name)
+	s.logger.Printf("frontend: dropped %q (coordinator request)", name)
 	s.writeJSON(w, http.StatusOK, map[string]any{"dropped": name})
 }
 

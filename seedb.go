@@ -254,6 +254,10 @@ type DB struct {
 	core *core.Engine
 	obs  *obs.Hub
 
+	// shards is the worker side of the cluster protocol: the placements
+	// this node was shipped, kept as segments (see cluster.PlacementStore).
+	shards *cluster.PlacementStore
+
 	serveOnce sync.Once
 	svc       atomic.Pointer[Service]
 
@@ -276,8 +280,13 @@ type (
 func Open() *DB {
 	cat := engine.NewCatalog()
 	ex := engine.NewExecutor(cat)
-	return &DB{cat: cat, ex: ex, core: core.New(ex), obs: obs.NewHub()}
+	return &DB{cat: cat, ex: ex, core: core.New(ex), obs: obs.NewHub(), shards: cluster.NewPlacementStore(ex)}
 }
+
+// Placements returns the instance's placement store: what a
+// coordinator shipped this node as a worker of the placed layout. The
+// HTTP worker endpoints (/api/shard/*) serve from it.
+func (db *DB) Placements() *cluster.PlacementStore { return db.shards }
 
 // Observability returns the instance's metrics registry + trace ring.
 // The hub always exists; components feed it only once they are wired
@@ -364,7 +373,9 @@ func (db *DB) Append(name string, rows [][]Value) (int, error) {
 // Recovered tables resume their mutation-version sequence, so
 // fingerprints, content hashes, the chunk grid, and partial-store keys
 // are all continuous across the restart — queries over a recovered
-// table return bytes identical to a never-restarted run.
+// table return bytes identical to a never-restarted run. A worker's
+// placement snapshots are adopted by its placement store, which
+// rebuilds its segments from them (see Placements).
 //
 // syncEvery fsyncs the WAL once per N batches (<= 0 means every
 // batch); snapshotEvery checkpoints once per N batches (<= 0 selects
@@ -382,6 +393,11 @@ func (db *DB) EnableDurability(dataDir string, syncEvery, snapshotEvery int) (*R
 	}
 	db.cat.SetAppendSink(s)
 	s.SetMetrics(db.obs.Metrics)
+	if err := db.shards.SetDurable(s); err != nil {
+		db.cat.SetAppendSink(nil)
+		s.Close()
+		return nil, err
+	}
 	db.durStore = s
 	db.durInfo = info
 	return info, nil
@@ -447,6 +463,7 @@ func (db *DB) CloseDurability() error {
 		return nil
 	}
 	db.cat.SetAppendSink(nil)
+	_ = db.shards.SetDurable(nil) // adopts nothing: every snapshot was adopted at open
 	err := db.durStore.Close()
 	db.durStore = nil
 	return err
