@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"context"
-	"fmt"
 	"math/bits"
 	"strings"
 )
@@ -478,120 +476,4 @@ func (s *sampler) fillSampleBits(start, n int, out []uint64) {
 		}
 		out[base>>6] = w
 	}
-}
-
-// ---------------------------------------------------------------------
-// Scan driver
-
-// scanKernels holds one scan goroutine's compiled predicate kernels and
-// chunk-local scratch (bitmaps and per-row-set selection vectors). Not
-// safe for concurrent use: parallel scans compile one per worker.
-type scanKernels struct {
-	where   kernelFn // nil when there is no WHERE clause
-	filters []kernelFn
-	smp     *sampler
-	rowSets []rowSet
-
-	match   [kernelWords]uint64
-	smpBits [kernelWords]uint64
-	setBits [kernelWords]uint64
-	fbits   [][]uint64
-	rows    []rowSel  // the current chunk's rows, per row set
-	sels    [][]int32 // backing arrays of rows[i].sel
-}
-
-// compileScan compiles the query's WHERE predicate and the deduplicated
-// per-aggregate filters for table t. fs must already carry every row
-// set the scan's plans registered (see bindAggs).
-func compileScan(t *Table, where Predicate, fs *filterSet, smp *sampler) (*scanKernels, error) {
-	sk := &scanKernels{smp: smp, rowSets: fs.rowSets}
-	if where != nil {
-		k, err := compileKernel(where, t)
-		if err != nil {
-			return nil, err
-		}
-		sk.where = k
-	}
-	for _, p := range fs.preds {
-		k, err := compileKernel(p, t)
-		if err != nil {
-			return nil, err
-		}
-		sk.filters = append(sk.filters, k)
-		sk.fbits = append(sk.fbits, make([]uint64, kernelWords))
-	}
-	sk.rows = make([]rowSel, len(sk.rowSets))
-	sk.sels = make([][]int32, len(sk.rowSets))
-	for i := range sk.sels {
-		sk.sels[i] = make([]int32, 0, ChunkRows)
-	}
-	return sk, nil
-}
-
-// scanPartition drives rows [lo,hi) chunk-at-a-time: evaluate the
-// sample and WHERE bitmaps, evaluate each shared filter bitmap once,
-// cut every row set's rows out of them word-wise (match ∧ filter ∧ ¬NULL
-// → selection vector), and feed every grouper the chunk. No accumulator
-// probes a bitmap per row, and rows reach accumulators in ascending
-// order, chunk by grid cell.
-func (sk *scanKernels) scanPartition(ctx context.Context, lo, hi int, groupers []*grouper) error {
-	for start := lo; start < hi; {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("engine: scan cancelled: %w", err)
-		}
-		end := min(hi, chunkStart(chunkOf(start)+1))
-		n := end - start
-		nw := (n + 63) / 64
-		match := sk.match[:nw]
-		if sk.where != nil {
-			sk.where(start, n, match)
-		} else {
-			onesFill(match, n)
-		}
-		if sk.smp != nil {
-			sk.smp.fillSampleBits(start, n, sk.smpBits[:nw])
-			for i := range match {
-				match[i] &= sk.smpBits[i]
-			}
-		}
-		sk.rows[0] = sk.extract(0, match, n)
-		if all := sk.rows[0]; all.dense || len(all.sel) > 0 {
-			for i, k := range sk.filters {
-				k(start, n, sk.fbits[i][:nw])
-			}
-			for i, rs := range sk.rowSets[1:] {
-				w := sk.setBits[:nw]
-				copy(w, match)
-				if rs.filter >= 0 {
-					for j, f := range sk.fbits[rs.filter][:nw] {
-						w[j] &= f
-					}
-				}
-				if rs.nulls != nil {
-					rs.nulls.andNotInto(start, n, w)
-				}
-				sk.rows[i+1] = sk.extract(i+1, w, n)
-			}
-			for _, g := range groupers {
-				g.processChunk(start, n, sk.rows)
-			}
-		}
-		start = end
-	}
-	return nil
-}
-
-// extract turns a row-set bitmap into the chunk's rowSel: dense when
-// every one of the n rows is set (consumers then stream column slices
-// and never read sel), else the ascending offsets of the set bits.
-func (sk *scanKernels) extract(set int, words []uint64, n int) rowSel {
-	count := 0
-	for _, w := range words {
-		count += bits.OnesCount64(w)
-	}
-	if count == n {
-		return rowSel{dense: true}
-	}
-	sk.sels[set] = extractSel(words, sk.sels[set][:0])
-	return rowSel{sel: sk.sels[set]}
 }
