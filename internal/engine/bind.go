@@ -44,8 +44,10 @@ type physAgg struct {
 
 	// rows indexes grouperPlan.rowSets: the rows this accumulator
 	// consumes. The per-group row count of that set IS the accumulator's
-	// count, so accumulators over one row set share one counter.
+	// count, so accumulators over one row set share one counter. meas
+	// indexes that row set's gather list (filterSet.meas) for a measure.
 	rows int
+	meas int
 
 	// full keeps sumsq/min/max/seen besides the sum. Slim suffices when
 	// every user is a result-only COUNT/SUM/AVG; exported partials
@@ -121,6 +123,9 @@ func bindAggs(t *Table, aggs []AggSpec, fs *filterSet, resultsOnly bool) (logica
 			pi = len(phys)
 			byKey[key] = pi
 			pa.rows = localRows(rs)
+			if pa.kind != measCount {
+				pa.meas = fs.measIndex(rowSets[pa.rows], measCol{col: pa.col, f64: pa.f64, i64: pa.i64})
+			}
 			phys = append(phys, pa)
 		}
 		slimUser := resultsOnly && (a.Func == AggCount || a.Func == AggSum || a.Func == AggAvg)

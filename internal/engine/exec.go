@@ -204,7 +204,7 @@ func (e *Executor) runSets(ctx context.Context, q *Query, gsets []GroupingSet) (
 	if err != nil {
 		return nil, err
 	}
-	defer s.t.mu.RUnlock()
+	defer s.close()
 	if s.st == nil {
 		groupers, err := s.runGroupers(ctx, s.plans, s.lo, s.hi)
 		if err != nil {

@@ -25,8 +25,8 @@ import "math"
 type grouper struct {
 	plan *grouperPlan
 
-	// stamp[slot] is 0 until the group first appears, then the epoch of
-	// the last chunk that touched the slot (liveStamp after a merge).
+	// stamp[slot] is the epoch of the last chunk whose per-row pass
+	// touched the slot (see processChunk); 0 = none.
 	stamp []uint32
 
 	// generic path
@@ -34,14 +34,16 @@ type grouper struct {
 	m    map[string]int
 	keys [][]Value
 
-	// cnt[i][slot] counts the group's rows in plan.rowSets[i]; cols[p]
-	// is physical accumulator p. slots, codes, touched and epoch are
+	// cnt[i][slot] counts the group's rows in plan.rowSets[i]; a group
+	// exists once cnt[plan.groupCnt][slot] is non-zero. cols[p] is
+	// physical accumulator p. slots, codes, views, touched and epoch are
 	// per-chunk scratch.
 	cnt     [][]int64
 	cols    []physCols
-	slots   []int32 // in-chunk offset -> slot
-	codes   []int32 // second key's codes (two-key fast layouts)
-	touched []int32 // slots touched by the current chunk
+	slots   []int32   // in-chunk offset -> slot
+	codes   []int32   // second key's codes (two-key fast layouts)
+	views   [][]int32 // per plan row set: its rows' slots, in row order
+	touched []int32   // slots the current chunk folds
 	epoch   uint32
 }
 
@@ -58,17 +60,14 @@ type physCols struct {
 	seen           []bool
 }
 
-// liveStamp marks a group as existing without claiming any chunk epoch
-// (epochs start above it).
-const liveStamp = 1
-
 // newGrouper instantiates an empty arena over the plan.
 func (p *grouperPlan) newGrouper() *grouper {
-	g := &grouper{plan: p, epoch: liveStamp}
+	g := &grouper{plan: p}
 	if p.fast == nil {
 		g.m = make(map[string]int)
 	}
 	g.cnt = make([][]int64, len(p.rowSets))
+	g.views = make([][]int32, len(p.rowSets))
 	g.cols = make([]physCols, len(p.phys))
 	g.slots = make([]int32, ChunkRows)
 	if len(p.fast) > 1 {
@@ -172,14 +171,32 @@ func (k *fastKey) codeOf(row int) int32 {
 // rowSel is one row set's rows within the current chunk: ascending
 // in-chunk offsets, or — dense — every row of the chunk, so consumers
 // stream column slices directly instead of indirecting through sel.
+// When not dense, vals[m] holds the values of the set's measure column m
+// (filterSet.meas) at sel, gathered once for every grouper, and slots is
+// the scratch each grouper in turn compacts its slots at sel into.
 type rowSel struct {
 	sel   []int32
 	dense bool
+	vals  [][]float64
+	slots []int32
+}
+
+// view returns the slots of r's rows in row order: the chunk's own slots
+// when r holds every row, else slots compacted at sel into r's scratch.
+func (r *rowSel) view(slots []int32, n int) []int32 {
+	if r.dense {
+		return slots[:n]
+	}
+	out := r.slots[:len(r.sel)]
+	for j, off := range r.sel {
+		out[j] = slots[off]
+	}
+	return out
 }
 
 // fillCodes writes the dense code of each row in r (absolute row
 // start+off) to out[off]. n is the chunk's row count.
-func (k *fastKey) fillCodes(start, n int, r rowSel, out []int32) {
+func (k *fastKey) fillCodes(start, n int, r *rowSel, out []int32) {
 	nullCode := int32(k.card)
 	switch {
 	case k.codes != nil:
@@ -284,19 +301,23 @@ func (g *grouper) hashSlot(row int) int {
 // processChunk folds one chunk (n rows from absolute row start) into
 // the group state. rows holds the chunk's rows per scan row set
 // (filterSet.rowSets order; rows[0] is everything the scan selected),
-// extracted once for all groupers. Each accumulator sees its values in
-// ascending row order, sums them from zero within the chunk, and folds
-// the chunk sum exactly — so the folded state is a function of the rows
-// and the grid alone.
+// extracted — and, for a set that does not hold every row, its measure
+// values gathered — once for all groupers. Each accumulator sees its
+// values in ascending row order, sums them from zero within the chunk,
+// and folds the chunk sum exactly — so the folded state is a function
+// of the rows and the grid alone.
 func (g *grouper) processChunk(start, n int, rows []rowSel) {
 	p := g.plan
-	all := rows[p.groupRows]
+	all := &rows[p.groupRows]
 
 	// Every such row's slot, computed once for all accumulators (their
-	// row sets lie inside groupRows). With no keys every slot is 0, as
-	// allocated.
+	// row sets lie inside groupRows). A lone NULL-free dictionary key's
+	// codes are its slots. With no keys every slot is 0, as allocated.
 	slots := g.slots
-	if p.fast != nil {
+	switch {
+	case len(p.fast) == 1 && p.fast[0].codes != nil && p.fast[0].nulls == nil:
+		slots = p.fast[0].codes[start : start+n]
+	case p.fast != nil:
 		if len(p.fast) > 0 {
 			p.fast[0].fillCodes(start, n, all, slots)
 		}
@@ -314,7 +335,7 @@ func (g *grouper) processChunk(start, n int, rows []rowSel) {
 				}
 			}
 		}
-	} else {
+	default:
 		if all.dense {
 			for j := 0; j < n; j++ {
 				slots[j] = int32(g.hashSlot(start + j))
@@ -327,19 +348,34 @@ func (g *grouper) processChunk(start, n int, rows []rowSel) {
 		g.growSlots(len(g.keys))
 	}
 
-	// Mark group existence and collect the slots this chunk touches.
-	g.epoch++
-	epoch, stamp, touched := g.epoch, g.stamp, g.touched[:0]
-	if all.dense {
-		for _, s := range slots[:n] {
-			if stamp[s] != epoch {
-				stamp[s] = epoch
-				touched = append(touched, s)
+	// One counting pass per row set, over its slots in row order.
+	for i, ri := range p.rowSets {
+		v := rows[ri].view(slots, n)
+		g.views[i] = v
+		if p.fastSlots == 1 {
+			g.cnt[i][0] += int64(len(v))
+		} else {
+			countRows(g.cnt[i], v)
+		}
+	}
+
+	// The slots this chunk folds. A dense layout with no more slots than
+	// groupRows has rows here folds every existing group, found once per
+	// slot from the group counts (a group this chunk missed folds zero
+	// sums, which foldSums skips); any other layout stamps its groupRows
+	// slots row by row.
+	touched := g.touched[:0]
+	if gv := g.views[p.groupCnt]; p.fast != nil && p.fastSlots <= len(gv) {
+		for s, c := range g.cnt[p.groupCnt] {
+			if c != 0 {
+				touched = append(touched, int32(s))
 			}
 		}
 	} else {
-		for _, off := range all.sel {
-			if s := slots[off]; stamp[s] != epoch {
+		g.epoch++
+		epoch, stamp := g.epoch, g.stamp
+		for _, s := range gv {
+			if stamp[s] != epoch {
 				stamp[s] = epoch
 				touched = append(touched, s)
 			}
@@ -347,22 +383,25 @@ func (g *grouper) processChunk(start, n int, rows []rowSel) {
 	}
 	g.touched = touched
 
-	// One counting pass per row set, one summing pass per accumulator.
-	for i, ri := range p.rowSets {
-		countRows(g.cnt[i], slots, rows[ri], n)
-	}
+	// One summing pass per accumulator: column slices when its row set
+	// holds every row, else the values gathered at the set's rows.
 	for i := range p.phys {
 		pa, c := &p.phys[i], &g.cols[i]
-		r := rows[p.rowSets[pa.rows]]
+		r, v := &rows[p.rowSets[pa.rows]], g.views[pa.rows]
 		switch {
+		case pa.kind == measCount:
+		case !r.dense && pa.full:
+			addFull(c, r.vals[pa.meas], v)
+		case !r.dense:
+			addSums(c.sum, r.vals[pa.meas], v)
 		case pa.kind == measFloat && pa.full:
-			addFull(c, pa.f64[start:], slots, r, n)
+			addFull(c, pa.f64[start:start+n], v)
 		case pa.kind == measFloat:
-			addSums(c.sum, pa.f64[start:], slots, r, n)
-		case pa.kind == measInt && pa.full:
-			addFull(c, pa.i64[start:], slots, r, n)
-		case pa.kind == measInt:
-			addSums(c.sum, pa.i64[start:], slots, r, n)
+			addSums(c.sum, pa.f64[start:start+n], v)
+		case pa.full:
+			addFull(c, pa.i64[start:start+n], v)
+		default:
+			addSums(c.sum, pa.i64[start:start+n], v)
 		}
 	}
 
@@ -379,56 +418,30 @@ func (g *grouper) processChunk(start, n int, rows []rowSel) {
 	}
 }
 
-// countRows adds one to cnt[slot] for every row of r.
-func countRows(cnt []int64, slots []int32, r rowSel, n int) {
-	if r.dense {
-		for _, s := range slots[:n] {
-			cnt[s]++
-		}
-		return
-	}
-	for _, off := range r.sel {
-		cnt[slots[off]]++
+// countRows adds one to cnt[s] for every slot s.
+func countRows(cnt []int64, slots []int32) {
+	for _, s := range slots {
+		cnt[s]++
 	}
 }
 
-// addSums is the slim per-row update: the chunk sum only.
-func addSums[T int64 | float64](sum []float64, vals []T, slots []int32, r rowSel, n int) {
-	if r.dense {
-		slots = slots[:n]
-		for j, v := range vals[:n] {
-			sum[slots[j]] += float64(v)
-		}
-		return
-	}
-	for _, off := range r.sel {
-		sum[slots[off]] += float64(vals[off])
+// addSums is the slim per-row update: the chunk sum only. vals[j] is
+// the value of the row whose slot is slots[j].
+func addSums[T int64 | float64](sum []float64, vals []T, slots []int32) {
+	slots = slots[:len(vals)]
+	for j, v := range vals {
+		sum[slots[j]] += float64(v)
 	}
 }
 
 // addFull is the full per-row update (the count lives with the row
 // set). A NaN is adopted only as a group's first value; stickNaN catches
 // the others at chunk end.
-func addFull[T int64 | float64](c *physCols, vals []T, slots []int32, r rowSel, n int) {
+func addFull[T int64 | float64](c *physCols, vals []T, slots []int32) {
 	sum, sumsq, mn, mx, seen := c.sum, c.sumsq, c.min, c.max, c.seen
-	if r.dense {
-		slots = slots[:n]
-		for j, x := range vals[:n] {
-			s, v := slots[j], float64(x)
-			sum[s] += v
-			sumsq[s] += v * v
-			if !seen[s] || v < mn[s] {
-				mn[s] = v
-			}
-			if !seen[s] || v > mx[s] {
-				mx[s] = v
-			}
-			seen[s] = true
-		}
-		return
-	}
-	for _, off := range r.sel {
-		s, v := slots[off], float64(vals[off])
+	slots = slots[:len(vals)]
+	for j, x := range vals {
+		s, v := slots[j], float64(x)
 		sum[s] += v
 		sumsq[s] += v * v
 		if !seen[s] || v < mn[s] {
@@ -489,8 +502,8 @@ func (g *grouper) physAcc(slot, pi int) accumulator {
 func (g *grouper) forEachGroup(fn func(key []Value, phys []accumulator)) {
 	p := g.plan
 	phys := make([]accumulator, len(p.phys))
-	for slot, st := range g.stamp {
-		if st == 0 {
+	for slot, c := range g.cnt[p.groupCnt] {
+		if c == 0 {
 			continue
 		}
 		for pi := range phys {
@@ -526,8 +539,8 @@ func (g *grouper) mergeFrom(o *grouper) {
 		}
 		return
 	}
-	for slot, st := range o.stamp {
-		if st != 0 {
+	for slot, c := range o.cnt[p.groupCnt] {
+		if c != 0 {
 			g.mergeSlot(slot, o, slot)
 		}
 	}
@@ -535,9 +548,6 @@ func (g *grouper) mergeFrom(o *grouper) {
 
 // mergeSlot folds o's group oslot into g's group slot.
 func (g *grouper) mergeSlot(slot int, o *grouper, oslot int) {
-	if g.stamp[slot] == 0 {
-		g.stamp[slot] = liveStamp
-	}
 	for i := range g.cnt {
 		g.cnt[i][slot] += o.cnt[i][oslot]
 	}

@@ -88,7 +88,7 @@ func (e *Executor) RunPartials(ctx context.Context, q *Query, gsets []GroupingSe
 	if err != nil {
 		return nil, err
 	}
-	defer s.t.mu.RUnlock()
+	defer s.close()
 	return s.partials(ctx)
 }
 
@@ -100,8 +100,8 @@ func (g *grouper) partial() *Partial {
 	plan := g.plan
 	p := plan.emptyPartial()
 	groups := 0
-	for _, st := range g.stamp {
-		if st != 0 {
+	for _, c := range g.cnt[plan.groupCnt] {
+		if c != 0 {
 			groups++
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Planning: per-query bound state for one grouping-attribute list —
@@ -66,8 +67,19 @@ type filterSet struct {
 	index map[Predicate]int
 
 	// rowSets[0] is always the unrestricted set (every row passing the
-	// sample and WHERE); bindAggs appends the rest.
+	// sample and WHERE); bindAggs appends the rest. meas[i] lists the
+	// measure columns accumulators over row set i read, which the chunk
+	// driver gathers at the set's rows once per chunk when the set does
+	// not hold every row (see scanKernels.gather).
 	rowSets []rowSet
+	meas    [][]measCol
+}
+
+// measCol is one measure column's values, as physAgg binds them.
+type measCol struct {
+	col string
+	f64 []float64 // FLOAT measure
+	i64 []int64   // INT measure
 }
 
 // rowSet names the rows one or more physical accumulators consume: the
@@ -79,7 +91,7 @@ type rowSet struct {
 }
 
 func buildFilterSet(gsets []GroupingSet) *filterSet {
-	fs := &filterSet{index: map[Predicate]int{}, rowSets: []rowSet{{filter: -1}}}
+	fs := &filterSet{index: map[Predicate]int{}, rowSets: []rowSet{{filter: -1}}, meas: [][]measCol{nil}}
 	for _, gs := range gsets {
 		for _, a := range gs.Aggs {
 			if a.Filter == nil {
@@ -103,7 +115,20 @@ func (fs *filterSet) rowSetIndex(rs rowSet) int {
 		}
 	}
 	fs.rowSets = append(fs.rowSets, rs)
+	fs.meas = append(fs.meas, nil)
 	return len(fs.rowSets) - 1
+}
+
+// measIndex returns the index of measure column m in row set set's
+// gather list, registering it on first use.
+func (fs *filterSet) measIndex(set int, m measCol) int {
+	for i, have := range fs.meas[set] {
+		if have.col == m.col {
+			return i
+		}
+	}
+	fs.meas[set] = append(fs.meas[set], m)
+	return len(fs.meas[set]) - 1
 }
 
 // buildGrouperPlans binds one plan per grouping set. resultsOnly marks
@@ -194,8 +219,11 @@ type grouperPlan struct {
 
 	// groupRows is the scan row set whose rows give the groups: 0, every
 	// selected row, except on the half of a split set that holds its
-	// filtered accumulators (see splitParts).
+	// filtered accumulators (see splitParts). rowSets always lists it, at
+	// groupCnt: a group exists exactly when it has a row there, so that
+	// count is the group's existence mark.
 	groupRows int
+	groupCnt  int
 
 	// fast path: nil when the generic hash layout is used.
 	fast      []fastKey
@@ -211,6 +239,7 @@ func newGrouperPlan(t *Table, gs GroupingSet, fs *filterSet, resultsOnly bool) (
 	if p.aggs, p.phys, p.rowSets, err = bindAggs(t, gs.Aggs, fs, resultsOnly); err != nil {
 		return nil, err
 	}
+	p.countGroupRows()
 	for _, name := range p.set {
 		col, err := t.Column(name)
 		if err != nil {
@@ -237,6 +266,15 @@ func newGrouperPlan(t *Table, gs GroupingSet, fs *filterSet, resultsOnly bool) (
 		p.encs = append(p.encs, enc)
 	}
 	return p, nil
+}
+
+// countGroupRows records where rowSets lists groupRows, appending it
+// when no accumulator consumes it.
+func (p *grouperPlan) countGroupRows() {
+	if p.groupCnt = slices.Index(p.rowSets, p.groupRows); p.groupCnt < 0 {
+		p.groupCnt = len(p.rowSets)
+		p.rowSets = append(p.rowSets, p.groupRows)
+	}
 }
 
 // tryFastLayout installs the dense array-indexed layout when every key

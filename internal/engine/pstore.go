@@ -449,6 +449,7 @@ func (p *grouperPlan) derive(phys []int, groupRows int) *grouperPlan {
 		d.phys = append(d.phys, pa)
 	}
 	d.nAggs = len(d.aggs)
+	d.countGroupRows()
 	return d
 }
 

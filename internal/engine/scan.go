@@ -4,7 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
+	"strconv"
 	"sync"
+
+	"seedb/internal/obs"
 )
 
 // ---------------------------------------------------------------------
@@ -103,7 +107,7 @@ func ShardRanges(rows, lo, hi, n int) [][2]int {
 // plans (bound aggregates, key encoders, fast group layout — built ONCE
 // per query and shared read-only by every worker and every piece of the
 // range), and the compiled kernels. It lives exactly as long as the
-// table's read lock, which bindScan takes and the caller releases.
+// table's read lock, which bindScan takes and close releases.
 type scan struct {
 	e     *Executor
 	t     *Table
@@ -118,6 +122,11 @@ type scan struct {
 	kernels []*scanKernels
 
 	lo, hi int
+
+	// span is the scan's engine-scan span (nil when ctx carries no
+	// trace); passes and scanned count runGroupers calls and their rows.
+	span            *obs.Span
+	passes, scanned int
 
 	// st is the partial store when it applies to this range — installed,
 	// and [lo,hi) contains at least one sealed grid cell — else nil.
@@ -136,11 +145,12 @@ type scan struct {
 // builds everything a scan of the query's range needs; one kernel set is
 // compiled up front so an invalid predicate fails the query whether or
 // not a stored run happens to cover its rows. It counts the logical
-// query once, however many pieces the range is later scanned in. On
-// success the caller owns the read lock on s.t. resultsOnly licenses
-// slim accumulator updates that skip state finalization never reads
-// (see bindAggs); it is ignored when the store applies, because a
-// stored run is exported partials.
+// query once, however many pieces the range is later scanned in, and
+// starts its engine-scan span. On success the caller owns the read lock
+// on s.t and releases it with s.close. resultsOnly licenses slim
+// accumulator updates that skip state finalization never reads (see
+// bindAggs); it is ignored when the store applies, because a stored run
+// is exported partials.
 func (e *Executor) bindScan(ctx context.Context, q *Query, gsets []GroupingSet, resultsOnly bool) (s *scan, err error) {
 	for _, gs := range gsets {
 		if len(gs.Aggs) == 0 {
@@ -188,7 +198,31 @@ func (e *Executor) bindScan(ctx context.Context, q *Query, gsets []GroupingSet, 
 	}
 	s.kernels = []*scanKernels{sk}
 	e.count(ctx, 1, 0)
+	s.span = obs.TraceFrom(ctx).StartSpan("engine-scan")
 	return s, nil
+}
+
+// close finishes the scan's span and releases the table's read lock.
+func (s *scan) close() {
+	defer s.t.mu.RUnlock()
+	if s.span == nil {
+		return
+	}
+	dense, gathered := 0, 0
+	for _, p := range s.plans {
+		if p.fast != nil {
+			dense++
+		}
+	}
+	for set := range s.fs.rowSets {
+		if slices.ContainsFunc(s.kernels, func(sk *scanKernels) bool { return sk.gathers[set] > 0 }) {
+			gathered++
+		}
+	}
+	s.span.SetAttr("table", s.t.Name()).SetAttr("rows", strconv.Itoa(s.scanned)).
+		SetAttr("passes", strconv.Itoa(s.passes)).SetAttr("sets", strconv.Itoa(len(s.plans))).
+		SetAttr("dense", strconv.Itoa(dense)).SetAttr("hash", strconv.Itoa(len(s.plans)-dense)).
+		SetAttr("gathered", strconv.Itoa(gathered)).Finish()
 }
 
 // runGroupers scans rows [lo,hi) into one grouper per plan (the scan's
@@ -214,6 +248,8 @@ func (s *scan) runGroupers(ctx context.Context, plans []*grouperPlan, lo, hi int
 		s.kernels = append(s.kernels, sk)
 	}
 	s.e.count(ctx, 0, int64(n))
+	s.passes++
+	s.scanned += n
 	if s.st != nil {
 		s.st.rowsScanned.Add(int64(n))
 	}
@@ -274,27 +310,33 @@ func (s *scan) export(ctx context.Context, plans []*grouperPlan, lo, hi int) ([]
 // Scan driver
 
 // scanKernels holds one scan goroutine's compiled predicate kernels and
-// chunk-local scratch (bitmaps and per-row-set selection vectors). Not
-// safe for concurrent use: parallel scans compile one per worker.
+// chunk-local scratch (bitmaps, per-row-set selection vectors, gathered
+// measure values and compacted slots). Not safe for concurrent use:
+// parallel scans compile one per worker.
 type scanKernels struct {
 	where   kernelFn // nil when there is no WHERE clause
 	filters []kernelFn
 	smp     *sampler
 	rowSets []rowSet
+	meas    [][]measCol
 
 	match   [kernelWords]uint64
 	smpBits [kernelWords]uint64
 	setBits [kernelWords]uint64
 	fbits   [][]uint64
-	rows    []rowSel  // the current chunk's rows, per row set
-	sels    [][]int32 // backing arrays of rows[i].sel
+	rows    []rowSel // the current chunk's rows, per row set
+	// need[i] lists the meas[i] columns the partition's groupers read;
+	// gathers[i] counts the columns gathered for row set i, chunk by
+	// chunk, over the kernels' life.
+	need    [][]int
+	gathers []int
 }
 
 // compileScan compiles the query's WHERE predicate and the deduplicated
 // per-aggregate filters for table t. fs must already carry every row
 // set the scan's plans registered (see bindAggs).
 func compileScan(t *Table, where Predicate, fs *filterSet, smp *sampler) (*scanKernels, error) {
-	sk := &scanKernels{smp: smp, rowSets: fs.rowSets}
+	sk := &scanKernels{smp: smp, rowSets: fs.rowSets, meas: fs.meas}
 	if where != nil {
 		k, err := compileKernel(where, t)
 		if err != nil {
@@ -311,20 +353,24 @@ func compileScan(t *Table, where Predicate, fs *filterSet, smp *sampler) (*scanK
 		sk.fbits = append(sk.fbits, make([]uint64, kernelWords))
 	}
 	sk.rows = make([]rowSel, len(sk.rowSets))
-	sk.sels = make([][]int32, len(sk.rowSets))
-	for i := range sk.sels {
-		sk.sels[i] = make([]int32, 0, ChunkRows)
+	for i := range sk.rows {
+		sk.rows[i].sel = make([]int32, 0, ChunkRows)
 	}
+	sk.need = make([][]int, len(sk.rowSets))
+	sk.gathers = make([]int, len(sk.rowSets))
 	return sk, nil
 }
 
 // scanPartition drives rows [lo,hi) chunk-at-a-time: evaluate the
 // sample and WHERE bitmaps, evaluate each shared filter bitmap once,
 // cut every row set's rows out of them word-wise (match ∧ filter ∧ ¬NULL
-// → selection vector), and feed every grouper the chunk. No accumulator
-// probes a bitmap per row, and rows reach accumulators in ascending
+// → selection vector), gather the measure values the groupers read at
+// the rows of each set that does not hold every row, and feed every
+// grouper the chunk. No accumulator probes a bitmap or indirects through
+// a selection vector per row, and rows reach accumulators in ascending
 // order, chunk by grid cell.
 func (sk *scanKernels) scanPartition(ctx context.Context, lo, hi int, groupers []*grouper) error {
+	sk.want(groupers)
 	for start := lo; start < hi; {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("engine: scan cancelled: %w", err)
@@ -344,8 +390,8 @@ func (sk *scanKernels) scanPartition(ctx context.Context, lo, hi int, groupers [
 				match[i] &= sk.smpBits[i]
 			}
 		}
-		sk.rows[0] = sk.extract(0, match, n)
-		if all := sk.rows[0]; all.dense || len(all.sel) > 0 {
+		sk.extract(0, match, n)
+		if all := &sk.rows[0]; all.dense || len(all.sel) > 0 {
 			for i, k := range sk.filters {
 				k(start, n, sk.fbits[i][:nw])
 			}
@@ -360,7 +406,12 @@ func (sk *scanKernels) scanPartition(ctx context.Context, lo, hi int, groupers [
 				if rs.nulls != nil {
 					rs.nulls.andNotInto(start, n, w)
 				}
-				sk.rows[i+1] = sk.extract(i+1, w, n)
+				sk.extract(i+1, w, n)
+			}
+			for i := range sk.rows {
+				if !sk.rows[i].dense {
+					sk.gather(i, start)
+				}
 			}
 			for _, g := range groupers {
 				g.processChunk(start, n, sk.rows)
@@ -371,17 +422,67 @@ func (sk *scanKernels) scanPartition(ctx context.Context, lo, hi int, groupers [
 	return nil
 }
 
+// want records which measure columns the groupers read over each row
+// set.
+func (sk *scanKernels) want(groupers []*grouper) {
+	for i := range sk.need {
+		sk.need[i] = sk.need[i][:0]
+	}
+	for _, g := range groupers {
+		p := g.plan
+		for i := range p.phys {
+			pa := &p.phys[i]
+			if set := p.rowSets[pa.rows]; pa.kind != measCount && !slices.Contains(sk.need[set], pa.meas) {
+				sk.need[set] = append(sk.need[set], pa.meas)
+			}
+		}
+	}
+}
+
 // extract turns a row-set bitmap into the chunk's rowSel: dense when
 // every one of the n rows is set (consumers then stream column slices
 // and never read sel), else the ascending offsets of the set bits.
-func (sk *scanKernels) extract(set int, words []uint64, n int) rowSel {
+func (sk *scanKernels) extract(set int, words []uint64, n int) {
+	r := &sk.rows[set]
 	count := 0
 	for _, w := range words {
 		count += bits.OnesCount64(w)
 	}
-	if count == n {
-		return rowSel{dense: true}
+	if r.dense = count == n; r.dense {
+		return
 	}
-	sk.sels[set] = extractSel(words, sk.sels[set][:0])
-	return rowSel{sel: sk.sels[set]}
+	r.sel = extractSel(words, r.sel[:0])
+	if r.slots == nil {
+		r.slots = make([]int32, ChunkRows)
+	}
+}
+
+// gather copies the values of each measure column the groupers read over
+// row set set at its rows, chunk from absolute row start, into the
+// set's rowSel, once for every grouper.
+func (sk *scanKernels) gather(set, start int) {
+	r := &sk.rows[set]
+	if r.vals == nil {
+		r.vals = make([][]float64, len(sk.meas[set]))
+	}
+	for _, m := range sk.need[set] {
+		if r.vals[m] == nil {
+			r.vals[m] = make([]float64, 0, ChunkRows)
+		}
+		if mc := &sk.meas[set][m]; mc.f64 != nil {
+			r.vals[m] = gatherAt(r.vals[m], mc.f64[start:], r.sel)
+		} else {
+			r.vals[m] = gatherAt(r.vals[m], mc.i64[start:], r.sel)
+		}
+	}
+	sk.gathers[set] += len(sk.need[set])
+}
+
+// gatherAt returns dst holding float64(vals[off]) for each off in sel.
+func gatherAt[T int64 | float64](dst []float64, vals []T, sel []int32) []float64 {
+	dst = dst[:len(sel)]
+	for j, off := range sel {
+		dst[j] = float64(vals[off])
+	}
+	return dst
 }
