@@ -348,7 +348,8 @@ func (g *grouper) processChunk(start, n int, rows []rowSel) {
 		g.growSlots(len(g.keys))
 	}
 
-	// One counting pass per row set, over its slots in row order.
+	// One counting pass per row set, over its slots in row order (a
+	// one-slot layout's count is the row count).
 	for i, ri := range p.rowSets {
 		v := rows[ri].view(slots, n)
 		g.views[i] = v
