@@ -7,6 +7,7 @@ package cluster_test
 // route taken and the health/fault counters do.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"slices"
@@ -16,13 +17,14 @@ import (
 
 	"seedb"
 	"seedb/internal/cluster"
+	"seedb/internal/engine"
 )
 
 var errKilled = errors.New("injected: worker killed")
 
 // placeManual builds a placement DB over n gate-controllable members,
 // returning the members alongside the backend (PlaceMembers hides
-// them, and fault tests need SetGate and Catalog access).
+// them, and fault tests need SetGate and catalog access).
 func placeManual(t *testing.T, rows, n int, cfg seedb.PlacementConfig) (*seedb.DB, *seedb.PlacementBackend, []*seedb.MemberShard) {
 	t.Helper()
 	ctx := context.Background()
@@ -71,7 +73,11 @@ func corruptPlacement(t *testing.T, db *seedb.DB, b *seedb.ClusterBackend, m *cl
 			if _, err := frag.Append(typed); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.Store().Sync(frag, p.RowLo); err != nil {
+			var snap bytes.Buffer
+			if err := engine.WriteTableSnapshot(&snap, frag); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := m.Store().Sync(name, p.RowLo, &snap); err != nil {
 				t.Fatal(err)
 			}
 			return
@@ -228,7 +234,7 @@ func TestPlacementCorruptFragmentDegrades(t *testing.T) {
 	// Corrupt the middle orders placement on one member behind the
 	// coordinator's back: it sits inside the member's one orders
 	// segment, between two placements that stay true.
-	if segs := members[1].Catalog().TableNames(); !slices.Contains(segs, "orders__p0") || slices.Contains(segs, "orders__p1") {
+	if segs := members[1].Executor().Catalog().TableNames(); !slices.Contains(segs, "orders__p0") || slices.Contains(segs, "orders__p1") {
 		t.Fatalf("member-1 should hold orders as one segment, holds %v", segs)
 	}
 	corruptPlacement(t, db, b, members[1], "orders__p1")

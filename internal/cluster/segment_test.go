@@ -31,7 +31,7 @@ import (
 // segmentsOf lists m's segment tables of source.
 func segmentsOf(m *seedb.MemberShard, source string) []string {
 	var out []string
-	for _, name := range m.Catalog().TableNames() {
+	for _, name := range m.Executor().Catalog().TableNames() {
 		if strings.HasPrefix(name, source+"__p") {
 			out = append(out, name)
 		}

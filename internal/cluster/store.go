@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"slices"
@@ -12,12 +14,21 @@ import (
 
 	"seedb/internal/engine"
 	"seedb/internal/obs"
+	"seedb/internal/stats"
 )
 
-// PlacementStore is the worker half of the placed layout, behind
-// MemberShard and the frontend's /api/shard/* and /api/ingest handlers
-// alike: it ships, drops, grows, lists and scans the placements a
-// worker owns.
+// PlacementStore is the one place that changes what a node holds,
+// behind MemberShard and the frontend's /api/shard/* and /api/ingest
+// handlers alike: it ships, drops, grows, lists and scans the node's
+// whole tables and the placements it owns. Each method decides once,
+// under its own locking, which of the two a name is.
+//
+// A whole table lives in the catalog under its own name, whether a
+// coordinator shipped it (the replicated layout) or the node
+// registered it itself (demo data, RegisterTable, WAL recovery). Sync
+// swaps it in, Ingest grows it through Catalog.Append (the WAL seam),
+// Drop removes it; a replaced or removed table's metadata-collector
+// state is invalidated.
 //
 // A worker keeps the placements it holds of a source table as
 // segments: one engine table per maximal run of placements that are
@@ -30,25 +41,31 @@ import (
 // on its own, then runs one scan per maximal row-adjacent run of
 // served placements inside a segment.
 //
-// Whole tables (the replicated layout) are not the store's: they live
-// in the catalog under their own names and the node's host paths ship,
-// drop and grow them; Exec and Inventory serve both.
+// Sync, Ingest and Exec return the status an HTTP server should answer
+// on error, by one rule: the request's fault is 400 (413 for a body
+// over its bound, 404 for a name the node does not hold, 409 for a
+// placement that cannot take it), the node's — a durability
+// checkpoint, a hash — 500. Drop only ever fails on the node's side.
 type PlacementStore struct {
-	ex *engine.Executor
+	ex    *engine.Executor
+	stats *stats.Collector
 
 	// mu is held shared by Exec and Inventory and exclusively by every
-	// mutation: a ship or drop may re-bind a segment's catalog name,
-	// which an exchange in flight must not see.
+	// placement mutation and Drop: a ship or drop may re-bind a
+	// segment's catalog name, which an exchange in flight must not see.
+	// A whole table's sync and ingest hold it only to read dur or
+	// decide that a name is not a placement.
 	mu     sync.RWMutex
 	dur    Durable
 	byName map[string]*placement // placement name -> placement
 	segs   map[string]*segment   // segment table name -> segment
 }
 
-// Durable is where a durable worker keeps its placements across a
-// restart — one snapshot per placement, never per segment, so shipping
-// onto a segment's end writes that placement's rows and nothing else.
-// *wal.Store implements it.
+// Durable is where a durable node keeps what it holds across a
+// restart: a whole table under its name, a placement as one snapshot
+// of its own, never per segment, so shipping onto a segment's end
+// writes that placement's rows and nothing else. *wal.Store implements
+// it.
 type Durable interface {
 	CheckpointTable(t *engine.Table) error
 	DropTable(name string) error
@@ -79,15 +96,16 @@ func (p *placement) off() int { return p.lo - p.seg.lo() }
 // absolute row, which a restarted worker needs to rebuild segments.
 func durableName(name string, lo int) string { return name + "@" + strconv.Itoa(lo) }
 
-// NewPlacementStore creates an empty store scanning through ex, whose
-// catalog also holds the node's whole tables.
-func NewPlacementStore(ex *engine.Executor) *PlacementStore {
-	return &PlacementStore{ex: ex, byName: map[string]*placement{}, segs: map[string]*segment{}}
+// NewPlacementStore creates a store over ex's catalog, holding its
+// tables as whole tables and no placement; coll is the metadata
+// collector whose state of a replaced or dropped table it invalidates.
+func NewPlacementStore(ex *engine.Executor, coll *stats.Collector) *PlacementStore {
+	return &PlacementStore{ex: ex, stats: coll, byName: map[string]*placement{}, segs: map[string]*segment{}}
 }
 
-// SetDurable makes every later ship, drop and ingest of a placement
-// durable through d (nil: memory only), and adopts the placement
-// snapshots d's recovery registered in the catalog.
+// SetDurable makes every later ship, drop and ingest durable through d
+// (nil: memory only), and adopts the placement snapshots d's recovery
+// registered in the catalog.
 func (s *PlacementStore) SetDurable(d Durable) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -131,47 +149,72 @@ func (s *PlacementStore) SetDurable(d Durable) error {
 	return nil
 }
 
-// Holds reports whether name is a placement the store holds.
-func (s *PlacementStore) Holds(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.byName[name] != nil
-}
-
-// Sync installs t as the placement t.Name() whose first absolute row is
-// lo, replacing any copy already held and any held placement of the
-// same source it overlaps. It is appended to the segment ending at lo,
-// and the segment starting where it ends is appended to it, so the
-// cost is the placement plus that following segment — never the one it
-// joins.
-func (s *PlacementStore) Sync(t *engine.Table, lo int) (*SyncResponse, error) {
-	name, rows := t.Name(), t.NumRows()
+// Sync installs the snapshot read from r as name and reports the
+// post-replacement state. With lo < 0 it is a whole table, swapped into
+// the catalog under its name and checkpointed when durable. Otherwise
+// it is the placement whose first absolute row is lo, replacing any
+// copy already held and any held placement of the same source it
+// overlaps. It is appended to the segment ending at lo, and the
+// segment starting where it ends is appended to it, so the cost is the
+// placement plus that following segment — never the one it joins.
+func (s *PlacementStore) Sync(name string, lo int, r io.Reader) (*SyncResponse, int, error) {
+	t, err := engine.ReadTable(r)
+	if err != nil {
+		return nil, BodyStatus(err), fmt.Errorf("cluster: parsing sync snapshot: %w", err)
+	}
 	source, ok := fragmentSource(name)
 	switch {
+	case t.Name() != name:
+		return nil, http.StatusBadRequest, fmt.Errorf("cluster: sync snapshot is of table %q, not %q", t.Name(), name)
+	case lo < 0:
 	case !ok:
-		return nil, fmt.Errorf("cluster: %q is not a placement name", name)
-	case lo < 0 || lo%engine.ChunkRows != 0:
-		return nil, fmt.Errorf("cluster: placement %s starts at row %d, not on the %d-row grid", name, lo, engine.ChunkRows)
-	case rows == 0:
-		return nil, fmt.Errorf("cluster: placement %s is empty", name)
+		return nil, http.StatusBadRequest, fmt.Errorf("cluster: %q is not a placement name", name)
+	case lo%engine.ChunkRows != 0:
+		return nil, http.StatusBadRequest, fmt.Errorf("cluster: placement %s starts at row %d, not on the %d-row grid", name, lo, engine.ChunkRows)
+	case t.NumRows() == 0:
+		return nil, http.StatusBadRequest, fmt.Errorf("cluster: placement %s is empty", name)
 	}
 	hash, err := t.ContentHash()
 	if err != nil {
-		return nil, err
+		return nil, http.StatusInternalServerError, err
 	}
+	if lo < 0 {
+		// A whole table takes no store lock: the lock guards segment
+		// bindings, and the checkpoint is O(table).
+		cat := s.ex.Catalog()
+		cat.Drop(name)
+		s.stats.Invalidate(name)
+		err = cat.Register(t)
+		if dur := s.durable(); err == nil && dur != nil {
+			err = dur.CheckpointTable(t)
+		}
+	} else {
+		err = s.syncPlacement(&placement{name: name, source: source, lo: lo, rows: t.NumRows(), hash: hash}, t)
+	}
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	return &SyncResponse{Table: name, Rows: t.NumRows(), ContentHash: hash}, http.StatusOK, nil
+}
+
+// syncPlacement checkpoints p, shipped as t, and places it.
+func (s *PlacementStore) syncPlacement(p *placement, t *engine.Table) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dur != nil {
 		// The snapshot is written first: a crash after it leaves the new
 		// copy durable, one before it the old.
-		if err := s.dur.CheckpointTable(t.Clone(durableName(name, lo))); err != nil {
-			return nil, err
+		if err := s.dur.CheckpointTable(t.Clone(durableName(p.name, p.lo))); err != nil {
+			return err
 		}
 	}
-	if err := s.putLocked(&placement{name: name, source: source, lo: lo, rows: rows, hash: hash}, t); err != nil {
-		return nil, err
-	}
-	return &SyncResponse{Table: name, Rows: rows, ContentHash: hash}, nil
+	return s.putLocked(p, t)
+}
+
+func (s *PlacementStore) durable() Durable {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.dur
 }
 
 // putLocked replaces any held copy of p and any held placement of its
@@ -188,22 +231,63 @@ func (s *PlacementStore) putLocked(p *placement, t *engine.Table) error {
 	return s.placeLocked(p, t)
 }
 
-// Drop removes the placement name; false when the store holds no such
-// placement (it may be a whole table).
-func (s *PlacementStore) Drop(name string) (bool, error) {
+// Drop removes name — a placement, whose segment is re-cut around it,
+// or a whole table — and, when durable, its snapshot. An unknown name
+// succeeds: a coordinator re-issues drops until its map converges.
+func (s *PlacementStore) Drop(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.byName[name]
-	if p == nil {
-		return false, nil
+	if p := s.byName[name]; p != nil {
+		return s.removeLocked(p, true)
 	}
-	return true, s.removeLocked(p, true)
+	s.ex.Catalog().Drop(name)
+	s.stats.Invalidate(name)
+	if s.dur != nil {
+		return s.dur.DropTable(name)
+	}
+	return nil
 }
 
-// Ingest appends a forwarded delta to a held placement, which must end
-// its segment (the coordinator only grows a table's last placement).
-// The status is what an HTTP server should answer on error.
+// Ingest appends a batch to a whole table or to a held placement,
+// which must end its segment (the coordinator only grows a table's
+// last placement). A whole table grows through Catalog.Append, so a
+// durable node has logged the batch when Ingest returns; its append
+// and its O(table) verify hash run outside the store's lock, so
+// exchanges keep running beside them.
 func (s *PlacementStore) Ingest(req *IngestRequest) (*IngestResponse, int, error) {
+	cat := s.ex.Catalog()
+	s.mu.RLock()
+	held := s.byName[req.Table] != nil
+	t, err := cat.Table(req.Table)
+	s.mu.RUnlock()
+	if held {
+		return s.ingestPlacement(req)
+	}
+	if err != nil {
+		return nil, http.StatusNotFound, err
+	}
+	typed, err := t.ParseRows(req.Rows)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	total, err := cat.Append(t, typed)
+	if errors.Is(err, engine.ErrNotDurable) {
+		// The rows were valid; the log write failed.
+		return nil, http.StatusInternalServerError, err
+	} else if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	resp := &IngestResponse{Table: req.Table, Appended: len(typed), Rows: total}
+	if req.Verify {
+		if resp.ContentHash, err = t.ContentHash(); err != nil {
+			return nil, http.StatusInternalServerError, err
+		}
+	}
+	return resp, http.StatusOK, nil
+}
+
+// ingestPlacement grows the held placement req.Table.
+func (s *PlacementStore) ingestPlacement(req *IngestRequest) (*IngestResponse, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.byName[req.Table]

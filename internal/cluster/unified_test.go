@@ -480,12 +480,8 @@ func heldLike(t *testing.T, m *seedb.MemberShard, prefix string) []string {
 // coordinator knowing.
 func dropBehindBack(t *testing.T, m *seedb.MemberShard, name string) {
 	t.Helper()
-	held, err := m.Store().Drop(name)
-	if err != nil {
+	if err := m.Store().Drop(name); err != nil {
 		t.Fatal(err)
-	}
-	if !held {
-		m.Catalog().Drop(name)
 	}
 }
 
@@ -517,16 +513,16 @@ func TestFullReplicationIsPlacementWithRFN(t *testing.T) {
 	for _, m := range members {
 		// Each table is one segment: the worker's catalog holds one table
 		// per source table, named after its first placement.
-		if got := m.Catalog().TableNames(); len(got) != len(db.Tables()) {
+		if got := m.Executor().Catalog().TableNames(); len(got) != len(db.Tables()) {
 			t.Fatalf("%s holds %v, want one segment per table %v", m.ID(), got, db.Tables())
 		}
 		held := map[string]int{}
-		for _, name := range m.Catalog().TableNames() {
+		for _, name := range m.Executor().Catalog().TableNames() {
 			table, _, ok := strings.Cut(name, "__p")
 			if !ok {
 				t.Fatalf("%s holds %q, which is not a fragment", m.ID(), name)
 			}
-			ft, err := m.Catalog().Table(name)
+			ft, err := m.Executor().Catalog().Table(name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -557,7 +553,7 @@ func TestFullReplicationIsPlacementWithRFN(t *testing.T) {
 		t.Fatalf("an empty worker should be shipped each table exactly once: %+v", rep)
 	}
 	for name, h := range tableHashes(t, rdb) {
-		wt, err := joiner.Catalog().Table(name)
+		wt, err := joiner.Executor().Catalog().Table(name)
 		if err != nil {
 			t.Fatalf("joiner lacks %s", name)
 		}

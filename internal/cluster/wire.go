@@ -51,8 +51,10 @@ package cluster
 import (
 	"encoding"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"strings"
 
 	"seedb/internal/engine"
@@ -69,6 +71,16 @@ const (
 	// ways, /api/ingest batches, and the JSON answers RemoteShard decodes.
 	MaxWireBytes = 64 << 20
 )
+
+// BodyStatus is the status a body that failed to read or decode
+// answers: 413 when it ran past its bound, 400 otherwise.
+func BodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 // An exchange is one frame each way (engine.EncodeFrame) under magic,
 // version and 'Q' or 'R'; another build's version is refused with 400.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +16,7 @@ import (
 
 	"seedb/internal/engine"
 	"seedb/internal/obs"
+	"seedb/internal/stats"
 )
 
 // Worker is what the backend needs from a node that holds fragments:
@@ -100,11 +100,11 @@ func checkResponse(resp *ShardResponse, frags []ShardFragment, want int) error {
 	return nil
 }
 
-// execError types a failed exchange from the status ExecShardRequest
-// chose — the one place an answer is sorted into "the query is at
-// fault" (400; 413 for a body over MaxWireBytes) and "the worker is"
-// (the rest), so in-process and HTTP workers agree.
-func execError(status int, err error) error {
+// statusError types a failed worker call from the status the
+// placement store chose — the one place an answer is sorted into "the
+// request is at fault" (400; 413 for a body over its bound) and "the
+// worker is" (the rest), so in-process and HTTP workers agree.
+func statusError(status int, err error) error {
 	if status == http.StatusBadRequest || status == http.StatusRequestEntityTooLarge {
 		return &queryFaultError{err: err}
 	}
@@ -215,13 +215,12 @@ func (s *RemoteShard) ExecPartials(ctx context.Context, req *ShardRequest) (*Sha
 	if err == nil {
 		return &resp, nil
 	}
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
+	if BodyStatus(err) == http.StatusRequestEntityTooLarge {
 		// The partials outgrew the wire bound: how much state a query
 		// produces is the query's doing, not the worker's.
 		status = http.StatusRequestEntityTooLarge
 	}
-	return nil, execError(status, err)
+	return nil, statusError(status, err)
 }
 
 // Ingest implements Worker over POST /api/ingest.
@@ -231,8 +230,8 @@ func (s *RemoteShard) Ingest(ctx context.Context, req *IngestRequest) (*IngestRe
 		return nil, err
 	}
 	var resp IngestResponse
-	if _, _, err := s.call(ctx, "ingest", http.MethodPost, "/api/ingest", "application/json", body, &resp); err != nil {
-		return nil, err
+	if status, _, err := s.call(ctx, "ingest", http.MethodPost, "/api/ingest", "application/json", body, &resp); err != nil {
+		return nil, statusError(status, err)
 	}
 	return &resp, nil
 }
@@ -263,16 +262,19 @@ func (s *RemoteShard) SyncTable(ctx context.Context, table string, lo int, snaps
 	if lo >= 0 {
 		path += "&lo=" + strconv.Itoa(lo)
 	}
-	if _, _, err := s.call(ctx, "sync", http.MethodPost, path, "application/octet-stream", snapshot, &resp); err != nil {
-		return nil, err
+	if status, _, err := s.call(ctx, "sync", http.MethodPost, path, "application/octet-stream", snapshot, &resp); err != nil {
+		return nil, statusError(status, err)
 	}
 	return &resp, nil
 }
 
 // DropTable implements Worker over POST /api/shard/drop.
 func (s *RemoteShard) DropTable(ctx context.Context, name string) error {
-	_, _, err := s.call(ctx, "drop", http.MethodPost, "/api/shard/drop?table="+url.QueryEscape(name), "", nil, nil)
-	return err
+	status, _, err := s.call(ctx, "drop", http.MethodPost, "/api/shard/drop?table="+url.QueryEscape(name), "", nil, nil)
+	if err != nil {
+		return statusError(status, err)
+	}
+	return nil
 }
 
 // Health implements Worker: GET /api/shard/health must answer 200.
@@ -288,9 +290,10 @@ func (s *RemoteShard) Health(ctx context.Context) error {
 // and placement store: it holds only what was shipped to it —
 // placements under the placed layout, whole tables under the
 // replicated one — so single-binary tests exercise the data movement a
-// remote fleet does, including a fragment that was never shipped. The
-// root golden placement tests are built on it (the HTTP frontend would
-// be an import cycle there).
+// remote fleet does, including a fragment that was never shipped. Each
+// Worker method is the fault gate plus one store call, the call an
+// HTTP worker's handler makes. The root golden placement tests are
+// built on it (the HTTP frontend would be an import cycle there).
 type MemberShard struct {
 	id    string
 	ex    *engine.Executor
@@ -305,17 +308,15 @@ type MemberShard struct {
 // NewMemberShard creates an empty in-process worker.
 func NewMemberShard(id string) *MemberShard {
 	ex := engine.NewExecutor(engine.NewCatalog())
-	return &MemberShard{id: id, ex: ex, store: NewPlacementStore(ex)}
+	return &MemberShard{id: id, ex: ex, store: NewPlacementStore(ex, stats.NewCollector())}
 }
 
 // ID implements Worker.
 func (m *MemberShard) ID() string { return m.id }
 
-// Catalog exposes the worker's private catalog (its whole tables and
-// segment tables) so tests can assert what it actually holds.
-func (m *MemberShard) Catalog() *engine.Catalog { return m.ex.Catalog() }
-
-// Executor exposes the worker's executor, whose stats count its scans.
+// Executor exposes the worker's executor, whose catalog (its whole
+// tables and segment tables) tests assert on and whose stats count its
+// scans.
 func (m *MemberShard) Executor() *engine.Executor { return m.ex }
 
 // Store exposes the worker's placement store, so tests can drop or
@@ -341,48 +342,26 @@ func (m *MemberShard) pass(op string) error {
 // Health implements Worker.
 func (m *MemberShard) Health(context.Context) error { return m.pass("health") }
 
-// ExecPartials implements Worker through the placement store — the
-// same path a remote worker's HTTP handler runs, content-hash
-// verification included.
+// ExecPartials implements Worker.
 func (m *MemberShard) ExecPartials(ctx context.Context, req *ShardRequest) (*ShardResponse, error) {
 	if err := m.pass("exec"); err != nil {
 		return nil, err
 	}
 	resp, status, err := m.store.Exec(ctx, req)
 	if err != nil {
-		return nil, execError(status, err)
+		return nil, statusError(status, err)
 	}
 	return resp, nil
 }
 
-// Ingest implements Worker: a placement grows in the store, a whole
-// table in the catalog.
+// Ingest implements Worker.
 func (m *MemberShard) Ingest(ctx context.Context, req *IngestRequest) (*IngestResponse, error) {
 	if err := m.pass("ingest"); err != nil {
 		return nil, err
 	}
-	if m.store.Holds(req.Table) {
-		resp, _, err := m.store.Ingest(req)
-		return resp, err
-	}
-	cat := m.ex.Catalog()
-	t, err := cat.Table(req.Table)
+	resp, status, err := m.store.Ingest(req)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: member %s: %w", m.id, err)
-	}
-	typed, err := t.ParseRows(req.Rows)
-	if err != nil {
-		return nil, err
-	}
-	total, err := cat.Append(t, typed)
-	if err != nil {
-		return nil, err
-	}
-	resp := &IngestResponse{Table: req.Table, Appended: len(req.Rows), Rows: total}
-	if req.Verify {
-		if resp.ContentHash, err = t.ContentHash(); err != nil {
-			return nil, err
-		}
+		return nil, statusError(status, err)
 	}
 	return resp, nil
 }
@@ -403,31 +382,16 @@ func (m *MemberShard) TableHashes(ctx context.Context) (map[string]string, error
 	return out, nil
 }
 
-// SyncTable implements Worker: accept a serialized fragment and install
-// it, exactly like a remote worker's /api/shard/sync.
+// SyncTable implements Worker.
 func (m *MemberShard) SyncTable(ctx context.Context, table string, lo int, snapshot []byte) (*SyncResponse, error) {
 	if err := m.pass("sync"); err != nil {
 		return nil, err
 	}
-	t, err := engine.ReadTable(bytes.NewReader(snapshot))
+	resp, status, err := m.store.Sync(table, lo, bytes.NewReader(snapshot))
 	if err != nil {
-		return nil, fmt.Errorf("cluster: member %s: parsing sync snapshot: %w", m.id, err)
+		return nil, statusError(status, err)
 	}
-	if t.Name() != table {
-		return nil, fmt.Errorf("cluster: member %s: sync snapshot is of table %q, not %q", m.id, t.Name(), table)
-	}
-	if lo >= 0 {
-		return m.store.Sync(t, lo)
-	}
-	chash, err := t.ContentHash()
-	if err != nil {
-		return nil, err
-	}
-	m.ex.Catalog().Drop(table)
-	if err := m.ex.Catalog().Register(t); err != nil {
-		return nil, err
-	}
-	return &SyncResponse{Table: table, Rows: t.NumRows(), ContentHash: chash}, nil
+	return resp, nil
 }
 
 // DropTable implements Worker.
@@ -435,9 +399,5 @@ func (m *MemberShard) DropTable(ctx context.Context, name string) error {
 	if err := m.pass("drop"); err != nil {
 		return err
 	}
-	if held, err := m.store.Drop(name); held || err != nil {
-		return err
-	}
-	m.ex.Catalog().Drop(name)
-	return nil
+	return m.store.Drop(name)
 }

@@ -777,8 +777,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // cluster coordinator the append is also forwarded to the owners of
 // every fragment it touches and each post-append ContentHash is
 // re-verified against the coordinator's, so distributed execution
-// stays byte-identical across appends; on a plain node (or worker) it
-// applies locally. Rows are
+// stays byte-identical across appends; on a plain node (or worker) the
+// placement store applies it locally. Rows are
 // loosely typed JSON ([[...], ...], numbers/strings/nulls) coerced
 // against the table schema; a bad batch is rejected atomically.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -807,49 +807,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, sum)
 		return
 	}
-	// A worker grows a placement it was shipped in its placement store.
-	if st := s.db.Placements(); st.Holds(req.Table) {
-		resp, status, err := st.Ingest(&req)
-		if err != nil {
-			s.writeError(w, status, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	t, err := s.db.Table(req.Table)
+	// Any other node grows a whole table or a placement it holds. A
+	// whole table grows through the durability seam: with a data dir
+	// configured, the 200 means the batch is in the write-ahead log, and
+	// a logging failure answers 500, never 400 (the rows were valid).
+	resp, status, err := s.db.Placements().Ingest(&req)
 	if err != nil {
-		s.writeError(w, http.StatusNotFound, err)
+		s.writeError(w, status, err)
 		return
-	}
-	typed, err := t.ParseRows(req.Rows)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// DB.Append routes through the durability seam: with a data dir
-	// configured, the 200 below means the batch is in the write-ahead
-	// log, not just in memory. A logging failure is a server fault
-	// (the rows were valid), so it maps to 500, never 400.
-	total, err := s.db.Append(req.Table, typed)
-	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, seedb.ErrNotDurable) {
-			code = http.StatusInternalServerError
-		}
-		s.writeError(w, code, err)
-		return
-	}
-	resp := cluster.IngestResponse{Table: req.Table, Appended: len(req.Rows), Rows: total}
-	if req.Verify {
-		// Hashing is O(table); only coordinators (replica
-		// re-verification) and explicitly curious clients pay for it.
-		chash, err := t.ContentHash()
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		resp.ContentHash = chash
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -873,12 +838,7 @@ func (s *Server) decodeWire(w http.ResponseWriter, r *http.Request, what string,
 	if err == nil {
 		return true
 	}
-	status := http.StatusBadRequest
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	s.writeError(w, status, fmt.Errorf("frontend: parsing %s: %w", what, err))
+	s.writeError(w, cluster.BodyStatus(err), fmt.Errorf("frontend: parsing %s: %w", what, err))
 	return false
 }
 
@@ -1001,15 +961,12 @@ func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 
 var errNotCoordinator = errors.New("frontend: this node is not a cluster coordinator")
 
-// handleShardSync is the worker half of fragment shipping: it accepts
-// a serialized snapshot from a coordinator, installs it as this node's
-// copy (replacing any previous one), and reports the post-replacement
-// content hash for the coordinator's handshake. With lo (the
-// placement's first absolute row) it is a placement, which the
-// placement store appends to the segment it extends; without, a whole
-// table swapped in under its name. With durability enabled the
-// snapshot is checkpointed immediately — a placement's rows, never its
-// segment — so the caught-up copy survives this worker's own crashes.
+// handleShardSync is the worker half of fragment shipping: it hands a
+// coordinator's serialized snapshot (bounded by MaxSnapshotBytes) to
+// the placement store, which installs it as this node's copy — with lo
+// (the placement's first absolute row) a placement, without a whole
+// table — and answers with the post-replacement content hash for the
+// coordinator's handshake.
 func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -1028,45 +985,18 @@ func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	t, err := engine.ReadTable(http.MaxBytesReader(w, r.Body, cluster.MaxSnapshotBytes))
+	resp, status, err := s.db.Placements().Sync(name, lo, http.MaxBytesReader(w, r.Body, cluster.MaxSnapshotBytes))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: parsing sync snapshot: %w", err))
+		s.writeError(w, status, err)
 		return
 	}
-	if t.Name() != name {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("frontend: sync snapshot is of table %q, not %q", t.Name(), name))
-		return
-	}
-	if lo >= 0 {
-		resp, err := s.db.Placements().Sync(t, lo)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	chash, err := t.ContentHash()
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if err := s.db.ReplaceTable(t); err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.logger.Printf("frontend: replica %q replaced via sync (%d rows, %s)", name, t.NumRows(), chash)
-	s.writeJSON(w, http.StatusOK, cluster.SyncResponse{Table: name, Rows: t.NumRows(), ContentHash: chash})
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleShardDrop is the worker half of rebalancing's shrink side: a
-// coordinator asks this node to remove a fragment it no longer owns. A
-// placement leaves its segment, which is re-cut around it; a whole
-// table leaves the catalog. With durability enabled the fragment's
-// snapshot is removed too, so a durable worker checkpoints only owned
-// placements. Dropping an unknown name succeeds — drops are re-issued
-// until the map converges.
+// coordinator asks this node to remove a fragment it no longer owns
+// (see PlacementStore.Drop). Dropping an unknown name succeeds — drops
+// are re-issued until the map converges.
 func (s *Server) handleShardDrop(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -1077,11 +1007,7 @@ func (s *Server) handleShardDrop(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: drop needs a table query parameter"))
 		return
 	}
-	held, err := s.db.Placements().Drop(name)
-	if err == nil && !held {
-		err = s.db.DropTable(name)
-	}
-	if err != nil {
+	if err := s.db.Placements().Drop(name); err != nil {
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}

@@ -6,7 +6,7 @@ import (
 	"seedb/internal/engine"
 )
 
-// Reproduce: replica rebuild (ReplaceTable path = Drop+Register+CheckpointTable)
+// Reproduce: replica rebuild (a whole-table PlacementStore.Sync = Drop+Register+CheckpointTable)
 // followed by a cadence checkpoint triggered by appends to another table.
 func TestReviewStaleDirtyPointerAfterReplace(t *testing.T) {
 	dir := t.TempDir()

@@ -254,8 +254,9 @@ type DB struct {
 	core *core.Engine
 	obs  *obs.Hub
 
-	// shards is the worker side of the cluster protocol: the placements
-	// this node was shipped, kept as segments (see cluster.PlacementStore).
+	// shards changes what the node holds: its whole tables and the
+	// placements it was shipped, kept as segments (see
+	// cluster.PlacementStore).
 	shards *cluster.PlacementStore
 
 	serveOnce sync.Once
@@ -280,12 +281,13 @@ type (
 func Open() *DB {
 	cat := engine.NewCatalog()
 	ex := engine.NewExecutor(cat)
-	return &DB{cat: cat, ex: ex, core: core.New(ex), obs: obs.NewHub(), shards: cluster.NewPlacementStore(ex)}
+	c := core.New(ex)
+	return &DB{cat: cat, ex: ex, core: c, obs: obs.NewHub(), shards: cluster.NewPlacementStore(ex, c.Collector())}
 }
 
-// Placements returns the instance's placement store: what a
-// coordinator shipped this node as a worker of the placed layout. The
-// HTTP worker endpoints (/api/shard/*) serve from it.
+// Placements returns the instance's placement store: its whole tables
+// and the placements a coordinator shipped it. The HTTP worker
+// endpoints (/api/shard/*) and a worker's /api/ingest serve from it.
 func (db *DB) Placements() *cluster.PlacementStore { return db.shards }
 
 // Observability returns the instance's metrics registry + trace ring.
@@ -300,21 +302,10 @@ func (db *DB) Observability() *obs.Hub { return db.obs }
 // RegisterTable makes a table queryable under its name.
 func (db *DB) RegisterTable(t *Table) error { return db.cat.Register(t) }
 
-// DropTable removes a table; missing names are a no-op. With
-// durability enabled the table's snapshot is removed too, so a
-// restart does not resurrect it — the placement layer relies on this
-// when a worker loses ownership of a fragment.
-func (db *DB) DropTable(name string) error {
-	db.cat.Drop(name)
-	db.core.Collector().Invalidate(name)
-	db.durMu.Lock()
-	s := db.durStore
-	db.durMu.Unlock()
-	if s != nil {
-		return s.DropTable(name)
-	}
-	return nil
-}
+// DropTable removes a table (or a placement this node holds); missing
+// names are a no-op. With durability enabled its snapshot is removed
+// too, so a restart does not resurrect it.
+func (db *DB) DropTable(name string) error { return db.shards.Drop(name) }
 
 // Table returns a registered table.
 func (db *DB) Table(name string) (*Table, error) { return db.cat.Table(name) }
@@ -467,27 +458,6 @@ func (db *DB) CloseDurability() error {
 	err := db.durStore.Close()
 	db.durStore = nil
 	return err
-}
-
-// ReplaceTable swaps in t under its own name, dropping any previous
-// table, and — when durability is active — checkpoints it immediately
-// so the replacement survives a crash (its WAL records, keyed to the
-// old table's versions, would otherwise be skipped at replay). The
-// cluster layer uses this to rebuild a worker's replica from the
-// coordinator's snapshot + WAL tail.
-func (db *DB) ReplaceTable(t *Table) error {
-	db.cat.Drop(t.Name())
-	db.core.Collector().Invalidate(t.Name())
-	if err := db.cat.Register(t); err != nil {
-		return err
-	}
-	db.durMu.Lock()
-	s := db.durStore
-	db.durMu.Unlock()
-	if s != nil {
-		return s.CheckpointTable(t)
-	}
-	return nil
 }
 
 // EnableIncremental installs the engine's partial store (sized by
