@@ -181,14 +181,14 @@ func TestAddWorkerShipsOnlyWhatDiverged(t *testing.T) {
 }
 
 // TestBootstrapSyncSurvivesWorkerRestart: with durability on, a synced
-// replica is checkpointed immediately, so the worker comes back from
-// its own crash already in step — the rebuilt state is durable, not
-// just resident.
+// replica is checkpointed immediately and a batch forwarded to it is
+// write-ahead-logged (a whole table grows through Catalog.Append), so
+// the worker comes back from its own crash already in step — the
+// rebuilt and grown state is durable, not just resident.
 func TestBootstrapSyncSurvivesWorkerRestart(t *testing.T) {
 	ctx := context.Background()
 	coordDB := newDB(t, 1500)
 	b := coordDB.ShardRemote(nil, 5*time.Second, seedb.ClusterConfig{})
-	want := tableHashes(t, coordDB)
 
 	dir := t.TempDir()
 	workerDB := seedb.Open()
@@ -205,6 +205,14 @@ func TestBootstrapSyncSurvivesWorkerRestart(t *testing.T) {
 	if rep.Shipped != len(coordDB.Tables()) {
 		t.Fatalf("empty durable worker should be shipped everything, got %+v", rep)
 	}
+	sum, err := b.Ingest(ctx, "orders", ingestRows(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Shards) != 1 || !sum.Shards[0].OK {
+		t.Fatalf("forward to the durable replica: %+v", sum.Shards)
+	}
+	want := tableHashes(t, coordDB)
 	// Crash the worker (abandon, no CloseDurability) and reboot an
 	// empty process over the same data dir.
 	worker.Close()
@@ -213,8 +221,8 @@ func TestBootstrapSyncSurvivesWorkerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.SnapshotsLoaded != len(want) {
-		t.Fatalf("reboot should restore %d synced snapshots, got %+v", len(want), info)
+	if info.SnapshotsLoaded != len(want) || info.ReplayedBatches != 1 || info.ReplayedRows != 7 {
+		t.Fatalf("reboot should restore %d synced snapshots and replay the forwarded batch, got %+v", len(want), info)
 	}
 	if got := tableHashes(t, rebooted); got["orders"] != want["orders"] || got["synthetic"] != want["synthetic"] {
 		t.Fatalf("rebooted worker lost synced replicas:\ngot  %v\nwant %v", got, want)

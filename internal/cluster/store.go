@@ -178,43 +178,34 @@ func (s *PlacementStore) Sync(name string, lo int, r io.Reader) (*SyncResponse, 
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
-	if lo < 0 {
-		// A whole table takes no store lock: the lock guards segment
-		// bindings, and the checkpoint is O(table).
+	if lo >= 0 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.dur != nil {
+			// The snapshot is written first: a crash after it leaves the
+			// new copy durable, one before it the old.
+			err = s.dur.CheckpointTable(t.Clone(durableName(name, lo)))
+		}
+		if err == nil {
+			err = s.putLocked(&placement{name: name, source: source, lo: lo, rows: t.NumRows(), hash: hash}, t)
+		}
+	} else {
+		// A whole table holds the lock only to read dur: the lock guards
+		// segment bindings, and the checkpoint is O(table).
+		s.mu.RLock()
+		dur := s.dur
+		s.mu.RUnlock()
 		cat := s.ex.Catalog()
 		cat.Drop(name)
 		s.stats.Invalidate(name)
-		err = cat.Register(t)
-		if dur := s.durable(); err == nil && dur != nil {
+		if err = cat.Register(t); err == nil && dur != nil {
 			err = dur.CheckpointTable(t)
 		}
-	} else {
-		err = s.syncPlacement(&placement{name: name, source: source, lo: lo, rows: t.NumRows(), hash: hash}, t)
 	}
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
 	return &SyncResponse{Table: name, Rows: t.NumRows(), ContentHash: hash}, http.StatusOK, nil
-}
-
-// syncPlacement checkpoints p, shipped as t, and places it.
-func (s *PlacementStore) syncPlacement(p *placement, t *engine.Table) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dur != nil {
-		// The snapshot is written first: a crash after it leaves the new
-		// copy durable, one before it the old.
-		if err := s.dur.CheckpointTable(t.Clone(durableName(p.name, p.lo))); err != nil {
-			return err
-		}
-	}
-	return s.putLocked(p, t)
-}
-
-func (s *PlacementStore) durable() Durable {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.dur
 }
 
 // putLocked replaces any held copy of p and any held placement of its

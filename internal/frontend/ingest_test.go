@@ -1,13 +1,16 @@
 package frontend
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"seedb"
 	"seedb/internal/cluster"
+	"seedb/internal/engine"
 )
 
 // superstoreIngestRows builds n valid loose-typed rows for the orders
@@ -178,6 +181,41 @@ func TestIngestQueryConsistency(t *testing.T) {
 	for i := range a.Views {
 		if a.Views[i].Title != b.Views[i].Title || a.Views[i].Utility != b.Views[i].Utility {
 			t.Fatalf("view %d differs after ingest: %+v vs %+v", i, a.Views[i], b.Views[i])
+		}
+	}
+}
+
+// failingSink is a write-ahead log whose every write fails.
+type failingSink struct{}
+
+func (failingSink) LogAppend(*engine.Table, uint64, [][]engine.Value) error {
+	return errors.New("injected: fsync failed")
+}
+
+// TestIngestNotDurableIs500 pins docs/API.md's ack semantics: a batch
+// applied in memory but not logged answers 500 — never 200, never the
+// client's 400 — on a plain node's own table and on a whole table a
+// coordinator shipped to a worker, while a bad batch stays 400.
+func TestIngestNotDurableIs500(t *testing.T) {
+	s := testServer(t)
+	orders, err := s.db.Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := engine.WriteTableSnapshot(&snap, orders.Clone("shipped")); err != nil {
+		t.Fatal(err)
+	}
+	if w := postRaw(s, "/api/shard/sync?table=shipped", "application/octet-stream", &snap); w.Code != http.StatusOK {
+		t.Fatalf("sync: %d: %s", w.Code, w.Body.String())
+	}
+	s.db.Engine().Executor().Catalog().SetAppendSink(failingSink{})
+	for _, table := range []string{"orders", "shipped"} {
+		if w := postJSON(t, s, "/api/ingest", map[string]any{"table": table, "rows": superstoreIngestRows(2)}); w.Code != http.StatusInternalServerError {
+			t.Errorf("%s: unlogged batch: status %d, want 500 (%s)", table, w.Code, w.Body.String())
+		}
+		if w := postJSON(t, s, "/api/ingest", map[string]any{"table": table, "rows": [][]any{{"West"}}}); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: bad batch: status %d, want 400", table, w.Code)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +16,7 @@ import (
 
 	"seedb"
 	"seedb/internal/cluster"
+	"seedb/internal/engine"
 )
 
 func postRaw(s *Server, path, contentType string, body io.Reader) *httptest.ResponseRecorder {
@@ -273,5 +276,86 @@ func TestOversizedExchangeDoesNotPenaliseWorker(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// failingDurable is a durability store whose every write fails.
+type failingDurable struct{}
+
+func (failingDurable) CheckpointTable(*engine.Table) error { return errors.New("injected: disk full") }
+func (failingDurable) DropTable(string) error              { return errors.New("injected: disk full") }
+
+// snapshotOf serializes rows [lo,hi) of the orders table as name (the
+// whole table when name is "orders").
+func snapshotOf(t *testing.T, s *Server, name string, lo, hi int) []byte {
+	t.Helper()
+	tb, err := s.db.Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name != "orders" {
+		if tb, err = tb.ExtractRange(name, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := engine.WriteTableSnapshot(&buf, tb); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestShardSyncStatuses: /api/shard/sync answers 400 only for what is
+// the coordinator's fault — a broken snapshot, one of another table, a
+// placement off the grid — 413 for a snapshot over its bound and 500
+// when this node cannot make a good snapshot durable, for a whole
+// table and a placement alike.
+func TestShardSyncStatuses(t *testing.T) {
+	s := testServer(t)
+	whole, p0 := snapshotOf(t, s, "orders", 0, 0), snapshotOf(t, s, "orders__p0", 0, 1024)
+	sync := func(query string, body []byte) int {
+		return postRaw(s, "/api/shard/sync?"+query, "application/octet-stream", bytes.NewReader(body)).Code
+	}
+	for _, tc := range []struct {
+		query string
+		body  []byte
+		want  int
+	}{
+		{"table=orders", []byte("not a snapshot"), http.StatusBadRequest},
+		{"table=sales", whole, http.StatusBadRequest},
+		{"table=orders__p0&lo=1000", p0, http.StatusBadRequest},
+		{"table=orders&lo=0", whole, http.StatusBadRequest},
+		{"table=orders", whole, http.StatusOK},
+		{"table=orders__p0&lo=0", p0, http.StatusOK},
+	} {
+		if got := sync(tc.query, tc.body); got != tc.want {
+			t.Errorf("sync %s: status %d, want %d", tc.query, got, tc.want)
+		}
+	}
+
+	// Over its bound: the store classifies the wrapped MaxBytesError
+	// the way every cluster body is classified.
+	if got := cluster.BodyStatus(fmt.Errorf("reading: %w", &http.MaxBytesError{Limit: 1})); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a wrapped MaxBytesError classifies as %d, want 413", got)
+	}
+	_, status, err := s.db.Placements().Sync("orders", -1, http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(whole)), 64))
+	if err == nil || status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a snapshot over its bound: status %d (%v), want 413", status, err)
+	}
+
+	if err := s.db.Placements().SetDurable(failingDurable{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []string{"table=orders", "table=orders__p0&lo=0"} {
+		body := whole
+		if strings.Contains(query, "lo=") {
+			body = p0
+		}
+		if got := sync(query, body); got != http.StatusInternalServerError {
+			t.Errorf("sync %s with a failing checkpoint: status %d, want 500", query, got)
+		}
+	}
+	if w := postRaw(s, "/api/shard/drop?table=orders__p0", "", nil); w.Code != http.StatusInternalServerError {
+		t.Errorf("drop with a failing snapshot removal: status %d, want 500", w.Code)
 	}
 }
