@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"slices"
 	"strconv"
@@ -132,6 +133,7 @@ func (m *member) status() ShardStatus {
 // replica, so queries degrade rather than fail.
 type Backend struct {
 	ex     *engine.Executor
+	store  *PlacementStore // the node's own, which every append goes through
 	cfg    Config
 	layout layout
 
@@ -161,17 +163,17 @@ type Backend struct {
 	rpcSeconds atomic.Pointer[obs.HistogramVec]
 }
 
-// New builds a coordinator backend over the executor's catalog — the
-// authoritative replica: ingest entry point and degraded path. Workers
-// join via AddWorker, Join, or the frontend's /api/shard/register.
-func New(ex *engine.Executor, cfg Config) *Backend {
+// New builds a coordinator backend over the node's placement store —
+// the authoritative replica: ingest entry point and degraded path.
+// Workers join via AddWorker, Join, or the frontend's /api/shard/register.
+func New(store *PlacementStore, cfg Config) *Backend {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 15 * time.Second
 	}
 	if cfg.PlacementChunks <= 0 {
 		cfg.PlacementChunks = 4
 	}
-	b := &Backend{ex: ex, cfg: cfg, layout: replicated{}, fleet: fleet{ring: newHashRing()}}
+	b := &Backend{ex: store.ex, store: store, cfg: cfg, layout: replicated{}, fleet: fleet{ring: newHashRing()}}
 	if cfg.Replication > 0 {
 		b.layout = &placed{rf: cfg.Replication, span: cfg.PlacementChunks * engine.ChunkRows,
 			hashes: make(map[placementID]fragHash)}
@@ -180,12 +182,12 @@ func New(ex *engine.Executor, cfg Config) *Backend {
 }
 
 // NewLocal builds the zero-worker replicated backend: every query is
-// cut into n grid-aligned ranges that run concurrently on ex and merge
-// through the same path a fleet's partials do — single-binary sharding,
-// and the exact merge path testable without a fleet.
-func NewLocal(ex *engine.Executor, n int, cfg Config) *Backend {
+// cut into n grid-aligned ranges that run concurrently on the node and
+// merge through the same path a fleet's partials do — single-binary
+// sharding, and the exact merge path testable without a fleet.
+func NewLocal(store *PlacementStore, n int, cfg Config) *Backend {
 	cfg.Replication = 0
-	b := New(ex, cfg)
+	b := New(store, cfg)
 	b.layout = replicated{local: max(n, 1)}
 	return b
 }
@@ -682,7 +684,7 @@ func (b *Backend) exchange(ctx context.Context, m *member, t *engine.Table, q *e
 }
 
 // ---------------------------------------------------------------------
-// Ingest: the append path
+// Append: the coordinator's half of the append path
 
 // ShardIngestStatus reports one owner's outcome for one fragment a
 // forwarded append touched.
@@ -701,57 +703,38 @@ type ShardIngestStatus struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// IngestSummary is the coordinator-side outcome of a batched append.
-type IngestSummary struct {
-	Table       string              `json:"table"`
-	Appended    int                 `json:"appended"`
-	Rows        int                 `json:"rows"`
-	ContentHash string              `json:"contentHash"`
-	Shards      []ShardIngestStatus `json:"shards,omitempty"`
-}
-
-// Ingest applies a batched append to the coordinator's replica — the
-// durability seam: with a data dir the batch is write-ahead-logged
-// before any forwarding — then, per fragment the delta touches and per
-// owner of it, forwards exactly the delta rows that fall inside (or
+// Append applies a batched append through the node's placement store —
+// the durability seam, which also picks a failure's status — then, per
+// fragment the delta touches and per owner of it, forwards exactly the
+// delta rows that fall inside, rendered by engine.FormatRowsWire (or
 // ships the fragment whole when this append gave birth to it or the
 // owner missed it) and verifies the post-append content hash. One
 // batch is in flight fleet-wide at a time (ingestMu), so owners apply
 // identical deltas in identical order; the owners of one fragment are
 // independent and are forwarded to concurrently.
 //
-// An owner that fails to apply (or diverges) is marked unhealthy
-// rather than failing the ingest: scatters re-verify hashes per
-// request, so another owner or the coordinator covers its ranges until
-// a rebalance re-ships it. The coordinator's own append failing IS an
-// error. Every touched fragment is re-hashed whole per batch on every
-// owner (and the table on the coordinator): batch aggressively.
-func (b *Backend) Ingest(ctx context.Context, table string, rows [][]any) (*IngestSummary, error) {
+// An owner that fails to apply (or diverges) is marked unhealthy and
+// reported in Shards rather than failing the append: scatters
+// re-verify hashes per request, so another owner or the coordinator
+// covers its ranges until a rebalance re-ships it. Every touched
+// fragment is re-hashed whole per batch on every owner (and the table
+// on the coordinator): batch aggressively.
+func (b *Backend) Append(ctx context.Context, table string, rows [][]engine.Value) (*IngestResponse, int, error) {
 	b.ingestMu.Lock()
 	defer b.ingestMu.Unlock()
 
-	t, err := b.ex.Catalog().Table(table)
+	resp, t, status, err := b.store.grow(table, rows, true)
 	if err != nil {
-		return nil, err
-	}
-	typed, err := t.ParseRows(rows)
-	if err != nil {
-		return nil, err
-	}
-	oldRows := t.NumRows()
-	total, err := b.ex.Catalog().Append(t, typed)
-	if err != nil {
-		return nil, err
-	}
-	chash, err := t.ContentHash()
-	if err != nil {
-		return nil, err
+		return nil, status, err
 	}
 	b.ingests.Add(1)
 	b.ingestRows.Add(int64(len(rows)))
-	sum := &IngestSummary{Table: table, Appended: len(rows), Rows: total, ContentHash: chash}
-
-	for _, f := range b.layout.fragments(t, total, oldRows, total) {
+	if t == nil { // a placement held for another coordinator
+		return resp, status, nil
+	}
+	oldRows := resp.Rows - resp.Appended
+	var wire [][]any
+	for _, f := range b.layout.fragments(t, resp.Rows, oldRows, resp.Rows) {
 		b.mu.RLock()
 		owners := b.layout.owners(f, &b.fleet)
 		b.mu.RUnlock()
@@ -760,9 +743,12 @@ func (b *Backend) Ingest(ctx context.Context, table string, rows [][]any) (*Inge
 		}
 		expected, err := f.hash()
 		if err != nil {
-			return nil, err
+			return nil, http.StatusInternalServerError, err
 		}
-		delta := rows[max(f.lo-oldRows, 0) : f.hi-oldRows]
+		if wire == nil {
+			wire = engine.FormatRowsWire(rows)
+		}
+		delta := wire[max(f.lo-oldRows, 0) : f.hi-oldRows]
 		statuses := make([]ShardIngestStatus, len(owners))
 		var wg sync.WaitGroup
 		for i, m := range owners {
@@ -773,9 +759,9 @@ func (b *Backend) Ingest(ctx context.Context, table string, rows [][]any) (*Inge
 			}()
 		}
 		wg.Wait()
-		sum.Shards = append(sum.Shards, statuses...)
+		resp.Shards = append(resp.Shards, statuses...)
 	}
-	return sum, nil
+	return resp, http.StatusOK, nil
 }
 
 // forward brings one owner's copy of f up to the post-append state:
@@ -830,8 +816,8 @@ type RebalanceReport struct {
 // Rebalance diffs every worker's inventory against the layout's
 // current assignment and reconciles: ship owned-but-missing (or
 // diverged) fragments from the coordinator's replica, drop
-// no-longer-owned ones. Ingest is held for the duration, so the
-// shipped bytes are a consistent cut of every table.
+// no-longer-owned ones (and placements of dropped tables). Ingest is
+// held for the duration, so the shipped bytes are a consistent cut.
 func (b *Backend) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 	b.ingestMu.Lock()
 	defer b.ingestMu.Unlock()
@@ -855,6 +841,7 @@ func (b *Backend) rebalanceLocked(ctx context.Context) (*RebalanceReport, error)
 		}
 	}
 
+	owned := map[[2]string]bool{} // {worker, fragment}
 	for _, table := range b.ex.Catalog().TableNames() {
 		t, err := b.ex.Catalog().Table(table)
 		if err != nil {
@@ -866,37 +853,46 @@ func (b *Backend) rebalanceLocked(ctx context.Context) (*RebalanceReport, error)
 			owners := b.layout.owners(f, &b.fleet)
 			b.mu.RUnlock()
 			expected := ""
-			for _, m := range members {
-				has, held := m.hold(f.name)
-				switch {
-				case slices.Contains(owners, m):
-					if expected == "" {
-						if expected, err = f.hash(); err != nil {
-							return nil, err
-						}
+			for _, m := range owners {
+				owned[[2]string{m.w.ID(), f.name}] = true
+				if expected == "" {
+					if expected, err = f.hash(); err != nil {
+						return nil, err
 					}
-					if held && has == expected {
-						continue
-					}
-					nbytes, err := b.shipFragment(ctx, m, t, f, expected)
-					if err != nil {
-						rep.Errors = append(rep.Errors, fmt.Sprintf("%s %s: %v", m.w.ID(), f.name, err))
-						m.markFailure()
-						continue
-					}
-					rep.Shipped++
-					rep.BytesMoved += int64(nbytes)
-				case held:
-					if err := m.w.DropTable(ctx, f.name); err != nil {
-						rep.Errors = append(rep.Errors, fmt.Sprintf("%s drop %s: %v", m.w.ID(), f.name, err))
-						m.markFailure()
-						continue
-					}
-					m.setHold(f.name, "")
-					b.fragDropped.Add(1)
-					rep.Dropped++
 				}
+				if has, held := m.hold(f.name); held && has == expected {
+					continue
+				}
+				nbytes, err := b.shipFragment(ctx, m, t, f, expected)
+				if err != nil {
+					rep.Errors = append(rep.Errors, fmt.Sprintf("%s %s: %v", m.w.ID(), f.name, err))
+					m.markFailure()
+					continue
+				}
+				rep.Shipped++
+				rep.BytesMoved += int64(nbytes)
 			}
+		}
+	}
+	// Under the placed layout a worker drops every placement it no
+	// longer owns, a dropped table's included. Whole tables never go:
+	// a worker's may serve another coordinator.
+	for _, m := range members {
+		m.mu.Lock()
+		held := slices.Sorted(maps.Keys(m.holds))
+		m.mu.Unlock()
+		for _, name := range held {
+			if _, ok := fragmentSource(name); !ok || b.cfg.Replication == 0 || owned[[2]string{m.w.ID(), name}] {
+				continue
+			}
+			if err := m.w.DropTable(ctx, name); err != nil {
+				rep.Errors = append(rep.Errors, fmt.Sprintf("%s drop %s: %v", m.w.ID(), name, err))
+				m.markFailure()
+				continue
+			}
+			m.setHold(name, "")
+			b.fragDropped.Add(1)
+			rep.Dropped++
 		}
 	}
 	for _, m := range members {

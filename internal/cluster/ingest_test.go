@@ -2,10 +2,16 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
+	"log"
+	"math"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"seedb"
+	"seedb/internal/cluster"
+	"seedb/internal/frontend"
 )
 
 // ingestRows builds n valid loose-typed rows for the superstore orders
@@ -90,48 +96,179 @@ func TestClusterIngestReplicates(t *testing.T) {
 	}
 }
 
-// TestDBAppendRoutesThroughCluster: the embedded DB.Append API on a
-// coordinator with remote workers must forward the batch to every
-// replica (bypassing replication would permanently diverge the fleet).
-func TestDBAppendRoutesThroughCluster(t *testing.T) {
-	w1, w1db := startWorker(t, 2000)
-	coord := newDB(t, 2000)
-	b := coord.ShardRemote([]string{w1.URL}, 10*time.Second, seedb.ClusterConfig{})
+// awkwardRows is a batch for the orders table of n rows cycling
+// through values a lossy append path bends: padded and empty strings,
+// NaN, ±Inf, −0 and an INT beyond 2^53 — typed for DB.Append, and
+// loose as a client sends them to /api/ingest (non-finite floats and
+// the big INT as strings).
+func awkwardRows(n int) ([][]seedb.Value, [][]any) {
+	negZero := math.Copysign(0, -1)
+	floats := []float64{math.NaN(), math.Inf(1), math.Inf(-1), negZero, 12.5}
+	loose := []any{"NaN", "+Inf", "-Inf", negZero, 12.5}
+	regions := []string{"  West ", "", "East"}
+	typed := make([][]seedb.Value, n)
+	wire := make([][]any, n)
+	for i := range typed {
+		f, region := i%len(floats), regions[i%len(regions)]
+		qty := int64(1 + i%3)
+		var wireQty any = float64(qty)
+		if i%4 == 0 {
+			qty = 1<<53 + 1
+			wireQty = "9007199254740993"
+		}
+		typed[i] = []seedb.Value{seedb.String(region), seedb.String(""), seedb.String("Consumer"),
+			seedb.String("Furniture"), seedb.String("Chairs"), seedb.String(" Standard"),
+			seedb.String("04-Apr"), seedb.Float(floats[f]), seedb.Float(negZero), seedb.Int(qty), seedb.Float(floats[(f+1)%len(floats)])}
+		wire[i] = []any{region, "", "Consumer", "Furniture", "Chairs", " Standard", "04-Apr",
+			loose[f], negZero, wireQty, loose[(f+1)%len(loose)]}
+	}
+	return typed, wire
+}
 
-	rows := [][]seedb.Value{
-		{seedb.String("West"), seedb.String("California"), seedb.String("Consumer"),
-			seedb.String("Furniture"), seedb.String("Chairs"), seedb.String("Standard"),
-			seedb.String("04-Apr"), seedb.Float(10.5), seedb.Float(1.25), seedb.Int(2), seedb.Float(0.1)},
+// TestDBAppendRoutesThroughCluster: DB.Append leaves the same table on
+// every topology — solo, sharded in process, replicated over HTTP,
+// placed in process and over HTTP — so a coordinator's content hash
+// and its next recommendation are the solo ones, its workers applied
+// every forward cleanly (bypassing them would permanently diverge the
+// fleet), and /api/ingest of the same batch on a coordinator and on a
+// plain node gives the same table again.
+func TestDBAppendRoutesThroughCluster(t *testing.T) {
+	ctx := context.Background()
+	const base = 2000 // a 60-row batch grows placement 1 and births placement 2
+	const q = "SELECT * FROM orders WHERE category = 'Furniture'"
+	awkward, awkwardWire := awkwardRows(60)
+	inputs := []struct {
+		name string
+		rows [][]seedb.Value
+	}{
+		{"one row", [][]seedb.Value{
+			{seedb.String("West"), seedb.String("California"), seedb.String("Consumer"),
+				seedb.String("Furniture"), seedb.String("Chairs"), seedb.String("Standard"),
+				seedb.String("04-Apr"), seedb.Float(10.5), seedb.Float(1.25), seedb.Int(2), seedb.Float(0.1)},
+		}},
+		{"awkward values", awkward},
 	}
-	total, err := coord.Append("orders", rows)
+	placeHTTP := func(db *seedb.DB) (*seedb.ClusterBackend, error) {
+		w1, _ := startEmptyWorker(t)
+		w2, _ := startEmptyWorker(t)
+		return db.PlaceRemote(ctx, []string{w1.URL, w2.URL}, 10*time.Second, placementConfig(2))
+	}
+	topologies := []struct {
+		name  string
+		setup func(db *seedb.DB) (*seedb.ClusterBackend, error)
+	}{
+		{"ShardLocal(2)", func(db *seedb.DB) (*seedb.ClusterBackend, error) {
+			return db.ShardLocal(2, seedb.ClusterConfig{}), nil
+		}},
+		{"ShardRemote", func(db *seedb.DB) (*seedb.ClusterBackend, error) {
+			w, _ := startWorker(t, base)
+			return db.ShardRemote([]string{w.URL}, 10*time.Second, seedb.ClusterConfig{}), nil
+		}},
+		{"PlaceMembers rf=2", func(db *seedb.DB) (*seedb.ClusterBackend, error) {
+			return db.PlaceMembers(ctx, 2, placementConfig(2))
+		}},
+		{"PlaceRemote rf=2", placeHTTP},
+	}
+	hashOf := func(db *seedb.DB) string {
+		tb, err := db.Table("orders")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := tb.ContentHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	clean := func(name string, b *seedb.ClusterBackend) {
+		t.Helper()
+		if c := b.Counters(); c.Mismatches != 0 || c.Failovers != 0 {
+			t.Fatalf("%s: the fleet degraded: %+v", name, c)
+		}
+		for _, st := range b.Status() {
+			if !st.Healthy || st.Failures != 0 {
+				t.Fatalf("%s: a worker was struck: %+v", name, st)
+			}
+		}
+	}
+
+	var soloHash string
+	for _, in := range inputs {
+		solo := newDB(t, base)
+		total, err := solo.Append("orders", in.rows)
+		if err != nil || total != base+len(in.rows) {
+			t.Fatalf("%s: solo append: total %d, %v", in.name, total, err)
+		}
+		soloHash = hashOf(solo)
+		want, err := solo.RecommendSQL(ctx, q, testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range topologies {
+			name := in.name + " on " + tp.name
+			coord := newDB(t, base)
+			b, err := tp.setup(coord)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total, err := coord.Append("orders", in.rows)
+			if err != nil || total != base+len(in.rows) {
+				t.Fatalf("%s: total %d, %v", name, total, err)
+			}
+			if h := hashOf(coord); h != soloHash {
+				t.Fatalf("%s: coordinator hash %s, solo %s", name, h, soloHash)
+			}
+			if c := b.Counters(); c.Ingests != 1 {
+				t.Fatalf("%s: the append did not route through the coordinator: %+v", name, c)
+			}
+			clean(name, b)
+			got, err := coord.RecommendSQL(ctx, q, testOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if render(got) != render(want) {
+				t.Fatalf("%s: recommendation differs from solo:\n%s\nvs\n%s", name, render(got), render(want))
+			}
+			clean(name, b)
+		}
+	}
+
+	// The awkward batch as JSON, through /api/ingest: a placed
+	// coordinator over HTTP workers and a plain node hold the solo
+	// table afterwards, and every owner applied its forward.
+	coord := newDB(t, base)
+	b, err := placeHTTP(coord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 2001 {
-		t.Fatalf("coordinator total = %d, want 2001", total)
+	for _, node := range []*seedb.DB{coord, newDB(t, base)} {
+		hs := httptest.NewServer(frontend.New(node, nil, log.New(testWriter{t}, "ingest: ", 0)))
+		body, err := json.Marshal(map[string]any{"table": "orders", "rows": awkwardWire, "verify": true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := httpPostJSON(hs.URL+"/api/ingest", string(body))
+		hs.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp cluster.IngestResponse
+		if err := json.Unmarshal([]byte(out), &resp); err != nil {
+			t.Fatalf("ingest response %q: %v", out, err)
+		}
+		if resp.ContentHash != soloHash || resp.Rows != base+len(awkwardWire) {
+			t.Fatalf("/api/ingest: %s, solo hash %s", out, soloHash)
+		}
+		if (node == coord) != (len(resp.Shards) > 0) {
+			t.Fatalf("/api/ingest: owner statuses %+v", resp.Shards)
+		}
+		for _, st := range resp.Shards {
+			if !st.OK {
+				t.Fatalf("/api/ingest: owner status %+v", st)
+			}
+		}
 	}
-	wt, err := w1db.Table("orders")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wt.NumRows() != 2001 {
-		t.Fatalf("worker replica has %d rows: DB.Append bypassed replication", wt.NumRows())
-	}
-	ct, _ := coord.Table("orders")
-	ch, err := ct.ContentHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wh, err := wt.ContentHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch != wh {
-		t.Fatalf("replica hashes diverged after DB.Append: %s vs %s", ch, wh)
-	}
-	if b.Counters().Ingests != 1 {
-		t.Fatalf("expected the append to route through Ingest: %+v", b.Counters())
-	}
+	clean("/api/ingest", b)
 }
 
 // TestClusterIngestDivergenceDetected: a worker whose replica already

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -168,7 +169,8 @@ func TestPlacementElasticByteIdentity(t *testing.T) {
 	// placements, the coordinator ships them, and previous owners drop
 	// what they lost.
 	epochBefore := b.Counters().Epoch
-	rep2, added, err := b.AddWorker(ctx, seedb.NewMemberShard("member-4"))
+	joiner := seedb.NewMemberShard("member-4")
+	rep2, added, err := b.AddWorker(ctx, joiner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +192,82 @@ func TestPlacementElasticByteIdentity(t *testing.T) {
 	}
 	if c := b.Counters(); c.Failovers != 0 {
 		t.Fatalf("stable post-churn fleet must not degrade: %+v", c)
+	}
+
+	// Dropping a table on the coordinator is local; the next rebalance
+	// drops its placements on every worker that holds them (6
+	// placements x rf 2), and nothing else.
+	held := func() int {
+		n := 0
+		for _, ws := range b.Status() {
+			n += ws.Fragments
+		}
+		return n
+	}
+	before := held()
+	if err := db.DropTable("orders"); err != nil {
+		t.Fatal(err)
+	}
+	rep3, err := b.Rebalance(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep3.Dropped != 12 || rep3.Shipped != 0 || len(rep3.Errors) != 0 || held() != before-12 {
+		t.Fatalf("rebalance after DropTable: %+v, fragments %d -> %d", rep3, before, held())
+	}
+	inv, err := joiner.Store().Inventory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range inv {
+		if strings.HasPrefix(name, "orders__p") {
+			t.Fatalf("member-4 still holds %s after the rebalance", name)
+		}
+	}
+	// A worker's whole table is never the coordinator's to drop, even
+	// one named like a table the coordinator no longer holds.
+	own := seedb.NewMemberShard("member-5")
+	if err := own.Executor().Catalog().Register(seedb.SuperstoreTable("orders", 100, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.AddWorker(ctx, own); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := own.Executor().Catalog().Table("orders"); err != nil {
+		t.Fatalf("the rebalance dropped a worker's whole table: %v", err)
+	}
+	// member-4 may serve a replicated coordinator too: that one's
+	// rebalance ships it whole tables and leaves its placements alone.
+	placements := func() string {
+		inv, err := joiner.Store().Inventory()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for name := range inv {
+			if strings.Contains(name, "__p") {
+				names = append(names, name)
+			}
+		}
+		slices.Sort(names)
+		return strings.Join(names, ",")
+	}
+	held4 := placements()
+	if _, _, err := newDB(t, rows).ShardRemote(nil, time.Second, seedb.ClusterConfig{}).AddWorker(ctx, joiner); err != nil {
+		t.Fatal(err)
+	}
+	if after := placements(); after != held4 || held4 == "" {
+		t.Fatalf("a replicated coordinator's rebalance moved member-4's placements: %q -> %q", held4, after)
+	}
+	got, err = db.RecommendSQL(ctx, testQuery, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if render(got) != wantBytes {
+		t.Fatal("post-drop execution changed result bytes")
+	}
+	if c := b.Counters(); c.Failovers != 0 || c.Mismatches != 0 {
+		t.Fatalf("post-drop fleet degraded: %+v", c)
 	}
 }
 
@@ -439,7 +517,7 @@ func TestPlacementHTTPLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum cluster.IngestSummary
+	var sum cluster.IngestResponse
 	if err := json.Unmarshal([]byte(sumJSON), &sum); err != nil {
 		t.Fatalf("ingest response %q: %v", sumJSON, err)
 	}

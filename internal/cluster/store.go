@@ -18,15 +18,16 @@ import (
 )
 
 // PlacementStore is the one place that changes what a node holds,
-// behind MemberShard and the frontend's /api/shard/* and /api/ingest
-// handlers alike: it ships, drops, grows, lists and scans the node's
-// whole tables and the placements it owns. Each method decides once,
-// under its own locking, which of the two a name is.
+// behind MemberShard, the frontend's /api/shard/* handlers and every
+// append (DB.Append, /api/ingest, a coordinator's own apply) alike: it
+// ships, drops, grows, lists and scans the node's whole tables and the
+// placements it owns. Each method decides once, under its own locking,
+// which of the two a name is.
 //
 // A whole table lives in the catalog under its own name, whether a
 // coordinator shipped it (the replicated layout) or the node
 // registered it itself (demo data, RegisterTable, WAL recovery). Sync
-// swaps it in, Ingest grows it through Catalog.Append (the WAL seam),
+// swaps it in, Append grows it through Catalog.Append (the WAL seam),
 // Drop removes it; a replaced or removed table's metadata-collector
 // state is invalidated.
 //
@@ -41,10 +42,10 @@ import (
 // on its own, then runs one scan per maximal row-adjacent run of
 // served placements inside a segment.
 //
-// Sync, Ingest and Exec return the status an HTTP server should answer
-// on error, by one rule: the request's fault is 400 (413 for a body
-// over its bound, 404 for a name the node does not hold, 409 for a
-// placement that cannot take it), the node's — a durability
+// Sync, Parse, Append and Exec return the status an HTTP server should
+// answer on error, by one rule: the request's fault is 400 (413 for a
+// body over its bound, 404 for a name the node does not hold, 409 for
+// a placement that cannot take it), the node's — a durability
 // checkpoint, a hash — 500. Drop only ever fails on the node's side.
 type PlacementStore struct {
 	ex    *engine.Executor
@@ -239,64 +240,92 @@ func (s *PlacementStore) Drop(name string) error {
 	return nil
 }
 
-// Ingest appends a batch to a whole table or to a held placement,
-// which must end its segment (the coordinator only grows a table's
-// last placement). A whole table grows through Catalog.Append, so a
-// durable node has logged the batch when Ingest returns; its append
-// and its O(table) verify hash run outside the store's lock, so
-// exchanges keep running beside them.
+// Ingest is Parse, then Append.
 func (s *PlacementStore) Ingest(req *IngestRequest) (*IngestResponse, int, error) {
-	cat := s.ex.Catalog()
-	s.mu.RLock()
-	held := s.byName[req.Table] != nil
-	t, err := cat.Table(req.Table)
-	s.mu.RUnlock()
-	if held {
-		return s.ingestPlacement(req)
+	rows, status, err := s.Parse(req.Table, req.Rows)
+	if err != nil {
+		return nil, status, err
 	}
+	return s.Append(req.Table, rows, req.Verify)
+}
+
+// Parse converts JSON rows against the schema of name, a whole table
+// or a held placement: 404 for a name not held, 400 for a bad row.
+func (s *PlacementStore) Parse(name string, rows [][]any) ([][]engine.Value, int, error) {
+	s.mu.RLock()
+	t, err := s.ex.Catalog().Table(name)
+	if p := s.byName[name]; p != nil {
+		t, err = p.seg.t, nil
+	}
+	s.mu.RUnlock()
 	if err != nil {
 		return nil, http.StatusNotFound, err
 	}
-	typed, err := t.ParseRows(req.Rows)
+	typed, err := t.ParseRows(rows)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	total, err := cat.Append(t, typed)
-	if errors.Is(err, engine.ErrNotDurable) {
-		// The rows were valid; the log write failed.
-		return nil, http.StatusInternalServerError, err
-	} else if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	resp := &IngestResponse{Table: req.Table, Appended: len(typed), Rows: total}
-	if req.Verify {
-		if resp.ContentHash, err = t.ContentHash(); err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-	}
-	return resp, http.StatusOK, nil
+	return typed, http.StatusOK, nil
 }
 
-// ingestPlacement grows the held placement req.Table.
-func (s *PlacementStore) ingestPlacement(req *IngestRequest) (*IngestResponse, int, error) {
+// Append grows a whole table or a held placement by rows, exactly as
+// given — the only code that appends on any node; verify adds the
+// grown copy's content hash.
+func (s *PlacementStore) Append(name string, rows [][]engine.Value, verify bool) (*IngestResponse, int, error) {
+	resp, _, status, err := s.grow(name, rows, verify)
+	return resp, status, err
+}
+
+// grow is Append, also returning the whole table it grew (nil for a
+// placement). A whole table grows through Catalog.Append, so a durable
+// node has logged the batch when grow returns, outside the store's
+// lock like its O(table) verify hash. A placement must end its segment.
+func (s *PlacementStore) grow(name string, rows [][]engine.Value, verify bool) (*IngestResponse, *engine.Table, int, error) {
+	cat := s.ex.Catalog()
+	s.mu.RLock()
+	held := s.byName[name] != nil
+	t, err := cat.Table(name)
+	s.mu.RUnlock()
+	if held {
+		resp, status, err := s.growPlacement(name, rows, verify)
+		return resp, nil, status, err
+	}
+	if err != nil {
+		return nil, nil, http.StatusNotFound, err
+	}
+	total, err := cat.Append(t, rows)
+	if errors.Is(err, engine.ErrNotDurable) {
+		// The rows were valid; the log write failed.
+		return nil, nil, http.StatusInternalServerError, err
+	} else if err != nil {
+		return nil, nil, http.StatusBadRequest, err
+	}
+	resp := &IngestResponse{Table: name, Appended: len(rows), Rows: total}
+	if verify {
+		if resp.ContentHash, err = t.ContentHash(); err != nil {
+			return nil, nil, http.StatusInternalServerError, err
+		}
+	}
+	return resp, t, http.StatusOK, nil
+}
+
+// growPlacement grows the held placement name.
+func (s *PlacementStore) growPlacement(name string, rows [][]engine.Value, verify bool) (*IngestResponse, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.byName[req.Table]
+	p := s.byName[name]
 	if p == nil {
-		return nil, http.StatusNotFound, fmt.Errorf("cluster: no placement named %q", req.Table)
+		return nil, http.StatusNotFound, fmt.Errorf("cluster: no placement named %q", name)
 	}
 	g := p.seg
 	if g.ps[len(g.ps)-1] != p {
 		return nil, http.StatusConflict, fmt.Errorf("cluster: placement %s is followed by %s on this worker and cannot grow", p.name, g.ps[len(g.ps)-1].name)
 	}
-	typed, err := g.t.ParseRows(req.Rows)
-	if err != nil {
+	if _, err := g.t.Append(rows); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	if _, err := g.t.Append(typed); err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	p.rows += len(typed)
+	p.rows += len(rows)
+	var err error
 	p.hash, err = g.t.RangeContentHash(p.name, p.off(), p.off()+p.rows)
 	if err == nil && s.dur != nil {
 		var snap *engine.Table
@@ -310,8 +339,8 @@ func (s *PlacementStore) ingestPlacement(req *IngestRequest) (*IngestResponse, i
 	if err := s.linkLocked(g); err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
-	resp := &IngestResponse{Table: p.name, Appended: len(typed), Rows: p.rows}
-	if req.Verify {
+	resp := &IngestResponse{Table: p.name, Appended: len(rows), Rows: p.rows}
+	if verify {
 		resp.ContentHash = p.hash
 	}
 	return resp, http.StatusOK, nil

@@ -291,8 +291,11 @@ type IngestResponse struct {
 	Rows     int `json:"rows"`
 	// ContentHash digests the post-append table, so the coordinator
 	// can verify the replica still carries byte-identical data. Empty
-	// unless the request set Verify.
+	// unless the request set Verify; a coordinator always sets it.
 	ContentHash string `json:"contentHash,omitempty"`
+	// Shards is a coordinator's: one status per (owner, fragment)
+	// the batch touched.
+	Shards []ShardIngestStatus `json:"shards,omitempty"`
 }
 
 // EncodeShardRequest lowers (q, gsets) restricted to rows [lo,hi) of

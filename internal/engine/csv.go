@@ -96,11 +96,17 @@ func inferTypes(header []string, records [][]string) []Type {
 	return types
 }
 
+// parseField reads one CSV field: trimmed, and empty is NULL.
 func parseField(field string, t Type) (Value, error) {
 	f := strings.TrimSpace(field)
 	if f == "" {
 		return NullValue(t), nil
 	}
+	return parseText(f, t)
+}
+
+// parseText reads f exactly as a value of type t.
+func parseText(f string, t Type) (Value, error) {
 	switch t {
 	case TypeInt:
 		v, err := strconv.ParseInt(f, 10, 64)

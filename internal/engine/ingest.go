@@ -4,15 +4,13 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"time"
 )
 
-// ParseRows converts loosely-typed rows — typically decoded JSON, where
-// every number is a float64 and every timestamp a string — into boxed
-// values in schema order, validating against the table schema. The
-// conversion is deterministic, so a coordinator and its replicas
-// produce identical columns (and therefore identical content hashes)
-// from the same wire payload. nil fields become NULL.
+// ParseRows converts decoded JSON rows into boxed values in schema
+// order, validating against the table schema. The conversion is
+// deterministic, so a coordinator and its replicas produce identical
+// columns (and therefore identical content hashes) from the same wire
+// payload.
 func (t *Table) ParseRows(rows [][]any) ([][]Value, error) {
 	schema := t.Schema()
 	out := make([][]Value, len(rows))
@@ -34,61 +32,34 @@ func (t *Table) ParseRows(rows [][]any) ([][]Value, error) {
 	return out, nil
 }
 
-// coerceField converts one loosely-typed field to the column type.
-// Strings are accepted for every type (parsed like CSV fields), JSON
-// numbers for the numeric types.
+// coerceField converts one JSON field — nil, a string or a number — to
+// the column type. A string is read exactly (no CSV trimming, "" is not
+// NULL): a STRING keeps every byte, a FLOAT reads "NaN" and "±Inf".
 func coerceField(f any, typ Type) (Value, error) {
-	if f == nil {
-		return NullValue(typ), nil
-	}
 	switch v := f.(type) {
+	case nil:
+		return NullValue(typ), nil
 	case string:
-		return parseField(v, typ)
+		return parseText(v, typ)
 	case float64:
-		switch typ {
-		case TypeInt:
-			i := int64(v)
-			if float64(i) != v || math.Abs(v) > 1<<53 {
-				return Value{}, fmt.Errorf("value %v is not an exact integer", v)
-			}
-			return Int(i), nil
-		case TypeFloat:
+		switch i := int64(v); {
+		case typ == TypeFloat:
 			return Float(v), nil
-		case TypeTime:
-			return Value{}, fmt.Errorf("TIMESTAMP needs an RFC-3339 string, got number %v", v)
-		default:
-			return Value{}, fmt.Errorf("STRING column needs a string, got number %v", v)
+		case typ != TypeInt:
+			return Value{}, fmt.Errorf("%v column needs a string, got number %v", typ, v)
+		case float64(i) == v && math.Abs(v) <= 1<<53:
+			return Int(i), nil
 		}
-	case bool:
-		return Value{}, fmt.Errorf("boolean values are not supported (column type %v)", typ)
-	case int64:
-		// Direct integer path: values above 2^53 are valid INTs but
-		// would fail the float64 exactness guard.
-		if typ == TypeInt {
-			return Int(v), nil
-		}
-		return coerceField(float64(v), typ)
-	case int:
-		if typ == TypeInt {
-			return Int(int64(v)), nil
-		}
-		return coerceField(float64(v), typ)
-	case time.Time:
-		if typ != TypeTime {
-			return Value{}, fmt.Errorf("timestamp given for %v column", typ)
-		}
-		return Time(v), nil
-	default:
-		return Value{}, fmt.Errorf("unsupported field type %T", f)
+		return Value{}, fmt.Errorf("value %v is not an exact integer", v)
 	}
+	return Value{}, fmt.Errorf("unsupported field type %T", f)
 }
 
-// FormatRowsWire renders boxed rows into the loose wire shape
-// (numbers, strings, nil), the inverse of ParseRows: DB.Append on a
-// cluster coordinator converts its typed rows through this so the
-// batch can be forwarded to worker replicas, where ParseRows rebuilds
-// identical columns. Note the wire inherits the ingest dialect's CSV
-// semantics: an empty STRING travels as "" and re-parses as NULL.
+// FormatRowsWire renders boxed rows into the JSON shape ParseRows
+// reads back value for value, the form a coordinator forwards a typed
+// batch in. What a JSON number cannot carry is a string: an INT beyond
+// ±2^53, a non-finite FLOAT ("NaN", "+Inf", "-Inf"; a NaN re-parses as
+// the canonical NaN, whatever its payload bits were).
 func FormatRowsWire(rows [][]Value) [][]any {
 	out := make([][]any, len(rows))
 	for ri, vals := range rows {
@@ -100,17 +71,18 @@ func FormatRowsWire(rows [][]Value) [][]any {
 			switch v.Kind {
 			case TypeInt:
 				if v.I > 1<<53 || v.I < -(1<<53) {
-					// Too big for a JSON double: travel as a string,
-					// which coerceField parses back exactly.
 					raw[ci] = strconv.FormatInt(v.I, 10)
 				} else {
 					raw[ci] = float64(v.I)
 				}
 			case TypeFloat:
-				raw[ci] = v.F
+				if math.IsNaN(v.F) || math.IsInf(v.F, 0) {
+					raw[ci] = strconv.FormatFloat(v.F, 'g', -1, 64)
+				} else {
+					raw[ci] = v.F
+				}
 			default:
-				// Strings and timestamps use the same text form the CSV
-				// and ingest parsers accept.
+				// Strings verbatim, timestamps in RFC 3339Nano.
 				raw[ci] = v.Format()
 			}
 		}

@@ -2,11 +2,13 @@ package frontend
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"seedb"
 	"seedb/internal/cluster"
@@ -90,11 +92,35 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 }
 
-func TestIngestValidation(t *testing.T) {
-	s := testServer(t)
-	before, _ := s.db.Table("orders")
-	rowsBefore := before.NumRows()
+// ingestRole is a node /api/ingest must answer alike on.
+type ingestRole struct {
+	name   string
+	s      *Server
+	member *seedb.MemberShard // a placed coordinator's one worker
+}
 
+// ingestRoles stands up testServer in every role: a plain node, an
+// in-process sharded coordinator and a placed coordinator over one
+// in-process worker.
+func ingestRoles(t *testing.T) []ingestRole {
+	t.Helper()
+	local, placed := testServer(t), testServer(t)
+	local.db.ShardLocal(2, seedb.ClusterConfig{})
+	b, err := placed.db.PlaceRemote(context.Background(), nil, time.Second, seedb.PlacementConfig{Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := seedb.NewMemberShard("member-0")
+	if _, _, err := b.AddWorker(context.Background(), m); err != nil {
+		t.Fatal(err)
+	}
+	return []ingestRole{{"plain", testServer(t), nil}, {"ShardLocal(2)", local, nil}, {"placed", placed, m}}
+}
+
+// TestIngestValidation pins the statuses of a refused batch, the same
+// on every role; a coordinator's failing owner is reported in shards
+// and never changes the request's status.
+func TestIngestValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		body any
@@ -111,14 +137,32 @@ func TestIngestValidation(t *testing.T) {
 			{"West", "California", "Consumer", "Furniture", "Chairs", "Standard", "04-Apr", 10.0, 1.0, 2.5, 0.1},
 		}}, http.StatusBadRequest},
 	}
-	for _, tc := range cases {
-		w := postJSON(t, s, "/api/ingest", tc.body)
-		if w.Code != tc.code {
-			t.Errorf("%s: status = %d, want %d (%s)", tc.name, w.Code, tc.code, w.Body.String())
+	for _, role := range ingestRoles(t) {
+		s := role.s
+		before, _ := s.db.Table("orders")
+		rowsBefore := before.NumRows()
+		for _, tc := range cases {
+			w := postJSON(t, s, "/api/ingest", tc.body)
+			if w.Code != tc.code {
+				t.Errorf("%s: %s: status = %d, want %d (%s)", role.name, tc.name, w.Code, tc.code, w.Body.String())
+			}
 		}
-	}
-	if got := before.NumRows(); got != rowsBefore {
-		t.Fatalf("failed ingests must not change the table: %d rows, want %d", got, rowsBefore)
+		if got := before.NumRows(); got != rowsBefore {
+			t.Fatalf("%s: failed ingests must not change the table: %d rows, want %d", role.name, got, rowsBefore)
+		}
+		if role.member == nil {
+			continue
+		}
+		role.member.SetGate(func(string) error { return errors.New("injected: worker down") })
+		w := postJSON(t, s, "/api/ingest", map[string]any{"table": "orders", "rows": superstoreIngestRows(3)})
+		role.member.SetGate(nil)
+		var resp cluster.IngestResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != http.StatusOK || err != nil {
+			t.Fatalf("%s: failing owner: status %d (%s)", role.name, w.Code, w.Body.String())
+		}
+		if len(resp.Shards) == 0 || resp.Shards[0].OK || resp.Rows != rowsBefore+3 {
+			t.Fatalf("%s: failing owner not reported: %s", role.name, w.Body.String())
+		}
 	}
 }
 
@@ -194,28 +238,31 @@ func (failingSink) LogAppend(*engine.Table, uint64, [][]engine.Value) error {
 
 // TestIngestNotDurableIs500 pins docs/API.md's ack semantics: a batch
 // applied in memory but not logged answers 500 — never 200, never the
-// client's 400 — on a plain node's own table and on a whole table a
-// coordinator shipped to a worker, while a bad batch stays 400.
+// client's 400 — on a node's own table and on a whole table a
+// coordinator shipped to it, on every role, while a bad batch stays
+// 400.
 func TestIngestNotDurableIs500(t *testing.T) {
-	s := testServer(t)
-	orders, err := s.db.Table("orders")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := engine.WriteTableSnapshot(&snap, orders.Clone("shipped")); err != nil {
-		t.Fatal(err)
-	}
-	if w := postRaw(s, "/api/shard/sync?table=shipped", "application/octet-stream", &snap); w.Code != http.StatusOK {
-		t.Fatalf("sync: %d: %s", w.Code, w.Body.String())
-	}
-	s.db.Engine().Executor().Catalog().SetAppendSink(failingSink{})
-	for _, table := range []string{"orders", "shipped"} {
-		if w := postJSON(t, s, "/api/ingest", map[string]any{"table": table, "rows": superstoreIngestRows(2)}); w.Code != http.StatusInternalServerError {
-			t.Errorf("%s: unlogged batch: status %d, want 500 (%s)", table, w.Code, w.Body.String())
+	for _, role := range ingestRoles(t) {
+		s := role.s
+		orders, err := s.db.Table("orders")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if w := postJSON(t, s, "/api/ingest", map[string]any{"table": table, "rows": [][]any{{"West"}}}); w.Code != http.StatusBadRequest {
-			t.Errorf("%s: bad batch: status %d, want 400", table, w.Code)
+		var snap bytes.Buffer
+		if err := engine.WriteTableSnapshot(&snap, orders.Clone("shipped")); err != nil {
+			t.Fatal(err)
+		}
+		if w := postRaw(s, "/api/shard/sync?table=shipped", "application/octet-stream", &snap); w.Code != http.StatusOK {
+			t.Fatalf("%s: sync: %d: %s", role.name, w.Code, w.Body.String())
+		}
+		s.db.Engine().Executor().Catalog().SetAppendSink(failingSink{})
+		for _, table := range []string{"orders", "shipped"} {
+			if w := postJSON(t, s, "/api/ingest", map[string]any{"table": table, "rows": superstoreIngestRows(2)}); w.Code != http.StatusInternalServerError {
+				t.Errorf("%s: %s: unlogged batch: status %d, want 500 (%s)", role.name, table, w.Code, w.Body.String())
+			}
+			if w := postJSON(t, s, "/api/ingest", map[string]any{"table": table, "rows": [][]any{{"West"}}}); w.Code != http.StatusBadRequest {
+				t.Errorf("%s: %s: bad batch: status %d, want 400", role.name, table, w.Code)
+			}
 		}
 	}
 }

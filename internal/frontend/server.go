@@ -773,14 +773,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------
 // /api/ingest: the live-table append path
 
-// handleIngest applies a batched append to this node's tables. On a
-// cluster coordinator the append is also forwarded to the owners of
-// every fragment it touches and each post-append ContentHash is
-// re-verified against the coordinator's, so distributed execution
-// stays byte-identical across appends; on a plain node (or worker) the
-// placement store applies it locally. Rows are
-// loosely typed JSON ([[...], ...], numbers/strings/nulls) coerced
-// against the table schema; a bad batch is rejected atomically.
+// handleIngest applies a batched append through DB.Ingest, the path
+// every role shares; on a cluster coordinator it is also forwarded to
+// the owners of every fragment it touches, each post-append
+// ContentHash re-verified. With a data dir the 200 means the batch is
+// in the write-ahead log, and a logging failure answers 500, never
+// 400. A bad batch is rejected atomically.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -796,22 +794,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	// A coordinator applies locally (through the durability seam),
-	// forwards to the fragments' owners, and verifies content hashes.
-	if b := s.clusterBackend(); b != nil {
-		sum, err := b.Ingest(ctx, req.Table, req.Rows)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, sum)
-		return
-	}
-	// Any other node grows a whole table or a placement it holds. A
-	// whole table grows through the durability seam: with a data dir
-	// configured, the 200 means the batch is in the write-ahead log, and
-	// a logging failure answers 500, never 400 (the rows were valid).
-	resp, status, err := s.db.Placements().Ingest(&req)
+	resp, status, err := s.db.Ingest(ctx, &req)
 	if err != nil {
 		s.writeError(w, status, err)
 		return

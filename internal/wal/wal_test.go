@@ -287,6 +287,62 @@ func TestReplaySkipsSnapshotCoveredBatches(t *testing.T) {
 	}
 }
 
+// A table replaced after batches were logged against it — a
+// coordinator re-shipping a whole replica: drop, register, checkpoint
+// — must survive a later cadence checkpoint that other tables' appends
+// trigger: the checkpoint may not re-snapshot the replaced instance
+// over the new one.
+func TestReplacedTableSurvivesCadenceCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cat := engine.NewCatalog()
+	a, other := engine.MustNewTable("a", testSchema()), engine.MustNewTable("b", testSchema())
+	for _, tb := range []*engine.Table{a, other} {
+		if err := cat.Register(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, _, err := Open(Options{Dir: dir, SnapshotEvery: 100}, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.SetAppendSink(s)
+	if _, err := cat.Append(a, testBatch(1)[:1]); err != nil {
+		t.Fatal(err)
+	}
+	replaced := engine.MustNewTable("a", testSchema())
+	if _, err := replaced.Append(testBatch(42)); err != nil {
+		t.Fatal(err)
+	}
+	cat.Drop("a")
+	if err := cat.Register(replaced); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckpointTable(replaced); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.Append(other, testBatch(9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	cat2 := engine.NewCatalog()
+	s2, _, err := Open(Options{Dir: dir}, cat2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	got, err := cat2.Table("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows() != 2 || contentHash(t, got) != contentHash(t, replaced) {
+		t.Fatalf("recovered a stale replica: %d rows, want the replacement's 2", got.NumRows())
+	}
+}
+
 // A crash mid-snapshot leaves a .tmp file; boot must discard it and
 // fall back to the previous snapshot generation.
 func TestCrashMidSnapshotDiscardsTemp(t *testing.T) {

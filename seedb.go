@@ -287,7 +287,7 @@ func Open() *DB {
 
 // Placements returns the instance's placement store: its whole tables
 // and the placements a coordinator shipped it. The HTTP worker
-// endpoints (/api/shard/*) and a worker's /api/ingest serve from it.
+// endpoints (/api/shard/*) serve from it, and every append grows it.
 func (db *DB) Placements() *cluster.PlacementStore { return db.shards }
 
 // Observability returns the instance's metrics registry + trace ring.
@@ -304,7 +304,8 @@ func (db *DB) RegisterTable(t *Table) error { return db.cat.Register(t) }
 
 // DropTable removes a table (or a placement this node holds); missing
 // names are a no-op. With durability enabled its snapshot is removed
-// too, so a restart does not resurrect it.
+// too, so a restart does not resurrect it. On a placed coordinator the
+// next rebalance drops the table's placements on the workers.
 func (db *DB) DropTable(name string) error { return db.shards.Drop(name) }
 
 // Table returns a registered table.
@@ -326,33 +327,42 @@ func (db *DB) LoadCSV(name string, r io.Reader) (*Table, error) {
 	return t, nil
 }
 
-// Append appends a batch of rows (each in schema order) to a
-// registered table under one version bump — the live-table ingest
-// path. Results cached against the previous table version become
+// Append appends a batch of rows (each in schema order, exactly as
+// given) to a registered table under one version bump — the live-table
+// ingest path. Results cached against the previous table version become
 // unreachable (fingerprint change), but with incremental execution
 // enabled (see Serve and EnableIncremental) recomputation reuses each
 // plan's stored run of sealed chunks and only scans the appended delta,
 // so a query after an append costs O(delta), not O(table). On a cluster
-// coordinator with workers the batch automatically goes through
-// ClusterBackend.Ingest, which forwards it to the owners of every
-// fragment it touches — appending only locally would leave the fleet
-// permanently diverged. It returns the table's new row count.
+// coordinator the batch is also forwarded to the owners of every
+// fragment it touches, so every topology holds the same table. It
+// returns the table's new row count.
 func (db *DB) Append(name string, rows [][]Value) (int, error) {
-	if b, ok := db.core.Backend().(*cluster.Backend); ok && b.NumWorkers() > 0 {
-		sum, err := b.Ingest(context.Background(), name, engine.FormatRowsWire(rows))
-		if err != nil {
-			return 0, err
-		}
-		return sum.Rows, nil
-	}
-	t, err := db.cat.Table(name)
+	resp, _, err := db.append(context.Background(), name, rows, false)
 	if err != nil {
 		return 0, err
 	}
-	// Catalog.Append is the durability seam: with EnableDurability
-	// active the batch is WAL-logged (and fsync'd per the sync policy)
-	// before this returns, so callers may ack it as durable.
-	return db.cat.Append(t, rows)
+	return resp.Rows, nil
+}
+
+// Ingest is /api/ingest: req's JSON rows parsed once, then DB.Append's
+// path; the status is what to answer on error (docs/API.md).
+func (db *DB) Ingest(ctx context.Context, req *cluster.IngestRequest) (*cluster.IngestResponse, int, error) {
+	rows, status, err := db.shards.Parse(req.Table, req.Rows)
+	if err != nil {
+		return nil, status, err
+	}
+	return db.append(ctx, req.Table, rows, req.Verify)
+}
+
+// append is the append path's one role dispatch. With EnableDurability
+// active the batch is WAL-logged (and fsync'd per the sync policy)
+// before it returns, so callers may ack it as durable.
+func (db *DB) append(ctx context.Context, name string, rows [][]Value, verify bool) (*cluster.IngestResponse, int, error) {
+	if b, ok := db.core.Backend().(*cluster.Backend); ok {
+		return b.Append(ctx, name, rows)
+	}
+	return db.shards.Append(name, rows, verify)
 }
 
 // EnableDurability opens (or creates) the durable store rooted at
@@ -746,7 +756,7 @@ func (db *DB) useCluster(b *ClusterBackend) *ClusterBackend {
 // Options.Shards (or the frontend's "shards" knob) can lower the
 // per-query shard count below n.
 func (db *DB) ShardLocal(n int, cfg ClusterConfig) *ClusterBackend {
-	return db.useCluster(cluster.NewLocal(db.ex, n, cfg))
+	return db.useCluster(cluster.NewLocal(db.shards, n, cfg))
 }
 
 // ShardRemote switches the instance into cluster-coordinator mode with
@@ -763,7 +773,7 @@ func (db *DB) ShardLocal(n int, cfg ClusterConfig) *ClusterBackend {
 // both of which ship the joiner whatever it lacks.
 func (db *DB) ShardRemote(workers []string, timeout time.Duration, cfg ClusterConfig) *ClusterBackend {
 	cfg.Replication = 0
-	b := db.useCluster(cluster.New(db.ex, cfg))
+	b := db.useCluster(cluster.New(db.shards, cfg))
 	for _, url := range workers {
 		b.Join(cluster.NewRemoteShard(url, timeout))
 	}
@@ -805,7 +815,7 @@ func (db *DB) place(ctx context.Context, workers []PlacementWorker, cfg Placemen
 	if cfg.Replication <= 0 {
 		cfg.Replication = 2
 	}
-	b := db.useCluster(cluster.New(db.ex, cfg))
+	b := db.useCluster(cluster.New(db.shards, cfg))
 	var firstErr error
 	for _, w := range workers {
 		if _, _, err := b.AddWorker(ctx, w); err != nil && firstErr == nil {
