@@ -8,7 +8,6 @@ import (
 	"seedb/internal/datagen"
 	"seedb/internal/engine"
 	"seedb/internal/experiments"
-	"seedb/internal/stats"
 )
 
 // Experiment benchmarks: one per paper table/figure/claim (the E1–E14
@@ -176,61 +175,5 @@ func BenchmarkMetricScoring(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// statsBenchTable is the 200k-row synthetic table (all-distinct float
-// measures beside dictionary dimensions) and a 600-row append batch
-// drawn from its own rows.
-func statsBenchTable(b *testing.B) (*Table, [][]Value) {
-	b.Helper()
-	tb, _, err := SyntheticTable(DefaultSyntheticConfig("syn", 200_000, 42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := make([][]Value, 600)
-	for i := range batch {
-		batch[i] = tb.Row(i * 331 % tb.NumRows())
-	}
-	return tb, batch
-}
-
-// BenchmarkStatsCollect measures a cold metadata collection — what the
-// first query on a table pays before its scan — and the correlation
-// clustering of its string dimensions.
-func BenchmarkStatsCollect(b *testing.B) {
-	tb, _ := statsBenchTable(b)
-	var dims []string
-	for _, def := range tb.Schema() {
-		if def.Type == engine.TypeString {
-			dims = append(dims, def.Name)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := stats.NewCollector()
-		c.Stats(tb)
-		if _, err := c.CorrelationClusters(tb, dims, 0.95); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStatsExtend measures the collection a query pays after a
-// 600-row append to an already-summarized table.
-func BenchmarkStatsExtend(b *testing.B) {
-	tb, batch := statsBenchTable(b)
-	c := stats.NewCollector()
-	c.Stats(tb)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if _, err := tb.Append(batch); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		c.Stats(tb)
 	}
 }

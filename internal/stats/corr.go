@@ -46,17 +46,22 @@ func (p *pairTable) reserve(cardA, cardB int) {
 	p.na, p.nb, p.cells = na, nb, cells
 }
 
-// extend counts the code pairs of rows [p.rows, p.rows+len(a)).
+// extend counts the code pairs of rows [p.rows, p.rows+len(a)), in the
+// table's form as it stands: reserve settles that once per call.
 func (p *pairTable) extend(a, b []int32) {
-	for r, i := range a {
-		j := b[r]
-		if i < 0 || j < 0 {
-			continue
+	b = b[:len(a)]
+	if p.sparse != nil {
+		for r, i := range a {
+			if j := b[r]; i >= 0 && j >= 0 {
+				p.sparse[uint64(i)<<32|uint64(j)]++
+			}
 		}
-		if p.sparse != nil {
-			p.sparse[uint64(i)<<32|uint64(j)]++
-		} else {
-			p.cells[int(i)*p.nb+int(j)]++
+	} else {
+		cells, nb := p.cells, p.nb
+		for r, i := range a {
+			if j := b[r]; i >= 0 && j >= 0 {
+				cells[int(i)*nb+int(j)]++
+			}
 		}
 	}
 	p.rows += len(a)
@@ -118,17 +123,32 @@ func (p *pairTable) cramersV(cardA, cardB int) float64 {
 // Caller holds st.mu and the table's read lock, with the summaries
 // already extended to rows.
 func (st *tableState) clusters(t *engine.Table, idx []int, cols []string, threshold float64, rows int) [][]string {
-	// Each column's codes over the rows some pair still has to count,
-	// fetched once however many pairs share the column.
+	// The pairs with rows to count, each once however often cols names
+	// it, and the first row any of them lacks.
+	type stale struct {
+		p    *pairTable
+		i, j int
+	}
+	var todo []stale
+	queued := map[*pairTable]bool{}
 	from := rows
 	for a, i := range idx {
 		for _, j := range idx[a+1:] {
-			if st.pairs[[2]int{i, j}] == nil {
-				st.pairs[[2]int{i, j}] = &pairTable{}
+			p := st.pairs[[2]int{i, j}]
+			if p == nil {
+				p = &pairTable{}
+				st.pairs[[2]int{i, j}] = p
 			}
-			from = min(from, st.pairs[[2]int{i, j}].rows)
+			if p.rows < rows && !queued[p] {
+				queued[p] = true
+				todo = append(todo, stale{p, i, j})
+				st.pairVisits += rows - p.rows
+				from = min(from, p.rows)
+			}
 		}
 	}
+	// Each column's codes over those rows, fetched once however many
+	// pairs share the column.
 	codes, card := map[int][]int32{}, map[int]int{}
 	for _, i := range idx {
 		if _, ok := codes[i]; ok || from == rows {
@@ -141,6 +161,14 @@ func (st *tableState) clusters(t *engine.Table, idx []int, cols []string, thresh
 			st.cols[i].codesInto(codes[i], t.ColumnAt(i), from)
 		}
 	}
+	// The pairs are counted on the fan-out, each by one goroutine; the
+	// union-find reads them in order afterwards.
+	fanOut(len(todo), rows-from, func(k int) {
+		p, i, j := todo[k].p, todo[k].i, todo[k].j
+		p.reserve(card[i], card[j])
+		p.extend(codes[i][p.rows-from:], codes[j][p.rows-from:])
+		p.v = p.cramersV(card[i], card[j])
+	})
 
 	parent := make(map[string]string, len(cols))
 	for _, c := range cols {
@@ -155,15 +183,7 @@ func (st *tableState) clusters(t *engine.Table, idx []int, cols []string, thresh
 	}
 	for a, i := range idx {
 		for b := a + 1; b < len(idx); b++ {
-			j := idx[b]
-			p := st.pairs[[2]int{i, j}]
-			if p.rows < rows {
-				st.pairVisits += rows - p.rows
-				p.reserve(card[i], card[j])
-				p.extend(codes[i][p.rows-from:], codes[j][p.rows-from:])
-				p.v = p.cramersV(card[i], card[j])
-			}
-			if p.v >= threshold {
+			if st.pairs[[2]int{i, idx[b]}].v >= threshold {
 				parent[find(cols[a])] = find(cols[b])
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"seedb/internal/engine"
@@ -254,6 +255,31 @@ func TestStatsDifferential(t *testing.T) {
 	}
 }
 
+// highCardinalityTable generates n rows of a 10⁵-value dimension, as a
+// string and as a wide-spanning int, beside an 8- and a 16-value one
+// and a float measure.
+func highCardinalityTable(rng *rand.Rand, n int) (engine.Schema, [][]engine.Value) {
+	schema := engine.Schema{
+		{Name: "wide", Type: engine.TypeString},
+		{Name: "wide_int", Type: engine.TypeInt},
+		{Name: "eight", Type: engine.TypeString},
+		{Name: "sixteen", Type: engine.TypeInt},
+		{Name: "measure", Type: engine.TypeFloat},
+	}
+	rows := make([][]engine.Value, n)
+	for i := range rows {
+		w := rng.IntN(100_000)
+		rows[i] = []engine.Value{
+			engine.String(fmt.Sprint("w", w)),
+			engine.Int(int64(w) * 1_000_003),
+			engine.String(fmt.Sprint("e", w%8)),
+			engine.Int(int64(rng.IntN(16))),
+			engine.Float(float64(rng.IntN(1 << 20))),
+		}
+	}
+	return schema, rows
+}
+
 // TestStatsDifferentialHighCardinality: a 10⁵-value dimension — the
 // heavy-frequency list past five entries, a contingency table past the
 // dense cell cap — beside small ones.
@@ -264,24 +290,7 @@ func TestStatsDifferentialHighCardinality(t *testing.T) {
 	const n = 120_000
 	for seed := uint64(1); seed <= 2; seed++ {
 		rng := rand.New(rand.NewPCG(seed, n))
-		schema := engine.Schema{
-			{Name: "wide", Type: engine.TypeString},
-			{Name: "wide_int", Type: engine.TypeInt},
-			{Name: "eight", Type: engine.TypeString},
-			{Name: "sixteen", Type: engine.TypeInt},
-			{Name: "measure", Type: engine.TypeFloat},
-		}
-		rows := make([][]engine.Value, n)
-		for i := range rows {
-			w := rng.IntN(100_000)
-			rows[i] = []engine.Value{
-				engine.String(fmt.Sprint("w", w)),
-				engine.Int(int64(w) * 1_000_003),
-				engine.String(fmt.Sprint("e", w%8)),
-				engine.Int(int64(rng.IntN(16))),
-				engine.Float(float64(rng.IntN(1 << 20))),
-			}
-		}
+		schema, rows := highCardinalityTable(rng, n)
 		cuts := randomCuts(rng, 2, n)
 		wide := []string{"wide", "wide_int"}[seed%2] // never both: the oracle's table is dense
 		if err := runDifferential(schema, rows, cuts, []string{"eight", wide, "sixteen"}); err != nil {
@@ -348,6 +357,203 @@ func FuzzStatsDifferential(f *testing.F) {
 		}
 		if err := runDifferential(schema, rows, cuts, cols); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// answers is everything a collector serves for a table at one cut.
+type answers struct {
+	stats, described *TableStats
+	clusters         string
+	vbits            []uint64
+}
+
+func collectAnswers(c *Collector, tb *engine.Table, cols []string) (answers, error) {
+	a := answers{stats: c.Stats(tb), described: c.Describe(tb)}
+	for _, th := range clusterThresholds {
+		cl, err := c.CorrelationClusters(tb, cols, th)
+		if err != nil {
+			return a, err
+		}
+		a.clusters += fmt.Sprint(cl)
+	}
+	schema, st := tb.Schema(), c.stateFor(tb)
+	for k, ca := range cols {
+		for _, cb := range cols[k+1:] {
+			a.vbits = append(a.vbits, math.Float64bits(st.pairs[[2]int{schema.ColumnIndex(ca), schema.ColumnIndex(cb)}].v))
+		}
+	}
+	return a, nil
+}
+
+func answersEqual(got, want answers) error {
+	if err := tableStatsEqual(got.stats, want.stats, false); err != nil {
+		return fmt.Errorf("Stats: %w", err)
+	}
+	if err := tableStatsEqual(got.described, want.described, true); err != nil {
+		return fmt.Errorf("Describe: %w", err)
+	}
+	if got.clusters != want.clusters || fmt.Sprint(got.vbits) != fmt.Sprint(want.vbits) {
+		return fmt.Errorf("clusters %s, V bits %x; want %s, %x", got.clusters, got.vbits, want.clusters, want.vbits)
+	}
+	return nil
+}
+
+// TestCollectorWorkerCountIndependent: the collector fans columns and
+// pairs out over GOMAXPROCS goroutines, and what it serves does not
+// depend on how many there are. Tables of tens of thousands of rows,
+// cut into batches that reach parallelRows and batches that do not, are
+// collected at GOMAXPROCS 1, 2 and 8; every answer at every cut must be
+// bit for bit the one-worker answer, which TestStatsDifferential holds
+// to the oracle.
+func TestCollectorWorkerCountIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type shape struct {
+		name   string
+		schema engine.Schema
+		rows   [][]engine.Value
+		cols   [][]string // one per schedule, in turn
+	}
+	rng := rand.New(rand.NewPCG(30, 1))
+	schema, rows, cols := awkwardTable(rng, 3*parallelRows)
+	shapes := []shape{{"awkward", schema, rows, [][]string{cols}}}
+	if !testing.Short() {
+		schema, rows := highCardinalityTable(rng, 120_000)
+		shapes = append(shapes, shape{"high-cardinality", schema, rows,
+			[][]string{{"eight", "wide", "sixteen"}, {"wide_int", "sixteen", "eight"}}})
+	}
+	for _, sh := range shapes {
+		n := len(sh.rows)
+		for k, cuts := range [][]int{nil, randomCuts(rng, 2, n), randomCuts(rng, 4, n)} {
+			cols := sh.cols[k%len(sh.cols)]
+			var want [][]answers
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				tb, err := engine.NewTable("w", sh.schema)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, done := NewCollector(), 0
+				var got []answers
+				for _, cut := range append(cuts, n) {
+					if _, err := tb.Append(sh.rows[done:cut]); err != nil {
+						t.Fatal(err)
+					}
+					done = cut
+					a, err := collectAnswers(c, tb, cols)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, a)
+				}
+				if procs == 1 {
+					want = append(want, got)
+					continue
+				}
+				for i := range got {
+					if err := answersEqual(got[i], want[len(want)-1][i]); err != nil {
+						t.Fatalf("%s, cuts %v, GOMAXPROCS %d, at %d rows: %v", sh.name, cuts, procs, got[i].stats.Rows, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBatchCountingEdges: string and window-coded int and time columns
+// count a batch into a delta and fold it once per touched code. The
+// folds that are easiest to get wrong, against the oracle.
+func TestBatchCountingEdges(t *testing.T) {
+	schema := engine.Schema{
+		{Name: "s", Type: engine.TypeString},
+		{Name: "i", Type: engine.TypeInt},
+		{Name: "t", Type: engine.TypeTime},
+	}
+	cols := []string{"s", "i", "t"}
+	row := func(s string, i int64, ts engine.Value) []engine.Value {
+		return []engine.Value{engine.String(s), engine.Int(i), ts}
+	}
+	t.Run("one value cold", func(t *testing.T) {
+		// One code takes 10k counts in one fold: straight to heavy.
+		rows := make([][]engine.Value, 10_000)
+		for i := range rows {
+			rows[i] = row("x", 7, timeValue(86400e9))
+		}
+		if err := runDifferential(schema, rows, nil, cols); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("heavy inside one batch", func(t *testing.T) {
+		// 3k rows, then one 5k-row append. s: "a" 1000 → exactly
+		// heavyFreq, "b" 2000 → 3904, still light. i: 1 2000 → 6000,
+		// past heavyFreq; 3 first seen in the append. t: NULL, then 5000
+		// copies of one instant.
+		rng := rand.New(rand.NewPCG(4096, 1))
+		var first, second [][]engine.Value
+		for k := 0; k < 3000; k++ {
+			s := map[bool]string{true: "a", false: "b"}[k < 1000]
+			i := map[bool]int64{true: 1, false: 2}[k < 2000]
+			first = append(first, row(s, i, engine.NullValue(engine.TypeTime)))
+		}
+		for k := 0; k < 5000; k++ {
+			s := map[bool]string{true: "a", false: "b"}[k < heavyFreq-1000]
+			i := map[bool]int64{true: 1, false: 3}[k < 4000]
+			second = append(second, row(s, i, timeValue(1)))
+		}
+		rng.Shuffle(len(first), func(a, b int) { first[a], first[b] = first[b], first[a] })
+		rng.Shuffle(len(second), func(a, b int) { second[a], second[b] = second[b], second[a] })
+		if err := runDifferential(schema, append(first, second...), []int{len(first)}, cols); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("wide dictionary grown by 600 rows", func(t *testing.T) {
+		// The fold costs the batch and the codes it touched: a 600-row
+		// extension of a 10⁵-value dictionary allocates what one of a
+		// 10-value dictionary does, and not a byte per code.
+		const card, batch = 100_000, 600
+		wide := engine.Schema{{Name: "w", Type: engine.TypeString}, {Name: "e", Type: engine.TypeString}}
+		rowOf := func(v int) []engine.Value {
+			return []engine.Value{engine.String(fmt.Sprint("w", v)), engine.String(fmt.Sprint("e", v%8))}
+		}
+		rows := make([][]engine.Value, card+batch)
+		for i := range rows {
+			rows[i] = rowOf(i * 7919 % card)
+		}
+		if err := runDifferential(wide, rows, []int{card}, []string{"w", "e"}); err != nil {
+			t.Fatal(err)
+		}
+		// The summaries alone, extended batch by batch over a table that
+		// already holds every row, so nothing but the extension runs.
+		extension := func(card int) (allocs float64, bytes uint64) {
+			const base, runs = 100_000, 4
+			tb := engine.MustNewTable("wide", wide)
+			rows := make([][]engine.Value, base+2*(runs+1)*batch)
+			for i := range rows {
+				rows[i] = rowOf(i % card)
+			}
+			if _, err := tb.Append(rows); err != nil {
+				t.Fatal(err)
+			}
+			st, done := &tableState{cols: make([]colSummary, tb.NumCols())}, base
+			st.extend(tb, done)
+			extend := func() { done += batch; st.extend(tb, done) }
+			allocs = testing.AllocsPerRun(runs, extend)
+			var before, after runtime.MemStats
+			for k := 0; k <= runs; k++ {
+				runtime.ReadMemStats(&before)
+				extend()
+				runtime.ReadMemStats(&after)
+				bytes += (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+			}
+			return allocs, bytes
+		}
+		narrowAllocs, narrowBytes := extension(10)
+		wideAllocs, wideBytes := extension(card)
+		if wideAllocs != narrowAllocs {
+			t.Errorf("a %d-row extension allocates %v times over %d values, %v over 10", batch, wideAllocs, card, narrowAllocs)
+		}
+		if wideBytes > narrowBytes+card {
+			t.Errorf("a %d-row extension allocates %d bytes over %d values, %d over 10: O(cardinality)", batch, wideBytes, card, narrowBytes)
 		}
 	})
 }

@@ -18,12 +18,23 @@
 // state is built lazily, inside Stats, Describe and
 // CorrelationClusters only; nothing is computed at registration or
 // append time, and nothing is persisted.
+//
+// Every column summary and every contingency table is state of its
+// own, so an extension by at least parallelRows rows — a table's first
+// collection — summarizes the columns, and then counts the pairs, on up
+// to GOMAXPROCS goroutines (fanOut); the answers do not depend on how
+// many. A string or window-coded int column tallies a batch's codes
+// into a per-summary delta and folds each touched code into its counts
+// once per batch, so a batch costs its rows plus the codes it touched,
+// never the column's cardinality.
 package stats
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"seedb/internal/engine"
 )
@@ -157,25 +168,65 @@ func (c *Collector) view(t *engine.Table, f func(st *tableState, rows int)) {
 }
 
 // extend folds rows [st.rows, rows) of every column into the summaries
-// and finalizes them.
+// and finalizes them, one column per fanOut call.
 func (st *tableState) extend(t *engine.Table, rows int) {
 	if st.stats != nil && rows == st.rows {
 		return
 	}
-	ts := &TableStats{Table: t.Name(), Rows: rows, Columns: make(map[string]*ColumnStats, len(st.cols))}
-	for i := range st.cols {
+	cols := make([]*ColumnStats, len(st.cols))
+	fanOut(len(st.cols), rows-st.rows, func(i int) {
 		col := t.ColumnAt(i)
 		st.cols[i].extend(col, st.rows, rows)
-		ts.Columns[col.Name()] = st.cols[i].finalize(col, rows)
+		cols[i] = st.cols[i].finalize(col, rows)
+	})
+	ts := &TableStats{Table: t.Name(), Rows: rows, Columns: make(map[string]*ColumnStats, len(st.cols))}
+	for _, cs := range cols {
+		ts.Columns[cs.Name] = cs
 	}
 	st.cellVisits += (rows - st.rows) * len(st.cols)
 	st.rows, st.stats, st.described = rows, ts, nil
 }
 
+// parallelRows is the fewest new rows for which fanOut leaves the
+// calling goroutine: an append-sized extension spawns nothing.
+const parallelRows = 16 << 10
+
+// fanOut calls f(0), …, f(n-1), each reading rows new rows, on up to
+// GOMAXPROCS goroutines (the caller's among them) and returns when all
+// have returned. Calls must touch disjoint state; results depend on
+// nothing but i, so they are the same at any worker count.
+func fanOut(n, rows int, f func(i int)) {
+	workers := min(n, runtime.GOMAXPROCS(0))
+	if rows < parallelRows || workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
 // Stats returns the statistics of the table as it stands. The first
-// call on a table summarizes it in one pass per column; a call after an
-// append reads the appended rows only; a call with nothing new returns
-// the previous result. TopValues is not filled: see Describe.
+// call on a table summarizes its columns side by side on the fan-out,
+// each in one pass that folds the batch's counts once per touched code;
+// a call after an append reads the appended rows only; a call with
+// nothing new returns the previous result. TopValues is not filled: see
+// Describe.
 func (c *Collector) Stats(t *engine.Table) *TableStats {
 	var ts *TableStats
 	c.view(t, func(st *tableState, rows int) {
@@ -231,14 +282,16 @@ func (c *Collector) CorrelationClusters(t *engine.Table, cols []string, threshol
 	return out, err
 }
 
-// Invalidate drops the state kept for a table (for every table when
-// name is empty). Keying by table instance already prevents stale
-// reads; Invalidate reclaims the memory of dropped tables.
+// Invalidate drops the state kept for every instance of the named table
+// (of every table when name is empty); a table whose name merely starts
+// with name+"#" keeps its state. Keying by table instance already
+// prevents stale reads; Invalidate reclaims the memory of dropped tables.
 func (c *Collector) Invalidate(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for id := range c.tables {
-		if name == "" || strings.HasPrefix(id, name+"#") {
+		// An identity is the name, '#' and a decimal instance number.
+		if name == "" || id[:strings.LastIndexByte(id, '#')] == name {
 			delete(c.tables, id)
 		}
 	}

@@ -279,6 +279,35 @@ func TestCollectorCache(t *testing.T) {
 	}
 }
 
+// TestInvalidateMatchesWholeName: invalidating table "a" drops the
+// state of every instance named "a" and keeps that of a table named
+// "a#b", whose identity also starts with "a#".
+func TestInvalidateMatchesWholeName(t *testing.T) {
+	schema := engine.Schema{{Name: "s", Type: engine.TypeString}}
+	a, reloaded, ab := engine.MustNewTable("a", schema), engine.MustNewTable("a", schema), engine.MustNewTable("a#b", schema)
+	c := NewCollector()
+	before := map[*engine.Table]*TableStats{}
+	for _, tb := range []*engine.Table{a, reloaded, ab} {
+		if err := tb.AppendRow(engine.String("x")); err != nil {
+			t.Fatal(err)
+		}
+		before[tb] = c.Stats(tb)
+	}
+	c.Invalidate("a")
+	if c.Stats(ab) != before[ab] {
+		t.Error(`Invalidate("a") dropped the state of table "a#b"`)
+	}
+	for _, tb := range []*engine.Table{a, reloaded} {
+		if c.Stats(tb) == before[tb] {
+			t.Errorf(`Invalidate("a") kept the state of %s`, tb.Identity())
+		}
+	}
+	c.Invalidate("a#b")
+	if c.Stats(ab) == before[ab] {
+		t.Error(`Invalidate("a#b") kept the state of table "a#b"`)
+	}
+}
+
 func TestEntropyUniformVsSkewed(t *testing.T) {
 	mk := func(name string, counts []int) *engine.Table {
 		tb := engine.MustNewTable(name, engine.Schema{{Name: "s", Type: engine.TypeString}})

@@ -46,7 +46,7 @@ type colSummary struct {
 	distinct int   // codes with a non-zero count
 	counts   []int // occurrences per code
 
-	// Count-of-counts, maintained on every increment: freqs[f] is the
+	// Count-of-counts, maintained by every add: freqs[f] is the
 	// number of codes seen exactly f times (0 < f < heavyFreq), heavy
 	// lists the codes seen at least heavyFreq times.
 	freqs []int
@@ -68,17 +68,25 @@ type colSummary struct {
 	hashed bool
 	index  codeIndex
 
+	// A batch of a dictionary- or window-coded column is tallied into
+	// delta (by code, all zero between batches) and the codes it touched,
+	// then folded into counts once per touched code.
+	delta   []int
+	touched []int32
+
 	sortBuf []int // scratch of heavyCounts
 }
 
-// bump counts one more occurrence of code.
-func (s *colSummary) bump(code int32) {
-	n := s.counts[code] + 1
+// add counts d more occurrences of code, keeping distinct and the
+// count-of-counts table in step.
+func (s *colSummary) add(code int32, d int) {
+	was := s.counts[code]
+	n := was + d
 	s.counts[code] = n
-	if n == 1 {
+	if was == 0 {
 		s.distinct++
-	} else if n <= heavyFreq {
-		s.freqs[n-1]--
+	} else if was < heavyFreq {
+		s.freqs[was]--
 	}
 	switch {
 	case n < heavyFreq:
@@ -86,8 +94,38 @@ func (s *colSummary) bump(code int32) {
 			s.freqs = append(s.freqs, 0)
 		}
 		s.freqs[n]++
-	case n == heavyFreq:
+	case was < heavyFreq:
 		s.heavy = append(s.heavy, code)
+	}
+}
+
+// bump counts one more occurrence of code: the per-row form of add, for
+// the hash-indexed columns, whose codes a batch rarely repeats.
+func (s *colSummary) bump(code int32) { s.add(code, 1) }
+
+// tally counts one occurrence of code into the batch's delta.
+func (s *colSummary) tally(code int32) {
+	if s.delta[code] == 0 {
+		s.touched = append(s.touched, code)
+	}
+	s.delta[code]++
+}
+
+// fold adds the batch's delta into counts, one add per touched code, and
+// leaves delta all zero: O(touched codes), whatever the cardinality.
+func (s *colSummary) fold() {
+	for _, code := range s.touched {
+		s.add(code, s.delta[code])
+		s.delta[code] = 0
+	}
+	s.touched = s.touched[:0]
+}
+
+// grow extends counts and delta to n codes.
+func (s *colSummary) grow(n int) {
+	for len(s.counts) < n {
+		s.counts = append(s.counts, 0)
+		s.delta = append(s.delta, 0)
 	}
 }
 
@@ -105,16 +143,15 @@ func (s *colSummary) heavyCounts() []int {
 func (s *colSummary) extend(col engine.Column, lo, hi int) {
 	switch c := col.(type) {
 	case *engine.StringColumn:
-		if grow := c.Cardinality() - len(s.counts); grow > 0 {
-			s.counts = append(s.counts, make([]int, grow)...)
-		}
+		s.grow(c.Cardinality())
 		for _, code := range c.Codes()[lo:hi] {
 			if code < 0 {
 				s.nulls++
 				continue
 			}
-			s.bump(code)
+			s.tally(code)
 		}
+		s.fold()
 	case *engine.IntColumn:
 		s.extendInts(c.Ints(), col, lo, hi)
 	case *engine.TimeColumn:
@@ -259,7 +296,7 @@ func (s *colSummary) extendInts(vals []int64, col engine.Column, lo, hi int) {
 			}
 		}
 		s.index.reserve(0)
-		s.hashed, s.dense = true, nil
+		s.hashed, s.dense, s.delta = true, nil, nil
 	case s.imin < s.base || uint64(s.imax-s.base) >= uint64(len(s.dense)):
 		dense := make([]int32, span+1)
 		if len(s.dense) > 0 {
@@ -283,11 +320,12 @@ func (s *colSummary) extendInts(vals []int64, col engine.Column, lo, hi int) {
 		}
 		slot := &s.dense[vals[row]-s.base]
 		if *slot == 0 {
-			s.counts = append(s.counts, 0)
+			s.grow(len(s.counts) + 1)
 			*slot = int32(len(s.counts))
 		}
-		s.bump(*slot - 1)
+		s.tally(*slot - 1)
 	}
+	s.fold()
 }
 
 // codesInto writes the codes (-1 for NULL) of rows [lo, lo+len(dst)) of
