@@ -100,7 +100,8 @@ func (s *colSummary) add(code int32, d int) {
 }
 
 // bump counts one more occurrence of code: the per-row form of add, for
-// the hash-indexed columns, whose codes a batch rarely repeats.
+// the hash-indexed columns — mostly all-distinct measures, where a delta
+// would add a write per row and save none.
 func (s *colSummary) bump(code int32) { s.add(code, 1) }
 
 // tally counts one occurrence of code into the batch's delta.
