@@ -386,10 +386,6 @@ func TestPredicateWireRoundTrip(t *testing.T) {
 		engine.Compare("ts", engine.OpGe, engine.Time(base.Add(50*time.Hour))),
 		engine.And(engine.Compare("n", engine.OpLt, engine.Int(80)), engine.Or(engine.Eq("s", engine.String("v2")), engine.IsNotNull("f"))),
 		engine.Not(engine.IsNull("s")),
-		// TruePred has no SQL literal; the wire form folds it: identity
-		// of AND, absorbs OR.
-		engine.And(engine.TruePred{}, engine.Eq("s", engine.String("v1"))),
-		engine.Or(engine.TruePred{}, engine.Eq("s", engine.String("v1"))),
 	}
 	ctx := context.Background()
 	for _, p := range preds {

@@ -384,15 +384,13 @@ func (r *ShardRequest) Decode(cat *engine.Catalog, table string) (*engine.Query,
 // renderPredicateSQL renders a predicate tree as parseable SQL text.
 // It mirrors Predicate.String but quotes timestamp literals (the SQL
 // front door coerces quoted strings against TIMESTAMP columns), so the
-// text round-trips through the worker's parser. nil and TruePred
-// render empty (no WHERE clause).
+// text round-trips through the worker's parser. nil renders empty (no
+// WHERE clause).
 func renderPredicateSQL(p engine.Predicate) (string, error) {
 	if p == nil {
 		return "", nil
 	}
 	switch pred := p.(type) {
-	case engine.TruePred:
-		return "", nil
 	case *engine.ComparePred:
 		return fmt.Sprintf("%s %s %s", pred.Column, pred.Op, renderValueSQL(pred.Value)), nil
 	case *engine.InPred:
@@ -416,31 +414,19 @@ func renderPredicateSQL(p engine.Predicate) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if child == "" {
-			return "", fmt.Errorf("cluster: cannot render NOT TRUE")
-		}
 		return "NOT (" + child + ")", nil
 	default:
 		return "", fmt.Errorf("cluster: predicate %T has no SQL wire form", p)
 	}
 }
 
-// renderJoinSQL renders a conjunction (and=true) or disjunction. The
-// SQL dialect has no TRUE literal, so TruePred children (which render
-// empty) are folded algebraically: TRUE is the identity of AND and
-// absorbs OR entirely.
+// renderJoinSQL renders a conjunction (and=true) or disjunction.
 func renderJoinSQL(children []engine.Predicate, and bool) (string, error) {
 	var parts []string
 	for _, c := range children {
 		s, err := renderPredicateSQL(c)
 		if err != nil {
 			return "", err
-		}
-		if s == "" {
-			if and {
-				continue // TRUE AND x = x
-			}
-			return "", nil // TRUE OR x = TRUE: no constraint at all
 		}
 		parts = append(parts, "("+s+")")
 	}

@@ -311,9 +311,11 @@ func buildViewData(v View, tMap, cMap map[string]float64) *ViewData {
 	tDist, cDist, keys := distance.Align(tMap, cMap)
 	tRaw := make([]float64, len(keys))
 	cRaw := make([]float64, len(keys))
+	tHas := make([]bool, len(keys))
+	cHas := make([]bool, len(keys))
 	for i, k := range keys {
-		tRaw[i] = tMap[k]
-		cRaw[i] = cMap[k]
+		tRaw[i], tHas[i] = tMap[k]
+		cRaw[i], cHas[i] = cMap[k]
 	}
 	return &ViewData{
 		View:          v,
@@ -322,6 +324,8 @@ func buildViewData(v View, tMap, cMap map[string]float64) *ViewData {
 		ComparisonRaw: cRaw,
 		Target:        tDist,
 		Comparison:    cDist,
+		targetHas:     tHas,
+		compHas:       cHas,
 	}
 }
 

@@ -90,9 +90,9 @@ func (a *phasedAcc) merge(d *ViewData) {
 		mergeAvg(a.comp, a.cCnt, a.seenC, d.Keys, d.ComparisonAux)
 		return
 	}
-	mergeSide := func(dst map[string]float64, seen map[string]bool, keys []string, raw []float64, present func(i int) bool) {
+	mergeSide := func(dst map[string]float64, seen map[string]bool, keys []string, raw []float64, present []bool) {
 		for i, k := range keys {
-			if !present(i) {
+			if !present[i] {
 				continue
 			}
 			v := raw[i]
@@ -111,17 +111,11 @@ func (a *phasedAcc) merge(d *ViewData) {
 			seen[k] = true
 		}
 	}
-	// A key is "present" on a side if its raw value is non-zero OR the
-	// side genuinely produced the group; raw vectors store zero for
-	// absent groups, which is indistinguishable for SUM/COUNT (additive
-	// identity — merging zero is harmless) but matters for MIN/MAX of
-	// negative values. ViewData only materializes keys produced by at
-	// least one side, so for MIN/MAX we treat zero raws as absent
-	// unless the distribution also carries mass there.
-	presentT := func(i int) bool { return d.TargetRaw[i] != 0 || d.Target[i] > 0 }
-	presentC := func(i int) bool { return d.ComparisonRaw[i] != 0 || d.Comparison[i] > 0 }
-	mergeSide(a.target, a.seenT, d.Keys, d.TargetRaw, presentT)
-	mergeSide(a.comp, a.seenC, d.Keys, d.ComparisonRaw, presentC)
+	// Merge only the groups a side produced this phase: an absent group
+	// reads a zero raw, which MIN/MAX must not mistake for an extreme of
+	// 0 — nor a present extreme of exactly 0 for an absent group.
+	mergeSide(a.target, a.seenT, d.Keys, d.TargetRaw, d.targetHas)
+	mergeSide(a.comp, a.seenC, d.Keys, d.ComparisonRaw, d.compHas)
 }
 
 // valueMaps returns the accumulated per-group view values for both

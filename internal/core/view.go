@@ -126,6 +126,12 @@ type ViewData struct {
 	TargetAux     *AvgAux
 	ComparisonAux *AvgAux
 
+	// targetHas / compHas say, aligned with Keys, which groups each side
+	// produced — a zero raw is also what an absent group reads, and a
+	// MIN or MAX of exactly 0 is not an absent group. Phased execution
+	// merges only present groups (see phasedAcc.merge).
+	targetHas, compHas []bool
+
 	// Utility = S(P[V(D_Q)], P[V(D)]) for the configured metric.
 	Utility float64
 }

@@ -130,26 +130,3 @@ func parseText(f string, t Type) (Value, error) {
 		return String(f), nil
 	}
 }
-
-// WriteCSV writes a result as CSV, header first.
-func WriteCSV(w io.Writer, res *Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(res.Columns); err != nil {
-		return fmt.Errorf("engine: writing csv header: %w", err)
-	}
-	rec := make([]string, len(res.Columns))
-	for _, row := range res.Rows {
-		for i, v := range row {
-			if v.Null {
-				rec[i] = ""
-			} else {
-				rec[i] = v.Format()
-			}
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("engine: writing csv row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"context"
 	"strings"
 	"testing"
 )
@@ -70,38 +68,5 @@ func TestLoadCSVErrors(t *testing.T) {
 	}
 	if _, err := LoadCSV("t", strings.NewReader("a\nnotatime\n"), []Type{TypeTime}); err == nil {
 		t.Error("bad time must error")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tb, err := LoadCSV("sales", strings.NewReader(salesCSV), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := NewCatalog()
-	_ = cat.Register(tb)
-	ex := NewExecutor(cat)
-	res, err := ex.Scan(context.Background(), "sales", nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	tb2, err := LoadCSV("again", strings.NewReader(buf.String()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb2.NumRows() != tb.NumRows() {
-		t.Fatalf("round trip rows %d != %d", tb2.NumRows(), tb.NumRows())
-	}
-	for i := 0; i < tb.NumRows(); i++ {
-		r1, r2 := tb.Row(i), tb2.Row(i)
-		for c := range r1 {
-			if !r1[c].Equal(r2[c]) {
-				t.Errorf("row %d col %d: %v != %v", i, c, r1[c], r2[c])
-			}
-		}
 	}
 }

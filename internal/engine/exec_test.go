@@ -809,7 +809,7 @@ func TestAggSpecName(t *testing.T) {
 	if got := (AggSpec{Func: AggAvg, Column: "x", Alias: "mean_x"}).Name(); got != "mean_x" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := (AggSpec{Func: AggMin, Column: "x", Filter: TruePred{}}).Name(); got != "MIN(x) FILTER" {
+	if got := (AggSpec{Func: AggMin, Column: "x", Filter: Eq("x", Int(1))}).Name(); got != "MIN(x) FILTER" {
 		t.Errorf("Name = %q", got)
 	}
 }

@@ -81,23 +81,6 @@ type Predicate interface {
 type BoundPredicate func(row int) bool
 
 // ---------------------------------------------------------------------
-// True
-
-// TruePred matches every row; it stands in for an absent WHERE clause.
-type TruePred struct{}
-
-// Bind implements Predicate.
-func (TruePred) Bind(*Table) (BoundPredicate, error) {
-	return func(int) bool { return true }, nil
-}
-
-// Columns implements Predicate.
-func (TruePred) Columns() []string { return nil }
-
-// String implements Predicate.
-func (TruePred) String() string { return "TRUE" }
-
-// ---------------------------------------------------------------------
 // Compare
 
 // ComparePred compares a column against a constant value.

@@ -65,19 +65,6 @@ func eqInts(a, b []int) bool {
 	return true
 }
 
-func TestTruePred(t *testing.T) {
-	tb := exprTable(t)
-	if got := matches(t, tb, TruePred{}); len(got) != tb.NumRows() {
-		t.Errorf("TruePred matched %v", got)
-	}
-	if (TruePred{}).String() != "TRUE" {
-		t.Error("TruePred.String")
-	}
-	if cols := (TruePred{}).Columns(); cols != nil {
-		t.Errorf("TruePred.Columns = %v", cols)
-	}
-}
-
 func TestCompareStringEquality(t *testing.T) {
 	tb := exprTable(t)
 	if got := matches(t, tb, Eq("s", String("apple"))); !eqInts(got, []int{0, 2}) {
@@ -223,10 +210,10 @@ func TestBooleanCombinators(t *testing.T) {
 func TestCombinatorBindErrors(t *testing.T) {
 	tb := exprTable(t)
 	bad := Eq("missing", Int(1))
-	if _, err := And(TruePred{}, bad).Bind(tb); err == nil {
+	if _, err := And(IsNull("s"), bad).Bind(tb); err == nil {
 		t.Error("AND must propagate bind errors")
 	}
-	if _, err := Or(TruePred{}, bad).Bind(tb); err == nil {
+	if _, err := Or(IsNull("s"), bad).Bind(tb); err == nil {
 		t.Error("OR must propagate bind errors")
 	}
 	if _, err := Not(bad).Bind(tb); err == nil {

@@ -137,8 +137,9 @@ func TestSplitFilteredHalfMarksTargetGroups(t *testing.T) {
 }
 
 // TestEngineScanSpan: a shared scan records one engine-scan span under
-// the caller's trace, saying what it scanned and how its sets were laid
-// out; without a trace it records nothing.
+// the caller's trace, saying what it scanned, how its sets were laid
+// out and how many sealed cells it digested; without a trace it records
+// nothing.
 func TestEngineScanSpan(t *testing.T) {
 	const rows = 3*ChunkRows + 100
 	stored, cold := storeFixture(t, sharingTable(t, rows))
@@ -148,9 +149,9 @@ func TestEngineScanSpan(t *testing.T) {
 	q := &Query{Table: "share", Parallelism: 1}
 	tracer := obs.NewTracer(4)
 	for _, c := range []struct {
-		ex     *Executor
-		passes string
-	}{{cold, "1"}, {stored, "2"}} { // stored: the sealed cells, then the tail
+		ex             *Executor
+		passes, hashed string
+	}{{cold, "1", "0"}, {stored, "2", "3"}} { // stored: digests and scans the sealed cells, then the tail
 		tr := tracer.New("scan")
 		if _, err := c.ex.RunSharedScan(obs.ContextWithTrace(context.Background(), tr), q, gsets); err != nil {
 			t.Fatal(err)
@@ -161,7 +162,7 @@ func TestEngineScanSpan(t *testing.T) {
 			t.Fatalf("want one engine-scan span, got %+v", d.Spans)
 		}
 		want := map[string]string{"table": "share", "rows": fmt.Sprint(rows), "passes": c.passes,
-			"sets": "2", "dense": "1", "hash": "1", "gathered": "1"}
+			"sets": "2", "dense": "1", "hash": "1", "gathered": "1", "hashed": c.hashed}
 		if got := d.Spans[0].Attrs; !maps.Equal(got, want) {
 			t.Fatalf("engine-scan attributes %v, want %v", got, want)
 		}

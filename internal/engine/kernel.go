@@ -89,10 +89,6 @@ func extractSel(words []uint64, sel []int32) []int32 {
 // Bind errors.
 func compileKernel(p Predicate, t *Table) (kernelFn, error) {
 	switch p := p.(type) {
-	case TruePred:
-		return onesKernel, nil
-	case *TruePred:
-		return onesKernel, nil
 	case *ComparePred:
 		return compileCompare(p, t)
 	case *InPred:

@@ -133,7 +133,7 @@ func oracleCell(t *Table, name string, row int) Value {
 // a float NaN compares "equal" (neither less nor greater) to anything.
 func oracleMatch(t *Table, p Predicate, row int) bool {
 	switch p := p.(type) {
-	case nil, TruePred, *TruePred:
+	case nil:
 		return true
 	case *AndPred:
 		return !slices.ContainsFunc(p.Children, func(c Predicate) bool { return !oracleMatch(t, c, row) })

@@ -58,7 +58,7 @@ type PartialStore struct {
 // handed to a caller: it is only ever a merge or zip SOURCE.
 type run struct {
 	cells    int
-	digest   string // over the cells' chunk hashes, see scan.runDigest
+	digest   digest // over the cells' digests, see scan.runDigest
 	partials []*Partial
 }
 
@@ -238,7 +238,11 @@ func (s *scan) partials(ctx context.Context) ([]*Partial, error) {
 // its parts back into one partial per set.
 func (s *scan) body(ctx context.Context) ([]*Partial, error) {
 	cells := (s.ahi - s.a) / ChunkRows
-	anchor := "|" + strconv.Itoa(s.a) + "|" + s.t.chunkHashLocked(chunkOf(s.a))
+	// Every lookup and store below needs the body's cell digests: take
+	// the missing ones on the scan's workers.
+	s.hashed += s.t.digestCellsLocked(chunkOf(s.a), chunkOf(s.ahi), s.q.Parallelism)
+	ah := s.t.chunkHashLocked(chunkOf(s.a))
+	anchor := "|" + strconv.Itoa(s.a) + "|" + hex.EncodeToString(ah[:])
 	for _, p := range s.parts {
 		p.slot = p.key + anchor
 		p.found, p.body, p.from = s.st.lookup(p.slot), nil, s.a
@@ -298,22 +302,8 @@ func (s *scan) body(ctx context.Context) ([]*Partial, error) {
 
 // runDigest digests the content of the n sealed cells from the scan's
 // anchor: a stored run is valid for this table iff it was built over
-// cells with these hashes. Memoized: a scan's runs mostly share n.
-func (s *scan) runDigest(n int) string {
-	if d, ok := s.digests[n]; ok {
-		return d
-	}
-	h := sha256.New()
-	for c := chunkOf(s.a); c < chunkOf(s.a)+n; c++ {
-		h.Write([]byte(s.t.chunkHashLocked(c)))
-	}
-	d := hex.EncodeToString(h.Sum(nil)[:16])
-	if s.digests == nil {
-		s.digests = map[int]string{}
-	}
-	s.digests[n] = d
-	return d
-}
+// cells with these digests (see Table.runDigestLocked).
+func (s *scan) runDigest(n int) digest { return s.t.runDigestLocked(chunkOf(s.a), n) }
 
 // ---------------------------------------------------------------------
 // Split runs
@@ -556,6 +546,9 @@ func (s *scan) zip() ([]*Partial, error) {
 func PlanSignature(q *Query, gsets []GroupingSet) string {
 	var b strings.Builder
 	b.Grow(256)
+	// A plan repeats one FILTER across many aggregates: render each
+	// distinct predicate once.
+	filters := map[Predicate]string{}
 	if q.Where != nil {
 		b.WriteString(q.Where.String())
 	}
@@ -597,8 +590,13 @@ func PlanSignature(q *Query, gsets []GroupingSet) string {
 			b.WriteByte(0)
 			b.WriteString(a.Alias)
 			if a.Filter != nil {
+				f, ok := filters[a.Filter]
+				if !ok {
+					f = a.Filter.String()
+					filters[a.Filter] = f
+				}
 				b.WriteString("\x00FILTER\x00")
-				b.WriteString(a.Filter.String())
+				b.WriteString(f)
 			}
 			b.WriteByte('\n')
 		}

@@ -124,21 +124,21 @@ type scan struct {
 	lo, hi int
 
 	// span is the scan's engine-scan span (nil when ctx carries no
-	// trace); passes and scanned count runGroupers calls and their rows.
-	span            *obs.Span
-	passes, scanned int
+	// trace); passes and scanned count runGroupers calls and their rows,
+	// hashed the sealed cells the scan digested (see body).
+	span                    *obs.Span
+	passes, scanned, hashed int
 
 	// st is the partial store when it applies to this range — installed,
 	// and [lo,hi) contains at least one sealed grid cell — else nil.
 	// [a,ahi) is then the range's sealed body: the whole cells inside it.
 	// parts are the runs the body's state is kept in and zips, when the
 	// scan is split, how each set's partial is put back together from
-	// them (see splitParts); digests memoizes runDigest.
-	st      *PartialStore
-	a, ahi  int
-	parts   []*runPart
-	zips    []setZip
-	digests map[int]string
+	// them (see splitParts).
+	st     *PartialStore
+	a, ahi int
+	parts  []*runPart
+	zips   []setZip
 }
 
 // bindScan validates (q, gsets) against the table, read-locks it and
@@ -222,7 +222,7 @@ func (s *scan) close() {
 	s.span.SetAttr("table", s.t.Name()).SetAttr("rows", strconv.Itoa(s.scanned)).
 		SetAttr("passes", strconv.Itoa(s.passes)).SetAttr("sets", strconv.Itoa(len(s.plans))).
 		SetAttr("dense", strconv.Itoa(dense)).SetAttr("hash", strconv.Itoa(len(s.plans)-dense)).
-		SetAttr("gathered", strconv.Itoa(gathered)).Finish()
+		SetAttr("gathered", strconv.Itoa(gathered)).SetAttr("hashed", strconv.Itoa(s.hashed)).Finish()
 }
 
 // runGroupers scans rows [lo,hi) into one grouper per plan (the scan's
@@ -269,15 +269,9 @@ func (s *scan) runGroupers(ctx context.Context, plans []*grouperPlan, lo, hi int
 	// alignment plus exact chunk folding makes the merged state — and
 	// therefore the result bytes — independent of the worker count.
 	errs := make([]error, len(ranges))
-	var wg sync.WaitGroup
-	for w, rng := range ranges {
-		wg.Add(1)
-		go func(w, wlo, whi int) {
-			defer wg.Done()
-			errs[w] = s.kernels[w].scanPartition(ctx, wlo, whi, partials[w])
-		}(w, rng[0], rng[1])
-	}
-	wg.Wait()
+	fanOut(len(ranges), func(w int) {
+		errs[w] = s.kernels[w].scanPartition(ctx, ranges[w][0], ranges[w][1], partials[w])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -290,6 +284,24 @@ func (s *scan) runGroupers(ctx context.Context, plans []*grouperPlan, lo, hi int
 		}
 	}
 	return merged, nil
+}
+
+// fanOut runs f(0) … f(n-1) on n goroutines and waits for them all: the
+// scan's workers, for its row ranges and for the cells it digests.
+func fanOut(n int, f func(w int)) {
+	if n == 1 {
+		f(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(w)
+		}()
+	}
+	wg.Wait()
 }
 
 // export scans rows [lo,hi) and exports the state as ONE partial per

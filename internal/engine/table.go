@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	mbits "math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -59,15 +61,18 @@ type Table struct {
 	hash        string
 	hashVersion uint64 // version+1 at compute time; 0 = never computed
 
-	// Sealed-chunk content-hash memo (see ChunkHash). Entry c is
-	// computed at most once: the table is append-only and the chunk grid
-	// is absolute, so once grid cell c is fully populated its contents —
-	// and therefore its hash — can never change again. chunkMu is only
+	// Sealed-cell digest memos (see digestCellsLocked and
+	// runDigestLocked). Entry c of chunkHashes is computed at most once:
+	// the table is append-only and the chunk grid is absolute, so once
+	// grid cell c is fully populated its contents — and therefore its
+	// digest — can never change again. runDigests holds, per anchor
+	// cell, the run digest of its first k+1 cells at [k]. chunkMu is only
 	// ever acquired while already holding mu (read or write), never the
 	// other way around, so it cannot deadlock against the table lock.
 	chunkMu     sync.Mutex
-	chunkHashes []string
-	schemaSig   string // memo of the schema digest folded into chunk hashes
+	chunkHashes []digest
+	runDigests  map[int][]digest
+	schemaSig   digest // the schema's digest, folded into every cell digest
 
 	// Per-column value-range memo (see int64RangeLocked). Extended
 	// incrementally — the table is append-only, so a range covering the
@@ -428,66 +433,223 @@ func (t *Table) SealedChunks() int {
 	return t.rows / ChunkRows
 }
 
+// digest is a content address: SHA-256 truncated to 16 bytes. The zero
+// value marks a memo slot not yet computed.
+type digest [16]byte
+
 // chunkHashLocked returns the content digest of sealed grid cell c,
-// memoized for the table's lifetime. The digest covers the schema
-// (names and types) plus every cell value, so two tables holding
-// identical rows at the same grid position produce identical digests —
-// the content address the partial store's runs are keyed and validated
-// by. The caller must hold t.mu (read or write) and guarantee that cell
-// c is sealed.
-func (t *Table) chunkHashLocked(c int) string {
+// memoized for the table's lifetime (see digestCellsLocked). The caller
+// must hold t.mu (read or write) and guarantee that cell c is sealed.
+func (t *Table) chunkHashLocked(c int) digest {
+	t.digestCellsLocked(c, c+1, 1)
 	t.chunkMu.Lock()
 	defer t.chunkMu.Unlock()
-	for len(t.chunkHashes) <= c {
-		t.chunkHashes = append(t.chunkHashes, "")
-	}
-	if h := t.chunkHashes[c]; h != "" {
-		return h
-	}
-	if t.schemaSig == "" {
-		sh := sha256.New()
-		for _, col := range t.cols {
-			fmt.Fprintf(sh, "%s\x00%d\x00", col.Name(), col.Type())
-		}
-		t.schemaSig = hex.EncodeToString(sh.Sum(nil)[:16])
-	}
-	h := sha256.New()
-	h.Write([]byte(t.schemaSig))
-	buf := make([]byte, 0, 64)
-	for row := chunkStart(c); row < chunkStart(c+1); row++ {
-		for _, col := range t.cols {
-			buf = appendValueBytes(buf, col.Value(row))
-		}
-		h.Write(buf)
-		buf = buf[:0]
-	}
-	hash := hex.EncodeToString(h.Sum(nil)[:16])
-	t.chunkHashes[c] = hash
-	return hash
+	return t.chunkHashes[c]
 }
 
-// appendValueBytes encodes a value unambiguously for hashing: kind,
-// null flag, then the payload (length-prefixed for strings).
-func appendValueBytes(buf []byte, v Value) []byte {
-	buf = append(buf, byte(v.Kind))
-	if v.Null {
-		return append(buf, 1)
+// digestCellsLocked digests every not yet digested cell of the sealed
+// grid cells [lo,hi) on up to workers goroutines and returns how many
+// it digested. A cell's digest covers the schema (column names and
+// types) and the cell's values, column by column off the typed backing
+// slices (see cellDigester): two tables holding identical rows in a
+// cell produce identical digests whatever their names, versions,
+// dictionary codes or the cell's grid position — the content address
+// the partial store's runs are keyed and validated by. The table is
+// append-only and the grid absolute, so a sealed cell's digest never
+// changes. The caller must hold t.mu (read or write).
+func (t *Table) digestCellsLocked(lo, hi, workers int) int {
+	t.chunkMu.Lock()
+	if len(t.chunkHashes) < hi {
+		t.chunkHashes = append(t.chunkHashes, make([]digest, hi-len(t.chunkHashes))...)
 	}
-	buf = append(buf, 0)
-	var tmp [8]byte
-	switch v.Kind {
-	case TypeInt, TypeTime:
-		binary.LittleEndian.PutUint64(tmp[:], uint64(v.I))
-		buf = append(buf, tmp[:]...)
-	case TypeFloat:
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v.F))
-		buf = append(buf, tmp[:]...)
-	case TypeString:
-		binary.LittleEndian.PutUint64(tmp[:], uint64(len(v.S)))
-		buf = append(buf, tmp[:]...)
-		buf = append(buf, v.S...)
+	var todo []int
+	for c := lo; c < hi; c++ {
+		if t.chunkHashes[c] == (digest{}) {
+			todo = append(todo, c)
+		}
 	}
-	return buf
+	if len(todo) > 0 && t.schemaSig == (digest{}) {
+		var b []byte
+		for _, col := range t.cols {
+			b = binary.AppendUvarint(b, uint64(len(col.Name())))
+			b = append(b, col.Name()...)
+			b = append(b, byte(col.Type()))
+		}
+		sum := sha256.Sum256(b)
+		t.schemaSig = digest(sum[:16])
+	}
+	sig := t.schemaSig
+	t.chunkMu.Unlock()
+	if len(todo) == 0 {
+		return 0
+	}
+	out := make([]digest, len(todo))
+	workers = min(max(workers, 1), len(todo))
+	fanOut(workers, func(w int) {
+		var d cellDigester
+		for i := w * len(todo) / workers; i < (w+1)*len(todo)/workers; i++ {
+			out[i] = d.digest(t, sig, todo[i])
+		}
+	})
+	t.chunkMu.Lock()
+	defer t.chunkMu.Unlock()
+	for i, c := range todo {
+		t.chunkHashes[c] = out[i]
+	}
+	return len(todo)
+}
+
+// runDigestLocked returns the digest of the n sealed cells from cell a,
+// a chain: d₁ = SHA-256(0¹⁶ ‖ h(a)), dₖ₊₁ = SHA-256(dₖ ‖ h(a+k)), each
+// truncated. The chain is memoized per anchor cell, so a run that grew
+// by the cells an append sealed costs one SHA-256 of 32 bytes per new
+// cell, not a pass over every cell hash. The caller must hold t.mu and
+// guarantee that the cells are sealed.
+func (t *Table) runDigestLocked(a, n int) digest {
+	t.digestCellsLocked(a, a+n, 1)
+	t.chunkMu.Lock()
+	defer t.chunkMu.Unlock()
+	if t.runDigests == nil {
+		t.runDigests = map[int][]digest{}
+	}
+	chain := t.runDigests[a]
+	for k := len(chain); k < n; k++ {
+		var link [32]byte
+		if k > 0 {
+			copy(link[:16], chain[k-1][:])
+		}
+		copy(link[16:], t.chunkHashes[a+k][:])
+		sum := sha256.Sum256(link[:])
+		chain = append(chain, digest(sum[:16]))
+	}
+	t.runDigests[a] = chain
+	return chain[n-1]
+}
+
+// cellDigester digests sealed grid cells one column at a time, straight
+// off the typed backing slices; its scratch is reused across the cells
+// one goroutine digests. Per column it writes the cell's 16 null-bitmap
+// words, then:
+//   - INT and TIME: each value as a little-endian int64;
+//   - FLOAT: each value's IEEE bits (so −0 ≠ +0);
+//   - STRING: the number of distinct strings, each row's cell-local code
+//     — codes numbered in first-seen order within the cell — then each
+//     distinct string, length-prefixed, in code order.
+//
+// NULL rows write 0 in place of a value or code; the bitmap tells them
+// apart. Every field is fixed-width or length-prefixed, so the encoding
+// is unambiguous, and nothing in it depends on the column's dictionary.
+type cellDigester struct {
+	buf   []byte
+	local []uint16 // dictionary code → cell-local code + 1; 0 = not yet seen
+	seen  []int32  // dictionary codes in first-seen order
+	codes []uint16 // the cell's rows' local codes
+}
+
+// digest returns cell c's digest under schema signature sig.
+func (d *cellDigester) digest(t *Table, sig digest, c int) digest {
+	lo, hi := chunkStart(c), chunkStart(c+1)
+	h := sha256.New()
+	h.Write(sig[:])
+	for _, col := range t.cols {
+		d.buf = d.buf[:0]
+		switch col := col.(type) {
+		case *IntColumn:
+			digestFixed(d, col.vals[lo:hi], &col.nulls, c, func(v int64) uint64 { return uint64(v) })
+		case *TimeColumn:
+			digestFixed(d, col.vals[lo:hi], &col.nulls, c, func(v int64) uint64 { return uint64(v) })
+		case *FloatColumn:
+			digestFixed(d, col.vals[lo:hi], &col.nulls, c, math.Float64bits)
+		case *StringColumn:
+			d.stringCell(col, lo, hi, c)
+		default:
+			panic(fmt.Sprintf("engine: cannot digest column %q of type %T", col.Name(), col))
+		}
+		h.Write(d.buf)
+	}
+	var out digest
+	copy(out[:], h.Sum(d.buf[:0]))
+	return out
+}
+
+// nulls appends the null-bitmap words of cell c (a cell is a whole
+// number of words) and returns them.
+func (d *cellDigester) nulls(nb *nullBitmap, c int) []byte {
+	const cellWords = ChunkRows / 64
+	at := len(d.buf)
+	for w := c * cellWords; w < (c+1)*cellWords; w++ {
+		var word uint64
+		if w < len(nb.words) {
+			word = nb.words[w]
+		}
+		d.buf = binary.LittleEndian.AppendUint64(d.buf, word)
+	}
+	return d.buf[at:]
+}
+
+// digestFixed appends a fixed-width column's cell to d.buf: null words,
+// then bits(v) per row, 0 at NULL rows.
+func digestFixed[T int64 | float64](d *cellDigester, vals []T, nb *nullBitmap, c int, bits func(T) uint64) {
+	nulls := d.nulls(nb, c)
+	at := len(d.buf)
+	d.buf = slices.Grow(d.buf, 8*len(vals))[:at+8*len(vals)]
+	out := d.buf[at:]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(out[8*i:], bits(v))
+	}
+	for w := 0; w < len(nulls); w += 8 {
+		for word := binary.LittleEndian.Uint64(nulls[w:]); word != 0; word &= word - 1 {
+			i := 8*w + mbits.TrailingZeros64(word)
+			clear(out[8*i : 8*i+8])
+		}
+	}
+}
+
+// stringCell appends a string column's cell: null words, the number of
+// distinct strings, each row's cell-local code — one byte wide when
+// there are at most 256 distinct strings, else two — then the distinct
+// strings in first-seen order.
+func (d *cellDigester) stringCell(col *StringColumn, lo, hi, c int) {
+	d.nulls(&col.nulls, c)
+	if len(d.local) < len(col.dict) {
+		d.local = make([]uint16, len(col.dict))
+	}
+	local, seen := d.local, d.seen[:0]
+	codes := slices.Grow(d.codes[:0], hi-lo)[:hi-lo]
+	for i, g := range col.codes[lo:hi] {
+		var code uint16
+		if g >= 0 {
+			if code = local[g]; code == 0 {
+				seen = append(seen, g)
+				code = uint16(len(seen))
+				local[g] = code
+			}
+			code--
+		}
+		codes[i] = code
+	}
+	d.seen, d.codes = seen, codes
+	d.buf = binary.AppendUvarint(d.buf, uint64(len(d.seen)))
+	at, width := len(d.buf), 1
+	if len(d.seen) > 256 {
+		width = 2
+	}
+	d.buf = slices.Grow(d.buf, width*len(d.codes))[:at+width*len(d.codes)]
+	if out := d.buf[at:]; width == 1 {
+		for i, code := range d.codes {
+			out[i] = byte(code)
+		}
+	} else {
+		for i, code := range d.codes {
+			binary.LittleEndian.PutUint16(out[2*i:], code)
+		}
+	}
+	for _, g := range d.seen {
+		s := col.dict[g]
+		d.buf = binary.AppendUvarint(d.buf, uint64(len(s)))
+		d.buf = append(d.buf, s...)
+		d.local[g] = 0
+	}
 }
 
 // Row materializes row i as boxed values in schema order.
@@ -572,7 +734,7 @@ func (t *Table) Clone(name string) *Table {
 		out.cols = append(out.cols, c.clone(c.Name()))
 	}
 	t.chunkMu.Lock()
-	out.chunkHashes = append([]string(nil), t.chunkHashes...)
+	out.chunkHashes = slices.Clone(t.chunkHashes)
 	out.schemaSig = t.schemaSig
 	t.chunkMu.Unlock()
 	return out
