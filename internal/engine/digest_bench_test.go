@@ -14,12 +14,12 @@ import (
 // does: what content addressing costs a table's first stored query.
 func BenchmarkChunkDigests(b *testing.B) {
 	t := datagen.Superstore("orders", 150_000, 1)
-	cells := t.SealedChunks()
-	b.ResetTimer()
-	for range b.N {
+	cells, ops := t.SealedChunks(), 0
+	for b.Loop() {
 		if n := engine.DigestColdCells(t, runtime.GOMAXPROCS(0)); n != cells {
 			b.Fatalf("digested %d cells, want %d", n, cells)
 		}
+		ops++
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops*cells), "ns/cell")
 }

@@ -84,6 +84,15 @@ func TestChunkDigestIsContent(t *testing.T) {
 	if !slices.Equal(da[1:], db[1:]) {
 		t.Fatal("equal cells under different dictionary codes digest differently")
 	}
+	a.mu.RLock()
+	b.mu.RLock()
+	ra, rb := a.runDigestLocked(0, 2), b.runDigestLocked(0, 2)
+	ra1, rb1 := a.runDigestLocked(1, 3), b.runDigestLocked(1, 3)
+	b.mu.RUnlock()
+	a.mu.RUnlock()
+	if ra == rb || ra1 != rb1 {
+		t.Fatal("a run digest is not a function of every cell it covers")
+	}
 	if dc := cellDigests(clone, 1); !slices.Equal(dc, da) {
 		t.Fatal("a clone's cells digest differently")
 	}

@@ -532,9 +532,9 @@ func (t *Table) runDigestLocked(a, n int) digest {
 // words, then:
 //   - INT and TIME: each value as a little-endian int64;
 //   - FLOAT: each value's IEEE bits (so −0 ≠ +0);
-//   - STRING: the number of distinct strings, each row's cell-local code
-//     — codes numbered in first-seen order within the cell — then each
-//     distinct string, length-prefixed, in code order.
+//   - STRING: each row's cell-local code as a uint16 — codes numbered
+//     in first-seen order within the cell — then the number of distinct
+//     strings and each of them, length-prefixed, in code order.
 //
 // NULL rows write 0 in place of a value or code; the bitmap tells them
 // apart. Every field is fixed-width or length-prefixed, so the encoding
@@ -543,7 +543,6 @@ type cellDigester struct {
 	buf   []byte
 	local []uint16 // dictionary code → cell-local code + 1; 0 = not yet seen
 	seen  []int32  // dictionary codes in first-seen order
-	codes []uint16 // the cell's rows' local codes
 }
 
 // digest returns cell c's digest under schema signature sig.
@@ -605,17 +604,18 @@ func digestFixed[T int64 | float64](d *cellDigester, vals []T, nb *nullBitmap, c
 	}
 }
 
-// stringCell appends a string column's cell: null words, the number of
-// distinct strings, each row's cell-local code — one byte wide when
-// there are at most 256 distinct strings, else two — then the distinct
-// strings in first-seen order.
+// stringCell appends a string column's cell: null words, each row's
+// cell-local code as a uint16, then the number of distinct strings and
+// each of them, length-prefixed, in code order.
 func (d *cellDigester) stringCell(col *StringColumn, lo, hi, c int) {
 	d.nulls(&col.nulls, c)
 	if len(d.local) < len(col.dict) {
 		d.local = make([]uint16, len(col.dict))
 	}
+	at := len(d.buf)
+	d.buf = slices.Grow(d.buf, 2*(hi-lo))[:at+2*(hi-lo)]
+	out := d.buf[at:]
 	local, seen := d.local, d.seen[:0]
-	codes := slices.Grow(d.codes[:0], hi-lo)[:hi-lo]
 	for i, g := range col.codes[lo:hi] {
 		var code uint16
 		if g >= 0 {
@@ -626,29 +626,15 @@ func (d *cellDigester) stringCell(col *StringColumn, lo, hi, c int) {
 			}
 			code--
 		}
-		codes[i] = code
+		binary.LittleEndian.PutUint16(out[2*i:], code)
 	}
-	d.seen, d.codes = seen, codes
-	d.buf = binary.AppendUvarint(d.buf, uint64(len(d.seen)))
-	at, width := len(d.buf), 1
-	if len(d.seen) > 256 {
-		width = 2
-	}
-	d.buf = slices.Grow(d.buf, width*len(d.codes))[:at+width*len(d.codes)]
-	if out := d.buf[at:]; width == 1 {
-		for i, code := range d.codes {
-			out[i] = byte(code)
-		}
-	} else {
-		for i, code := range d.codes {
-			binary.LittleEndian.PutUint16(out[2*i:], code)
-		}
-	}
-	for _, g := range d.seen {
+	d.seen = seen
+	d.buf = binary.AppendUvarint(d.buf, uint64(len(seen)))
+	for _, g := range seen {
 		s := col.dict[g]
 		d.buf = binary.AppendUvarint(d.buf, uint64(len(s)))
 		d.buf = append(d.buf, s...)
-		d.local[g] = 0
+		local[g] = 0
 	}
 }
 
