@@ -37,7 +37,6 @@ func main() {
 	width := flag.Int("width", 92, "chart width in characters")
 	normalized := flag.Bool("normalized", true, "plot normalized distributions instead of raw aggregates")
 	sample := flag.Float64("sample", 0, "sample fraction in (0,1); 0 = exact")
-	shards := flag.Int("shards", 0, "scatter-gather execution across N in-process table shards (0 = off)")
 	stream := flag.Bool("stream", false, "print live phase-by-phase ranking updates while the recommendation runs")
 	phases := flag.Int("phases", 0, "phased execution with confidence-interval pruning across N phases (0 = single pass; -stream defaults this to 8)")
 	timeout := flag.Duration("timeout", time.Minute, "recommendation timeout")
@@ -115,11 +114,6 @@ func main() {
 	if *sample > 0 && *sample < 1 {
 		opts.SampleFraction = *sample
 		opts.SampleMinRows = 0
-	}
-	if *shards > 0 {
-		// Results are byte-identical to single-node execution; sharding
-		// only changes where the scans run.
-		db.ShardLocal(*shards, seedb.ClusterConfig{})
 	}
 	opts.Phases = *phases
 	if *stream && opts.Phases <= 1 {

@@ -18,7 +18,6 @@
 //	seedb -addr :8080 -workers http://w1:8081,http://w2:8082   # coordinator
 //	seedb -addr :8081 -coordinator http://coord:8080 \
 //	      -advertise http://w1:8081                            # worker (self-registers)
-//	seedb -shards 4                                            # single-node scatter-gather
 //
 // Data-partitioned placement mode — workers hold chunk-aligned
 // fragments (not full replicas), assigned by a consistent-hash ring
@@ -58,7 +57,6 @@ func main() {
 	rows := flag.Int("rows", 50000, "rows per demo dataset")
 	seed := flag.Int64("seed", 42, "demo dataset seed")
 	noDemo := flag.Bool("no-demo", false, "skip loading the demo datasets")
-	shards := flag.Int("shards", 0, "enable in-process scatter-gather execution across N table shards")
 	workers := flag.String("workers", "", "comma-separated worker base URLs; makes this node a cluster coordinator")
 	replication := flag.Int("replication", 0, "enable data-partitioned placement with this replication factor (workers hold fragments, not full replicas)")
 	placementChunks := flag.Int("placement-chunks", 0, "1024-row grid cells per placement (0 = 4, i.e. 4096-row placements)")
@@ -130,13 +128,11 @@ func main() {
 		}
 	}
 
-	// Execution layout: plain local (default), in-process sharded, or
-	// cluster coordinator over remote workers. Workers need no special
-	// mode — every server exposes the shard API — but may self-register
-	// with a coordinator.
+	// Execution layout: plain local (default; the executor spreads each
+	// scan over the cores) or cluster coordinator over remote workers.
+	// Workers need no special mode — every server exposes the shard API
+	// — but may self-register with a coordinator.
 	switch {
-	case *workers != "" && *shards > 0:
-		log.Fatal("seedb: -workers and -shards are mutually exclusive")
 	case *replication > 0:
 		// Data-partitioned placement: tables are cut into chunk-aligned
 		// placements assigned to workers by a consistent-hash ring;
@@ -173,9 +169,6 @@ func main() {
 		}
 		cancel()
 		log.Printf("seedb: coordinating %d workers (%s); unhealthy shards fail over to local execution", b.NumWorkers(), b.Signature())
-	case *shards > 0:
-		db.ShardLocal(*shards, seedb.ClusterConfig{})
-		log.Printf("seedb: in-process scatter-gather across %d shards", *shards)
 	}
 
 	srv := frontend.NewWithConfig(db, seedb.ServeConfig{

@@ -2,6 +2,7 @@ package seedb
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ import (
 // answered by merging cached sealed-chunk partials with freshly
 // scanned delta partials — must be byte-identical to a cold scan of
 // the full table by an instance that never cached anything, at every
-// shard count. The engine's absolute chunk grid plus exact partial
+// fleet size. The engine's absolute chunk grid plus exact partial
 // merging is what makes this achievable; any drift in the chunk-partial
 // store, the append path, or the grid shows up here as a diff.
 
@@ -100,22 +101,27 @@ func TestGoldenAppendMatchesColdScan(t *testing.T) {
 		t.Fatalf("live instance should have reused sealed-chunk partials: %+v", st)
 	}
 
-	// Every shard count over the grown table agrees with the cold scan.
-	for _, n := range goldenShardCounts {
+	// Every fleet size placed over the grown table agrees with the cold
+	// scan.
+	for _, n := range goldenFleetSizes {
 		db := goldenDB(t)
 		appendAll(db)
-		db.ShardLocal(n, ClusterConfig{})
+		b, err := db.PlaceMembers(ctx, n, PlacementConfig{Replication: 2, PlacementChunks: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 		db.Serve(ServeConfig{})
 		// Warm pass after a cold pass: both must match the reference.
 		for pass := 0; pass < 2; pass++ {
 			res, err := db.RecommendSQL(ctx, query, opts)
 			if err != nil {
-				t.Fatalf("shards=%d pass=%d: %v", n, pass, err)
+				t.Fatalf("workers=%d pass=%d: %v", n, pass, err)
 			}
 			if got := renderGolden(res); got != wantBytes {
-				t.Fatalf("shards=%d pass=%d differs from cold scan:\n%s\nvs\n%s", n, pass, got, wantBytes)
+				t.Fatalf("workers=%d pass=%d differs from cold scan:\n%s\nvs\n%s", n, pass, got, wantBytes)
 			}
 		}
+		assertScattered(t, fmt.Sprintf("workers=%d", n), b)
 	}
 }
 

@@ -118,9 +118,8 @@ func TestGoldenOperatorRecommendations(t *testing.T) {
 }
 
 // TestGoldenOperatorBackendMatrix: each operator's committed golden
-// binds on scatter-gather sharded backends at every shard count and on
-// an rf=2 placed fleet — with zero operator-specific code in either
-// backend.
+// binds on an rf=2 placed fleet of every size — with zero
+// operator-specific code in the cluster backend.
 func TestGoldenOperatorBackendMatrix(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range operatorGoldenCases {
@@ -134,20 +133,7 @@ func TestGoldenOperatorBackendMatrix(t *testing.T) {
 					t.Fatalf("missing golden file (run TestGoldenOperatorRecommendations with -update): %v", err)
 				}
 
-				for _, n := range goldenShardCounts {
-					db := goldenDB(t)
-					db.ShardLocal(n, ClusterConfig{})
-					res, err := db.RecommendSQL(ctx, query, opts)
-					if err != nil {
-						t.Fatalf("shards=%d: %v", n, err)
-					}
-					if got := renderGolden(res); got != string(want) {
-						t.Fatalf("shards=%d differs from single-node golden %s:\ngot:\n%s\nwant:\n%s",
-							n, path, got, want)
-					}
-				}
-
-				for _, workers := range []int{1, 2, 4} {
+				for _, workers := range goldenFleetSizes {
 					db, b := placedGoldenDB(t, 2, workers)
 					res, err := db.RecommendSQL(ctx, query, opts)
 					if err != nil {
@@ -157,9 +143,7 @@ func TestGoldenOperatorBackendMatrix(t *testing.T) {
 						t.Fatalf("rf=2 workers=%d differs from single-node golden %s:\ngot:\n%s\nwant:\n%s",
 							workers, path, got, want)
 					}
-					if c := b.Counters(); c.Failovers != 0 || c.Mismatches != 0 {
-						t.Fatalf("rf=2 workers=%d: healthy fleet degraded: %+v", workers, c)
-					}
+					assertScattered(t, fmt.Sprintf("rf=2 workers=%d", workers), b)
 				}
 			})
 		}

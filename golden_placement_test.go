@@ -23,6 +23,20 @@ var goldenPlacementTopologies = []struct{ rf, workers int }{
 	{2, 1}, {2, 2}, {2, 4},
 }
 
+// goldenFleetSizes are the member counts the golden suites scatter
+// over beyond the topology matrix above.
+var goldenFleetSizes = []int{1, 2, 4, 8}
+
+// assertScattered fails unless b's queries went to its workers, every
+// one served: worker exchanges happened, and nothing failed over or
+// mismatched.
+func assertScattered(t *testing.T, what string, b *ClusterBackend) {
+	t.Helper()
+	if c := b.Counters(); c.ShardCalls == 0 || c.Failovers != 0 || c.Mismatches != 0 {
+		t.Fatalf("%s: want every task served by a worker: %+v", what, c)
+	}
+}
+
 // placedGoldenDB builds the golden corpus with a member fleet holding
 // its placements. One grid cell per placement so the 5000-row tables
 // split into 5 placements each.
@@ -86,6 +100,28 @@ func TestGoldenPlacedRecommendations(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestGoldenShardedHigherParallelism: the placed scatter composes with
+// per-scan parallelism without changing bytes (the property that let
+// the exec cache drop Parallelism from its keys).
+func TestGoldenShardedHigherParallelism(t *testing.T) {
+	opts := goldenOptions("emd")
+	opts.Parallelism = 7 // deliberately odd
+
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "emd_q0.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, b := placedGoldenDB(t, 2, 3)
+	res, err := db.RecommendSQL(context.Background(), goldenQueries[0], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderGolden(res); got != string(want) {
+		t.Fatalf("parallelism 7 over rf=2 on 3 workers changed bytes:\n%s\nvs\n%s", got, want)
+	}
+	assertScattered(t, "parallelism 7", b)
 }
 
 // TestGoldenPlacementAppendStraddle: appends that straddle placement

@@ -2,6 +2,7 @@ package seedb
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,8 +11,8 @@ import (
 // Golden recovery tests: the durability guarantee of ISSUE 6, pinned
 // end to end. A DB that crashes after acked ingest and reboots from
 // its data dir (snapshot checkpoints + WAL tail) must answer queries
-// byte-identical to an instance that never restarted — at every shard
-// count, with the mutation-version sequence continuing seamlessly so
+// byte-identical to an instance that never restarted — solo and placed
+// over every fleet size, with the mutation-version sequence continuing seamlessly so
 // fingerprints, content hashes, and the chunk grid never alias. Any
 // drift in the WAL encoding, snapshot format, replay ordering, or
 // version resumption shows up here as a diff.
@@ -56,8 +57,8 @@ func ordersState(t *testing.T, db *DB) (hash string, version uint64, rows int) {
 // (abandon the store without closing — every acked batch was fsync'd
 // under SyncEvery=1), reboot from the data dir, and compare against a
 // memory-only instance that applied the same batches and never
-// restarted. Shard counts 0 (plain) and 1/2/4/8 all must agree to the
-// byte; each shard count boots its own recovery, so replay idempotence
+// restarted. Plain and placed rf=2 over 1/2/4/8 members all must agree
+// to the byte; each boots its own recovery, so replay idempotence
 // across repeated boots is exercised too.
 func TestGoldenRecoveryMatchesNeverRestarted(t *testing.T) {
 	ctx := context.Background()
@@ -89,11 +90,11 @@ func TestGoldenRecoveryMatchesNeverRestarted(t *testing.T) {
 	}
 	wantBytes := renderGolden(want)
 
-	for i, n := range append([]int{0}, goldenShardCounts...) {
+	for i, n := range append([]int{0}, goldenFleetSizes...) {
 		rec := goldenDB(t)
 		info, err := rec.EnableDurability(dir, 1, 2)
 		if err != nil {
-			t.Fatalf("shards=%d: recovery: %v", n, err)
+			t.Fatalf("workers=%d: recovery: %v", n, err)
 		}
 		if i == 0 {
 			// With 5 batches and SnapshotEvery=2 the dir holds a
@@ -108,21 +109,27 @@ func TestGoldenRecoveryMatchesNeverRestarted(t *testing.T) {
 		}
 		gotHash, gotVersion, gotRows := ordersState(t, rec)
 		if gotHash != wantHash || gotVersion != wantVersion || gotRows != wantRows {
-			t.Fatalf("shards=%d: recovered table diverged: hash %s version %d rows %d, want %s %d %d",
+			t.Fatalf("workers=%d: recovered table diverged: hash %s version %d rows %d, want %s %d %d",
 				n, gotHash, gotVersion, gotRows, wantHash, wantVersion, wantRows)
 		}
+		var b *ClusterBackend
 		if n > 0 {
-			rec.ShardLocal(n, ClusterConfig{})
+			if b, err = rec.PlaceMembers(ctx, n, PlacementConfig{Replication: 2, PlacementChunks: 1}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		res, err := rec.RecommendSQL(ctx, query, opts)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", n, err)
+			t.Fatalf("workers=%d: %v", n, err)
 		}
 		if got := renderGolden(res); got != wantBytes {
-			t.Fatalf("shards=%d: recovered query differs from never-restarted:\n%s\nvs\n%s", n, got, wantBytes)
+			t.Fatalf("workers=%d: recovered query differs from never-restarted:\n%s\nvs\n%s", n, got, wantBytes)
+		}
+		if b != nil {
+			assertScattered(t, fmt.Sprintf("workers=%d", n), b)
 		}
 		if err := rec.CloseDurability(); err != nil {
-			t.Fatalf("shards=%d: close: %v", n, err)
+			t.Fatalf("workers=%d: close: %v", n, err)
 		}
 	}
 }

@@ -8,15 +8,27 @@ import (
 	"testing"
 )
 
-// Golden shard tests: scatter-gather execution must be byte-identical
-// to single-node execution on the committed golden corpus for every
-// shard count. This is the cluster layer's core guarantee — sharding
-// changes where scans run, never what comes back — made checkable:
-// the engine folds float partials on a fixed per-table chunk grid and
-// merges them with exact (integer) arithmetic, so EMD/KL/JS utilities
-// match to the last bit no matter how the table is partitioned.
+// Golden shard tests: the replicated layout — every worker holds every
+// table whole and each query's window is cut into one grid-aligned
+// range per worker — must be byte-identical to single-node execution
+// on the committed golden corpus for every fleet size. The engine folds
+// float partials on a fixed per-table chunk grid and merges them with
+// exact (integer) arithmetic, so EMD/KL/JS utilities match to the last
+// bit no matter how the scan is cut.
 
-var goldenShardCounts = []int{1, 2, 4, 8}
+// replicatedGoldenDB builds the golden corpus coordinating n in-process
+// members, each shipped every table whole.
+func replicatedGoldenDB(t *testing.T, n int) (*DB, *ClusterBackend) {
+	t.Helper()
+	db := goldenDB(t)
+	b := db.ShardRemote(nil, 0, ClusterConfig{})
+	for i := range n {
+		if _, _, err := b.AddWorker(context.Background(), NewMemberShard(fmt.Sprintf("member-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, b
+}
 
 func TestGoldenShardedRecommendations(t *testing.T) {
 	ctx := context.Background()
@@ -33,62 +45,19 @@ func TestGoldenShardedRecommendations(t *testing.T) {
 					t.Fatalf("missing golden file (run TestGoldenRecommendations with -update): %v", err)
 				}
 
-				for _, n := range goldenShardCounts {
-					db := goldenDB(t)
-					db.ShardLocal(n, ClusterConfig{})
+				for _, n := range goldenFleetSizes {
+					db, b := replicatedGoldenDB(t, n)
 					res, err := db.RecommendSQL(ctx, query, opts)
 					if err != nil {
-						t.Fatalf("shards=%d: %v", n, err)
+						t.Fatalf("workers=%d: %v", n, err)
 					}
 					if got := renderGolden(res); got != string(want) {
-						t.Fatalf("shards=%d differs from single-node golden %s:\ngot:\n%s\nwant:\n%s",
+						t.Fatalf("workers=%d differs from single-node golden %s:\ngot:\n%s\nwant:\n%s",
 							n, path, got, want)
 					}
-				}
-
-				// Sharded + cache on must agree too (the exec cache sits
-				// above the backend; its keys carry the shard layout).
-				db := goldenDB(t)
-				db.ShardLocal(4, ClusterConfig{})
-				db.Serve(ServeConfig{})
-				c1, err := db.RecommendSQL(ctx, query, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c2, err := db.RecommendSQL(ctx, query, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st := db.CacheStats(); st.Hits == 0 {
-					t.Fatalf("second sharded cached run should hit: %+v", st)
-				}
-				if cold, warm := renderGolden(c1), renderGolden(c2); cold != string(want) || warm != string(want) {
-					t.Fatalf("sharded cache-on runs differ from golden")
+					assertScattered(t, fmt.Sprintf("workers=%d", n), b)
 				}
 			})
 		}
-	}
-}
-
-// TestGoldenShardedHigherParallelism: shard-level scatter composes
-// with per-scan parallelism without changing bytes (the property that
-// let the exec cache drop Parallelism from its keys).
-func TestGoldenShardedHigherParallelism(t *testing.T) {
-	ctx := context.Background()
-	opts := goldenOptions("emd")
-	opts.Parallelism = 7 // deliberately odd
-
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "emd_q0.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := goldenDB(t)
-	db.ShardLocal(3, ClusterConfig{})
-	res, err := db.RecommendSQL(ctx, goldenQueries[0], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderGolden(res); got != string(want) {
-		t.Fatalf("parallelism 7 over 3 shards changed bytes:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -17,10 +17,10 @@ import (
 // of the request and the table contents — not of what the process was
 // asked before, nor of where the scans ran. One request goes to a fresh
 // instance, to one that has already served 200 recommendations
-// filtering on correlated columns, to in-process shards, to a placed
-// coordinator over two HTTP workers, and to one of those workers' own
-// instance; every scored view, its utility, what it represents and the
-// pruned dimensions must render byte-identically.
+// filtering on correlated columns, to a placed coordinator over two
+// HTTP workers, and to one of those workers' own instance; every scored
+// view, its utility, what it represents and the pruned dimensions must
+// render byte-identically.
 func TestSameRequestSameBytesAcrossHistory(t *testing.T) {
 	ctx := context.Background()
 	const query = "SELECT * FROM orders WHERE ship_mode = 'First Class'"
@@ -43,9 +43,6 @@ func TestSameRequestSameBytesAcrossHistory(t *testing.T) {
 		}
 	}
 
-	sharded := fresh()
-	sharded.ShardLocal(2, seedb.ClusterConfig{})
-
 	var workers []*seedb.DB
 	var urls []string
 	for range 2 {
@@ -62,7 +59,7 @@ func TestSameRequestSameBytesAcrossHistory(t *testing.T) {
 	targets := []struct {
 		name string
 		db   *seedb.DB
-	}{{"fresh", fresh()}, {"after 200 requests", used}, {"ShardLocal(2)", sharded}, {"placed rf=2", placed}, {"worker solo", workers[0]}}
+	}{{"fresh", fresh()}, {"after 200 requests", used}, {"placed rf=2", placed}, {"worker solo", workers[0]}}
 
 	for _, op := range []string{"deviation", "outlier"} {
 		opts := seedb.DefaultOptions()

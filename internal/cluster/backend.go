@@ -181,17 +181,6 @@ func New(store *PlacementStore, cfg Config) *Backend {
 	return b
 }
 
-// NewLocal builds the zero-worker replicated backend: every query is
-// cut into n grid-aligned ranges that run concurrently on the node and
-// merge through the same path a fleet's partials do — single-binary
-// sharding, and the exact merge path testable without a fleet.
-func NewLocal(store *PlacementStore, n int, cfg Config) *Backend {
-	cfg.Replication = 0
-	b := New(store, cfg)
-	b.layout = replicated{local: max(n, 1)}
-	return b
-}
-
 // EnableMetrics registers the backend's counters with the metrics
 // registry and turns on the per-worker attempt latency histogram. Safe
 // on a live backend; observation-only.
@@ -372,7 +361,7 @@ func (b *Backend) scatter(ctx context.Context, q *engine.Query, gsets []engine.G
 		lo, hi = q.RowLo, min(q.RowHi, rows)
 	}
 	b.mu.RLock()
-	tasks := b.layout.cut(t, rows, lo, hi, q.Shards, &b.fleet)
+	tasks := b.layout.cut(t, rows, lo, hi, &b.fleet)
 	b.mu.RUnlock()
 	if len(tasks) == 0 {
 		// Nothing to scatter (no workers, or an empty window): run
@@ -420,7 +409,6 @@ func (b *Backend) route(ctx context.Context, t *engine.Table, q *engine.Query, g
 	pending := make([]*task, len(tasks))
 	for i := range tasks {
 		pending[i] = &tasks[i]
-		pending[i].owned = len(tasks[i].owners) > 0
 	}
 	var local []*task
 	req, err := EncodeShardRequest(q, gsets, "", 0, 0, q.Parallelism)
@@ -466,9 +454,6 @@ func (b *Backend) route(ctx context.Context, t *engine.Table, q *engine.Query, g
 	}
 
 	for _, tk := range local {
-		if !tk.owned {
-			continue // a zero-worker backend's own range, not a failover
-		}
 		if b.cfg.DisableFailover && !tk.fault {
 			return nil, fmt.Errorf("cluster: fragment %s failed for rows [%d,%d): %w", tk.frag.name, tk.lo, tk.hi, tk.err)
 		}

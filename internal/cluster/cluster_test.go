@@ -67,58 +67,6 @@ func httpPostJSON(url, body string) (string, error) {
 	return string(data), err
 }
 
-// TestShardLocalMatchesSingleNode: the tentpole invariant — sharded
-// scatter-gather returns byte-identical recommendations for every
-// shard count.
-func TestShardLocalMatchesSingleNode(t *testing.T) {
-	ctx := context.Background()
-	opts := testOptions()
-
-	plain := newDB(t, 4000)
-	want, err := plain.RecommendSQL(ctx, testQuery, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes := render(want)
-
-	for _, n := range []int{1, 2, 4, 8} {
-		db := newDB(t, 4000)
-		db.ShardLocal(n, seedb.ClusterConfig{})
-		got, err := db.RecommendSQL(ctx, testQuery, opts)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if g := render(got); g != wantBytes {
-			t.Fatalf("n=%d shards changed result bytes:\n%s\nvs\n%s", n, g, wantBytes)
-		}
-	}
-}
-
-// TestOptionsShardsOverride: the per-query Shards option narrows the
-// scatter width without changing bytes.
-func TestOptionsShardsOverride(t *testing.T) {
-	ctx := context.Background()
-	db := newDB(t, 3000)
-	b := db.ShardLocal(8, seedb.ClusterConfig{})
-	opts := testOptions()
-	opts.Shards = 2
-	res, err := db.RecommendSQL(ctx, testQuery, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := newDB(t, 3000)
-	want, err := plain.RecommendSQL(ctx, testQuery, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if render(res) != render(want) {
-		t.Fatal("Shards=2 on an 8-shard backend changed result bytes")
-	}
-	if b.Counters().Scatters == 0 {
-		t.Fatal("expected scatters to be recorded")
-	}
-}
-
 // startWorker runs a full seedb HTTP server (the worker role is just a
 // plain server) over its own identically-loaded DB.
 func startWorker(t *testing.T, rows int) (*httptest.Server, *seedb.DB) {
@@ -305,12 +253,16 @@ func TestShardRegistration(t *testing.T) {
 }
 
 // TestConcurrentShardedRecommends is the race-mode stress test for
-// concurrent scatter-gather: many sessions hammering one sharded
-// backend (plus a cache) must agree and stay race-clean.
+// concurrent scatter-gather: many sessions hammering one placed
+// backend over four members (plus a cache) must agree and stay
+// race-clean.
 func TestConcurrentShardedRecommends(t *testing.T) {
 	ctx := context.Background()
 	db := newDB(t, 3000)
-	db.ShardLocal(4, seedb.ClusterConfig{})
+	b, err := db.PlaceMembers(ctx, 4, placementConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	db.Serve(seedb.ServeConfig{})
 	opts := testOptions()
 
@@ -345,6 +297,9 @@ func TestConcurrentShardedRecommends(t *testing.T) {
 		if outs[i] != outs[i%len(queries)] {
 			t.Fatalf("concurrent sharded runs disagree for query %d", i%len(queries))
 		}
+	}
+	if c := b.Counters(); c.ShardCalls == 0 || c.Failovers != 0 || c.Mismatches != 0 {
+		t.Fatalf("want every task served by a member: %+v", c)
 	}
 }
 

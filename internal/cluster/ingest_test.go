@@ -157,8 +157,9 @@ func TestDBAppendRoutesThroughCluster(t *testing.T) {
 		name  string
 		setup func(db *seedb.DB) (*seedb.ClusterBackend, error)
 	}{
-		{"ShardLocal(2)", func(db *seedb.DB) (*seedb.ClusterBackend, error) {
-			return db.ShardLocal(2, seedb.ClusterConfig{}), nil
+		{"replicated members", func(db *seedb.DB) (*seedb.ClusterBackend, error) {
+			b, _ := replicateOnto(t, db, 2, seedb.ClusterConfig{})
+			return b, nil
 		}},
 		{"ShardRemote", func(db *seedb.DB) (*seedb.ClusterBackend, error) {
 			w, _ := startWorker(t, base)
@@ -228,6 +229,9 @@ func TestDBAppendRoutesThroughCluster(t *testing.T) {
 			}
 			if render(got) != render(want) {
 				t.Fatalf("%s: recommendation differs from solo:\n%s\nvs\n%s", name, render(got), render(want))
+			}
+			if b.Counters().ShardCalls == 0 {
+				t.Fatalf("%s: the recommendation never reached a worker", name)
 			}
 			clean(name, b)
 		}

@@ -41,7 +41,6 @@ type task struct {
 	owners []*member // candidates not yet tried, in ring order
 
 	// Routing state (Backend.route).
-	owned bool   // had owners when cut: running it locally is a failover
 	hash  string // frag's expected content hash, once a worker is asked
 	err   error  // why the last candidate (or the lack of one) did not serve it
 	fault bool   // err is the query's doing: no worker can do better
@@ -72,21 +71,16 @@ type layout interface {
 	fragments(t *engine.Table, rows, lo, hi int) []fragment
 	// owners returns the workers that should hold f, in try order.
 	owners(f fragment, fl *fleet) []*member
-	// cut splits a query's window [lo,hi) into tasks, in row order;
-	// width is Query.Shards (0 = the layout's natural width). No tasks
-	// means the window runs on the coordinator unscattered.
-	cut(t *engine.Table, rows, lo, hi, width int, fl *fleet) []task
+	// cut splits a query's window [lo,hi) into tasks, in row order. No
+	// tasks means the window runs on the coordinator unscattered.
+	cut(t *engine.Table, rows, lo, hi int, fl *fleet) []task
 	// signature is the backend's core.Backend signature.
 	signature(fl *fleet) string
 }
 
 // replicated: every worker holds every table whole; the WORK is
 // partitioned per query.
-type replicated struct {
-	// local is the scatter width when there are no workers: that many
-	// ranges run on the coordinator's executor (NewLocal).
-	local int
-}
+type replicated struct{}
 
 func (replicated) fragments(t *engine.Table, rows, lo, hi int) []fragment {
 	if lo >= hi || lo >= rows {
@@ -97,33 +91,20 @@ func (replicated) fragments(t *engine.Table, rows, lo, hi int) []fragment {
 
 func (replicated) owners(f fragment, fl *fleet) []*member { return fl.order }
 
-func (l replicated) cut(t *engine.Table, rows, lo, hi, width int, fl *fleet) []task {
-	n := len(fl.order)
-	if n == 0 {
-		n = l.local
-	}
-	if width > 0 && width < n {
-		n = width
-	}
+// cut is one grid-aligned range per worker, task i owned by worker i.
+func (l replicated) cut(t *engine.Table, rows, lo, hi int, fl *fleet) []task {
 	frags := l.fragments(t, rows, lo, hi)
-	if n == 0 || len(frags) == 0 {
+	if len(fl.order) == 0 || len(frags) == 0 {
 		return nil
 	}
 	var tasks []task
-	for i, rg := range engine.ShardRanges(rows, lo, hi, n) {
-		tk := task{frag: frags[0], lo: rg[0], hi: rg[1]}
-		if len(fl.order) > 0 {
-			tk.owners = fl.order[i%len(fl.order):][:1]
-		}
-		tasks = append(tasks, tk)
+	for i, rg := range engine.ShardRanges(rows, lo, hi, len(fl.order)) {
+		tasks = append(tasks, task{frag: frags[0], lo: rg[0], hi: rg[1], owners: fl.order[i:][:1]})
 	}
 	return tasks
 }
 
-func (l replicated) signature(fl *fleet) string {
-	if len(fl.order) == 0 && l.local > 0 {
-		return fmt.Sprintf("sharded(local,n=%d)", l.local)
-	}
+func (replicated) signature(fl *fleet) string {
 	return fmt.Sprintf("sharded(remote,n=%d)", len(fl.order))
 }
 
@@ -221,8 +202,8 @@ func (l *placed) owners(f fragment, fl *fleet) []*member {
 
 // cut is one task per placement the window touches. Boundaries are
 // absolute — placement i covers rows [i*span, (i+1)*span) — so appends
-// never move them and Query.Shards has nothing to narrow.
-func (l *placed) cut(t *engine.Table, rows, lo, hi, _ int, fl *fleet) []task {
+// never move them.
+func (l *placed) cut(t *engine.Table, rows, lo, hi int, fl *fleet) []task {
 	if len(fl.order) == 0 {
 		return nil
 	}

@@ -29,6 +29,14 @@ import (
 func replicateManual(t *testing.T, rows, n int, cfg seedb.ClusterConfig) (*seedb.DB, *seedb.ClusterBackend, []*seedb.MemberShard) {
 	t.Helper()
 	db := newDB(t, rows)
+	b, members := replicateOnto(t, db, n, cfg)
+	return db, b, members
+}
+
+// replicateOnto makes db a replicated coordinator over n in-process
+// members, each shipped every table whole.
+func replicateOnto(t *testing.T, db *seedb.DB, n int, cfg seedb.ClusterConfig) (*seedb.ClusterBackend, []*seedb.MemberShard) {
+	t.Helper()
 	b := db.ShardRemote(nil, 0, cfg)
 	members := make([]*seedb.MemberShard, n)
 	for i := range members {
@@ -37,7 +45,7 @@ func replicateManual(t *testing.T, rows, n int, cfg seedb.ClusterConfig) (*seedb
 			t.Fatal(err)
 		}
 	}
-	return db, b, members
+	return b, members
 }
 
 // bothLayouts runs f once per layout over n in-process members.

@@ -19,7 +19,7 @@
 //   - replicated (Config.Replication == 0): every worker holds every
 //     table whole, under its own name; the WORK is partitioned — one
 //     grid-aligned range per worker per query. With no workers the
-//     ranges run on the coordinator's executor (NewLocal).
+//     query runs unscattered on the coordinator's executor.
 //   - placed (Config.Replication >= 1): the DATA is partitioned. A
 //     table is cut into placements of PlacementChunks grid cells, a
 //     consistent-hash ring assigns each to Replication workers, and a

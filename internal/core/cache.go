@@ -77,12 +77,6 @@ func execCacheKey(fingerprint, layout, operator string, q *engine.Query, gsets [
 	b.WriteString(operator)
 	b.WriteByte('\n')
 	b.WriteString(layout)
-	if q.Shards > 0 {
-		// A per-request shard-count override narrows which workers of a
-		// remote fleet execute; treat it as part of the layout.
-		b.WriteByte('/')
-		b.WriteString(strconv.Itoa(q.Shards))
-	}
 	b.WriteByte('\n')
 	// The phased row range selects which rows feed the aggregation, so
 	// it is part of the content address.

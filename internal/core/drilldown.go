@@ -132,26 +132,3 @@ func (e *Engine) DrillDown(ctx context.Context, q Query, v View, label string, o
 	}
 	return e.Recommend(ctx, refined, opts)
 }
-
-// RollUp undoes the most recent drill-down: if the query's predicate
-// is a conjunction, the last conjunct is removed and the broadened
-// query is returned (with ok=true). A query that cannot be broadened —
-// no predicate, or a non-conjunction predicate — comes back unchanged
-// with ok=false; rolling all the way up yields the unfiltered table.
-func RollUp(q Query) (Query, bool) {
-	and, ok := q.Predicate.(*engine.AndPred)
-	if !ok || len(and.Children) == 0 {
-		return q, false
-	}
-	rest := and.Children[:len(and.Children)-1]
-	broadened := Query{Table: q.Table}
-	switch len(rest) {
-	case 0:
-		broadened.Predicate = nil
-	case 1:
-		broadened.Predicate = rest[0]
-	default:
-		broadened.Predicate = engine.And(append([]engine.Predicate(nil), rest...)...)
-	}
-	return broadened, true
-}

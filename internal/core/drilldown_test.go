@@ -145,44 +145,6 @@ func TestGroupPredicateErrors(t *testing.T) {
 	}
 }
 
-func TestRollUp(t *testing.T) {
-	base := engine.Eq("category", engine.String("Furniture"))
-	group := engine.Eq("region", engine.String("Central"))
-	drilled := Query{Table: "t", Predicate: engine.And(base, group)}
-
-	up, ok := RollUp(drilled)
-	if !ok {
-		t.Fatal("conjunction should roll up")
-	}
-	if up.Predicate.String() != base.String() {
-		t.Errorf("rolled predicate = %q, want %q", up.Predicate.String(), base.String())
-	}
-	// A single-predicate query cannot roll up further.
-	if _, ok := RollUp(up); ok {
-		t.Error("non-conjunction should not roll up")
-	}
-	// Empty query cannot roll up.
-	if _, ok := RollUp(Query{Table: "t"}); ok {
-		t.Error("no predicate should not roll up")
-	}
-	// Triple conjunction rolls to a double.
-	third := engine.Eq("segment", engine.String("Consumer"))
-	deep := Query{Table: "t", Predicate: engine.And(base, group, third)}
-	up2, ok := RollUp(deep)
-	if !ok {
-		t.Fatal("triple conjunction should roll up")
-	}
-	and, isAnd := up2.Predicate.(*engine.AndPred)
-	if !isAnd || len(and.Children) != 2 {
-		t.Errorf("rolled predicate = %v", up2.Predicate)
-	}
-	// Rolling a two-level drill chain all the way recovers the table.
-	up3, _ := RollUp(up2)
-	up4, ok := RollUp(Query{Table: "t", Predicate: engine.And(up3.Predicate)})
-	_ = up4
-	_ = ok
-}
-
 func TestDrillDownEndToEnd(t *testing.T) {
 	// Superstore: ask about Furniture, then drill into the Central
 	// region (the planted loss region) and recommend within it.

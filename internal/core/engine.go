@@ -124,7 +124,7 @@ func (e *Engine) RecommendProgress(ctx context.Context, q Query, opts Options, l
 	sample := opts.SampleFraction > 0 && tb.NumRows() >= opts.SampleMinRows
 	var targetRows int64
 	if sample {
-		if targetRows, err = e.countTarget(ctx, q, opts); err != nil {
+		if targetRows, err = e.countTarget(ctx, q); err != nil {
 			return nil, err
 		}
 		if targetRows == 0 {
@@ -303,12 +303,11 @@ func validatePredicate(tb *engine.Table, p engine.Predicate) (err error) {
 // backend. Only sampled runs call it: their scans see a Bernoulli
 // subset, so the count set an exact run reads |D_Q| from
 // (targetCountSet) would not see the exact target size.
-func (e *Engine) countTarget(ctx context.Context, q Query, opts Options) (int64, error) {
+func (e *Engine) countTarget(ctx context.Context, q Query) (int64, error) {
 	res, err := e.Backend().Run(ctx, &engine.Query{
-		Table:  q.Table,
-		Where:  q.Predicate,
-		Shards: opts.Shards,
-		Aggs:   []engine.AggSpec{{Func: engine.AggCount, Alias: "n"}},
+		Table: q.Table,
+		Where: q.Predicate,
+		Aggs:  []engine.AggSpec{{Func: engine.AggCount, Alias: "n"}},
 	})
 	if err != nil {
 		return 0, err

@@ -28,7 +28,7 @@ func rolesTable(t *testing.T) (*engine.Table, *stats.TableStats) {
 			engine.Value{Kind: engine.TypeTime, I: int64(i % 4)},
 		)
 	}
-	return tb, stats.Collect(tb)
+	return tb, stats.NewCollector().Describe(tb)
 }
 
 func TestDetectRolesAutomatic(t *testing.T) {
@@ -156,14 +156,14 @@ func TestDetectRolesOverrides(t *testing.T) {
 func TestDetectRolesNoCandidates(t *testing.T) {
 	tb := engine.MustNewTable("onlyfloat", engine.Schema{{Name: "f", Type: engine.TypeFloat}})
 	_ = tb.AppendRow(engine.Float(1))
-	ts := stats.Collect(tb)
+	ts := stats.NewCollector().Describe(tb)
 	opts, _ := DefaultOptions().normalize()
 	if _, err := detectRoles(ts, tb.Schema(), opts, nil); err == nil {
 		t.Error("no dimensions must error")
 	}
 	tb2 := engine.MustNewTable("onlystring", engine.Schema{{Name: "s", Type: engine.TypeString}})
 	_ = tb2.AppendRow(engine.String("x"))
-	ts2 := stats.Collect(tb2)
+	ts2 := stats.NewCollector().Describe(tb2)
 	if _, err := detectRoles(ts2, tb2.Schema(), opts, nil); err == nil {
 		t.Error("no measures must error")
 	}
@@ -291,7 +291,7 @@ func TestDetectRolesFloatOrderIndependent(t *testing.T) {
 		}
 		opts, _ := DefaultOptions().normalize()
 		opts.MaxGroupsPerDim = 2 // three distinct floats are "continuous"
-		r, err := detectRoles(stats.Collect(tb), tb.Schema(), opts, nil)
+		r, err := detectRoles(stats.NewCollector().Describe(tb), tb.Schema(), opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func runUnit(ctx context.Context, e *Engine, be Backend, cache ExecCache, tb *en
 	// run issues one shared scan of the unit, with extra appended to its
 	// grouping sets.
 	run := func(combined bool, where engine.Predicate, extra ...engine.GroupingSet) ([]*engine.Result, error) {
-		eq := &engine.Query{Table: q.Table, Where: where, Parallelism: scanPar, Shards: opts.Shards, RowLo: rowLo, RowHi: rowHi}
+		eq := &engine.Query{Table: q.Table, Where: where, Parallelism: scanPar, RowLo: rowLo, RowHi: rowHi}
 		if sample {
 			eq.SampleFraction = opts.SampleFraction
 			eq.SampleSeed = opts.SampleSeed

@@ -126,15 +126,6 @@ type Options struct {
 	// per-query scan parallelism for large tables). 0 means GOMAXPROCS.
 	Parallelism int
 
-	// Shards requests scatter-gather execution of every view query
-	// across this many horizontal table partitions when the engine has
-	// a cluster backend installed (see core.Backend and
-	// internal/cluster). 0 keeps the backend's configured layout; the
-	// plain in-process backend ignores it. Results are byte-identical
-	// across shard counts — sharding changes where the scan runs, never
-	// what comes back.
-	Shards int
-
 	// Phases > 1 enables phased execution with confidence-interval
 	// pruning (extension): the table is processed in Phases chunks and
 	// views whose utility upper bound cannot reach the top-k are
@@ -228,9 +219,6 @@ func (o Options) normalize() (Options, error) {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards < 0 {
-		return o, fmt.Errorf("core: Shards must be >= 0, got %d", o.Shards)
 	}
 	if o.SampleFraction < 0 || o.SampleFraction >= 1 {
 		if o.SampleFraction != 0 {

@@ -28,7 +28,7 @@ func planFixture(t *testing.T) (*engine.Table, *stats.TableStats) {
 		vals[7] = engine.Float(float64(r % 17))
 		_ = tb.AppendRow(vals...)
 	}
-	return tb, stats.Collect(tb)
+	return tb, stats.NewCollector().Describe(tb)
 }
 
 func fixtureViews(funcs ...engine.AggFunc) []View {

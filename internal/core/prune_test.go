@@ -38,7 +38,7 @@ func pruneFixture(t *testing.T) (*engine.Table, *stats.TableStats) {
 			engine.Float(rng.Float64()),
 		)
 	}
-	return tb, stats.Collect(tb)
+	return tb, stats.NewCollector().Describe(tb)
 }
 
 func viewsForDims(dims ...string) []View {

@@ -41,12 +41,6 @@ type Query struct {
 	Limit int
 	// Parallelism partitions the scan across workers when > 1.
 	Parallelism int
-	// Shards asks a cluster backend to scatter the query across this
-	// many horizontal partitions; 0 keeps the backend's configured
-	// layout. The in-process executor ignores it — results are
-	// partition-invariant by construction, so the hint only affects
-	// where the work runs, never what comes back.
-	Shards int
 	// RowLo/RowHi restrict the scan to rows [RowLo, RowHi) when RowHi > 0.
 	// SeeDB's phased execution uses ranges to stream the table in
 	// chunks, the way a wrapper would page through ctid ranges.

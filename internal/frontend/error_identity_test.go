@@ -14,7 +14,7 @@ import (
 // TestRecommendErrorIdentity: a predicate that names an unknown column
 // or compares a column with a constant of the wrong type, and one that
 // selects no rows, fail with the same error text and HTTP status on
-// every path — solo, in-process shards, a placed coordinator over two
+// every path — solo, a placed coordinator over two
 // HTTP workers, phased and sampled. The target count is read off the
 // plan's first scan, so an empty target is only known after execution;
 // a bad predicate is still rejected before anything is scanned, and
@@ -42,8 +42,6 @@ func TestRecommendErrorIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := fresh()
-	sharded.ShardLocal(2, seedb.ClusterConfig{})
 
 	phased, sampled := seedb.DefaultOptions(), seedb.DefaultOptions()
 	phased.Phases = 4
@@ -55,7 +53,6 @@ func TestRecommendErrorIdentity(t *testing.T) {
 		body map[string]any // the same options on /api/recommend
 	}{
 		{"solo", fresh(), seedb.DefaultOptions(), nil},
-		{"ShardLocal(2)", sharded, seedb.DefaultOptions(), nil},
 		{"placed rf=2", placed, seedb.DefaultOptions(), nil},
 		{"phases 4", fresh(), phased, map[string]any{"phases": 4}},
 		{"sampled", fresh(), sampled, map[string]any{"sampleFraction": 0.5}},

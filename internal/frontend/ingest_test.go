@@ -99,13 +99,11 @@ type ingestRole struct {
 	member *seedb.MemberShard // a placed coordinator's one worker
 }
 
-// ingestRoles stands up testServer in every role: a plain node, an
-// in-process sharded coordinator and a placed coordinator over one
-// in-process worker.
+// ingestRoles stands up testServer in every role: a plain node and a
+// placed coordinator over one in-process worker.
 func ingestRoles(t *testing.T) []ingestRole {
 	t.Helper()
-	local, placed := testServer(t), testServer(t)
-	local.db.ShardLocal(2, seedb.ClusterConfig{})
+	placed := testServer(t)
 	b, err := placed.db.PlaceRemote(context.Background(), nil, time.Second, seedb.PlacementConfig{Replication: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +112,7 @@ func ingestRoles(t *testing.T) []ingestRole {
 	if _, _, err := b.AddWorker(context.Background(), m); err != nil {
 		t.Fatal(err)
 	}
-	return []ingestRole{{"plain", testServer(t), nil}, {"ShardLocal(2)", local, nil}, {"placed", placed, m}}
+	return []ingestRole{{"plain", testServer(t), nil}, {"placed", placed, m}}
 }
 
 // TestIngestValidation pins the statuses of a refused batch, the same

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -107,17 +108,15 @@ func waitForStats(t *testing.T, db *seedb.DB, what string, cond func(seedb.Sched
 // TestCoalescedMatchesSolo pins the scheduler's headline guarantee at
 // the HTTP layer: a response served by joining an in-flight identical
 // run is byte-identical to a solo run of the same request — on the
-// plain backend and on sharded backends at every shard count, with the
+// plain backend and on placed fleets of every size, with the
 // views additionally identical ACROSS backends. elapsedMillis (wall
 // clock) is normalized; all runs execute against the same warm cache
 // so the executor counters agree exactly.
 func TestCoalescedMatchesSolo(t *testing.T) {
 	var referenceViews string
-	for _, shards := range []int{0, 1, 2, 4, 8} { // 0 = plain in-process backend
+	for _, workers := range []int{0, 1, 2, 4, 8} { // 0 = plain in-process backend
 		db := streamTestDB(t)
-		if shards > 0 {
-			db.ShardLocal(shards, seedb.ClusterConfig{})
-		}
+		b := placeStreamTestDB(t, db, workers)
 		s := New(db, nil, nil)
 		req := map[string]any{
 			"sql": "SELECT * FROM orders WHERE category = 'Furniture'",
@@ -125,11 +124,11 @@ func TestCoalescedMatchesSolo(t *testing.T) {
 		}
 		// Warm the shared view cache, then take the solo reference.
 		if warm := postJSON(t, s, "/api/recommend", req); warm.Code != http.StatusOK {
-			t.Fatalf("shards=%d: warm-up status %d: %s", shards, warm.Code, warm.Body.String())
+			t.Fatalf("workers=%d: warm-up status %d: %s", workers, warm.Code, warm.Body.String())
 		}
 		solo := postJSON(t, s, "/api/recommend", req)
 		if solo.Code != http.StatusOK {
-			t.Fatalf("shards=%d: solo status %d: %s", shards, solo.Code, solo.Body.String())
+			t.Fatalf("workers=%d: solo status %d: %s", workers, solo.Code, solo.Body.String())
 		}
 
 		// Hold the cache and fire two identical requests: one starts the
@@ -159,10 +158,10 @@ func TestCoalescedMatchesSolo(t *testing.T) {
 		want := normalizeElapsed(solo.Body.Bytes())
 		for i, w := range responses {
 			if w.Code != http.StatusOK {
-				t.Fatalf("shards=%d: concurrent request %d status %d: %s", shards, i, w.Code, w.Body.String())
+				t.Fatalf("workers=%d: concurrent request %d status %d: %s", workers, i, w.Code, w.Body.String())
 			}
 			if got := normalizeElapsed(w.Body.Bytes()); got != want {
-				t.Fatalf("shards=%d: coalesced response %d differs from solo run:\n%s\nvs\n%s", shards, i, got, want)
+				t.Fatalf("workers=%d: coalesced response %d differs from solo run:\n%s\nvs\n%s", workers, i, got, want)
 			}
 		}
 
@@ -175,9 +174,10 @@ func TestCoalescedMatchesSolo(t *testing.T) {
 		if referenceViews == "" {
 			referenceViews = string(payload.Views)
 		} else if string(payload.Views) != referenceViews {
-			t.Fatalf("shards=%d: views differ from single-node reference:\n%s\nvs\n%s",
-				shards, payload.Views, referenceViews)
+			t.Fatalf("workers=%d: views differ from single-node reference:\n%s\nvs\n%s",
+				workers, payload.Views, referenceViews)
 		}
+		assertServedByWorkers(t, fmt.Sprintf("workers=%d", workers), b)
 	}
 }
 

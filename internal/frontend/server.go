@@ -309,12 +309,6 @@ type recommendRequest struct {
 	// session default; a value in (0,1) enables sampling at that
 	// fraction; any other value (e.g. 0) disables sampling.
 	SampleFraction *float64 `json:"sampleFraction"`
-	// Shards overrides the per-query scatter width when the server runs
-	// a cluster backend: absent keeps the session default, 0 restores
-	// the backend's configured layout, N>0 scatters across N shards.
-	// Results are byte-identical either way; this knob trades fan-out
-	// against per-request overhead.
-	Shards *int `json:"shards"`
 	// Phases enables phased execution with confidence-interval pruning:
 	// absent keeps the session default, 0 restores single-pass
 	// execution, N>1 processes the table in N phases. The streaming
@@ -457,9 +451,6 @@ func (s *Server) optionsFrom(req recommendRequest, base seedb.Options) seedb.Opt
 			opts.SampleFraction = 0 // exact answers for this request
 			opts.SampleMinRows = def.SampleMinRows
 		}
-	}
-	if req.Shards != nil && *req.Shards >= 0 {
-		opts.Shards = *req.Shards
 	}
 	if req.Phases != nil && *req.Phases >= 0 {
 		opts.Phases = *req.Phases

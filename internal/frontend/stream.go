@@ -161,9 +161,6 @@ func streamRequestFromQuery(r *http.Request) (recommendRequest, error) {
 	if req.DisableCombining, err = boolParam("disableCombining"); err != nil {
 		return req, err
 	}
-	if req.Shards, err = intParam("shards"); err != nil {
-		return req, err
-	}
 	if req.Phases, err = intParam("phases"); err != nil {
 		return req, err
 	}

@@ -2,7 +2,9 @@ package frontend
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -166,10 +168,36 @@ func streamTestDB(t *testing.T) *seedb.DB {
 	return db
 }
 
+// placeStreamTestDB makes db a coordinator placing its tables rf=2 over
+// n in-process members (0 keeps the plain in-process backend).
+func placeStreamTestDB(t *testing.T, db *seedb.DB, n int) *seedb.ClusterBackend {
+	t.Helper()
+	if n == 0 {
+		return nil
+	}
+	b, err := db.PlaceMembers(context.Background(), n, seedb.PlacementConfig{Replication: 2, PlacementChunks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// assertServedByWorkers fails unless b (when set) sent its scans to
+// its workers and every task was served there.
+func assertServedByWorkers(t *testing.T, what string, b *seedb.ClusterBackend) {
+	t.Helper()
+	if b == nil {
+		return
+	}
+	if c := b.Counters(); c.ShardCalls == 0 || c.Failovers != 0 || c.Mismatches != 0 {
+		t.Fatalf("%s: want every task served by a worker: %+v", what, c)
+	}
+}
+
 // TestStreamDoneMatchesBlocking pins the endpoint's core guarantee:
 // the terminal done payload is byte-identical to the blocking
 // /api/recommend response for the same request — on the single-node
-// backend and on sharded backends at every shard count. Two fields are
+// backend and on placed fleets of every size. Two fields are
 // not functions of the request alone and are handled explicitly: the
 // elapsedMillis wall clock is normalized, and the executor-counter
 // stats (queriesIssued) are made comparable by warming the shared
@@ -180,11 +208,9 @@ func streamTestDB(t *testing.T) *seedb.DB {
 // guarantee.
 func TestStreamDoneMatchesBlocking(t *testing.T) {
 	var referenceViews string
-	for _, shards := range []int{0, 1, 2, 4, 8} { // 0 = plain in-process backend
+	for _, workers := range []int{0, 1, 2, 4, 8} { // 0 = plain in-process backend
 		db := streamTestDB(t)
-		if shards > 0 {
-			db.ShardLocal(shards, seedb.ClusterConfig{})
-		}
+		b := placeStreamTestDB(t, db, workers)
 		s := New(db, nil, nil)
 
 		req := map[string]any{
@@ -193,11 +219,11 @@ func TestStreamDoneMatchesBlocking(t *testing.T) {
 			"phases": 4,
 		}
 		if warm := postJSON(t, s, "/api/recommend", req); warm.Code != http.StatusOK {
-			t.Fatalf("shards=%d: warm-up status %d: %s", shards, warm.Code, warm.Body.String())
+			t.Fatalf("workers=%d: warm-up status %d: %s", workers, warm.Code, warm.Body.String())
 		}
 		blocking := postJSON(t, s, "/api/recommend", req)
 		if blocking.Code != http.StatusOK {
-			t.Fatalf("shards=%d: blocking status %d: %s", shards, blocking.Code, blocking.Body.String())
+			t.Fatalf("workers=%d: blocking status %d: %s", workers, blocking.Code, blocking.Body.String())
 		}
 		// The blocking encoder appends a trailing newline; the SSE data
 		// line cannot carry one.
@@ -206,13 +232,13 @@ func TestStreamDoneMatchesBlocking(t *testing.T) {
 		evs := getStream(t, s, streamQueryTarget, nil)
 		last := evs[len(evs)-1]
 		if last.event != "done" {
-			t.Fatalf("shards=%d: last event %q, want done", shards, last.event)
+			t.Fatalf("workers=%d: last event %q, want done", workers, last.event)
 		}
 
 		gotN := normalizeElapsed([]byte(last.data))
 		wantN := normalizeElapsed([]byte(blockingBody))
 		if gotN != wantN {
-			t.Fatalf("shards=%d: stream done payload differs from blocking response:\n%s\nvs\n%s", shards, gotN, wantN)
+			t.Fatalf("workers=%d: stream done payload differs from blocking response:\n%s\nvs\n%s", workers, gotN, wantN)
 		}
 
 		var payload struct {
@@ -224,9 +250,10 @@ func TestStreamDoneMatchesBlocking(t *testing.T) {
 		if referenceViews == "" {
 			referenceViews = string(payload.Views)
 		} else if string(payload.Views) != referenceViews {
-			t.Fatalf("shards=%d: recommended views differ from single-node reference:\n%s\nvs\n%s",
-				shards, payload.Views, referenceViews)
+			t.Fatalf("workers=%d: recommended views differ from single-node reference:\n%s\nvs\n%s",
+				workers, payload.Views, referenceViews)
 		}
+		assertServedByWorkers(t, fmt.Sprintf("workers=%d", workers), b)
 	}
 }
 

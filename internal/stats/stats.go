@@ -256,10 +256,6 @@ func (c *Collector) Describe(t *engine.Table) *TableStats {
 	return ts
 }
 
-// Collect computes a table's statistics, TopValues included, in one
-// cold pass that keeps no state.
-func Collect(t *engine.Table) *TableStats { return NewCollector().Describe(t) }
-
 // CorrelationClusters groups the given columns so that any pair with
 // Cramér's V ≥ threshold lands in the same cluster (transitively);
 // clusters and their members are returned sorted by name. Pairwise V is

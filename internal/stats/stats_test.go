@@ -44,7 +44,7 @@ func statsTable(t *testing.T) *engine.Table {
 
 func TestCollectBasics(t *testing.T) {
 	tb := statsTable(t)
-	ts := Collect(tb)
+	ts := NewCollector().Describe(tb)
 	if ts.Rows != 1000 || ts.Table != "t" {
 		t.Fatalf("table stats header wrong: %+v", ts)
 	}
@@ -82,7 +82,7 @@ func TestCollectTopValues(t *testing.T) {
 	for _, s := range []string{"a", "a", "b", "c", "d", "e", "f"} {
 		_ = tb.AppendRow(engine.String(s))
 	}
-	cs, _ := Collect(tb).Column("s")
+	cs, _ := NewCollector().Describe(tb).Column("s")
 	if len(cs.TopValues) != 5 {
 		t.Fatalf("TopValues len = %d, want capped at 5", len(cs.TopValues))
 	}
@@ -98,7 +98,7 @@ func TestCollectTimeColumn(t *testing.T) {
 	tb := engine.MustNewTable("tt", engine.Schema{{Name: "ts", Type: engine.TypeTime}})
 	_ = tb.AppendRow(engine.Value{Kind: engine.TypeTime, I: 100})
 	_ = tb.AppendRow(engine.Value{Kind: engine.TypeTime, I: 300})
-	cs, _ := Collect(tb).Column("ts")
+	cs, _ := NewCollector().Describe(tb).Column("ts")
 	if cs.Min != 100 || cs.Max != 300 {
 		t.Errorf("time range = [%v,%v]", cs.Min, cs.Max)
 	}
@@ -109,7 +109,7 @@ func TestCollectTimeColumn(t *testing.T) {
 
 func TestIsDimensionAndMeasure(t *testing.T) {
 	tb := statsTable(t)
-	ts := Collect(tb)
+	ts := NewCollector().Describe(tb)
 	city, _ := ts.Column("city")
 	if !city.IsDimension(100) {
 		t.Error("city should be a dimension")
@@ -318,8 +318,8 @@ func TestEntropyUniformVsSkewed(t *testing.T) {
 		}
 		return tb
 	}
-	uniform, _ := Collect(mk("u", []int{25, 25, 25, 25})).Column("s")
-	skewed, _ := Collect(mk("s", []int{97, 1, 1, 1})).Column("s")
+	uniform, _ := NewCollector().Describe(mk("u", []int{25, 25, 25, 25})).Column("s")
+	skewed, _ := NewCollector().Describe(mk("s", []int{97, 1, 1, 1})).Column("s")
 	if uniform.NormEntropy < 0.999 {
 		t.Errorf("uniform NormEntropy = %v, want 1", uniform.NormEntropy)
 	}
@@ -382,7 +382,7 @@ func TestFloatRangeIgnoresRowOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return Collect(tb).Columns["f"]
+		return NewCollector().Describe(tb).Columns["f"]
 	}
 	for _, orders := range [][][]float64{
 		{{1, nan, 2}, {nan, 1, 2}, {2, 1, nan}},

@@ -1,7 +1,6 @@
 package viz
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -276,48 +275,6 @@ func TestSVGNegativeBars(t *testing.T) {
 	out := spec.SVG(300, 200)
 	if !strings.Contains(out, "<rect") {
 		t.Error("negative bars must render")
-	}
-}
-
-func TestHTMLTable(t *testing.T) {
-	spec := sampleSpec(false)
-	out := spec.HTMLTable(50)
-	for _, frag := range []string{"<table", "</table>", "Cambridge, MA", "query subset", "overall", "<caption>"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("HTML table missing %q", frag)
-		}
-	}
-	// Escaping.
-	spec.Keys[0] = `<img src=x onerror=alert(1)>`
-	out = spec.HTMLTable(50)
-	if strings.Contains(out, "<img") {
-		t.Error("HTML table must escape keys")
-	}
-	// Truncation.
-	big := Spec{Title: "t", Keys: make([]string, 100), Series: []Series{{Name: "s", Values: make([]float64, 100)}}}
-	for i := range big.Keys {
-		big.Keys[i] = fmt.Sprintf("k%d", i)
-	}
-	out = big.HTMLTable(10)
-	if !strings.Contains(out, "90 more groups") {
-		t.Errorf("truncation footer missing:\n%s", out)
-	}
-	// Default row cap.
-	_ = big.HTMLTable(0)
-}
-
-func TestFormatCell(t *testing.T) {
-	cases := map[float64]string{
-		0:       "0",
-		42:      "42",
-		1.2345:  "1.234",
-		2.5e6:   "2.5e+06",
-		0.00005: "5e-05",
-	}
-	for v, want := range cases {
-		if got := formatCell(v); got != want {
-			t.Errorf("formatCell(%v) = %q, want %q", v, got, want)
-		}
 	}
 }
 

@@ -2,62 +2,69 @@ package seedb
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 )
 
 // Observability is observation-only: with metrics + tracing installed
 // (the default under Serve) every recommendation must be byte-identical
-// to a run with observability disabled — across shard counts and with
-// phased execution, the two paths where instrumentation sits closest to
-// the result math. This pins the obs seam the way progress_test.go pins
-// the ProgressListener seam.
+// to a run with observability disabled — across placed fleet sizes and
+// with phased execution, the two paths where instrumentation sits
+// closest to the result math. This pins the obs seam the way
+// progress_test.go pins the ProgressListener seam.
 func TestObservabilityByteIdentity(t *testing.T) {
 	ctx := context.Background()
 	for _, phases := range []int{0, 3} {
-		for _, n := range []int{0, 1, 2, 4, 8} {
+		for _, n := range append([]int{0}, goldenFleetSizes...) {
 			run := func(disable bool) (string, *DB) {
 				opts := goldenOptions("emd")
 				opts.Phases = phases
-				db := goldenDB(t)
+				var db *DB
+				var b *ClusterBackend
 				if n > 0 {
-					db.ShardLocal(n, ClusterConfig{})
+					db, b = placedGoldenDB(t, 2, n)
+				} else {
+					db = goldenDB(t)
 				}
 				svc := db.Serve(ServeConfig{DisableObservability: disable})
 				sess := svc.NewSession(opts)
 				res, err := sess.RecommendSQL(ctx, goldenQueries[0], &opts)
 				if err != nil {
-					t.Fatalf("phases=%d shards=%d disable=%v: %v", phases, n, disable, err)
+					t.Fatalf("phases=%d workers=%d disable=%v: %v", phases, n, disable, err)
+				}
+				if b != nil {
+					assertScattered(t, fmt.Sprintf("phases=%d workers=%d disable=%v", phases, n, disable), b)
 				}
 				return renderGolden(res), db
 			}
 			on, obsDB := run(false)
 			off, plainDB := run(true)
 			if on != off {
-				t.Fatalf("phases=%d shards=%d: result differs with observability on:\non:\n%s\noff:\n%s",
+				t.Fatalf("phases=%d workers=%d: result differs with observability on:\non:\n%s\noff:\n%s",
 					phases, n, on, off)
 			}
 			// The enabled side must actually have observed the run (this
 			// is a pin, not a no-op test), and the disabled side must
 			// have recorded nothing.
 			if obsDB.Observability().Traces.Len() == 0 {
-				t.Fatalf("phases=%d shards=%d: observability on but no trace completed", phases, n)
+				t.Fatalf("phases=%d workers=%d: observability on but no trace completed", phases, n)
 			}
 			if plainDB.Observability().Traces.Len() != 0 {
-				t.Fatalf("phases=%d shards=%d: DisableObservability still recorded traces", phases, n)
+				t.Fatalf("phases=%d workers=%d: DisableObservability still recorded traces", phases, n)
 			}
 		}
 	}
 }
 
-// A sharded streaming run's trace must tell the whole story: the
-// scheduler queue wait, the run itself, cache lookups, per-shard
-// scatter calls, and per-phase segments — with every span inside the
+// A placed streaming run's trace must tell the whole story: the
+// scheduler queue wait, the run itself, cache lookups, per-worker
+// exchanges, and per-phase segments — with every span inside the
 // trace's wall time and the queue+run account summing consistently
 // with it.
 func TestTraceSpansForShardedStreamingRun(t *testing.T) {
 	ctx := context.Background()
-	db := goldenDB(t)
-	db.ShardLocal(4, ClusterConfig{})
+	db, b := placedGoldenDB(t, 2, 4)
 	svc := db.Serve(ServeConfig{})
 	opts := goldenOptions("emd")
 	opts.Phases = 3
@@ -97,6 +104,10 @@ func TestTraceSpansForShardedStreamingRun(t *testing.T) {
 				sp.Name, sp.StartMillis, sp.DurMillis, dump.WallMillis)
 		}
 		switch sp.Name {
+		case "shard-exec":
+			if !strings.HasPrefix(sp.Attrs["shard"], "member-") {
+				t.Errorf("shard-exec span not on a member: %+v", sp)
+			}
 		case "scheduler-queue":
 			queueMillis += sp.DurMillis
 		case "run":
@@ -111,9 +122,12 @@ func TestTraceSpansForShardedStreamingRun(t *testing.T) {
 	if counts["phase"] != opts.Phases {
 		t.Errorf("want %d phase spans, got %d", opts.Phases, counts["phase"])
 	}
-	if counts["shard-exec"] < 4 {
-		t.Errorf("want at least one shard-exec span per shard (4), got %d", counts["shard-exec"])
+	// A placed exchange is one span per worker per scan, and every phase
+	// scans its own window.
+	if counts["shard-exec"] < opts.Phases {
+		t.Errorf("want at least one shard-exec span per phase (%d), got %d", opts.Phases, counts["shard-exec"])
 	}
+	assertScattered(t, "streaming run", b)
 	if counts["scheduler-queue"] != 1 || counts["run"] != 1 {
 		t.Errorf("want exactly one scheduler-queue and one run span, got %d and %d",
 			counts["scheduler-queue"], counts["run"])

@@ -16,9 +16,8 @@ import (
 // never-seen predicates — each after the first finds those runs warm and
 // its own run cold — then an append, a predicate that grows the shared
 // runs, and a repeat whose own run the append left stale must answer
-// byte for byte what an instance with no store answers: solo, phased, on
-// ShardLocal(2), and placed rf=2 over two HTTP workers (whose stores
-// hold the runs).
+// byte for byte what an instance with no store answers: solo, phased,
+// and placed rf=2 over two HTTP workers (whose stores hold the runs).
 func TestNeverSeenPredicatesMatchStoreFree(t *testing.T) {
 	ctx := context.Background()
 	open := func(store bool) *seedb.DB {
@@ -37,8 +36,7 @@ func TestNeverSeenPredicatesMatchStoreFree(t *testing.T) {
 	phased.Phases = 4
 
 	plain, plainPhased := open(false), open(false)
-	solo, phasedDB, sharded := open(true), open(true), open(true)
-	sharded.ShardLocal(2, seedb.ClusterConfig{})
+	solo, phasedDB := open(true), open(true)
 	var workers []*seedb.DB
 	var urls []string
 	for range 2 {
@@ -59,7 +57,6 @@ func TestNeverSeenPredicatesMatchStoreFree(t *testing.T) {
 	}{
 		{"solo", solo, plain, opts},
 		{"phased", phasedDB, plainPhased, phased},
-		{"ShardLocal(2)", sharded, plain, opts},
 		{"placed rf=2", placed, plain, opts},
 	}
 
@@ -71,7 +68,7 @@ func TestNeverSeenPredicatesMatchStoreFree(t *testing.T) {
 	const appendRows = ""
 	for _, pred := range []string{"category = 'Furniture'", "segment = 'Consumer'", appendRows, "ship_mode = 'First Class'", "category = 'Furniture'"} {
 		if pred == appendRows {
-			for _, db := range []*seedb.DB{plain, plainPhased, solo, phasedDB, sharded, placed} {
+			for _, db := range []*seedb.DB{plain, plainPhased, solo, phasedDB, placed} {
 				if _, err := db.Append("orders", batch); err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +92,7 @@ func TestNeverSeenPredicatesMatchStoreFree(t *testing.T) {
 	}
 
 	// The answers above came through the shared runs, not around them.
-	for _, db := range []*seedb.DB{solo, phasedDB, sharded, workers[0], workers[1]} {
+	for _, db := range []*seedb.DB{solo, phasedDB, workers[0], workers[1]} {
 		if st := db.IncrementalStats(); st.Hits == 0 || st.RowsReused == 0 {
 			t.Fatalf("a store served no run: %+v", st)
 		}

@@ -292,7 +292,7 @@ func (db *DB) Placements() *cluster.PlacementStore { return db.shards }
 
 // Observability returns the instance's metrics registry + trace ring.
 // The hub always exists; components feed it only once they are wired
-// (Serve, EnableDurability, ShardLocal/ShardRemote), and the HTTP
+// (Serve, EnableDurability, ShardRemote/PlaceRemote), and the HTTP
 // layer exposes it only when the service installed it (see
 // ServeConfig.DisableObservability). Everything it observes is
 // observation-only: results are byte-identical with the hub exported
@@ -749,16 +749,6 @@ func (db *DB) useCluster(b *ClusterBackend) *ClusterBackend {
 	return b
 }
 
-// ShardLocal switches the instance to in-process scatter-gather
-// execution across n logical table shards and returns the backend for
-// introspection. Results are byte-identical to the default backend for
-// every n — sharding changes where scans run, never what comes back.
-// Options.Shards (or the frontend's "shards" knob) can lower the
-// per-query shard count below n.
-func (db *DB) ShardLocal(n int, cfg ClusterConfig) *ClusterBackend {
-	return db.useCluster(cluster.NewLocal(db.shards, n, cfg))
-}
-
 // ShardRemote switches the instance into cluster-coordinator mode with
 // the replicated layout: every view query's row window is cut into one
 // range per worker and scattered across the given worker base URLs
@@ -768,9 +758,10 @@ func (db *DB) ShardLocal(n int, cfg ClusterConfig) *ClusterBackend {
 // request, not overwritten. The local replica remains the degraded
 // path — if a worker stays unreachable past its retry, its row range
 // is executed locally, so queries keep succeeding with reduced
-// offload. Additional workers can register later via the coordinator's
-// /api/shard/register endpoint or AddWorker on the returned backend,
-// both of which ship the joiner whatever it lacks.
+// offload. Until a worker joins, queries run unscattered on this node's
+// executor. Additional workers can register later via the
+// coordinator's /api/shard/register endpoint or AddWorker on the
+// returned backend, both of which ship the joiner whatever it lacks.
 func (db *DB) ShardRemote(workers []string, timeout time.Duration, cfg ClusterConfig) *ClusterBackend {
 	cfg.Replication = 0
 	b := db.useCluster(cluster.New(db.shards, cfg))
