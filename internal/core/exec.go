@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"seedb/internal/distance"
@@ -105,52 +108,38 @@ func runUnit(ctx context.Context, e *Engine, be Backend, cache ExecCache, tb *en
 		}
 	}
 
+	// Each grouping-set result's labels are formatted and sorted once,
+	// then shared by every view (and both sides) reading that result.
+	var idxs []*labelIndex
+	indexOf := func(res *engine.Result, col int) *labelIndex {
+		for _, x := range idxs {
+			if x.res == res && x.col == col {
+				return x
+			}
+		}
+		x := newLabelIndex(res, col)
+		idxs = append(idxs, x)
+		return x
+	}
 	var out []*ViewData
+	var scratch []mergedGroup
 	for di, dim := range u.dims {
 		cRes, tRes := compRes[resIndex(u, di)], targRes[resIndex(u, di)]
+		col := 0 // the dimension's key column: first, or di in a composite key
+		if u.composite {
+			col = di
+		}
+		cIdx, tIdx := indexOf(cRes, col), indexOf(tRes, col)
 		for _, vc := range u.bindings[dim] {
-			var tMap, cMap map[string]float64
-			var tAux, cAux *avgAuxMaps
-			if u.composite {
-				dimPos := di // position of dim in the composite key
-				cMap, cAux = marginalize(cRes, dimPos, vc, false, opts.CombineTargetComparison)
-				tMap, tAux = marginalize(tRes, dimPos, vc, true, opts.CombineTargetComparison)
-			} else {
-				cMap, cAux = extractSide(cRes, vc, false, opts.CombineTargetComparison)
-				tMap, tAux = extractSide(tRes, vc, true, opts.CombineTargetComparison)
-			}
-			vd := buildViewData(vc.view, tMap, cMap)
+			var vd *ViewData
+			vd, scratch = deriveView(vc.view, newViewSide(tIdx, vc, true, opts.CombineTargetComparison, u.composite),
+				newViewSide(cIdx, vc, false, opts.CombineTargetComparison, u.composite), scratch[:0])
 			if vd != nil {
-				attachAvgAux(vd, tAux, cAux)
 				out = append(out, vd)
 			}
 		}
 	}
 	return out, targetRows, nil
-}
-
-// avgAuxMaps holds an AVG view's per-group sum and count partials for
-// one side, keyed by group label.
-type avgAuxMaps struct {
-	sums   map[string]float64
-	counts map[string]float64
-}
-
-// attachAvgAux aligns aux partials with the view's key order so phased
-// execution can merge AVG views exactly.
-func attachAvgAux(vd *ViewData, tAux, cAux *avgAuxMaps) {
-	mk := func(a *avgAuxMaps) *AvgAux {
-		if a == nil {
-			return nil
-		}
-		out := &AvgAux{Sums: make([]float64, len(vd.Keys)), Counts: make([]float64, len(vd.Keys))}
-		for i, k := range vd.Keys {
-			out.Sums[i] = a.sums[k]
-			out.Counts[i] = a.counts[k]
-		}
-		return out
-	}
-	vd.TargetAux, vd.ComparisonAux = mk(tAux), mk(cAux)
 }
 
 // resIndex maps a dim position to the result slice index: grouping
@@ -162,148 +151,229 @@ func resIndex(u *execUnit, di int) int {
 	return 0
 }
 
-// extractSide reads one view's per-group values out of a
-// single-dimension result. When combined is true the target side lives
-// in the FILTER column of the same result; otherwise both sides use
-// the comparison aliases in their own result. An AVG view rewritten to
-// SUM+COUNT (phased execution) is recomposed here, and its partials
-// come back as aux.
-func extractSide(res *engine.Result, vc viewCols, targetSide, combined bool) (map[string]float64, *avgAuxMaps) {
-	col, auxCol := vc.cPrimary, vc.cAux
-	if targetSide && combined {
-		col, auxCol = vc.tPrimary, vc.tAux
-	}
-	ci := res.ColumnIndex(col)
-	ai := -1
-	if auxCol != "" {
-		ai = res.ColumnIndex(auxCol)
-	}
-	out := make(map[string]float64, len(res.Rows))
-	var aux *avgAuxMaps
-	if ai >= 0 {
-		aux = &avgAuxMaps{sums: make(map[string]float64, len(res.Rows)), counts: make(map[string]float64, len(res.Rows))}
-	}
-	for _, row := range res.Rows {
-		v := row[ci]
-		if v.Null {
-			continue // group absent on this side
-		}
-		f, ok := v.AsFloat()
-		if !ok {
-			continue
-		}
-		label := row[0].Format()
-		if ai >= 0 {
-			// Primary is the rewritten SUM; the view's value is AVG.
-			cnt, _ := row[ai].AsFloat()
-			if cnt <= 0 {
-				continue
-			}
-			aux.sums[label] = f
-			aux.counts[label] = cnt
-			out[label] = f / cnt
-			continue
-		}
-		out[label] = f
-	}
-	return out, aux
+// labelIndex is one grouping-set result's group labels for one key
+// column: labels[r] is row r's Value.Format, order lists the rows
+// sorted by label (ties in row order), and the i-th run of equal
+// labels is order[runs[i]:runs[i+1]].
+type labelIndex struct {
+	res    *engine.Result
+	col    int
+	labels []string
+	order  []int32
+	runs   []int32
 }
 
-// marginalize recomposes one dimension's per-group aggregates from a
-// composite-key result: COUNT/SUM accumulate, MIN/MAX take extrema,
-// AVG divides accumulated SUM by accumulated COUNT. This is the
-// backend post-processing step of the "combine multiple group-bys"
-// optimization. For AVG views the sum/count partials are also returned
-// so phased execution can merge them across row ranges.
-func marginalize(res *engine.Result, dimPos int, vc viewCols, targetSide, combined bool) (map[string]float64, *avgAuxMaps) {
-	primary := vc.cPrimary
-	aux := vc.cAux
+func newLabelIndex(res *engine.Result, col int) *labelIndex {
+	x := &labelIndex{res: res, col: col, labels: make([]string, len(res.Rows)), order: make([]int32, len(res.Rows))}
+	for r, row := range res.Rows {
+		x.labels[r] = row[col].Format()
+		x.order[r] = int32(r)
+	}
+	slices.SortFunc(x.order, func(a, b int32) int {
+		if c := strings.Compare(x.labels[a], x.labels[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for i, r := range x.order {
+		if i == 0 || x.labels[r] != x.labels[x.order[i-1]] {
+			x.runs = append(x.runs, int32(i))
+		}
+	}
+	x.runs = append(x.runs, int32(len(x.order)))
+	return x
+}
+
+// label is the label of run i.
+func (x *labelIndex) label(i int) string { return x.labels[x.order[x.runs[i]]] }
+
+// viewSide reads one view's side out of a labelIndex, one run of equal
+// labels at a time.
+type viewSide struct {
+	idx      *labelIndex
+	pi, ai   int  // primary and aux (AVG count) columns; ai is -1 without one
+	marginal bool // composite key: recompose the dimension's aggregate
+	fn       engine.AggFunc
+	hasAux   bool // the side carries AVG sum/count partials
+}
+
+// newViewSide resolves a side's columns. When combined is true the
+// target side lives in the FILTER columns of the same result;
+// otherwise both sides use the comparison aliases in their own result.
+func newViewSide(idx *labelIndex, vc viewCols, targetSide, combined, marginal bool) viewSide {
+	primary, aux := vc.cPrimary, vc.cAux
 	if targetSide && combined {
 		primary, aux = vc.tPrimary, vc.tAux
 	}
-	pi := res.ColumnIndex(primary)
-	ai := -1
+	s := viewSide{idx: idx, pi: idx.res.ColumnIndex(primary), ai: -1, marginal: marginal, fn: vc.view.Func}
 	if aux != "" {
-		ai = res.ColumnIndex(aux)
+		s.ai = idx.res.ColumnIndex(aux)
 	}
-	f := vc.view.Func
-
-	sums := map[string]float64{}
-	counts := map[string]float64{}
-	mins := map[string]float64{}
-	maxs := map[string]float64{}
-	seen := map[string]bool{}
-	for _, row := range res.Rows {
-		label := row[dimPos].Format()
-		v := row[pi]
-		if v.Null {
-			// Group exists in the composite result but this side has
-			// no rows for it; COUNT would be 0 (not NULL), so only
-			// SUM/MIN/MAX/AVG hit this path.
-			continue
-		}
-		fv, ok := v.AsFloat()
-		if !ok {
-			continue
-		}
-		switch f {
-		case engine.AggCount, engine.AggSum:
-			sums[label] += fv
-			seen[label] = true
-		case engine.AggMin:
-			if !seen[label] || fv < mins[label] {
-				mins[label] = fv
-			}
-			seen[label] = true
-		case engine.AggMax:
-			if !seen[label] || fv > maxs[label] {
-				maxs[label] = fv
-			}
-			seen[label] = true
-		case engine.AggAvg:
-			sums[label] += fv
-			if ai >= 0 {
-				if c, ok := row[ai].AsFloat(); ok {
-					counts[label] += c
-				}
-			}
-			seen[label] = true
-		}
+	s.hasAux = s.ai >= 0
+	if marginal {
+		s.hasAux = s.fn == engine.AggAvg
 	}
-	out := make(map[string]float64, len(seen))
-	var avgAux *avgAuxMaps
-	if f == engine.AggAvg {
-		avgAux = &avgAuxMaps{sums: map[string]float64{}, counts: map[string]float64{}}
-	}
-	for label := range seen {
-		switch f {
-		case engine.AggCount, engine.AggSum:
-			out[label] = sums[label]
-		case engine.AggMin:
-			out[label] = mins[label]
-		case engine.AggMax:
-			out[label] = maxs[label]
-		case engine.AggAvg:
-			if counts[label] > 0 {
-				out[label] = sums[label] / counts[label]
-				avgAux.sums[label] = sums[label]
-				avgAux.counts[label] = counts[label]
-			}
-		}
-	}
-	// COUNT semantics: zero matching rows is mass 0, not absence, when
-	// the group exists on the comparison side; absence handling is
-	// performed by Align, so dropping zero-count labels here is
-	// equivalent and keeps maps sparse.
-	return out, avgAux
+	return s
 }
 
-// buildViewData aligns the two sides and normalizes. Scoring is the
-// exploration operator's job (ExplorationOperator.Score), which runs on
-// the gathered batch — per-view utilities like deviation come out
-// byte-identical to scoring here, and batch operators (outlier,
-// similarity) get the cross-view context they need. A view with no
-// groups on either side cannot be evaluated and yields nil.
+// group reduces run i to the side's value for that label and, for an
+// AVG side with partials, the sum and count behind it; ok is false
+// when the side has no group under the label. A NULL or non-numeric
+// aggregate is an absent group.
+//
+// A single-dimension result holds one row per group, except where two
+// keys format alike (a NULL group beside the string "NULL"): the last
+// present row wins. An AVG view rewritten to SUM+COUNT (phased
+// execution) is recomposed here, and a row with no count is absent.
+//
+// A composite-key result is marginalized, the backend post-processing
+// step of the "combine multiple group-bys" optimization: COUNT/SUM
+// accumulate in row order, MIN/MAX take extrema (the first NaN
+// sticks), and AVG divides accumulated SUM by accumulated COUNT,
+// absent unless that count is positive. A composite group with no
+// rows on this side is NULL and skipped — COUNT would be 0, not NULL,
+// so only SUM/MIN/MAX/AVG meet it.
+func (s viewSide) group(i int) (v, sum, cnt float64, ok bool) {
+	rows := s.idx.order[s.idx.runs[i]:s.idx.runs[i+1]]
+	all := s.idx.res.Rows
+	if !s.marginal {
+		for j := len(rows) - 1; j >= 0; j-- {
+			row := all[rows[j]]
+			f, numeric := row[s.pi].AsFloat()
+			if !numeric {
+				continue
+			}
+			if s.ai < 0 {
+				return f, 0, 0, true
+			}
+			// Primary is the rewritten SUM; the view's value is AVG.
+			if c, _ := row[s.ai].AsFloat(); !(c <= 0) { // a NaN count stays
+				return f / c, f, c, true
+			}
+		}
+		return 0, 0, 0, false
+	}
+	seen := false
+	for _, r := range rows {
+		row := all[r]
+		f, numeric := row[s.pi].AsFloat()
+		if !numeric {
+			continue
+		}
+		switch s.fn {
+		case engine.AggCount, engine.AggSum:
+			v += f
+		case engine.AggMin:
+			if !seen || f < v {
+				v = f
+			}
+		case engine.AggMax:
+			if !seen || f > v {
+				v = f
+			}
+		case engine.AggAvg:
+			sum += f
+			if s.ai >= 0 {
+				if c, ok := row[s.ai].AsFloat(); ok {
+					cnt += c
+				}
+			}
+		default:
+			continue
+		}
+		seen = true
+	}
+	if s.fn == engine.AggAvg {
+		if !(cnt > 0) { // no rows, or no positive count
+			return 0, 0, 0, false
+		}
+		return sum / cnt, sum, cnt, true
+	}
+	return v, 0, 0, seen
+}
+
+// mergedGroup is one label of a view with both sides' reductions.
+type mergedGroup struct {
+	key        string
+	t, c       float64
+	tSum, tCnt float64
+	cSum, cCnt float64
+	tHas, cHas bool
+}
+
+// deriveView aligns a view's two sides into ViewData — the View
+// Processor of Figure 4 — by merging their label-sorted runs: the keys
+// are the sorted union of the labels either side has a group under, an
+// absent side reads zero, and both sides are normalized. It yields nil
+// for a view with no groups on either side, and matches buildViewData
+// over the two sides' label maps bit for bit. scratch is reused
+// between calls and returned.
+func deriveView(v View, t, c viewSide, scratch []mergedGroup) (*ViewData, []mergedGroup) {
+	nt, nc := len(t.idx.runs)-1, len(c.idx.runs)-1
+	for ti, ci := 0, 0; ti < nt || ci < nc; {
+		var g mergedGroup
+		takeT, takeC := ci >= nc, ti >= nt
+		if !takeT && !takeC {
+			d := strings.Compare(t.idx.label(ti), c.idx.label(ci))
+			takeT, takeC = d <= 0, d >= 0
+		}
+		if takeT {
+			g.key = t.idx.label(ti)
+			g.t, g.tSum, g.tCnt, g.tHas = t.group(ti)
+			ti++
+		}
+		if takeC {
+			g.key = c.idx.label(ci)
+			g.c, g.cSum, g.cCnt, g.cHas = c.group(ci)
+			ci++
+		}
+		if g.tHas || g.cHas {
+			scratch = append(scratch, g)
+		}
+	}
+	n := len(scratch)
+	if n == 0 {
+		return nil, scratch
+	}
+	vd := &ViewData{
+		View:          v,
+		Keys:          make([]string, n),
+		TargetRaw:     make([]float64, n),
+		ComparisonRaw: make([]float64, n),
+		targetHas:     make([]bool, n),
+		compHas:       make([]bool, n),
+	}
+	var tAux, cAux *AvgAux
+	if t.hasAux {
+		tAux = &AvgAux{Sums: make([]float64, n), Counts: make([]float64, n)}
+	}
+	if c.hasAux {
+		cAux = &AvgAux{Sums: make([]float64, n), Counts: make([]float64, n)}
+	}
+	for i, g := range scratch {
+		vd.Keys[i] = g.key
+		vd.TargetRaw[i], vd.ComparisonRaw[i] = g.t, g.c
+		vd.targetHas[i], vd.compHas[i] = g.tHas, g.cHas
+		if tAux != nil {
+			tAux.Sums[i], tAux.Counts[i] = g.tSum, g.tCnt
+		}
+		if cAux != nil {
+			cAux.Sums[i], cAux.Counts[i] = g.cSum, g.cCnt
+		}
+	}
+	vd.Target, vd.Comparison = distance.Normalize(vd.TargetRaw), distance.Normalize(vd.ComparisonRaw)
+	vd.TargetAux, vd.ComparisonAux = tAux, cAux
+	return vd, scratch
+}
+
+// buildViewData aligns two sides held as label maps and normalizes:
+// deriveView's result for phased execution, which merges its phases
+// per label. Scoring is the exploration operator's job
+// (ExplorationOperator.Score), which runs on the gathered batch —
+// per-view utilities like deviation come out byte-identical to scoring
+// here, and batch operators (outlier, similarity) get the cross-view
+// context they need. A view with no groups on either side cannot be
+// evaluated and yields nil.
 func buildViewData(v View, tMap, cMap map[string]float64) *ViewData {
 	if len(tMap) == 0 && len(cMap) == 0 {
 		return nil

@@ -148,9 +148,9 @@ type AvgAux struct {
 // probability difference between target and comparison — the "value
 // with maximum change" statistic the frontend shows per view. Equal
 // deltas break toward the lexicographically smallest key, explicitly:
-// Keys are sorted by construction (distance.Align), but operator
-// annotations must stay stable even for a hand-built ViewData whose
-// keys arrive in arbitrary order.
+// Keys are sorted by construction (deriveView, buildViewData), but
+// operator annotations must stay stable even for a hand-built ViewData
+// whose keys arrive in arbitrary order.
 func (d *ViewData) MaxDeltaKey() (string, float64) {
 	best, bestDelta := "", -1.0
 	for i, k := range d.Keys {

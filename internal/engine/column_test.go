@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -52,6 +54,30 @@ func TestValueConstructorsAndFormat(t *testing.T) {
 	ts := time.Date(2014, 9, 1, 0, 0, 0, 0, time.UTC)
 	if got := Time(ts).Format(); got != "2014-09-01T00:00:00Z" {
 		t.Errorf("Time format = %q", got)
+	}
+}
+
+// TestFloatFormatMatchesFormatFloat pins Format's integer shortcut for
+// integral floats to the rendering it replaced: FormatFloat's 'f' with
+// one decimal below 1e15, 'g' from there on.
+func TestFloatFormatMatchesFormatFloat(t *testing.T) {
+	ref := func(f float64) string {
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return strconv.FormatFloat(f, 'f', 1, 64)
+		}
+		return strconv.FormatFloat(f, 'g', -1, 64)
+	}
+	cases := []float64{0, math.Copysign(0, -1), 1, -1, 10, -7, 1e15 - 1, -(1e15 - 1), 1e15, -1e15,
+		math.Nextafter(1e15, 0), 1 << 53, 4503599627370495.5, 0.5, -0.5, 2.25, 1e300,
+		math.MaxInt64, math.MinInt64, math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		cases = append(cases, float64(r.Int63n(2e15)-1e15), math.Trunc((r.Float64()-0.5)*math.Pow(10, float64(r.Intn(17)))))
+	}
+	for _, f := range cases {
+		if got, want := Float(f).Format(), ref(f); got != want {
+			t.Fatalf("Float(%v).Format() = %q, want %q", f, got, want)
+		}
 	}
 }
 

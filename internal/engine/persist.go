@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -115,12 +114,8 @@ func ReadTable(r io.Reader) (*Table, error) {
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(sum) {
 		return nil, fmt.Errorf("engine: snapshot checksum mismatch (corrupt file?)")
 	}
-	br := bufio.NewReader(bytes.NewReader(payload))
-
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("engine: reading snapshot magic: %w", err)
-	}
+	br := &snapReader{b: payload[len(tableMagic):]}
+	magic := payload[:len(tableMagic)]
 	if string(magic) != tableMagic && string(magic) != tableMagicV2 {
 		return nil, fmt.Errorf("engine: not a table snapshot (magic %q)", magic)
 	}
@@ -215,15 +210,16 @@ func writeColumn(w *bufio.Writer, col Column) error {
 	return nil
 }
 
-func readColumn(r *bufio.Reader, rows int) (Column, error) {
+func readColumn(r *snapReader, rows int) (Column, error) {
 	name, err := readString(r)
 	if err != nil {
 		return nil, err
 	}
-	tb, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("engine: reading column type: %w", err)
+	if len(r.b) == 0 {
+		return nil, fmt.Errorf("engine: reading column type: %w", io.EOF)
 	}
+	tb := r.b[0]
+	r.b = r.b[1:]
 	typ := Type(tb)
 	nNulls, err := readUvarint(r)
 	if err != nil {
@@ -304,33 +300,18 @@ func readColumn(r *bufio.Reader, rows int) (Column, error) {
 }
 
 // --- primitive encoders ---
+//
+// The writers append into the bufio.Writer's free space
+// (AvailableBuffer) so no per-value buffer escapes to the heap; the
+// reader decodes the in-memory payload ReadTable has already
+// checksummed.
 
 func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, _ = w.Write(buf[:n])
-}
-
-func readUvarint(r *bufio.Reader) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("engine: reading snapshot varint: %w", err)
-	}
-	return v, nil
+	_, _ = w.Write(binary.AppendUvarint(w.AvailableBuffer(), v))
 }
 
 func writeU64(w *bufio.Writer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, _ = w.Write(buf[:])
-}
-
-func readU64(r *bufio.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("engine: reading snapshot value: %w", err)
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
+	_, _ = w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), v))
 }
 
 func writeString(w *bufio.Writer, s string) {
@@ -338,7 +319,36 @@ func writeString(w *bufio.Writer, s string) {
 	_, _ = w.WriteString(s)
 }
 
-func readString(r *bufio.Reader) (string, error) {
+// snapReader consumes a snapshot payload from the front of b.
+type snapReader struct {
+	b []byte
+}
+
+func readUvarint(r *snapReader) (uint64, error) {
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case n > 0:
+		r.b = r.b[n:]
+		return v, nil
+	case n < 0:
+		return 0, fmt.Errorf("engine: reading snapshot varint: varint overflows a 64-bit integer")
+	case len(r.b) == 0:
+		return 0, fmt.Errorf("engine: reading snapshot varint: %w", io.EOF)
+	default:
+		return 0, fmt.Errorf("engine: reading snapshot varint: %w", io.ErrUnexpectedEOF)
+	}
+}
+
+func readU64(r *snapReader) (uint64, error) {
+	if len(r.b) < 8 {
+		return 0, fmt.Errorf("engine: reading snapshot value: %w", io.ErrUnexpectedEOF)
+	}
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v, nil
+}
+
+func readString(r *snapReader) (string, error) {
 	n, err := readUvarint(r)
 	if err != nil {
 		return "", err
@@ -346,9 +356,10 @@ func readString(r *bufio.Reader) (string, error) {
 	if n > 1<<24 {
 		return "", fmt.Errorf("engine: snapshot string of %d bytes is implausible", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("engine: reading snapshot string: %w", err)
+	if uint64(len(r.b)) < n {
+		return "", fmt.Errorf("engine: reading snapshot string: %w", io.ErrUnexpectedEOF)
 	}
-	return string(buf), nil
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s, nil
 }

@@ -3,6 +3,9 @@ package engine
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -188,5 +191,45 @@ func TestSnapshotDictionaryPreserved(t *testing.T) {
 	}
 	if col.Cardinality() != 3 {
 		t.Errorf("cardinality = %d", col.Cardinality())
+	}
+}
+
+// TestSnapshotBytesPinned pins the SDB1 and SDB2 encodings of a table
+// with every column kind and nulls: ContentHash digests the SDB1 bytes,
+// and durable snapshots and shipped fragments are SDB2, so an encoder
+// change must not move a byte.
+func TestSnapshotBytesPinned(t *testing.T) {
+	tb := snapshotTable(t)
+	for _, c := range []struct {
+		name  string
+		write func(io.Writer, *Table) error
+		want  string
+	}{
+		{"SDB1", WriteTable, "d467287610cdea369d219dcbfdb9d25bbccf65fca6b811e25e8b1bc0784b5803"},
+		{"SDB2", WriteTableSnapshot, "62d9d26cb1bf8be3ee985e165a5ece2eed9b04ec85e04b3a93a31ea1f9a2cbf2"},
+	} {
+		var buf bytes.Buffer
+		if err := c.write(&buf, tb); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.want {
+			t.Errorf("%s snapshot sha256 = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSnapshotCodecAllocs: writing allocates nothing per value and
+// reading allocates per column and dictionary string, not per value.
+func TestSnapshotCodecAllocs(t *testing.T) {
+	tb := snapshotTable(t)
+	var buf bytes.Buffer
+	if err := WriteTableSnapshot(&buf, tb); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	write := testing.AllocsPerRun(20, func() { _ = WriteTableSnapshot(io.Discard, tb) })
+	read := testing.AllocsPerRun(20, func() { _, _ = ReadTable(bytes.NewReader(snap)) })
+	if limit := float64(tb.NumRows() / 5); write > limit || read > limit {
+		t.Errorf("allocs per snapshot of %d rows: write %.0f, read %.0f; want both <= %.0f", tb.NumRows(), write, read, limit)
 	}
 }

@@ -115,7 +115,12 @@ func (v Value) Format() string {
 		return strconv.FormatInt(v.I, 10)
 	case TypeFloat:
 		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			return strconv.FormatFloat(v.F, 'f', 1, 64)
+			// Integral and exact in an int64: what FormatFloat's 'f'
+			// with one decimal prints, without its float conversion.
+			if v.F == 0 && math.Signbit(v.F) {
+				return "-0.0"
+			}
+			return strconv.FormatInt(int64(v.F), 10) + ".0"
 		}
 		return strconv.FormatFloat(v.F, 'g', -1, 64)
 	case TypeString:

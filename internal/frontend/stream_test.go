@@ -113,12 +113,16 @@ func TestStreamEndpointPhasesAndDone(t *testing.T) {
 	if !strings.HasSuffix(doneID, ":done") {
 		t.Errorf("done id = %q, want <digest>:done", doneID)
 	}
-	if len(phases) != 4 {
-		t.Fatalf("got %d phase events, want 4", len(phases))
+	// The run starts before the handler subscribes, and a full mailbox
+	// drops its oldest snapshot, so early phases may be missing; what
+	// conflation guarantees is an increasing series ending in the
+	// final phase, then done.
+	if len(phases) == 0 {
+		t.Fatal("got no phase events, want at least the final one")
 	}
 	for i, p := range phases {
-		if p.Phase != i+1 || p.Phases != 4 {
-			t.Errorf("phase event %d = %d/%d, want %d/4", i, p.Phase, p.Phases, i+1)
+		if p.Phases != 4 || p.Phase < 1 || p.Phase > 4 || (i > 0 && p.Phase <= phases[i-1].Phase) {
+			t.Errorf("phase event %d = %d/%d, want phases increasing within 1..4 of 4", i, p.Phase, p.Phases)
 		}
 		if len(p.Ranking) == 0 || len(p.Ranking) > 3 {
 			t.Errorf("phase %d ranking has %d entries, want 1..k=3", i, len(p.Ranking))
@@ -136,6 +140,9 @@ func TestStreamEndpointPhasesAndDone(t *testing.T) {
 		t.Fatal("done payload has no views")
 	}
 	final := phases[len(phases)-1]
+	if final.Phase != 4 {
+		t.Errorf("last phase event = %d/4, want 4/4", final.Phase)
+	}
 	if final.Ranking[0].Title != done.Views[0].Title {
 		t.Errorf("final snapshot leader %q != done leader %q", final.Ranking[0].Title, done.Views[0].Title)
 	}

@@ -5,6 +5,13 @@
 // (e.g. geography vs. time series)". Rendering targets are ASCII (for
 // the CLI) and SVG (for the web frontend); both are dependency-free.
 //
+// SVG is on the path of every /api/recommend response, one chart per
+// view, so it renders by appending to one byte slice with strconv and
+// an exact integer kernel for its one-decimal coordinates instead of
+// fmt. Its bytes are fmt's: the fmt-based renderer it replaced is kept
+// in the tests as the oracle (FuzzSVGMatchesFmt), because the SVG is
+// part of the response bytes the goldens and caches pin.
+//
 // The package deliberately depends only on the standard library — not
 // on internal/core — so the recommendation pipeline itself can consult
 // it: core annotates every Recommendation with a chart type chosen by

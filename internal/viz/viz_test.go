@@ -286,11 +286,11 @@ func TestFmtTick(t *testing.T) {
 		0.25:      "0.25",
 	}
 	for v, want := range cases {
-		if got := fmtTick(v); got != want {
-			t.Errorf("fmtTick(%v) = %q, want %q", v, got, want)
+		if got := string(appendTick(nil, v)); got != want {
+			t.Errorf("appendTick(%v) = %q, want %q", v, got, want)
 		}
 	}
-	if !strings.Contains(fmtTick(0.0001), "e") {
+	if !strings.Contains(string(appendTick(nil, 0.0001)), "e") {
 		t.Error("tiny ticks should use scientific notation")
 	}
 }
