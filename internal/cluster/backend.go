@@ -20,14 +20,13 @@ import (
 
 // Config tunes a Backend.
 type Config struct {
-	// Replication selects the layout: 0 is replicated (every worker
-	// holds every table whole; each query's window is cut into one
-	// range per worker), >= 1 is placed (each placement lives on that
-	// many distinct workers, clamped to the worker count).
+	// Replication is how many distinct workers own each placement,
+	// clamped to the worker count; 0 means every worker, so a worker
+	// that joins later is shipped every placement.
 	Replication int
 	// PlacementChunks is the number of 1024-row grid cells per
-	// placement (default 4; placed layout only). Boundaries are
-	// absolute, so appends never move existing ones.
+	// placement (default 4). Boundaries are absolute, so appends never
+	// move existing ones.
 	PlacementChunks int
 	// Cooldown is how long a failed worker is skipped before the next
 	// query half-opens it again (default 15s).
@@ -44,6 +43,9 @@ type Config struct {
 // tasks move on (to their next owners, then the coordinator).
 const retries = 1
 
+// shipsInFlight bounds the placements one rebalance pass ships at once.
+const shipsInFlight = 4
+
 // member is one worker plus its health, accounting, and inventory.
 type member struct {
 	w Worker
@@ -57,8 +59,7 @@ type member struct {
 	// holds maps fragment name -> content hash last verified on this
 	// worker: advisory for routing (skip workers known not to hold a
 	// fragment) and the diff basis for rebalancing — the per-request
-	// hash handshake remains the correctness check. nil = inventory
-	// never taken (Join): every fragment is presumed held.
+	// hash handshake remains the correctness check.
 	holds map[string]string
 }
 
@@ -84,25 +85,21 @@ func (m *member) usable(cooldown time.Duration) bool {
 	return m.healthy || time.Since(m.lastFailure) >= cooldown
 }
 
-// hold returns the hash last verified for frag; held is also true,
-// with an empty hash, when the inventory is unknown.
-func (m *member) hold(frag string) (hash string, held bool) {
+// hold returns the hash last verified for frag, "" when not held.
+func (m *member) hold(frag string) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	hash, held = m.holds[frag]
-	return hash, held || m.holds == nil
+	return m.holds[frag]
 }
 
 // setHold records a verified (hash != "") or lost (hash == "")
-// fragment. An unknown inventory stays unknown.
+// fragment.
 func (m *member) setHold(frag, hash string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	switch {
-	case m.holds == nil:
-	case hash == "":
+	if hash == "" {
 		delete(m.holds, frag)
-	default:
+	} else {
 		m.holds[frag] = hash
 	}
 }
@@ -122,8 +119,9 @@ func (m *member) status() ShardStatus {
 // row window into tasks, sends each worker its tasks in one exchange
 // (what no worker served runs on the coordinator's own replica), and
 // merges the partials in row order — byte-identical to a single-node
-// scan for every layout and topology, because tasks are cut on the
-// engine's deterministic chunk grid and all float state merges exactly.
+// scan for every replication factor and topology, because tasks are
+// cut on the engine's deterministic chunk grid and all float state
+// merges exactly.
 //
 // Failure semantics: an exchange that fails whole gets one retry, then
 // its worker is marked unhealthy — skipped until Cooldown passes, then
@@ -135,7 +133,7 @@ type Backend struct {
 	ex     *engine.Executor
 	store  *PlacementStore // the node's own, which every append goes through
 	cfg    Config
-	layout layout
+	layout *placed
 
 	// mu guards membership.
 	mu sync.RWMutex
@@ -165,7 +163,7 @@ type Backend struct {
 
 // New builds a coordinator backend over the node's placement store —
 // the authoritative replica: ingest entry point and degraded path.
-// Workers join via AddWorker, Join, or the frontend's /api/shard/register.
+// Workers join via AddWorker or the frontend's /api/shard/register.
 func New(store *PlacementStore, cfg Config) *Backend {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 15 * time.Second
@@ -173,12 +171,9 @@ func New(store *PlacementStore, cfg Config) *Backend {
 	if cfg.PlacementChunks <= 0 {
 		cfg.PlacementChunks = 4
 	}
-	b := &Backend{ex: store.ex, store: store, cfg: cfg, layout: replicated{}, fleet: fleet{ring: newHashRing()}}
-	if cfg.Replication > 0 {
-		b.layout = &placed{rf: cfg.Replication, span: cfg.PlacementChunks * engine.ChunkRows,
-			hashes: make(map[placementID]fragHash)}
-	}
-	return b
+	cfg.Replication = max(cfg.Replication, 0)
+	return &Backend{ex: store.ex, store: store, cfg: cfg, fleet: fleet{ring: newHashRing()},
+		layout: &placed{rf: cfg.Replication, span: cfg.PlacementChunks * engine.ChunkRows, hashes: make(map[placementID]fragHash)}}
 }
 
 // EnableMetrics registers the backend's counters with the metrics
@@ -232,7 +227,7 @@ func (b *Backend) members() []*member {
 // NumWorkers returns the registered worker count.
 func (b *Backend) NumWorkers() int { return len(b.members()) }
 
-// Signature implements core.Backend: the layout plus its topology.
+// Signature implements core.Backend: the placement shape plus its topology.
 // Results are byte-identical across topologies by construction, but an
 // exec-cache entry computed under a vanished membership must not
 // masquerade as evidence about the current one.
@@ -240,16 +235,6 @@ func (b *Backend) Signature() string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return b.layout.signature(&b.fleet)
-}
-
-// Join registers a worker without taking its inventory or shipping it
-// anything: it is presumed to hold whatever it is asked for and the
-// per-request hash handshake decides, so a pre-loaded worker costs
-// nothing to admit and a diverged one is detected (409, range served
-// locally), not overwritten. False when the ID is already registered.
-func (b *Backend) Join(w Worker) bool {
-	_, added := b.join(w, nil)
-	return added
 }
 
 func (b *Backend) join(w Worker, holds map[string]string) (*member, bool) {
@@ -265,33 +250,57 @@ func (b *Backend) join(w Worker, holds map[string]string) (*member, bool) {
 	return m, true
 }
 
-// inventory is the worker's own report of what it holds. An
-// unreachable worker is assumed to hold nothing, so the ships that
-// follow are attempted (and reported) rather than skipped.
+// inventory is the worker's own report of the placements it holds;
+// its whole tables are its own business. An unreachable worker is
+// assumed to hold nothing, so the ships that follow are attempted (and
+// reported) rather than skipped.
 func inventory(ctx context.Context, w Worker) map[string]string {
-	if theirs, err := w.TableHashes(ctx); err == nil && theirs != nil {
-		return theirs
+	holds := map[string]string{}
+	theirs, _ := w.TableHashes(ctx)
+	for name, h := range theirs {
+		if _, ok := fragmentSource(name); ok {
+			holds[name] = h
+		}
 	}
-	return map[string]string{}
+	return holds
 }
 
 // AddWorker registers a worker, takes its inventory, and rebalances so
-// it holds exactly what the layout now assigns it — replica bootstrap
-// under the replicated layout, its ring share under the placed one. A
-// durable worker that recovered its fragments from disk is not
-// re-shipped bytes it already holds. added is false when the ID was
+// it holds exactly the placements it now owns — every placement at
+// Replication 0, its ring share otherwise. A durable worker that
+// recovered its placements from disk is not re-shipped bytes it
+// already holds. added is false when the ID was
 // already registered (inventory and rebalance still run: re-announcing
 // after a restart re-ships anything lost). Ingest is held throughout.
 func (b *Backend) AddWorker(ctx context.Context, w Worker) (rep *RebalanceReport, added bool, err error) {
 	b.ingestMu.Lock()
 	defer b.ingestMu.Unlock()
+	added = b.admit(ctx, w)
+	rep, err = b.rebalanceLocked(ctx)
+	return rep, added, err
+}
+
+// AddWorkers is AddWorker for a whole fleet: every worker is admitted,
+// then one rebalance pass serializes each placement once for all the
+// workers that lack it.
+func (b *Backend) AddWorkers(ctx context.Context, ws []Worker) (*RebalanceReport, error) {
+	b.ingestMu.Lock()
+	defer b.ingestMu.Unlock()
+	for _, w := range ws {
+		b.admit(ctx, w)
+	}
+	return b.rebalanceLocked(ctx)
+}
+
+// admit registers w, or finds it registered, and replaces its
+// inventory with the worker's own report; false when already there.
+func (b *Backend) admit(ctx context.Context, w Worker) bool {
 	holds := inventory(ctx, w)
 	m, added := b.join(w, holds)
 	m.mu.Lock()
 	m.holds = holds
 	m.mu.Unlock()
-	rep, err = b.rebalanceLocked(ctx)
-	return rep, added, err
+	return added
 }
 
 // RemoveWorker deregisters a worker and rebalances what it owned onto
@@ -345,7 +354,7 @@ func (b *Backend) RunSharedScan(ctx context.Context, q *engine.Query, gsets []en
 	return b.scatter(ctx, q, gsets)
 }
 
-// scatter cuts the query's row window into the layout's tasks, routes
+// scatter cuts the query's row window into one task per placement, routes
 // them — one exchange per worker, the coordinator's replica for what no
 // worker served — and folds the resulting runs in ascending row order.
 // The merge is exact and associative and every fold (a worker's run,
@@ -515,7 +524,7 @@ func (b *Backend) assign(tasks []*task) (plan []exchangePlan, idle []*task) {
 				tk.err = fmt.Errorf("cluster: worker %s is cooling down after failure", m.w.ID())
 				continue
 			}
-			if _, held := m.hold(tk.frag.name); !held {
+			if m.hold(tk.frag.name) == "" {
 				tk.err = fmt.Errorf("cluster: worker %s does not hold fragment %s", m.w.ID(), tk.frag.name)
 				continue
 			}
@@ -754,8 +763,12 @@ func (b *Backend) Append(ctx context.Context, table string, rows [][]engine.Valu
 // the whole fragment otherwise.
 func (b *Backend) forward(ctx context.Context, m *member, t *engine.Table, f fragment, expected string, delta [][]any, existed bool) ShardIngestStatus {
 	st := ShardIngestStatus{ID: m.w.ID() + "/" + f.name}
-	if _, held := m.hold(f.name); !existed || !held {
-		if _, err := b.shipFragment(ctx, m, t, f, expected); err != nil {
+	if !existed || m.hold(f.name) == "" {
+		snap, err := snapshot(t, f)
+		if err == nil {
+			err = b.ship(ctx, m, f, expected, snap)
+		}
+		if err != nil {
 			st.Error = err.Error()
 			m.markFailure()
 			return st
@@ -798,8 +811,8 @@ type RebalanceReport struct {
 	Errors []string `json:"errors,omitempty"`
 }
 
-// Rebalance diffs every worker's inventory against the layout's
-// current assignment and reconciles: ship owned-but-missing (or
+// Rebalance diffs every worker's inventory against the ring's current
+// assignment and reconciles: ship owned-but-missing (or
 // diverged) fragments from the coordinator's replica, drop
 // no-longer-owned ones (and placements of dropped tables). Ingest is
 // held for the duration, so the shipped bytes are a consistent cut.
@@ -814,19 +827,13 @@ func (b *Backend) rebalanceLocked(ctx context.Context) (*RebalanceReport, error)
 	members := b.members()
 	rep := &RebalanceReport{Epoch: b.epoch.Load(), PerWorker: map[string]int{}}
 
-	for _, m := range members {
-		m.mu.Lock()
-		unknown := m.holds == nil
-		m.mu.Unlock()
-		if unknown { // joined without an inventory: take it now
-			holds := inventory(ctx, m.w)
-			m.mu.Lock()
-			m.holds = holds
-			m.mu.Unlock()
-		}
-	}
-
 	owned := map[[2]string]bool{} // {worker, fragment}
+	var ships []func()
+	var shipMu sync.Mutex // guards rep while ships run
+	fail := func(m *member, what string, err error) {
+		rep.Errors = append(rep.Errors, fmt.Sprintf("%s %s: %v", m.w.ID(), what, err))
+		m.markFailure()
+	}
 	for _, table := range b.ex.Catalog().TableNames() {
 		t, err := b.ex.Catalog().Table(table)
 		if err != nil {
@@ -837,42 +844,69 @@ func (b *Backend) rebalanceLocked(ctx context.Context) (*RebalanceReport, error)
 			b.mu.RLock()
 			owners := b.layout.owners(f, &b.fleet)
 			b.mu.RUnlock()
-			expected := ""
+			if len(owners) == 0 {
+				continue
+			}
+			expected, err := f.hash()
+			if err != nil {
+				return nil, err
+			}
+			var lack []*member
 			for _, m := range owners {
 				owned[[2]string{m.w.ID(), f.name}] = true
-				if expected == "" {
-					if expected, err = f.hash(); err != nil {
-						return nil, err
-					}
+				if m.hold(f.name) != expected {
+					lack = append(lack, m)
 				}
-				if has, held := m.hold(f.name); held && has == expected {
-					continue
-				}
-				nbytes, err := b.shipFragment(ctx, m, t, f, expected)
-				if err != nil {
-					rep.Errors = append(rep.Errors, fmt.Sprintf("%s %s: %v", m.w.ID(), f.name, err))
-					m.markFailure()
-					continue
-				}
-				rep.Shipped++
-				rep.BytesMoved += int64(nbytes)
 			}
+			if len(lack) == 0 {
+				continue
+			}
+			ships = append(ships, func() {
+				snap, serr := snapshot(t, f)
+				for _, m := range lack {
+					err := serr
+					if err == nil {
+						err = b.ship(ctx, m, f, expected, snap)
+					}
+					shipMu.Lock()
+					if err != nil {
+						fail(m, f.name, err)
+					} else {
+						rep.Shipped++
+						rep.BytesMoved += int64(len(snap))
+					}
+					shipMu.Unlock()
+				}
+			})
 		}
 	}
-	// Under the placed layout a worker drops every placement it no
-	// longer owns, a dropped table's included. Whole tables never go:
-	// a worker's may serve another coordinator.
+	// Each placement is serialized once for every owner that lacks it,
+	// and a few ship at a time, so one side encodes while the other
+	// decodes and verifies.
+	sem := make(chan struct{}, shipsInFlight)
+	var wg sync.WaitGroup
+	for _, job := range ships {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			job()
+		}()
+	}
+	wg.Wait()
+	slices.Sort(rep.Errors)
+	// A worker drops every placement it no longer owns, a dropped
+	// table's included; its own whole tables are never in holds.
 	for _, m := range members {
 		m.mu.Lock()
 		held := slices.Sorted(maps.Keys(m.holds))
 		m.mu.Unlock()
 		for _, name := range held {
-			if _, ok := fragmentSource(name); !ok || b.cfg.Replication == 0 || owned[[2]string{m.w.ID(), name}] {
+			if owned[[2]string{m.w.ID(), name}] {
 				continue
 			}
 			if err := m.w.DropTable(ctx, name); err != nil {
-				rep.Errors = append(rep.Errors, fmt.Sprintf("%s drop %s: %v", m.w.ID(), name, err))
-				m.markFailure()
+				fail(m, "drop "+name, err)
 				continue
 			}
 			m.setHold(name, "")
@@ -886,33 +920,30 @@ func (b *Backend) rebalanceLocked(ctx context.Context) (*RebalanceReport, error)
 	return rep, nil
 }
 
-// shipFragment serializes f as the worker-side table, pushes the
-// snapshot, and verifies the ContentHash handshake — replica bootstrap
-// when f is a whole table. Returns the snapshot's size in bytes.
-func (b *Backend) shipFragment(ctx context.Context, m *member, t *engine.Table, f fragment, expected string) (int, error) {
-	frag, err := f.extract(t)
+// snapshot serializes f as the worker-side table.
+func snapshot(t *engine.Table, f fragment) ([]byte, error) {
+	frag, err := t.ExtractRange(f.name, f.lo, f.hi)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := engine.WriteTableSnapshot(&buf, frag); err != nil {
-		return 0, err
-	}
-	lo := -1 // a whole table
-	if f.name != f.table {
-		lo = f.lo
-	}
-	resp, err := m.w.SyncTable(ctx, f.name, lo, buf.Bytes())
+	err = engine.WriteTableSnapshot(&buf, frag)
+	return buf.Bytes(), err
+}
+
+// ship pushes f's snapshot to m and verifies the ContentHash handshake.
+func (b *Backend) ship(ctx context.Context, m *member, f fragment, expected string, snap []byte) error {
+	resp, err := m.w.SyncTable(ctx, f.name, f.lo, snap)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if resp.ContentHash != expected {
-		return 0, &FingerprintMismatchError{Shard: m.w.ID(), Table: f.name, Want: expected, Got: resp.ContentHash}
+		return &FingerprintMismatchError{Shard: m.w.ID(), Table: f.name, Want: expected, Got: resp.ContentHash}
 	}
 	m.setHold(f.name, expected)
 	b.fragShipped.Add(1)
-	b.moveBytes.Add(int64(buf.Len()))
-	return buf.Len(), nil
+	b.moveBytes.Add(int64(len(snap)))
+	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -921,7 +952,7 @@ func (b *Backend) shipFragment(ctx context.Context, m *member, t *engine.Table, 
 // ShardStatus is one worker's health and accounting snapshot. Execs
 // and AvgMillis count every exchange attempted with the worker (what
 // seedb_shard_rpc_seconds observes); Fragments is its verified
-// inventory (0 while never taken).
+// inventory.
 type ShardStatus struct {
 	ID          string    `json:"id"`
 	Healthy     bool      `json:"healthy"`
@@ -1086,8 +1117,7 @@ func (b *Backend) Dump() (*PlacementDump, error) {
 			owners := b.layout.owners(f, &b.fleet)
 			b.mu.RUnlock()
 			for _, m := range owners {
-				held, _ := m.hold(f.name)
-				pi.Owners = append(pi.Owners, PlacementOwner{Worker: m.w.ID(), Held: held == hash})
+				pi.Owners = append(pi.Owners, PlacementOwner{Worker: m.w.ID(), Held: m.hold(f.name) == hash})
 			}
 			tp.Placements = append(tp.Placements, pi)
 		}

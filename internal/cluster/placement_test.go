@@ -8,7 +8,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -38,9 +37,9 @@ func placementConfig(rf int) seedb.PlacementConfig {
 	return seedb.PlacementConfig{Replication: rf, PlacementChunks: 1}
 }
 
-// httpFleet stands a coordinator up over two HTTP workers, each exchange
-// one frame each way: replicated (rf 0; every worker loads its own copy
-// of table()) or placed at rf (the coordinator ships the fragments).
+// httpFleet stands a coordinator up over two empty HTTP workers, each
+// exchange one frame each way, placed at rf (0: every worker); the
+// coordinator ships the placements.
 func httpFleet(t *testing.T, rf int, table func() *engine.Table) *seedb.ClusterBackend {
 	t.Helper()
 	coord := seedb.Open()
@@ -49,16 +48,8 @@ func httpFleet(t *testing.T, rf int, table func() *engine.Table) *seedb.ClusterB
 	}
 	var urls []string
 	for i := 0; i < 2; i++ {
-		hs, wdb := startEmptyWorker(t)
-		if rf == 0 {
-			if err := wdb.RegisterTable(table()); err != nil {
-				t.Fatal(err)
-			}
-		}
+		hs, _ := startEmptyWorker(t)
 		urls = append(urls, hs.URL)
-	}
-	if rf == 0 {
-		return coord.ShardRemote(urls, 10*time.Second, seedb.ClusterConfig{})
 	}
 	b, err := coord.PlaceRemote(context.Background(), urls, 10*time.Second, placementConfig(rf))
 	if err != nil {
@@ -236,28 +227,24 @@ func TestPlacementElasticByteIdentity(t *testing.T) {
 	if _, err := own.Executor().Catalog().Table("orders"); err != nil {
 		t.Fatalf("the rebalance dropped a worker's whole table: %v", err)
 	}
-	// member-4 may serve a replicated coordinator too: that one's
-	// rebalance ships it whole tables and leaves its placements alone.
-	placements := func() string {
-		inv, err := joiner.Store().Inventory()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var names []string
-		for name := range inv {
-			if strings.Contains(name, "__p") {
-				names = append(names, name)
-			}
-		}
-		slices.Sort(names)
-		return strings.Join(names, ",")
+	// member-4 may serve a second coordinator too, over the same data
+	// at the same placement size and rf = every worker: that one's
+	// rebalance ships member-4 what it lacks and leaves what it holds.
+	held4, err := joiner.Store().Inventory()
+	if err != nil || len(held4) == 0 {
+		t.Fatalf("member-4 holds %v (%v)", held4, err)
 	}
-	held4 := placements()
-	if _, _, err := newDB(t, rows).ShardRemote(nil, time.Second, seedb.ClusterConfig{}).AddWorker(ctx, joiner); err != nil {
+	if _, _, err := newDB(t, rows).ShardRemote(nil, time.Second, placementConfig(0)).AddWorker(ctx, joiner); err != nil {
 		t.Fatal(err)
 	}
-	if after := placements(); after != held4 || held4 == "" {
-		t.Fatalf("a replicated coordinator's rebalance moved member-4's placements: %q -> %q", held4, after)
+	after, err := joiner.Store().Inventory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range held4 {
+		if after[name] != st {
+			t.Fatalf("a second coordinator's rebalance moved member-4's %s: %+v -> %+v", name, st, after[name])
+		}
 	}
 	got, err = db.RecommendSQL(ctx, testQuery, testOptions())
 	if err != nil {

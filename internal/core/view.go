@@ -66,9 +66,7 @@ func (v View) AggSpec(alias string, filter engine.Predicate) engine.AggSpec {
 func (v View) TargetSQL(table string, predicate engine.Predicate) string {
 	where := ""
 	if predicate != nil {
-		if s := predicate.String(); s != "TRUE" {
-			where = " WHERE " + s
-		}
+		where = " WHERE " + predicate.String()
 	}
 	m := v.Measure
 	if m == "" {
@@ -95,9 +93,7 @@ type Query struct {
 func (q Query) String() string {
 	s := "SELECT * FROM " + q.Table
 	if q.Predicate != nil {
-		if p := q.Predicate.String(); p != "TRUE" {
-			s += " WHERE " + p
-		}
+		s += " WHERE " + q.Predicate.String()
 	}
 	return s
 }
