@@ -12,16 +12,20 @@
 //
 //	seedb -data-dir /var/lib/seedb [-wal-sync-every 1] [-snapshot-every 256]
 //
-// Cluster mode — the coordinator cuts its tables into chunk-aligned
-// placements and ships each to its owners: every worker by default, or
-// -replication of them, assigned by a consistent-hash ring (join/leave
-// then rebalances only the placements that changed owners). Workers
-// need no data of their own:
+// Cluster mode — every node loads the same data (same flags); work is
+// partitioned per query by row range:
 //
-//	seedb -addr :8080 [-replication 2] [-placement-chunks 4] \
-//	      [-workers http://w1:8081,http://w2:8082]             # coordinator
-//	seedb -addr :8081 -no-demo -coordinator http://coord:8080 \
+//	seedb -addr :8080 -workers http://w1:8081,http://w2:8082   # coordinator
+//	seedb -addr :8081 -coordinator http://coord:8080 \
 //	      -advertise http://w1:8081                            # worker (self-registers)
+//
+// Data-partitioned placement mode — workers hold chunk-aligned
+// fragments (not full replicas), assigned by a consistent-hash ring
+// with the given replication factor; join/leave rebalances only the
+// placements that changed owners:
+//
+//	seedb -addr :8080 -replication 2 [-placement-chunks 4] \
+//	      [-workers http://w1:8081,http://w2:8082]             # placement coordinator
 package main
 
 import (
@@ -54,7 +58,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "demo dataset seed")
 	noDemo := flag.Bool("no-demo", false, "skip loading the demo datasets")
 	workers := flag.String("workers", "", "comma-separated worker base URLs; makes this node a cluster coordinator")
-	replication := flag.Int("replication", 0, "workers that own each placement (0 = every worker); > 0, like -workers, makes this node a cluster coordinator")
+	replication := flag.Int("replication", 0, "enable data-partitioned placement with this replication factor (workers hold fragments, not full replicas)")
 	placementChunks := flag.Int("placement-chunks", 0, "1024-row grid cells per placement (0 = 4, i.e. 4096-row placements)")
 	coordinator := flag.String("coordinator", "", "coordinator base URL to register with at startup (worker mode)")
 	advertise := flag.String("advertise", "", "base URL this worker advertises to the coordinator (default http://<hostname><addr>)")
@@ -124,12 +128,17 @@ func main() {
 		}
 	}
 
-	// Execution: plain local (default; the executor spreads each scan
-	// over the cores) or cluster coordinator over remote workers, each
-	// shipped the placements it owns. Workers need no special mode —
-	// every server exposes the shard API — and may be empty at startup
-	// and register later (-coordinator on the worker side).
-	if *replication > 0 || *workers != "" {
+	// Execution layout: plain local (default; the executor spreads each
+	// scan over the cores) or cluster coordinator over remote workers.
+	// Workers need no special mode — every server exposes the shard API
+	// — but may self-register with a coordinator.
+	switch {
+	case *replication > 0:
+		// Data-partitioned placement: tables are cut into chunk-aligned
+		// placements assigned to workers by a consistent-hash ring;
+		// each worker holds only its owned fragments. Workers may also
+		// be empty at startup and register later (-coordinator on the
+		// worker side works unchanged).
 		var urls []string
 		if *workers != "" {
 			for _, u := range strings.Split(*workers, ",") {
@@ -146,8 +155,20 @@ func main() {
 			log.Printf("seedb: WARNING: placement bring-up incomplete (%v); unreachable ranges fail over to local execution", err)
 		}
 		st := b.Counters()
-		log.Printf("seedb: placement coordinator (%s): %d placements over %d workers, rf=%d (0 = every worker)",
+		log.Printf("seedb: placement coordinator (%s): %d placements over %d workers, rf=%d",
 			b.Signature(), st.Placements, st.Workers, st.Replication)
+	case *workers != "":
+		urls := strings.Split(*workers, ",")
+		for i := range urls {
+			urls[i] = strings.TrimSpace(urls[i])
+		}
+		b := db.ShardRemote(urls, 0, seedb.ClusterConfig{})
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		for _, st := range b.HealthCheck(ctx) {
+			log.Printf("seedb: worker %s healthy=%v", st.ID, st.Healthy)
+		}
+		cancel()
+		log.Printf("seedb: coordinating %d workers (%s); unhealthy shards fail over to local execution", b.NumWorkers(), b.Signature())
 	}
 
 	srv := frontend.NewWithConfig(db, seedb.ServeConfig{

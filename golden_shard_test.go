@@ -8,17 +8,16 @@ import (
 	"testing"
 )
 
-// Golden shard tests: placement at rf = every worker (ShardRemote) —
-// every worker holds every placement and each query's window is cut
-// into one task per placement, spread over the fleet — must be
-// byte-identical to single-node execution on the committed golden
-// corpus for every fleet size. The engine folds float partials on a
-// fixed per-table chunk grid and merges them with exact (integer)
-// arithmetic, so EMD/KL/JS utilities match to the last bit no matter
-// how the scan is cut.
+// Golden shard tests: the replicated layout — every worker holds every
+// table whole and each query's window is cut into one grid-aligned
+// range per worker — must be byte-identical to single-node execution
+// on the committed golden corpus for every fleet size. The engine folds
+// float partials on a fixed per-table chunk grid and merges them with
+// exact (integer) arithmetic, so EMD/KL/JS utilities match to the last
+// bit no matter how the scan is cut.
 
 // replicatedGoldenDB builds the golden corpus coordinating n in-process
-// members at rf = every worker, each shipped every placement.
+// members, each shipped every table whole.
 func replicatedGoldenDB(t *testing.T, n int) (*DB, *ClusterBackend) {
 	t.Helper()
 	db := goldenDB(t)

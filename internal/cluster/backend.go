@@ -20,13 +20,14 @@ import (
 
 // Config tunes a Backend.
 type Config struct {
-	// Replication is how many distinct workers own each placement,
-	// clamped to the worker count; 0 means every worker, so a worker
-	// that joins later is shipped every placement.
+	// Replication selects the layout: 0 is replicated (every worker
+	// holds every table whole; each query's window is cut into one
+	// range per worker), >= 1 is placed (each placement lives on that
+	// many distinct workers, clamped to the worker count).
 	Replication int
 	// PlacementChunks is the number of 1024-row grid cells per
-	// placement (default 4). Boundaries are absolute, so appends never
-	// move existing ones.
+	// placement (default 4; placed layout only). Boundaries are
+	// absolute, so appends never move existing ones.
 	PlacementChunks int
 	// Cooldown is how long a failed worker is skipped before the next
 	// query half-opens it again (default 15s).
@@ -43,9 +44,6 @@ type Config struct {
 // tasks move on (to their next owners, then the coordinator).
 const retries = 1
 
-// shipsInFlight bounds the placements one rebalance pass ships at once.
-const shipsInFlight = 4
-
 // member is one worker plus its health, accounting, and inventory.
 type member struct {
 	w Worker
@@ -59,7 +57,8 @@ type member struct {
 	// holds maps fragment name -> content hash last verified on this
 	// worker: advisory for routing (skip workers known not to hold a
 	// fragment) and the diff basis for rebalancing — the per-request
-	// hash handshake remains the correctness check.
+	// hash handshake remains the correctness check. nil = inventory
+	// never taken (Join): every fragment is presumed held.
 	holds map[string]string
 }
 
@@ -85,21 +84,25 @@ func (m *member) usable(cooldown time.Duration) bool {
 	return m.healthy || time.Since(m.lastFailure) >= cooldown
 }
 
-// hold returns the hash last verified for frag, "" when not held.
-func (m *member) hold(frag string) string {
+// hold returns the hash last verified for frag; held is also true,
+// with an empty hash, when the inventory is unknown.
+func (m *member) hold(frag string) (hash string, held bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.holds[frag]
+	hash, held = m.holds[frag]
+	return hash, held || m.holds == nil
 }
 
 // setHold records a verified (hash != "") or lost (hash == "")
-// fragment.
+// fragment. An unknown inventory stays unknown.
 func (m *member) setHold(frag, hash string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if hash == "" {
+	switch {
+	case m.holds == nil:
+	case hash == "":
 		delete(m.holds, frag)
-	} else {
+	default:
 		m.holds[frag] = hash
 	}
 }
@@ -119,9 +122,8 @@ func (m *member) status() ShardStatus {
 // row window into tasks, sends each worker its tasks in one exchange
 // (what no worker served runs on the coordinator's own replica), and
 // merges the partials in row order — byte-identical to a single-node
-// scan for every replication factor and topology, because tasks are
-// cut on the engine's deterministic chunk grid and all float state
-// merges exactly.
+// scan for every layout and topology, because tasks are cut on the
+// engine's deterministic chunk grid and all float state merges exactly.
 //
 // Failure semantics: an exchange that fails whole gets one retry, then
 // its worker is marked unhealthy — skipped until Cooldown passes, then
@@ -133,7 +135,7 @@ type Backend struct {
 	ex     *engine.Executor
 	store  *PlacementStore // the node's own, which every append goes through
 	cfg    Config
-	layout *placed
+	layout layout
 
 	// mu guards membership.
 	mu sync.RWMutex
@@ -163,7 +165,7 @@ type Backend struct {
 
 // New builds a coordinator backend over the node's placement store —
 // the authoritative replica: ingest entry point and degraded path.
-// Workers join via AddWorker or the frontend's /api/shard/register.
+// Workers join via AddWorker, Join, or the frontend's /api/shard/register.
 func New(store *PlacementStore, cfg Config) *Backend {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 15 * time.Second
@@ -171,9 +173,12 @@ func New(store *PlacementStore, cfg Config) *Backend {
 	if cfg.PlacementChunks <= 0 {
 		cfg.PlacementChunks = 4
 	}
-	cfg.Replication = max(cfg.Replication, 0)
-	return &Backend{ex: store.ex, store: store, cfg: cfg, fleet: fleet{ring: newHashRing()},
-		layout: &placed{rf: cfg.Replication, span: cfg.PlacementChunks * engine.ChunkRows, hashes: make(map[placementID]fragHash)}}
+	b := &Backend{ex: store.ex, store: store, cfg: cfg, layout: replicated{}, fleet: fleet{ring: newHashRing()}}
+	if cfg.Replication > 0 {
+		b.layout = &placed{rf: cfg.Replication, span: cfg.PlacementChunks * engine.ChunkRows,
+			hashes: make(map[placementID]fragHash)}
+	}
+	return b
 }
 
 // EnableMetrics registers the backend's counters with the metrics
@@ -227,7 +232,7 @@ func (b *Backend) members() []*member {
 // NumWorkers returns the registered worker count.
 func (b *Backend) NumWorkers() int { return len(b.members()) }
 
-// Signature implements core.Backend: the placement shape plus its topology.
+// Signature implements core.Backend: the layout plus its topology.
 // Results are byte-identical across topologies by construction, but an
 // exec-cache entry computed under a vanished membership must not
 // masquerade as evidence about the current one.
@@ -235,6 +240,16 @@ func (b *Backend) Signature() string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return b.layout.signature(&b.fleet)
+}
+
+// Join registers a worker without taking its inventory or shipping it
+// anything: it is presumed to hold whatever it is asked for and the
+// per-request hash handshake decides, so a pre-loaded worker costs
+// nothing to admit and a diverged one is detected (409, range served
+// locally), not overwritten. False when the ID is already registered.
+func (b *Backend) Join(w Worker) bool {
+	_, added := b.join(w, nil)
+	return added
 }
 
 func (b *Backend) join(w Worker, holds map[string]string) (*member, bool) {
@@ -250,57 +265,33 @@ func (b *Backend) join(w Worker, holds map[string]string) (*member, bool) {
 	return m, true
 }
 
-// inventory is the worker's own report of the placements it holds;
-// its whole tables are its own business. An unreachable worker is
-// assumed to hold nothing, so the ships that follow are attempted (and
-// reported) rather than skipped.
+// inventory is the worker's own report of what it holds. An
+// unreachable worker is assumed to hold nothing, so the ships that
+// follow are attempted (and reported) rather than skipped.
 func inventory(ctx context.Context, w Worker) map[string]string {
-	holds := map[string]string{}
-	theirs, _ := w.TableHashes(ctx)
-	for name, h := range theirs {
-		if _, ok := fragmentSource(name); ok {
-			holds[name] = h
-		}
+	if theirs, err := w.TableHashes(ctx); err == nil && theirs != nil {
+		return theirs
 	}
-	return holds
+	return map[string]string{}
 }
 
 // AddWorker registers a worker, takes its inventory, and rebalances so
-// it holds exactly the placements it now owns — every placement at
-// Replication 0, its ring share otherwise. A durable worker that
-// recovered its placements from disk is not re-shipped bytes it
-// already holds. added is false when the ID was
+// it holds exactly what the layout now assigns it — replica bootstrap
+// under the replicated layout, its ring share under the placed one. A
+// durable worker that recovered its fragments from disk is not
+// re-shipped bytes it already holds. added is false when the ID was
 // already registered (inventory and rebalance still run: re-announcing
 // after a restart re-ships anything lost). Ingest is held throughout.
 func (b *Backend) AddWorker(ctx context.Context, w Worker) (rep *RebalanceReport, added bool, err error) {
 	b.ingestMu.Lock()
 	defer b.ingestMu.Unlock()
-	added = b.admit(ctx, w)
-	rep, err = b.rebalanceLocked(ctx)
-	return rep, added, err
-}
-
-// AddWorkers is AddWorker for a whole fleet: every worker is admitted,
-// then one rebalance pass serializes each placement once for all the
-// workers that lack it.
-func (b *Backend) AddWorkers(ctx context.Context, ws []Worker) (*RebalanceReport, error) {
-	b.ingestMu.Lock()
-	defer b.ingestMu.Unlock()
-	for _, w := range ws {
-		b.admit(ctx, w)
-	}
-	return b.rebalanceLocked(ctx)
-}
-
-// admit registers w, or finds it registered, and replaces its
-// inventory with the worker's own report; false when already there.
-func (b *Backend) admit(ctx context.Context, w Worker) bool {
 	holds := inventory(ctx, w)
 	m, added := b.join(w, holds)
 	m.mu.Lock()
 	m.holds = holds
 	m.mu.Unlock()
-	return added
+	rep, err = b.rebalanceLocked(ctx)
+	return rep, added, err
 }
 
 // RemoveWorker deregisters a worker and rebalances what it owned onto
@@ -354,7 +345,7 @@ func (b *Backend) RunSharedScan(ctx context.Context, q *engine.Query, gsets []en
 	return b.scatter(ctx, q, gsets)
 }
 
-// scatter cuts the query's row window into one task per placement, routes
+// scatter cuts the query's row window into the layout's tasks, routes
 // them — one exchange per worker, the coordinator's replica for what no
 // worker served — and folds the resulting runs in ascending row order.
 // The merge is exact and associative and every fold (a worker's run,
@@ -524,7 +515,7 @@ func (b *Backend) assign(tasks []*task) (plan []exchangePlan, idle []*task) {
 				tk.err = fmt.Errorf("cluster: worker %s is cooling down after failure", m.w.ID())
 				continue
 			}
-			if m.hold(tk.frag.name) == "" {
+			if _, held := m.hold(tk.frag.name); !held {
 				tk.err = fmt.Errorf("cluster: worker %s does not hold fragment %s", m.w.ID(), tk.frag.name)
 				continue
 			}
@@ -763,12 +754,8 @@ func (b *Backend) Append(ctx context.Context, table string, rows [][]engine.Valu
 // the whole fragment otherwise.
 func (b *Backend) forward(ctx context.Context, m *member, t *engine.Table, f fragment, expected string, delta [][]any, existed bool) ShardIngestStatus {
 	st := ShardIngestStatus{ID: m.w.ID() + "/" + f.name}
-	if !existed || m.hold(f.name) == "" {
-		snap, err := snapshot(t, f)
-		if err == nil {
-			err = b.ship(ctx, m, f, expected, snap)
-		}
-		if err != nil {
+	if _, held := m.hold(f.name); !existed || !held {
+		if _, err := b.shipFragment(ctx, m, t, f, expected); err != nil {
 			st.Error = err.Error()
 			m.markFailure()
 			return st
@@ -811,8 +798,8 @@ type RebalanceReport struct {
 	Errors []string `json:"errors,omitempty"`
 }
 
-// Rebalance diffs every worker's inventory against the ring's current
-// assignment and reconciles: ship owned-but-missing (or
+// Rebalance diffs every worker's inventory against the layout's
+// current assignment and reconciles: ship owned-but-missing (or
 // diverged) fragments from the coordinator's replica, drop
 // no-longer-owned ones (and placements of dropped tables). Ingest is
 // held for the duration, so the shipped bytes are a consistent cut.
@@ -827,13 +814,19 @@ func (b *Backend) rebalanceLocked(ctx context.Context) (*RebalanceReport, error)
 	members := b.members()
 	rep := &RebalanceReport{Epoch: b.epoch.Load(), PerWorker: map[string]int{}}
 
-	owned := map[[2]string]bool{} // {worker, fragment}
-	var ships []func()
-	var shipMu sync.Mutex // guards rep while ships run
-	fail := func(m *member, what string, err error) {
-		rep.Errors = append(rep.Errors, fmt.Sprintf("%s %s: %v", m.w.ID(), what, err))
-		m.markFailure()
+	for _, m := range members {
+		m.mu.Lock()
+		unknown := m.holds == nil
+		m.mu.Unlock()
+		if unknown { // joined without an inventory: take it now
+			holds := inventory(ctx, m.w)
+			m.mu.Lock()
+			m.holds = holds
+			m.mu.Unlock()
+		}
 	}
+
+	owned := map[[2]string]bool{} // {worker, fragment}
 	for _, table := range b.ex.Catalog().TableNames() {
 		t, err := b.ex.Catalog().Table(table)
 		if err != nil {
@@ -844,69 +837,42 @@ func (b *Backend) rebalanceLocked(ctx context.Context) (*RebalanceReport, error)
 			b.mu.RLock()
 			owners := b.layout.owners(f, &b.fleet)
 			b.mu.RUnlock()
-			if len(owners) == 0 {
-				continue
-			}
-			expected, err := f.hash()
-			if err != nil {
-				return nil, err
-			}
-			var lack []*member
+			expected := ""
 			for _, m := range owners {
 				owned[[2]string{m.w.ID(), f.name}] = true
-				if m.hold(f.name) != expected {
-					lack = append(lack, m)
-				}
-			}
-			if len(lack) == 0 {
-				continue
-			}
-			ships = append(ships, func() {
-				snap, serr := snapshot(t, f)
-				for _, m := range lack {
-					err := serr
-					if err == nil {
-						err = b.ship(ctx, m, f, expected, snap)
+				if expected == "" {
+					if expected, err = f.hash(); err != nil {
+						return nil, err
 					}
-					shipMu.Lock()
-					if err != nil {
-						fail(m, f.name, err)
-					} else {
-						rep.Shipped++
-						rep.BytesMoved += int64(len(snap))
-					}
-					shipMu.Unlock()
 				}
-			})
+				if has, held := m.hold(f.name); held && has == expected {
+					continue
+				}
+				nbytes, err := b.shipFragment(ctx, m, t, f, expected)
+				if err != nil {
+					rep.Errors = append(rep.Errors, fmt.Sprintf("%s %s: %v", m.w.ID(), f.name, err))
+					m.markFailure()
+					continue
+				}
+				rep.Shipped++
+				rep.BytesMoved += int64(nbytes)
+			}
 		}
 	}
-	// Each placement is serialized once for every owner that lacks it,
-	// and a few ship at a time, so one side encodes while the other
-	// decodes and verifies.
-	sem := make(chan struct{}, shipsInFlight)
-	var wg sync.WaitGroup
-	for _, job := range ships {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			job()
-		}()
-	}
-	wg.Wait()
-	slices.Sort(rep.Errors)
-	// A worker drops every placement it no longer owns, a dropped
-	// table's included; its own whole tables are never in holds.
+	// Under the placed layout a worker drops every placement it no
+	// longer owns, a dropped table's included. Whole tables never go:
+	// a worker's may serve another coordinator.
 	for _, m := range members {
 		m.mu.Lock()
 		held := slices.Sorted(maps.Keys(m.holds))
 		m.mu.Unlock()
 		for _, name := range held {
-			if owned[[2]string{m.w.ID(), name}] {
+			if _, ok := fragmentSource(name); !ok || b.cfg.Replication == 0 || owned[[2]string{m.w.ID(), name}] {
 				continue
 			}
 			if err := m.w.DropTable(ctx, name); err != nil {
-				fail(m, "drop "+name, err)
+				rep.Errors = append(rep.Errors, fmt.Sprintf("%s drop %s: %v", m.w.ID(), name, err))
+				m.markFailure()
 				continue
 			}
 			m.setHold(name, "")
@@ -920,30 +886,33 @@ func (b *Backend) rebalanceLocked(ctx context.Context) (*RebalanceReport, error)
 	return rep, nil
 }
 
-// snapshot serializes f as the worker-side table.
-func snapshot(t *engine.Table, f fragment) ([]byte, error) {
-	frag, err := t.ExtractRange(f.name, f.lo, f.hi)
+// shipFragment serializes f as the worker-side table, pushes the
+// snapshot, and verifies the ContentHash handshake — replica bootstrap
+// when f is a whole table. Returns the snapshot's size in bytes.
+func (b *Backend) shipFragment(ctx context.Context, m *member, t *engine.Table, f fragment, expected string) (int, error) {
+	frag, err := f.extract(t)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	var buf bytes.Buffer
-	err = engine.WriteTableSnapshot(&buf, frag)
-	return buf.Bytes(), err
-}
-
-// ship pushes f's snapshot to m and verifies the ContentHash handshake.
-func (b *Backend) ship(ctx context.Context, m *member, f fragment, expected string, snap []byte) error {
-	resp, err := m.w.SyncTable(ctx, f.name, f.lo, snap)
+	if err := engine.WriteTableSnapshot(&buf, frag); err != nil {
+		return 0, err
+	}
+	lo := -1 // a whole table
+	if f.name != f.table {
+		lo = f.lo
+	}
+	resp, err := m.w.SyncTable(ctx, f.name, lo, buf.Bytes())
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if resp.ContentHash != expected {
-		return &FingerprintMismatchError{Shard: m.w.ID(), Table: f.name, Want: expected, Got: resp.ContentHash}
+		return 0, &FingerprintMismatchError{Shard: m.w.ID(), Table: f.name, Want: expected, Got: resp.ContentHash}
 	}
 	m.setHold(f.name, expected)
 	b.fragShipped.Add(1)
-	b.moveBytes.Add(int64(len(snap)))
-	return nil
+	b.moveBytes.Add(int64(buf.Len()))
+	return buf.Len(), nil
 }
 
 // ---------------------------------------------------------------------
@@ -952,7 +921,7 @@ func (b *Backend) ship(ctx context.Context, m *member, f fragment, expected stri
 // ShardStatus is one worker's health and accounting snapshot. Execs
 // and AvgMillis count every exchange attempted with the worker (what
 // seedb_shard_rpc_seconds observes); Fragments is its verified
-// inventory.
+// inventory (0 while never taken).
 type ShardStatus struct {
 	ID          string    `json:"id"`
 	Healthy     bool      `json:"healthy"`
@@ -1117,7 +1086,8 @@ func (b *Backend) Dump() (*PlacementDump, error) {
 			owners := b.layout.owners(f, &b.fleet)
 			b.mu.RUnlock()
 			for _, m := range owners {
-				pi.Owners = append(pi.Owners, PlacementOwner{Worker: m.w.ID(), Held: m.hold(f.name) == hash})
+				held, _ := m.hold(f.name)
+				pi.Owners = append(pi.Owners, PlacementOwner{Worker: m.w.ID(), Held: held == hash})
 			}
 			tp.Placements = append(tp.Placements, pi)
 		}

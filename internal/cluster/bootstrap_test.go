@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"maps"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -16,43 +15,26 @@ import (
 	"seedb/internal/frontend"
 )
 
-// Bootstrap tests: a joining worker that is empty or diverged is
-// shipped the placements it owns (every placement at rf = every
-// worker) from the coordinator's live replica before admission
+// Replica-rebuild tests: a joining worker that is empty or diverged is
+// brought in line from the coordinator's live replica before admission
 // (snapshot push + ContentHash handshake), so a fresh node can join a
 // cluster without pre-provisioned data and a stale one cannot poison
 // scatter-gather with mismatched rows.
 
-// placementHashes is the coordinator's placement map: placement name
-// -> expected content hash.
-func placementHashes(t *testing.T, b *seedb.ClusterBackend) map[string]string {
+// tableHashes snapshots name -> ContentHash for every table of a DB.
+func tableHashes(t *testing.T, db *seedb.DB) map[string]string {
 	t.Helper()
-	d, err := b.Dump()
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := map[string]string{}
-	for _, tp := range d.Tables {
-		for _, p := range tp.Placements {
-			out[p.Fragment] = p.ContentHash
+	for _, name := range db.Tables() {
+		tb, err := db.Table(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	return out
-}
-
-// workerPlacements is the worker's own report of the placements it
-// holds: placement name -> content hash.
-func workerPlacements(t *testing.T, url string) map[string]string {
-	t.Helper()
-	inv, err := cluster.NewRemoteShard(url, 5*time.Second).TableHashes(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]string{}
-	for name, h := range inv {
-		if strings.Contains(name, "__p") {
-			out[name] = h
+		h, err := tb.ContentHash()
+		if err != nil {
+			t.Fatal(err)
 		}
+		out[name] = h
 	}
 	return out
 }
@@ -67,19 +49,17 @@ func startCoordinator(t *testing.T, rows int) (*httptest.Server, *seedb.DB, *see
 }
 
 // TestRegisterBootstrapsDivergedWorker: a worker holding different data
-// (its own smaller tables, and a placement whose rows differ from the
-// coordinator's) registers; the coordinator pushes every placement,
-// verifies the handshake, and only then admits the shard.
+// (fewer rows, different hashes) registers; the coordinator pushes its
+// own replicas, verifies the handshake, and only then admits the shard.
 // Scatter-gather afterwards produces single-node bytes with zero
 // fingerprint mismatches.
 func TestRegisterBootstrapsDivergedWorker(t *testing.T) {
 	ctx := context.Background()
 	coordSrv, coordDB, b := startCoordinator(t, 3000)
-	worker, _ := startWorker(t, 1000)
-	divergePlacement(t, worker.URL, "orders", 0, 4096, 3000)
+	worker, workerDB := startWorker(t, 1000) // diverged replica
 
-	want := placementHashes(t, b)
-	if got := workerPlacements(t, worker.URL); got["orders__p0"] == "" || got["orders__p0"] == want["orders__p0"] {
+	want := tableHashes(t, coordDB)
+	if got := tableHashes(t, workerDB); got["orders"] == want["orders"] {
 		t.Fatal("test premise broken: worker should start diverged")
 	}
 
@@ -94,10 +74,10 @@ func TestRegisterBootstrapsDivergedWorker(t *testing.T) {
 	if err := json.Unmarshal([]byte(resp), &reg); err != nil {
 		t.Fatalf("registration response %q: %v", resp, err)
 	}
-	if !reg.Added || reg.Rebalance == nil || reg.Rebalance.Shipped != len(want) {
-		t.Fatalf("registration should add the worker and report every placement shipped: %s", resp)
+	if !reg.Added || reg.Rebalance == nil || reg.Rebalance.Shipped != len(coordDB.Tables()) {
+		t.Fatalf("registration should add the worker and report every table shipped: %s", resp)
 	}
-	if got := workerPlacements(t, worker.URL); !maps.Equal(got, want) {
+	if got := tableHashes(t, workerDB); got["orders"] != want["orders"] || got["synthetic"] != want["synthetic"] {
 		t.Fatalf("worker not rebuilt to coordinator state:\ngot  %v\nwant %v", got, want)
 	}
 
@@ -128,7 +108,10 @@ func TestRegisterBootstrapsEmptyWorker(t *testing.T) {
 	ctx := context.Background()
 	coordSrv, coordDB, b := startCoordinator(t, 2000)
 
-	worker, _ := startEmptyWorker(t)
+	workerDB := seedb.Open() // nothing registered
+	worker := httptest.NewServer(frontend.New(workerDB, nil, log.New(testWriter{t}, "worker: ", 0)))
+	t.Cleanup(worker.Close)
+
 	resp, err := httpPostJSON(coordSrv.URL+"/api/shard/register", fmt.Sprintf(`{"url":%q}`, worker.URL))
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +119,12 @@ func TestRegisterBootstrapsEmptyWorker(t *testing.T) {
 	if !strings.Contains(resp, `"added":true`) {
 		t.Fatalf("registration response: %s", resp)
 	}
-	want, got := placementHashes(t, b), workerPlacements(t, worker.URL)
-	if len(want) != len(coordDB.Tables()) || !maps.Equal(got, want) {
-		t.Fatalf("placements not provisioned:\ngot  %v\nwant %v", got, want)
+	want := tableHashes(t, coordDB)
+	got := tableHashes(t, workerDB)
+	for name, h := range want {
+		if got[name] != h {
+			t.Fatalf("table %q not provisioned: got %q want %q", name, got[name], h)
+		}
 	}
 
 	res, err := coordDB.RecommendSQL(ctx, testQuery, testOptions())
@@ -158,50 +144,47 @@ func TestRegisterBootstrapsEmptyWorker(t *testing.T) {
 	}
 }
 
-// TestAddWorkerShipsOnlyWhatDiverged exercises AddWorker directly: a
-// diverged worker is shipped every placement, re-announcing a
-// just-synced worker ships nothing, and a worker another coordinator
-// over the same data already brought in line ships nothing either.
+// TestAddWorkerShipsOnlyWhatDiverged exercises AddWorker directly (the
+// replicated layout's replica bootstrap): a diverged worker is shipped
+// every table, re-announcing a just-synced worker ships nothing, and
+// an identically-loaded worker ships nothing either.
 func TestAddWorkerShipsOnlyWhatDiverged(t *testing.T) {
 	ctx := context.Background()
 	coordDB := newDB(t, 2000)
 	b := coordDB.ShardRemote(nil, 5*time.Second, seedb.ClusterConfig{})
-	placements := len(coordDB.Tables()) // 2000 rows: one placement per table
 
 	worker, _ := startWorker(t, 500)
-	divergePlacement(t, worker.URL, "orders", 0, 4096, 2000)
 	shard := cluster.NewRemoteShard(worker.URL, 5*time.Second)
 	rep, added, err := b.AddWorker(ctx, shard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !added || rep.Shipped != placements {
-		t.Fatalf("diverged worker should be shipped every placement, got %+v", rep)
+	if !added || rep.Shipped != len(coordDB.Tables()) {
+		t.Fatalf("diverged worker should be shipped every table, got %+v", rep)
 	}
 	rep2, added, err := b.AddWorker(ctx, shard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added || rep2.Shipped != 0 || rep2.PerWorker[worker.URL] != placements {
+	if added || rep2.Shipped != 0 || rep2.PerWorker[worker.URL] != len(coordDB.Tables()) {
 		t.Fatalf("re-announcing should find everything matched: %+v", rep2)
 	}
 
 	inStep, _ := startWorker(t, 2000)
-	newDB(t, 2000).ShardRemote([]string{inStep.URL}, 5*time.Second, seedb.ClusterConfig{})
 	rep3, _, err := b.AddWorker(ctx, cluster.NewRemoteShard(inStep.URL, 5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep3.Shipped != 0 || len(rep3.Errors) != 0 {
-		t.Fatalf("an in-step worker should not be shipped anything, got %+v", rep3)
+		t.Fatalf("identically-loaded worker should not be shipped anything, got %+v", rep3)
 	}
 }
 
-// TestBootstrapSyncSurvivesWorkerRestart: with durability on, a shipped
-// placement is checkpointed immediately and so is a placement a
-// forwarded batch grows, so the worker comes back from its own crash
-// already in step — the rebuilt and grown state is durable, not just
-// resident.
+// TestBootstrapSyncSurvivesWorkerRestart: with durability on, a synced
+// replica is checkpointed immediately and a batch forwarded to it is
+// write-ahead-logged (a whole table grows through Catalog.Append), so
+// the worker comes back from its own crash already in step — the
+// rebuilt and grown state is durable, not just resident.
 func TestBootstrapSyncSurvivesWorkerRestart(t *testing.T) {
 	ctx := context.Background()
 	coordDB := newDB(t, 1500)
@@ -220,16 +203,16 @@ func TestBootstrapSyncSurvivesWorkerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Shipped != len(coordDB.Tables()) {
-		t.Fatalf("empty durable worker should be shipped every placement, got %+v", rep)
+		t.Fatalf("empty durable worker should be shipped everything, got %+v", rep)
 	}
 	sum, err := b.Ingest(ctx, "orders", ingestRows(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sum.Shards) != 1 || !sum.Shards[0].OK {
-		t.Fatalf("forward to the durable placement: %+v", sum.Shards)
+		t.Fatalf("forward to the durable replica: %+v", sum.Shards)
 	}
-	want := placementHashes(t, b)
+	want := tableHashes(t, coordDB)
 	// Crash the worker (abandon, no CloseDurability) and reboot an
 	// empty process over the same data dir.
 	worker.Close()
@@ -238,20 +221,20 @@ func TestBootstrapSyncSurvivesWorkerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.SnapshotsLoaded != len(want) {
-		t.Fatalf("reboot should restore %d shipped placements, got %+v", len(want), info)
+	if info.SnapshotsLoaded != len(want) || info.ReplayedBatches != 1 || info.ReplayedRows != 7 {
+		t.Fatalf("reboot should restore %d synced snapshots and replay the forwarded batch, got %+v", len(want), info)
 	}
-	rebootedSrv := httptest.NewServer(frontend.New(rebooted, nil, log.New(testWriter{t}, "worker2: ", 0)))
-	t.Cleanup(rebootedSrv.Close)
-	if got := workerPlacements(t, rebootedSrv.URL); !maps.Equal(got, want) {
-		t.Fatalf("rebooted worker lost shipped placements:\ngot  %v\nwant %v", got, want)
+	if got := tableHashes(t, rebooted); got["orders"] != want["orders"] || got["synthetic"] != want["synthetic"] {
+		t.Fatalf("rebooted worker lost synced replicas:\ngot  %v\nwant %v", got, want)
 	}
 	// And it passes a fresh handshake with zero pushes.
+	rebootedSrv := httptest.NewServer(frontend.New(rebooted, nil, log.New(testWriter{t}, "worker2: ", 0)))
+	t.Cleanup(rebootedSrv.Close)
 	rep2, _, err := b.AddWorker(ctx, cluster.NewRemoteShard(rebootedSrv.URL, 5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep2.Shipped != 0 || len(rep2.Errors) != 0 {
-		t.Fatalf("recovered placements should already match, got %+v", rep2)
+		t.Fatalf("recovered replicas should already match, got %+v", rep2)
 	}
 }

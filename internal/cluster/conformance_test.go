@@ -22,10 +22,9 @@ import (
 // TestWorkerConformance runs one lifecycle script against both worker
 // hosts — an in-process MemberShard and a seedb HTTP server reached
 // through RemoteShard — and holds them to the same answer at every
-// step: a sync without a first row (a whole table) refused as the
-// request's fault, two adjacent placements synced, ingest into one (a
-// malformed row, a placement that cannot grow and an unknown name
-// included), an exchange over both, drop everything.
+// step: sync a whole table and two adjacent placements, ingest into
+// each (a malformed row, a placement that cannot grow and an unknown
+// name included), run an exchange over each kind, drop everything.
 // Every step must give the same responses (rows, hashes, the frame
 // bytes of an exchange's partials) or the same error class, and the
 // same inventory after it.
@@ -108,16 +107,20 @@ func TestWorkerConformance(t *testing.T) {
 	}
 	malformed := [][]any{{"East", "not enough columns"}}
 
-	step("sync without lo", "query fault", ship("orders", -1, 3000))
+	step("sync whole", "ok", ship("orders", -1, 3000))
 	step("sync p0", "ok", ship("orders__p0", 0, 1024))
 	step("sync p1", "ok", ship("orders__p1", 1024, 2048))
+	step("ingest whole", "ok", ingest("orders", ingestRows(2)))
 	step("ingest p1", "ok", ingest("orders__p1", ingestRows(2)))
+	step("ingest whole malformed", "query fault", ingest("orders", malformed))
 	step("ingest p1 malformed", "query fault", ingest("orders__p1", malformed))
 	step("ingest p0, followed by p1", "worker fault", ingest("orders__p0", ingestRows(1)))
 	step("ingest unknown", "worker fault", ingest("nope", ingestRows(1)))
+	step("exchange whole", "ok", exchange(cluster.ShardFragment{Table: "orders", RowLo: 0, RowHi: 3002}))
 	step("exchange placements", "ok", exchange(
 		cluster.ShardFragment{Table: "orders__p0", RowLo: 0, RowHi: 1024},
 		cluster.ShardFragment{Table: "orders__p1", SampleBase: 1024, RowLo: 0, RowHi: 1026}))
+	step("drop whole", "ok", drop("orders"))
 	step("drop p0", "ok", drop("orders__p0"))
 	step("drop p1", "ok", drop("orders__p1"))
 	step("drop unknown", "ok", drop("nope"))
@@ -146,27 +149,21 @@ func snapshotBytes(t *testing.T, src *engine.Table, name string, lo, hi int) []b
 	return buf.Bytes()
 }
 
-// TestStoreMixedConcurrency: on one worker, the node's own whole
-// table's ingest and verify hash (outside the store's lock) run beside
-// exchanges over a held placement, ships and drops of the placement
-// before it — each re-cuts the exchange's segment — and inventories
-// (run with -race).
+// TestStoreMixedConcurrency: on one worker, a whole table's ingest and
+// verify hash (outside the store's lock) run beside exchanges over it,
+// placement ships and drops, and inventories (run with -race).
 func TestStoreMixedConcurrency(t *testing.T) {
 	ctx := context.Background()
 	src := seedb.SuperstoreTable("orders", 2048, 1)
 	m := cluster.NewMemberShard("m")
-	if err := m.Executor().Catalog().Register(src.Clone("orders")); err != nil {
-		t.Fatal(err)
-	}
-	p0, p1 := snapshotBytes(t, src, "orders__p0", 0, 1024), snapshotBytes(t, src, "orders__p1", 1024, 2048)
-	if _, err := m.SyncTable(ctx, "orders__p1", 1024, p1); err != nil {
+	whole, p0 := snapshotBytes(t, src, "orders", 0, 0), snapshotBytes(t, src, "orders__p0", 0, 1024)
+	if _, err := m.SyncTable(ctx, "orders", -1, whole); err != nil {
 		t.Fatal(err)
 	}
 	req, err := cluster.EncodeShardRequest(exchangeQuery(), exchangeSets, "", 0, 1024, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Fragments[0].Table = "orders__p1"
 	const n = 20
 	var wg sync.WaitGroup
 	for _, op := range []func() error{
@@ -205,7 +202,7 @@ func TestStoreMixedConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := m.Executor().Catalog().Table("orders"); got.NumRows() != 2048+2*n || len(inv) != 2 {
+	if got, _ := m.Executor().Catalog().Table("orders"); got.NumRows() != 2048+2*n || len(inv) != 1 {
 		t.Fatalf("after the run: %d rows of orders, inventory %v", got.NumRows(), inv)
 	}
 }

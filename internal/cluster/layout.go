@@ -15,12 +15,22 @@ import (
 type fragment struct {
 	table  string // source table on the coordinator
 	name   string // table name on the worker
-	idx    int    // placement index
+	idx    int    // placement index (0 for a whole table)
 	lo, hi int    // absolute source rows [lo,hi) the fragment holds
 	// hash is the fragment's expected content hash — a function,
 	// because hashing is O(rows) and only a task that goes to a
 	// worker should pay for it.
 	hash func() (string, error)
+}
+
+// extract materializes the fragment as a table named f.name; a whole
+// table under its own name is the live table itself (no copy, and a
+// worker's hash of it is t.ContentHash by construction).
+func (f fragment) extract(t *engine.Table) (*engine.Table, error) {
+	if f.name == t.Name() {
+		return t, nil
+	}
+	return t.ExtractRange(f.name, f.lo, f.hi)
 }
 
 // task is one unit of a scatter: rows [lo,hi) of frag, served by one of
@@ -36,8 +46,8 @@ type task struct {
 	fault bool   // err is the query's doing: no worker can do better
 }
 
-// fleet is the backend's membership, guarded by Backend.mu. The
-// placed methods that take a fleet are called with that lock held.
+// fleet is the backend's membership, guarded by Backend.mu. Layout
+// methods that take a fleet are called with that lock held.
 type fleet struct {
 	order []*member     // join order
 	ring  *hashRing     // over the members' IDs
@@ -53,10 +63,55 @@ func (fl *fleet) find(id string) *member {
 	return nil
 }
 
-// placed is the backend's one layout: the DATA is partitioned into
-// chunk-aligned placements on a consistent-hash ring.
+// layout is the policy half of the backend — the only thing that
+// differs between replicate-everything and data-partitioned placement.
+type layout interface {
+	// fragments lists, in row order, the fragments of t (rows rows
+	// long) that intersect rows [lo,hi).
+	fragments(t *engine.Table, rows, lo, hi int) []fragment
+	// owners returns the workers that should hold f, in try order.
+	owners(f fragment, fl *fleet) []*member
+	// cut splits a query's window [lo,hi) into tasks, in row order. No
+	// tasks means the window runs on the coordinator unscattered.
+	cut(t *engine.Table, rows, lo, hi int, fl *fleet) []task
+	// signature is the backend's core.Backend signature.
+	signature(fl *fleet) string
+}
+
+// replicated: every worker holds every table whole; the WORK is
+// partitioned per query.
+type replicated struct{}
+
+func (replicated) fragments(t *engine.Table, rows, lo, hi int) []fragment {
+	if lo >= hi || lo >= rows {
+		return nil
+	}
+	return []fragment{{table: t.Name(), name: t.Name(), hi: rows, hash: t.ContentHash}}
+}
+
+func (replicated) owners(f fragment, fl *fleet) []*member { return fl.order }
+
+// cut is one grid-aligned range per worker, task i owned by worker i.
+func (l replicated) cut(t *engine.Table, rows, lo, hi int, fl *fleet) []task {
+	frags := l.fragments(t, rows, lo, hi)
+	if len(fl.order) == 0 || len(frags) == 0 {
+		return nil
+	}
+	var tasks []task
+	for i, rg := range engine.ShardRanges(rows, lo, hi, len(fl.order)) {
+		tasks = append(tasks, task{frag: frags[0], lo: rg[0], hi: rg[1], owners: fl.order[i:][:1]})
+	}
+	return tasks
+}
+
+func (replicated) signature(fl *fleet) string {
+	return fmt.Sprintf("sharded(remote,n=%d)", len(fl.order))
+}
+
+// placed: the DATA is partitioned into chunk-aligned placements on a
+// consistent-hash ring.
 type placed struct {
-	rf   int // owners per placement (clamped to the worker count); 0 = every worker
+	rf   int // owners per placement (clamped to the worker count)
 	span int // rows per placement, a multiple of engine.ChunkRows
 
 	// hashes memoizes fragment content hashes, one entry per (table,
@@ -101,8 +156,6 @@ func placementKey(table string, idx int) string {
 	return table + "\x00" + strconv.Itoa(idx)
 }
 
-// fragments lists, in row order, the placements of t (rows rows long)
-// that intersect rows [lo,hi).
 func (l *placed) fragments(t *engine.Table, rows, lo, hi int) []fragment {
 	hi = min(hi, rows)
 	var out []fragment
@@ -136,14 +189,8 @@ func (l *placed) fragmentHash(t *engine.Table, f fragment) (string, error) {
 	return h, nil
 }
 
-// owners returns the workers that should hold f, in try order: its
-// ring owners, or at rf 0 the whole fleet in f's ring order.
 func (l *placed) owners(f fragment, fl *fleet) []*member {
-	rf := l.rf
-	if rf == 0 {
-		rf = len(fl.order)
-	}
-	ids := fl.ring.Owners(placementKey(f.table, f.idx), rf)
+	ids := fl.ring.Owners(placementKey(f.table, f.idx), l.rf)
 	out := make([]*member, 0, len(ids))
 	for _, id := range ids {
 		if m := fl.find(id); m != nil {
@@ -153,10 +200,9 @@ func (l *placed) owners(f fragment, fl *fleet) []*member {
 	return out
 }
 
-// cut splits a query's window [lo,hi) into one task per placement it
-// touches, in row order; no tasks (no workers) means the window runs on
-// the coordinator unscattered. Boundaries are absolute — placement i
-// covers rows [i*span, (i+1)*span) — so appends never move them.
+// cut is one task per placement the window touches. Boundaries are
+// absolute — placement i covers rows [i*span, (i+1)*span) — so appends
+// never move them.
 func (l *placed) cut(t *engine.Table, rows, lo, hi int, fl *fleet) []task {
 	if len(fl.order) == 0 {
 		return nil
@@ -168,7 +214,6 @@ func (l *placed) cut(t *engine.Table, rows, lo, hi int, fl *fleet) []task {
 	return tasks
 }
 
-// signature is the backend's core.Backend signature.
 func (l *placed) signature(fl *fleet) string {
 	return fmt.Sprintf("placed(rf=%d,chunks=%d,epoch=%d,workers=%d)",
 		l.rf, l.span/engine.ChunkRows, fl.epoch.Load(), len(fl.order))

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -37,9 +38,9 @@ func placementConfig(rf int) seedb.PlacementConfig {
 	return seedb.PlacementConfig{Replication: rf, PlacementChunks: 1}
 }
 
-// httpFleet stands a coordinator up over two empty HTTP workers, each
-// exchange one frame each way, placed at rf (0: every worker); the
-// coordinator ships the placements.
+// httpFleet stands a coordinator up over two HTTP workers, each exchange
+// one frame each way: replicated (rf 0; every worker loads its own copy
+// of table()) or placed at rf (the coordinator ships the fragments).
 func httpFleet(t *testing.T, rf int, table func() *engine.Table) *seedb.ClusterBackend {
 	t.Helper()
 	coord := seedb.Open()
@@ -48,8 +49,16 @@ func httpFleet(t *testing.T, rf int, table func() *engine.Table) *seedb.ClusterB
 	}
 	var urls []string
 	for i := 0; i < 2; i++ {
-		hs, _ := startEmptyWorker(t)
+		hs, wdb := startEmptyWorker(t)
+		if rf == 0 {
+			if err := wdb.RegisterTable(table()); err != nil {
+				t.Fatal(err)
+			}
+		}
 		urls = append(urls, hs.URL)
+	}
+	if rf == 0 {
+		return coord.ShardRemote(urls, 10*time.Second, seedb.ClusterConfig{})
 	}
 	b, err := coord.PlaceRemote(context.Background(), urls, 10*time.Second, placementConfig(rf))
 	if err != nil {
@@ -70,6 +79,91 @@ func cleanFleet(t *testing.T, name string, b *seedb.ClusterBackend) {
 			t.Fatalf("%s: a worker was struck: %+v", name, st)
 		}
 	}
+}
+
+// TestShardRemoteOverPreloadedWorkers pins cluster_scatter's set-up:
+// two HTTP workers that each load the tables themselves, coordinator A
+// over them through ShardRemote (the replicated layout, which ships
+// nothing), then coordinator B placing the same tables on the same
+// workers at rf 2. Both answer with solo bytes, cleanly, and neither
+// disturbs the other: B's placements sit beside the workers' whole
+// tables, and B's rebalance drops no whole table A reads.
+func TestShardRemoteOverPreloadedWorkers(t *testing.T) {
+	ctx := context.Background()
+	const rows = 3000
+	solo := newDB(t, rows)
+	res, err := solo.RecommendSQL(ctx, testQuery, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := render(res)
+
+	var urls []string
+	var workers []*seedb.DB
+	for i := 0; i < 2; i++ {
+		hs, wdb := startEmptyWorker(t)
+		for _, name := range solo.Tables() {
+			tb, err := solo.Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wdb.RegisterTable(tb.Clone(name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		urls = append(urls, hs.URL)
+		workers = append(workers, wdb)
+	}
+	wholes := tableHashes(t, solo)
+	assertWholeTables := func(stage string) {
+		t.Helper()
+		for i, wdb := range workers {
+			for name, h := range wholes {
+				tb, err := wdb.Table(name)
+				if err != nil {
+					t.Fatalf("%s: worker %d lost %s: %v", stage, i, name, err)
+				}
+				if got, _ := tb.ContentHash(); got != h {
+					t.Fatalf("%s: worker %d's %s changed", stage, i, name)
+				}
+			}
+		}
+	}
+	recommend := func(stage string, db *seedb.DB, b *seedb.ClusterBackend) {
+		t.Helper()
+		res, err := db.RecommendSQL(ctx, testQuery, testOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if render(res) != want {
+			t.Fatalf("%s: bytes differ from solo", stage)
+		}
+		cleanFleet(t, stage, b)
+	}
+
+	adb := newDB(t, rows)
+	a := adb.ShardRemote(urls, 10*time.Second, seedb.ClusterConfig{})
+	recommend("A", adb, a)
+	if c := a.Counters(); c.FragmentsShipped != 0 || c.RebalanceBytes != 0 {
+		t.Fatalf("A shipped to workers that already hold the tables: %+v", c)
+	}
+	assertWholeTables("after A")
+
+	bdb := newDB(t, rows)
+	b, err := bdb.PlaceRemote(ctx, urls, 10*time.Second, placementConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recommend("B", bdb, b)
+	assertWholeTables("after B")
+	recommend("A after B", adb, a)
+
+	rep, err := b.Rebalance(ctx)
+	if err != nil || rep.Shipped != 0 || rep.Dropped != 0 || len(rep.Errors) != 0 {
+		t.Fatalf("B's second pass should change nothing: %+v %v", rep, err)
+	}
+	assertWholeTables("after B's rebalance")
+	recommend("A after B's rebalance", adb, a)
 }
 
 // TestPlacementElasticByteIdentity is the issue's acceptance scenario:
@@ -227,24 +321,28 @@ func TestPlacementElasticByteIdentity(t *testing.T) {
 	if _, err := own.Executor().Catalog().Table("orders"); err != nil {
 		t.Fatalf("the rebalance dropped a worker's whole table: %v", err)
 	}
-	// member-4 may serve a second coordinator too, over the same data
-	// at the same placement size and rf = every worker: that one's
-	// rebalance ships member-4 what it lacks and leaves what it holds.
-	held4, err := joiner.Store().Inventory()
-	if err != nil || len(held4) == 0 {
-		t.Fatalf("member-4 holds %v (%v)", held4, err)
-	}
-	if _, _, err := newDB(t, rows).ShardRemote(nil, time.Second, placementConfig(0)).AddWorker(ctx, joiner); err != nil {
-		t.Fatal(err)
-	}
-	after, err := joiner.Store().Inventory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, st := range held4 {
-		if after[name] != st {
-			t.Fatalf("a second coordinator's rebalance moved member-4's %s: %+v -> %+v", name, st, after[name])
+	// member-4 may serve a replicated coordinator too: that one's
+	// rebalance ships it whole tables and leaves its placements alone.
+	placements := func() string {
+		inv, err := joiner.Store().Inventory()
+		if err != nil {
+			t.Fatal(err)
 		}
+		var names []string
+		for name := range inv {
+			if strings.Contains(name, "__p") {
+				names = append(names, name)
+			}
+		}
+		slices.Sort(names)
+		return strings.Join(names, ",")
+	}
+	held4 := placements()
+	if _, _, err := newDB(t, rows).ShardRemote(nil, time.Second, seedb.ClusterConfig{}).AddWorker(ctx, joiner); err != nil {
+		t.Fatal(err)
+	}
+	if after := placements(); after != held4 || held4 == "" {
+		t.Fatalf("a replicated coordinator's rebalance moved member-4's placements: %q -> %q", held4, after)
 	}
 	got, err = db.RecommendSQL(ctx, testQuery, testOptions())
 	if err != nil {

@@ -20,15 +20,16 @@ import (
 // PlacementStore is the one place that changes what a node holds,
 // behind MemberShard, the frontend's /api/shard/* handlers and every
 // append (DB.Append, /api/ingest, a coordinator's own apply) alike: it
-// ships, drops, grows, lists and scans the placements a node owns, and
-// grows, lists and drops its whole tables. Each method decides once,
-// under its own locking, which of the two a name is.
+// ships, drops, grows, lists and scans the node's whole tables and the
+// placements it owns. Each method decides once, under its own locking,
+// which of the two a name is.
 //
-// A whole table is the node's own: it lives in the catalog under its
-// name because the node registered it (demo data, RegisterTable, WAL
-// recovery). Append grows it through Catalog.Append (the WAL seam) and
-// Drop removes it, invalidating its metadata-collector state. A
-// coordinator never ships one: what it ships is a placement.
+// A whole table lives in the catalog under its own name, whether a
+// coordinator shipped it (the replicated layout) or the node
+// registered it itself (demo data, RegisterTable, WAL recovery). Sync
+// swaps it in, Append grows it through Catalog.Append (the WAL seam),
+// Drop removes it; a replaced or removed table's metadata-collector
+// state is invalidated.
 //
 // A worker keeps the placements it holds of a source table as
 // segments: one engine table per maximal run of placements that are
@@ -53,18 +54,19 @@ type PlacementStore struct {
 	// mu is held shared by Exec and Inventory and exclusively by every
 	// placement mutation and Drop: a ship or drop may re-bind a
 	// segment's catalog name, which an exchange in flight must not see.
-	// A whole table's ingest holds it only to decide that a name is not
-	// a placement.
+	// A whole table's sync and ingest hold it only to read dur or
+	// decide that a name is not a placement.
 	mu     sync.RWMutex
 	dur    Durable
 	byName map[string]*placement // placement name -> placement
 	segs   map[string]*segment   // segment table name -> segment
 }
 
-// Durable is where a durable node keeps the placements it holds
-// across a restart: each as one snapshot of its own, never per
-// segment, so shipping onto a segment's end writes that placement's
-// rows and nothing else. *wal.Store implements it.
+// Durable is where a durable node keeps what it holds across a
+// restart: a whole table under its name, a placement as one snapshot
+// of its own, never per segment, so shipping onto a segment's end
+// writes that placement's rows and nothing else. *wal.Store implements
+// it.
 type Durable interface {
 	CheckpointTable(t *engine.Table) error
 	DropTable(name string) error
@@ -148,12 +150,14 @@ func (s *PlacementStore) SetDurable(d Durable) error {
 	return nil
 }
 
-// Sync installs the snapshot read from r as the placement name whose
-// first absolute row is lo, and reports the post-replacement state. It
-// replaces any copy already held and any held placement of the same
-// source it overlaps. It is appended to the segment ending at lo, and
-// the segment starting where it ends is appended to it, so the cost is
-// the placement plus that following segment — never the one it joins.
+// Sync installs the snapshot read from r as name and reports the
+// post-replacement state. With lo < 0 it is a whole table, swapped into
+// the catalog under its name and checkpointed when durable. Otherwise
+// it is the placement whose first absolute row is lo, replacing any
+// copy already held and any held placement of the same source it
+// overlaps. It is appended to the segment ending at lo, and the
+// segment starting where it ends is appended to it, so the cost is the
+// placement plus that following segment — never the one it joins.
 func (s *PlacementStore) Sync(name string, lo int, r io.Reader) (*SyncResponse, int, error) {
 	t, err := engine.ReadTable(r)
 	if err != nil {
@@ -163,9 +167,10 @@ func (s *PlacementStore) Sync(name string, lo int, r io.Reader) (*SyncResponse, 
 	switch {
 	case t.Name() != name:
 		return nil, http.StatusBadRequest, fmt.Errorf("cluster: sync snapshot is of table %q, not %q", t.Name(), name)
+	case lo < 0:
 	case !ok:
 		return nil, http.StatusBadRequest, fmt.Errorf("cluster: %q is not a placement name", name)
-	case lo < 0 || lo%engine.ChunkRows != 0:
+	case lo%engine.ChunkRows != 0:
 		return nil, http.StatusBadRequest, fmt.Errorf("cluster: placement %s starts at row %d, not on the %d-row grid", name, lo, engine.ChunkRows)
 	case t.NumRows() == 0:
 		return nil, http.StatusBadRequest, fmt.Errorf("cluster: placement %s is empty", name)
@@ -174,15 +179,29 @@ func (s *PlacementStore) Sync(name string, lo int, r io.Reader) (*SyncResponse, 
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dur != nil {
-		// The snapshot is written first: a crash after it leaves the new
-		// copy durable, one before it the old.
-		err = s.dur.CheckpointTable(t.Clone(durableName(name, lo)))
-	}
-	if err == nil {
-		err = s.putLocked(&placement{name: name, source: source, lo: lo, rows: t.NumRows(), hash: hash}, t)
+	if lo >= 0 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.dur != nil {
+			// The snapshot is written first: a crash after it leaves the
+			// new copy durable, one before it the old.
+			err = s.dur.CheckpointTable(t.Clone(durableName(name, lo)))
+		}
+		if err == nil {
+			err = s.putLocked(&placement{name: name, source: source, lo: lo, rows: t.NumRows(), hash: hash}, t)
+		}
+	} else {
+		// A whole table holds the lock only to read dur: the lock guards
+		// segment bindings, and the checkpoint is O(table).
+		s.mu.RLock()
+		dur := s.dur
+		s.mu.RUnlock()
+		cat := s.ex.Catalog()
+		cat.Drop(name)
+		s.stats.Invalidate(name)
+		if err = cat.Register(t); err == nil && dur != nil {
+			err = dur.CheckpointTable(t)
+		}
 	}
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
@@ -454,25 +473,10 @@ func (s *PlacementStore) unbindLocked(g *segment) {
 	delete(s.segs, g.t.Name())
 }
 
-// ExecShardRequest runs an exchange over ex's tables, each fragment
-// naming a whole table that it reads as one placement at row 0: the
-// wire and the exchange without a fleet. A name ex lacks is answered
-// 404 in Failed.
+// ExecShardRequest runs an exchange on a node that holds whole tables
+// only (see PlacementStore.Exec).
 func ExecShardRequest(ctx context.Context, ex *engine.Executor, req *ShardRequest) (*ShardResponse, int, error) {
-	s := &PlacementStore{ex: ex, byName: map[string]*placement{}}
-	for _, f := range req.Fragments {
-		t, err := ex.Catalog().Table(f.Table)
-		if err != nil {
-			continue
-		}
-		p := &placement{name: f.Table, source: f.Table, rows: t.NumRows()}
-		if p.hash, err = t.ContentHash(); err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		p.seg = &segment{t: t, ps: []*placement{p}}
-		s.byName[f.Table] = p
-	}
-	return s.Exec(ctx, req)
+	return (&PlacementStore{ex: ex}).Exec(ctx, req)
 }
 
 // scanRun is a maximal run of served fragments, frags[j:k], that are
@@ -486,8 +490,9 @@ type scanRun struct {
 }
 
 // Exec is the single worker-side implementation of an exchange. It
-// checks the fragment list's shape, verifies each placement's content
-// hash — one it does not hold (404) or holds differently (409, carrying this copy's hash) is reported in Failed
+// checks the fragment list's shape, verifies each fragment's content
+// hash — a placement or whole table it does not hold (404) or holds
+// differently (409, carrying this copy's hash) is reported in Failed
 // and costs the others nothing — decodes the query once, and runs one
 // scan per maximal run of served fragments that are row-adjacent in
 // one table, the request's parallelism spread across the runs. The
@@ -516,20 +521,29 @@ func (s *PlacementStore) Exec(ctx context.Context, req *ShardRequest) (*ShardRes
 		}
 		adjacent := lo == prevHi
 		prevHi = hi
-		p := s.byName[f.Table]
-		if p == nil {
-			resp.Failed = append(resp.Failed, ShardFragmentStatus{Fragment: i, Status: http.StatusNotFound, Error: fmt.Sprintf("cluster: no placement named %q", f.Table)})
+		var t *engine.Table
+		var off int
+		var hash string
+		if p := s.byName[f.Table]; p != nil {
+			if f.RowHi > p.rows {
+				return nil, http.StatusBadRequest, fmt.Errorf("cluster: fragment %s asks for rows [%d,%d) of a %d-row placement", f.Table, f.RowLo, f.RowHi, p.rows)
+			}
+			t, off, hash = p.seg.t, p.off(), p.hash
+		} else if whole, err := cat.Table(f.Table); err == nil {
+			if hash, err = whole.ContentHash(); err != nil {
+				return nil, http.StatusInternalServerError, err
+			}
+			t = whole
+		}
+		if t == nil {
+			resp.Failed = append(resp.Failed, ShardFragmentStatus{Fragment: i, Status: http.StatusNotFound, Error: fmt.Sprintf("cluster: no placement or table named %q", f.Table)})
 			continue
 		}
-		if f.RowHi > p.rows {
-			return nil, http.StatusBadRequest, fmt.Errorf("cluster: fragment %s asks for rows [%d,%d) of a %d-row placement", f.Table, f.RowLo, f.RowHi, p.rows)
-		}
-		if f.ContentHash != "" && p.hash != f.ContentHash {
-			mm := &FingerprintMismatchError{Shard: "local", Table: f.Table, Want: f.ContentHash, Got: p.hash}
-			resp.Failed = append(resp.Failed, ShardFragmentStatus{Fragment: i, Status: http.StatusConflict, ContentHash: p.hash, Error: mm.Error()})
+		if f.ContentHash != "" && hash != f.ContentHash {
+			mm := &FingerprintMismatchError{Shard: "local", Table: f.Table, Want: f.ContentHash, Got: hash}
+			resp.Failed = append(resp.Failed, ShardFragmentStatus{Fragment: i, Status: http.StatusConflict, ContentHash: hash, Error: mm.Error()})
 			continue
 		}
-		t, off := p.seg.t, p.off()
 		if r := len(runs) - 1; r >= 0 && adjacent && runs[r].k == i && runs[r].t == t &&
 			runs[r].hi == off+f.RowLo && runs[r].off0 == off-f.SampleBase+req.Fragments[runs[r].j].SampleBase {
 			runs[r].k, runs[r].hi = i+1, off+f.RowHi

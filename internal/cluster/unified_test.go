@@ -1,10 +1,9 @@
 package cluster_test
 
-// Tests of the one backend's shared mechanism, run at rf = every worker
-// (ShardRemote, the "replicated" cases) and at rf 2: failure
-// classification (a query fault blames nobody), the three behaviours
-// two old backends had drifted apart on, and the layout-equivalence
-// property — every rf, every worker included, ≡ solo.
+// Tests of the one backend's shared mechanism, run against both
+// layouts: failure classification (a query fault blames nobody), the
+// three behaviours the two old backends had drifted apart on, and the
+// layout-equivalence property — replicated ≡ placed at every rf ≡ solo.
 
 import (
 	"bytes"
@@ -25,9 +24,9 @@ import (
 	"seedb/internal/engine"
 )
 
-// replicateManual builds a coordinator at rf = every worker over n
-// gate-controllable members, each shipped every placement by AddWorker
-// — placeManual's counterpart through ShardRemote.
+// replicateManual builds a replicated-layout DB over n
+// gate-controllable members, each bootstrapped with full replicas by
+// AddWorker — placeManual's counterpart for the other layout.
 func replicateManual(t *testing.T, rows, n int, cfg seedb.ClusterConfig) (*seedb.DB, *seedb.ClusterBackend, []*seedb.MemberShard) {
 	t.Helper()
 	db := newDB(t, rows)
@@ -35,8 +34,8 @@ func replicateManual(t *testing.T, rows, n int, cfg seedb.ClusterConfig) (*seedb
 	return db, b, members
 }
 
-// replicateOnto makes db a coordinator at rf = every worker over n
-// in-process members.
+// replicateOnto makes db a replicated coordinator over n in-process
+// members, each shipped every table whole.
 func replicateOnto(t *testing.T, db *seedb.DB, n int, cfg seedb.ClusterConfig) (*seedb.ClusterBackend, []*seedb.MemberShard) {
 	t.Helper()
 	b := db.ShardRemote(nil, 0, cfg)
@@ -50,8 +49,7 @@ func replicateOnto(t *testing.T, db *seedb.DB, n int, cfg seedb.ClusterConfig) (
 	return b, members
 }
 
-// bothLayouts runs f over n in-process members at rf = every worker
-// ("replicated") and at rf 2 with a placement per grid cell ("placed").
+// bothLayouts runs f once per layout over n in-process members.
 func bothLayouts(t *testing.T, rows, n int, cfg seedb.ClusterConfig, f func(t *testing.T, db *seedb.DB, b *seedb.ClusterBackend, members []*seedb.MemberShard)) {
 	t.Run("replicated", func(t *testing.T) {
 		cfg := cfg
@@ -272,7 +270,7 @@ func TestIngestForwardsConcurrentlyWithFragmentIDs(t *testing.T) {
 // layoutCase is one way to stand a fleet of n members up.
 type layoutCase struct {
 	name string
-	rf   int // 0 = every worker, through ShardRemote
+	rf   int // 0 = replicated
 }
 
 // canaryTable is the row-order canary: MIN/MAX keep the FIRST of −0/+0
@@ -338,16 +336,17 @@ func renderBits(res *engine.Result) string {
 	return sb.String()
 }
 
-// TestLayoutEquivalence: for workers {1,2,4}, rf 0 (every worker,
-// through ShardRemote) ≡ rf 1 ≡ rf 2 ≡ rf N ≡ solo bytes — before and
-// after an append that straddles a placement boundary, and again with
-// one worker gated off; at rf 0 a worker that joins after the first
-// query and the removal of another leave every remaining worker
-// holding every placement. The row-order canary's MIN/MAX/SUM/AVG bits
-// ≡ solo under every assignment the router can be pushed into: random
-// workers gated, random fragments missing from random workers.
-// In-process members, then the canary alone over two HTTP workers (rf 0
-// and rf 2). Inputs are seeded; a failure prints the seed.
+// TestLayoutEquivalence: for workers {1,2,4}, replicated ≡ placed rf 1
+// ≡ placed rf 2 ≡ placed rf N ≡ solo bytes — before and after an append
+// that straddles a placement boundary, and again with one worker gated
+// off; under the replicated layout a worker that joins after the first
+// query and the removal of another leave every remaining worker holding
+// every table whole at the coordinator's hash, before and after the
+// append. The row-order canary's MIN/MAX/SUM/AVG bits ≡ solo under
+// every assignment the router can be pushed into: random workers
+// gated, random fragments missing from random workers. In-process
+// members, then the canary alone over two HTTP workers (replicated and
+// placed rf 2). Inputs are seeded; a failure prints the seed.
 func TestLayoutEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []uint64{1, 2} {
@@ -382,7 +381,7 @@ func TestLayoutEquivalence(t *testing.T) {
 		}
 
 		for _, n := range []int{1, 2, 4} {
-			for _, lc := range []layoutCase{{"rf0", 0}, {"placed-rf1", 1}, {"placed-rf2", 2}, {"placed-rfN", n}} {
+			for _, lc := range []layoutCase{{"replicated", 0}, {"placed-rf1", 1}, {"placed-rf2", 2}, {"placed-rfN", n}} {
 				name := fmt.Sprintf("seed=%d/workers=%d/%s", seed, n, lc.name)
 				var db *seedb.DB
 				var b *seedb.ClusterBackend
@@ -409,17 +408,20 @@ func TestLayoutEquivalence(t *testing.T) {
 					if _, _, err := b.AddWorker(ctx, late); err != nil {
 						t.Fatal(err)
 					}
+					members = append(members, late)
+					assertHoldEveryTable(t, name, db, members)
+					check("after a join", want[0])
 					if _, _, err := b.RemoveWorker(ctx, members[0].ID()); err != nil {
 						t.Fatal(err)
 					}
-					members = append(members[1:], late)
-					assertHoldEveryPlacement(t, name, b, members)
-					check("after a join and a leave", want[0])
+					members = members[1:]
+					assertHoldEveryTable(t, name, db, members)
+					check("after a leave", want[0])
 				}
 				appendOrders(t, db, delta)
 				check("after append", want[1])
 				if lc.rf == 0 {
-					assertHoldEveryPlacement(t, name, b, members)
+					assertHoldEveryTable(t, name, db, members)
 				}
 				if c := b.Counters(); c.Failovers != 0 || c.Mismatches != 0 || c.Retries != 0 || c.ShardCalls == 0 {
 					t.Fatalf("%s: healthy fleet degraded or idle: %+v", name, c)
@@ -486,22 +488,22 @@ func TestLayoutEquivalence(t *testing.T) {
 	}
 }
 
-// assertHoldEveryPlacement fails unless each member holds every
-// placement of b's map, at its hash.
-func assertHoldEveryPlacement(t *testing.T, name string, b *seedb.ClusterBackend, members []*seedb.MemberShard) {
+// assertHoldEveryTable fails unless each member holds exactly db's
+// tables, each whole at the coordinator's content hash.
+func assertHoldEveryTable(t *testing.T, name string, db *seedb.DB, members []*seedb.MemberShard) {
 	t.Helper()
-	want := placementHashes(t, b)
+	want := tableHashes(t, db)
 	for _, m := range members {
 		inv, err := m.Store().Inventory()
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := map[string]string{}
-		for frag, st := range inv {
-			got[frag] = st.ContentHash
+		for table, st := range inv {
+			got[table] = st.ContentHash
 		}
 		if !maps.Equal(got, want) {
-			t.Fatalf("%s: %s holds %v, want every placement %v", name, m.ID(), got, want)
+			t.Fatalf("%s: %s holds %v, want every table %v", name, m.ID(), got, want)
 		}
 	}
 }
@@ -550,20 +552,41 @@ func appendOrders(t *testing.T, db *seedb.DB, n int) {
 	}
 }
 
-// TestFullReplicationIsPlacementWithRFN pins what rf = N means: every
-// worker holds every row of every table, and ShardRemote's AddWorker
-// (rf = every worker) on an empty worker ships each placement exactly
-// once — a second AddWorker ships nothing.
+// TestFullReplicationIsPlacementWithRFN pins the property the two
+// layouts meet at: placed with rf = N leaves every worker holding every
+// row of every table, and replicated AddWorker on an empty worker ships
+// each table exactly once — a second AddWorker ships nothing.
 func TestFullReplicationIsPlacementWithRFN(t *testing.T) {
 	ctx := context.Background()
 	const rows, n = 3500, 3
 	db, _, members := placeManual(t, rows, n, seedb.ClusterConfig{Replication: n, PlacementChunks: 1})
 	for _, m := range members {
-		assertHoldsEveryRow(t, m, db, rows)
+		// Each table is one segment: the worker's catalog holds one table
+		// per source table, named after its first placement.
+		if got := m.Executor().Catalog().TableNames(); len(got) != len(db.Tables()) {
+			t.Fatalf("%s holds %v, want one segment per table %v", m.ID(), got, db.Tables())
+		}
+		held := map[string]int{}
+		for _, name := range m.Executor().Catalog().TableNames() {
+			table, _, ok := strings.Cut(name, "__p")
+			if !ok {
+				t.Fatalf("%s holds %q, which is not a fragment", m.ID(), name)
+			}
+			ft, err := m.Executor().Catalog().Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[table] += ft.NumRows()
+		}
+		for _, table := range db.Tables() {
+			if held[table] != rows {
+				t.Fatalf("%s holds %d rows of %s, want all %d", m.ID(), held[table], table, rows)
+			}
+		}
 	}
 
 	rdb := newDB(t, rows)
-	rb := rdb.ShardRemote(nil, 0, seedb.ClusterConfig{PlacementChunks: 1})
+	rb := rdb.ShardRemote(nil, 0, seedb.ClusterConfig{})
 	joiner := seedb.NewMemberShard("joiner")
 	var syncs atomic.Int32
 	joiner.SetGate(func(op string) error {
@@ -576,11 +599,18 @@ func TestFullReplicationIsPlacementWithRFN(t *testing.T) {
 	if err != nil || !added {
 		t.Fatalf("join failed: added=%v err=%v", added, err)
 	}
-	placements := rb.Counters().Placements
-	if rep.Shipped != placements || rep.PerWorker["joiner"] != placements || len(rep.Errors) != 0 {
-		t.Fatalf("an empty worker should be shipped each of %d placements exactly once: %+v", placements, rep)
+	if rep.Shipped != len(rdb.Tables()) || rep.PerWorker["joiner"] != len(rdb.Tables()) || len(rep.Errors) != 0 {
+		t.Fatalf("an empty worker should be shipped each table exactly once: %+v", rep)
 	}
-	assertHoldsEveryRow(t, joiner, rdb, rows)
+	for name, h := range tableHashes(t, rdb) {
+		wt, err := joiner.Executor().Catalog().Table(name)
+		if err != nil {
+			t.Fatalf("joiner lacks %s", name)
+		}
+		if wh, _ := wt.ContentHash(); wh != h {
+			t.Fatalf("joiner's %s differs from the coordinator's", name)
+		}
+	}
 	rep2, added, err := rb.AddWorker(ctx, joiner)
 	if err != nil || added {
 		t.Fatalf("re-announce: added=%v err=%v", added, err)
@@ -588,78 +618,7 @@ func TestFullReplicationIsPlacementWithRFN(t *testing.T) {
 	if rep2.Shipped != 0 || rep2.Dropped != 0 || len(rep2.Errors) != 0 {
 		t.Fatalf("a second AddWorker should ship nothing: %+v", rep2)
 	}
-	if got := syncs.Load(); int(got) != placements {
-		t.Fatalf("joiner received %d syncs, want %d", got, placements)
+	if got := syncs.Load(); int(got) != len(rdb.Tables()) {
+		t.Fatalf("joiner received %d syncs, want %d", got, len(rdb.Tables()))
 	}
-}
-
-// assertHoldsEveryRow fails unless m holds each of db's tables as one
-// segment — one catalog table named after its first placement — of all
-// rows rows.
-func assertHoldsEveryRow(t *testing.T, m *seedb.MemberShard, db *seedb.DB, rows int) {
-	t.Helper()
-	cat := m.Executor().Catalog()
-	if got := cat.TableNames(); len(got) != len(db.Tables()) {
-		t.Fatalf("%s holds %v, want one segment per table %v", m.ID(), got, db.Tables())
-	}
-	for _, table := range db.Tables() {
-		seg, err := cat.Table(table + "__p0")
-		if err != nil || seg.NumRows() != rows {
-			t.Fatalf("%s lacks a segment of every row of %s: %v", m.ID(), table, err)
-		}
-	}
-}
-
-// TestShardRemoteOverPreloadedWorkers is the benchmark harness's
-// cluster setup: HTTP workers that already hold every table whole,
-// under its own name. ShardRemote ships them every placement (their
-// whole tables stay theirs and serve nothing), answers with solo bytes
-// and degrades nothing; a second coordinator's PlaceRemote over the
-// same workers and data (rf 2: every worker here) then ships nothing.
-func TestShardRemoteOverPreloadedWorkers(t *testing.T) {
-	ctx := context.Background()
-	const rows = 20000
-	var urls []string
-	for range 2 {
-		w, _ := startWorker(t, rows)
-		urls = append(urls, w.URL)
-	}
-	solo, err := newDB(t, rows).RecommendSQL(ctx, testQuery, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	answer := func(name string, db *seedb.DB, b *seedb.ClusterBackend) {
-		t.Helper()
-		got, err := db.RecommendSQL(ctx, testQuery, testOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if render(got) != render(solo) {
-			t.Fatalf("%s: result differs from solo", name)
-		}
-		cleanFleet(t, name, b)
-	}
-
-	a := newDB(t, rows)
-	ab := a.ShardRemote(urls, 10*time.Second, seedb.ClusterConfig{})
-	want := placementHashes(t, ab)
-	if c := ab.Counters(); c.FragmentsShipped != int64(len(urls)*len(want)) || c.FragmentsDropped != 0 {
-		t.Fatalf("ShardRemote should ship each of %d placements to each worker: %+v", len(want), c)
-	}
-	for _, url := range urls {
-		if got := workerPlacements(t, url); !maps.Equal(got, want) {
-			t.Fatalf("%s holds %v, want every placement %v", url, got, want)
-		}
-	}
-	answer("ShardRemote", a, ab)
-
-	b := newDB(t, rows)
-	bb, err := b.PlaceRemote(ctx, urls, 10*time.Second, seedb.ClusterConfig{Replication: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := bb.Counters(); c.FragmentsShipped != 0 || c.FragmentsDropped != 0 {
-		t.Fatalf("a second coordinator over in-step workers should ship nothing: %+v", c)
-	}
-	answer("PlaceRemote", b, bb)
 }

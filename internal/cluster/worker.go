@@ -33,9 +33,9 @@ type Worker interface {
 	Health(ctx context.Context) error
 	// TableHashes is the worker's inventory: table name -> content hash.
 	TableHashes(ctx context.Context) (map[string]string, error)
-	// SyncTable replaces (or creates) a placement from a serialized
-	// snapshot and reports the post-replacement state; lo is the
-	// placement's first absolute row.
+	// SyncTable replaces (or creates) a fragment from a serialized
+	// snapshot and reports the post-replacement state: a placement
+	// whose first absolute row is lo, or, with lo < 0, a whole table.
 	SyncTable(ctx context.Context, table string, lo int, snapshot []byte) (*SyncResponse, error)
 	// Ingest appends a forwarded batch to one of the worker's tables.
 	Ingest(ctx context.Context, req *IngestRequest) (*IngestResponse, error)
@@ -258,7 +258,10 @@ func (s *RemoteShard) TableHashes(ctx context.Context) (map[string]string, error
 // the worker's copy wholesale and reports the post-replacement hash.
 func (s *RemoteShard) SyncTable(ctx context.Context, table string, lo int, snapshot []byte) (*SyncResponse, error) {
 	var resp SyncResponse
-	path := "/api/shard/sync?table=" + url.QueryEscape(table) + "&lo=" + strconv.Itoa(lo)
+	path := "/api/shard/sync?table=" + url.QueryEscape(table)
+	if lo >= 0 {
+		path += "&lo=" + strconv.Itoa(lo)
+	}
 	if status, _, err := s.call(ctx, "sync", http.MethodPost, path, "application/octet-stream", snapshot, &resp); err != nil {
 		return nil, statusError(status, err)
 	}
@@ -284,9 +287,10 @@ func (s *RemoteShard) Health(ctx context.Context) error {
 // MemberShard
 
 // MemberShard is an in-process worker with its OWN catalog, executor
-// and placement store: it holds only the placements shipped to it, so
-// single-binary tests exercise the data movement a remote fleet does,
-// including a placement that was never shipped. Each
+// and placement store: it holds only what was shipped to it —
+// placements under the placed layout, whole tables under the
+// replicated one — so single-binary tests exercise the data movement a
+// remote fleet does, including a fragment that was never shipped. Each
 // Worker method is the fault gate plus one store call, the call an
 // HTTP worker's handler makes. The root golden placement tests are
 // built on it (the HTTP frontend would be an import cycle there).
@@ -310,8 +314,9 @@ func NewMemberShard(id string) *MemberShard {
 // ID implements Worker.
 func (m *MemberShard) ID() string { return m.id }
 
-// Executor exposes the worker's executor, whose catalog (its segment
-// tables) tests assert on and whose stats count its scans.
+// Executor exposes the worker's executor, whose catalog (its whole
+// tables and segment tables) tests assert on and whose stats count its
+// scans.
 func (m *MemberShard) Executor() *engine.Executor { return m.ex }
 
 // Store exposes the worker's placement store, so tests can drop or

@@ -400,19 +400,3 @@ func TestMergePartialsMatchesChain(t *testing.T) {
 		t.Fatal("a nil partial must be an error, not a panic")
 	}
 }
-
-// ShardRanges partitions [lo,hi) of a table with rows rows into at
-// most n grid-aligned sub-ranges (hi <= 0 means the whole table): how
-// the tests cut a scan the way a cluster would.
-func ShardRanges(rows, lo, hi, n int) [][2]int {
-	if hi <= 0 || hi > rows {
-		hi = rows
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= hi {
-		return nil
-	}
-	return splitAligned(lo, hi, n)
-}

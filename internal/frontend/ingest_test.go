@@ -235,10 +235,10 @@ func (failingSink) LogAppend(*engine.Table, uint64, [][]engine.Value) error {
 }
 
 // TestIngestNotDurableIs500 pins docs/API.md's ack semantics: a batch
-// applied in memory but not made durable answers 500 — never 200,
-// never the client's 400 — on a node's own table (its log write fails)
-// and on a placement a coordinator shipped to it (its snapshot write
-// fails), on every role, while a bad batch stays 400.
+// applied in memory but not logged answers 500 — never 200, never the
+// client's 400 — on a node's own table and on a whole table a
+// coordinator shipped to it, on every role, while a bad batch stays
+// 400.
 func TestIngestNotDurableIs500(t *testing.T) {
 	for _, role := range ingestRoles(t) {
 		s := role.s
@@ -247,17 +247,14 @@ func TestIngestNotDurableIs500(t *testing.T) {
 			t.Fatal(err)
 		}
 		var snap bytes.Buffer
-		if err := engine.WriteTableSnapshot(&snap, orders.Clone("shipped__p0")); err != nil {
+		if err := engine.WriteTableSnapshot(&snap, orders.Clone("shipped")); err != nil {
 			t.Fatal(err)
 		}
-		if w := postRaw(s, "/api/shard/sync?table=shipped__p0&lo=0", "application/octet-stream", &snap); w.Code != http.StatusOK {
+		if w := postRaw(s, "/api/shard/sync?table=shipped", "application/octet-stream", &snap); w.Code != http.StatusOK {
 			t.Fatalf("%s: sync: %d: %s", role.name, w.Code, w.Body.String())
 		}
 		s.db.Engine().Executor().Catalog().SetAppendSink(failingSink{})
-		if err := s.db.Placements().SetDurable(failingDurable{}); err != nil {
-			t.Fatal(err)
-		}
-		for _, table := range []string{"orders", "shipped__p0"} {
+		for _, table := range []string{"orders", "shipped"} {
 			if w := postJSON(t, s, "/api/ingest", map[string]any{"table": table, "rows": superstoreIngestRows(2)}); w.Code != http.StatusInternalServerError {
 				t.Errorf("%s: %s: unlogged batch: status %d, want 500 (%s)", role.name, table, w.Code, w.Body.String())
 			}

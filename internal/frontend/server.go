@@ -891,10 +891,10 @@ type shardRegisterRequest struct {
 // handleShardRegister adds a worker to a coordinator's fleet after
 // probing its health, and brings it in line before it serves traffic:
 // AddWorker takes the worker's inventory and ships — from the
-// coordinator's live replica, ingest held, every hash verified — the
-// placements it now owns and lacks (every placement at replication 0,
-// its ring share otherwise). An empty or stale node can join and catch
-// up; an in-step one costs nothing.
+// coordinator's live replica, ingest held, every hash verified —
+// whatever the layout assigns it and it lacks (whole tables under the
+// replicated layout, its ring share under the placed one). An empty or
+// stale node can join and catch up; an in-step one costs nothing.
 // Registering twice is safe, so workers can re-announce on every
 // restart.
 func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
@@ -935,12 +935,12 @@ func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 
 var errNotCoordinator = errors.New("frontend: this node is not a cluster coordinator")
 
-// handleShardSync is the worker half of placement shipping: it hands a
+// handleShardSync is the worker half of fragment shipping: it hands a
 // coordinator's serialized snapshot (bounded by MaxSnapshotBytes) to
-// the placement store, which installs it as this node's copy of the
-// placement whose first absolute row is lo (required), and answers
-// with the post-replacement content hash for the coordinator's
-// handshake.
+// the placement store, which installs it as this node's copy — with lo
+// (the placement's first absolute row) a placement, without a whole
+// table — and answers with the post-replacement content hash for the
+// coordinator's handshake.
 func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -951,11 +951,13 @@ func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: sync needs a table query parameter"))
 		return
 	}
-	v := r.URL.Query().Get("lo")
-	lo, err := strconv.Atoi(v)
-	if err != nil || lo < 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: sync lo %q is not a row number", v))
-		return
+	lo := -1
+	if v := r.URL.Query().Get("lo"); v != "" {
+		var err error
+		if lo, err = strconv.Atoi(v); err != nil || lo < 0 {
+			s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: sync lo %q is not a row number", v))
+			return
+		}
 	}
 	resp, status, err := s.db.Placements().Sync(name, lo, http.MaxBytesReader(w, r.Body, cluster.MaxSnapshotBytes))
 	if err != nil {

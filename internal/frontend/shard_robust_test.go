@@ -56,23 +56,18 @@ func sets(by []string, bins map[string]float64, aggs ...cluster.ShardAgg) []clus
 // bodies are the sender's fault — every one answers 4xx with a typed
 // body, none 5xx, none panics, none scans. (A 5xx would make a
 // coordinator mark this worker unhealthy for what is a property of the
-// request.) That covers frames naming what the placement cannot
-// serve, frames broken at the envelope or at any byte, and JSON — the
-// wire before frames, answered 400 naming the format. A fragment this
-// node cannot serve is not a malformed request: it is reported inside
-// a 200 and the rest of the exchange is served. The node holds its
-// 2000 orders rows as one placement, orders__p0.
+// request.) That covers frames naming what the table cannot serve,
+// frames broken at the envelope or at any byte, and JSON — the wire
+// before frames, answered 400 naming the format. A fragment this node
+// cannot serve is not a malformed request: it is reported inside a 200
+// and the rest of the exchange is served.
 func TestShardExecMalformedPayloads(t *testing.T) {
 	s := testServer(t)
-	if w := postRaw(s, "/api/shard/sync?table=orders__p0&lo=0", "application/octet-stream",
-		bytes.NewReader(snapshotOf(t, s, "orders__p0", 0, 2000))); w.Code != http.StatusOK {
-		t.Fatalf("sync: %d: %s", w.Code, w.Body.String())
-	}
 	count := cluster.ShardRequest{}
-	orders := func(lo, hi int) cluster.ShardFragment { return shardFrag("orders__p0", lo, hi, 0, "") }
+	orders := func(lo, hi int) cluster.ShardFragment { return shardFrag("orders", lo, hi, 0, "") }
 	var tooMany []cluster.ShardFragment
 	for i := 0; i <= cluster.MaxExchangeFragments; i++ {
-		tooMany = append(tooMany, shardFrag("orders__p0", 0, 1, i, "")) // in order, disjoint: only the bound is wrong
+		tooMany = append(tooMany, shardFrag("orders", 0, 1, i, "")) // in order, disjoint: only the bound is wrong
 	}
 	valid := shardFrame(t, count, orders(0, 100))
 	withSets := func(gs []cluster.ShardGroupingSet) cluster.ShardRequest { return cluster.ShardRequest{Sets: gs} }
@@ -174,24 +169,27 @@ func TestShardExecMalformedPayloads(t *testing.T) {
 		t.Fatalf("adjacent fragments were not pre-merged into one run: %+v", resp)
 	}
 
-	inv, err := s.db.Placements().Inventory()
+	tb, err := s.db.Table("orders")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash := inv["orders__p0"].ContentHash
+	hash, err := tb.ContentHash()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
 		bad    cluster.ShardFragment
 		status int
 	}{
 		{"unknown fragment among good ones", shardFrag("nope", 0, 100, 1024, ""), http.StatusNotFound},
-		{"stale hash among good ones", shardFrag("orders__p0", 0, 100, 1024, "deadbeef"), http.StatusConflict},
+		{"stale hash among good ones", shardFrag("orders", 0, 100, 1024, "deadbeef"), http.StatusConflict},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Positions: orders__p0 rows [0,1024), the bad fragment at
-			// [1024,1124), orders__p0 rows [1124,2000) — so the good
-			// ones are NOT adjacent and stay two runs.
-			resp := exec(t, shardFrame(t, count, shardFrag("orders__p0", 0, 1024, 0, hash), tc.bad, shardFrag("orders__p0", 1124, 2000, 0, hash)))
+			// Positions: orders rows [0,1024), the bad fragment at
+			// [1024,1124), orders rows [1124,2000) — so the good ones
+			// are NOT adjacent and stay two runs.
+			resp := exec(t, shardFrame(t, count, shardFrag("orders", 0, 1024, 0, hash), tc.bad, shardFrag("orders", 1124, 2000, 0, hash)))
 			if len(resp.Failed) != 1 || resp.Failed[0].Fragment != 1 || resp.Failed[0].Status != tc.status || resp.Failed[0].Error == "" {
 				t.Fatalf("want fragment 1 reported %d: %+v", tc.status, resp.Failed)
 			}
@@ -309,9 +307,9 @@ func snapshotOf(t *testing.T, s *Server, name string, lo, hi int) []byte {
 
 // TestShardSyncStatuses: /api/shard/sync answers 400 only for what is
 // the coordinator's fault — a broken snapshot, one of another table, a
-// placement off the grid, a sync without lo (a whole table: nothing
-// ships one) — 413 for a snapshot over its bound and 500 when this
-// node cannot make a good snapshot durable.
+// placement off the grid — 413 for a snapshot over its bound and 500
+// when this node cannot make a good snapshot durable, for a whole
+// table and a placement alike.
 func TestShardSyncStatuses(t *testing.T) {
 	s := testServer(t)
 	whole, p0 := snapshotOf(t, s, "orders", 0, 0), snapshotOf(t, s, "orders__p0", 0, 1024)
@@ -323,12 +321,11 @@ func TestShardSyncStatuses(t *testing.T) {
 		body  []byte
 		want  int
 	}{
-		{"table=orders__p0&lo=0", []byte("not a snapshot"), http.StatusBadRequest},
-		{"table=sales__p0&lo=0", p0, http.StatusBadRequest},
+		{"table=orders", []byte("not a snapshot"), http.StatusBadRequest},
+		{"table=sales", whole, http.StatusBadRequest},
 		{"table=orders__p0&lo=1000", p0, http.StatusBadRequest},
 		{"table=orders&lo=0", whole, http.StatusBadRequest},
-		{"table=orders", whole, http.StatusBadRequest},
-		{"table=orders__p0", p0, http.StatusBadRequest},
+		{"table=orders", whole, http.StatusOK},
 		{"table=orders__p0&lo=0", p0, http.StatusOK},
 	} {
 		if got := sync(tc.query, tc.body); got != tc.want {
@@ -341,7 +338,7 @@ func TestShardSyncStatuses(t *testing.T) {
 	if got := cluster.BodyStatus(fmt.Errorf("reading: %w", &http.MaxBytesError{Limit: 1})); got != http.StatusRequestEntityTooLarge {
 		t.Fatalf("a wrapped MaxBytesError classifies as %d, want 413", got)
 	}
-	_, status, err := s.db.Placements().Sync("orders__p0", 0, http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(p0)), 64))
+	_, status, err := s.db.Placements().Sync("orders", -1, http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(whole)), 64))
 	if err == nil || status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("a snapshot over its bound: status %d (%v), want 413", status, err)
 	}
@@ -349,8 +346,14 @@ func TestShardSyncStatuses(t *testing.T) {
 	if err := s.db.Placements().SetDurable(failingDurable{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := sync("table=orders__p0&lo=0", p0); got != http.StatusInternalServerError {
-		t.Errorf("sync with a failing checkpoint: status %d, want 500", got)
+	for _, query := range []string{"table=orders", "table=orders__p0&lo=0"} {
+		body := whole
+		if strings.Contains(query, "lo=") {
+			body = p0
+		}
+		if got := sync(query, body); got != http.StatusInternalServerError {
+			t.Errorf("sync %s with a failing checkpoint: status %d, want 500", query, got)
+		}
 	}
 	if w := postRaw(s, "/api/shard/drop?table=orders__p0", "", nil); w.Code != http.StatusInternalServerError {
 		t.Errorf("drop with a failing snapshot removal: status %d, want 500", w.Code)

@@ -27,10 +27,8 @@ package seedb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -751,30 +749,38 @@ func (db *DB) useCluster(b *ClusterBackend) *ClusterBackend {
 	return b
 }
 
-// ShardRemote is PlaceRemote with cfg.Replication forced to 0 — every
-// worker owns every placement — and without a deadline or an error: a
-// worker it cannot bring in line is marked failed and its ranges run
-// on this node until a later rebalance or registration ships them.
+// ShardRemote switches the instance into cluster-coordinator mode with
+// the replicated layout: every view query's row window is cut into one
+// range per worker and scattered across the given worker base URLs
+// (each a seedb server holding the same tables, e.g.
+// "http://worker-1:8080"). The workers are joined as they are —
+// nothing is shipped, and a worker whose data differs is detected per
+// request, not overwritten. The local replica remains the degraded
+// path — if a worker stays unreachable past its retry, its row range
+// is executed locally, so queries keep succeeding with reduced
+// offload. Until a worker joins, queries run unscattered on this node's
+// executor. Additional workers can register later via the
+// coordinator's /api/shard/register endpoint or AddWorker on the
+// returned backend, both of which ship the joiner whatever it lacks.
 func (db *DB) ShardRemote(workers []string, timeout time.Duration, cfg ClusterConfig) *ClusterBackend {
 	cfg.Replication = 0
-	b, _ := db.PlaceRemote(context.Background(), workers, timeout, cfg)
+	b := db.useCluster(cluster.New(db.shards, cfg))
+	for _, url := range workers {
+		b.Join(cluster.NewRemoteShard(url, timeout))
+	}
 	return b
 }
 
-// PlaceRemote switches the instance into cluster-coordinator mode:
-// every table is cut into chunk-aligned placements assigned to the
-// given worker base URLs (e.g. "http://worker-1:8080") via a
-// consistent-hash ring with cfg's replication factor (0: every worker
-// owns every placement), and each scan range is routed to a live owner
-// of that range. The local replica remains authoritative (ingest entry
-// point and degraded path): a range no owner serves runs here, so
-// queries keep succeeding with reduced offload. Workers hold only
-// their owned placements, so at a replication factor below the worker
-// count the fleet can serve tables no single worker could hold whole.
-// Workers are rebalanced in as they are added — shipped what they
-// lack, every hash verified; more can register later via
-// /api/shard/register or AddWorker on the returned backend. Until a
-// worker joins, queries run unscattered on this node's executor.
+// PlaceRemote switches the instance into cluster-coordinator mode with
+// the placed layout: every table is cut into chunk-aligned placements
+// assigned to the given worker base URLs via a consistent-hash ring
+// with cfg's replication factor (default 2), and each scan range is
+// routed to a live owner of that range. The local replica remains
+// authoritative (ingest entry point and degraded path); workers hold
+// only their owned fragments, so the fleet can serve tables no single
+// worker could hold whole. Workers are rebalanced in as they are
+// added; more can register later via /api/shard/register or AddWorker
+// on the returned backend.
 func (db *DB) PlaceRemote(ctx context.Context, workers []string, timeout time.Duration, cfg PlacementConfig) (*PlacementBackend, error) {
 	ws := make([]PlacementWorker, len(workers))
 	for i, url := range workers {
@@ -796,15 +802,18 @@ func (db *DB) PlaceMembers(ctx context.Context, n int, cfg PlacementConfig) (*Pl
 	return db.place(ctx, ws, cfg)
 }
 
-// place adds the workers in one rebalance pass; the error names every
-// ship or drop that could not bring a worker in line.
 func (db *DB) place(ctx context.Context, workers []PlacementWorker, cfg PlacementConfig) (*PlacementBackend, error) {
-	b := db.useCluster(cluster.New(db.shards, cfg))
-	rep, err := b.AddWorkers(ctx, workers)
-	if err == nil && len(rep.Errors) > 0 {
-		err = errors.New("seedb: adding workers: " + strings.Join(rep.Errors, "; "))
+	if cfg.Replication <= 0 {
+		cfg.Replication = 2
 	}
-	return b, err
+	b := db.useCluster(cluster.New(db.shards, cfg))
+	var firstErr error
+	for _, w := range workers {
+		if _, _, err := b.AddWorker(ctx, w); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return b, firstErr
 }
 
 // ClusterStatus returns the cluster backend's worker health snapshot,
