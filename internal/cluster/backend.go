@@ -175,8 +175,7 @@ func New(store *PlacementStore, cfg Config) *Backend {
 	}
 	b := &Backend{ex: store.ex, store: store, cfg: cfg, layout: replicated{}, fleet: fleet{ring: newHashRing()}}
 	if cfg.Replication > 0 {
-		b.layout = &placed{rf: cfg.Replication, span: cfg.PlacementChunks * engine.ChunkRows,
-			hashes: make(map[placementID]fragHash)}
+		b.layout = &placed{rf: cfg.Replication, span: cfg.PlacementChunks * engine.ChunkRows}
 	}
 	return b
 }
@@ -702,8 +701,9 @@ type ShardIngestStatus struct {
 // reported in Shards rather than failing the append: scatters
 // re-verify hashes per request, so another owner or the coordinator
 // covers its ranges until a rebalance re-ships it. Every touched
-// fragment is re-hashed whole per batch on every owner (and the table
-// on the coordinator): batch aggressively.
+// fragment is re-hashed per batch on every owner (and the table on the
+// coordinator); the tables' digest memos make that cost the cells the
+// batch sealed plus the unsealed tail.
 func (b *Backend) Append(ctx context.Context, table string, rows [][]engine.Value) (*IngestResponse, int, error) {
 	b.ingestMu.Lock()
 	defer b.ingestMu.Unlock()

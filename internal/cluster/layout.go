@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"seedb/internal/engine"
@@ -17,9 +16,8 @@ type fragment struct {
 	name   string // table name on the worker
 	idx    int    // placement index (0 for a whole table)
 	lo, hi int    // absolute source rows [lo,hi) the fragment holds
-	// hash is the fragment's expected content hash — a function,
-	// because hashing is O(rows) and only a task that goes to a
-	// worker should pay for it.
+	// hash is the fragment's expected content hash — a function, so
+	// only a task that goes to a worker asks the table for it.
 	hash func() (string, error)
 }
 
@@ -113,24 +111,6 @@ func (replicated) signature(fl *fleet) string {
 type placed struct {
 	rf   int // owners per placement (clamped to the worker count)
 	span int // rows per placement, a multiple of engine.ChunkRows
-
-	// hashes memoizes fragment content hashes, one entry per (table,
-	// placement index), overwritten when the table instance (a
-	// replacement) or the placement's end (an append) moves; tables are
-	// append-only, so an entry that matches both can never be stale.
-	mu     sync.Mutex
-	hashes map[placementID]fragHash
-}
-
-type placementID struct {
-	table string
-	idx   int
-}
-
-type fragHash struct {
-	ident string // table instance identity (name#id)
-	hi    int
-	hash  string
 }
 
 // FragmentName is the name of table's placement idx on a worker:
@@ -162,31 +142,10 @@ func (l *placed) fragments(t *engine.Table, rows, lo, hi int) []fragment {
 	for idx := max(lo, 0) / l.span; idx*l.span < hi; idx++ {
 		f := fragment{table: t.Name(), name: FragmentName(t.Name(), idx), idx: idx,
 			lo: idx * l.span, hi: min((idx+1)*l.span, rows)}
-		f.hash = func() (string, error) { return l.fragmentHash(t, f) }
+		f.hash = func() (string, error) { return t.RangeContentHash(f.lo, f.hi) }
 		out = append(out, f)
 	}
 	return out
-}
-
-// fragmentHash is the content hash of ExtractRange(f.name, f.lo,
-// f.hi). A fragment's bytes are immutable once its row range is fixed;
-// only the last (growing) placement ever recomputes.
-func (l *placed) fragmentHash(t *engine.Table, f fragment) (string, error) {
-	key, ident := placementID{table: f.table, idx: f.idx}, t.Identity()
-	l.mu.Lock()
-	e, ok := l.hashes[key]
-	l.mu.Unlock()
-	if ok && e.ident == ident && e.hi == f.hi {
-		return e.hash, nil
-	}
-	h, err := t.RangeContentHash(f.name, f.lo, f.hi)
-	if err != nil {
-		return "", err
-	}
-	l.mu.Lock()
-	l.hashes[key] = fragHash{ident: ident, hi: f.hi, hash: h}
-	l.mu.Unlock()
-	return h, nil
 }
 
 func (l *placed) owners(f fragment, fl *fleet) []*member {

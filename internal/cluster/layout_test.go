@@ -6,20 +6,25 @@ import (
 	"seedb/internal/engine"
 )
 
-// TestPlacedHashMemoIsBounded: the coordinator's fragment-hash memo
-// keeps one entry per (table, placement index). 200 appends — each
-// growing the last placement, some creating the next — and then a
-// replacement of the table leave it no larger than the live
-// placements, and every entry still answers with the range's hash.
+// TestPlacedHashMemoIsBounded: a placement's hash is its table's range
+// hash, memoized by the table itself. 200 appends of 37 rows under a
+// one-chunk span — each growing the last placement, some creating the
+// next — leave one run chain per anchor a placement hash asked for,
+// none longer than the sealed cells from its anchor, and every
+// placement's hash equal to its extracted rows' ContentHash.
 func TestPlacedHashMemoIsBounded(t *testing.T) {
-	l := &placed{rf: 1, span: engine.ChunkRows, hashes: map[placementID]fragHash{}}
+	l := &placed{rf: 1, span: engine.ChunkRows}
 	tb := engine.MustNewTable("t", engine.Schema{{Name: "x", Type: engine.TypeInt}})
-	hashAll := func(tb *engine.Table) []fragment {
+	anchors := map[int]bool{} // cells a hash started a sealed run at
+	hashAll := func() []fragment {
 		n := tb.NumRows()
 		frags := l.fragments(tb, n, 0, n)
 		for _, f := range frags {
 			if _, err := f.hash(); err != nil {
 				t.Fatal(err)
+			}
+			if f.hi-f.lo >= engine.ChunkRows {
+				anchors[f.lo/engine.ChunkRows] = true
 			}
 		}
 		return frags
@@ -32,21 +37,26 @@ func TestPlacedHashMemoIsBounded(t *testing.T) {
 		if _, err := tb.Append(rows); err != nil {
 			t.Fatal(err)
 		}
-		hashAll(tb)
+		hashAll()
 	}
-	live := hashAll(tb)
-	if len(l.hashes) > len(live) {
-		t.Fatalf("200 appends left %d memo entries for %d live placements", len(l.hashes), len(live))
+	chains, sealed := tb.RunChains(), tb.SealedChunks()
+	if len(chains) != len(anchors) {
+		t.Fatalf("200 appends left %d run chains for %d anchors asked for", len(chains), len(anchors))
 	}
-	replaced := hashAll(tb.Clone("t"))
-	if len(l.hashes) > len(replaced) {
-		t.Fatalf("a replaced table left %d memo entries for %d live placements", len(l.hashes), len(replaced))
+	for a, n := range chains {
+		if !anchors[a] || n > min(sealed-a, l.span/engine.ChunkRows) {
+			t.Fatalf("run chain at cell %d covers %d cells (asked for: %v, %d sealed)", a, n, anchors[a], sealed)
+		}
 	}
-	for _, f := range replaced {
+	for _, f := range hashAll() {
 		got, _ := f.hash()
-		want, err := tb.RangeContentHash(f.name, f.lo, f.hi)
+		frag, err := tb.ExtractRange(f.name, f.lo, f.hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := frag.ContentHash()
 		if err != nil || got != want {
-			t.Fatalf("%s: memo answers %s, want %s (%v)", f.name, got, want, err)
+			t.Fatalf("%s: hash %s, want its rows' %s (%v)", f.name, got, want, err)
 		}
 	}
 }

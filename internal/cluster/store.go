@@ -77,7 +77,7 @@ type placement struct {
 	name     string // FragmentName(source, idx), its name on the wire
 	source   string
 	lo, rows int
-	hash     string // content hash, as ExtractRange(name, ...) would hash
+	hash     string // content hash: seg.t.RangeContentHash over its rows
 	seg      *segment
 }
 
@@ -279,7 +279,7 @@ func (s *PlacementStore) Append(name string, rows [][]engine.Value, verify bool)
 // grow is Append, also returning the whole table it grew (nil for a
 // placement). A whole table grows through Catalog.Append, so a durable
 // node has logged the batch when grow returns, outside the store's
-// lock like its O(table) verify hash. A placement must end its segment.
+// lock like its verify hash. A placement must end its segment.
 func (s *PlacementStore) grow(name string, rows [][]engine.Value, verify bool) (*IngestResponse, *engine.Table, int, error) {
 	cat := s.ex.Catalog()
 	s.mu.RLock()
@@ -326,7 +326,7 @@ func (s *PlacementStore) growPlacement(name string, rows [][]engine.Value, verif
 	}
 	p.rows += len(rows)
 	var err error
-	p.hash, err = g.t.RangeContentHash(p.name, p.off(), p.off()+p.rows)
+	p.hash, err = g.t.RangeContentHash(p.off(), p.off()+p.rows)
 	if err == nil && s.dur != nil {
 		var snap *engine.Table
 		if snap, err = g.t.ExtractRange(durableName(p.name, p.lo), p.off(), p.off()+p.rows); err == nil {

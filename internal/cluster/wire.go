@@ -170,8 +170,8 @@ func (r *ShardRequest) frame(c engine.FrameCodec) {
 // worker-side table.
 type ShardFragment struct {
 	Table string `json:"table"`
-	// ContentHash pins the data the coordinator planned against
-	// (engine.Table.ContentHash — equal data hashes equal across
+	// ContentHash pins the rows the coordinator planned against
+	// (engine.Table.RangeContentHash — equal rows hash equal across
 	// processes); a worker whose copy differs refuses the fragment
 	// (status 409 in ShardResponse.Failed).
 	ContentHash string `json:"contentHash,omitempty"`
@@ -274,10 +274,10 @@ type IngestRequest struct {
 	Table string  `json:"table"`
 	Rows  [][]any `json:"rows"`
 	// Verify asks the node to compute and return its post-append
-	// ContentHash. Hashing is O(table), so it is opt-in: coordinators
-	// always set it when forwarding (replica re-verification is the
-	// point), while a plain client streaming batches into a single
-	// node can skip it and keep ingest O(delta).
+	// ContentHash, which digests the cells the append sealed and the
+	// tail. Coordinators always set it when forwarding (replica
+	// re-verification is the point); a plain client streaming batches
+	// into a single node can skip it and pay no hash.
 	Verify bool `json:"verify,omitempty"`
 }
 
@@ -289,9 +289,9 @@ type IngestResponse struct {
 	// table's new total.
 	Appended int `json:"appended"`
 	Rows     int `json:"rows"`
-	// ContentHash digests the post-append table, so the coordinator
-	// can verify the replica still carries byte-identical data. Empty
-	// unless the request set Verify; a coordinator always sets it.
+	// ContentHash is the post-append table's (schema and rows), so the
+	// coordinator can verify the replica still carries the same rows.
+	// Empty unless the request set Verify; a coordinator always sets it.
 	ContentHash string `json:"contentHash,omitempty"`
 	// Shards is a coordinator's: one status per (owner, fragment)
 	// the batch touched.

@@ -55,7 +55,7 @@ func TestFingerprintUniqueAfterSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, tb); err != nil {
+	if err := WriteTableSnapshot(&buf, tb); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadTable(&buf)

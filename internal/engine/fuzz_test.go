@@ -26,7 +26,7 @@ func fuzzSnapshotSeed(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, t); err != nil {
+	if err := writeTableV1(&buf, t); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -52,7 +52,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 			return // malformed input must error, never panic
 		}
 		var buf bytes.Buffer
-		if err := WriteTable(&buf, tb); err != nil {
+		if err := WriteTableSnapshot(&buf, tb); err != nil {
 			t.Fatalf("accepted snapshot failed to re-serialize: %v", err)
 		}
 		back, err := ReadTable(&buf)

@@ -28,10 +28,9 @@ import (
 // Strings are uvarint length + bytes. All integers are uvarints or
 // fixed little-endian 8-byte values inside payloads.
 //
-// Two magics share the format. "SDB1" is the version-free layout; it
-// is what ContentHash digests, so table bytes with equal contents hash
-// equal regardless of how many mutations produced them. "SDB2" adds
-// the mutation version, which durable snapshots need: a restored table
+// Two magics share the format. "SDB1" is the version-free layout of
+// older snapshots, still read but no longer written. "SDB2" adds the
+// mutation version, which durable snapshots need: a restored table
 // must resume the version sequence so WAL replay (keyed by pre-append
 // version) and fingerprint continuity both work across restarts.
 // ReadTable accepts either magic.
@@ -41,14 +40,6 @@ const (
 	tableMagicV2 = "SDB2"
 )
 
-// WriteTable serializes the table to w in the version-free "SDB1"
-// layout. This is the byte-stable form ContentHash digests; durable
-// snapshots use WriteTableSnapshot, which also records the mutation
-// version.
-func WriteTable(w io.Writer, t *Table) error {
-	return writeTable(w, t, false)
-}
-
 // WriteTableSnapshot serializes the table in the "SDB2" layout, which
 // additionally persists the table's mutation version so a restore
 // resumes the version sequence instead of restarting it at zero.
@@ -56,6 +47,8 @@ func WriteTableSnapshot(w io.Writer, t *Table) error {
 	return writeTable(w, t, true)
 }
 
+// writeTable serializes the table as SDB2, or as SDB1 without the
+// version (the tests' way to write legacy snapshots).
 func writeTable(w io.Writer, t *Table, withVersion bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -99,9 +92,10 @@ func writeTable(w io.Writer, t *Table, withVersion bool) error {
 	return nil
 }
 
-// ReadTable deserializes a table written by WriteTable, verifying the
-// checksum. The whole snapshot is buffered first so the checksum can
-// be validated before any parsing work trusts the payload.
+// ReadTable deserializes a table written by WriteTableSnapshot (or an
+// older SDB1 snapshot), verifying the checksum. The whole snapshot is
+// buffered first so the checksum can be validated before any parsing
+// work trusts the payload.
 func ReadTable(r io.Reader) (*Table, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

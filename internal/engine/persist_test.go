@@ -54,7 +54,7 @@ func snapshotTable(t *testing.T) *Table {
 func TestSnapshotRoundTrip(t *testing.T) {
 	tb := snapshotTable(t)
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, tb); err != nil {
+	if err := WriteTableSnapshot(&buf, tb); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadTable(&buf)
@@ -92,7 +92,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotChecksumDetectsCorruption(t *testing.T) {
 	tb := snapshotTable(t)
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, tb); err != nil {
+	if err := WriteTableSnapshot(&buf, tb); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -119,7 +119,7 @@ func TestSnapshotChecksumDetectsCorruption(t *testing.T) {
 func TestSnapshotEmptyTable(t *testing.T) {
 	tb := MustNewTable("empty", Schema{{Name: "a", Type: TypeInt}})
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, tb); err != nil {
+	if err := WriteTableSnapshot(&buf, tb); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadTable(&buf)
@@ -147,7 +147,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := WriteTable(&buf, tb); err != nil {
+		if err := WriteTableSnapshot(&buf, tb); err != nil {
 			return false
 		}
 		got, err := ReadTable(&buf)
@@ -176,7 +176,7 @@ func TestSnapshotDictionaryPreserved(t *testing.T) {
 		_ = tb.AppendRow(String(s))
 	}
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, tb); err != nil {
+	if err := WriteTableSnapshot(&buf, tb); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadTable(&buf)
@@ -205,7 +205,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		write func(io.Writer, *Table) error
 		want  string
 	}{
-		{"SDB1", WriteTable, "d467287610cdea369d219dcbfdb9d25bbccf65fca6b811e25e8b1bc0784b5803"},
+		{"SDB1", writeTableV1, "d467287610cdea369d219dcbfdb9d25bbccf65fca6b811e25e8b1bc0784b5803"},
 		{"SDB2", WriteTableSnapshot, "62d9d26cb1bf8be3ee985e165a5ece2eed9b04ec85e04b3a93a31ea1f9a2cbf2"},
 	} {
 		var buf bytes.Buffer

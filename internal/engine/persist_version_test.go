@@ -40,8 +40,8 @@ func TestSnapshotPersistsMutationVersion(t *testing.T) {
 		t.Errorf("restored version = %d, want 3 (WAL replay keys on it)", got.Version())
 	}
 	// Version persistence must not leak into the content identity:
-	// ContentHash digests the version-free SDB1 form, so a restored
-	// table hashes identically to the live one.
+	// ContentHash digests schema and rows only, so a restored table
+	// hashes identically to the live one.
 	gh, err := got.ContentHash()
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestSnapshotPersistsMutationVersion(t *testing.T) {
 
 	// The legacy SDB1 layout stays version-free and restores at zero.
 	var v1 bytes.Buffer
-	if err := WriteTable(&v1, tb); err != nil {
+	if err := writeTableV1(&v1, tb); err != nil {
 		t.Fatal(err)
 	}
 	legacy, err := ReadTable(&v1)
@@ -106,14 +106,14 @@ func TestRestoredFingerprintNeverAliases(t *testing.T) {
 	}
 }
 
-// Regression for the write/read asymmetry: WriteTable used to happily
+// Regression for the write/read asymmetry: the SDB1 writer used to happily
 // serialize a zero-column table that ReadTable then rejected, leaving
 // an unreadable file. Both writers now refuse at write time.
 func TestWriteZeroColumnTableRejected(t *testing.T) {
 	zc := &Table{name: "zc", byName: map[string]int{}}
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, zc); err == nil || !strings.Contains(err.Error(), "zero-column") {
-		t.Errorf("WriteTable(zero columns) = %v, want zero-column rejection", err)
+	if err := writeTableV1(&buf, zc); err == nil || !strings.Contains(err.Error(), "zero-column") {
+		t.Errorf("SDB1 write of zero columns = %v, want zero-column rejection", err)
 	}
 	if buf.Len() != 0 {
 		t.Errorf("rejected write still emitted %d bytes", buf.Len())

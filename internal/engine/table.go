@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	mbits "math/bits"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -56,23 +57,20 @@ type Table struct {
 	byName map[string]int
 	rows   int
 
-	// Content-hash memo (see ContentHash).
-	hashMu      sync.Mutex
-	hash        string
-	hashVersion uint64 // version+1 at compute time; 0 = never computed
-
-	// Sealed-cell digest memos (see digestCellsLocked and
-	// runDigestLocked). Entry c of chunkHashes is computed at most once:
+	// Content-address memos (see digestCellsLocked, runDigestLocked and
+	// RangeContentHash). Entry c of chunkHashes is computed at most once:
 	// the table is append-only and the chunk grid is absolute, so once
 	// grid cell c is fully populated its contents — and therefore its
 	// digest — can never change again. runDigests holds, per anchor
 	// cell, the run digest of its first k+1 cells at [k]. chunkMu is only
 	// ever acquired while already holding mu (read or write), never the
 	// other way around, so it cannot deadlock against the table lock.
-	chunkMu     sync.Mutex
-	chunkHashes []digest
-	runDigests  map[int][]digest
-	schemaSig   digest // the schema's digest, folded into every cell digest
+	chunkMu            sync.Mutex
+	chunkHashes        []digest
+	runDigests         map[int][]digest
+	tailCell, tailRows int    // the unsealed cell prefix last digested
+	tailSum            digest // its digest
+	schemaSig          digest // the schema's digest, folded into every cell digest
 
 	// Per-column value-range memo (see int64RangeLocked). Extended
 	// incrementally — the table is append-only, so a range covering the
@@ -202,35 +200,13 @@ func (t *Table) Identity() string {
 	return fmt.Sprintf("%s#%d", t.name, t.id)
 }
 
-// ContentHash digests the table's schema and data (via the snapshot
-// serialization), memoized per mutation version. Where Fingerprint is
-// a per-instance identity — two identically-loaded tables never share
-// one — equal data yields equal content hashes across processes. The
-// cluster layer uses it to verify that a worker's replica carries the
-// same rows as the coordinator before trusting its partials.
+// ContentHash is RangeContentHash over every row. Where Fingerprint is
+// a per-instance identity, equal schemas and rows hash equal across
+// processes. The cluster layer uses it to verify that a worker's
+// replica carries the same rows as the coordinator before trusting its
+// partials.
 func (t *Table) ContentHash() (string, error) {
-	t.hashMu.Lock()
-	defer t.hashMu.Unlock()
-	for {
-		v := t.version.Load()
-		if t.hashVersion == v+1 {
-			return t.hash, nil
-		}
-		h := sha256.New()
-		if err := WriteTable(h, t); err != nil {
-			return "", fmt.Errorf("engine: hashing table %q: %w", t.name, err)
-		}
-		if t.version.Load() != v {
-			// A mutation slipped in between reading the version and
-			// WriteTable taking the table lock: the hash belongs to some
-			// newer state, so memoizing it under v would be wrong. Loop
-			// and hash the settled state instead.
-			continue
-		}
-		t.hash = hex.EncodeToString(h.Sum(nil)[:16])
-		t.hashVersion = v + 1
-		return t.hash, nil
-	}
+	return t.RangeContentHash(0, t.NumRows())
 }
 
 // NewTable creates an empty table with the given schema.
@@ -468,17 +444,7 @@ func (t *Table) digestCellsLocked(lo, hi, workers int) int {
 			todo = append(todo, c)
 		}
 	}
-	if len(todo) > 0 && t.schemaSig == (digest{}) {
-		var b []byte
-		for _, col := range t.cols {
-			b = binary.AppendUvarint(b, uint64(len(col.Name())))
-			b = append(b, col.Name()...)
-			b = append(b, byte(col.Type()))
-		}
-		sum := sha256.Sum256(b)
-		t.schemaSig = digest(sum[:16])
-	}
-	sig := t.schemaSig
+	sig := t.sigLocked()
 	t.chunkMu.Unlock()
 	if len(todo) == 0 {
 		return 0
@@ -488,7 +454,7 @@ func (t *Table) digestCellsLocked(lo, hi, workers int) int {
 	fanOut(workers, func(w int) {
 		var d cellDigester
 		for i := w * len(todo) / workers; i < (w+1)*len(todo)/workers; i++ {
-			out[i] = d.digest(t, sig, todo[i])
+			out[i] = d.digest(t, sig, todo[i], ChunkRows)
 		}
 	})
 	t.chunkMu.Lock()
@@ -526,10 +492,43 @@ func (t *Table) runDigestLocked(a, n int) digest {
 	return chain[n-1]
 }
 
-// cellDigester digests sealed grid cells one column at a time, straight
-// off the typed backing slices; its scratch is reused across the cells
-// one goroutine digests. Per column it writes the cell's 16 null-bitmap
-// words, then:
+// RunChains reports the run-digest memo (see runDigestLocked): for
+// each anchor cell a range hash or a store-backed scan started a run
+// at, how many sealed cells its chain covers.
+func (t *Table) RunChains() map[int]int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.chunkMu.Lock()
+	defer t.chunkMu.Unlock()
+	out := make(map[int]int, len(t.runDigests))
+	for a, chain := range t.runDigests {
+		out[a] = len(chain)
+	}
+	return out
+}
+
+// sigLocked returns the schema's digest — column names and types, in
+// order — computing it once. The caller must hold chunkMu.
+func (t *Table) sigLocked() digest {
+	if t.schemaSig == (digest{}) {
+		var b []byte
+		for _, col := range t.cols {
+			b = binary.AppendUvarint(b, uint64(len(col.Name())))
+			b = append(b, col.Name()...)
+			b = append(b, byte(col.Type()))
+		}
+		sum := sha256.Sum256(b)
+		t.schemaSig = digest(sum[:16])
+	}
+	return t.schemaSig
+}
+
+// cellDigester digests grid cells one column at a time, straight off
+// the typed backing slices; its scratch is reused across the cells one
+// goroutine digests. A tail — a cell's first n < ChunkRows rows — is
+// digested like a sealed cell, with its row count after the schema
+// digest. Per column it writes the cell's 16 null-bitmap words (bits
+// past n masked), then:
 //   - INT and TIME: each value as a little-endian int64;
 //   - FLOAT: each value's IEEE bits (so −0 ≠ +0);
 //   - STRING: each row's cell-local code as a uint16 — codes numbered
@@ -545,11 +544,15 @@ type cellDigester struct {
 	seen  []int32  // dictionary codes in first-seen order
 }
 
-// digest returns cell c's digest under schema signature sig.
-func (d *cellDigester) digest(t *Table, sig digest, c int) digest {
-	lo, hi := chunkStart(c), chunkStart(c+1)
+// digest returns the digest of cell c's first n rows under schema
+// signature sig.
+func (d *cellDigester) digest(t *Table, sig digest, c, n int) digest {
+	lo, hi := chunkStart(c), chunkStart(c)+n
 	h := sha256.New()
 	h.Write(sig[:])
+	if n < ChunkRows {
+		h.Write(binary.LittleEndian.AppendUint16(d.buf[:0], uint16(n)))
+	}
 	for _, col := range t.cols {
 		d.buf = d.buf[:0]
 		switch col := col.(type) {
@@ -572,24 +575,23 @@ func (d *cellDigester) digest(t *Table, sig digest, c int) digest {
 }
 
 // nulls appends the null-bitmap words of cell c (a cell is a whole
-// number of words) and returns them.
-func (d *cellDigester) nulls(nb *nullBitmap, c int) []byte {
-	const cellWords = ChunkRows / 64
+// number of words), bits past its first n rows cleared, and returns
+// them.
+func (d *cellDigester) nulls(nb *nullBitmap, c, n int) []byte {
+	var words [ChunkRows / 64]uint64
+	nb.wordsInto(chunkStart(c), n, words[:])
 	at := len(d.buf)
-	for w := c * cellWords; w < (c+1)*cellWords; w++ {
-		var word uint64
-		if w < len(nb.words) {
-			word = nb.words[w]
-		}
+	for _, word := range words {
 		d.buf = binary.LittleEndian.AppendUint64(d.buf, word)
 	}
 	return d.buf[at:]
 }
 
-// digestFixed appends a fixed-width column's cell to d.buf: null words,
-// then bits(v) per row, 0 at NULL rows.
+// digestFixed appends a fixed-width column's cell (vals, its first
+// len(vals) rows) to d.buf: null words, then bits(v) per row, 0 at NULL
+// rows.
 func digestFixed[T int64 | float64](d *cellDigester, vals []T, nb *nullBitmap, c int, bits func(T) uint64) {
-	nulls := d.nulls(nb, c)
+	nulls := d.nulls(nb, c, len(vals))
 	at := len(d.buf)
 	d.buf = slices.Grow(d.buf, 8*len(vals))[:at+8*len(vals)]
 	out := d.buf[at:]
@@ -608,7 +610,7 @@ func digestFixed[T int64 | float64](d *cellDigester, vals []T, nb *nullBitmap, c
 // cell-local code as a uint16, then the number of distinct strings and
 // each of them, length-prefixed, in code order.
 func (d *cellDigester) stringCell(col *StringColumn, lo, hi, c int) {
-	d.nulls(&col.nulls, c)
+	d.nulls(&col.nulls, c, hi-lo)
 	if len(d.local) < len(col.dict) {
 		d.local = make([]uint16, len(col.dict))
 	}
@@ -746,15 +748,45 @@ func (t *Table) ExtractRange(name string, lo, hi int) (*Table, error) {
 	return t.Gather(name, sel), nil
 }
 
-// RangeContentHash digests rows [lo, hi) as if they were a standalone
-// table named name — i.e. exactly what ExtractRange(name, lo, hi) would
-// hash via ContentHash. The placement layer compares it against a
-// worker's fragment hash to verify a rebalance shipped the right bytes
-// without keeping the extracted copy around.
-func (t *Table) RangeContentHash(name string, lo, hi int) (string, error) {
-	frag, err := t.ExtractRange(name, lo, hi)
-	if err != nil {
-		return "", err
+// RangeContentHash is the content address of rows [lo, hi), lo on the
+// ChunkRows grid: SHA-256 of the schema digest, the run digest of the
+// sealed cells in [lo, ⌊hi/ChunkRows⌋·ChunkRows) and the digest of the
+// tail rows up to hi, truncated to 16 bytes. It covers schema and rows,
+// not the table's name, version or dictionary codes, so it equals
+// ExtractRange(name, lo, hi).ContentHash(). Cold cells are digested on
+// GOMAXPROCS goroutines, as a store-backed scan does. The table is
+// append-only (a failed append rolls back under the write lock), so
+// (cell, rows) names the same tail forever and the last one digested
+// is memoized: a repeat hash is memo lookups, one after an append
+// digests the cells it sealed and the tail.
+func (t *Table) RangeContentHash(lo, hi int) (string, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if lo < 0 || hi < lo || hi > t.rows {
+		return "", fmt.Errorf("engine: table %q: hash range [%d,%d) out of bounds (rows=%d)", t.name, lo, hi, t.rows)
 	}
-	return frag.ContentHash()
+	if lo%ChunkRows != 0 {
+		return "", fmt.Errorf("engine: table %q: hash range starts at row %d, off the %d-row grid", t.name, lo, ChunkRows)
+	}
+	a, c, n := lo/ChunkRows, hi/ChunkRows, hi%ChunkRows
+	var run, tail digest
+	if c > a {
+		t.digestCellsLocked(a, c, runtime.GOMAXPROCS(0))
+		run = t.runDigestLocked(a, c-a)
+	}
+	t.chunkMu.Lock()
+	sig := t.sigLocked()
+	if t.tailCell == c && t.tailRows == n {
+		tail = t.tailSum
+	}
+	t.chunkMu.Unlock()
+	if n > 0 && tail == (digest{}) {
+		var d cellDigester
+		tail = d.digest(t, sig, c, n)
+		t.chunkMu.Lock()
+		t.tailCell, t.tailRows, t.tailSum = c, n, tail
+		t.chunkMu.Unlock()
+	}
+	sum := sha256.Sum256(slices.Concat(sig[:], run[:], tail[:]))
+	return hex.EncodeToString(sum[:16]), nil
 }

@@ -219,11 +219,11 @@ type codeIndex struct {
 	shift uint // 64 - log2(len(table))
 }
 
-// hashMul is the odd multiplier of the index's multiplicative hash,
+// slotMul is the odd multiplier of the index's multiplicative hash,
 // drawn per process so that no input can be built to collide.
-var hashMul = rand.Uint64() | 1
+var slotMul = rand.Uint64() | 1
 
-func (x *codeIndex) slot(key uint64) int { return int(key * hashMul >> x.shift) }
+func (x *codeIndex) slot(key uint64) int { return int(key * slotMul >> x.shift) }
 
 // reserve makes room for n more keys.
 func (x *codeIndex) reserve(n int) {
