@@ -342,13 +342,25 @@ func (c *StringColumn) appendColumn(src Column) {
 
 func (c *StringColumn) gather(name string, sel []int32) Column {
 	out := NewStringColumn(name)
+	out.codes = make([]int32, 0, len(sel))
+	// remap[code]-1 is a source code's code in out, interned the first
+	// time a row carries it: the dictionary is built in first-appearance
+	// order, as appending each row's string would, at one map lookup per
+	// distinct value instead of per row.
+	remap := make([]int32, len(c.dict))
 	hasNulls := c.nulls.anySet()
 	for _, i := range sel {
 		if hasNulls && c.nulls.get(int(i)) {
 			out.AppendNull()
 			continue
 		}
-		out.AppendString(c.dict[c.codes[i]])
+		code := c.codes[i]
+		if remap[code] == 0 {
+			out.AppendString(c.dict[code])
+			remap[code] = out.codes[len(out.codes)-1] + 1
+			continue
+		}
+		out.codes = append(out.codes, remap[code]-1)
 	}
 	return out
 }
