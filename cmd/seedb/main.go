@@ -12,9 +12,8 @@
 //
 //	seedb -data-dir /var/lib/seedb [-wal-sync-every 1] [-snapshot-every 256]
 //
-// Cluster mode — every worker owns every placement of every table; a
-// worker that loads the same data (same flags) serves them from its own
-// tables, and is shipped only what it lacks:
+// Cluster mode — every node loads the same data (same flags); work is
+// partitioned per query by row range:
 //
 //	seedb -addr :8080 -workers http://w1:8081,http://w2:8082   # coordinator
 //	seedb -addr :8081 -coordinator http://coord:8080 \
@@ -164,9 +163,11 @@ func main() {
 			urls[i] = strings.TrimSpace(urls[i])
 		}
 		b := db.ShardRemote(urls, 0, seedb.ClusterConfig{})
-		for _, st := range b.Status() {
-			log.Printf("seedb: worker %s healthy=%v, %d placements", st.ID, st.Healthy, st.Fragments)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		for _, st := range b.HealthCheck(ctx) {
+			log.Printf("seedb: worker %s healthy=%v", st.ID, st.Healthy)
 		}
+		cancel()
 		log.Printf("seedb: coordinating %d workers (%s); unhealthy shards fail over to local execution", b.NumWorkers(), b.Signature())
 	}
 

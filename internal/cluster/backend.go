@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,13 +20,14 @@ import (
 
 // Config tunes a Backend.
 type Config struct {
-	// Replication is how many distinct workers own each placement,
-	// clamped to the worker count; 0 means every worker, so a worker
-	// that joins later is given every placement.
+	// Replication selects the layout: 0 is replicated (every worker
+	// holds every table whole; each query's window is cut into one
+	// range per worker), >= 1 is placed (each placement lives on that
+	// many distinct workers, clamped to the worker count).
 	Replication int
 	// PlacementChunks is the number of 1024-row grid cells per
-	// placement (default 4). Boundaries are absolute, so appends never
-	// move existing ones.
+	// placement (default 4; placed layout only). Boundaries are
+	// absolute, so appends never move existing ones.
 	PlacementChunks int
 	// Cooldown is how long a failed worker is skipped before the next
 	// query half-opens it again (default 15s).
@@ -54,18 +54,12 @@ type member struct {
 	lastFailure time.Time
 	execs       int64
 	execNanos   int64
-	// holds maps placement name -> content hash last verified on this
+	// holds maps fragment name -> content hash last verified on this
 	// worker: advisory for routing (skip workers known not to hold a
-	// placement) and the diff basis for rebalancing — the per-request
-	// hash handshake remains the correctness check.
+	// fragment) and the diff basis for rebalancing — the per-request
+	// hash handshake remains the correctness check. nil = inventory
+	// never taken (Join): every fragment is presumed held.
 	holds map[string]string
-	// wholes maps the worker's own whole tables, the sources it may cut
-	// placements from (PlacementStore.Cut), to their content hashes.
-	wholes map[string]string
-	// placed names the placements this backend put on the worker by
-	// shipping, cutting or growing them: the only ones its rebalance
-	// drops, so coordinators sharing a worker leave each other's alone.
-	placed map[string]bool
 }
 
 func (m *member) markFailure() {
@@ -90,39 +84,27 @@ func (m *member) usable(cooldown time.Duration) bool {
 	return m.healthy || time.Since(m.lastFailure) >= cooldown
 }
 
-// hold returns the hash last verified for frag, "" when not held.
-func (m *member) hold(frag string) string {
+// hold returns the hash last verified for frag; held is also true,
+// with an empty hash, when the inventory is unknown.
+func (m *member) hold(frag string) (hash string, held bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.holds[frag]
+	hash, held = m.holds[frag]
+	return hash, held || m.holds == nil
 }
 
 // setHold records a verified (hash != "") or lost (hash == "")
-// placement.
+// fragment. An unknown inventory stays unknown.
 func (m *member) setHold(frag, hash string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if hash == "" {
+	switch {
+	case m.holds == nil:
+	case hash == "":
 		delete(m.holds, frag)
-	} else {
+	default:
 		m.holds[frag] = hash
 	}
-}
-
-// place records frag at hash as put there by this backend.
-func (m *member) place(frag, hash string) {
-	m.setHold(frag, hash)
-	m.mu.Lock()
-	m.placed[frag] = true
-	m.mu.Unlock()
-}
-
-// whole returns the hash of the worker's own whole table, "" when it
-// holds none.
-func (m *member) whole(table string) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.wholes[table]
 }
 
 func (m *member) status() ShardStatus {
@@ -140,22 +122,20 @@ func (m *member) status() ShardStatus {
 // row window into tasks, sends each worker its tasks in one exchange
 // (what no worker served runs on the coordinator's own replica), and
 // merges the partials in row order — byte-identical to a single-node
-// scan for every replication factor and topology, because tasks are
-// cut on the engine's deterministic chunk grid and all float state
-// merges exactly.
+// scan for every layout and topology, because tasks are cut on the
+// engine's deterministic chunk grid and all float state merges exactly.
 //
 // Failure semantics: an exchange that fails whole gets one retry, then
 // its worker is marked unhealthy — skipped until Cooldown passes, then
-// half-opened — and its tasks move to their next owners. A placement
-// the worker lacks (404) is a lost hold, not a fault: it moves alone to
-// its next owner and the worker keeps its health. One the worker holds
-// diverged (409) moves alone too, unretried, and strikes the worker
-// (permanent until re-shipped). What no owner served runs on the
-// coordinator's replica, so queries degrade rather than fail.
+// half-opened — and its tasks move to their next owners; a fragment the
+// worker lacks or holds diverged moves alone, unretried (permanent
+// until re-shipped). What no owner served runs on the coordinator's
+// replica, so queries degrade rather than fail.
 type Backend struct {
-	ex    *engine.Executor
-	store *PlacementStore // the node's own, which every append goes through
-	cfg   Config
+	ex     *engine.Executor
+	store  *PlacementStore // the node's own, which every append goes through
+	cfg    Config
+	layout layout
 
 	// mu guards membership.
 	mu sync.RWMutex
@@ -185,7 +165,7 @@ type Backend struct {
 
 // New builds a coordinator backend over the node's placement store —
 // the authoritative replica: ingest entry point and degraded path.
-// Workers join via AddWorker or the frontend's /api/shard/register.
+// Workers join via AddWorker, Join, or the frontend's /api/shard/register.
 func New(store *PlacementStore, cfg Config) *Backend {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 15 * time.Second
@@ -193,8 +173,11 @@ func New(store *PlacementStore, cfg Config) *Backend {
 	if cfg.PlacementChunks <= 0 {
 		cfg.PlacementChunks = 4
 	}
-	cfg.Replication = max(cfg.Replication, 0)
-	return &Backend{ex: store.ex, store: store, cfg: cfg, fleet: fleet{ring: newHashRing()}}
+	b := &Backend{ex: store.ex, store: store, cfg: cfg, layout: replicated{}, fleet: fleet{ring: newHashRing()}}
+	if cfg.Replication > 0 {
+		b.layout = &placed{rf: cfg.Replication, span: cfg.PlacementChunks * engine.ChunkRows}
+	}
+	return b
 }
 
 // EnableMetrics registers the backend's counters with the metrics
@@ -248,47 +231,70 @@ func (b *Backend) members() []*member {
 // NumWorkers returns the registered worker count.
 func (b *Backend) NumWorkers() int { return len(b.members()) }
 
-func (b *Backend) join(w Worker) (*member, bool) {
+// Signature implements core.Backend: the layout plus its topology.
+// Results are byte-identical across topologies by construction, but an
+// exec-cache entry computed under a vanished membership must not
+// masquerade as evidence about the current one.
+func (b *Backend) Signature() string {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.layout.signature(&b.fleet)
+}
+
+// Join registers a worker without taking its inventory or shipping it
+// anything: it is presumed to hold whatever it is asked for and the
+// per-request hash handshake decides, so a pre-loaded worker costs
+// nothing to admit and a diverged one is detected (409, range served
+// locally), not overwritten. False when the ID is already registered.
+func (b *Backend) Join(w Worker) bool {
+	_, added := b.join(w, nil)
+	return added
+}
+
+func (b *Backend) join(w Worker, holds map[string]string) (*member, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if m := b.find(w.ID()); m != nil {
 		return m, false
 	}
-	m := &member{w: w, healthy: true, placed: map[string]bool{}}
+	m := &member{w: w, healthy: true, holds: holds}
 	b.order = append(b.order, m)
 	b.ring.Add(w.ID())
 	b.epoch.Add(1)
 	return m, true
 }
 
-// AddWorker registers a worker, takes its inventory — the placements it
-// holds and the whole tables it can cut placements from — and
-// rebalances so it holds the placements it now owns. added is false
-// when the ID was already registered (inventory and rebalance still
-// run, so re-announcing after a restart re-cuts or re-ships what was
-// lost). Ingest is held throughout.
+// inventory is the worker's own report of what it holds. An
+// unreachable worker is assumed to hold nothing, so the ships that
+// follow are attempted (and reported) rather than skipped.
+func inventory(ctx context.Context, w Worker) map[string]string {
+	if theirs, err := w.TableHashes(ctx); err == nil && theirs != nil {
+		return theirs
+	}
+	return map[string]string{}
+}
+
+// AddWorker registers a worker, takes its inventory, and rebalances so
+// it holds exactly what the layout now assigns it — replica bootstrap
+// under the replicated layout, its ring share under the placed one. A
+// durable worker that recovered its fragments from disk is not
+// re-shipped bytes it already holds. added is false when the ID was
+// already registered (inventory and rebalance still run: re-announcing
+// after a restart re-ships anything lost). Ingest is held throughout.
 func (b *Backend) AddWorker(ctx context.Context, w Worker) (rep *RebalanceReport, added bool, err error) {
 	b.ingestMu.Lock()
 	defer b.ingestMu.Unlock()
-	theirs, _ := w.TableHashes(ctx) // unreachable: holds nothing
-	holds, wholes := map[string]string{}, map[string]string{}
-	for name, h := range theirs {
-		if _, ok := fragmentSource(name); ok {
-			holds[name] = h
-		} else {
-			wholes[name] = h
-		}
-	}
-	m, added := b.join(w)
+	holds := inventory(ctx, w)
+	m, added := b.join(w, holds)
 	m.mu.Lock()
-	m.holds, m.wholes = holds, wholes
+	m.holds = holds
 	m.mu.Unlock()
 	rep, err = b.rebalanceLocked(ctx)
 	return rep, added, err
 }
 
 // RemoveWorker deregisters a worker and rebalances what it owned onto
-// the remaining members; the backend forgets what it placed there.
+// the remaining members (shipped from the coordinator's replica).
 // removed is false when the ID was not registered.
 func (b *Backend) RemoveWorker(ctx context.Context, id string) (rep *RebalanceReport, removed bool, err error) {
 	b.ingestMu.Lock()
@@ -338,7 +344,7 @@ func (b *Backend) RunSharedScan(ctx context.Context, q *engine.Query, gsets []en
 	return b.scatter(ctx, q, gsets)
 }
 
-// scatter cuts the query's row window into one task per placement, routes
+// scatter cuts the query's row window into the layout's tasks, routes
 // them — one exchange per worker, the coordinator's replica for what no
 // worker served — and folds the resulting runs in ascending row order.
 // The merge is exact and associative and every fold (a worker's run,
@@ -353,12 +359,9 @@ func (b *Backend) scatter(ctx context.Context, q *engine.Query, gsets []engine.G
 	if q.RowHi > 0 {
 		lo, hi = q.RowLo, min(q.RowHi, rows)
 	}
-	var tasks []task
-	if b.NumWorkers() > 0 {
-		for _, f := range b.fragments(t, rows, lo, hi) {
-			tasks = append(tasks, task{frag: f, lo: max(f.lo, lo), hi: min(f.hi, hi), owners: b.owners(f)})
-		}
-	}
+	b.mu.RLock()
+	tasks := b.layout.cut(t, rows, lo, hi, &b.fleet)
+	b.mu.RUnlock()
 	if len(tasks) == 0 {
 		// Nothing to scatter (no workers, or an empty window): run
 		// whole-range locally, preserving exact semantics.
@@ -511,7 +514,7 @@ func (b *Backend) assign(tasks []*task) (plan []exchangePlan, idle []*task) {
 				tk.err = fmt.Errorf("cluster: worker %s is cooling down after failure", m.w.ID())
 				continue
 			}
-			if m.hold(tk.frag.name) == "" {
+			if _, held := m.hold(tk.frag.name); !held {
 				tk.err = fmt.Errorf("cluster: worker %s does not hold fragment %s", m.w.ID(), tk.frag.name)
 				continue
 			}
@@ -562,9 +565,8 @@ type exchangeOut struct {
 // rebased to each fragment (whose row 0 is absolute row frag.lo) and
 // SampleBase is advanced by the same offset, so the worker's scan is
 // positionally indistinguishable from the same rows of a whole-table
-// scan. A failed task with fault set blames nobody, nor does a
-// placement the worker lacks; any other failure has been charged to
-// m's health.
+// scan. A failed task with fault set blames nobody; any other failure
+// has been charged to m's health.
 func (b *Backend) exchange(ctx context.Context, m *member, t *engine.Table, q *engine.Query, req ShardRequest, tasks []*task, want int) (out exchangeOut) {
 	span := obs.TraceFrom(ctx).StartSpan("shard-exec").SetAttr("shard", m.w.ID()).
 		SetAttr("fragments", strconv.Itoa(len(tasks))).
@@ -645,19 +647,17 @@ func (b *Backend) exchange(ctx context.Context, m *member, t *engine.Table, q *e
 			// own hash moved it is version skew from a racing append —
 			// re-plan locally, blame nobody.
 			tk.err = &FingerprintMismatchError{Shard: m.w.ID(), Table: tk.frag.name, Want: tk.hash, Got: st.ContentHash}
-			if cur := b.fragments(t, t.NumRows(), tk.frag.lo, tk.frag.lo+1); len(cur) == 1 {
+			if cur := b.layout.fragments(t, t.NumRows(), tk.frag.lo, tk.frag.lo+1); len(cur) == 1 {
 				if now, herr := cur[0].hash(); herr == nil && now != tk.hash {
 					tk.err, tk.fault = fmt.Errorf("cluster: table %q mutated mid-scatter: %w", q.Table, tk.err), true
 					continue
 				}
 			}
 			b.mismatches.Add(1)
-			blame = true
 		}
-		// Lost or diverged: gone from this owner until re-cut or
-		// re-shipped. Only a divergence is the worker's fault: a lost
-		// placement may have been dropped by another coordinator.
+		// Lost or diverged: permanent for this owner until re-shipped.
 		m.setHold(tk.frag.name, "")
+		blame = true
 	}
 	if blame {
 		m.markFailure()
@@ -692,8 +692,7 @@ type ShardIngestStatus struct {
 // fragment the delta touches and per owner of it, forwards exactly the
 // delta rows that fall inside, rendered by engine.FormatRowsWire (or
 // ships the fragment whole when this append gave birth to it or the
-// owner missed it) and verifies the post-append content hash. A worker
-// serving the placement from its own table grows a copy of it. One
+// owner missed it) and verifies the post-append content hash. One
 // batch is in flight fleet-wide at a time (ingestMu), so owners apply
 // identical deltas in identical order; the owners of one fragment are
 // independent and are forwarded to concurrently.
@@ -720,8 +719,10 @@ func (b *Backend) Append(ctx context.Context, table string, rows [][]engine.Valu
 	}
 	oldRows := resp.Rows - resp.Appended
 	var wire [][]any
-	for _, f := range b.fragments(t, resp.Rows, oldRows, resp.Rows) {
-		owners := b.owners(f)
+	for _, f := range b.layout.fragments(t, resp.Rows, oldRows, resp.Rows) {
+		b.mu.RLock()
+		owners := b.layout.owners(f, &b.fleet)
+		b.mu.RUnlock()
 		if len(owners) == 0 {
 			continue
 		}
@@ -753,13 +754,8 @@ func (b *Backend) Append(ctx context.Context, table string, rows [][]engine.Valu
 // the whole fragment otherwise.
 func (b *Backend) forward(ctx context.Context, m *member, t *engine.Table, f fragment, expected string, delta [][]any, existed bool) ShardIngestStatus {
 	st := ShardIngestStatus{ID: m.w.ID() + "/" + f.name}
-	if !existed || m.hold(f.name) == "" {
-		run := []fragment{f}
-		snap, err := snapshot(t, run)
-		if err == nil {
-			err = b.ship(ctx, m, t, run, []string{expected}, snap)
-		}
-		if err != nil {
+	if _, held := m.hold(f.name); !existed || !held {
+		if _, err := b.shipFragment(ctx, m, t, f, expected); err != nil {
 			st.Error = err.Error()
 			m.markFailure()
 			return st
@@ -777,7 +773,7 @@ func (b *Backend) forward(ctx context.Context, m *member, t *engine.Table, f fra
 		b.mismatches.Add(1)
 	default:
 		st.OK, st.Rows, st.ContentHash = true, resp.Rows, resp.ContentHash
-		m.place(f.name, expected)
+		m.setHold(f.name, expected)
 		return st
 	}
 	m.markFailure()
@@ -802,14 +798,11 @@ type RebalanceReport struct {
 	Errors []string `json:"errors,omitempty"`
 }
 
-// Rebalance diffs every worker's inventory against the ring's current
-// assignment and reconciles: an owner that lacks a placement (or holds
-// it diverged) cuts it from its own whole table when it holds one and
-// the rows hash equal, and is shipped it from the coordinator's replica
-// otherwise; a placement this backend put on a worker that no longer
-// owns it (or of a dropped table) is dropped. Ingest is held for the
-// duration, so the shipped bytes are a consistent cut. A worker whose
-// cut or ship failed is skipped for the rest of the pass.
+// Rebalance diffs every worker's inventory against the layout's
+// current assignment and reconciles: ship owned-but-missing (or
+// diverged) fragments from the coordinator's replica, drop
+// no-longer-owned ones (and placements of dropped tables). Ingest is
+// held for the duration, so the shipped bytes are a consistent cut.
 func (b *Backend) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 	b.ingestMu.Lock()
 	defer b.ingestMu.Unlock()
@@ -820,106 +813,69 @@ func (b *Backend) rebalanceLocked(ctx context.Context) (*RebalanceReport, error)
 	b.rebalances.Add(1)
 	members := b.members()
 	rep := &RebalanceReport{Epoch: b.epoch.Load(), PerWorker: map[string]int{}}
-	failed := map[*member]bool{}
-	fail := func(m *member, what string, err error) {
-		rep.Errors = append(rep.Errors, fmt.Sprintf("%s %s: %v", m.w.ID(), what, err))
-		m.markFailure()
-		failed[m] = true
+
+	for _, m := range members {
+		m.mu.Lock()
+		unknown := m.holds == nil
+		m.mu.Unlock()
+		if unknown { // joined without an inventory: take it now
+			holds := inventory(ctx, m.w)
+			m.mu.Lock()
+			m.holds = holds
+			m.mu.Unlock()
+		}
 	}
 
 	owned := map[[2]string]bool{} // {worker, fragment}
-	// A run is adjacent placements of one table that the same owners
-	// lack: serialized once, as one table, and shipped to each of them.
-	var run []fragment
-	var hashes []string
-	var lack []*member
-	flush := func(t *engine.Table) error {
-		if len(run) == 0 {
-			return nil
-		}
-		snap, err := snapshot(t, run)
-		if err != nil {
-			return err
-		}
-		for _, m := range lack {
-			if failed[m] {
-				continue
-			}
-			if err := b.ship(ctx, m, t, run, hashes, snap); err != nil {
-				fail(m, run[0].name, err)
-				continue
-			}
-			rep.Shipped += len(run)
-			rep.BytesMoved += int64(len(snap))
-		}
-		run, hashes, lack = nil, nil, nil
-		return nil
-	}
 	for _, table := range b.ex.Catalog().TableNames() {
 		t, err := b.ex.Catalog().Table(table)
 		if err != nil {
 			continue // dropped between listing and lookup
 		}
 		rows := t.NumRows()
-		if err := b.cutWhole(ctx, t, members, failed, fail); err != nil {
-			return nil, err
-		}
-		for _, f := range b.fragments(t, rows, 0, rows) {
+		for _, f := range b.layout.fragments(t, rows, 0, rows) {
+			b.mu.RLock()
+			owners := b.layout.owners(f, &b.fleet)
+			b.mu.RUnlock()
 			expected := ""
-			var need []*member
-			for _, m := range b.owners(f) {
+			for _, m := range owners {
 				owned[[2]string{m.w.ID(), f.name}] = true
-				if failed[m] {
-					continue
-				}
 				if expected == "" {
 					if expected, err = f.hash(); err != nil {
 						return nil, err
 					}
 				}
-				if m.hold(f.name) == expected {
+				if has, held := m.hold(f.name); held && has == expected {
 					continue
 				}
-				if m.whole(f.table) != "" {
-					if err := b.cut(ctx, m, t, []fragment{f}, []string{expected}); err == nil {
-						continue
-					} else if !refused(err) {
-						fail(m, "cut "+f.name, err)
-						continue
-					}
+				nbytes, err := b.shipFragment(ctx, m, t, f, expected)
+				if err != nil {
+					rep.Errors = append(rep.Errors, fmt.Sprintf("%s %s: %v", m.w.ID(), f.name, err))
+					m.markFailure()
+					continue
 				}
-				need = append(need, m)
+				rep.Shipped++
+				rep.BytesMoved += int64(nbytes)
 			}
-			slices.SortFunc(need, func(x, y *member) int { return strings.Compare(x.w.ID(), y.w.ID()) })
-			if !slices.Equal(need, lack) {
-				if err := flush(t); err != nil {
-					return nil, err
-				}
-			}
-			if len(need) > 0 {
-				run, hashes, lack = append(run, f), append(hashes, expected), need
-			}
-		}
-		if err := flush(t); err != nil {
-			return nil, err
 		}
 	}
+	// Under the placed layout a worker drops every placement it no
+	// longer owns, a dropped table's included. Whole tables never go:
+	// a worker's may serve another coordinator.
 	for _, m := range members {
 		m.mu.Lock()
-		placed := slices.Sorted(maps.Keys(m.placed))
+		held := slices.Sorted(maps.Keys(m.holds))
 		m.mu.Unlock()
-		for _, name := range placed {
-			if owned[[2]string{m.w.ID(), name}] {
+		for _, name := range held {
+			if _, ok := fragmentSource(name); !ok || b.cfg.Replication == 0 || owned[[2]string{m.w.ID(), name}] {
 				continue
 			}
 			if err := m.w.DropTable(ctx, name); err != nil {
-				fail(m, "drop "+name, err)
+				rep.Errors = append(rep.Errors, fmt.Sprintf("%s drop %s: %v", m.w.ID(), name, err))
+				m.markFailure()
 				continue
 			}
 			m.setHold(name, "")
-			m.mu.Lock()
-			delete(m.placed, name)
-			m.mu.Unlock()
 			b.fragDropped.Add(1)
 			rep.Dropped++
 		}
@@ -930,98 +886,33 @@ func (b *Backend) rebalanceLocked(ctx context.Context) (*RebalanceReport, error)
 	return rep, nil
 }
 
-// snapshot serializes the adjacent placements run as one worker-side
-// table, named after the first.
-func snapshot(t *engine.Table, run []fragment) ([]byte, error) {
-	frag, err := t.ExtractRange(run[0].name, run[0].lo, run[len(run)-1].hi)
+// shipFragment serializes f as the worker-side table, pushes the
+// snapshot, and verifies the ContentHash handshake — replica bootstrap
+// when f is a whole table. Returns the snapshot's size in bytes.
+func (b *Backend) shipFragment(ctx context.Context, m *member, t *engine.Table, f fragment, expected string) (int, error) {
+	frag, err := f.extract(t)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	var buf bytes.Buffer
-	err = engine.WriteTableSnapshot(&buf, frag)
-	return buf.Bytes(), err
-}
-
-// ship pushes snap, the placements run of t, to m and verifies the
-// ContentHash handshake over all of them; m then holds each at its
-// hash.
-func (b *Backend) ship(ctx context.Context, m *member, t *engine.Table, run []fragment, hashes []string, snap []byte) error {
-	lo, hi := run[0].lo, run[len(run)-1].hi
-	want, err := t.RangeContentHash(lo, hi)
+	if err := engine.WriteTableSnapshot(&buf, frag); err != nil {
+		return 0, err
+	}
+	lo := -1 // a whole table
+	if f.name != f.table {
+		lo = f.lo
+	}
+	resp, err := m.w.SyncTable(ctx, f.name, lo, buf.Bytes())
 	if err != nil {
-		return err
+		return 0, err
 	}
-	resp, err := m.w.SyncTable(ctx, run[0].name, lo, b.span(), snap)
-	if err != nil {
-		return err
+	if resp.ContentHash != expected {
+		return 0, &FingerprintMismatchError{Shard: m.w.ID(), Table: f.name, Want: expected, Got: resp.ContentHash}
 	}
-	if resp.ContentHash != want {
-		return &FingerprintMismatchError{Shard: m.w.ID(), Table: run[0].name, Want: want, Got: resp.ContentHash}
-	}
-	for i, f := range run {
-		m.place(f.name, hashes[i])
-	}
-	b.fragShipped.Add(int64(len(run)))
-	b.moveBytes.Add(int64(len(snap)))
-	return nil
-}
-
-// cutWhole asks each worker that holds t whole at the coordinator's
-// hash to cut the placements it owns and lacks, one request per run of
-// adjacent ones: their rows are the coordinator's by construction, so
-// a worker that loaded the same table costs a request per table, not
-// one per placement. What it refuses is left to the per-placement pass.
-func (b *Backend) cutWhole(ctx context.Context, t *engine.Table, members []*member, failed map[*member]bool, fail func(*member, string, error)) error {
-	hash, err := t.ContentHash()
-	if err != nil {
-		return err
-	}
-	frags := b.fragments(t, t.NumRows(), 0, t.NumRows())
-	hashes := make([]string, len(frags))
-	for i, f := range frags {
-		if hashes[i], err = f.hash(); err != nil {
-			return err
-		}
-	}
-	for _, m := range members {
-		if failed[m] || m.whole(t.Name()) != hash {
-			continue
-		}
-		for i := 0; i < len(frags); {
-			j := i
-			for j < len(frags) && m.hold(frags[j].name) != hashes[j] && slices.Contains(b.owners(frags[j]), m) {
-				j++
-			}
-			if j == i {
-				i++
-				continue
-			}
-			if err := b.cut(ctx, m, t, frags[i:j], hashes[i:j]); err != nil && !refused(err) {
-				fail(m, "cut "+frags[i].name, err)
-				break
-			}
-			i = j
-		}
-	}
-	return nil
-}
-
-// cut asks m to serve the adjacent placements run of t from its own
-// whole table, which it does only when those rows hash as they do
-// here; m then holds each at its hash. Nothing is shipped or counted.
-func (b *Backend) cut(ctx context.Context, m *member, t *engine.Table, run []fragment, hashes []string) error {
-	lo, hi := run[0].lo, run[len(run)-1].hi
-	want, err := t.RangeContentHash(lo, hi)
-	if err == nil {
-		_, err = m.w.CutTable(ctx, run[0].name, lo, hi, b.span(), want)
-	}
-	if err != nil {
-		return err
-	}
-	for i, f := range run {
-		m.place(f.name, hashes[i])
-	}
-	return nil
+	m.setHold(f.name, expected)
+	b.fragShipped.Add(1)
+	b.moveBytes.Add(int64(buf.Len()))
+	return buf.Len(), nil
 }
 
 // ---------------------------------------------------------------------
@@ -1030,7 +921,7 @@ func (b *Backend) cut(ctx context.Context, m *member, t *engine.Table, run []fra
 // ShardStatus is one worker's health and accounting snapshot. Execs
 // and AvgMillis count every exchange attempted with the worker (what
 // seedb_shard_rpc_seconds observes); Fragments is its verified
-// inventory of placements.
+// inventory (0 while never taken).
 type ShardStatus struct {
 	ID          string    `json:"id"`
 	Healthy     bool      `json:"healthy"`
@@ -1122,7 +1013,7 @@ func (b *Backend) Counters() Stats {
 	}
 	for _, name := range b.ex.Catalog().TableNames() {
 		if t, err := b.ex.Catalog().Table(name); err == nil {
-			st.Placements += len(b.fragments(t, t.NumRows(), 0, t.NumRows()))
+			st.Placements += len(b.layout.fragments(t, t.NumRows(), 0, t.NumRows()))
 		}
 	}
 	total := 0
@@ -1185,14 +1076,18 @@ func (b *Backend) Dump() (*PlacementDump, error) {
 		}
 		rows := t.NumRows()
 		tp := TablePlacements{Table: name, Rows: rows}
-		for _, f := range b.fragments(t, rows, 0, rows) {
+		for _, f := range b.layout.fragments(t, rows, 0, rows) {
 			hash, err := f.hash()
 			if err != nil {
 				return nil, err
 			}
 			pi := PlacementInfo{Index: f.idx, RowLo: f.lo, RowHi: f.hi, Fragment: f.name, ContentHash: hash}
-			for _, m := range b.owners(f) {
-				pi.Owners = append(pi.Owners, PlacementOwner{Worker: m.w.ID(), Held: m.hold(f.name) == hash})
+			b.mu.RLock()
+			owners := b.layout.owners(f, &b.fleet)
+			b.mu.RUnlock()
+			for _, m := range owners {
+				held, _ := m.hold(f.name)
+				pi.Owners = append(pi.Owners, PlacementOwner{Worker: m.w.ID(), Held: held == hash})
 			}
 			tp.Placements = append(tp.Placements, pi)
 		}

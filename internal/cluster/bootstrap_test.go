@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"maps"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -16,9 +15,8 @@ import (
 	"seedb/internal/frontend"
 )
 
-// Bootstrap tests: a joining worker that is empty or diverged is
-// shipped the placements it owns (every placement at rf = every
-// worker) from the coordinator's live replica before admission
+// Replica-rebuild tests: a joining worker that is empty or diverged is
+// brought in line from the coordinator's live replica before admission
 // (snapshot push + ContentHash handshake), so a fresh node can join a
 // cluster without pre-provisioned data and a stale one cannot poison
 // scatter-gather with mismatched rows.
@@ -41,40 +39,6 @@ func tableHashes(t *testing.T, db *seedb.DB) map[string]string {
 	return out
 }
 
-// placementHashes is the coordinator's placement map: placement name
-// -> expected content hash.
-func placementHashes(t *testing.T, b *seedb.ClusterBackend) map[string]string {
-	t.Helper()
-	d, err := b.Dump()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]string{}
-	for _, tp := range d.Tables {
-		for _, p := range tp.Placements {
-			out[p.Fragment] = p.ContentHash
-		}
-	}
-	return out
-}
-
-// workerPlacements is the worker's own report of the placements it
-// holds: placement name -> content hash.
-func workerPlacements(t *testing.T, url string) map[string]string {
-	t.Helper()
-	inv, err := cluster.NewRemoteShard(url, 5*time.Second).TableHashes(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]string{}
-	for name, h := range inv {
-		if strings.Contains(name, "__p") {
-			out[name] = h
-		}
-	}
-	return out
-}
-
 func startCoordinator(t *testing.T, rows int) (*httptest.Server, *seedb.DB, *seedb.ClusterBackend) {
 	t.Helper()
 	db := newDB(t, rows)
@@ -85,19 +49,17 @@ func startCoordinator(t *testing.T, rows int) (*httptest.Server, *seedb.DB, *see
 }
 
 // TestRegisterBootstrapsDivergedWorker: a worker holding different data
-// (its own smaller tables, and a placement whose rows differ from the
-// coordinator's) registers; the coordinator pushes every placement,
-// verifies the handshake, and only then admits the shard.
+// (fewer rows, different hashes) registers; the coordinator pushes its
+// own replicas, verifies the handshake, and only then admits the shard.
 // Scatter-gather afterwards produces single-node bytes with zero
 // fingerprint mismatches.
 func TestRegisterBootstrapsDivergedWorker(t *testing.T) {
 	ctx := context.Background()
 	coordSrv, coordDB, b := startCoordinator(t, 3000)
-	worker, _ := startWorker(t, 1000)
-	divergePlacement(t, worker.URL, "orders", 0, 4096, 3000)
+	worker, workerDB := startWorker(t, 1000) // diverged replica
 
-	want := placementHashes(t, b)
-	if got := workerPlacements(t, worker.URL); got["orders__p0"] == "" || got["orders__p0"] == want["orders__p0"] {
+	want := tableHashes(t, coordDB)
+	if got := tableHashes(t, workerDB); got["orders"] == want["orders"] {
 		t.Fatal("test premise broken: worker should start diverged")
 	}
 
@@ -112,10 +74,10 @@ func TestRegisterBootstrapsDivergedWorker(t *testing.T) {
 	if err := json.Unmarshal([]byte(resp), &reg); err != nil {
 		t.Fatalf("registration response %q: %v", resp, err)
 	}
-	if !reg.Added || reg.Rebalance == nil || reg.Rebalance.Shipped != len(want) {
-		t.Fatalf("registration should add the worker and report every placement shipped: %s", resp)
+	if !reg.Added || reg.Rebalance == nil || reg.Rebalance.Shipped != len(coordDB.Tables()) {
+		t.Fatalf("registration should add the worker and report every table shipped: %s", resp)
 	}
-	if got := workerPlacements(t, worker.URL); !maps.Equal(got, want) {
+	if got := tableHashes(t, workerDB); got["orders"] != want["orders"] || got["synthetic"] != want["synthetic"] {
 		t.Fatalf("worker not rebuilt to coordinator state:\ngot  %v\nwant %v", got, want)
 	}
 
@@ -146,7 +108,10 @@ func TestRegisterBootstrapsEmptyWorker(t *testing.T) {
 	ctx := context.Background()
 	coordSrv, coordDB, b := startCoordinator(t, 2000)
 
-	worker, _ := startEmptyWorker(t)
+	workerDB := seedb.Open() // nothing registered
+	worker := httptest.NewServer(frontend.New(workerDB, nil, log.New(testWriter{t}, "worker: ", 0)))
+	t.Cleanup(worker.Close)
+
 	resp, err := httpPostJSON(coordSrv.URL+"/api/shard/register", fmt.Sprintf(`{"url":%q}`, worker.URL))
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +119,12 @@ func TestRegisterBootstrapsEmptyWorker(t *testing.T) {
 	if !strings.Contains(resp, `"added":true`) {
 		t.Fatalf("registration response: %s", resp)
 	}
-	want, got := placementHashes(t, b), workerPlacements(t, worker.URL)
-	if len(want) != len(coordDB.Tables()) || !maps.Equal(got, want) {
-		t.Fatalf("placements not provisioned:\ngot  %v\nwant %v", got, want)
+	want := tableHashes(t, coordDB)
+	got := tableHashes(t, workerDB)
+	for name, h := range want {
+		if got[name] != h {
+			t.Fatalf("table %q not provisioned: got %q want %q", name, got[name], h)
+		}
 	}
 
 	res, err := coordDB.RecommendSQL(ctx, testQuery, testOptions())
@@ -212,11 +180,11 @@ func TestAddWorkerShipsOnlyWhatDiverged(t *testing.T) {
 	}
 }
 
-// TestBootstrapSyncSurvivesWorkerRestart: with durability on, a shipped
-// placement is checkpointed immediately and so is a placement a
-// forwarded batch grows, so the worker comes back from its own crash
-// already in step — the rebuilt and grown state is durable, not just
-// resident.
+// TestBootstrapSyncSurvivesWorkerRestart: with durability on, a synced
+// replica is checkpointed immediately and a batch forwarded to it is
+// write-ahead-logged (a whole table grows through Catalog.Append), so
+// the worker comes back from its own crash already in step — the
+// rebuilt and grown state is durable, not just resident.
 func TestBootstrapSyncSurvivesWorkerRestart(t *testing.T) {
 	ctx := context.Background()
 	coordDB := newDB(t, 1500)
@@ -235,16 +203,16 @@ func TestBootstrapSyncSurvivesWorkerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Shipped != len(coordDB.Tables()) {
-		t.Fatalf("empty durable worker should be shipped every placement, got %+v", rep)
+		t.Fatalf("empty durable worker should be shipped everything, got %+v", rep)
 	}
 	sum, err := b.Ingest(ctx, "orders", ingestRows(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sum.Shards) != 1 || !sum.Shards[0].OK {
-		t.Fatalf("forward to the durable placement: %+v", sum.Shards)
+		t.Fatalf("forward to the durable replica: %+v", sum.Shards)
 	}
-	want := placementHashes(t, b)
+	want := tableHashes(t, coordDB)
 	// Crash the worker (abandon, no CloseDurability) and reboot an
 	// empty process over the same data dir.
 	worker.Close()
@@ -253,20 +221,20 @@ func TestBootstrapSyncSurvivesWorkerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.SnapshotsLoaded != len(want) {
-		t.Fatalf("reboot should restore %d shipped placements, got %+v", len(want), info)
+	if info.SnapshotsLoaded != len(want) || info.ReplayedBatches != 1 || info.ReplayedRows != 7 {
+		t.Fatalf("reboot should restore %d synced snapshots and replay the forwarded batch, got %+v", len(want), info)
 	}
-	rebootedSrv := httptest.NewServer(frontend.New(rebooted, nil, log.New(testWriter{t}, "worker2: ", 0)))
-	t.Cleanup(rebootedSrv.Close)
-	if got := workerPlacements(t, rebootedSrv.URL); !maps.Equal(got, want) {
-		t.Fatalf("rebooted worker lost shipped placements:\ngot  %v\nwant %v", got, want)
+	if got := tableHashes(t, rebooted); got["orders"] != want["orders"] || got["synthetic"] != want["synthetic"] {
+		t.Fatalf("rebooted worker lost synced replicas:\ngot  %v\nwant %v", got, want)
 	}
 	// And it passes a fresh handshake with zero pushes.
+	rebootedSrv := httptest.NewServer(frontend.New(rebooted, nil, log.New(testWriter{t}, "worker2: ", 0)))
+	t.Cleanup(rebootedSrv.Close)
 	rep2, _, err := b.AddWorker(ctx, cluster.NewRemoteShard(rebootedSrv.URL, 5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep2.Shipped != 0 || len(rep2.Errors) != 0 {
-		t.Fatalf("recovered placements should already match, got %+v", rep2)
+		t.Fatalf("recovered replicas should already match, got %+v", rep2)
 	}
 }

@@ -122,18 +122,15 @@ func TestRemoteClusterMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// TestWorkerFailover: every worker owns every placement, so a dead
-// worker's tasks are retried once and then served by the live one —
-// same bytes, one unhealthy shard, nothing left for the coordinator.
+// TestWorkerFailover: a dead worker degrades to coordinator-local
+// execution — same bytes, unhealthy shard, failovers counted.
 func TestWorkerFailover(t *testing.T) {
 	ctx := context.Background()
 	w1, _ := startWorker(t, 3000)
 	w2, _ := startWorker(t, 3000)
 
 	coord := newDB(t, 3000)
-	// One grid cell per placement: three placements per table, so both
-	// workers are given tasks.
-	b := coord.ShardRemote([]string{w1.URL, w2.URL}, 5*time.Second, seedb.ClusterConfig{PlacementChunks: 1, Cooldown: time.Hour})
+	b := coord.ShardRemote([]string{w1.URL, w2.URL}, 5*time.Second, seedb.ClusterConfig{Cooldown: time.Hour})
 
 	w2.Close() // worker dies before the first request
 
@@ -150,8 +147,8 @@ func TestWorkerFailover(t *testing.T) {
 		t.Fatal("degraded execution changed result bytes")
 	}
 	c := b.Counters()
-	if c.Retries == 0 || c.Failovers != 0 {
-		t.Fatalf("expected a retry, then the live owner: %+v", c)
+	if c.Failovers == 0 || c.Retries == 0 {
+		t.Fatalf("expected retries then failover, got %+v", c)
 	}
 	unhealthy := 0
 	for _, st := range b.Status() {
@@ -164,8 +161,8 @@ func TestWorkerFailover(t *testing.T) {
 	}
 
 	// Second query: the dead shard is cooling down (Cooldown: 1h), so
-	// its ranges go straight to the live owner without re-dialing the
-	// corpse — its failure count must not move.
+	// its ranges go straight to the degraded path without re-dialing
+	// the corpse — its failure count must not move.
 	failuresBefore := deadShardFailures(b)
 	if _, err := coord.RecommendSQL(ctx, testQuery, testOptions()); err != nil {
 		t.Fatal(err)
@@ -173,8 +170,8 @@ func TestWorkerFailover(t *testing.T) {
 	if after := deadShardFailures(b); after != failuresBefore {
 		t.Fatalf("cooling-down shard was re-dialed: failures %d -> %d", failuresBefore, after)
 	}
-	if c2 := b.Counters(); c2.ShardCalls <= c.ShardCalls || c2.Retries != c.Retries || c2.Failovers != 0 {
-		t.Fatalf("second query should have gone to the live owner alone: %+v -> %+v", c, c2)
+	if b.Counters().Failovers <= c.Failovers {
+		t.Fatal("second query should have used the degraded path")
 	}
 }
 
@@ -187,20 +184,16 @@ func deadShardFailures(b *seedb.ClusterBackend) int64 {
 	return -1
 }
 
-// TestFingerprintMismatchDegrades: a worker whose placements diverged
-// after they were shipped is refused per request (HTTP 409), not
-// retried, and its ranges run on the other owner — results stay
-// correct.
+// TestFingerprintMismatchDegrades: a worker loaded with different data
+// is refused per-request (HTTP 409), not retried, and its ranges run
+// locally — results stay correct.
 func TestFingerprintMismatchDegrades(t *testing.T) {
 	ctx := context.Background()
 	w1, _ := startWorker(t, 3000)
-	wBad, _ := startWorker(t, 3000)
+	wBad, _ := startWorker(t, 2999) // one row off: different fingerprint
 
 	coord := newDB(t, 3000)
-	b := coord.ShardRemote([]string{w1.URL, wBad.URL}, 5*time.Second, seedb.ClusterConfig{PlacementChunks: 1})
-	for idx := range 3 {
-		divergePlacement(t, wBad.URL, "synthetic", idx, 1024, 3000)
-	}
+	b := coord.ShardRemote([]string{w1.URL, wBad.URL}, 5*time.Second, seedb.ClusterConfig{})
 	got, err := coord.RecommendSQL(ctx, testQuery, testOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -214,34 +207,8 @@ func TestFingerprintMismatchDegrades(t *testing.T) {
 		t.Fatal("mismatch degradation changed result bytes")
 	}
 	c := b.Counters()
-	if c.Mismatches == 0 || c.Retries != 0 || c.Failovers != 0 {
-		t.Fatalf("expected an unretried mismatch served by the other owner, got %+v", c)
-	}
-}
-
-// divergePlacement replaces placement idx of table on the worker at
-// url — placements of span rows, rows rows in all — with a shipped
-// copy of rows of the same schema and other content, behind the
-// coordinator's back: the worker no longer holds the placement at the
-// coordinator's hash, cut or shipped.
-func divergePlacement(t *testing.T, url, table string, idx, span, rows int) {
-	t.Helper()
-	other := seedb.SuperstoreTable(table, rows, 7)
-	if table == "synthetic" {
-		var err error
-		if other, _, err = seedb.SyntheticTable(seedb.DefaultSyntheticConfig(table, rows, 7)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lo := idx * span
-	name := cluster.FragmentName(table, idx)
-	w := cluster.NewRemoteShard(url, 5*time.Second)
-	if err := w.DropTable(context.Background(), name); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.SyncTable(context.Background(), name, lo, 0,
-		snapshotBytes(t, other, name, lo, min(lo+span, rows))); err != nil {
-		t.Fatal(err)
+	if c.Mismatches == 0 || c.Failovers == 0 {
+		t.Fatalf("expected mismatch + failover, got %+v", c)
 	}
 }
 

@@ -21,41 +21,28 @@ import (
 
 // TestWorkerConformance runs one lifecycle script against both worker
 // hosts — an in-process MemberShard and a seedb HTTP server reached
-// through RemoteShard, each with orders registered as its own whole
-// table — and holds them to the same answer at every step: cut
-// placements from that table (a match, a repeat, a run of two, a
-// flipped row, too few rows, a coordinator with fewer rows, no
-// source), ship two
-// adjacent placements, ingest into each kind (a malformed row, a
-// placement that cannot grow and an unknown name included), run an
-// exchange over each kind, drop everything. Every step must give the
-// same responses (rows, hashes, the frame bytes of an exchange's
-// partials) or the same error class, and the same inventory after it.
+// through RemoteShard — and holds them to the same answer at every
+// step: sync a whole table and two adjacent placements, ingest into
+// each (a malformed row, a placement that cannot grow and an unknown
+// name included), run an exchange over each kind, drop everything.
+// Every step must give the same responses (rows, hashes, the frame
+// bytes of an exchange's partials) or the same error class, and the
+// same inventory after it.
 func TestWorkerConformance(t *testing.T) {
 	ctx := context.Background()
 	src := seedb.SuperstoreTable("orders", 3000, 1)
-	member := cluster.NewMemberShard("member")
-	if err := member.Executor().Catalog().Register(src.Clone("orders")); err != nil {
-		t.Fatal(err)
-	}
-	hdb := seedb.Open()
-	if err := hdb.RegisterTable(src.Clone("orders")); err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(frontend.New(hdb, nil, log.New(io.Discard, "", 0)))
+	hs := httptest.NewServer(frontend.New(seedb.Open(), nil, log.New(io.Discard, "", 0)))
 	t.Cleanup(hs.Close)
-	hosts := []cluster.Worker{member, cluster.NewRemoteShard(hs.URL, 5*time.Second)}
+	hosts := []cluster.Worker{cluster.NewMemberShard("member"), cluster.NewRemoteShard(hs.URL, 5*time.Second)}
 
-	// outcome classes a call's result as "ok", "query fault", "refused"
-	// or "worker fault", rendering a response.
+	// outcome classes a call's result as "ok", "query fault" or
+	// "worker fault", rendering a response.
 	outcome := func(resp any, err error) (class, got string) {
 		switch {
 		case err == nil:
 			return "ok", fmt.Sprintf("%+v", resp)
 		case cluster.IsQueryFault(err):
 			return "query fault", ""
-		case cluster.IsRefusal(err):
-			return "refused", ""
 		default:
 			return "worker fault", ""
 		}
@@ -89,21 +76,8 @@ func TestWorkerConformance(t *testing.T) {
 		}
 	}
 	ship := func(name string, lo, hi int) func(w cluster.Worker) (any, error) {
-		snap := snapshotBytes(t, src, name, lo, hi)
-		return func(w cluster.Worker) (any, error) { return w.SyncTable(ctx, name, lo, 0, snap) }
-	}
-	// cutSpan asks for rows [lo,hi) of the coordinator's table from,
-	// as placements of span rows (0: one) from name on, at from's hash
-	// of them.
-	cutSpan := func(from *engine.Table, name string, lo, hi, span int) func(w cluster.Worker) (any, error) {
-		hash, err := from.RangeContentHash(lo, min(hi, from.NumRows()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return func(w cluster.Worker) (any, error) { return w.CutTable(ctx, name, lo, hi, span, hash) }
-	}
-	cut := func(from *engine.Table, name string, lo, hi int) func(w cluster.Worker) (any, error) {
-		return cutSpan(from, name, lo, hi, 0)
+		snap := snapshotBytes(t, src, name, max(lo, 0), hi)
+		return func(w cluster.Worker) (any, error) { return w.SyncTable(ctx, name, lo, snap) }
 	}
 	ingest := func(name string, rows [][]any) func(w cluster.Worker) (any, error) {
 		return func(w cluster.Worker) (any, error) {
@@ -132,32 +106,20 @@ func TestWorkerConformance(t *testing.T) {
 		return func(w cluster.Worker) (any, error) { return nil, w.DropTable(ctx, name) }
 	}
 	malformed := [][]any{{"East", "not enough columns"}}
-	flipped := flipRow(t, src, 1500)
-	shorter, err := src.ExtractRange("orders", 0, 2500)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	step("cut p0", "ok", cut(src, "orders__p0", 0, 1024))
-	step("cut p0 again", "ok", cut(src, "orders__p0", 0, 1024))
-	step("cut p0 and p1 as one run", "ok", cutSpan(src, "orders__p0", 0, 2048, 1024))
-	step("cut p1, a row flipped", "refused", cut(flipped, "orders__p1", 1024, 2048))
-	step("cut p2, too few rows", "refused", cut(src, "orders__p2", 2048, 4096))
-	step("cut p2 of a shorter table", "ok", cut(shorter, "orders__p2", 2048, 2500))
-	step("cut without a source", "refused", cut(src, "nope__p0", 0, 1024))
-	step("sync without lo", "query fault", ship("orders__p1", -1, 1024))
+	step("sync whole", "ok", ship("orders", -1, 3000))
+	step("sync p0", "ok", ship("orders__p0", 0, 1024))
 	step("sync p1", "ok", ship("orders__p1", 1024, 2048))
 	step("ingest whole", "ok", ingest("orders", ingestRows(2)))
 	step("ingest p1", "ok", ingest("orders__p1", ingestRows(2)))
 	step("ingest whole malformed", "query fault", ingest("orders", malformed))
 	step("ingest p1 malformed", "query fault", ingest("orders__p1", malformed))
-	step("ingest p0, followed by p1", "refused", ingest("orders__p0", ingestRows(1)))
-	step("ingest unknown", "refused", ingest("nope", ingestRows(1)))
+	step("ingest p0, followed by p1", "worker fault", ingest("orders__p0", ingestRows(1)))
+	step("ingest unknown", "worker fault", ingest("nope", ingestRows(1)))
 	step("exchange whole", "ok", exchange(cluster.ShardFragment{Table: "orders", RowLo: 0, RowHi: 3002}))
 	step("exchange placements", "ok", exchange(
 		cluster.ShardFragment{Table: "orders__p0", RowLo: 0, RowHi: 1024},
 		cluster.ShardFragment{Table: "orders__p1", SampleBase: 1024, RowLo: 0, RowHi: 1026}))
-	step("exchange a cut placement", "ok", exchange(cluster.ShardFragment{Table: "orders__p2", SampleBase: 2048, RowLo: 0, RowHi: 452}))
 	step("drop whole", "ok", drop("orders"))
 	step("drop p0", "ok", drop("orders__p0"))
 	step("drop p1", "ok", drop("orders__p1"))
@@ -169,37 +131,16 @@ func TestWorkerConformance(t *testing.T) {
 	}
 }
 
-// flipRow is a copy of src with row i replaced by another row.
-func flipRow(t *testing.T, src *engine.Table, i int) *engine.Table {
-	t.Helper()
-	out, err := src.ExtractRange(src.Name(), 0, i)
-	if err != nil {
-		t.Fatal(err)
-	}
-	typed, err := out.ParseRows(ingestRows(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rest, err := src.ExtractRange(src.Name(), i+1, src.NumRows())
-	if err == nil {
-		_, err = out.Append(typed)
-	}
-	if err == nil {
-		_, err = out.AppendTable(rest)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// snapshotBytes serializes rows [lo,hi) of src as the placement name,
-// as a coordinator ships them.
+// snapshotBytes serializes src (when name is its own) or its rows
+// [lo,hi) as the placement name, as a coordinator ships them.
 func snapshotBytes(t *testing.T, src *engine.Table, name string, lo, hi int) []byte {
 	t.Helper()
-	frag, err := src.ExtractRange(name, max(lo, 0), hi)
-	if err != nil {
-		t.Fatal(err)
+	frag := src
+	if name != src.Name() {
+		var err error
+		if frag, err = src.ExtractRange(name, lo, hi); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
 	if err := engine.WriteTableSnapshot(&buf, frag); err != nil {
@@ -210,18 +151,13 @@ func snapshotBytes(t *testing.T, src *engine.Table, name string, lo, hi int) []b
 
 // TestStoreMixedConcurrency: on one worker, a whole table's ingest and
 // verify hash (outside the store's lock) run beside exchanges over it,
-// cuts from it and drops, placement ships and drops, and inventories
-// (run with -race).
+// placement ships and drops, and inventories (run with -race).
 func TestStoreMixedConcurrency(t *testing.T) {
 	ctx := context.Background()
 	src := seedb.SuperstoreTable("orders", 2048, 1)
 	m := cluster.NewMemberShard("m")
-	p0 := snapshotBytes(t, src, "orders__p0", 0, 1024)
-	if err := m.Executor().Catalog().Register(src.Clone("orders")); err != nil {
-		t.Fatal(err)
-	}
-	p1, err := src.RangeContentHash(1024, 2048)
-	if err != nil {
+	whole, p0 := snapshotBytes(t, src, "orders", 0, 0), snapshotBytes(t, src, "orders__p0", 0, 1024)
+	if _, err := m.SyncTable(ctx, "orders", -1, whole); err != nil {
 		t.Fatal(err)
 	}
 	req, err := cluster.EncodeShardRequest(exchangeQuery(), exchangeSets, "", 0, 1024, 1)
@@ -243,16 +179,10 @@ func TestStoreMixedConcurrency(t *testing.T) {
 			return err
 		},
 		func() error {
-			if _, err := m.SyncTable(ctx, "orders__p0", 0, 0, p0); err != nil {
+			if _, err := m.SyncTable(ctx, "orders__p0", 0, p0); err != nil {
 				return err
 			}
 			return m.DropTable(ctx, "orders__p0")
-		},
-		func() error {
-			if _, err := m.CutTable(ctx, "orders__p1", 1024, 2048, 0, p1); err != nil {
-				return err
-			}
-			return m.DropTable(ctx, "orders__p1")
 		},
 		func() error { _, err := m.TableHashes(ctx); return err },
 	} {

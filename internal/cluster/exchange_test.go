@@ -204,8 +204,7 @@ func TestOneExchangePerWorkerPerScan(t *testing.T) {
 // TestOneExchangePerWorkerPerRecommend: a default-options
 // recommendation is one backend call — the target count rides the
 // plan's shared scan — so over two HTTP workers it costs exactly two
-// exchanges, at rf = every worker (ShardRemote) or placed rf=2, with
-// the single-node bytes.
+// exchanges, replicated or placed rf=2, with the single-node bytes.
 func TestOneExchangePerWorkerPerRecommend(t *testing.T) {
 	ctx := context.Background()
 	const rows = 3000
@@ -234,7 +233,7 @@ func TestOneExchangePerWorkerPerRecommend(t *testing.T) {
 		w1, _ := startWorker(t, rows)
 		w2, _ := startWorker(t, rows)
 		db := newDB(t, rows)
-		check(t, db, db.ShardRemote([]string{w1.URL, w2.URL}, 10*time.Second, placementConfig(0)))
+		check(t, db, db.ShardRemote([]string{w1.URL, w2.URL}, 10*time.Second, seedb.ClusterConfig{}))
 	})
 	t.Run("placed-http", func(t *testing.T) {
 		w1, _ := startEmptyWorker(t)

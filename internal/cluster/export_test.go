@@ -12,13 +12,6 @@ func IsQueryFault(err error) bool {
 	return errors.As(err, &qf)
 }
 
-// IsRefusal reports whether a worker call's error is the worker's
-// refusal (404, 409) rather than a failure to answer.
-func IsRefusal(err error) bool {
-	var re *refusalError
-	return errors.As(err, &re)
-}
-
 // Ingest is /api/ingest's coordinator path without HTTP: rows parsed
 // against the coordinator's table, then Append.
 func (b *Backend) Ingest(ctx context.Context, table string, rows [][]any) (*IngestResponse, error) {

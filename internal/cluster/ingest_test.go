@@ -6,7 +6,6 @@ import (
 	"log"
 	"math"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -29,11 +28,9 @@ func ingestRows(n int) [][]any {
 }
 
 // TestClusterIngestReplicates: an append through the coordinator
-// reaches every owner of every placement it touches — at rf = every
-// worker, both workers for the grown placement and the one it gives
-// birth to — all post-append content hashes agree with the
-// coordinator's, and subsequent distributed queries are byte-identical
-// to a single-node scan of the grown table.
+// reaches every worker replica, all post-append content hashes agree,
+// and subsequent distributed queries are byte-identical to a
+// single-node scan of the grown table.
 func TestClusterIngestReplicates(t *testing.T) {
 	ctx := context.Background()
 	w1, w1db := startWorker(t, 3000)
@@ -50,26 +47,21 @@ func TestClusterIngestReplicates(t *testing.T) {
 	if sum.Appended != delta || sum.Rows != 3000+delta {
 		t.Fatalf("ingest summary %+v", sum)
 	}
-	// 3000+1200 rows: placement 0 grows to 4096 rows, placement 1 is
-	// born with 104; two owners each.
-	if len(sum.Shards) != 4 {
-		t.Fatalf("expected 4 forwarded placement copies, got %+v", sum.Shards)
+	if len(sum.Shards) != 2 {
+		t.Fatalf("expected 2 forwarded shards, got %d", len(sum.Shards))
 	}
-	hashes := placementHashes(t, b)
 	for _, st := range sum.Shards {
-		frag := st.ID[strings.LastIndexByte(st.ID, '/')+1:]
-		if !st.OK || st.Diverged || st.ContentHash != hashes[frag] {
-			t.Fatalf("shard %s did not replicate cleanly: %+v (coordinator %s)", st.ID, st, hashes[frag])
+		if !st.OK || st.Diverged || st.ContentHash != sum.ContentHash || st.Rows != sum.Rows {
+			t.Fatalf("shard %s did not replicate cleanly: %+v (coordinator %s)", st.ID, st, sum.ContentHash)
 		}
 	}
 	for _, wdb := range []*seedb.DB{w1db, w2db} {
-		// Every placement held, adjacent: one segment of every row.
-		wt, err := wdb.Table("orders__p0")
+		wt, err := wdb.Table("orders")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if wt.NumRows() != 3000+delta {
-			t.Fatalf("worker segment has %d rows, want %d", wt.NumRows(), 3000+delta)
+			t.Fatalf("worker replica has %d rows, want %d", wt.NumRows(), 3000+delta)
 		}
 	}
 	if c := b.Counters(); c.Ingests != 1 || c.IngestRows != delta {
@@ -134,8 +126,8 @@ func awkwardRows(n int) ([][]seedb.Value, [][]any) {
 }
 
 // TestDBAppendRoutesThroughCluster: DB.Append leaves the same table on
-// every topology — solo, rf = every worker in process and over HTTP,
-// rf 2 in process and over HTTP — so a coordinator's content hash
+// every topology — solo, sharded in process, replicated over HTTP,
+// placed in process and over HTTP — so a coordinator's content hash
 // and its next recommendation are the solo ones, its workers applied
 // every forward cleanly (bypassing them would permanently diverge the
 // fleet), and /api/ingest of the same batch on a coordinator and on a
@@ -283,17 +275,16 @@ func TestDBAppendRoutesThroughCluster(t *testing.T) {
 	clean("/api/ingest", b)
 }
 
-// TestClusterIngestDivergenceDetected: a worker whose placement already
+// TestClusterIngestDivergenceDetected: a worker whose replica already
 // drifted is flagged by the post-append ContentHash re-verification,
-// marked unhealthy, and queries stay correct on the other owner.
+// marked unhealthy, and queries stay correct via the degraded path.
 func TestClusterIngestDivergenceDetected(t *testing.T) {
 	ctx := context.Background()
 	wGood, _ := startWorker(t, 2000)
-	wBad, _ := startWorker(t, 2000)
+	wBad, _ := startWorker(t, 1999) // one row short: diverged before the append
 
 	coord := newDB(t, 2000)
 	b := coord.ShardRemote([]string{wGood.URL, wBad.URL}, 10*time.Second, seedb.ClusterConfig{Cooldown: time.Hour})
-	divergePlacement(t, wBad.URL, "orders", 0, 4096, 2000) // diverged before the append
 
 	sum, err := b.Ingest(ctx, "orders", ingestRows(300))
 	if err != nil {
@@ -323,8 +314,8 @@ func TestClusterIngestDivergenceDetected(t *testing.T) {
 		t.Fatalf("diverged shard must be unhealthy, got %d unhealthy", unhealthy)
 	}
 
-	// Queries keep succeeding (the clean owner serves the diverged
-	// placement) and match a single-node replica with identical content.
+	// Queries keep succeeding (degraded path for the diverged shard)
+	// and match a single-node replica with identical content.
 	q := "SELECT * FROM orders WHERE category = 'Furniture'"
 	got, err := coord.RecommendSQL(ctx, q, testOptions())
 	if err != nil {

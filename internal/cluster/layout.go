@@ -9,16 +9,26 @@ import (
 	"seedb/internal/engine"
 )
 
-// fragment is one placement of a table: the unit that is owned,
-// shipped or cut, appended to, verified and scanned.
+// fragment is a run of a table's rows as one worker-side table: the
+// unit that is owned, shipped, appended to, verified and scanned.
 type fragment struct {
 	table  string // source table on the coordinator
-	name   string // FragmentName(table, idx), its name on the worker
-	idx    int    // placement index
+	name   string // table name on the worker
+	idx    int    // placement index (0 for a whole table)
 	lo, hi int    // absolute source rows [lo,hi) the fragment holds
 	// hash is the fragment's expected content hash — a function, so
 	// only a task that goes to a worker asks the table for it.
 	hash func() (string, error)
+}
+
+// extract materializes the fragment as a table named f.name; a whole
+// table under its own name is the live table itself (no copy, and a
+// worker's hash of it is t.ContentHash by construction).
+func (f fragment) extract(t *engine.Table) (*engine.Table, error) {
+	if f.name == t.Name() {
+		return t, nil
+	}
+	return t.ExtractRange(f.name, f.lo, f.hi)
 }
 
 // task is one unit of a scatter: rows [lo,hi) of frag, served by one of
@@ -34,7 +44,8 @@ type task struct {
 	fault bool   // err is the query's doing: no worker can do better
 }
 
-// fleet is the backend's membership, guarded by Backend.mu.
+// fleet is the backend's membership, guarded by Backend.mu. Layout
+// methods that take a fleet are called with that lock held.
 type fleet struct {
 	order []*member     // join order
 	ring  *hashRing     // over the members' IDs
@@ -48,6 +59,58 @@ func (fl *fleet) find(id string) *member {
 		}
 	}
 	return nil
+}
+
+// layout is the policy half of the backend — the only thing that
+// differs between replicate-everything and data-partitioned placement.
+type layout interface {
+	// fragments lists, in row order, the fragments of t (rows rows
+	// long) that intersect rows [lo,hi).
+	fragments(t *engine.Table, rows, lo, hi int) []fragment
+	// owners returns the workers that should hold f, in try order.
+	owners(f fragment, fl *fleet) []*member
+	// cut splits a query's window [lo,hi) into tasks, in row order. No
+	// tasks means the window runs on the coordinator unscattered.
+	cut(t *engine.Table, rows, lo, hi int, fl *fleet) []task
+	// signature is the backend's core.Backend signature.
+	signature(fl *fleet) string
+}
+
+// replicated: every worker holds every table whole; the WORK is
+// partitioned per query.
+type replicated struct{}
+
+func (replicated) fragments(t *engine.Table, rows, lo, hi int) []fragment {
+	if lo >= hi || lo >= rows {
+		return nil
+	}
+	return []fragment{{table: t.Name(), name: t.Name(), hi: rows, hash: t.ContentHash}}
+}
+
+func (replicated) owners(f fragment, fl *fleet) []*member { return fl.order }
+
+// cut is one grid-aligned range per worker, task i owned by worker i.
+func (l replicated) cut(t *engine.Table, rows, lo, hi int, fl *fleet) []task {
+	frags := l.fragments(t, rows, lo, hi)
+	if len(fl.order) == 0 || len(frags) == 0 {
+		return nil
+	}
+	var tasks []task
+	for i, rg := range engine.ShardRanges(rows, lo, hi, len(fl.order)) {
+		tasks = append(tasks, task{frag: frags[0], lo: rg[0], hi: rg[1], owners: fl.order[i:][:1]})
+	}
+	return tasks
+}
+
+func (replicated) signature(fl *fleet) string {
+	return fmt.Sprintf("sharded(remote,n=%d)", len(fl.order))
+}
+
+// placed: the DATA is partitioned into chunk-aligned placements on a
+// consistent-hash ring.
+type placed struct {
+	rf   int // owners per placement (clamped to the worker count)
+	span int // rows per placement, a multiple of engine.ChunkRows
 }
 
 // FragmentName is the name of table's placement idx on a worker:
@@ -73,52 +136,44 @@ func placementKey(table string, idx int) string {
 	return table + "\x00" + strconv.Itoa(idx)
 }
 
-// span is the rows per placement, a multiple of engine.ChunkRows.
-func (b *Backend) span() int { return b.cfg.PlacementChunks * engine.ChunkRows }
-
-// fragments lists, in row order, the placements of t (rows rows long)
-// that intersect rows [lo,hi). Boundaries are absolute — placement i
-// covers rows [i*span, (i+1)*span) — so appends never move them.
-func (b *Backend) fragments(t *engine.Table, rows, lo, hi int) []fragment {
-	span := b.span()
+func (l *placed) fragments(t *engine.Table, rows, lo, hi int) []fragment {
 	hi = min(hi, rows)
 	var out []fragment
-	for idx := max(lo, 0) / span; idx*span < hi; idx++ {
+	for idx := max(lo, 0) / l.span; idx*l.span < hi; idx++ {
 		f := fragment{table: t.Name(), name: FragmentName(t.Name(), idx), idx: idx,
-			lo: idx * span, hi: min((idx+1)*span, rows)}
+			lo: idx * l.span, hi: min((idx+1)*l.span, rows)}
 		f.hash = func() (string, error) { return t.RangeContentHash(f.lo, f.hi) }
 		out = append(out, f)
 	}
 	return out
 }
 
-// owners returns the workers that should hold f, in try order: its
-// Replication ring owners, or at Replication 0 the whole fleet in f's
-// ring order.
-func (b *Backend) owners(f fragment) []*member {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	rf := b.cfg.Replication
-	if rf == 0 {
-		rf = len(b.order)
-	}
-	ids := b.ring.Owners(placementKey(f.table, f.idx), rf)
+func (l *placed) owners(f fragment, fl *fleet) []*member {
+	ids := fl.ring.Owners(placementKey(f.table, f.idx), l.rf)
 	out := make([]*member, 0, len(ids))
 	for _, id := range ids {
-		if m := b.find(id); m != nil {
+		if m := fl.find(id); m != nil {
 			out = append(out, m)
 		}
 	}
 	return out
 }
 
-// Signature implements core.Backend: the placement shape plus its
-// topology. Results are byte-identical across topologies by
-// construction, but an exec-cache entry computed under a vanished
-// membership must not masquerade as evidence about the current one.
-func (b *Backend) Signature() string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+// cut is one task per placement the window touches. Boundaries are
+// absolute — placement i covers rows [i*span, (i+1)*span) — so appends
+// never move them.
+func (l *placed) cut(t *engine.Table, rows, lo, hi int, fl *fleet) []task {
+	if len(fl.order) == 0 {
+		return nil
+	}
+	var tasks []task
+	for _, f := range l.fragments(t, rows, lo, hi) {
+		tasks = append(tasks, task{frag: f, lo: max(f.lo, lo), hi: min(f.hi, hi), owners: l.owners(f, fl)})
+	}
+	return tasks
+}
+
+func (l *placed) signature(fl *fleet) string {
 	return fmt.Sprintf("placed(rf=%d,chunks=%d,epoch=%d,workers=%d)",
-		b.cfg.Replication, b.cfg.PlacementChunks, b.epoch.Load(), len(b.order))
+		l.rf, l.span/engine.ChunkRows, fl.epoch.Load(), len(fl.order))
 }

@@ -13,7 +13,7 @@ import (
 // none longer than the sealed cells from its anchor, and every
 // placement's hash equal to its extracted rows' ContentHash.
 func TestPlacedHashMemoIsBounded(t *testing.T) {
-	l := &Backend{cfg: Config{Replication: 1, PlacementChunks: 1}}
+	l := &placed{rf: 1, span: engine.ChunkRows}
 	tb := engine.MustNewTable("t", engine.Schema{{Name: "x", Type: engine.TypeInt}})
 	anchors := map[int]bool{} // cells a hash started a sealed run at
 	hashAll := func() []fragment {
@@ -44,7 +44,7 @@ func TestPlacedHashMemoIsBounded(t *testing.T) {
 		t.Fatalf("200 appends left %d run chains for %d anchors asked for", len(chains), len(anchors))
 	}
 	for a, n := range chains {
-		if !anchors[a] || n > min(sealed-a, l.cfg.PlacementChunks) {
+		if !anchors[a] || n > min(sealed-a, l.span/engine.ChunkRows) {
 			t.Fatalf("run chain at cell %d covers %d cells (asked for: %v, %d sealed)", a, n, anchors[a], sealed)
 		}
 	}

@@ -116,8 +116,7 @@ func TestNonFiniteMeasuresCrossTheWire(t *testing.T) {
 
 // TestNegativeZeroExtremeCrossesTheWire: a MIN (or MAX) that is −0 used
 // to leave the worker as an omitted JSON number and arrive as +0 — one
-// bit off solo. Two HTTP workers, a placement per grid cell, the −0 in
-// the last one.
+// bit off solo. Two HTTP workers, the −0 in the second one's range.
 func TestNegativeZeroExtremeCrossesTheWire(t *testing.T) {
 	ctx := context.Background()
 	table := func() *engine.Table {
@@ -147,7 +146,7 @@ func TestNegativeZeroExtremeCrossesTheWire(t *testing.T) {
 		}
 		urls = append(urls, hs.URL)
 	}
-	b := coord.ShardRemote(urls, 10*time.Second, placementConfig(0))
+	b := coord.ShardRemote(urls, 10*time.Second, seedb.ClusterConfig{})
 	q := &engine.Query{Table: "nz", Aggs: []engine.AggSpec{{Func: engine.AggMin, Column: "m"}, {Func: engine.AggMax, Column: "m", Filter: engine.Compare("m", engine.OpLt, engine.Float(1))}}}
 	res, err := b.Run(ctx, q)
 	if err != nil {

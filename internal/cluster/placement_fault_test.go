@@ -77,7 +77,7 @@ func corruptPlacement(t *testing.T, db *seedb.DB, b *seedb.ClusterBackend, m *cl
 			if err := engine.WriteTableSnapshot(&snap, frag); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := m.Store().Sync(name, p.RowLo, 0, &snap); err != nil {
+			if _, _, err := m.Store().Sync(name, p.RowLo, &snap); err != nil {
 				t.Fatal(err)
 			}
 			return

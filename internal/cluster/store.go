@@ -19,29 +19,34 @@ import (
 
 // PlacementStore is the one place that changes what a node holds,
 // behind MemberShard, the frontend's /api/shard/* handlers and every
-// append (DB.Append, /api/ingest, a coordinator's own apply) alike. A
-// whole table is the node's own (demo data, RegisterTable, WAL
-// recovery): Append grows it through Catalog.Append (the WAL seam), and
-// no coordinator ships or changes one.
+// append (DB.Append, /api/ingest, a coordinator's own apply) alike: it
+// ships, drops, grows, lists and scans the node's whole tables and the
+// placements it owns. Each method decides once, under its own locking,
+// which of the two a name is.
 //
-// A placement is held one of two ways. A shipped one is owned: the
-// owned placements of a source table live as segments — one engine
-// table per maximal run of placements adjacent in the source's rows,
-// registered under its first placement's name, whose row 0 is that
-// placement's first absolute row, so its grid cells (and their hashes)
-// are the source's. A cut one is borrowed: rows [lo,hi) of the node's
-// own table of its source, read in place, and never changed (the table
-// is append-only; an append forwarded to it grows an owned copy). A
-// name may be borrowed at several hashes, one per coordinator's
-// placement span. An exchange verifies every requested placement's
-// hash on its own, then runs one scan per maximal row-adjacent run of
-// served placements in one table.
+// A whole table lives in the catalog under its own name, whether a
+// coordinator shipped it (the replicated layout) or the node
+// registered it itself (demo data, RegisterTable, WAL recovery). Sync
+// swaps it in, Append grows it through Catalog.Append (the WAL seam),
+// Drop removes it; a replaced or removed table's metadata-collector
+// state is invalidated.
 //
-// Sync, Cut, Parse, Append and Exec return the status an HTTP server
-// should answer on error: the request's fault is 400 (413 for a body
-// over its bound), a refusal 404 (a name the node does not hold) or 409
-// (a placement that cannot take the request), the node's own failure —
-// a durability checkpoint, a hash — 500.
+// A worker keeps the placements it holds of a source table as
+// segments: one engine table per maximal run of placements that are
+// adjacent in the source's absolute rows, registered in the executor's
+// catalog under its first placement's name, whose row 0 is that
+// placement's first absolute row. Placement boundaries are multiples of
+// the 1024-row grid, so a segment's grid cells are the source's cells
+// and their hashes are unchanged; at rf = N a segment is the whole
+// table. An exchange verifies every requested placement's content hash
+// on its own, then runs one scan per maximal row-adjacent run of
+// served placements inside a segment.
+//
+// Sync, Parse, Append and Exec return the status an HTTP server should
+// answer on error, by one rule: the request's fault is 400 (413 for a
+// body over its bound, 404 for a name the node does not hold, 409 for
+// a placement that cannot take it), the node's — a durability
+// checkpoint, a hash — 500. Drop only ever fails on the node's side.
 type PlacementStore struct {
 	ex    *engine.Executor
 	stats *stats.Collector
@@ -49,20 +54,19 @@ type PlacementStore struct {
 	// mu is held shared by Exec and Inventory and exclusively by every
 	// placement mutation and Drop: a ship or drop may re-bind a
 	// segment's catalog name, which an exchange in flight must not see.
-	// A whole table's ingest holds it only to decide that a name is not
-	// a placement.
-	mu       sync.RWMutex
-	dur      Durable
-	byName   map[string]*placement   // owned placement name -> placement
-	borrowed map[string][]*placement // placement name -> borrowed placements, latest cut last
-	segs     map[string]*segment     // segment table name -> segment
+	// A whole table's sync and ingest hold it only to read dur or
+	// decide that a name is not a placement.
+	mu     sync.RWMutex
+	dur    Durable
+	byName map[string]*placement // placement name -> placement
+	segs   map[string]*segment   // segment table name -> segment
 }
 
-// Durable is where a durable node keeps the placements it owns across
-// a restart: each as one snapshot of its own, never per segment, so
-// shipping onto a segment's end writes that placement's rows and
-// nothing else. A borrowed placement is not kept: the next
-// registration cuts it again. *wal.Store implements it.
+// Durable is where a durable node keeps what it holds across a
+// restart: a whole table under its name, a placement as one snapshot
+// of its own, never per segment, so shipping onto a segment's end
+// writes that placement's rows and nothing else. *wal.Store implements
+// it.
 type Durable interface {
 	CheckpointTable(t *engine.Table) error
 	DropTable(name string) error
@@ -73,11 +77,8 @@ type placement struct {
 	name     string // FragmentName(source, idx), its name on the wire
 	source   string
 	lo, rows int
-	hash     string   // content hash: RangeContentHash over its rows
-	seg      *segment // an owned placement's segment
-	// whole is a borrowed placement's: the node's own table of source,
-	// whose rows [lo, lo+rows) it is.
-	whole *engine.Table
+	hash     string // content hash: seg.t.RangeContentHash over its rows
+	seg      *segment
 }
 
 // segment is one engine table holding ps, contiguous and in row order.
@@ -89,16 +90,8 @@ type segment struct {
 func (g *segment) lo() int { return g.ps[0].lo }
 func (g *segment) hi() int { p := g.ps[len(g.ps)-1]; return p.lo + p.rows }
 
-// off is an owned p's first row within its segment's table.
+// off is p's first row within its segment's table.
 func (p *placement) off() int { return p.lo - p.seg.lo() }
-
-// at is the table p's rows are in and p's first row within it.
-func (p *placement) at() (*engine.Table, int) {
-	if p.whole != nil {
-		return p.whole, p.lo
-	}
-	return p.seg.t, p.off()
-}
 
 // durableName is p's snapshot name: the placement name plus its first
 // absolute row, which a restarted worker needs to rebuild segments.
@@ -108,8 +101,7 @@ func durableName(name string, lo int) string { return name + "@" + strconv.Itoa(
 // tables as whole tables and no placement; coll is the metadata
 // collector whose state of a replaced or dropped table it invalidates.
 func NewPlacementStore(ex *engine.Executor, coll *stats.Collector) *PlacementStore {
-	return &PlacementStore{ex: ex, stats: coll, byName: map[string]*placement{},
-		borrowed: map[string][]*placement{}, segs: map[string]*segment{}}
+	return &PlacementStore{ex: ex, stats: coll, byName: map[string]*placement{}, segs: map[string]*segment{}}
 }
 
 // SetDurable makes every later ship, drop and ingest durable through d
@@ -151,187 +143,96 @@ func (s *PlacementStore) SetDurable(d Durable) error {
 			return err
 		}
 		r.p.hash = h
-		if err := s.putLocked([]*placement{r.p}, r.t); err != nil {
+		if err := s.putLocked(r.p, r.t); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Sync installs the snapshot read from r as the placements it holds:
-// adjacent placements of span rows (the last may be shorter; span 0
-// means one placement), the first named name and starting at absolute
-// row lo. It reports the state of them all. They replace any owned
-// copy already held and any owned placement of the same source they
-// overlap, and each is checkpointed when durable. They are appended to
-// the segment ending at lo, and the segment starting where they end is
-// appended to them, so the cost is the snapshot plus that following
-// segment — never the one it joins.
-func (s *PlacementStore) Sync(name string, lo, span int, r io.Reader) (*SyncResponse, int, error) {
-	source, status, err := placementArgs(name, lo, span)
-	if err != nil {
-		return nil, status, err
-	}
+// Sync installs the snapshot read from r as name and reports the
+// post-replacement state. With lo < 0 it is a whole table, swapped into
+// the catalog under its name and checkpointed when durable. Otherwise
+// it is the placement whose first absolute row is lo, replacing any
+// copy already held and any held placement of the same source it
+// overlaps. It is appended to the segment ending at lo, and the
+// segment starting where it ends is appended to it, so the cost is the
+// placement plus that following segment — never the one it joins.
+func (s *PlacementStore) Sync(name string, lo int, r io.Reader) (*SyncResponse, int, error) {
 	t, err := engine.ReadTable(r)
-	switch {
-	case err != nil:
+	if err != nil {
 		return nil, BodyStatus(err), fmt.Errorf("cluster: parsing sync snapshot: %w", err)
+	}
+	source, ok := fragmentSource(name)
+	switch {
 	case t.Name() != name:
 		return nil, http.StatusBadRequest, fmt.Errorf("cluster: sync snapshot is of table %q, not %q", t.Name(), name)
+	case lo < 0:
+	case !ok:
+		return nil, http.StatusBadRequest, fmt.Errorf("cluster: %q is not a placement name", name)
+	case lo%engine.ChunkRows != 0:
+		return nil, http.StatusBadRequest, fmt.Errorf("cluster: placement %s starts at row %d, not on the %d-row grid", name, lo, engine.ChunkRows)
 	case t.NumRows() == 0:
 		return nil, http.StatusBadRequest, fmt.Errorf("cluster: placement %s is empty", name)
 	}
 	hash, err := t.ContentHash()
-	var ps []*placement
-	if err == nil {
-		ps, err = split(t, source, name, lo, 0, t.NumRows(), span)
-	}
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// The snapshots are written first: a crash after them leaves the new
-	// copies durable, one before them the old.
-	for _, p := range ps {
-		if s.dur == nil {
-			break
+	if lo >= 0 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.dur != nil {
+			// The snapshot is written first: a crash after it leaves the
+			// new copy durable, one before it the old.
+			err = s.dur.CheckpointTable(t.Clone(durableName(name, lo)))
 		}
-		snap, err := t.ExtractRange(durableName(p.name, p.lo), p.lo-lo, p.lo-lo+p.rows)
 		if err == nil {
-			err = s.dur.CheckpointTable(snap)
+			err = s.putLocked(&placement{name: name, source: source, lo: lo, rows: t.NumRows(), hash: hash}, t)
 		}
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
+	} else {
+		// A whole table holds the lock only to read dur: the lock guards
+		// segment bindings, and the checkpoint is O(table).
+		s.mu.RLock()
+		dur := s.dur
+		s.mu.RUnlock()
+		cat := s.ex.Catalog()
+		cat.Drop(name)
+		s.stats.Invalidate(name)
+		if err = cat.Register(t); err == nil && dur != nil {
+			err = dur.CheckpointTable(t)
 		}
 	}
-	if err := s.putLocked(ps, t); err != nil {
+	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
 	return &SyncResponse{Table: name, Rows: t.NumRows(), ContentHash: hash}, http.StatusOK, nil
 }
 
-// Cut records the placements of span rows (0: one placement) that
-// start with name at absolute row lo and end at hi as those rows of
-// the node's own whole table of their source, read in place, when the
-// rows hash to hash: nothing is copied, written or re-bound, and a
-// repeat cut is a no-op. Without such a table it answers 404; with too
-// few rows, or rows that hash otherwise, 409 — the coordinator then
-// ships the placements instead.
-func (s *PlacementStore) Cut(name string, lo, hi, span int, hash string) (*SyncResponse, int, error) {
-	source, status, err := placementArgs(name, lo, span)
-	if err == nil && (hi <= lo || hash == "") {
-		status, err = http.StatusBadRequest, fmt.Errorf("cluster: cut of %s needs rows [%d,%d) and a content hash", name, lo, hi)
-	}
-	if err != nil {
-		return nil, status, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, err := s.ex.Catalog().Table(source)
-	switch {
-	case err != nil || s.segs[source] != nil:
-		return nil, http.StatusNotFound, fmt.Errorf("cluster: no whole table %q to cut %s from", source, name)
-	case t.NumRows() < hi:
-		return nil, http.StatusConflict, fmt.Errorf("cluster: table %q has %d rows, too few to cut %s from rows [%d,%d)", source, t.NumRows(), name, lo, hi)
-	}
-	got, err := t.RangeContentHash(lo, hi)
-	var ps []*placement
-	if err == nil {
-		ps, err = split(t, source, name, lo, lo, hi-lo, span)
-	}
-	if err != nil {
-		return nil, http.StatusInternalServerError, err
-	}
-	if got != hash {
-		return nil, http.StatusConflict, &FingerprintMismatchError{Shard: "local", Table: name, Want: hash, Got: got}
-	}
-	for _, p := range ps {
-		p.whole = t
-		if !slices.ContainsFunc(s.borrowed[p.name], func(q *placement) bool { return *q == *p }) {
-			s.borrowed[p.name] = append(s.borrowed[p.name], p)
-		}
-	}
-	return &SyncResponse{Table: name, Rows: hi - lo, ContentHash: hash}, http.StatusOK, nil
-}
-
-// placementArgs checks that name is a placement name, lo a first row
-// and span a placement size on the grid, and returns the placement's
-// source table.
-func placementArgs(name string, lo, span int) (string, int, error) {
-	source, ok := fragmentSource(name)
-	switch {
-	case !ok:
-		return "", http.StatusBadRequest, fmt.Errorf("cluster: %q is not a placement name", name)
-	case lo < 0 || lo%engine.ChunkRows != 0 || span < 0 || span%engine.ChunkRows != 0:
-		return "", http.StatusBadRequest, fmt.Errorf("cluster: placement %s at row %d, span %d, is off the %d-row grid", name, lo, span, engine.ChunkRows)
-	}
-	return source, http.StatusOK, nil
-}
-
-// split cuts rows [off, off+rows) of t, which start at absolute row lo
-// with the placement name, into placements of span rows (0: one), each
-// with its content hash.
-func split(t *engine.Table, source, name string, lo, off, rows, span int) ([]*placement, error) {
-	if span == 0 {
-		span = rows
-	}
-	idx, _ := strconv.Atoi(name[len(source)+3:]) // digits: fragmentSource checked
-	var ps []*placement
-	for k := 0; k*span < rows; k++ {
-		p := &placement{name: FragmentName(source, idx+k), source: source, lo: lo + k*span, rows: min(span, rows-k*span)}
-		var err error
-		if p.hash, err = t.RangeContentHash(off+k*span, off+k*span+p.rows); err != nil {
-			return nil, err
-		}
-		ps = append(ps, p)
-	}
-	return ps, nil
-}
-
-// putLocked replaces any held copy of the placements ps — adjacent, in
-// row order, all held in t — and any owned placement of their source
-// they overlap (dropping their snapshots, unless one of ps's has just
-// overwritten it), then places them.
-func (s *PlacementStore) putLocked(ps []*placement, t *engine.Table) error {
-	lo, last := ps[0].lo, ps[len(ps)-1]
+// putLocked replaces any held copy of p and any held placement of its
+// source that p overlaps (dropping their snapshots, unless p's own
+// snapshot has just overwritten it), then places p.
+func (s *PlacementStore) putLocked(p *placement, t *engine.Table) error {
 	for _, q := range s.byName {
-		copyOf := func(p *placement) bool { return p.name == q.name }
-		if slices.ContainsFunc(ps, copyOf) || q.source == last.source && q.lo < last.lo+last.rows && lo < q.lo+q.rows {
-			rewritten := slices.ContainsFunc(ps, func(p *placement) bool { return copyOf(p) && p.lo == q.lo })
-			if err := s.removeLocked(q, !rewritten); err != nil {
+		if q.name == p.name || q.source == p.source && q.lo < p.lo+p.rows && p.lo < q.lo+q.rows {
+			if err := s.removeLocked(q, q.name != p.name || q.lo != p.lo); err != nil {
 				return err
 			}
 		}
 	}
-	return s.placeLocked(ps, t)
+	return s.placeLocked(p, t)
 }
 
-// Drop removes name: an owned placement, whose segment is re-cut around
-// it, and its snapshot when durable; every borrowed placement of that
-// name, which is only forgotten; or else a whole table, with the
-// placements borrowed from it. An unknown name succeeds: a coordinator
-// re-issues drops until its map converges.
+// Drop removes name — a placement, whose segment is re-cut around it,
+// or a whole table — and, when durable, its snapshot. An unknown name
+// succeeds: a coordinator re-issues drops until its map converges.
 func (s *PlacementStore) Drop(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, lent := s.byName[name], s.borrowed[name] != nil
-	delete(s.borrowed, name)
-	if p != nil {
+	if p := s.byName[name]; p != nil {
 		return s.removeLocked(p, true)
 	}
-	if lent {
-		return nil
-	}
-	cat := s.ex.Catalog()
-	if whole, err := cat.Table(name); err == nil {
-		for n, ps := range s.borrowed {
-			if s.borrowed[n] = slices.DeleteFunc(ps, func(p *placement) bool { return p.whole == whole }); len(s.borrowed[n]) == 0 {
-				delete(s.borrowed, n)
-			}
-		}
-	}
-	cat.Drop(name)
+	s.ex.Catalog().Drop(name)
 	s.stats.Invalidate(name)
 	if s.dur != nil {
 		return s.dur.DropTable(name)
@@ -353,9 +254,8 @@ func (s *PlacementStore) Ingest(req *IngestRequest) (*IngestResponse, int, error
 func (s *PlacementStore) Parse(name string, rows [][]any) ([][]engine.Value, int, error) {
 	s.mu.RLock()
 	t, err := s.ex.Catalog().Table(name)
-	if p, _ := s.lookupLocked(name, ""); p != nil {
-		t, _ = p.at()
-		err = nil
+	if p := s.byName[name]; p != nil {
+		t, err = p.seg.t, nil
 	}
 	s.mu.RUnlock()
 	if err != nil {
@@ -379,14 +279,14 @@ func (s *PlacementStore) Append(name string, rows [][]engine.Value, verify bool)
 // grow is Append, also returning the whole table it grew (nil for a
 // placement). A whole table grows through Catalog.Append, so a durable
 // node has logged the batch when grow returns, outside the store's
-// lock like its verify hash.
+// lock like its verify hash. A placement must end its segment.
 func (s *PlacementStore) grow(name string, rows [][]engine.Value, verify bool) (*IngestResponse, *engine.Table, int, error) {
 	cat := s.ex.Catalog()
 	s.mu.RLock()
-	held, _ := s.lookupLocked(name, "")
+	held := s.byName[name] != nil
 	t, err := cat.Table(name)
 	s.mu.RUnlock()
-	if held != nil {
+	if held {
 		resp, status, err := s.growPlacement(name, rows, verify)
 		return resp, nil, status, err
 	}
@@ -409,27 +309,13 @@ func (s *PlacementStore) grow(name string, rows [][]engine.Value, verify bool) (
 	return resp, t, http.StatusOK, nil
 }
 
-// growPlacement grows the held placement name, which must end its
-// segment. A borrowed one (the latest cut of that name) is first
-// copied into an owned placement, which grows; the node's own table
-// and the borrowed placement stay as they are.
+// growPlacement grows the held placement name.
 func (s *PlacementStore) growPlacement(name string, rows [][]engine.Value, verify bool) (*IngestResponse, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, _ := s.lookupLocked(name, "")
+	p := s.byName[name]
 	if p == nil {
 		return nil, http.StatusNotFound, fmt.Errorf("cluster: no placement named %q", name)
-	}
-	if p.whole != nil {
-		t, err := p.whole.ExtractRange(name, p.lo, p.lo+p.rows)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		own := &placement{name: name, source: p.source, lo: p.lo, rows: p.rows, hash: p.hash}
-		if err := s.putLocked([]*placement{own}, t); err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		p = own
 	}
 	g := p.seg
 	if g.ps[len(g.ps)-1] != p {
@@ -460,27 +346,6 @@ func (s *PlacementStore) growPlacement(name string, rows [][]engine.Value, verif
 	return resp, http.StatusOK, nil
 }
 
-// lookupLocked returns the placement name held at hash ("" for any),
-// the owned one before the borrowed ones, latest cut first; ok is
-// false when name is held, but at no such hash, and p is then the copy
-// the node answers for it.
-func (s *PlacementStore) lookupLocked(name, hash string) (p *placement, ok bool) {
-	p = s.byName[name]
-	if p != nil && (hash == "" || p.hash == hash) {
-		return p, true
-	}
-	lent := s.borrowed[name]
-	for i := len(lent) - 1; i >= 0; i-- {
-		if hash == "" || lent[i].hash == hash {
-			return lent[i], true
-		}
-	}
-	if p == nil && len(lent) > 0 {
-		p = lent[len(lent)-1]
-	}
-	return p, false
-}
-
 // TableState is one entry of a worker's inventory.
 type TableState struct {
 	Rows        int    `json:"rows"`
@@ -488,8 +353,7 @@ type TableState struct {
 }
 
 // Inventory lists what the node holds: every placement, by placement
-// name (of several held under one name, the one lookupLocked answers
-// for it), and every whole table of the catalog; segment tables are
+// name, and every whole table of the catalog; segment tables are
 // internal and not listed.
 func (s *PlacementStore) Inventory() (map[string]TableState, error) {
 	s.mu.RLock()
@@ -507,23 +371,19 @@ func (s *PlacementStore) Inventory() (map[string]TableState, error) {
 		}
 		out[name] = TableState{Rows: t.NumRows(), ContentHash: h}
 	}
-	for name := range s.borrowed {
-		p, _ := s.lookupLocked(name, "")
-		out[name] = TableState{Rows: p.rows, ContentHash: p.hash}
-	}
 	for name, p := range s.byName {
 		out[name] = TableState{Rows: p.rows, ContentHash: p.hash}
 	}
 	return out, nil
 }
 
-// placeLocked puts ps, held in t (named after ps[0], or cloned to that
-// name when it starts a segment), after the segment ending where they
-// start or into a segment of their own, then links the next segment on.
-func (s *PlacementStore) placeLocked(ps []*placement, t *engine.Table) error {
+// placeLocked puts p, held in t (named p.name, or cloned to that name
+// when it starts a segment), after the segment ending at p.lo or into
+// a segment of its own, then links the next segment on.
+func (s *PlacementStore) placeLocked(p *placement, t *engine.Table) error {
 	var g *segment
 	for _, h := range s.segs {
-		if h.ps[0].source == ps[0].source && h.hi() == ps[0].lo {
+		if h.ps[0].source == p.source && h.hi() == p.lo {
 			g = h
 			break
 		}
@@ -533,19 +393,17 @@ func (s *PlacementStore) placeLocked(ps []*placement, t *engine.Table) error {
 			return err
 		}
 	} else {
-		if t.Name() != ps[0].name {
-			t = t.Clone(ps[0].name)
+		if t.Name() != p.name {
+			t = t.Clone(p.name)
 		}
 		g = &segment{t: t}
 		if err := s.bindLocked(g); err != nil {
 			return err
 		}
 	}
-	for _, p := range ps {
-		p.seg = g
-		s.byName[p.name] = p
-	}
-	g.ps = append(g.ps, ps...)
+	p.seg = g
+	g.ps = append(g.ps, p)
+	s.byName[p.name] = p
 	return s.linkLocked(g)
 }
 
@@ -616,8 +474,7 @@ func (s *PlacementStore) unbindLocked(g *segment) {
 }
 
 // ExecShardRequest runs an exchange on a node that holds whole tables
-// only (see PlacementStore.Exec); only the benchmark harness's wire
-// probe uses it.
+// only (see PlacementStore.Exec).
 func ExecShardRequest(ctx context.Context, ex *engine.Executor, req *ShardRequest) (*ShardResponse, int, error) {
 	return (&PlacementStore{ex: ex}).Exec(ctx, req)
 }
@@ -634,12 +491,11 @@ type scanRun struct {
 
 // Exec is the single worker-side implementation of an exchange. It
 // checks the fragment list's shape, verifies each fragment's content
-// hash — a placement it does not hold (404) or holds differently (409,
-// carrying this copy's hash) is reported in Failed and costs the
-// others nothing — decodes the query once, and runs one scan per
-// maximal run of served fragments that are row-adjacent in one table,
-// the request's parallelism spread across the runs. A fragment that
-// names no placement is read from the whole table of that name. The
+// hash — a placement or whole table it does not hold (404) or holds
+// differently (409, carrying this copy's hash) is reported in Failed
+// and costs the others nothing — decodes the query once, and runs one
+// scan per maximal run of served fragments that are row-adjacent in
+// one table, the request's parallelism spread across the runs. The
 // status is what an HTTP server should answer on error. Once a
 // fragment's handshake has passed both sides provably hold the same
 // rows, so a decode or scan error is a property of the query — 400 —
@@ -668,12 +524,11 @@ func (s *PlacementStore) Exec(ctx context.Context, req *ShardRequest) (*ShardRes
 		var t *engine.Table
 		var off int
 		var hash string
-		if p, _ := s.lookupLocked(f.Table, f.ContentHash); p != nil {
+		if p := s.byName[f.Table]; p != nil {
 			if f.RowHi > p.rows {
 				return nil, http.StatusBadRequest, fmt.Errorf("cluster: fragment %s asks for rows [%d,%d) of a %d-row placement", f.Table, f.RowLo, f.RowHi, p.rows)
 			}
-			t, off = p.at()
-			hash = p.hash
+			t, off, hash = p.seg.t, p.off(), p.hash
 		} else if whole, err := cat.Table(f.Table); err == nil {
 			if hash, err = whole.ContentHash(); err != nil {
 				return nil, http.StatusInternalServerError, err

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"seedb"
-	"seedb/internal/cluster"
 	"seedb/internal/engine"
 )
 
@@ -489,24 +488,11 @@ func TestLayoutEquivalence(t *testing.T) {
 	}
 }
 
-// assertHoldEveryTable fails unless each member holds exactly every
-// placement of db's tables — one grid cell each, as the test's fleets
-// are cut — at the coordinator's RangeContentHash.
+// assertHoldEveryTable fails unless each member holds exactly db's
+// tables, each whole at the coordinator's content hash.
 func assertHoldEveryTable(t *testing.T, name string, db *seedb.DB, members []*seedb.MemberShard) {
 	t.Helper()
-	want := map[string]string{}
-	for _, table := range db.Tables() {
-		tb, err := db.Table(table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for idx := 0; idx*engine.ChunkRows < tb.NumRows(); idx++ {
-			lo := idx * engine.ChunkRows
-			if want[cluster.FragmentName(table, idx)], err = tb.RangeContentHash(lo, min(lo+engine.ChunkRows, tb.NumRows())); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	want := tableHashes(t, db)
 	for _, m := range members {
 		inv, err := m.Store().Inventory()
 		if err != nil {
@@ -517,7 +503,7 @@ func assertHoldEveryTable(t *testing.T, name string, db *seedb.DB, members []*se
 			got[table] = st.ContentHash
 		}
 		if !maps.Equal(got, want) {
-			t.Fatalf("%s: %s holds %v, want every placement %v", name, m.ID(), got, want)
+			t.Fatalf("%s: %s holds %v, want every table %v", name, m.ID(), got, want)
 		}
 	}
 }
@@ -566,11 +552,10 @@ func appendOrders(t *testing.T, db *seedb.DB, n int) {
 	}
 }
 
-// TestFullReplicationIsPlacementWithRFN pins the property replicated
-// sharding is built on: placed with rf = N leaves every worker holding
-// every row of every table, and AddWorker at rf = every worker on an
-// empty worker ships each table's one placement exactly once — a
-// second AddWorker ships nothing.
+// TestFullReplicationIsPlacementWithRFN pins the property the two
+// layouts meet at: placed with rf = N leaves every worker holding every
+// row of every table, and replicated AddWorker on an empty worker ships
+// each table exactly once — a second AddWorker ships nothing.
 func TestFullReplicationIsPlacementWithRFN(t *testing.T) {
 	ctx := context.Background()
 	const rows, n = 3500, 3
@@ -618,7 +603,7 @@ func TestFullReplicationIsPlacementWithRFN(t *testing.T) {
 		t.Fatalf("an empty worker should be shipped each table exactly once: %+v", rep)
 	}
 	for name, h := range tableHashes(t, rdb) {
-		wt, err := joiner.Executor().Catalog().Table(cluster.FragmentName(name, 0))
+		wt, err := joiner.Executor().Catalog().Table(name)
 		if err != nil {
 			t.Fatalf("joiner lacks %s", name)
 		}

@@ -3,35 +3,49 @@
 // scan run and merges their partition-mergeable partials back into
 // results byte-identical to a single-node scan.
 //
-// One backend, one layout. Backend holds the mechanism: worker health
-// (fail, cool down, half-open), the scatter (one task per placement,
-// each assigned to one live owner that holds it, every worker's tasks
-// in ONE exchange, only what failed re-cut onto the next owners, query
-// faults told from worker faults, failover to the coordinator's own
-// replica, runs folded in row order), ingest (append through the
-// durability seam, then forward each touched placement's delta to its
-// owners, verifying the hash), rebalance and the status/metrics
-// surface. A table is cut into placements of PlacementChunks grid cells
-// and a consistent-hash ring gives each to Replication workers (0:
-// every worker). An owner that holds the placement's table whole — it
-// loaded the same data — serves it from that table, read in place,
-// once the rows hash equal (a cut); any other owner is shipped it, and
-// keeps its shipped placements as segments, one table per run of
-// adjacent ones (PlacementStore).
+// One backend, two layouts. Mechanism exists once, in Backend: worker
+// health (fail, cool down, half-open), the scatter (cut the window into
+// tasks, assign each to one live owner that holds it, send every worker
+// its tasks in ONE exchange, re-cut only what failed onto the next
+// owners, sort failures into query faults and worker faults, fail over
+// to the coordinator's own replica, fold the runs in row order), ingest
+// (append through the durability seam, then per touched fragment per
+// owner forward the delta or ship whole, verifying the hash), rebalance
+// (ship what an owner lacks, drop what a worker no longer owns) and the
+// status/metrics surface. Policy lives behind the unexported layout
+// interface, which answers only: which fragments cover these rows, who
+// owns each, and how is a query's window cut into tasks.
 //
-// A fragment is (placement name FragmentName(table, i), source rows
-// [lo,hi), content hash). An exchange carries the query once and, per
-// fragment, (name, hash, rows rebased by lo, SampleBase + lo), so each
-// scan is positionally indistinguishable from the same rows of a
-// whole-table scan: placements start on the engine's absolute 1024-row
-// grid, partials carry no positions and merge exactly, and sampling is
-// re-anchored. The worker verifies every fragment's hash on its own and
-// scans each run of row-adjacent fragments inside one of its tables
-// once, into one partial per grouping set. Workers are plain seedb
-// servers (/api/shard/*, /api/ingest) or in-process MemberShards, both
-// over a PlacementStore; the coordinator keeps the authoritative full
-// replica — ingest entry point and degraded path. Over HTTP an exchange
-// is one binary frame each way.
+//   - replicated (Config.Replication == 0): every worker holds every
+//     table whole, under its own name; the WORK is partitioned — one
+//     grid-aligned range per worker per query. With no workers the
+//     query runs unscattered on the coordinator's executor.
+//   - placed (Config.Replication >= 1): the DATA is partitioned. A
+//     table is cut into placements of PlacementChunks grid cells, a
+//     consistent-hash ring assigns each to Replication workers, and a
+//     worker keeps the placements it owns as segments — one table per
+//     maximal run of adjacent placements (PlacementStore) — so no
+//     worker needs RAM for the whole table and a worker's share of a
+//     scan is one scan per segment. One task per placement; a worker's
+//     tasks travel together.
+//
+// A fragment is (name on the worker, source rows [lo,hi), content
+// hash): a whole table is the fragment with lo = 0 under its own name,
+// a placement the fragment FragmentName(table, i). An exchange carries
+// the query once and, per fragment, (name, hash, rows rebased by lo,
+// SampleBase + lo), so each scan is positionally indistinguishable from
+// the same rows of a whole-table scan: fragments and segments start on
+// the engine's absolute 1024-row grid, partials carry no positions and
+// merge exactly, and sampling is re-anchored. The worker verifies every
+// fragment's hash on its own and scans each run of row-adjacent
+// fragments inside one of its tables once, into one partial per
+// grouping set — a partial's size is set by the groups, not the rows,
+// so this is what keeps a placed scan from shipping the whole result
+// once per placement. Workers are plain seedb servers (/api/shard/*,
+// /api/ingest) or in-process MemberShards, both over a PlacementStore;
+// the coordinator keeps the authoritative full replica — ingest entry
+// point and degraded path. Over HTTP an exchange is one binary frame
+// each way.
 package cluster
 
 import (

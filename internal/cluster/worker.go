@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,9 +19,9 @@ import (
 	"seedb/internal/stats"
 )
 
-// Worker is what the backend needs from a node that holds placements:
-// run a shard request over them, and the placement lifecycle (list,
-// ship or cut, append, drop). RemoteShard implements it over HTTP,
+// Worker is what the backend needs from a node that holds fragments:
+// run a shard request over one of them, and the fragment lifecycle
+// (list, ship, append, drop). RemoteShard implements it over HTTP,
 // MemberShard in-process.
 type Worker interface {
 	// ID names the worker for logs, stats, and failure accounting.
@@ -34,17 +33,10 @@ type Worker interface {
 	Health(ctx context.Context) error
 	// TableHashes is the worker's inventory: table name -> content hash.
 	TableHashes(ctx context.Context) (map[string]string, error)
-	// SyncTable replaces (or creates) from a serialized snapshot the
-	// placements it holds — of span rows each (0: one), the first named
-	// table and starting at absolute row lo — and reports their state
-	// (PlacementStore.Sync).
-	SyncTable(ctx context.Context, table string, lo, span int, snapshot []byte) (*SyncResponse, error)
-	// CutTable has the worker serve the placements of span rows (0:
-	// one) that start with table at absolute row lo and end at hi from
-	// its own whole table of their source, when those rows hash to hash
-	// (PlacementStore.Cut); a refusal is typed apart from a failure to
-	// answer.
-	CutTable(ctx context.Context, table string, lo, hi, span int, hash string) (*SyncResponse, error)
+	// SyncTable replaces (or creates) a fragment from a serialized
+	// snapshot and reports the post-replacement state: a placement
+	// whose first absolute row is lo, or, with lo < 0, a whole table.
+	SyncTable(ctx context.Context, table string, lo int, snapshot []byte) (*SyncResponse, error)
 	// Ingest appends a forwarded batch to one of the worker's tables.
 	Ingest(ctx context.Context, req *IngestRequest) (*IngestResponse, error)
 	// DropTable removes a table; an unknown name succeeds (rebalance
@@ -110,33 +102,13 @@ func checkResponse(resp *ShardResponse, frags []ShardFragment, want int) error {
 
 // statusError types a failed worker call from the status the
 // placement store chose — the one place an answer is sorted into "the
-// request is at fault" (400; 413 for a body over its bound), "the
-// worker refuses it" (404 or 409: it lacks, or holds otherwise, what
-// the request names) and "the worker is" (the rest), so in-process and
-// HTTP workers agree.
+// request is at fault" (400; 413 for a body over its bound) and "the
+// worker is" (the rest), so in-process and HTTP workers agree.
 func statusError(status int, err error) error {
-	switch status {
-	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+	if status == http.StatusBadRequest || status == http.StatusRequestEntityTooLarge {
 		return &queryFaultError{err: err}
-	case http.StatusNotFound, http.StatusConflict:
-		return &refusalError{err: err}
 	}
 	return err
-}
-
-// refusalError is a worker's answer that it will not do what was
-// asked, as opposed to a failure to answer at all.
-type refusalError struct{ err error }
-
-func (e *refusalError) Error() string { return e.err.Error() }
-func (e *refusalError) Unwrap() error { return e.err }
-
-// refused reports whether err is the worker's refusal or the request's
-// own fault: the worker answered, and is not to blame.
-func refused(err error) bool {
-	var re *refusalError
-	var qf *queryFaultError
-	return errors.As(err, &re) || errors.As(err, &qf)
 }
 
 // queryFaultError marks a failure deterministic in the query itself —
@@ -284,20 +256,13 @@ func (s *RemoteShard) TableHashes(ctx context.Context) (map[string]string, error
 
 // SyncTable implements Worker over POST /api/shard/sync, which replaces
 // the worker's copy wholesale and reports the post-replacement hash.
-func (s *RemoteShard) SyncTable(ctx context.Context, table string, lo, span int, snapshot []byte) (*SyncResponse, error) {
-	return s.sync(ctx, url.Values{"table": {table}, "lo": {strconv.Itoa(lo)}, "span": {strconv.Itoa(span)}}, snapshot)
-}
-
-// CutTable implements Worker over POST /api/shard/sync with no
-// snapshot and the rows and hash to cut.
-func (s *RemoteShard) CutTable(ctx context.Context, table string, lo, hi, span int, hash string) (*SyncResponse, error) {
-	return s.sync(ctx, url.Values{"table": {table}, "lo": {strconv.Itoa(lo)}, "hi": {strconv.Itoa(hi)},
-		"span": {strconv.Itoa(span)}, "hash": {hash}}, nil)
-}
-
-func (s *RemoteShard) sync(ctx context.Context, args url.Values, snapshot []byte) (*SyncResponse, error) {
+func (s *RemoteShard) SyncTable(ctx context.Context, table string, lo int, snapshot []byte) (*SyncResponse, error) {
 	var resp SyncResponse
-	if status, _, err := s.call(ctx, "sync", http.MethodPost, "/api/shard/sync?"+args.Encode(), "application/octet-stream", snapshot, &resp); err != nil {
+	path := "/api/shard/sync?table=" + url.QueryEscape(table)
+	if lo >= 0 {
+		path += "&lo=" + strconv.Itoa(lo)
+	}
+	if status, _, err := s.call(ctx, "sync", http.MethodPost, path, "application/octet-stream", snapshot, &resp); err != nil {
 		return nil, statusError(status, err)
 	}
 	return &resp, nil
@@ -322,10 +287,10 @@ func (s *RemoteShard) Health(ctx context.Context) error {
 // MemberShard
 
 // MemberShard is an in-process worker with its OWN catalog, executor
-// and placement store: it holds only what was shipped to it, and what
-// it was asked to cut from tables registered in its catalog, so
-// single-binary tests exercise the data movement a remote fleet does,
-// including a placement that was never shipped. Each
+// and placement store: it holds only what was shipped to it —
+// placements under the placed layout, whole tables under the
+// replicated one — so single-binary tests exercise the data movement a
+// remote fleet does, including a fragment that was never shipped. Each
 // Worker method is the fault gate plus one store call, the call an
 // HTTP worker's handler makes. The root golden placement tests are
 // built on it (the HTTP frontend would be an import cycle there).
@@ -335,7 +300,7 @@ type MemberShard struct {
 	store *PlacementStore
 
 	// gate, when set, sees every operation's name ("exec", "ingest",
-	// "sync", "cut", "drop", "hashes", "health") first; a non-nil result
+	// "sync", "drop", "hashes", "health") first; a non-nil result
 	// simulates an unreachable worker. Fault tests flip it mid-run.
 	gate atomic.Pointer[func(op string) error]
 }
@@ -377,55 +342,62 @@ func (m *MemberShard) pass(op string) error {
 // Health implements Worker.
 func (m *MemberShard) Health(context.Context) error { return m.pass("health") }
 
-// call runs one store operation behind the fault gate, its failure
-// typed as an HTTP worker's answer would be.
-func call[T any](m *MemberShard, op string, f func() (T, int, error)) (T, error) {
-	var zero T
-	if err := m.pass(op); err != nil {
-		return zero, err
-	}
-	v, status, err := f()
-	if err != nil {
-		return zero, statusError(status, err)
-	}
-	return v, nil
-}
-
 // ExecPartials implements Worker.
 func (m *MemberShard) ExecPartials(ctx context.Context, req *ShardRequest) (*ShardResponse, error) {
-	return call(m, "exec", func() (*ShardResponse, int, error) { return m.store.Exec(ctx, req) })
+	if err := m.pass("exec"); err != nil {
+		return nil, err
+	}
+	resp, status, err := m.store.Exec(ctx, req)
+	if err != nil {
+		return nil, statusError(status, err)
+	}
+	return resp, nil
 }
 
 // Ingest implements Worker.
 func (m *MemberShard) Ingest(ctx context.Context, req *IngestRequest) (*IngestResponse, error) {
-	return call(m, "ingest", func() (*IngestResponse, int, error) { return m.store.Ingest(req) })
+	if err := m.pass("ingest"); err != nil {
+		return nil, err
+	}
+	resp, status, err := m.store.Ingest(req)
+	if err != nil {
+		return nil, statusError(status, err)
+	}
+	return resp, nil
 }
 
 // TableHashes implements Worker from the store's inventory.
 func (m *MemberShard) TableHashes(ctx context.Context) (map[string]string, error) {
-	inv, err := call(m, "hashes", func() (map[string]TableState, int, error) {
-		inv, err := m.store.Inventory()
-		return inv, http.StatusInternalServerError, err
-	})
+	if err := m.pass("hashes"); err != nil {
+		return nil, err
+	}
+	inv, err := m.store.Inventory()
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]string, len(inv))
 	for name, st := range inv {
 		out[name] = st.ContentHash
 	}
-	return out, err
+	return out, nil
 }
 
 // SyncTable implements Worker.
-func (m *MemberShard) SyncTable(ctx context.Context, table string, lo, span int, snapshot []byte) (*SyncResponse, error) {
-	return call(m, "sync", func() (*SyncResponse, int, error) { return m.store.Sync(table, lo, span, bytes.NewReader(snapshot)) })
-}
-
-// CutTable implements Worker.
-func (m *MemberShard) CutTable(ctx context.Context, table string, lo, hi, span int, hash string) (*SyncResponse, error) {
-	return call(m, "cut", func() (*SyncResponse, int, error) { return m.store.Cut(table, lo, hi, span, hash) })
+func (m *MemberShard) SyncTable(ctx context.Context, table string, lo int, snapshot []byte) (*SyncResponse, error) {
+	if err := m.pass("sync"); err != nil {
+		return nil, err
+	}
+	resp, status, err := m.store.Sync(table, lo, bytes.NewReader(snapshot))
+	if err != nil {
+		return nil, statusError(status, err)
+	}
+	return resp, nil
 }
 
 // DropTable implements Worker.
 func (m *MemberShard) DropTable(ctx context.Context, name string) error {
-	_, err := call(m, "drop", func() (any, int, error) { return nil, http.StatusInternalServerError, m.store.Drop(name) })
-	return err
+	if err := m.pass("drop"); err != nil {
+		return err
+	}
+	return m.store.Drop(name)
 }

@@ -20,10 +20,10 @@ type Backend interface {
 	// RunSharedScan executes one scan feeding every grouping set.
 	RunSharedScan(ctx context.Context, q *engine.Query, gsets []engine.GroupingSet) ([]*engine.Result, error)
 	// Signature identifies the backend's execution layout (e.g.
-	// "local", "placed(rf=0,chunks=4,epoch=2,workers=2)"). It is folded
-	// into exec-cache keys: results are layout-invariant for in-process
-	// backends, but a heterogeneous remote fleet could in principle run
-	// a different build, so entries are never shared across layouts.
+	// "local", "sharded(remote,n=2)"). It is folded into exec-cache
+	// keys: results are layout-invariant for in-process backends, but
+	// a heterogeneous remote fleet could in principle run a different
+	// build, so entries are never shared across layouts.
 	Signature() string
 }
 

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -49,5 +50,22 @@ func BenchmarkContentHashAfterAppend(b *testing.B) {
 		if _, err := t.ContentHash(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkExtractRange copies every row of a Superstore table into a
+// table of its own, as a cluster placement ship, re-cut or placement
+// checkpoint does with its rows: what StringColumn.gather's one
+// dictionary lookup per distinct value (not per row) is for.
+func BenchmarkExtractRange(b *testing.B) {
+	for _, rows := range []int{50_000, 150_000} {
+		t := datagen.Superstore("orders", rows, 1)
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := t.ExtractRange("orders__p0", 0, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -267,20 +267,3 @@ func TestChunkGrid(t *testing.T) {
 		}
 	}
 }
-
-// ShardRanges partitions [lo,hi) of a table with rows rows into at
-// most n grid-aligned sub-ranges (hi <= 0 means the whole table), as a
-// scatter over n workers might: because the cuts are grid-aligned, the
-// merged partials are bit-identical to a single-node scan for every n.
-func ShardRanges(rows, lo, hi, n int) [][2]int {
-	if hi <= 0 || hi > rows {
-		hi = rows
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= hi {
-		return nil
-	}
-	return splitAligned(lo, hi, n)
-}

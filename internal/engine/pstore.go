@@ -41,8 +41,8 @@ import (
 // one export of a groups-sized partial, of its filtered accumulators
 // only. The price is that only a range which starts at a run's anchor
 // and reaches at least as far reuses it — a shorter range, or one whose
-// first sealed cell moved (phased ranges after an append), rescans.
-// Same bytes either way.
+// first sealed cell moved (phased ranges after an append, a replicated
+// shard cut that crossed a cell), rescans. Same bytes either way.
 type PartialStore struct {
 	mu   sync.Mutex
 	runs *lru.Cache[*run]

@@ -19,9 +19,8 @@ import (
 // and combine the cell partials exactly (see exactFloat), so aggregate
 // results depend only on the table contents and the query — never on
 // scan parallelism or on how a cluster backend splits the row range —
-// provided every partition boundary lies on the grid. splitAligned
-// only ever produces grid-aligned boundaries, and a cluster placement
-// spans a whole number of cells; arbitrary
+// provided every partition boundary lies on the grid. splitAligned and
+// ShardRanges only ever produce grid-aligned boundaries; arbitrary
 // RowLo/RowHi ranges (phased execution) remain deterministic per range
 // because cell partials cut at a range edge are still a pure function
 // of (table, range).
@@ -84,6 +83,24 @@ func splitAligned(lo, hi, parts int) [][2]int {
 		out = append(out, [2]int{prev, hi})
 	}
 	return out
+}
+
+// ShardRanges partitions [lo,hi) of a table with rows rows into at
+// most n grid-aligned sub-ranges (hi <= 0 means the whole table). The
+// cluster layer uses this to assign shard row ranges: because the cuts
+// are grid-aligned, the merged shard partials are bit-identical to a
+// single-node scan for every n.
+func ShardRanges(rows, lo, hi, n int) [][2]int {
+	if hi <= 0 || hi > rows {
+		hi = rows
+	}
+	if lo < 0 {
+		lo = 0
+	}
+	if lo >= hi {
+		return nil
+	}
+	return splitAligned(lo, hi, n)
 }
 
 // scan is one query bound to its table: the validated row range, the

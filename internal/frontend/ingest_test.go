@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -235,17 +236,31 @@ func (failingSink) LogAppend(*engine.Table, uint64, [][]engine.Value) error {
 
 // TestIngestNotDurableIs500 pins docs/API.md's ack semantics: a batch
 // applied in memory but not logged answers 500 — never 200, never the
-// client's 400 — on a node's own table, on every role, while a bad
-// batch stays 400.
+// client's 400 — on a node's own table and on a whole table a
+// coordinator shipped to it, on every role, while a bad batch stays
+// 400.
 func TestIngestNotDurableIs500(t *testing.T) {
 	for _, role := range ingestRoles(t) {
 		s := role.s
-		s.db.Engine().Executor().Catalog().SetAppendSink(failingSink{})
-		if w := postJSON(t, s, "/api/ingest", map[string]any{"table": "orders", "rows": superstoreIngestRows(2)}); w.Code != http.StatusInternalServerError {
-			t.Errorf("%s: unlogged batch: status %d, want 500 (%s)", role.name, w.Code, w.Body.String())
+		orders, err := s.db.Table("orders")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if w := postJSON(t, s, "/api/ingest", map[string]any{"table": "orders", "rows": [][]any{{"West"}}}); w.Code != http.StatusBadRequest {
-			t.Errorf("%s: bad batch: status %d, want 400", role.name, w.Code)
+		var snap bytes.Buffer
+		if err := engine.WriteTableSnapshot(&snap, orders.Clone("shipped")); err != nil {
+			t.Fatal(err)
+		}
+		if w := postRaw(s, "/api/shard/sync?table=shipped", "application/octet-stream", &snap); w.Code != http.StatusOK {
+			t.Fatalf("%s: sync: %d: %s", role.name, w.Code, w.Body.String())
+		}
+		s.db.Engine().Executor().Catalog().SetAppendSink(failingSink{})
+		for _, table := range []string{"orders", "shipped"} {
+			if w := postJSON(t, s, "/api/ingest", map[string]any{"table": table, "rows": superstoreIngestRows(2)}); w.Code != http.StatusInternalServerError {
+				t.Errorf("%s: %s: unlogged batch: status %d, want 500 (%s)", role.name, table, w.Code, w.Body.String())
+			}
+			if w := postJSON(t, s, "/api/ingest", map[string]any{"table": table, "rows": [][]any{{"West"}}}); w.Code != http.StatusBadRequest {
+				t.Errorf("%s: %s: bad batch: status %d, want 400", role.name, table, w.Code)
+			}
 		}
 	}
 }

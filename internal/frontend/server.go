@@ -817,8 +817,8 @@ func (s *Server) decodeWire(w http.ResponseWriter, r *http.Request, what string,
 }
 
 // handleShardExec is the worker half of scatter-gather: it runs one
-// exchange — every placement a coordinator wants scanned on this node
-// for one query — through the placement
+// exchange — every fragment (whole replica or placement) a coordinator
+// wants scanned on this node for one query — through the placement
 // store, one scan per row-adjacent run of fragments in one segment,
 // and returns the partition-mergeable runs. A fragment this node lacks
 // or holds differently is reported inside the 200 (with this copy's
@@ -890,14 +890,13 @@ type shardRegisterRequest struct {
 
 // handleShardRegister adds a worker to a coordinator's fleet after
 // probing its health, and brings it in line before it serves traffic:
-// AddWorker takes the worker's inventory and, ingest held, gives it
-// every placement the ring assigns it (all of them at -replication 0)
-// that it lacks — cut from the worker's own copy of the table where
-// the rows hash equal, shipped from the coordinator's live replica
-// otherwise, every hash verified. An empty or stale node can join and
-// catch up; one that loaded the same data costs a hash pass on its
-// side, and one already in step nothing. Registering twice is safe,
-// so workers can re-announce on every restart.
+// AddWorker takes the worker's inventory and ships — from the
+// coordinator's live replica, ingest held, every hash verified —
+// whatever the layout assigns it and it lacks (whole tables under the
+// replicated layout, its ring share under the placed one). An empty or
+// stale node can join and catch up; an in-step one costs nothing.
+// Registering twice is safe, so workers can re-announce on every
+// restart.
 func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -921,7 +920,7 @@ func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The sync budget is larger than the health probe's: it moves
-	// whole placements.
+	// whole fragments.
 	syncCtx, cancelSync := context.WithTimeout(r.Context(), 2*time.Minute)
 	defer cancelSync()
 	rep, added, err := b.AddWorker(syncCtx, shard)
@@ -936,51 +935,31 @@ func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 
 var errNotCoordinator = errors.New("frontend: this node is not a cluster coordinator")
 
-// handleShardSync is the worker half of placement shipping. Every call
-// names the placement (table) and its first absolute row (lo), and
-// optionally a span: the call is then about the run of adjacent
-// placements of span rows that starts there. With a body — a
-// coordinator's serialized snapshot, bounded by MaxSnapshotBytes — the
-// placement store installs it as this node's copies; with hi and hash
-// instead, it cuts them from this node's own whole table of their
-// source when rows [lo,hi) hash to hash (404 without such a table, 409
-// otherwise). Either way it answers with the content hash of what it
-// installed for the coordinator's handshake.
+// handleShardSync is the worker half of fragment shipping: it hands a
+// coordinator's serialized snapshot (bounded by MaxSnapshotBytes) to
+// the placement store, which installs it as this node's copy — with lo
+// (the placement's first absolute row) a placement, without a whole
+// table — and answers with the post-replacement content hash for the
+// coordinator's handshake.
 func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	args := r.URL.Query()
-	name := args.Get("table")
+	name := r.URL.Query().Get("table")
 	if name == "" {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: sync needs a table query parameter"))
 		return
 	}
-	lo, err := strconv.Atoi(args.Get("lo"))
-	if err != nil || lo < 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: sync lo %q is not a row number", args.Get("lo")))
-		return
-	}
-	span := 0 // absent: one placement
-	if v := args.Get("span"); v != "" {
-		if span, err = strconv.Atoi(v); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: sync span %q is not a row count", v))
+	lo := -1
+	if v := r.URL.Query().Get("lo"); v != "" {
+		var err error
+		if lo, err = strconv.Atoi(v); err != nil || lo < 0 {
+			s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: sync lo %q is not a row number", v))
 			return
 		}
 	}
-	var resp *cluster.SyncResponse
-	var status int
-	if args.Has("hi") {
-		hi, herr := strconv.Atoi(args.Get("hi"))
-		if herr != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: sync hi %q is not a row number", args.Get("hi")))
-			return
-		}
-		resp, status, err = s.db.Placements().Cut(name, lo, hi, span, args.Get("hash"))
-	} else {
-		resp, status, err = s.db.Placements().Sync(name, lo, span, http.MaxBytesReader(w, r.Body, cluster.MaxSnapshotBytes))
-	}
+	resp, status, err := s.db.Placements().Sync(name, lo, http.MaxBytesReader(w, r.Body, cluster.MaxSnapshotBytes))
 	if err != nil {
 		s.writeError(w, status, err)
 		return

@@ -307,20 +307,12 @@ func snapshotOf(t *testing.T, s *Server, name string, lo, hi int) []byte {
 
 // TestShardSyncStatuses: /api/shard/sync answers 400 only for what is
 // the coordinator's fault — a broken snapshot, one of another table, a
-// placement off the grid, a sync without lo — 404 and 409 for a cut
-// this node refuses, 413 for a snapshot over its bound and 500 when
-// this node cannot make a good snapshot durable.
+// placement off the grid — 413 for a snapshot over its bound and 500
+// when this node cannot make a good snapshot durable, for a whole
+// table and a placement alike.
 func TestShardSyncStatuses(t *testing.T) {
 	s := testServer(t)
 	whole, p0 := snapshotOf(t, s, "orders", 0, 0), snapshotOf(t, s, "orders__p0", 0, 1024)
-	orders, err := s.db.Table("orders")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h0, err := orders.RangeContentHash(0, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sync := func(query string, body []byte) int {
 		return postRaw(s, "/api/shard/sync?"+query, "application/octet-stream", bytes.NewReader(body)).Code
 	}
@@ -333,14 +325,8 @@ func TestShardSyncStatuses(t *testing.T) {
 		{"table=sales", whole, http.StatusBadRequest},
 		{"table=orders__p0&lo=1000", p0, http.StatusBadRequest},
 		{"table=orders&lo=0", whole, http.StatusBadRequest},
-		{"table=orders", whole, http.StatusBadRequest},
+		{"table=orders", whole, http.StatusOK},
 		{"table=orders__p0&lo=0", p0, http.StatusOK},
-		{"table=orders__p1&lo=0&hi=x&hash=" + h0, nil, http.StatusBadRequest},
-		{"table=orders__p1&lo=0&hi=1024", nil, http.StatusBadRequest},
-		{"table=nope__p0&lo=0&hi=1024&hash=" + h0, nil, http.StatusNotFound},
-		{"table=orders__p1&lo=0&hi=1024&hash=00", nil, http.StatusConflict},
-		{"table=orders__p1&lo=0&hi=999999&hash=" + h0, nil, http.StatusConflict},
-		{"table=orders__p1&lo=0&hi=1024&hash=" + h0, nil, http.StatusOK},
 	} {
 		if got := sync(tc.query, tc.body); got != tc.want {
 			t.Errorf("sync %s: status %d, want %d", tc.query, got, tc.want)
@@ -352,7 +338,7 @@ func TestShardSyncStatuses(t *testing.T) {
 	if got := cluster.BodyStatus(fmt.Errorf("reading: %w", &http.MaxBytesError{Limit: 1})); got != http.StatusRequestEntityTooLarge {
 		t.Fatalf("a wrapped MaxBytesError classifies as %d, want 413", got)
 	}
-	_, status, err := s.db.Placements().Sync("orders__p0", 0, 0, http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(p0)), 64))
+	_, status, err := s.db.Placements().Sync("orders", -1, http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(whole)), 64))
 	if err == nil || status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("a snapshot over its bound: status %d (%v), want 413", status, err)
 	}
@@ -360,8 +346,14 @@ func TestShardSyncStatuses(t *testing.T) {
 	if err := s.db.Placements().SetDurable(failingDurable{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := sync("table=orders__p0&lo=0", p0); got != http.StatusInternalServerError {
-		t.Errorf("sync with a failing checkpoint: status %d, want 500", got)
+	for _, query := range []string{"table=orders", "table=orders__p0&lo=0"} {
+		body := whole
+		if strings.Contains(query, "lo=") {
+			body = p0
+		}
+		if got := sync(query, body); got != http.StatusInternalServerError {
+			t.Errorf("sync %s with a failing checkpoint: status %d, want 500", query, got)
+		}
 	}
 	if w := postRaw(s, "/api/shard/drop?table=orders__p0", "", nil); w.Code != http.StatusInternalServerError {
 		t.Errorf("drop with a failing snapshot removal: status %d, want 500", w.Code)

@@ -750,58 +750,31 @@ func (db *DB) useCluster(b *ClusterBackend) *ClusterBackend {
 }
 
 // ShardRemote switches the instance into cluster-coordinator mode with
-// every worker owning every placement (cfg.Replication is forced to 0)
-// over the given worker base URLs (seedb servers, e.g.
-// "http://worker-1:8080"). A worker that loaded the same tables serves
-// its placements from them, read in place; whatever it lacks is
-// shipped. The workers are added one by one (AddWorker) under one
-// context bounded by timeout (DefaultRemoteTimeout when 0); one that
-// cannot be brought in line is marked failed, and its ranges run on
-// this node's replica. More workers can register later via
-// /api/shard/register or AddWorker on the returned backend.
+// the replicated layout: every view query's row window is cut into one
+// range per worker and scattered across the given worker base URLs
+// (each a seedb server holding the same tables, e.g.
+// "http://worker-1:8080"). The workers are joined as they are —
+// nothing is shipped, and a worker whose data differs is detected per
+// request, not overwritten. The local replica remains the degraded
+// path — if a worker stays unreachable past its retry, its row range
+// is executed locally, so queries keep succeeding with reduced
+// offload. Until a worker joins, queries run unscattered on this node's
+// executor. Additional workers can register later via the
+// coordinator's /api/shard/register endpoint or AddWorker on the
+// returned backend, both of which ship the joiner whatever it lacks.
 func (db *DB) ShardRemote(workers []string, timeout time.Duration, cfg ClusterConfig) *ClusterBackend {
 	cfg.Replication = 0
 	b := db.useCluster(cluster.New(db.shards, cfg))
-	if timeout <= 0 {
-		timeout = cluster.DefaultRemoteTimeout
-	}
-	ctx, cancel := context.WithTimeout(context.TODO(), timeout)
-	defer cancel()
-	// The digest pass, one goroutine per table here and per worker: the
-	// coordinator hashes its tables and each worker its own (taking its
-	// inventory), so the passes AddWorker runs below read their memos.
-	// The results are dropped: AddWorker takes the inventory again.
-	var wg sync.WaitGroup
-	for _, name := range db.Tables() {
-		if t, err := db.Table(name); err == nil {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				t.ContentHash()
-			}()
-		}
-	}
-	ws := make([]cluster.Worker, len(workers))
-	for i, url := range workers {
-		ws[i] = cluster.NewRemoteShard(url, timeout)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws[i].TableHashes(ctx)
-		}()
-	}
-	wg.Wait()
-	for _, w := range ws {
-		// Failures are the workers' and land in their status.
-		b.AddWorker(ctx, w)
+	for _, url := range workers {
+		b.Join(cluster.NewRemoteShard(url, timeout))
 	}
 	return b
 }
 
 // PlaceRemote switches the instance into cluster-coordinator mode with
-// each placement on cfg.Replication workers (default 2): every table is
-// cut into chunk-aligned placements assigned to the given worker base
-// URLs via a consistent-hash ring, and each scan range is
+// the placed layout: every table is cut into chunk-aligned placements
+// assigned to the given worker base URLs via a consistent-hash ring
+// with cfg's replication factor (default 2), and each scan range is
 // routed to a live owner of that range. The local replica remains
 // authoritative (ingest entry point and degraded path); workers hold
 // only their owned fragments, so the fleet can serve tables no single
