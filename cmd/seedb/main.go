@@ -172,11 +172,8 @@ func main() {
 	}
 
 	srv := frontend.NewWithConfig(db, seedb.ServeConfig{
-		MaxConcurrentRuns:    *maxRuns,
-		MaxQueueDepth:        *maxQueue,
-		DataDir:              *dataDir,
-		WALSyncEvery:         *walSyncEvery,
-		SnapshotEveryBatches: *snapshotEvery,
+		MaxConcurrentRuns: *maxRuns,
+		MaxQueueDepth:     *maxQueue,
 	}, templates, log.Default())
 	srv.SetTimeouts(*requestTimeout, *streamTimeout)
 	if *debug {

@@ -32,12 +32,6 @@ type Config struct {
 	// Cooldown is how long a failed worker is skipped before the next
 	// query half-opens it again (default 15s).
 	Cooldown time.Duration
-	// DisableFailover makes a range no worker could serve fail the
-	// query instead of running on the coordinator's replica. Only
-	// worker faults surface this way: a range that failed by the
-	// query's own doing always runs locally, where the query's real
-	// error (if any) is produced.
-	DisableFailover bool
 }
 
 // retries is how many extra attempts a failing exchange gets before its
@@ -412,7 +406,7 @@ func (b *Backend) route(ctx context.Context, t *engine.Table, q *engine.Query, g
 	var local []*task
 	req, err := EncodeShardRequest(q, gsets, "", 0, 0, q.Parallelism)
 	if err != nil {
-		// Not distributable (e.g. a predicate with no SQL wire form).
+		// Not distributable (a predicate with no frame form).
 		for _, tk := range pending {
 			tk.err, tk.fault = err, true
 		}
@@ -452,15 +446,10 @@ func (b *Backend) route(ctx context.Context, t *engine.Table, q *engine.Query, g
 		slices.SortFunc(pending, func(x, y *task) int { return cmp.Compare(x.lo, y.lo) })
 	}
 
-	for _, tk := range local {
-		if b.cfg.DisableFailover && !tk.fault {
-			return nil, fmt.Errorf("cluster: fragment %s failed for rows [%d,%d): %w", tk.frag.name, tk.lo, tk.hi, tk.err)
-		}
-		b.failovers.Add(1)
-	}
+	b.failovers.Add(int64(len(local)))
 	// Each local scan gets its fair share of the parallelism, so a mass
 	// failover uses one machine's worth of workers. No wire round-trip:
-	// predicates with no SQL form are perfectly runnable here.
+	// predicates with no frame form are perfectly runnable here.
 	out := make([]ShardRun, len(local))
 	errs := make([]error, len(local))
 	var wg sync.WaitGroup

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -303,8 +304,9 @@ func TestConcurrentShardedRecommends(t *testing.T) {
 	}
 }
 
-// TestPredicateWireRoundTrip covers the SQL wire form of predicates,
-// including timestamp literals (quoted on the wire) and nesting.
+// TestPredicateWireRoundTrip covers the frame form of predicates,
+// including timestamp literals and nesting, through a request's bytes;
+// the request stays json.Marshal-able (the benchmark sizes it that way).
 func TestPredicateWireRoundTrip(t *testing.T) {
 	cat := engine.NewCatalog()
 	tb, err := engine.NewTable("t", engine.Schema{
@@ -350,7 +352,15 @@ func TestPredicateWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		dq, gsets, err := req.Decode(cat, req.Fragments[0].Table)
+		if _, err := json.Marshal(req); err != nil {
+			t.Fatalf("%v: a request must stay json.Marshal-able: %v", p, err)
+		}
+		frame, _ := req.MarshalBinary()
+		var back cluster.ShardRequest
+		if err := back.UnmarshalBinary(frame); err != nil {
+			t.Fatalf("%v: unmarshal: %v", p, err)
+		}
+		dq, gsets, err := back.Decode(back.Fragments[0].Table)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", p, err)
 		}

@@ -114,9 +114,8 @@ type placed struct {
 }
 
 // FragmentName is the name of table's placement idx on a worker:
-// plain identifier characters only, as it must stay SQL-parseable
-// (shard predicates round-trip as "SELECT * FROM <name> WHERE ...")
-// and filesystem-safe (durable workers snapshot under it).
+// plain identifier characters only, so it stays a valid table name and
+// filesystem-safe (durable workers snapshot under it).
 func FragmentName(table string, idx int) string {
 	return table + "__p" + strconv.Itoa(idx)
 }

@@ -201,25 +201,6 @@ func TestPlacementAllOwnersDownDegrades(t *testing.T) {
 	}
 }
 
-// TestPlacementDisableFailoverSurfacesOutage: with failover disabled,
-// an unowned range is an error, not a silent local scan.
-func TestPlacementDisableFailoverSurfacesOutage(t *testing.T) {
-	ctx := context.Background()
-	cfg := placementConfig(1)
-	cfg.Cooldown = time.Hour
-	cfg.DisableFailover = true
-	db, _, members := placeManual(t, 3000, 1, cfg)
-	members[0].SetGate(func(op string) error {
-		if op == "exec" {
-			return errKilled
-		}
-		return nil
-	})
-	if _, err := db.RecommendSQL(ctx, testQuery, testOptions()); err == nil {
-		t.Fatal("DisableFailover must surface a fleet-wide outage as an error")
-	}
-}
-
 // TestPlacementCorruptFragmentDegrades: a worker whose fragment bytes
 // silently diverged is refused by the content-hash handshake — no
 // retry against the same owner, hold invalidated, bytes served by the

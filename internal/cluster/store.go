@@ -555,7 +555,7 @@ func (s *PlacementStore) Exec(ctx context.Context, req *ShardRequest) (*ShardRes
 		return resp, http.StatusOK, nil
 	}
 
-	q0, gsets, err := req.Decode(cat, runs[0].t.Name())
+	q0, gsets, err := req.Decode(runs[0].t.Name())
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}

@@ -55,10 +55,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"seedb/internal/engine"
-	"seedb/internal/sql"
 )
 
 // Body bounds of the cluster protocol: a body over its bound is refused
@@ -84,7 +82,7 @@ func BodyStatus(err error) int {
 
 // An exchange is one frame each way (engine.EncodeFrame) under magic,
 // version and 'Q' or 'R'; another build's version is refused with 400.
-const FrameContentType, frameHeader = "application/x-seedb-frame", "SDBX\x01"
+const FrameContentType, frameHeader = "application/x-seedb-frame", "SDBX\x02"
 
 // frameError types a refused frame.
 func frameError(err error) error {
@@ -109,12 +107,19 @@ func ReadWire(r io.Reader, into any) error {
 
 // ShardRequest is the wire form of one exchange: the engine query's
 // predicate, sampling and grouping sets once, plus every fragment this
-// worker is to scan for it. Predicates travel as SQL text (the same
-// dialect the analyst front door parses).
+// worker is to scan for it. Predicates travel as engine predicate trees
+// (engine.FrameCodec), literals bit for bit, so a worker evaluates
+// exactly what the coordinator would.
 type ShardRequest struct {
-	WhereSQL       string  `json:"where,omitempty"`
-	SampleFraction float64 `json:"sampleFraction,omitempty"`
-	SampleSeed     uint64  `json:"sampleSeed,omitempty"`
+	// Preds are the exchange's distinct predicates (by identity); Where
+	// and each ShardAgg.Filter name one by its index plus one, 0 for
+	// none. An aggregate filter shared by identity on the coordinator
+	// stays shared on the worker, so the engine evaluates it once per
+	// row there too.
+	Preds          []engine.Predicate `json:"preds,omitempty"`
+	Where          int                `json:"where,omitempty"`
+	SampleFraction float64            `json:"sampleFraction,omitempty"`
+	SampleSeed     uint64             `json:"sampleSeed,omitempty"`
 	// Parallelism is the budget for the whole exchange; the worker
 	// spreads it across the fragments.
 	Parallelism int                `json:"parallelism,omitempty"`
@@ -137,7 +142,11 @@ func (r *ShardRequest) UnmarshalBinary(data []byte) error {
 
 // frame walks the request's frame form (engine.FrameCodec).
 func (r *ShardRequest) frame(c engine.FrameCodec) {
-	c.Str(&r.WhereSQL)
+	engine.FrameList(c, &r.Preds, 1, MaxWireBytes)
+	for i := range r.Preds {
+		c.Predicate(&r.Preds[i])
+	}
+	c.Int(&r.Where)
 	c.Float(&r.SampleFraction)
 	c.Uint(&r.SampleSeed)
 	c.Int(&r.Parallelism)
@@ -152,7 +161,7 @@ func (r *ShardRequest) frame(c engine.FrameCodec) {
 			c.Str(&a.Func)
 			c.Str(&a.Column)
 			c.Str(&a.Alias)
-			c.Str(&a.FilterSQL)
+			c.Int(&a.Filter)
 		}
 	}
 	engine.FrameList(c, &r.Fragments, 5, MaxExchangeFragments)
@@ -197,13 +206,13 @@ type ShardGroupingSet struct {
 	Aggs      []ShardAgg         `json:"aggs"`
 }
 
-// ShardAgg mirrors engine.AggSpec; the per-aggregate filter travels as
-// SQL text like the WHERE clause.
+// ShardAgg mirrors engine.AggSpec; Filter names the aggregate's filter
+// in ShardRequest.Preds like ShardRequest.Where.
 type ShardAgg struct {
-	Func      string `json:"func"`
-	Column    string `json:"column,omitempty"`
-	Alias     string `json:"alias,omitempty"`
-	FilterSQL string `json:"filter,omitempty"`
+	Func   string `json:"func"`
+	Column string `json:"column,omitempty"`
+	Alias  string `json:"alias,omitempty"`
+	Filter int    `json:"filter,omitempty"`
 }
 
 // ShardResponse is a worker's answer to one exchange: the fragments it
@@ -300,8 +309,9 @@ type IngestResponse struct {
 
 // EncodeShardRequest lowers (q, gsets) restricted to rows [lo,hi) of
 // q.Table into the wire form, as an exchange of one fragment. It fails
-// when a predicate cannot be rendered as SQL — callers treat that as
-// "this query cannot be distributed" and run the range locally instead.
+// when a predicate has no frame form (engine.CheckFramePredicate) —
+// callers treat that as "this query cannot be distributed" and run the
+// range locally instead.
 func EncodeShardRequest(q *engine.Query, gsets []engine.GroupingSet, contentHash string, lo, hi, parallelism int) (*ShardRequest, error) {
 	req := &ShardRequest{
 		SampleFraction: q.SampleFraction,
@@ -310,8 +320,25 @@ func EncodeShardRequest(q *engine.Query, gsets []engine.GroupingSet, contentHash
 		Fragments: []ShardFragment{{Table: q.Table, ContentHash: contentHash,
 			SampleBase: q.SampleBase, RowLo: lo, RowHi: hi}},
 	}
+	index := map[engine.Predicate]int{}
+	ref := func(p engine.Predicate) (int, error) {
+		if p == nil {
+			return 0, nil
+		}
+		// Vetted before it keys the map: a caller's own predicate type
+		// need not be comparable.
+		if err := engine.CheckFramePredicate(p); err != nil {
+			return 0, err
+		}
+		if i, ok := index[p]; ok {
+			return i, nil
+		}
+		req.Preds = append(req.Preds, p)
+		index[p] = len(req.Preds)
+		return len(req.Preds), nil
+	}
 	var err error
-	if req.WhereSQL, err = renderPredicateSQL(q.Where); err != nil {
+	if req.Where, err = ref(q.Where); err != nil {
 		return nil, err
 	}
 	if gsets == nil {
@@ -321,7 +348,7 @@ func EncodeShardRequest(q *engine.Query, gsets []engine.GroupingSet, contentHash
 		wgs := ShardGroupingSet{By: gs.By, BinWidths: gs.BinWidths}
 		for _, a := range gs.Aggs {
 			wa := ShardAgg{Func: a.Func.String(), Column: a.Column, Alias: a.Alias}
-			if wa.FilterSQL, err = renderPredicateSQL(a.Filter); err != nil {
+			if wa.Filter, err = ref(a.Filter); err != nil {
 				return nil, err
 			}
 			wgs.Aggs = append(wgs.Aggs, wa)
@@ -331,32 +358,22 @@ func EncodeShardRequest(q *engine.Query, gsets []engine.GroupingSet, contentHash
 	return req, nil
 }
 
-// Decode rebuilds the engine query and grouping sets of the request
-// against table in the worker's catalog, once per exchange: literals
-// are coerced to that table's column types, and each distinct filter
-// is parsed once and the instance reused, preserving the engine's
-// filter-deduplication (identical filters are evaluated once per row).
-// The query names table and covers all of it; the caller sets the row
-// range and sample base of each scan.
-func (r *ShardRequest) Decode(cat *engine.Catalog, table string) (*engine.Query, []engine.GroupingSet, error) {
-	preds := map[string]engine.Predicate{}
-	parse := func(sqlText string) (engine.Predicate, error) {
-		if sqlText == "" {
-			return nil, nil
+// Decode rebuilds the engine query and grouping sets of the request for
+// table, once per exchange. The predicates are the request's own
+// instances, so filters shared by identity stay shared. The query names
+// table and covers all of it; the caller sets the row range and sample
+// base of each scan.
+func (r *ShardRequest) Decode(table string) (*engine.Query, []engine.GroupingSet, error) {
+	preds := append([]engine.Predicate{nil}, r.Preds...) // index 0: none
+	pred := func(i int) (engine.Predicate, error) {
+		if i < 0 || i >= len(preds) {
+			return nil, fmt.Errorf("cluster: shard request names predicate %d of %d", i, len(r.Preds))
 		}
-		if p, ok := preds[sqlText]; ok {
-			return p, nil
-		}
-		_, p, err := sql.AnalystQuery(fmt.Sprintf("SELECT * FROM %s WHERE %s", table, sqlText), cat)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: parsing shard predicate %q: %w", sqlText, err)
-		}
-		preds[sqlText] = p
-		return p, nil
+		return preds[i], nil
 	}
 	q := &engine.Query{Table: table, SampleFraction: r.SampleFraction, SampleSeed: r.SampleSeed}
 	var err error
-	if q.Where, err = parse(r.WhereSQL); err != nil {
+	if q.Where, err = pred(r.Where); err != nil {
 		return nil, nil, err
 	}
 	var gsets []engine.GroupingSet
@@ -368,7 +385,7 @@ func (r *ShardRequest) Decode(cat *engine.Catalog, table string) (*engine.Query,
 				return nil, nil, err
 			}
 			spec := engine.AggSpec{Func: fn, Column: wa.Column, Alias: wa.Alias}
-			if spec.Filter, err = parse(wa.FilterSQL); err != nil {
+			if spec.Filter, err = pred(wa.Filter); err != nil {
 				return nil, nil, err
 			}
 			gs.Aggs = append(gs.Aggs, spec)
@@ -379,75 +396,4 @@ func (r *ShardRequest) Decode(cat *engine.Catalog, table string) (*engine.Query,
 		return nil, nil, fmt.Errorf("cluster: shard request carries no grouping sets")
 	}
 	return q, gsets, nil
-}
-
-// renderPredicateSQL renders a predicate tree as parseable SQL text.
-// It mirrors Predicate.String but quotes timestamp literals (the SQL
-// front door coerces quoted strings against TIMESTAMP columns), so the
-// text round-trips through the worker's parser. nil renders empty (no
-// WHERE clause).
-func renderPredicateSQL(p engine.Predicate) (string, error) {
-	if p == nil {
-		return "", nil
-	}
-	switch pred := p.(type) {
-	case *engine.ComparePred:
-		return fmt.Sprintf("%s %s %s", pred.Column, pred.Op, renderValueSQL(pred.Value)), nil
-	case *engine.InPred:
-		parts := make([]string, len(pred.Values))
-		for i, v := range pred.Values {
-			parts[i] = renderValueSQL(v)
-		}
-		kw := "IN"
-		if pred.Negate {
-			kw = "NOT IN"
-		}
-		return fmt.Sprintf("%s %s (%s)", pred.Column, kw, strings.Join(parts, ", ")), nil
-	case *engine.NullPred:
-		return pred.String(), nil
-	case *engine.AndPred:
-		return renderJoinSQL(pred.Children, true)
-	case *engine.OrPred:
-		return renderJoinSQL(pred.Children, false)
-	case *engine.NotPred:
-		child, err := renderPredicateSQL(pred.Child)
-		if err != nil {
-			return "", err
-		}
-		return "NOT (" + child + ")", nil
-	default:
-		return "", fmt.Errorf("cluster: predicate %T has no SQL wire form", p)
-	}
-}
-
-// renderJoinSQL renders a conjunction (and=true) or disjunction.
-func renderJoinSQL(children []engine.Predicate, and bool) (string, error) {
-	var parts []string
-	for _, c := range children {
-		s, err := renderPredicateSQL(c)
-		if err != nil {
-			return "", err
-		}
-		parts = append(parts, "("+s+")")
-	}
-	sep := " OR "
-	if and {
-		sep = " AND "
-	}
-	return strings.Join(parts, sep), nil
-}
-
-// renderValueSQL renders a literal: strings quoted with ” escaping,
-// timestamps quoted so the worker's parser re-coerces them, numbers in
-// full precision.
-func renderValueSQL(v engine.Value) string {
-	if v.Null {
-		return "NULL"
-	}
-	switch v.Kind {
-	case engine.TypeString, engine.TypeTime:
-		return "'" + strings.ReplaceAll(v.Format(), "'", "''") + "'"
-	default:
-		return v.Format()
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"seedb/internal/cluster"
 	"seedb/internal/engine"
@@ -100,6 +101,61 @@ func frameSamples(tb testing.TB) (*cluster.ShardRequest, *cluster.ShardResponse)
 	return req, resp
 }
 
+// predicateFrames are request frames whose predicate tables hold nested
+// And/Or/Not, IN and NOT IN, IS [NOT] NULL and NaN, ±Inf, −0 and NULL
+// literals, each re-encoding to its own bytes, plus predicates nested
+// at the decoder's depth bound (accepted) and one past it (refused by
+// EncodeShardRequest and by the decoder).
+func predicateFrames(tb testing.TB) [][]byte {
+	nan, inf, negZero := math.Float64frombits(0x7FF8000000000077), math.Inf(1), math.Copysign(0, -1)
+	shared := engine.Compare("m", engine.OpLt, engine.Float(inf))
+	nested := engine.And(
+		engine.Not(engine.IsNull("g")),
+		engine.Or(engine.In("m", engine.Float(nan), engine.Float(-inf), engine.NullValue(engine.TypeFloat)),
+			&engine.InPred{Column: "g", Values: []engine.Value{engine.String("g1"), engine.String("")}, Negate: true}),
+		engine.IsNotNull("m"),
+		engine.Compare("m", engine.OpGe, engine.Float(negZero)),
+		engine.Compare("ts", engine.OpGt, engine.Time(time.Unix(0, -1))),
+		engine.Eq("n", engine.Int(math.MinInt64)))
+	deep := func(depth int) engine.Predicate {
+		p := engine.Predicate(engine.IsNull("g"))
+		for range depth - 1 {
+			p = engine.Not(p)
+		}
+		return p
+	}
+	gsets := []engine.GroupingSet{{By: []string{"g"}, Aggs: []engine.AggSpec{{Func: engine.AggCount, Filter: shared},
+		{Func: engine.AggSum, Column: "m", Filter: nested}, {Func: engine.AggCount, Filter: shared}}}}
+	var frames [][]byte
+	for _, where := range []engine.Predicate{nested, shared, engine.Eq("m", engine.Float(nan)), deep(engine.MaxPredicateDepth)} {
+		req, err := cluster.EncodeShardRequest(&engine.Query{Table: "fz", Where: where}, gsets, "", 0, 10, 1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frame, _ := req.MarshalBinary()
+		var back cluster.ShardRequest
+		if err := back.UnmarshalBinary(frame); err != nil {
+			tb.Fatalf("%v: %v", where, err)
+		}
+		if again, _ := back.MarshalBinary(); !bytes.Equal(again, frame) {
+			tb.Fatalf("%v: re-encodes differently", where)
+		}
+		if len(back.Preds) > 3 || back.Sets[0].Aggs[0].Filter != back.Sets[0].Aggs[2].Filter {
+			tb.Fatalf("a filter shared by identity was not sent once: %d predicates, filters %+v", len(back.Preds), back.Sets[0].Aggs)
+		}
+		frames = append(frames, frame)
+	}
+	tooDeep := deep(engine.MaxPredicateDepth + 1)
+	if _, err := cluster.EncodeShardRequest(&engine.Query{Table: "fz", Where: tooDeep}, gsets, "", 0, 10, 1); err == nil {
+		tb.Fatal("a predicate past the depth bound was encoded")
+	}
+	frame, _ := (&cluster.ShardRequest{Preds: []engine.Predicate{tooDeep}, Where: 1}).MarshalBinary()
+	if err := new(cluster.ShardRequest).UnmarshalBinary(frame); err == nil {
+		tb.Fatal("a predicate past the depth bound was decoded")
+	}
+	return append(frames, frame)
+}
+
 // FuzzShardFrame holds the /api/shard/exec frame, both directions, to
 // what input from outside the process needs: arbitrary bytes never panic
 // and make the decoder allocate no more than a constant times their
@@ -136,6 +192,9 @@ func FuzzShardFrame(f *testing.F) {
 		f.Add(frame)
 	}
 	for _, seed := range [][]byte{reqFrame, respFrame, respFrame[:len(respFrame)/2], []byte(`{"fragments":[]}`), nil} {
+		f.Add(seed)
+	}
+	for _, seed := range predicateFrames(f) {
 		f.Add(seed)
 	}
 

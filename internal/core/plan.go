@@ -410,11 +410,3 @@ func materializeAggs(u *execUnit, predicate engine.Predicate, combine, avgParts 
 		u.bindings[d] = cols
 	}
 }
-
-// queryCount returns how many engine queries the unit will issue.
-func (u *execUnit) queryCount(combine bool) int {
-	if combine {
-		return 1
-	}
-	return 2
-}

@@ -268,27 +268,3 @@ func (e *Executor) Scan(ctx context.Context, table string, columns []string, whe
 	e.count(ctx, 1, int64(row)) // rows visited: a limit stops the scan early
 	return res, nil
 }
-
-// MaterializeSample builds an in-memory Bernoulli sample of a table.
-// The sample is returned (not registered); callers register it under
-// the chosen name if they want it query-able. This is the "construct a
-// sample of the dataset that can fit in memory" optimization.
-func (e *Executor) MaterializeSample(table, name string, fraction float64, seed uint64) (*Table, error) {
-	t, err := e.cat.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	smp := newSampler(fraction, seed, 0)
-	if smp == nil {
-		return t.Clone(name), nil
-	}
-	t.mu.RLock()
-	var sel []int32
-	for row := 0; row < t.rows; row++ {
-		if smp.keep(row) {
-			sel = append(sel, int32(row))
-		}
-	}
-	t.mu.RUnlock()
-	return t.Gather(name, sel), nil
-}

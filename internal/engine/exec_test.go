@@ -710,35 +710,6 @@ func TestScan(t *testing.T) {
 	}
 }
 
-func TestMaterializeSample(t *testing.T) {
-	_, ex := buildSalesCatalog(t, 10000, 5)
-	s, err := ex.MaterializeSample("sales", "sales_sample", 0.1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := s.NumRows()
-	if n < 700 || n > 1300 {
-		t.Errorf("sample of 10%% of 10k rows = %d, outside [700,1300]", n)
-	}
-	s2, err := ex.MaterializeSample("sales", "s2", 0.1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.NumRows() != n {
-		t.Error("same seed must give identical sample")
-	}
-	full, err := ex.MaterializeSample("sales", "full", 1.0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.NumRows() != 10000 {
-		t.Errorf("fraction 1 should clone, got %d rows", full.NumRows())
-	}
-	if _, err := ex.MaterializeSample("zzz", "x", 0.5, 1); err == nil {
-		t.Error("missing table must error")
-	}
-}
-
 func TestExecStats(t *testing.T) {
 	_, ex := buildSalesCatalog(t, 500, 3)
 	ex.Stats().Reset()

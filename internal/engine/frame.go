@@ -8,13 +8,14 @@ import (
 	"slices"
 )
 
-// The binary frame layout partials cross processes in. Counts, lengths
-// and unsigned integers are uvarints, signed integers zig-zag varints,
-// floats their raw IEEE-754 bits (8 bytes, little-endian — the sign of
-// zero, ±Inf and NaN payloads travel as they are), strings a uvarint
-// length and the bytes, and exact sums exactFloat's canonical base-2^32
-// digits (4 bytes each, little-endian). Every encoding is canonical: a
-// frame the reader accepts re-encodes to the same bytes.
+// The binary frame layout partials and predicates cross processes in.
+// Counts, lengths and unsigned integers are uvarints, signed integers
+// zig-zag varints, floats their raw IEEE-754 bits (8 bytes,
+// little-endian — the sign of zero, ±Inf and NaN payloads travel as
+// they are), strings a uvarint length and the bytes, and exact sums
+// exactFloat's canonical base-2^32 digits (4 bytes each,
+// little-endian). Every encoding is canonical: a frame the reader
+// accepts re-encodes to the same bytes.
 //
 // A Partial is
 //
@@ -31,7 +32,36 @@ import (
 //	Sum and SumSq: digit count, then if non-zero Lo and the digits;
 //	               Special's float bits when its flag is set,
 //	Min and Max float bits when accExtremes is set.
+//
+// A Predicate is a tag byte (pred* below) followed by
+//
+//	Compare:          column, operator as a uvarint, Value
+//	In, NotIn:        column, count, Values
+//	IsNull/IsNotNull: column
+//	And, Or:          count, Predicates
+//	Not:              Predicate
+//
+// nested at most MaxPredicateDepth deep. Literals are Values, so −0,
+// NaN payloads and ±Inf travel as bits.
 const valueNull = 1 << 7
+
+const (
+	predCompare = iota + 1
+	predIn
+	predNotIn
+	predIsNull
+	predIsNotNull
+	predAnd
+	predOr
+	predNot
+	// predNone tags a predicate CheckFramePredicate refuses; no reader
+	// accepts it.
+	predNone
+)
+
+// MaxPredicateDepth bounds how deep a predicate with a frame form
+// nests (a lone comparison is depth 1).
+const MaxPredicateDepth = 64
 
 const (
 	accSeen = 1 << iota
@@ -62,6 +92,8 @@ type FrameCodec interface {
 	// out of that order.
 	FloatMap(*map[string]float64)
 	Partial(**Partial)
+	// Predicate walks a predicate tree CheckFramePredicate accepts.
+	Predicate(*Predicate)
 	// Len encodes n, or decodes a list length: at most max elements of
 	// at least minBytes bytes each.
 	Len(n, minBytes, max int) int
@@ -95,9 +127,9 @@ func DecodeFrame(data []byte, header string, walk func(FrameCodec)) error {
 	if got := binary.LittleEndian.Uint32(data[len(header):]); int64(got) != int64(len(data)-n) {
 		return fmt.Errorf("frame declares %d payload bytes, carries %d", got, len(data)-n)
 	}
-	r := &frameReader{buf: data[n:]}
+	r := &frameReader{Decoder: Decoder{buf: data[n:]}}
 	walk(r)
-	return r.close()
+	return r.Close()
 }
 
 // frameWriter encodes (see FrameCodec), appending to a byte slice.
@@ -160,6 +192,76 @@ func (w *frameWriter) Partial(pp **Partial) {
 	}
 }
 
+// Predicate encodes a predicate tree; one CheckFramePredicate refuses
+// encodes as predNone, which no reader accepts.
+func (w *frameWriter) Predicate(pp *Predicate) {
+	switch p := (*pp).(type) {
+	case *ComparePred:
+		w.buf = append(w.buf, predCompare)
+		w.str(p.Column)
+		w.uvarint(uint64(p.Op))
+		w.value(p.Value)
+	case *InPred:
+		w.buf = append(w.buf, predIn+byte(b2u(p.Negate)))
+		w.str(p.Column)
+		w.uvarint(uint64(len(p.Values)))
+		for _, v := range p.Values {
+			w.value(v)
+		}
+	case *NullPred:
+		w.buf = append(w.buf, predIsNull+byte(b2u(p.Negate)))
+		w.str(p.Column)
+	case *AndPred:
+		w.buf = append(w.buf, predAnd)
+		w.predicates(p.Children)
+	case *OrPred:
+		w.buf = append(w.buf, predOr)
+		w.predicates(p.Children)
+	case *NotPred:
+		w.buf = append(w.buf, predNot)
+		w.Predicate(&p.Child)
+	default:
+		w.buf = append(w.buf, predNone)
+	}
+}
+
+func (w *frameWriter) predicates(ps []Predicate) {
+	w.uvarint(uint64(len(ps)))
+	for i := range ps {
+		w.Predicate(&ps[i])
+	}
+}
+
+// CheckFramePredicate reports why p has no frame form: a predicate type
+// the engine does not define (a caller's own, runnable only where it
+// was built) or nesting deeper than MaxPredicateDepth.
+func CheckFramePredicate(p Predicate) error { return checkFramePredicate(p, 1) }
+
+func checkFramePredicate(p Predicate, depth int) error {
+	if depth > MaxPredicateDepth {
+		return fmt.Errorf("engine: predicate nests deeper than %d", MaxPredicateDepth)
+	}
+	var children []Predicate
+	switch p := p.(type) {
+	case *ComparePred, *InPred, *NullPred:
+		return nil
+	case *AndPred:
+		children = p.Children
+	case *OrPred:
+		children = p.Children
+	case *NotPred:
+		children = []Predicate{p.Child}
+	default:
+		return fmt.Errorf("engine: predicate %T has no frame form", p)
+	}
+	for _, c := range children {
+		if err := checkFramePredicate(c, depth+1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (w *frameWriter) value(v Value) {
 	if v.Null {
 		w.buf = append(w.buf, byte(v.Kind)|valueNull)
@@ -219,111 +321,32 @@ func (w *frameWriter) exact(st *ExactState, special bool) {
 	}
 }
 
-// frameReader decodes (see FrameCodec) input that may be hostile. The
-// first malformation is recorded and every later read yields a zero
-// value, so a decoder checks once, at the end. Every count is checked
-// against the bytes remaining before anything is allocated for it, so
-// what a frame makes the reader allocate is bounded by its length.
+// frameReader decodes (see FrameCodec) input that may be hostile, on
+// a Decoder: a decoder checks once, at the end.
 type frameReader struct {
-	buf []byte
-	err error
+	Decoder
 	// digits is a slab the decoded sums' digits are cut from.
 	digits []uint32
 }
 
-// close reports the first malformation, or trailing bytes.
-func (r *frameReader) close() error {
-	if r.err == nil && len(r.buf) > 0 {
-		r.err = fmt.Errorf("%d trailing bytes", len(r.buf))
-	}
-	return r.err
-}
+func (r *frameReader) float() float64 { return math.Float64frombits(r.U64()) }
 
-func (r *frameReader) failf(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-	r.buf = nil
-}
-
-// next consumes n raw bytes.
-func (r *frameReader) next(n int) []byte {
-	if n > len(r.buf) {
-		r.failf("truncated: want %d bytes, %d left", n, len(r.buf))
-		return nil
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
-}
-
-func (r *frameReader) byte() byte {
-	if b := r.next(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-// uvarint reads an unsigned integer in its shortest encoding.
-func (r *frameReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 || (n > 1 && r.buf[n-1] == 0) {
-		r.failf("malformed varint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *frameReader) varint() int64 {
-	u := r.uvarint()
-	x := int64(u >> 1)
-	if u&1 != 0 {
-		x = ^x
-	}
-	return x
-}
-
-// count reads the length of a list whose elements take at least
-// minBytes bytes each: a count the remaining bytes cannot hold is a
-// malformation, found before the caller allocates for it.
-func (r *frameReader) count(minBytes int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.buf)/minBytes) {
-		r.failf("count %d exceeds the %d bytes left", n, len(r.buf))
-		return 0
-	}
-	return int(n)
-}
-
-func (r *frameReader) float() float64 {
-	if b := r.next(8); b != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
-	}
-	return 0
-}
-
-func (r *frameReader) str() string { return string(r.next(r.count(1))) }
-
-func (r *frameReader) Str(s *string)    { *s = r.str() }
-func (r *frameReader) Uint(v *uint64)   { *v = r.uvarint() }
+func (r *frameReader) Str(s *string)    { *s = r.Text() }
+func (r *frameReader) Uint(v *uint64)   { *v = r.Uvarint() }
 func (r *frameReader) Float(f *float64) { *f = r.float() }
 
 func (r *frameReader) Int(v *int) {
-	x := r.varint()
+	x := r.Varint()
 	if int64(int(x)) != x {
-		r.failf("integer %d out of range", x)
+		r.Failf("integer %d out of range", x)
 	}
 	*v = int(x)
 }
 
 func (r *frameReader) Len(_, minBytes, max int) int {
-	n := r.count(minBytes)
+	n := r.Count(minBytes)
 	if n > max {
-		r.failf("%d elements, at most %d", n, max)
+		r.Failf("%d elements, at most %d", n, max)
 		return 0
 	}
 	return n
@@ -332,21 +355,21 @@ func (r *frameReader) Len(_, minBytes, max int) int {
 func (r *frameReader) Strs(ss *[]string) {
 	FrameList(r, ss, 1, math.MaxInt)
 	for i := range *ss {
-		(*ss)[i] = r.str()
+		(*ss)[i] = r.Text()
 	}
 }
 
 func (r *frameReader) FloatMap(m *map[string]float64) {
-	n := r.count(9)
+	n := r.Count(9)
 	if n == 0 {
 		return
 	}
 	*m = make(map[string]float64, n)
 	prev := ""
 	for i := range n {
-		k := r.str()
+		k := r.Text()
 		if i > 0 && k <= prev {
-			r.failf("map keys out of order")
+			r.Failf("map keys out of order")
 		}
 		(*m)[k], prev = r.float(), k
 	}
@@ -361,27 +384,27 @@ func (r *frameReader) Partial(pp **Partial) {
 	*pp = nil
 	p := &Partial{}
 	r.Strs(&p.By)
-	nAggs := r.count(3)
+	nAggs := r.Count(3)
 	if nAggs == 0 {
-		r.failf("partial carries no aggregates")
+		r.Failf("partial carries no aggregates")
 		return
 	}
 	p.Cols, p.Funcs, p.Phys = make([]string, nAggs), make([]AggFunc, nAggs), make([]int, nAggs)
 	for i := range p.Cols {
-		p.Cols[i] = r.str()
-		if f := r.uvarint(); f <= uint64(AggStddev) {
+		p.Cols[i] = r.Text()
+		if f := r.Uvarint(); f <= uint64(AggStddev) {
 			p.Funcs[i] = AggFunc(f)
 		} else {
-			r.failf("unknown aggregate function %d", f)
+			r.Failf("unknown aggregate function %d", f)
 		}
-		if ph := r.uvarint(); ph < uint64(nAggs) {
+		if ph := r.Uvarint(); ph < uint64(nAggs) {
 			p.Phys[i] = int(ph)
 		} else {
-			r.failf("aggregate %d maps to physical accumulator %d of at most %d", i, ph, nAggs)
+			r.Failf("aggregate %d maps to physical accumulator %d of at most %d", i, ph, nAggs)
 		}
 	}
 	nBy, nPhys := len(p.By), numPhys(p.Phys)
-	nGroups := r.count(nBy + nPhys*minAccBytes)
+	nGroups := r.Count(nBy + nPhys*minAccBytes)
 	if r.err != nil {
 		return
 	}
@@ -407,72 +430,118 @@ func (r *frameReader) Partial(pp **Partial) {
 	*pp = p
 }
 
+// Predicate decodes a predicate tree (nil after a malformation).
+func (r *frameReader) Predicate(pp *Predicate) { *pp = r.predicate(1) }
+
+func (r *frameReader) predicate(depth int) Predicate {
+	if depth > MaxPredicateDepth {
+		r.Failf("predicate nests deeper than %d", MaxPredicateDepth)
+	}
+	if r.err != nil {
+		return nil
+	}
+	switch tag := r.Byte(); tag {
+	case predCompare:
+		p := &ComparePred{Column: r.Text()}
+		if op := r.Uvarint(); op <= uint64(OpGe) {
+			p.Op = CmpOp(op)
+		} else {
+			r.Failf("unknown comparison operator %d", op)
+		}
+		p.Value = r.value()
+		return p
+	case predIn, predNotIn:
+		p := &InPred{Column: r.Text(), Negate: tag == predNotIn}
+		FrameList(r, &p.Values, 1, math.MaxInt)
+		for i := range p.Values {
+			p.Values[i] = r.value()
+		}
+		return p
+	case predIsNull, predIsNotNull:
+		return &NullPred{Column: r.Text(), Negate: tag == predIsNotNull}
+	case predAnd, predOr:
+		children := make([]Predicate, r.Count(1))
+		for i := range children {
+			children[i] = r.predicate(depth + 1)
+		}
+		if tag == predAnd {
+			return &AndPred{Children: children}
+		}
+		return &OrPred{Children: children}
+	case predNot:
+		return &NotPred{Child: r.predicate(depth + 1)}
+	default:
+		r.Failf("unknown predicate tag %d", tag)
+		return nil
+	}
+}
+
 func (r *frameReader) value() Value {
-	tag := r.byte()
+	tag := r.Byte()
 	v := Value{Kind: Type(tag &^ valueNull), Null: tag&valueNull != 0}
 	if v.Kind > TypeTime {
-		r.failf("unknown value kind %d", v.Kind)
+		r.Failf("unknown value kind %d", v.Kind)
 	}
 	if v.Null {
 		return v
 	}
 	switch v.Kind {
 	case TypeInt, TypeTime:
-		v.I = r.varint()
+		v.I = r.Varint()
 	case TypeFloat:
 		v.F = r.float()
 	case TypeString:
-		v.S = r.str()
+		v.S = r.Text()
 	}
 	return v
 }
 
 func (r *frameReader) accState(st *AccState) {
-	flags := r.byte()
+	flags := r.Byte()
 	if flags&^accFlags != 0 {
-		r.failf("unknown accumulator flags %#x", flags)
+		r.Failf("unknown accumulator flags %#x", flags)
 	}
 	st.Seen = flags&accSeen != 0
-	st.Count = int64(r.uvarint())
+	st.Count = int64(r.Uvarint())
 	r.exact(&st.Sum, flags&accSumNeg != 0, flags&accSumSpecial != 0)
 	r.exact(&st.SumSq, flags&accSumSqNeg != 0, flags&accSumSqSpecial != 0)
 	if flags&accExtremes != 0 {
 		st.Min, st.Max = r.float(), r.float()
 		if math.Float64bits(st.Min)|math.Float64bits(st.Max) == 0 {
-			r.failf("extremes flagged but zero")
+			r.Failf("extremes flagged but zero")
 		}
 	}
 }
 
 func (r *frameReader) exact(st *ExactState, neg, special bool) {
-	if n := r.count(4); n > 0 {
-		lo := r.uvarint()
+	if n := r.Count(4); n > 0 {
+		lo := r.Uvarint()
 		if lo >= exactMaxDigits || lo+uint64(n) > exactMaxDigits {
-			r.failf("digit window [%d,%d) beyond the %d an exact sum reaches", lo, lo+uint64(n), exactMaxDigits)
+			r.Failf("digit window [%d,%d) beyond the %d an exact sum reaches", lo, lo+uint64(n), exactMaxDigits)
 			return
 		}
-		b := r.next(4 * n)
+		b := r.Next(4 * n)
 		if b == nil {
 			return
 		}
 		if len(r.digits) < n {
 			// A slab for the sums still to come, bounded by the bytes left.
-			r.digits = make([]uint32, max(n, min(1024, len(r.buf)/4+n)))
+			r.digits = make([]uint32, max(n, min(1024, r.Left()/4+n)))
 		}
 		st.Digits, r.digits = r.digits[:n:n], r.digits[n:]
 		for i := range st.Digits {
 			st.Digits[i] = binary.LittleEndian.Uint32(b[4*i:])
 		}
 		if st.Digits[0] == 0 || st.Digits[n-1] == 0 {
-			r.failf("exact sum digits not trimmed")
+			r.Failf("exact sum digits not trimmed")
 		}
 		st.Neg, st.Lo = neg, int32(lo)
 	} else if neg {
-		r.failf("sign on an empty exact sum")
+		r.Failf("sign on an empty exact sum")
 	}
 	if special {
 		if st.Special = r.float(); math.Float64bits(st.Special) == 0 {
-			r.failf("non-finite part flagged but zero")
+			r.Failf("non-finite part flagged but zero")
 		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -33,8 +34,9 @@ func fuzzSnapshotSeed(tb testing.TB) []byte {
 }
 
 // FuzzPersistRoundTrip: ReadTable must never panic on arbitrary bytes
-// — malformed snapshots error out — and anything it does accept must
-// survive a write/read round trip unchanged.
+// — malformed snapshots error out — nor allocate more than a constant
+// times their length, and anything it does accept must survive a
+// write/read round trip unchanged.
 func FuzzPersistRoundTrip(f *testing.F) {
 	seed := fuzzSnapshotSeed(f)
 	f.Add(seed)
@@ -47,7 +49,13 @@ func FuzzPersistRoundTrip(f *testing.F) {
 	mut[len(mut)/2] ^= 0x40
 	f.Add(mut)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		tb, err := ReadTable(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 128*uint64(len(data))+64<<10 {
+			t.Fatalf("reading %d bytes allocated %d", len(data), grew)
+		}
 		if err != nil {
 			return // malformed input must error, never panic
 		}

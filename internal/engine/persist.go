@@ -108,51 +108,38 @@ func ReadTable(r io.Reader) (*Table, error) {
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(sum) {
 		return nil, fmt.Errorf("engine: snapshot checksum mismatch (corrupt file?)")
 	}
-	br := &snapReader{b: payload[len(tableMagic):]}
-	magic := payload[:len(tableMagic)]
-	if string(magic) != tableMagic && string(magic) != tableMagicV2 {
+	magic := string(payload[:len(tableMagic)])
+	if magic != tableMagic && magic != tableMagicV2 {
 		return nil, fmt.Errorf("engine: not a table snapshot (magic %q)", magic)
 	}
-	name, err := readString(br)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := readUvarint(br)
-	if err != nil {
-		return nil, err
-	}
+	d := NewDecoder(payload[len(tableMagic):])
+	name, rows := snapshotText(d), d.Uvarint()
 	// SDB2 persists the mutation version; SDB1 predates it, so a legacy
 	// snapshot restores at version 0 (its pre-durability behavior).
 	var version uint64
-	if string(magic) == tableMagicV2 {
-		if version, err = readUvarint(br); err != nil {
-			return nil, err
-		}
+	if magic == tableMagicV2 {
+		version = d.Uvarint()
 	}
-	ncols, err := readUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if ncols == 0 || ncols > 1<<20 {
+	ncols := d.Uvarint()
+	switch {
+	case d.Err() != nil:
+		return nil, fmt.Errorf("engine: snapshot: %w", d.Err())
+	case ncols == 0 || ncols > 1<<20:
 		return nil, fmt.Errorf("engine: snapshot has implausible column count %d", ncols)
-	}
 	// Plausibility before allocation: every column stores at least one
 	// byte per row (8 for numerics, >= 1 per dictionary code), so a
 	// declared row or column count the payload cannot possibly back is
 	// corruption — reject it instead of allocating attacker-controlled
 	// amounts of memory.
-	if rows > uint64(len(payload)) {
-		return nil, fmt.Errorf("engine: snapshot declares %d rows in a %d-byte payload", rows, len(payload))
-	}
-	if ncols > uint64(len(payload)) {
-		return nil, fmt.Errorf("engine: snapshot declares %d columns in a %d-byte payload", ncols, len(payload))
+	case rows > uint64(len(payload)) || ncols > uint64(len(payload)):
+		return nil, fmt.Errorf("engine: snapshot declares %d rows of %d columns in a %d-byte payload", rows, ncols, len(payload))
 	}
 	t := &Table{name: name, id: tableIDs.Add(1), rows: int(rows), byName: make(map[string]int, ncols)}
 	t.version.Store(version)
-	for i := 0; i < int(ncols); i++ {
-		col, err := readColumn(br, int(rows))
-		if err != nil {
-			return nil, err
+	for i := range int(ncols) {
+		col := readColumn(d, int(rows))
+		if d.Err() != nil {
+			return nil, fmt.Errorf("engine: snapshot: %w", d.Err())
 		}
 		if _, dup := t.byName[col.Name()]; dup {
 			return nil, fmt.Errorf("engine: snapshot has duplicate column %q", col.Name())
@@ -161,6 +148,19 @@ func ReadTable(r io.Reader) (*Table, error) {
 		t.cols = append(t.cols, col)
 	}
 	return t, nil
+}
+
+// maxSnapshotText bounds a snapshot's strings.
+const maxSnapshotText = 1 << 24
+
+// snapshotText reads a string of at most maxSnapshotText bytes.
+func snapshotText(d *Decoder) string {
+	s := d.Text()
+	if len(s) > maxSnapshotText {
+		d.Failf("string of %d bytes is implausible", len(s))
+		return ""
+	}
+	return s
 }
 
 func writeColumn(w *bufio.Writer, col Column) error {
@@ -204,100 +204,82 @@ func writeColumn(w *bufio.Writer, col Column) error {
 	return nil
 }
 
-func readColumn(r *snapReader, rows int) (Column, error) {
-	name, err := readString(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(r.b) == 0 {
-		return nil, fmt.Errorf("engine: reading column type: %w", io.EOF)
-	}
-	tb := r.b[0]
-	r.b = r.b[1:]
-	typ := Type(tb)
-	nNulls, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if int(nNulls) > rows {
-		return nil, fmt.Errorf("engine: column %q has %d nulls for %d rows", name, nNulls, rows)
+// readColumn decodes one column of rows rows (nil after a
+// malformation, which d records).
+func readColumn(d *Decoder, rows int) Column {
+	name := snapshotText(d)
+	typ := Type(d.Byte())
+	nNulls := d.Count(1)
+	if nNulls > rows {
+		d.Failf("column %q has %d nulls for %d rows", name, nNulls, rows)
 	}
 	var nulls nullBitmap
-	for i := 0; i < int(nNulls); i++ {
-		p, err := readUvarint(r)
-		if err != nil {
-			return nil, err
+	for range nNulls {
+		if p := d.Uvarint(); p < uint64(rows) {
+			nulls.set(int(p))
+		} else {
+			d.Failf("column %q null position %d out of range", name, p)
 		}
-		if int(p) >= rows {
-			return nil, fmt.Errorf("engine: column %q null position %d out of range", name, p)
-		}
-		nulls.set(int(p))
+	}
+	if d.Err() != nil {
+		return nil
 	}
 	switch typ {
-	case TypeInt, TypeTime:
+	case TypeInt, TypeTime, TypeFloat:
+		// One bounds check for the whole column, then fixed-width reads.
+		b := d.Next(8 * rows)
+		if b == nil {
+			return nil
+		}
+		if typ == TypeFloat {
+			vals := make([]float64, rows)
+			for i := range vals {
+				vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+			return &FloatColumn{name: name, vals: vals, nulls: nulls}
+		}
 		vals := make([]int64, rows)
 		for i := range vals {
-			u, err := readU64(r)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = int64(u)
+			vals[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 		}
 		if typ == TypeInt {
-			return &IntColumn{name: name, vals: vals, nulls: nulls}, nil
+			return &IntColumn{name: name, vals: vals, nulls: nulls}
 		}
-		return &TimeColumn{name: name, vals: vals, nulls: nulls}, nil
-	case TypeFloat:
-		vals := make([]float64, rows)
-		for i := range vals {
-			u, err := readU64(r)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = math.Float64frombits(u)
-		}
-		return &FloatColumn{name: name, vals: vals, nulls: nulls}, nil
+		return &TimeColumn{name: name, vals: vals, nulls: nulls}
 	case TypeString:
-		dictLen, err := readUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		if dictLen > uint64(rows)+1 {
-			return nil, fmt.Errorf("engine: column %q dictionary larger than row count", name)
+		dictLen := d.Count(1)
+		if dictLen > rows+1 {
+			d.Failf("column %q dictionary larger than row count", name)
+			return nil
 		}
 		col := NewStringColumn(name)
-		for i := 0; i < int(dictLen); i++ {
-			s, err := readString(r)
-			if err != nil {
-				return nil, err
-			}
+		for i := range dictLen {
+			s := snapshotText(d)
 			col.dict = append(col.dict, s)
 			col.index[s] = int32(i)
 		}
 		col.codes = make([]int32, rows)
 		for i := range col.codes {
-			u, err := readUvarint(r)
-			if err != nil {
-				return nil, err
-			}
-			code := int32(uint32(u))
+			code := int32(uint32(d.Uvarint()))
 			if code >= int32(dictLen) && code != -1 {
-				return nil, fmt.Errorf("engine: column %q code %d out of dictionary range", name, code)
+				d.Failf("column %q code %d out of dictionary range", name, code)
+				return nil
 			}
 			col.codes[i] = code
 		}
 		col.nulls = nulls
-		return col, nil
+		return col
 	default:
-		return nil, fmt.Errorf("engine: unknown column type %d in snapshot", tb)
+		d.Failf("unknown column type %d", typ)
+		return nil
 	}
 }
 
 // --- primitive encoders ---
 //
 // The writers append into the bufio.Writer's free space
-// (AvailableBuffer) so no per-value buffer escapes to the heap; the
-// reader decodes the in-memory payload ReadTable has already
+// (AvailableBuffer) so no per-value buffer escapes to the heap; a
+// Decoder reads the in-memory payload ReadTable has already
 // checksummed.
 
 func writeUvarint(w *bufio.Writer, v uint64) {
@@ -311,49 +293,4 @@ func writeU64(w *bufio.Writer, v uint64) {
 func writeString(w *bufio.Writer, s string) {
 	writeUvarint(w, uint64(len(s)))
 	_, _ = w.WriteString(s)
-}
-
-// snapReader consumes a snapshot payload from the front of b.
-type snapReader struct {
-	b []byte
-}
-
-func readUvarint(r *snapReader) (uint64, error) {
-	v, n := binary.Uvarint(r.b)
-	switch {
-	case n > 0:
-		r.b = r.b[n:]
-		return v, nil
-	case n < 0:
-		return 0, fmt.Errorf("engine: reading snapshot varint: varint overflows a 64-bit integer")
-	case len(r.b) == 0:
-		return 0, fmt.Errorf("engine: reading snapshot varint: %w", io.EOF)
-	default:
-		return 0, fmt.Errorf("engine: reading snapshot varint: %w", io.ErrUnexpectedEOF)
-	}
-}
-
-func readU64(r *snapReader) (uint64, error) {
-	if len(r.b) < 8 {
-		return 0, fmt.Errorf("engine: reading snapshot value: %w", io.ErrUnexpectedEOF)
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v, nil
-}
-
-func readString(r *snapReader) (string, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<24 {
-		return "", fmt.Errorf("engine: snapshot string of %d bytes is implausible", n)
-	}
-	if uint64(len(r.b)) < n {
-		return "", fmt.Errorf("engine: reading snapshot string: %w", io.ErrUnexpectedEOF)
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s, nil
 }

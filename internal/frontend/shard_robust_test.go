@@ -42,6 +42,9 @@ func shardFrame(t *testing.T, req cluster.ShardRequest, frags ...cluster.ShardFr
 	return b
 }
 
+// opaquePred is a predicate type with no frame form.
+type opaquePred struct{ engine.Predicate }
+
 // shardFrag is one fragment of a request; hash may be empty.
 func shardFrag(table string, lo, hi, sampleBase int, hash string) cluster.ShardFragment {
 	return cluster.ShardFragment{Table: table, ContentHash: hash, SampleBase: sampleBase, RowLo: lo, RowHi: hi}
@@ -99,7 +102,11 @@ func TestShardExecMalformedPayloads(t *testing.T) {
 		{"negative bin width", shardFrame(t, withSets(sets([]string{"sales"}, map[string]float64{"sales": -1}, cluster.ShardAgg{Func: "COUNT"})), orders(0, 100)), false},
 		{"SUM of a string", shardFrame(t, withSets(sets([]string{"category"}, nil, cluster.ShardAgg{Func: "SUM", Column: "region"})), orders(0, 100)), false},
 		{"unknown aggregate", shardFrame(t, withSets(sets([]string{"region"}, nil, cluster.ShardAgg{Func: "MEDIANISH"})), orders(0, 100)), false},
-		{"unparseable predicate", shardFrame(t, cluster.ShardRequest{WhereSQL: "region = = 3"}, orders(0, 100)), false},
+		// A predicate type of the sender's own encodes as a tag no reader accepts.
+		{"unparseable predicate", shardFrame(t, cluster.ShardRequest{Preds: []engine.Predicate{opaquePred{}}, Where: 1}, orders(0, 100)), false},
+		{"predicate index past the table", shardFrame(t, cluster.ShardRequest{Preds: []engine.Predicate{engine.IsNull("region")}, Where: 2}, orders(0, 100)), false},
+		{"filter index past the table", shardFrame(t, withSets(sets([]string{"region"}, nil, cluster.ShardAgg{Func: "COUNT", Filter: 1})), orders(0, 100)), false},
+		{"predicate on an unknown column", shardFrame(t, cluster.ShardRequest{Preds: []engine.Predicate{engine.IsNull("nope")}, Where: 1}, orders(0, 100)), false},
 		{"empty fragment list", shardFrame(t, count), false},
 		{"no fragment list", noFragments, false},
 		{"duplicate fragment", shardFrame(t, count, orders(0, 100), orders(0, 100)), false},

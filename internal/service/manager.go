@@ -32,21 +32,6 @@ type Config struct {
 	// 503 + Retry-After). <= 0 selects 64.
 	MaxQueueDepth int
 
-	// Durability knobs. The service layer carries them; seedb.DB.Serve
-	// interprets them (the WAL store lives below this package, in
-	// internal/wal, and must be opened before traffic flows).
-
-	// DataDir roots the durable store (write-ahead log + snapshot
-	// checkpoints). Empty leaves the instance memory-only, exactly the
-	// pre-durability behavior.
-	DataDir string
-	// WALSyncEvery fsyncs the WAL once per N ingest batches; <= 0
-	// selects 1 (fsync before every ack — full durability).
-	WALSyncEvery int
-	// SnapshotEveryBatches checkpoints (snapshot + WAL compaction)
-	// once per N ingest batches; <= 0 selects 256.
-	SnapshotEveryBatches int
-
 	// DisableObservability leaves the obs hub uninstalled: no metrics
 	// registry, no tracing, and the frontend's /metrics and /api/trace
 	// endpoints answer 404. Instrumentation is observation-only either

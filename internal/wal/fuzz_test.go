@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"seedb/internal/engine"
@@ -70,7 +71,8 @@ func fuzzValueEqual(a, b engine.Value) bool {
 }
 
 // FuzzWALReplay: the record scanner must never panic on arbitrary
-// bytes, must never claim a valid prefix longer than its input, and
+// bytes, nor allocate more than a constant times their length, must
+// never claim a valid prefix longer than its input, and
 // every record it does accept must survive an encode/decode round trip
 // unchanged — the exact contract crash recovery relies on.
 func FuzzWALReplay(f *testing.F) {
@@ -78,7 +80,13 @@ func FuzzWALReplay(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		recs, validLen := scanRecords(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 128*uint64(len(data))+64<<10 {
+			t.Fatalf("scanning %d bytes allocated %d", len(data), grew)
+		}
 		if validLen < 0 || validLen > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside input of %d bytes", validLen, len(data))
 		}

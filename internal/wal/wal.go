@@ -16,7 +16,9 @@
 //	crc32   uint32  IEEE checksum of the payload
 //	payload
 //
-// Payload layout (uvarints; strings are uvarint length + bytes):
+// Payload layout (uvarints, each in its shortest encoding; strings are
+// uvarint length + bytes), read back through engine.Decoder — the one
+// bounded reader the engine's snapshots and cluster frames use too:
 //
 //	table        string
 //	prevVersion  uvarint
@@ -65,15 +67,15 @@ const maxRecordBytes = 1 << 30
 // encodeRecord renders a record's payload (frame header excluded).
 func encodeRecord(rec *Record) ([]byte, error) {
 	buf := make([]byte, 0, 64+16*len(rec.Rows))
-	buf = appendUvarint(buf, uint64(len(rec.Table)))
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Table)))
 	buf = append(buf, rec.Table...)
-	buf = appendUvarint(buf, rec.PrevVersion)
-	buf = appendUvarint(buf, uint64(len(rec.Rows)))
+	buf = binary.AppendUvarint(buf, rec.PrevVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Rows)))
 	ncols := 0
 	if len(rec.Rows) > 0 {
 		ncols = len(rec.Rows[0])
 	}
-	buf = appendUvarint(buf, uint64(ncols))
+	buf = binary.AppendUvarint(buf, uint64(ncols))
 	for ri, row := range rec.Rows {
 		if len(row) != ncols {
 			return nil, fmt.Errorf("wal: record row %d has %d values, row 0 has %d", ri, len(row), ncols)
@@ -88,12 +90,6 @@ func encodeRecord(rec *Record) ([]byte, error) {
 	return buf, nil
 }
 
-func appendUvarint(buf []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(buf, tmp[:n]...)
-}
-
 func appendValue(buf []byte, v engine.Value) ([]byte, error) {
 	switch v.Kind {
 	case engine.TypeInt, engine.TypeFloat, engine.TypeString, engine.TypeTime:
@@ -105,156 +101,70 @@ func appendValue(buf []byte, v engine.Value) ([]byte, error) {
 		return append(buf, 1), nil
 	}
 	buf = append(buf, 0)
-	var tmp [8]byte
 	switch v.Kind {
 	case engine.TypeInt, engine.TypeTime:
-		binary.LittleEndian.PutUint64(tmp[:], uint64(v.I))
-		buf = append(buf, tmp[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I))
 	case engine.TypeFloat:
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v.F))
-		buf = append(buf, tmp[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
 	case engine.TypeString:
-		buf = appendUvarint(buf, uint64(len(v.S)))
+		buf = binary.AppendUvarint(buf, uint64(len(v.S)))
 		buf = append(buf, v.S...)
 	}
 	return buf, nil
 }
 
-// byteReader walks a payload with bounds checking; every decode error
-// is corruption, never a panic (the decoder fronts a fuzz target).
-type byteReader struct {
-	data []byte
-	off  int
-}
-
-func (r *byteReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("wal: truncated varint at offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *byteReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.data) {
-		return nil, fmt.Errorf("wal: %d bytes wanted at offset %d of %d", n, r.off, len(r.data))
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *byteReader) byte() (byte, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
 // decodeRecord parses one payload. It validates everything it
-// allocates against the remaining byte count, so a corrupt length can
-// never force an implausible allocation.
+// allocates against the remaining byte count (engine.Decoder), so a
+// corrupt length can never force an implausible allocation.
 func decodeRecord(payload []byte) (*Record, error) {
-	r := &byteReader{data: payload}
-	nameLen, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nameLen > uint64(len(payload)) {
-		return nil, fmt.Errorf("wal: record declares a %d-byte table name in a %d-byte payload", nameLen, len(payload))
-	}
-	name, err := r.bytes(int(nameLen))
-	if err != nil {
-		return nil, err
-	}
-	rec := &Record{Table: string(name)}
-	if rec.PrevVersion, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	nrows, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ncols, err := r.uvarint()
-	if err != nil {
-		return nil, err
+	d := engine.NewDecoder(payload)
+	rec := &Record{Table: d.Text(), PrevVersion: d.Uvarint()}
+	nrows, ncols := d.Uvarint(), d.Uvarint()
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
 	}
 	// Every value costs at least two bytes (kind + null flag), so a
 	// row/column product the payload cannot back is corruption.
 	if nrows > 0 && ncols == 0 {
 		return nil, fmt.Errorf("wal: record declares %d rows of zero columns", nrows)
 	}
-	remaining := uint64(len(payload) - r.off)
-	if ncols != 0 && (nrows > remaining/2/ncols) {
+	if remaining := uint64(d.Left()); ncols != 0 && nrows > remaining/2/ncols {
 		return nil, fmt.Errorf("wal: record declares %d×%d values in %d bytes", nrows, ncols, remaining)
 	}
 	rec.Rows = make([][]engine.Value, int(nrows))
 	for ri := range rec.Rows {
 		row := make([]engine.Value, int(ncols))
 		for ci := range row {
-			if row[ci], err = r.readValue(); err != nil {
-				return nil, err
-			}
+			row[ci] = readValue(d)
+		}
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
 		}
 		rec.Rows[ri] = row
 	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("wal: record has %d trailing bytes", len(payload)-r.off)
+	if err := d.Close(); err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
 	}
 	return rec, nil
 }
 
-func (r *byteReader) readValue() (engine.Value, error) {
-	kind, err := r.byte()
-	if err != nil {
-		return engine.Value{}, err
-	}
-	typ := engine.Type(kind)
-	switch typ {
-	case engine.TypeInt, engine.TypeFloat, engine.TypeString, engine.TypeTime:
+func readValue(d *engine.Decoder) engine.Value {
+	typ, null := engine.Type(d.Byte()), d.Byte()
+	switch {
+	case typ > engine.TypeTime:
+		d.Failf("unknown value kind %d", typ)
+	case null > 1:
+		d.Failf("bad null flag %d", null)
+	case null == 1:
+		return engine.NullValue(typ)
+	case typ == engine.TypeString:
+		return engine.String(d.Text())
+	case typ == engine.TypeFloat:
+		return engine.Float(math.Float64frombits(d.U64()))
 	default:
-		return engine.Value{}, fmt.Errorf("wal: unknown value kind %d", kind)
+		return engine.Value{Kind: typ, I: int64(d.U64())}
 	}
-	nullFlag, err := r.byte()
-	if err != nil {
-		return engine.Value{}, err
-	}
-	switch nullFlag {
-	case 1:
-		return engine.NullValue(typ), nil
-	case 0:
-	default:
-		return engine.Value{}, fmt.Errorf("wal: bad null flag %d", nullFlag)
-	}
-	switch typ {
-	case engine.TypeInt, engine.TypeTime:
-		b, err := r.bytes(8)
-		if err != nil {
-			return engine.Value{}, err
-		}
-		return engine.Value{Kind: typ, I: int64(binary.LittleEndian.Uint64(b))}, nil
-	case engine.TypeFloat:
-		b, err := r.bytes(8)
-		if err != nil {
-			return engine.Value{}, err
-		}
-		return engine.Float(math.Float64frombits(binary.LittleEndian.Uint64(b))), nil
-	default: // TypeString
-		n, err := r.uvarint()
-		if err != nil {
-			return engine.Value{}, err
-		}
-		if n > uint64(len(r.data)-r.off) {
-			return engine.Value{}, fmt.Errorf("wal: string of %d bytes exceeds payload", n)
-		}
-		b, err := r.bytes(int(n))
-		if err != nil {
-			return engine.Value{}, err
-		}
-		return engine.String(string(b)), nil
-	}
+	return engine.Value{}
 }
 
 // scanRecords walks a log image and returns every whole, checksummed
@@ -262,27 +172,20 @@ func (r *byteReader) readValue() (engine.Value, error) {
 // tail simply ends the scan — by WAL discipline everything after the
 // first bad frame is unreachable garbage.
 func scanRecords(data []byte) (recs []*Record, validLen int64) {
-	off := 0
-	for {
-		if off+frameHeaderSize > len(data) {
-			return recs, int64(off)
-		}
-		length := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length > maxRecordBytes || off+frameHeaderSize+int(length) > len(data) {
-			return recs, int64(off)
-		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+int(length)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return recs, int64(off)
+	for d := engine.NewDecoder(data); d.Left() >= frameHeaderSize; {
+		hdr := d.Next(frameHeaderSize)
+		length, sum := binary.LittleEndian.Uint32(hdr), binary.LittleEndian.Uint32(hdr[4:])
+		payload := d.Next(int(length))
+		if length > maxRecordBytes || payload == nil || crc32.ChecksumIEEE(payload) != sum {
+			break
 		}
 		rec, err := decodeRecord(payload)
 		if err != nil {
-			return recs, int64(off)
+			break
 		}
-		recs = append(recs, rec)
-		off += frameHeaderSize + int(length)
+		recs, validLen = append(recs, rec), int64(len(data)-d.Left())
 	}
+	return recs, validLen
 }
 
 // writeFrameHeader stamps the length+checksum prefix into frame[0:8].

@@ -265,7 +265,6 @@ type DB struct {
 	durMu    sync.Mutex
 	durStore *wal.Store
 	durInfo  *RecoveryInfo
-	durErr   error
 }
 
 // Durability types, re-exported from internal/wal.
@@ -429,17 +428,6 @@ func (db *DB) RecoveryReport() *RecoveryInfo {
 	db.durMu.Lock()
 	defer db.durMu.Unlock()
 	return db.durInfo
-}
-
-// DurabilityError returns the deferred error of a Serve-initiated
-// durability enablement (nil when enablement succeeded or was never
-// attempted). Serve cannot return an error, so an unopenable DataDir
-// surfaces here; cmd/seedb instead calls EnableDurability directly and
-// treats failure as fatal.
-func (db *DB) DurabilityError() error {
-	db.durMu.Lock()
-	defer db.durMu.Unlock()
-	return db.durErr
 }
 
 // Checkpoint forces an immediate snapshot of every table with batches
@@ -631,19 +619,6 @@ func (db *DB) Engine() *core.Engine { return db.core }
 // requests additionally go through the scheduler).
 func (db *DB) Serve(cfg ServeConfig) *Service {
 	db.serveOnce.Do(func() {
-		// Durability first: recovery must finish before the cache and
-		// scheduler see any table, and ingest must be WAL-backed before
-		// the first request can ack. Serve cannot return an error, so a
-		// failed enablement is recorded for DurabilityError; callers
-		// that need fail-fast semantics (cmd/seedb) call
-		// EnableDurability themselves beforehand.
-		if cfg.DataDir != "" {
-			if _, err := db.EnableDurability(cfg.DataDir, cfg.WALSyncEvery, cfg.SnapshotEveryBatches); err != nil {
-				db.durMu.Lock()
-				db.durErr = err
-				db.durMu.Unlock()
-			}
-		}
 		m := service.NewManager(db.core, cfg)
 		if !cfg.DisableObservability {
 			m.SetObservability(db.obs)
