@@ -22,3 +22,6 @@ func (b *Backend) Ingest(ctx context.Context, table string, rows [][]any) (*Inge
 	resp, _, err := b.Append(ctx, table, typed)
 	return resp, err
 }
+
+// RequestFrameHeader opens every request frame.
+const RequestFrameHeader = frameHeader + "Q"

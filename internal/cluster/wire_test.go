@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -156,6 +157,46 @@ func predicateFrames(tb testing.TB) [][]byte {
 	return append(frames, frame)
 }
 
+// deepCountClaims is a request frame whose one predicate nests
+// MaxPredicateDepth And nodes, each declaring as many children as the
+// bytes left after its count can hold, over a tail of garbage of the
+// given length: a decoder that sized each level's children from its
+// count would keep depth slices of 16 bytes per input byte live at
+// once.
+func deepCountClaims(tb testing.TB, tail int) []byte {
+	one, _ := (&cluster.ShardRequest{Preds: []engine.Predicate{&engine.AndPred{Children: []engine.Predicate{engine.IsNull("g")}}}}).MarshalBinary()
+	hdr := len(cluster.RequestFrameHeader)
+	andTag := one[hdr+4+1] // after the table's count, 1
+	body := bytes.Repeat([]byte{0xFF}, tail)
+	for range engine.MaxPredicateDepth {
+		body = append(binary.AppendUvarint([]byte{andTag}, uint64(len(body))), body...)
+	}
+	payload := append([]byte{1}, body...)
+	frame := binary.LittleEndian.AppendUint32([]byte(cluster.RequestFrameHeader), uint32(len(payload)))
+	frame = append(frame, payload...)
+	if err := new(cluster.ShardRequest).UnmarshalBinary(frame); err == nil {
+		tb.Fatal("a chain of And counts over garbage was decoded")
+	}
+	return frame
+}
+
+// TestDeepCountClaimsAllocationBound holds the request decoder to
+// FuzzShardFrame's allocation bound on nested And counts that each
+// claim every byte left.
+func TestDeepCountClaimsAllocationBound(t *testing.T) {
+	frame := deepCountClaims(t, 16<<10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := new(cluster.ShardRequest).UnmarshalBinary(frame)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 128*uint64(len(frame))+64<<10 {
+		t.Fatalf("decoding %d bytes allocated %d", len(frame), grew)
+	}
+}
+
 // FuzzShardFrame holds the /api/shard/exec frame, both directions, to
 // what input from outside the process needs: arbitrary bytes never panic
 // and make the decoder allocate no more than a constant times their
@@ -197,6 +238,7 @@ func FuzzShardFrame(f *testing.F) {
 	for _, seed := range predicateFrames(f) {
 		f.Add(seed)
 	}
+	f.Add(deepCountClaims(f, 2<<10))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

@@ -460,9 +460,14 @@ func (r *frameReader) predicate(depth int) Predicate {
 	case predIsNull, predIsNotNull:
 		return &NullPred{Column: r.Text(), Negate: tag == predIsNotNull}
 	case predAnd, predOr:
-		children := make([]Predicate, r.Count(1))
-		for i := range children {
-			children[i] = r.predicate(depth + 1)
+		// Grown child by child, not sized from the count: every
+		// enclosing level's slice stays live while a child decodes, so
+		// slices sized from counts that each claim the bytes left would
+		// cost depth × 16 bytes per input byte.
+		n := r.Count(1)
+		var children []Predicate
+		for i := 0; i < n && r.err == nil; i++ {
+			children = append(children, r.predicate(depth+1))
 		}
 		if tag == predAnd {
 			return &AndPred{Children: children}
